@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint race check fmt bench
+.PHONY: build test lint race check fmt bench pair
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,11 @@ check:
 # BENCH_PR7.json).
 bench:
 	sh scripts/bench.sh
+
+# Paired parent/change runs of one benchmark/ workload (choosing-metrics §8):
+# make pair PARENT=<git ref> WORKLOAD=clean_1k [PAIRS=10]
+pair:
+	bash scripts/pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 fmt:
 	gofmt -w .

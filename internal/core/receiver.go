@@ -45,12 +45,14 @@ func (st ReceiverStats) MeanLatency() time.Duration {
 // shards, and delivers the reassembled message through the OnComplete
 // callback.
 //
-// The receive path is allocation-free in the steady state: packets are
-// decoded in place (packet.DecodeInto), shard payloads are copied into
-// pooled buffers, and — in streaming mode, see OnGroup — each group's
-// buffers and bookkeeping return to their free-lists as soon as the group
-// is delivered, so an arbitrarily long transfer runs in memory
-// proportional to the number of groups in flight.
+// The receive path is allocation-free in the steady state and copies each
+// payload byte once: packets are decoded in place (packet.DecodeInto) and,
+// with OnComplete set, a data shard is copied or rebuilt straight into its
+// final offset of the message buffer (shardBuf). In streaming mode (see
+// OnGroup) shards are pooled and each group's buffers and bookkeeping
+// return to their free-lists as soon as the group is delivered, so an
+// arbitrarily long transfer runs in memory proportional to the number of
+// groups in flight.
 type Receiver struct {
 	env  Env
 	cfg  Config
@@ -64,7 +66,13 @@ type Receiver struct {
 	complete bool
 	closed   bool
 
-	zeroFill   bool       // codec rebuilds into zero-len pooled buffers (GF(2^8))
+	// msgBuf is the message under reassembly (OnComplete mode), committed in
+	// steps (commit): data shard (g, seq) of a static session lives at offset.
+	msgBuf    []byte
+	firstStep int // firstCommit; tests shrink it to reach the later steps
+	gathers   int // shards the delivery gather had to copy into msgBuf
+
+	zeroFill   bool       // codec rebuilds into zero-len buffers with capacity (GF(2^8))
 	shardPool  bufPool    // recycled shard buffers (ShardSize each)
 	ctrlFrames bufPool    // recycled NAK wire frames
 	freeGroups []*rxGroup // recycled group bookkeeping (streaming mode)
@@ -76,7 +84,8 @@ type Receiver struct {
 	maxK, maxH int
 	codecs     codecCache
 
-	// OnComplete is invoked exactly once with the reassembled message.
+	// OnComplete is invoked exactly once with the reassembled message; the
+	// slice is the callee's to keep (the receiver never touches it again).
 	// Leaving it nil selects STREAMING mode: each group's buffers are
 	// recycled right after its OnGroup delivery (set callbacks before the
 	// first packet arrives), and completion is still observable through
@@ -138,6 +147,7 @@ func NewReceiver(env Env, cfg Config) (*Receiver, error) {
 		cfg:        cfg,
 		code:       code,
 		zeroFill:   zeroFill,
+		firstStep:  firstCommit,
 		groups:     make(map[uint32]*rxGroup),
 		totalTG:    -1,
 		maxK:       cfg.K,
@@ -215,17 +225,22 @@ func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
 	return g
 }
 
+// putShards returns pooled shard buffers to the pool and clears their slots.
+func (r *Receiver) putShards(shards [][]byte) {
+	for i, s := range shards {
+		if s != nil {
+			r.shardPool.put(s)
+			shards[i] = nil
+		}
+	}
+}
+
 // releaseGroup recycles a delivered group's buffers and bookkeeping and
 // marks the index done in the bitset, so later packets for it are ignored
 // without resurrecting state.
 func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
 	r.setReleased(idx)
-	for i, s := range g.shards {
-		if s != nil {
-			r.shardPool.put(s)
-			g.shards[i] = nil
-		}
-	}
+	r.putShards(g.shards)
 	if g.nakCancel != nil {
 		g.nakCancel()
 		g.nakCancel = nil
@@ -233,6 +248,73 @@ func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
 	delete(r.groups, idx)
 	//rmlint:ignore hotpath-alloc free-list growth is amortized across the session
 	r.freeGroups = append(r.freeGroups, g)
+}
+
+// firstCommit is the first step of the message-buffer commit rule.
+const firstCommit = 64 << 20
+
+// offset is where data shard (group, seq) of a static session sits in msgBuf.
+func (r *Receiver) offset(group uint32, seq int) int {
+	return (int(group)*r.cfg.K + seq) * r.cfg.ShardSize
+}
+
+// shardBuf returns the buffer shard (group, seq) is received or rebuilt
+// into: its final slot in the message buffer if it can be placed, else a
+// pooled buffer, which the delivery gather copies into place. Not
+// placeable: streaming mode, parities, adaptive sessions (per-group k makes
+// offsets unknowable until every group is in), an unknown total, and slots
+// the commit rule keeps out of the buffer.
+//
+//rmlint:hotpath
+func (r *Receiver) shardBuf(group uint32, seq int) []byte {
+	ss := r.cfg.ShardSize
+	if r.OnComplete != nil && !r.cfg.AdaptiveFEC && seq < r.cfg.K && int(group) < r.totalTG {
+		if off := r.offset(group, seq); off+ss <= len(r.msgBuf) || r.commit(off+ss) {
+			return r.msgBuf[off : off+ss : off+ss]
+		}
+	}
+	return r.shardPool.get(ss)
+}
+
+// inPlace reports whether s is data shard (group, seq)'s slot of buf.
+func (r *Receiver) inPlace(s, buf []byte, group uint32, seq int) bool {
+	off := r.offset(group, seq)
+	return cap(s) > 0 && off < len(buf) && &s[:1][0] == &buf[off]
+}
+
+// commit extends msgBuf by one step so that it covers [0, end), or reports
+// that the rule forbids it. A packet's declared Total must not buy memory:
+// the first step is min(declared bytes, firstStep), each later one x4 and
+// no larger than 4x the shard bytes accepted so far.
+func (r *Receiver) commit(end int) bool {
+	ss := r.cfg.ShardSize
+	declared := r.totalTG * r.cfg.K * ss
+	size, limit := r.firstStep, declared
+	if n := len(r.msgBuf); n > 0 {
+		size, limit = 4*n, 4*ss*(r.stats.DataRx+r.stats.ParityRx+r.stats.NcRepaired)
+	}
+	if size = min(size, declared); size < end || size > limit {
+		return false
+	}
+	r.grow(size)
+	return true
+}
+
+// grow reallocates msgBuf at size bytes and re-points the live in-place
+// shards into the new buffer.
+func (r *Receiver) grow(size int) {
+	old := r.msgBuf
+	//rmlint:ignore hotpath-alloc message buffer commit: at most log4(size/firstCommit)+1 steps per session
+	r.msgBuf = make([]byte, size)
+	copy(r.msgBuf, old)
+	for idx, g := range r.groups {
+		for j := 0; j < g.k; j++ {
+			if s := g.shards[j]; r.inPlace(s, old, idx, j) {
+				off := r.offset(idx, j)
+				g.shards[j] = r.msgBuf[off : off+len(s) : off+r.cfg.ShardSize]
+			}
+		}
+	}
 }
 
 // HandlePacket feeds an incoming wire packet to the engine. The buffer is
@@ -339,8 +421,8 @@ func (r *Receiver) onShard(pkt *packet.Packet) {
 		r.m.dupRx.Inc()
 		return
 	}
-	// pkt.Payload aliases the transport's read buffer; keep a pooled copy.
-	shard := r.shardPool.get(r.cfg.ShardSize)
+	// pkt.Payload aliases the transport's read buffer; keep the one copy.
+	shard := r.shardBuf(pkt.Group, idx)
 	copy(shard, pkt.Payload)
 	g.shards[idx] = shard
 	g.have++
@@ -445,12 +527,12 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 			return // unserviceable (k,h); the group stays incomplete
 		}
 		if zeroFill {
-			// Hand the codec zero-length pooled buffers for the missing
-			// data slots; Reconstruct rebuilds into them in place, so the
-			// decode path reuses the same working set as plain reception.
+			// Hand the codec zero-length buffers for the missing data
+			// slots; Reconstruct rebuilds into them in place, so a lost
+			// shard lands where a received one would have.
 			for i := 0; i < gk; i++ {
 				if g.shards[i] == nil {
-					g.shards[i] = r.shardPool.get(r.cfg.ShardSize)[:0]
+					g.shards[i] = r.shardBuf(idx, i)[:0]
 				}
 			}
 		}
@@ -459,7 +541,9 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 			// incomplete.
 			for i := 0; i < gk; i++ {
 				if s := g.shards[i]; s != nil && len(s) == 0 {
-					r.shardPool.put(s[:cap(s)])
+					if !r.inPlace(s, r.msgBuf, idx, i) {
+						r.shardPool.put(s[:cap(s)])
+					}
 					g.shards[i] = nil
 				}
 			}
@@ -475,6 +559,7 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 		}
 		r.cfg.Trace.Record(metrics.Event{At: r.env.Now(), Kind: TraceDecode, A: uint64(idx), B: uint64(parities)})
 	}
+	r.putShards(g.shards[gk:nsh]) // the parities have done their work, in every mode
 	g.done = true
 	r.decoded++
 	r.m.groupsDone.Inc()
@@ -678,7 +763,7 @@ func (r *Receiver) onNcRepair(pkt *packet.Packet) {
 		r.m.ncUnusable.Inc()
 		return
 	}
-	shard := r.shardPool.get(r.cfg.ShardSize)
+	shard := r.shardBuf(pkt.Group, missIdx)
 	copy(shard, pkt.Payload[packet.NcMaskLen:])
 	for m := mask &^ (uint64(1) << uint(missIdx)); m != 0; {
 		i := bits.TrailingZeros64(m)
@@ -755,26 +840,34 @@ func (r *Receiver) maybeComplete() {
 		r.Close()
 		return
 	}
-	// Capacity hint only: adaptive groups may cut larger k than the config,
-	// but msgLen comes off the wire (a FIN), so it is trusted only up to
-	// the largest reassembly the ladder could produce.
-	capHint := r.totalTG * r.cfg.K * r.cfg.ShardSize
-	if most := r.totalTG * r.maxK * r.cfg.ShardSize; uint64(capHint) < r.msgLen && r.msgLen <= uint64(most) {
-		capHint = int(r.msgLen)
-	}
-	//rmlint:ignore hotpath-alloc final reassembly runs once per session
-	msg := make([]byte, 0, capHint)
+	// Gather: place if you can, gather what you couldn't. The buffer is
+	// sized by the shards actually held, never by the FIN's msgLen.
+	ss := r.cfg.ShardSize
+	total := 0
 	for i := 0; i < r.totalTG; i++ {
 		g := r.groups[uint32(i)]
-		for j := 0; j < g.k; j++ {
-			//rmlint:ignore hotpath-alloc reassembly buffer is presized; runs once per session
-			msg = append(msg, g.shards[j]...)
+		if g == nil || !g.done {
+			return // groups outside [0, totalTG) made up the count
 		}
+		total += g.k * ss
 	}
-	if uint64(len(msg)) < r.msgLen {
+	if uint64(total) < r.msgLen {
 		return // inconsistent sender; refuse to deliver short data
 	}
-	msg = msg[:r.msgLen]
+	if len(r.msgBuf) < total {
+		r.grow(total)
+	}
+	for i, off := uint32(0), 0; int(i) < r.totalTG; i++ {
+		g := r.groups[i]
+		for j := 0; j < g.k; j, off = j+1, off+ss {
+			if s := g.shards[j]; !r.inPlace(s, r.msgBuf, i, j) {
+				copy(r.msgBuf[off:], s)
+				r.gathers++
+			}
+		}
+	}
+	msg := r.msgBuf[:r.msgLen]
+	r.msgBuf = nil
 	r.complete = true
 	r.stats.Reassembly = 1
 	r.m.deliveries.Inc()

@@ -19,6 +19,9 @@ type Network struct {
 	nodes []*Node
 	rng   *rand.Rand
 
+	frames    []*frame     // recycled ingress copies
+	onRecycle func([]byte) // test hook: sees each frame as it is recycled
+
 	// Stats
 	sent      uint64 // multicast transmissions
 	delivered uint64 // per-destination deliveries
@@ -77,6 +80,27 @@ func (n *Network) Stats() (sent, delivered, dropped uint64) {
 	return n.sent, n.delivered, n.dropped
 }
 
+// frame is the medium's one copy of a transmitted packet, shared by every
+// destination's pending arrival and recycled after the last of them.
+type frame struct {
+	buf  []byte
+	refs int // arrivals not yet delivered
+}
+
+// release drops one arrival's reference; the last one recycles the frame.
+//
+//rmlint:hotpath
+func (n *Network) release(f *frame) {
+	if f.refs--; f.refs > 0 {
+		return
+	}
+	if n.onRecycle != nil {
+		n.onRecycle(f.buf)
+	}
+	//rmlint:ignore hotpath-alloc pool growth: amortized up to the in-flight packet count
+	n.frames = append(n.frames, f)
+}
+
 // NodeConfig configures one attached node.
 type NodeConfig struct {
 	// Loss drops packets arriving at this node; nil means lossless.
@@ -123,8 +147,10 @@ func (n *Network) AddNode(cfg NodeConfig) *Node {
 func (node *Node) ID() int { return node.id }
 
 // SetHandler installs the packet-arrival callback. Handlers run on the
-// scheduler goroutine; the buffer is shared between destinations and must
-// be treated as read-only.
+// scheduler goroutine. The buffer is BORROWED for the duration of the call:
+// it is shared with the other destinations' arrivals (do not write to it)
+// and recycled for a later packet after the last of them (copy what you
+// keep) — the same contract udpcast.Serve's read buffer has.
 func (node *Node) SetHandler(fn func(b []byte)) { node.handler = fn }
 
 // Now returns virtual time.
@@ -145,12 +171,8 @@ func (node *Node) Multicast(b []byte) error { return node.send(b, false) }
 // LoseControl unset receive it loss-free.
 func (node *Node) MulticastControl(b []byte) error { return node.send(b, true) }
 
+//rmlint:hotpath
 func (node *Node) send(b []byte, control bool) error {
-	// The core.Env contract lets engines recycle wire frames as soon as the
-	// send call returns, while this medium delivers asynchronously through
-	// scheduler events. Take the network's one copy at ingress; it is then
-	// shared read-only by every destination's deferred arrival.
-	b = append([]byte(nil), b...)
 	net := node.net
 	net.sent++
 	net.m.sent.Inc()
@@ -158,6 +180,16 @@ func (node *Node) send(b []byte, control bool) error {
 	if net.tracer != nil {
 		net.tracer.Record(TraceEvent{Time: now, Src: node.id, Dst: -1, Len: len(b), Control: control})
 	}
+	if len(net.nodes) == 1 {
+		return nil // nobody to deliver to: no frame taken
+	}
+	// The core.Env contract lets engines recycle wire frames as soon as the
+	// send call returns, while this medium delivers asynchronously: take the
+	// network's one copy at ingress; every destination's arrival borrows it.
+	f := take(&net.frames)
+	//rmlint:ignore hotpath-alloc pool growth: appends only until the frame has carried the largest packet size
+	f.buf = append(f.buf[:0], b...)
+	f.refs = len(net.nodes) - 1
 	for _, dst := range net.nodes {
 		if dst == node {
 			continue
@@ -166,16 +198,12 @@ func (node *Node) send(b []byte, control bool) error {
 		if dst.cfg.Jitter > 0 {
 			d += time.Duration(net.rng.Int63n(int64(dst.cfg.Jitter)))
 		}
-		arrival := now + d
-		dstNode := dst
-		src := node.id
-		net.sched.At(arrival, func() {
-			dstNode.receive(b, src, control)
-		})
+		net.sched.deliverAt(now+d, dst, f, node.id, control)
 	}
 	return nil
 }
 
+//rmlint:hotpath
 func (node *Node) receive(b []byte, src int, control bool) {
 	lossy := node.cfg.Loss != nil && (!control || node.cfg.LoseControl)
 	if lossy {

@@ -15,13 +15,20 @@ import (
 	"rmfec/internal/metrics"
 )
 
-// event is a scheduled callback.
+// event is a scheduled timer callback (fn set) or a packet delivery (fn
+// nil, dst/frame/src/control set). Deliveries are never canceled, so they
+// need no closure and recycle through Scheduler.free; a timer's cancel
+// func holds its event, so timers are left to the garbage collector.
 type event struct {
 	at       time.Duration
 	seq      uint64 // tie-break: FIFO among equal timestamps
 	fn       func()
 	canceled bool
-	index    int // heap bookkeeping
+
+	dst     *Node
+	frame   *frame
+	src     int
+	control bool
 }
 
 type eventHeap []*event
@@ -33,16 +40,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -58,6 +57,7 @@ type Scheduler struct {
 	now     time.Duration
 	seq     uint64
 	pq      eventHeap
+	free    []*event // recycled delivery events
 	stopped bool
 	// Budget guards against runaway simulations; 0 disables the check.
 	MaxEvents uint64
@@ -119,13 +119,56 @@ func (s *Scheduler) At(t time.Duration, fn func()) (cancel func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("simnet: scheduling in the past: %v < %v", t, s.now))
 	}
-	e := &event{at: t, seq: s.seq, fn: fn}
+	e := &event{fn: fn}
+	s.push(e, t)
+	return func() { e.canceled = true }
+}
+
+// push queues e at time t behind everything already scheduled for t.
+//
+//rmlint:hotpath
+func (s *Scheduler) push(e *event, t time.Duration) {
+	e.at, e.seq = t, s.seq
 	s.seq++
 	heap.Push(&s.pq, e)
 	s.m.horizon.Observe((t - s.now).Seconds())
 	s.m.depth.Set(int64(len(s.pq)))
 	s.m.depthMax.SetMax(int64(len(s.pq)))
-	return func() { e.canceled = true }
+}
+
+// take pops a recycled *T off a free list, or allocates the pool's next.
+//
+//rmlint:hotpath
+func take[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		v := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return v
+	}
+	//rmlint:ignore hotpath-alloc pool growth: a free list reaches the in-flight count, then recycles
+	return new(T)
+}
+
+// deliverAt schedules the arrival of f at dst at time t, in the same
+// (at, seq) sequence as At: deliveries and timers interleave in issue order.
+//
+//rmlint:hotpath
+func (s *Scheduler) deliverAt(t time.Duration, dst *Node, f *frame, src int, control bool) {
+	e := take(&s.free)
+	e.dst, e.frame, e.src, e.control = dst, f, src, control
+	s.push(e, t)
+}
+
+// deliver runs a delivery event, recycles it and drops its frame reference.
+//
+//rmlint:hotpath
+func (s *Scheduler) deliver(e *event) {
+	dst, f := e.dst, e.frame
+	dst.receive(f.buf, e.src, e.control)
+	*e = event{}
+	//rmlint:ignore hotpath-alloc pool growth: amortized up to the in-flight delivery count
+	s.free = append(s.free, e)
+	dst.net.release(f)
 }
 
 // After schedules fn after delay d; see At.
@@ -167,7 +210,11 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 		if s.MaxEvents > 0 && s.processed > s.MaxEvents {
 			panic(fmt.Sprintf("simnet: exceeded %d events — livelock?", s.MaxEvents))
 		}
-		next.fn()
+		if next.fn != nil {
+			next.fn()
+		} else {
+			s.deliver(next)
+		}
 	}
 	if s.now < deadline && deadline < 1<<62 {
 		s.now = deadline
