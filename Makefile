@@ -28,8 +28,8 @@ check:
 bench:
 	sh scripts/bench.sh
 
-# Paired parent/change runs of one benchmark/ workload (choosing-metrics §8):
-# make pair PARENT=<git ref> WORKLOAD=clean_1k [PAIRS=10]
+# Paired parent/change runs of benchmark/ workloads (choosing-metrics §8):
+# make pair PARENT=<git ref> WORKLOAD=clean_1k[,field_1e6,...]|all [PAIRS=10]
 pair:
 	bash scripts/pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 

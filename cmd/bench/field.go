@@ -4,16 +4,21 @@ package main
 // receivers one NP session can front per second of wall-clock. Each point
 // runs a full deterministic transfer — sender and a struct-of-arrays
 // field.Field on a simnet — at R = 1e4, 1e5 and 1e6, with aggregated NAK
-// feedback (one representative NAK per group per round). The R = 1e5
-// point also runs the honest before/after baseline once: the same
-// transfer against R independent core.Receiver instances, one simnet node
-// each, which is what fronting a population cost before the field
-// existed. The speedup_vs_instances field is the acceptance ratio.
+// feedback (one representative NAK per group per round). All three points
+// move the same 24-group message, so receivers_per_sec reads as a curve
+// across R. The R = 1e5 point also runs the honest before/after baseline
+// once: a 4-group transfer (so it finishes in minutes) against R
+// independent core.Receiver instances, one simnet node each, which is what
+// fronting a population cost before the field existed. A second field pass
+// at those 4 groups exists only as the other side of that comparison:
+// speedup_vs_instances = instances_seconds / instances_field_seconds, like
+// against like, and is the acceptance ratio.
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"rmfec/internal/core"
@@ -50,7 +55,10 @@ type fieldStats struct {
 	NaksSuppressed  uint64  `json:"naks_suppressed"`
 	LossesDrawn     uint64  `json:"losses_drawn"`
 	// Per-instance baseline, measured on the R = 1e5 point only (one
-	// pass: R simnet nodes make it minutes-scale, which is the point).
+	// pass: R simnet nodes make it minutes-scale, which is the point) at
+	// InstancesGroups groups, against a field pass of the same size.
+	InstancesGroups        int     `json:"instances_groups,omitempty"`
+	InstancesFieldSeconds  float64 `json:"instances_field_seconds,omitempty"`
 	InstancesSeconds       float64 `json:"instances_seconds,omitempty"`
 	InstancesReceiversPerS float64 `json:"instances_receivers_per_sec,omitempty"`
 	SpeedupVsInstances     float64 `json:"speedup_vs_instances,omitempty"`
@@ -156,55 +164,62 @@ func instancesDrain(r, groups int, seed int64) (secs float64, naks int) {
 	return secs, nakTotal
 }
 
-// fieldBench runs the receiver-field tier: `runs` field passes per R
-// (median wall-clock wins), one per-instance baseline pass at the
-// baselineR point.
+// fieldBench runs the receiver-field tier: `runs` field passes per R at
+// fieldGroups groups (median wall-clock wins), plus one per-instance
+// baseline pass and its same-size field passes at the baselineR point.
 func fieldBench(runs int) []fieldStats {
-	const baselineR = 100_000
-	points := []struct {
-		r, groups int
-	}{
-		{10_000, 24},
-		{baselineR, 4}, // small transfer: the baseline must finish in minutes
-		{1_000_000, 24},
-	}
+	const (
+		fieldGroups    = 24
+		baselineR      = 100_000
+		baselineGroups = 4 // small transfer: the baseline must finish in minutes
+	)
+	rs := []int{10_000, baselineR, 1_000_000}
 	var out []fieldStats
-	for _, pt := range points {
-		fmt.Fprintf(os.Stderr, "bench: measuring receiver field R=%d (%d groups)...\n", pt.r, pt.groups)
+	for _, r := range rs {
+		fmt.Fprintf(os.Stderr, "bench: measuring receiver field R=%d (%d groups)...\n", r, fieldGroups)
 		st := fieldStats{
-			R: pt.r, Groups: pt.groups, K: fieldK, H: fieldH,
+			R: r, Groups: fieldGroups, K: fieldK, H: fieldH,
 			Proactive: fieldA, P: fieldP,
-			ModelEM: model.ExpectedTxIntegratedFinite(fieldK, fieldH, fieldA, pt.r, fieldP),
+			ModelEM: model.ExpectedTxIntegratedFinite(fieldK, fieldH, fieldA, r, fieldP),
 		}
-		var times []float64
-		for i := 0; i < runs; i++ {
-			secs, fst, em := fieldDrain(pt.r, pt.groups, 1000+int64(i))
-			times = append(times, secs)
-			st.EM = em
-			st.NaksSent = fst.NakTx
-			st.NaksSuppressed = fst.NakSupp
-			st.LossesDrawn = fst.Losses
-		}
-		st.Seconds = median(times)
+		var fst field.Stats
+		st.Seconds, fst, st.EM = fieldMedian(r, fieldGroups, runs)
+		st.NaksSent = fst.NakTx
+		st.NaksSuppressed = fst.NakSupp
+		st.LossesDrawn = fst.Losses
 		if st.Seconds > 0 {
-			st.ReceiversPerSec = float64(pt.r) / st.Seconds
-		}
-		if pt.r == baselineR {
-			fmt.Fprintf(os.Stderr, "bench: measuring per-instance baseline R=%d (%d groups, 1 pass)...\n",
-				pt.r, pt.groups)
-			bsecs, bnaks := instancesDrain(pt.r, pt.groups, 1000)
-			st.InstancesSeconds = bsecs
-			st.InstancesNaksSent = bnaks
-			if bsecs > 0 {
-				st.InstancesReceiversPerS = float64(pt.r) / bsecs
-			}
-			if st.InstancesReceiversPerS > 0 {
-				st.SpeedupVsInstances = st.ReceiversPerSec / st.InstancesReceiversPerS
-			}
+			st.ReceiversPerSec = float64(r) / st.Seconds
 		}
 		out = append(out, st)
 	}
+	// The baseline runs after every field point: its R engines leave
+	// gigabytes of garbage, and collecting that is billed to whichever
+	// drain comes next (a field drain at R = 1e6 then reads 0.29 s, not
+	// 0.10 s).
+	fmt.Fprintf(os.Stderr, "bench: measuring per-instance baseline R=%d (%d groups, 1 pass)...\n",
+		baselineR, baselineGroups)
+	st := &out[slices.Index(rs, baselineR)]
+	st.InstancesGroups = baselineGroups
+	st.InstancesFieldSeconds, _, _ = fieldMedian(baselineR, baselineGroups, runs)
+	st.InstancesSeconds, st.InstancesNaksSent = instancesDrain(baselineR, baselineGroups, 1000)
+	if st.InstancesSeconds > 0 {
+		st.InstancesReceiversPerS = float64(baselineR) / st.InstancesSeconds
+	}
+	if st.InstancesFieldSeconds > 0 {
+		st.SpeedupVsInstances = st.InstancesSeconds / st.InstancesFieldSeconds
+	}
 	return out
+}
+
+// fieldMedian runs `runs` field transfers (seeds 1000, 1001, ...) and
+// returns the median drain time with the last pass's stats and E[M].
+func fieldMedian(r, groups, runs int) (secs float64, st field.Stats, em float64) {
+	var times []float64
+	for i := 0; i < runs; i++ {
+		secs, st, em = fieldDrain(r, groups, 1000+int64(i))
+		times = append(times, secs)
+	}
+	return median(times), st, em
 }
 
 func fatalBench(err error) {

@@ -11,13 +11,18 @@
 // # State layout
 //
 // A group lives in two phases. During its data round the field appends
-// each packet's loss draw as packed (receiver, seq) pairs — nothing is
-// ever stored per receiver. At the group's first POLL (or the FIN) the
-// pairs are sorted and consolidated: each touched receiver's misses
-// collapse into one uint64 seq bitmap, and only the receivers whose
-// deficit l = misses − (distinctTx − k) is still positive are kept, as
-// two parallel ascending arrays (ids, missed). Everyone else — the
-// overwhelming majority — is done and is never looked at again. Repair
+// each packet's loss draw as packed (receiver, seq) pairs — no protocol
+// state is stored per receiver. At the group's first POLL (or the FIN)
+// the pairs are consolidated: each touched receiver's misses collapse
+// into one uint64 seq bitmap, and only the receivers whose deficit
+// l = misses − (distinctTx − k) is still positive are kept, as two
+// parallel ascending arrays (ids, missed). Everyone else — the
+// overwhelming majority — is done and is never looked at again.
+// Consolidation is linear in the drawn losses: one pass counts misses per
+// receiver into a byte-per-receiver scratch array (missCnt: shared by all
+// groups, all-zero between consolidations, so state stays O(deficient)),
+// a second drops the pairs of every receiver whose count cannot exceed
+// the group's excess, and only the few survivors are sorted. Repair
 // packets then cost a merge walk of the draw against the active array,
 // and receivers are dropped the moment their deficit reaches zero. The
 // single-word bitmap is why the field requires K+MaxParity <= 64.
@@ -129,6 +134,7 @@ type Field struct {
 	denseLost  []bool // dense-draw fallback scratch
 	scratchIdx []int  // lost-index scratch for the dense fallback
 	freePend   [][]int64
+	missCnt    []uint8            // dropRecovered's per-receiver miss counters; all-zero between calls
 	jitters    map[int]*rand.Rand // Exact mode: lazy per-receiver jitter streams
 
 	// Adaptive sessions: ladder bounds for per-group (k, h) taken from the
@@ -689,7 +695,10 @@ func (f *Field) setActive(n int) {
 // consolidate collapses the group's pending loss pairs into the active
 // struct-of-arrays form at its first poll: sort the packed (id, seq)
 // pairs, OR each receiver's misses into one bitmap, and keep only the
-// receivers whose deficit is still positive.
+// receivers whose deficit is still positive. Under the MDS codes with
+// excess transmissions the pairs of receivers that cannot be deficient
+// are dropped before the sort, which is what keeps a 1e6-receiver group
+// linear in its drawn losses.
 func (f *Field) consolidate(g *fgroup) {
 	if g.consolidated {
 		return
@@ -699,13 +708,17 @@ func (f *Field) consolidate(g *fgroup) {
 	if excess < 0 {
 		f.materializeAll(g)
 	} else {
-		slices.Sort(g.pend)
-		for i := 0; i < len(g.pend); {
-			id := int(g.pend[i] >> 6)
+		pend := g.pend
+		if g.code == nil && excess > 0 {
+			pend = f.dropRecovered(pend, excess)
+		}
+		slices.Sort(pend)
+		for i := 0; i < len(pend); {
+			id := int(pend[i] >> 6)
 			var bm uint64
 			j := i
-			for ; j < len(g.pend) && int(g.pend[j]>>6) == id; j++ {
-				bm |= uint64(1) << uint(g.pend[j]&63)
+			for ; j < len(pend) && int(pend[j]>>6) == id; j++ {
+				bm |= uint64(1) << uint(pend[j]&63)
 			}
 			i = j
 			// Codec-aware keep rule: under the MDS codes a receiver is
@@ -737,6 +750,36 @@ func (f *Field) consolidate(g *fgroup) {
 	}
 }
 
+// dropRecovered compacts pend in place to the pairs of the receivers that
+// missed more than excess packets, keeping their order, and returns the
+// shortened slice. A loss draw lists no receiver twice and only fresh
+// seqs are recorded, so a receiver's pair count is its number of distinct
+// misses (at most 64, hence one byte) and everyone dropped here has
+// deficit zero. The counters live in f.missCnt and are zero again on
+// return: dropped pairs clear theirs as they go, survivors afterwards —
+// O(len(pend)) in all, never a clear of all R bytes.
+func (f *Field) dropRecovered(pend []int64, excess int) []int64 {
+	if f.missCnt == nil {
+		f.missCnt = make([]uint8, f.popR)
+	}
+	cnt := f.missCnt
+	for _, p := range pend {
+		cnt[p>>6]++
+	}
+	kept := pend[:0]
+	for _, p := range pend {
+		if int(cnt[p>>6]) > excess {
+			kept = append(kept, p)
+		} else {
+			cnt[p>>6] = 0
+		}
+	}
+	for _, p := range kept {
+		cnt[p>>6] = 0
+	}
+	return kept
+}
+
 // materializeAll handles the degenerate consolidation of a group polled
 // before k distinct transmissions arrived: every receiver is deficient.
 func (f *Field) materializeAll(g *fgroup) {
@@ -745,7 +788,6 @@ func (f *Field) materializeAll(g *fgroup) {
 	for i := range g.ids {
 		g.ids[i] = i
 	}
-	slices.Sort(g.pend)
 	for _, p := range g.pend {
 		g.missed[p>>6] |= uint64(1) << uint(p&63)
 	}

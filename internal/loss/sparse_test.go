@@ -1,6 +1,8 @@
 package loss
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,6 +133,46 @@ func TestBernoulliDrawLostAmong(t *testing.T) {
 	always := NewBernoulliPopulation(r, 1, rand.New(rand.NewSource(42)))
 	if lost := always.DrawLostAmong(0.04, among[:7]); len(lost) != 7 {
 		t.Errorf("p=1 subset lost %d, want 7", len(lost))
+	}
+}
+
+// TestBernoulliDrawStreamPinned fences the geometric-skip kernel's exact
+// output: an FNV-1a hash of the first 1e5 lost indices of DrawLost and of
+// DrawLostAmong under one fixed seed. Every exact-repeat ledger metric of
+// the field workloads (tx_per_pkt, ctrl_per_group, completion_stretch)
+// hangs on this stream, so a change that trims geoNext's constant factors
+// must leave both hashes alone — or move them on purpose and re-measure
+// the ledger baselines. (Values from go1.24 on amd64, where math.Log is
+// the portable Go implementation.)
+func TestBernoulliDrawStreamPinned(t *testing.T) {
+	const r, p, n = 1_000_000, 0.01, 100_000
+	among := make([]int, 0, r/3+1)
+	for j := 1; j < r; j += 3 {
+		among = append(among, j)
+	}
+	for _, c := range []struct {
+		name string
+		draw func(bp *BernoulliPopulation) []int
+		want uint64
+	}{
+		{"DrawLost", func(bp *BernoulliPopulation) []int { return bp.DrawLost(0.04) }, 0xa2ddd3b25b17ceee},
+		{"DrawLostAmong", func(bp *BernoulliPopulation) []int { return bp.DrawLostAmong(0.04, among) }, 0x2901ad0cb39fe646},
+	} {
+		bp := NewBernoulliPopulation(r, p, rand.New(rand.NewSource(20260926)))
+		h := fnv.New64a()
+		var word [8]byte
+		for hashed := 0; hashed < n; {
+			lost := c.draw(bp)
+			lost = lost[:min(len(lost), n-hashed)]
+			for _, j := range lost {
+				binary.LittleEndian.PutUint64(word[:], uint64(j))
+				h.Write(word[:])
+			}
+			hashed += len(lost)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: first %d lost indices hash to %#x, want %#x: the RNG stream moved", c.name, n, got, c.want)
+		}
 	}
 }
 

@@ -31,7 +31,10 @@
 #                       through one struct-of-arrays field.Field with
 #                       aggregated NAK feedback — reconciled against the
 #                       paper's closed form (the R = 1e6 acceptance run
-#                       stays in the full `go test ./...` tier above)
+#                       stays in the full `go test ./...` tier above),
+#                       plus the count-filtered consolidation's pins
+#                       uncached: output identical to sort-everything,
+#                       the filter tight, 0 allocs/op in steady state
 #   8a. bench smoke     one 1-pass NP loopback drain through cmd/bench
 #                       -np-only, so the end-to-end throughput tiers
 #                       (including the per-core scaling sweep, which skips
@@ -110,7 +113,7 @@ echo '== go test -race -short (concurrent packages)'
 go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/
 
 echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
-go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation' ./internal/field/
+go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/
 
 echo '== NP loopback bench smoke (cmd/bench -np-only, 1 pass)'
 go run ./cmd/bench -np-only -runs 1 -np-groups 40 -out - > /dev/null
