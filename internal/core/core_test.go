@@ -29,6 +29,9 @@ type harnessOpts struct {
 	mkLoss      func(rng *rand.Rand) loss.Process // per receiver; nil = lossless
 	loseControl bool
 	n2          bool
+	// senderEnv, if set, wraps the NP sender's node (e.g. to record its
+	// wire transcript); the node itself still receives the NAKs.
+	senderEnv func(*simnet.Node) Env
 }
 
 func newHarness(t testing.TB, o harnessOpts) *harness {
@@ -47,7 +50,11 @@ func newHarness(t testing.TB, o harnessOpts) *harness {
 		h.senderN2 = s
 		senderNode.SetHandler(s.HandlePacket)
 	} else {
-		s, err := NewSender(senderNode, o.cfg)
+		var env Env = senderNode
+		if o.senderEnv != nil {
+			env = o.senderEnv(senderNode)
+		}
+		s, err := NewSender(env, o.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

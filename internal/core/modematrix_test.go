@@ -1,0 +1,207 @@
+package core
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"rmfec/internal/loss"
+	"rmfec/internal/simnet"
+)
+
+// recordingEnv is a simnet sender node whose every outgoing frame is
+// folded into a transcript hash before it reaches the medium.
+type recordingEnv struct {
+	*simnet.Node
+	hash *transcriptHash
+}
+
+func (e recordingEnv) Multicast(b []byte) error {
+	e.hash.add(b)
+	return e.Node.Multicast(b)
+}
+
+func (e recordingEnv) MulticastControl(b []byte) error {
+	e.hash.add(b)
+	return e.Node.MulticastControl(b)
+}
+
+// modeGolden is what one cell of the mode matrix pins: the sender's
+// length-framed wire transcript, its protocol counters, and the hash of
+// the rendered GroupTrace.
+type modeGolden struct {
+	transcript string
+	stats      string
+	trace      string
+}
+
+func staticMatrixConfig() Config {
+	return Config{Session: 7, K: 8, MaxParity: 3, ShardSize: 64,
+		Ts: 2 * time.Millisecond, MaxNakSlots: 4}
+}
+
+// modeMatrix lists the sender's seven redundancy/emission modes. Every
+// row runs over the same seeded channel: 4 receivers, 0.5% Bernoulli loss
+// shifting to 20% mid-transfer, which exhausts the small parity budgets
+// of the static rows and of the ladder's low rungs.
+var modeMatrix = []struct {
+	name string
+	cfg  func() Config
+}{
+	{"reactive", staticMatrixConfig},
+	{"proactive", func() Config {
+		c := staticMatrixConfig()
+		c.Proactive = 2
+		return c
+	}},
+	{"carousel", func() Config {
+		c := staticMatrixConfig()
+		c.Proactive, c.Carousel = 3, true
+		return c
+	}},
+	{"preencode", func() Config {
+		c := staticMatrixConfig()
+		c.Proactive, c.PreEncode = 1, true
+		return c
+	}},
+	{"ewma", func() Config {
+		c := staticMatrixConfig()
+		c.MaxParity, c.Proactive, c.Adaptive = 8, 1, true
+		return c
+	}},
+	{"ladder", adaptiveConfig},
+	{"ladder-nc", func() Config {
+		c := portfolioConfig(GateForce)
+		c.NCRepair = true
+		return c
+	}},
+}
+
+var matrixPipelines = []struct {
+	name string
+	pl   PipelineConfig
+}{
+	{"depth0", PipelineConfig{}},
+	{"depth8", PipelineConfig{Depth: 8, Workers: 3, Batch: 1, EncodeShards: 2}},
+}
+
+func renderTrace(tr []GroupInfo) string {
+	var b strings.Builder
+	for _, g := range tr {
+		fmt.Fprintf(&b, "%d:(%d,%d,a%d,tx%d);", g.Index, g.K, g.H, g.AUsed, g.TxCount)
+	}
+	return b.String()
+}
+
+func runModeCell(t *testing.T, cfg Config) (modeGolden, *Sender, string) {
+	t.Helper()
+	hash := newTranscriptHash()
+	h := newHarness(t, harnessOpts{
+		r:   4,
+		cfg: cfg,
+		mkLoss: func(rng *rand.Rand) loss.Process {
+			return &shiftLoss{
+				first:     loss.NewBernoulli(0.005, rng),
+				second:    loss.NewBernoulli(0.2, rng),
+				remaining: 600,
+			}
+		},
+		seed:      3101,
+		senderEnv: func(n *simnet.Node) Env { return recordingEnv{n, hash} },
+	})
+	// Not a multiple of any K*ShardSize in the matrix: the last group of
+	// every mode carries a partial shard and all-padding shards.
+	msg := testMessage(90017, 3102)
+	h.run(t, msg)
+	h.checkDelivered(t, msg)
+	trace := renderTrace(h.sender.GroupTrace())
+	return modeGolden{
+		transcript: hash.sum(),
+		stats:      fmt.Sprintf("%+v", h.sender.Stats()),
+		trace:      fmt.Sprintf("%d:%x", len(h.sender.GroupTrace()), sha256.Sum256([]byte(trace))),
+	}, h.sender, trace
+}
+
+// TestModeMatrixGolden pins every sender mode, serial and pipelined, on a
+// lossy channel: wire transcript, SenderStats and GroupTrace were recorded
+// from the two-path sender (static Send/refill next to
+// sendAdaptive/refillAdaptive) and must not move when the paths merge.
+func TestModeMatrixGolden(t *testing.T) {
+	for _, m := range modeMatrix {
+		for _, p := range matrixPipelines {
+			name := m.name + "/" + p.name
+			t.Run(name, func(t *testing.T) {
+				cfg := m.cfg()
+				cfg.Pipeline = p.pl
+				got, s, trace := runModeCell(t, cfg)
+				want, ok := modeGoldens[name]
+				if !ok {
+					t.Fatalf("no golden recorded; this run:\n\t%q: {%q,\n\t\t%q,\n\t\t%q},", name, got.transcript, got.stats, got.trace)
+				}
+				if got != want {
+					t.Errorf("drifted from the recorded two-path sender:\n got %+v\nwant %+v\ntrace %s", got, want, trace)
+				}
+				// Guard the rows against going vacuous if the scenario is
+				// ever re-tuned.
+				st := s.Stats()
+				if !cfg.AdaptiveFEC && st.DataTx <= s.SourcePackets() {
+					t.Errorf("static row never exhausted its parity budget into a resend (DataTx %d, source %d)", st.DataTx, s.SourcePackets())
+				}
+				if cfg.AdaptiveFEC && s.ctl.Retunes() == 0 {
+					t.Error("ladder row never retuned")
+				}
+				if cfg.NCRepair && st.NcRounds == 0 {
+					t.Error("NC row never exhausted a parity budget into an NC round")
+				}
+			})
+		}
+	}
+}
+
+var modeGoldens = map[string]modeGolden{
+	"reactive/depth0": {"2552:ed22d32ff4fa5f8dd6b647938e2208c6f536ecd1299ee6c7b0c788756209c4bb",
+		"{DataTx:1685 ParityTx:302 PollTx:559 FinTx:6 NakRx:532 NakServed:383 Encoded:302 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:9a898bcbea40181a0a8bc6f3940227bc24567dc61a3e8e03cf2073bc76ed10d4"},
+	"reactive/depth8": {"2552:ed22d32ff4fa5f8dd6b647938e2208c6f536ecd1299ee6c7b0c788756209c4bb",
+		"{DataTx:1685 ParityTx:302 PollTx:559 FinTx:6 NakRx:532 NakServed:383 Encoded:302 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:9a898bcbea40181a0a8bc6f3940227bc24567dc61a3e8e03cf2073bc76ed10d4"},
+	"proactive/depth0": {"2597:2466cee2fe9d2b0ca495460dac519e927c218b5749e9f77357ad3d9ace5e0afa",
+		"{DataTx:1686 ParityTx:445 PollTx:460 FinTx:6 NakRx:320 NakServed:284 Encoded:445 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:a6579832b26c98da61a12b5a05c3d3d119b617a7da30ab7305fef43a384d06b2"},
+	"proactive/depth8": {"2597:2466cee2fe9d2b0ca495460dac519e927c218b5749e9f77357ad3d9ace5e0afa",
+		"{DataTx:1686 ParityTx:445 PollTx:460 FinTx:6 NakRx:320 NakServed:284 Encoded:445 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:a6579832b26c98da61a12b5a05c3d3d119b617a7da30ab7305fef43a384d06b2"},
+	"carousel/depth0": {"2476:d6fed7e372f45a261e66d6fbd795af8c62f7ddf872e91b79e79624017f666dda",
+		"{DataTx:1703 ParityTx:528 PollTx:239 FinTx:6 NakRx:287 NakServed:239 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:63109e7573466ebadca05f1e62ec0413c1a4a49e0a3d815bdb1c318617a6ddc6"},
+	"carousel/depth8": {"2476:d6fed7e372f45a261e66d6fbd795af8c62f7ddf872e91b79e79624017f666dda",
+		"{DataTx:1703 ParityTx:528 PollTx:239 FinTx:6 NakRx:287 NakServed:239 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:63109e7573466ebadca05f1e62ec0413c1a4a49e0a3d815bdb1c318617a6ddc6"},
+	"preencode/depth0": {"2583:02fc7528243ff8c04c3300fa2257a2f70264f103016af62a4bb450a6bc30f8b0",
+		"{DataTx:1685 ParityTx:375 PollTx:517 FinTx:6 NakRx:417 NakServed:341 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:c18d681d8cbc81ff23dc8fb0cb4a7053a2b07df3cebad3b3f9373f6b25981277"},
+	"preencode/depth8": {"2583:02fc7528243ff8c04c3300fa2257a2f70264f103016af62a4bb450a6bc30f8b0",
+		"{DataTx:1685 ParityTx:375 PollTx:517 FinTx:6 NakRx:417 NakServed:341 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:c18d681d8cbc81ff23dc8fb0cb4a7053a2b07df3cebad3b3f9373f6b25981277"},
+	"ewma/depth0": {"2261:c4a18e293ce2c0873652b3f250d79f1a167c0599ff458d93381f95f6275b7dce",
+		"{DataTx:1416 ParityTx:513 PollTx:326 FinTx:6 NakRx:167 NakServed:150 Encoded:513 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:5fc1c4572db3156964df51343dedbbb92f2f479c76a33009e50efb5914b85ae7"},
+	"ewma/depth8": {"2261:c4a18e293ce2c0873652b3f250d79f1a167c0599ff458d93381f95f6275b7dce",
+		"{DataTx:1416 ParityTx:513 PollTx:326 FinTx:6 NakRx:167 NakServed:150 Encoded:513 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:5fc1c4572db3156964df51343dedbbb92f2f479c76a33009e50efb5914b85ae7"},
+	"ladder/depth0": {"2888:41619beb482e29dddd55dca3cb1b81a0e9fbbf09c284551ba1aa2cca62b8ba63",
+		"{DataTx:1420 ParityTx:1160 PollTx:302 FinTx:6 NakRx:134 NakServed:106 Encoded:1160 TxErrors:0 NcTx:0 NcRounds:0}",
+		"196:31996cbf96b8bda35205c59fdf1dd2c22ad04fb79240a52f5f06d21358531e27"},
+	"ladder/depth8": {"2888:41619beb482e29dddd55dca3cb1b81a0e9fbbf09c284551ba1aa2cca62b8ba63",
+		"{DataTx:1420 ParityTx:1160 PollTx:302 FinTx:6 NakRx:134 NakServed:106 Encoded:1389 TxErrors:0 NcTx:0 NcRounds:0}",
+		"196:31996cbf96b8bda35205c59fdf1dd2c22ad04fb79240a52f5f06d21358531e27"},
+	"ladder-nc/depth0": {"2918:97f17a533d506911f24fa65f502fb2d61623726024759ed8a9a1170bbc53fbb4",
+		"{DataTx:1408 ParityTx:1169 PollTx:305 FinTx:6 NakRx:135 NakServed:108 Encoded:1169 TxErrors:0 NcTx:30 NcRounds:4}",
+		"197:34d1a58c8e640e53a38a2d0239769fac602918fd38e2808c31bf53506a556f5a"},
+	"ladder-nc/depth8": {"2918:97f17a533d506911f24fa65f502fb2d61623726024759ed8a9a1170bbc53fbb4",
+		"{DataTx:1408 ParityTx:1169 PollTx:305 FinTx:6 NakRx:135 NakServed:108 Encoded:1399 TxErrors:0 NcTx:30 NcRounds:4}",
+		"197:34d1a58c8e640e53a38a2d0239769fac602918fd38e2808c31bf53506a556f5a"},
+}
