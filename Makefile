@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint race check fmt bench pair
+.PHONY: build test lint race check fmt bench pair loc
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,7 @@ check:
 	sh scripts/check.sh
 
 # Perf trajectory snapshot (kernel + codec + sim + NP loopback rates ->
-# BENCH_PR7.json).
+# the file named by cmd/bench's -out default, BENCH_PR14.json).
 bench:
 	sh scripts/bench.sh
 
@@ -32,6 +32,11 @@ bench:
 # make pair PARENT=<git ref> WORKLOAD=clean_1k[,field_1e6,...]|all [PAIRS=10]
 pair:
 	bash scripts/pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# Non-blank, non-comment, non-test Go lines per package and in total
+# (benchmark/ excluded): the yardstick for "same behaviour, less code".
+loc:
+	sh scripts/loc.sh
 
 fmt:
 	gofmt -w .

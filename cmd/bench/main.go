@@ -1,13 +1,13 @@
 // Command bench runs the repository's performance gate and emits a
-// machine-readable snapshot (BENCH_PR10.json) for the perf trajectory:
+// machine-readable snapshot (BENCH_PR14.json) for the perf trajectory:
 // GF(2^8) kernel throughput against the retained scalar reference,
 // encode/decode packet rates of the RSE coder at the paper's k=7,h=7 and
 // k=20,h=5 operating points, Monte-Carlo engine sample rates (sparse
 // engines vs the retained pre-PR dense engines) at R = 10^4 and 10^6,
 // the end-to-end `figures -fig all -quick` wall-clock, the NP loopback
 // tier (np.go): sender packets/s through an in-process loopback Env,
-// pipelined (encode-ahead pool + pooled frames + MulticastBatch) against
-// the retained pre-PR serial transmit path, the per-core encode scaling
+// pipelined (encode-ahead pool + MulticastBatch) against pipeline depth 0
+// of the same core.Sender, the per-core encode scaling
 // sweep (GOMAXPROCS 1/2/4/8 with row-sharded parallel encode; skipped
 // with a skipped_insufficient_cpus marker on single-CPU hosts, where
 // every point would multiplex one core into a misleading ~1.0x curve),
@@ -23,7 +23,7 @@
 // scenario served by network-coded retransmission vs the parity budget
 // and exhaustion carousel.
 //
-//	go run ./cmd/bench                    # writes BENCH_PR10.json
+//	go run ./cmd/bench                    # writes BENCH_PR14.json
 //	go run ./cmd/bench -out - -runs 3     # quick run to stdout
 //	go run ./cmd/bench -np-only -runs 1   # NP loopback smoke (check.sh)
 //	go run ./cmd/bench -codec-only -runs 1 -out -   # codec-portfolio smoke
@@ -336,7 +336,7 @@ func figuresQuickBench() (seconds float64, samples int) {
 
 func main() {
 	var (
-		out        = flag.String("out", "BENCH_PR10.json", "output path, or - for stdout")
+		out        = flag.String("out", "BENCH_PR14.json", "output path, or - for stdout")
 		runs       = flag.Int("runs", 5, "benchmark passes per metric (median wins)")
 		showMet    = flag.Bool("metrics", false, "print an end-of-run metrics snapshot (Prometheus text) to stderr")
 		npGroups   = flag.Int("np-groups", 600, "transmission groups per NP loopback drain")
@@ -453,7 +453,7 @@ func main() {
 	}
 	npSummary := ""
 	for _, n := range snap.NP {
-		npSummary += fmt.Sprintf(", np/%s %.2fx", n.Scenario, n.Speedup)
+		npSummary += fmt.Sprintf(", np/%s %.2fx", n.Scenario, n.SpeedupVsDepth0)
 	}
 	for _, sc := range snap.NPScaling {
 		npSummary += fmt.Sprintf(", scale@%d %.2fx", sc.Procs, sc.SpeedupVsDepth0)

@@ -3,20 +3,18 @@ package main
 // The NP loopback tier measures the protocol hot path itself — Fig 17/18's
 // host-processing bound Λs — by draining a whole transfer through an
 // in-process loopback Env and counting wire packets per second of CPU.
-// Three legs run back to back each pass:
+// Two legs run back to back each pass, so both see the same host
+// conditions:
 //
-//   serial     the RETAINED pre-PR transmit path (per-packet Marshal
-//              allocation, per-packet After closure, per-packet Multicast,
-//              slice send queue), transcribed below exactly like
-//              sim.DenseNoFEC retains the dense Monte-Carlo engines — the
-//              honest before/after baseline for this PR;
-//   depth0     today's core.Sender with the pipeline disabled (pooled
-//              frames, ring queue; bit-identical wire transcript to serial);
+//   depth0     core.Sender with the pipeline disabled (pooled frames, ring
+//              queue);
 //   pipelined  core.Sender with Config.Pipeline enabled (encode-ahead
-//              worker pool + MulticastBatch draining).
+//              worker pool + MulticastBatch draining) — the same wire
+//              transcript, byte for byte (-transcript, check.sh tier 9).
 //
-// The headline speedup pairs pipelined against serial within one pass, so
-// both legs see the same host conditions.
+// The hand-transcribed pre-pooling sender this tier used to race as a third
+// "serial" leg is gone; its last measured rows (BENCH_PR10.json) are frozen
+// in EXPERIMENTS.md "One cutting path (PR 14)".
 
 import (
 	"crypto/sha256"
@@ -30,8 +28,6 @@ import (
 
 	"rmfec/internal/core"
 	"rmfec/internal/metrics"
-	"rmfec/internal/packet"
-	"rmfec/internal/rse"
 	"rmfec/internal/udpcast"
 )
 
@@ -90,162 +86,6 @@ func (e *npEnv) drive() {
 	}
 }
 
-// legacySender is the retained pre-PR NP transmit loop (sender.go at the
-// PR-4 tip), kept verbatim in its per-packet costs so the bench compares
-// against what this PR replaced: MustEncode allocates a fresh wire frame
-// per packet, proactive parities are encoded inline on the pump with a
-// freshly allocated shard each, the send queue is a head-sliced slice, and
-// every pump step allocates a new continuation closure for After.
-type legacySender struct {
-	env       *npEnv
-	k         int
-	shardSize int
-	maxParity int
-	proactive int
-	session   uint32
-	delta     time.Duration
-	finIvl    time.Duration
-	finLeft   int
-	code      *rse.Code
-
-	groups     [][][]byte // per-TG data shards, built before the timed drain
-	nextParity []int
-	nextTG     int
-	sendQ      []legacyPkt
-	pumping    bool
-	msgLen     uint64
-}
-
-type legacyPkt struct {
-	wire    []byte
-	control bool
-}
-
-func newLegacySender(env *npEnv, groups, k, h, proactive, shardSize int) *legacySender {
-	cfg := core.Config{K: k, MaxParity: h, ShardSize: shardSize}
-	cfg.Defaults() // mirror the engine's Delta/FinInterval/FinCount
-	ls := &legacySender{
-		env:       env,
-		k:         k,
-		shardSize: shardSize,
-		maxParity: h,
-		proactive: proactive,
-		session:   17,
-		delta:     cfg.Delta,
-		finIvl:    cfg.FinInterval,
-		finLeft:   cfg.FinCount,
-		code:      rse.MustNew(k, h),
-		msgLen:    uint64(groups * k * shardSize),
-	}
-	ls.groups = make([][][]byte, groups)
-	ls.nextParity = make([]int, groups)
-	for g := range ls.groups {
-		shards := make([][]byte, k)
-		for i := range shards {
-			shards[i] = make([]byte, shardSize)
-		}
-		ls.groups[g] = shards
-	}
-	return ls
-}
-
-func (ls *legacySender) marshal(p packet.Packet) []byte { return p.MustEncode() }
-
-func (ls *legacySender) dataPacket(g, i int) []byte {
-	return ls.marshal(packet.Packet{
-		Type: packet.TypeData, Session: ls.session, Group: uint32(g),
-		Seq: uint16(i), K: uint16(ls.k), Total: uint32(len(ls.groups)),
-		Payload: ls.groups[g][i],
-	})
-}
-
-func (ls *legacySender) parityPacket(g int) []byte {
-	j := ls.nextParity[g]
-	ls.nextParity[g]++
-	// Pre-PR behaviour: EncodeParity with a nil destination allocates the
-	// parity shard on every call (gf8Codec passed nil dst).
-	shard, err := ls.code.EncodeParity(j, ls.groups[g], nil)
-	if err != nil {
-		panic(err)
-	}
-	return ls.marshal(packet.Packet{
-		Type: packet.TypeParity, Session: ls.session, Group: uint32(g),
-		Seq: uint16(ls.k + j), K: uint16(ls.k), Total: uint32(len(ls.groups)),
-		Payload: shard,
-	})
-}
-
-func (ls *legacySender) pollPacket(g, roundSize int) []byte {
-	return ls.marshal(packet.Packet{
-		Type: packet.TypePoll, Session: ls.session, Group: uint32(g),
-		K: uint16(ls.k), Count: uint16(roundSize), Total: uint32(len(ls.groups)),
-	})
-}
-
-func (ls *legacySender) finPacket() []byte {
-	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], ls.msgLen)
-	return ls.marshal(packet.Packet{
-		Type: packet.TypeFin, Session: ls.session, K: uint16(ls.k),
-		Total: uint32(len(ls.groups)), Payload: payload[:],
-	})
-}
-
-func (ls *legacySender) refill() {
-	if ls.nextTG >= len(ls.groups) {
-		return
-	}
-	g := ls.nextTG
-	ls.nextTG++
-	for i := 0; i < ls.k; i++ {
-		ls.sendQ = append(ls.sendQ, legacyPkt{wire: ls.dataPacket(g, i)})
-	}
-	a := ls.proactive
-	if a > ls.maxParity {
-		a = ls.maxParity
-	}
-	for j := 0; j < a; j++ {
-		ls.sendQ = append(ls.sendQ, legacyPkt{wire: ls.parityPacket(g)})
-	}
-	ls.sendQ = append(ls.sendQ, legacyPkt{wire: ls.pollPacket(g, ls.k+a), control: true})
-	if ls.nextTG == len(ls.groups) {
-		ls.sendQ = append(ls.sendQ, legacyPkt{wire: ls.finPacket(), control: true})
-	}
-}
-
-func (ls *legacySender) pump() {
-	if ls.pumping {
-		return
-	}
-	if len(ls.sendQ) == 0 {
-		ls.refill()
-	}
-	if len(ls.sendQ) == 0 {
-		if ls.finLeft > 0 {
-			ls.finLeft--
-			ls.sendQ = append(ls.sendQ, legacyPkt{wire: ls.finPacket(), control: true})
-			ls.pumping = true
-			ls.env.After(ls.finIvl, func() {
-				ls.pumping = false
-				ls.pump()
-			})
-		}
-		return
-	}
-	out := ls.sendQ[0]
-	ls.sendQ = ls.sendQ[1:]
-	if out.control {
-		ls.env.MulticastControl(out.wire) //nolint:errcheck // loopback
-	} else {
-		ls.env.Multicast(out.wire) //nolint:errcheck // loopback
-	}
-	ls.pumping = true
-	ls.env.After(ls.delta, func() {
-		ls.pumping = false
-		ls.pump()
-	})
-}
-
 // legRun is one timed drain of one leg.
 type legRun struct {
 	pkts      int
@@ -269,9 +109,8 @@ func (l legRun) mbS() float64 {
 }
 
 // timeDrain measures env.drive() after the engine has already emitted its
-// first packet (both senders transmit once from start/Send), so setup —
-// shard slicing in particular — stays outside the timed region for every
-// leg alike.
+// first packet (Send transmits once), so setup — the message copy and the
+// cut in particular — stays outside the timed region.
 func timeDrain(env *npEnv) legRun {
 	p0, b0 := env.pkts, env.bytes
 	runtime.GC() // each leg starts with a clean heap, not the last leg's debt
@@ -286,13 +125,6 @@ func timeDrain(env *npEnv) legRun {
 		run.allocsPkt = float64(m1.Mallocs-m0.Mallocs) / float64(run.pkts)
 	}
 	return run
-}
-
-func legacyDrain(groups, k, h, proactive, shardSize int) legRun {
-	env := newNPEnv(1)
-	ls := newLegacySender(env, groups, k, h, proactive, shardSize)
-	ls.pump()
-	return timeDrain(env)
 }
 
 func senderDrain(groups, k, h, proactive, shardSize int, pl core.PipelineConfig) (legRun, core.PipelineStats) {
@@ -322,25 +154,21 @@ type npStats struct {
 	Proactive          int     `json:"proactive"`
 	Groups             int     `json:"groups"`
 	Packets            int     `json:"packets_per_run"`
-	SerialPktsS        float64 `json:"serial_pkts_s"`
-	SerialMBs          float64 `json:"serial_mb_s"`
-	SerialAllocsPkt    float64 `json:"serial_allocs_per_pkt"`
 	Depth0PktsS        float64 `json:"depth0_pkts_s"`
 	Depth0AllocsPkt    float64 `json:"depth0_allocs_per_pkt"`
 	PipelinedPktsS     float64 `json:"pipelined_pkts_s"`
 	PipelinedMBs       float64 `json:"pipelined_mb_s"`
 	PipelinedAllocsPkt float64 `json:"pipelined_allocs_per_pkt"`
-	Speedup            float64 `json:"speedup"`
 	SpeedupVsDepth0    float64 `json:"speedup_vs_depth0"`
 	EncodeHits         uint64  `json:"encode_ahead_hits"`
 	EncodeMisses       uint64  `json:"encode_ahead_misses"`
 }
 
-// npBench runs the loopback tier: the drain scenario (proactive = 0, the
-// Fig 17 pure data-path bound) is the ≥2x headline; the proactive = 5
-// scenario adds inline coding to both legs, which on a single-core host
-// bounds both the same way — multi-core hosts see the encode-ahead overlap
-// on top.
+// npBench runs the loopback tier: the drain scenario (proactive = 0) is
+// the Fig 17 pure data-path bound; the proactive = 5 scenario adds coding,
+// inline at depth 0 and on the encode-ahead pool when pipelined — on a
+// single-core host both legs are bound the same way, multi-core hosts see
+// the overlap.
 func npBench(runs, groups int) []npStats {
 	const k, h = 20, 5
 	pl := core.PipelineConfig{Depth: 8, Workers: 2, Batch: 32, EncodeShards: 2}
@@ -355,38 +183,27 @@ func npBench(runs, groups int) []npStats {
 		fmt.Fprintf(os.Stderr, "bench: measuring NP loopback %s (k=%d h=%d a=%d)...\n",
 			sc.name, k, h, sc.proactive)
 		st := npStats{Scenario: sc.name, K: k, H: h, Proactive: sc.proactive, Groups: groups}
-		var serialR, d0R, pipeR, ratios, d0Ratios []float64
-		var serialAllocs, d0Allocs, pipeAllocs []float64
+		var d0R, pipeR, ratios, d0Allocs, pipeAllocs []float64
 		var ps core.PipelineStats
 		for i := 0; i < runs; i++ {
-			serial := legacyDrain(groups, k, h, sc.proactive, shardBytes)
 			d0, _ := senderDrain(groups, k, h, sc.proactive, shardBytes, core.PipelineConfig{})
 			var pipe legRun
 			pipe, ps = senderDrain(groups, k, h, sc.proactive, shardBytes, pl)
 			st.Packets = pipe.pkts
-			serialR = append(serialR, serial.pktsS())
 			d0R = append(d0R, d0.pktsS())
 			pipeR = append(pipeR, pipe.pktsS())
-			serialAllocs = append(serialAllocs, serial.allocsPkt)
 			d0Allocs = append(d0Allocs, d0.allocsPkt)
 			pipeAllocs = append(pipeAllocs, pipe.allocsPkt)
-			if serial.pktsS() > 0 {
-				ratios = append(ratios, pipe.pktsS()/serial.pktsS())
-			}
 			if d0.pktsS() > 0 {
-				d0Ratios = append(d0Ratios, pipe.pktsS()/d0.pktsS())
+				ratios = append(ratios, pipe.pktsS()/d0.pktsS())
 			}
-			st.SerialMBs = serial.mbS()
 			st.PipelinedMBs = pipe.mbS()
 		}
-		st.SerialPktsS = median(serialR)
 		st.Depth0PktsS = median(d0R)
 		st.PipelinedPktsS = median(pipeR)
-		st.SerialAllocsPkt = median(serialAllocs)
 		st.Depth0AllocsPkt = median(d0Allocs)
 		st.PipelinedAllocsPkt = median(pipeAllocs)
-		st.Speedup = median(ratios)
-		st.SpeedupVsDepth0 = median(d0Ratios)
+		st.SpeedupVsDepth0 = median(ratios)
 		st.EncodeHits = ps.EncodeHits
 		st.EncodeMisses = ps.EncodeMisses
 		out = append(out, st)

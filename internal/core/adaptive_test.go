@@ -72,15 +72,6 @@ func TestAdaptiveLosslessTransfer(t *testing.T) {
 	}
 }
 
-func TestAdaptiveTinyAndEmptyMessages(t *testing.T) {
-	for _, size := range []int{0, 1, 64, 2048, 2049} {
-		h := newHarness(t, harnessOpts{r: 2, cfg: adaptiveConfig(), seed: int64(1100 + size)})
-		msg := testMessage(size, int64(1200+size))
-		h.run(t, msg)
-		h.checkDelivered(t, msg)
-	}
-}
-
 // TestAdaptiveShiftUpMatchesModel is the headline loss-shift scenario: the
 // channel degrades from 0.1% to 20% Bernoulli loss mid-transfer. The
 // controller must climb to the ladder's (8,12) rung, and once settled the
@@ -271,7 +262,7 @@ func TestAdaptiveRetuneScheduleDeterministic(t *testing.T) {
 		sched, deliv := runAdaptiveShiftScenario(t, cfg, 1501)
 		if i == 0 {
 			refSched, refDeliv = sched, deliv
-			if !strings.Contains(sched, "retunes=0") == false && sched == "" {
+			if sched == "" {
 				t.Fatal("empty reference schedule")
 			}
 			continue

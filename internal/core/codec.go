@@ -186,11 +186,11 @@ func CodecByID(id, arg uint8, k, h, shardSize int) (Codec, error) {
 	return newCodecID(id, arg, k, h, shardSize, nil)
 }
 
-// codecCache lazily builds and memoizes per-(k, h, codec) codecs for
-// adaptive sessions, where the working point — and since the codec
-// portfolio, the code itself — changes between transmission groups.
-// Ladder rungs are few, so the cache stays tiny; lookups happen on the
-// engine goroutine only.
+// codecCache lazily builds and memoizes a session's per-(k, h, codec)
+// codecs. A static session holds one entry; under adaptive FEC the working
+// point — and since the codec portfolio, the code itself — changes between
+// transmission groups. Ladder rungs are few, so the cache stays tiny;
+// lookups happen on the engine goroutine only.
 type codecCache struct {
 	m         map[uint64]Codec
 	shardSize int

@@ -409,12 +409,25 @@ func TestSessionIsolation(t *testing.T) {
 	}
 }
 
+// TestTinyAndEmptyMessages covers the cut's edge cases under every
+// redundancy policy, which all share one path: the empty message (still
+// one announced, all-padding group), partial shards, and lengths one short
+// of, at and one past a shard and a group boundary (k = 8 or the ladder's
+// initial 32, 64-byte shards).
 func TestTinyAndEmptyMessages(t *testing.T) {
-	for _, size := range []int{0, 1, 63, 64, 65} {
-		h := newHarness(t, harnessOpts{r: 3, cfg: baseConfig(), seed: int64(30 + size)})
-		msg := testMessage(size, int64(40+size))
-		h.run(t, msg)
-		h.checkDelivered(t, msg)
+	ewma := baseConfig()
+	ewma.Adaptive = true
+	for name, cfg := range map[string]Config{"constant": baseConfig(), "ewma": ewma, "ladder": adaptiveConfig()} {
+		for _, size := range []int{0, 1, 63, 64, 65, 511, 512, 513, 2048, 2049} {
+			h := newHarness(t, harnessOpts{r: 3, cfg: cfg, seed: int64(30 + size)})
+			msg := testMessage(size, int64(40+size))
+			h.run(t, msg)
+			h.checkDelivered(t, msg)
+			perTG := h.sender.cfg.K * cfg.ShardSize
+			if got, want := h.sender.Groups(), max(1, (size+perTG-1)/perTG); got != want {
+				t.Errorf("%s, %d bytes: cut into %d groups, want %d", name, size, got, want)
+			}
+		}
 	}
 }
 

@@ -66,10 +66,11 @@ type BatchEnv interface {
 	MulticastBatch(frames [][]byte) (sent int, err error)
 }
 
-// PipelineConfig tunes the sender's pipelined transmit path. The zero
-// value disables it entirely: Depth = 0 selects the serial reference path,
-// which is guaranteed to produce a byte-identical wire transcript to the
-// pre-pipeline sender (pinned by TestSerialTranscriptGolden).
+// PipelineConfig tunes the sender's pipelined transmit stages. The zero
+// value disables them: Depth = 0 runs the same sender with no worker pool
+// and no batching, and is the reference every other setting must match
+// byte for byte on the wire (TestSerialTranscriptGolden pins it against
+// the pre-pipeline sender, TestPipelinedTranscriptMatchesSerial the rest).
 type PipelineConfig struct {
 	// Depth is the encode-ahead window in transmission groups: while TG i
 	// is on the wire, parities of TGs up to i+Depth are being computed on
@@ -123,20 +124,23 @@ type Config struct {
 	// FIN still doubles as a poll, so residual losses beyond the proactive
 	// budget are repaired by the normal NAK path as a backstop.
 	Carousel bool
-	// Adaptive replaces the static Proactive count with an EWMA of the
-	// repair deficits recent groups reported, so the sender learns the
-	// loss level and front-loads roughly the right amount of redundancy.
+	// Adaptive selects the sender's EWMA redundancy policy: (K, MaxParity)
+	// stay fixed, and the proactive count tracks an EWMA of the repair
+	// deficits recent groups reported (starting at Proactive, capped at
+	// MaxParity/2), so the sender learns the loss level and front-loads
+	// roughly the right amount of redundancy.
 	Adaptive bool
-	// AdaptiveFEC enables the full adaptive FEC control plane
-	// (internal/adapt): an online loss estimator plus burst detector
-	// steering (k, h, a) through a hysteresis ladder, renegotiated
-	// between transmission groups over wire version 2 (the TG header
-	// carries the group's k, h and codec id). K, MaxParity and Proactive
-	// are derived from the ladder's initial rung; the transfer is cut
-	// into groups lazily so later groups can use retuned parameters.
-	// Mutually exclusive with PreEncode, Carousel and Adaptive — the
-	// controller owns redundancy end to end. Both endpoints must enable
-	// it: a non-adaptive engine rejects v2 frames with ErrBadVersion.
+	// AdaptiveFEC selects the sender's ladder redundancy policy, the full
+	// adaptive FEC control plane (internal/adapt): an online loss
+	// estimator plus burst detector steering (k, h, a) through a
+	// hysteresis ladder, renegotiated between transmission groups over
+	// wire version 2 (the TG header carries the group's k, h and codec
+	// id). K, MaxParity and Proactive are derived from the ladder's
+	// initial rung; a retune re-cuts the unstreamed remainder of the
+	// message at the new working point. Mutually exclusive with
+	// PreEncode, Carousel and Adaptive — the controller owns redundancy
+	// end to end. Both endpoints must enable it: a non-adaptive engine
+	// rejects v2 frames with ErrBadVersion.
 	AdaptiveFEC bool
 	// Adapt tunes the control plane; the zero value takes
 	// adapt.DefaultConfig(). Sender and receivers must agree on the
@@ -167,9 +171,10 @@ type Config struct {
 	// a bound a hostile FIN could make a receiver allocate state for 2^32
 	// groups. Default 1<<20.
 	MaxGroups int
-	// Pipeline configures the sender's pipelined zero-alloc transmit path:
-	// parallel encode-ahead and batched transmission. The zero value keeps
-	// the serial reference behaviour bit-for-bit.
+	// Pipeline configures the sender's pipelined transmit stages: parallel
+	// encode- and marshal-ahead over the current era's groups, and batched
+	// transmission. It never changes a byte or the order of the wire
+	// transcript; the zero value runs everything on the engine.
 	Pipeline PipelineConfig
 	// MaxNakSlots caps the slot index of the paper's NAK schedule
 	// [(s-l)Ts, (s-l+1)Ts]. The formula assumes small rounds; with large

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"time"
 
@@ -40,24 +39,47 @@ type PipelineStats struct {
 
 // Sender is the NP protocol sender: it multicasts a message as a series of
 // transmission groups, polls for per-TG feedback and repairs losses by
-// multicasting Reed-Solomon parities.
+// multicasting parities.
 //
-// With Config.Pipeline enabled the sender runs a pipelined data path:
-// parity encoding for upcoming groups proceeds on a bounded worker pool
+// There is one path from message to groups. Send keeps one owned copy of
+// the message; startEra cuts its unstreamed remainder into an ERA — the
+// groups that share one working point (k, h, codec) — whose data shards are
+// views into that copy; refill streams one group per call. The redundancy
+// policy (constant, EWMA or ladder, see redundancy.go) says how many
+// parities join each group's first round and when the working point moved;
+// a move flushes the era at the TG boundary and re-cuts the remainder. A
+// static transfer is simply one era.
+//
+// With Config.Pipeline enabled the first proactive parities and the data
+// wire frames of upcoming groups are computed on a bounded worker pool
 // while earlier groups are on the wire, wire frames are recycled through a
 // free-list (the steady-state transmit path allocates nothing), and data
-// frames leave in batches through BatchEnv-capable transports. Depth = 0
-// keeps the serial reference path bit-for-bit.
+// frames leave in batches through BatchEnv-capable transports. The wire
+// transcript is byte-identical at every depth, worker and shard count.
 type Sender struct {
 	env  Env
 	benv BatchEnv // env's batching extension; nil when unsupported/disabled
 	cfg  Config
-	code Codec
 
-	groups []*txGroup
-	nextTG int     // next group to stream into the send queue
-	ewma   float64 // adaptive estimate of the per-TG repair need
-	msgLen uint64
+	// Wire dialect, fixed in NewSender: v1 unless the policy can
+	// renegotiate per group (the ladder), which needs v2's TG header.
+	// stamp and enqueueFin write it into every frame; HandlePacket ignores
+	// newer frames.
+	vers     uint8
+	frameLen int    // wire length of a data or parity frame
+	total    uint32 // Total of TG-scoped packets: the group count on v1, 0 (unknown until FIN) on v2
+
+	policy redundancy
+	ctl    *adapt.Controller // the ladder policy's controller, else nil
+	codecs codecCache        // per-(k, h, codec) memo; one entry on a static session
+	minK   int               // smallest k the policy can cut at; bounds the group count
+
+	msg     []byte     // the sender's own copy of the payload
+	cursor  int        // bytes of msg streamed so far
+	groups  []*txGroup // groups streamed so far, in stream order
+	era     []txGroup  // groups cut at the current working point
+	eraNext int        // next era group to stream
+	zero    []byte     // shared read-only all-padding shard
 
 	// sendQ is the paced transmission queue. Parity service rounds are
 	// queued at the front ("the sender interrupts sending data packets of
@@ -71,44 +93,23 @@ type Sender struct {
 	closed  bool
 	started bool
 
-	// Encode-ahead pool; nil on the serial path. The first encAhead
-	// parities of TG g are computed by the encShards pool jobs
+	// Encode-ahead pool over the current era; nil when the pipeline is off
+	// or the era sends no proactive parities. The first encAhead parities
+	// of era group g are computed by the encShards pool jobs
 	// [g*encShards, (g+1)*encShards) before the group is needed — each job
 	// owns the parity rows j with j % encShards == its shard index, so one
 	// group's encode spreads across up to encShards workers while staying
 	// byte-identical to the serial encoder (disjoint rows, same row
 	// kernel). encDone counts collected jobs for the queue-depth gauge.
-	// encGroups is the slice the pool's jobs index into (all groups on the
-	// static path, the current era on the adaptive path), encCodec the
-	// codec those jobs encode with, encH their groups' parity budget.
 	enc       *pipeline.Pool
 	encAhead  int
 	encShards int
 	encDone   int
-	encGroups []*txGroup
-	encCodec  Codec
-	encH      int
 
 	// Marshal-ahead free-lists: per-group wire-frame slices recycled once
 	// every data frame of a group has been consumed, so the steady state
 	// allocates neither the frames nor the slice headers.
 	frameLists [][][]byte
-
-	// Adaptive FEC control plane (Config.AdaptiveFEC). The message is
-	// retained and cut into groups lazily, one ERA at a time: all groups
-	// of an era share the working point the controller chose when the era
-	// started. A retune flushes the era — unstreamed groups and their
-	// queued encode-ahead jobs are discarded at the TG boundary — and
-	// re-cuts the remainder of the message at the new (k, h).
-	ctl     *adapt.Controller
-	codecs  codecCache
-	msg     []byte     // retained payload; nil outside adaptive mode
-	cursor  int        // bytes of msg streamed so far
-	era     []*txGroup // groups pre-cut at the current working point
-	eraNext int        // next era group to stream
-	eraBase int        // global TG index of era[0]; 0 on the static path
-	obsNext int        // next TG index whose observation closes (lag window)
-	finSent bool       // no further groups will be cut
 
 	// NC retransmission scratch (Config.NCRepair): the combo masks of one
 	// repair round and the XOR accumulation buffer, both reused.
@@ -123,23 +124,25 @@ type Sender struct {
 	flushed bool // per-TG transmission histogram observed (once, at Close)
 }
 
+// txGroup is one transmission group: its working point and code, fixed
+// when its era was cut, and its repair state.
 type txGroup struct {
 	index      uint32
-	data       [][]byte
-	k          int      // data shards; cfg.K outside adaptive mode
-	h          int      // parity budget; cfg.MaxParity outside adaptive mode
-	aUsed      int      // proactive parities actually sent with round 1
+	data       [][]byte // k shards: views into Sender.msg, a zero-padded tail copy, or Sender.zero
+	k          int      // data shards
+	h          int      // parity budget
+	aUsed      int      // proactive parities sent with round 1 (recorded for the ladder only)
 	parities   [][]byte // pre-encoded parity shards (PreEncode or encode-ahead)
 	collected  bool     // encode-ahead job results folded in
 	nextParity int      // next unsent parity index (0-based)
 	queued     int      // parities queued but not yet sent, for NAK aggregation
 	resendCur  int      // rotating data index for the parity-exhaustion fallback
-	maxNeed    int      // largest NAK deficit seen; feeds the loss estimators
+	maxNeed    int      // largest NAK deficit seen; feeds the ladder's estimator
 	txCount    int      // data+parity packets actually transmitted for this TG
 
-	// codec is the group's negotiated repair code; codecID/codecArg its
-	// v2 wire identity. Fixed at group cut so repairs of an old group use
-	// its own code after later eras renegotiated.
+	// codec is the group's repair code; codecID/codecArg its v2 wire
+	// identity. Repairs of an old group keep using its own code after
+	// later eras renegotiated.
 	codec    Codec
 	codecID  uint8
 	codecArg uint8
@@ -175,18 +178,35 @@ func NewSender(env Env, cfg Config) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	code, err := newCodec(cfg)
-	if err != nil {
+	s := &Sender{env: env, cfg: cfg, vers: packet.V1, minK: cfg.K,
+		codecs: newCodecCache(cfg.ShardSize, cfg.Metrics), m: newSenderMetrics(cfg.Metrics, cfg.K)}
+	// Building the initial working point's codec here reports a config the
+	// codec layer refuses (GF(2^16) with an odd ShardSize) as an error.
+	if _, err := s.codecs.get(cfg.K, cfg.MaxParity, packet.CodecRS, 0); err != nil {
 		return nil, err
 	}
-	s := &Sender{env: env, cfg: cfg, code: code, m: newSenderMetrics(cfg.Metrics, cfg.K)}
+	fixed := constantPolicy{adapt.Params{K: cfg.K, H: cfg.MaxParity, A: cfg.Proactive}}
+	switch {
+	case cfg.AdaptiveFEC:
+		s.vers = packet.V2
+		s.ctl = adapt.New(cfg.Adapt, cfg.Metrics)
+		s.policy = &ladderPolicy{ctl: s.ctl, lag: cfg.ObserveLag}
+		for _, r := range cfg.Adapt.Ladder {
+			if r.P.K < s.minK {
+				s.minK = r.P.K
+			}
+		}
+	case cfg.Adaptive:
+		s.policy = &ewmaPolicy{fixed, float64(cfg.Proactive)}
+	default:
+		s.policy = fixed
+	}
+	hdr := packet.Packet{Vers: s.vers}
+	s.frameLen = hdr.EncodedLen() + cfg.ShardSize
+	s.frames.minCap = s.frameLen
 	s.pumpCb = func() {
 		s.pumping = false
 		s.pump()
-	}
-	if cfg.AdaptiveFEC {
-		s.ctl = adapt.New(cfg.Adapt, cfg.Metrics)
-		s.codecs = newCodecCache(cfg.ShardSize, cfg.Metrics)
 	}
 	if cfg.Pipeline.enabled() && cfg.Pipeline.Batch > 1 {
 		s.benv, _ = env.(BatchEnv)
@@ -202,16 +222,24 @@ func (s *Sender) Stats() SenderStats { return s.stats }
 // zero for a serial (Depth = 0) sender.
 func (s *Sender) PipelineStats() PipelineStats { return s.pstats }
 
-// Groups returns the number of transmission groups of the current message.
-func (s *Sender) Groups() int { return len(s.groups) }
+// Groups returns the number of transmission groups the message is cut into
+// so far: those streamed plus the rest of the current era. It is the final
+// count from Send on for a static transfer; under adaptive FEC a retune
+// re-cuts the unstreamed part, so it is final once the last group is
+// streamed.
+func (s *Sender) Groups() int { return len(s.groups) + len(s.era) - s.eraNext }
 
-// SourcePackets returns the number of distinct source (data) packets cut so
-// far — the E[M] denominator. Under adaptive FEC groups carry different k,
-// so this is the per-group sum rather than Groups()*K.
+// SourcePackets returns the number of distinct source (data) packets of
+// the groups Groups counts — the E[M] denominator. Under adaptive FEC
+// groups carry different k, so this is the per-group sum rather than
+// Groups()*K.
 func (s *Sender) SourcePackets() int {
 	n := 0
 	for _, tg := range s.groups {
 		n += tg.k
+	}
+	for i := s.eraNext; i < len(s.era); i++ {
+		n += s.era[i].k
 	}
 	return n
 }
@@ -226,12 +254,12 @@ func (s *Sender) Adapt() *adapt.Controller { return s.ctl }
 type GroupInfo struct {
 	Index   uint32
 	K, H    int // codec parameters the group was cut at
-	AUsed   int // proactive parities actually sent in the first round
+	AUsed   int // proactive parities the adaptive FEC controller sent in the first round (0 on static sessions)
 	TxCount int // data+parity transmissions so far, repairs included
 }
 
-// GroupTrace snapshots the per-group parameter trajectory of the current
-// transfer, in stream order — under adaptive FEC this is the retune
+// GroupTrace snapshots the per-group parameter trajectory of the groups
+// streamed so far, in stream order — under adaptive FEC this is the retune
 // schedule the scenario tooling plots. Same goroutine rules as Stats.
 func (s *Sender) GroupTrace() []GroupInfo {
 	out := make([]GroupInfo, len(s.groups))
@@ -267,6 +295,7 @@ func (s *Sender) Close() {
 // Send starts the reliable multicast transfer of msg. It must be called at
 // most once per Sender; the transfer then proceeds through the Env's timers
 // until every NAK has been served and FinCount FINs have been multicast.
+// The sender works on its own copy: the caller may reuse msg on return.
 func (s *Sender) Send(msg []byte) error {
 	if s.closed {
 		return ErrClosed
@@ -275,41 +304,85 @@ func (s *Sender) Send(msg []byte) error {
 		return ErrBusy
 	}
 	s.started = true
-	s.msgLen = uint64(len(msg))
-	if s.cfg.AdaptiveFEC {
-		return s.sendAdaptive(msg)
+	// Bound the group count by the leanest cut the policy can make: even
+	// if a ladder spends the whole transfer on its smallest-k rung, the
+	// group index must fit the receivers' MaxGroups budget.
+	maxTG := groupsFor(len(msg), s.minK*s.cfg.ShardSize)
+	if maxTG > s.cfg.MaxGroups {
+		return fmt.Errorf("core: message needs up to %d TGs (at k = %d), exceeding MaxGroups = %d", maxTG, s.minK, s.cfg.MaxGroups)
 	}
+	if s.vers == packet.V1 {
+		// A v1 session never re-cuts, so the leanest cut is the cut and
+		// every TG header can announce the final count.
+		s.total = uint32(maxTG)
+	}
+	s.msg = append(make([]byte, 0, len(msg)), msg...)
+	s.finLeft = s.cfg.FinCount
+	if err := s.startEra(); err != nil {
+		return err
+	}
+	s.pump()
+	return nil
+}
 
-	perTG := s.cfg.K * s.cfg.ShardSize
-	nTG := (len(msg) + perTG - 1) / perTG
-	if nTG == 0 {
-		nTG = 1
+// groupsFor returns how many transmission groups of perTG payload bytes a
+// message of n bytes cuts into. The empty message still announces one
+// (all-padding) group.
+func groupsFor(n, perTG int) int {
+	if n == 0 {
+		return 1
 	}
-	if nTG > s.cfg.MaxGroups {
-		return fmt.Errorf("core: message needs %d TGs, exceeding MaxGroups = %d", nTG, s.cfg.MaxGroups)
+	return (n + perTG - 1) / perTG
+}
+
+// startEra (re)cuts the unstreamed remainder of the message into groups at
+// the policy's current working point and restarts the encode-ahead pool
+// over them. On a retune this is the renegotiation flush: the previous
+// era's unstreamed groups and queued encode jobs are discarded at the TG
+// boundary. Groups already streamed are untouched — their repairs keep
+// using their own parameters and code. Only the PreEncode burst can fail.
+func (s *Sender) startEra() error {
+	if s.enc != nil {
+		s.enc.Close()
+		// The pool has quiesced (Close waits for in-flight jobs): reclaim
+		// the pre-marshaled frames of groups the flushed era never
+		// streamed.
+		for i := s.eraNext; i < len(s.era); i++ {
+			s.releaseFrames(&s.era[i])
+		}
+		s.enc = nil
+		s.m.encQueue.Set(0)
 	}
-	s.groups = make([]*txGroup, nTG)
-	var flatData [][]byte
-	if s.cfg.PreEncode {
-		flatData = make([][]byte, 0, nTG*s.cfg.K)
-	}
-	for g := range s.groups {
-		tg := &txGroup{index: uint32(g), data: make([][]byte, s.cfg.K), k: s.cfg.K, h: s.cfg.MaxParity, codec: s.code}
-		base := g * perTG
-		for i := 0; i < s.cfg.K; i++ {
-			shard := make([]byte, s.cfg.ShardSize)
-			off := base + i*s.cfg.ShardSize
-			if off < len(msg) {
-				copy(shard, msg[off:])
+	p := s.policy.era()
+	code, id, arg := s.eraCodec(p)
+	size := s.cfg.ShardSize
+	n := groupsFor(len(s.msg)-s.cursor, p.K*size)
+	// Data shards are cap-clipped views into the message copy; only a
+	// trailing partial shard is copied (zero-padded), and shards wholly
+	// past the end share one zero shard. Nothing writes through them.
+	shards := make([][]byte, n*p.K)
+	for i := range shards {
+		switch off := s.cursor + i*size; {
+		case off+size <= len(s.msg):
+			shards[i] = s.msg[off : off+size : off+size]
+		case off < len(s.msg):
+			shards[i] = make([]byte, size)
+			copy(shards[i], s.msg[off:])
+		default:
+			if s.zero == nil {
+				s.zero = make([]byte, size)
 			}
-			tg.data[i] = shard
+			shards[i] = s.zero
 		}
-		if s.cfg.PreEncode {
-			flatData = append(flatData, tg.data...)
-		}
-		s.groups[g] = tg
 	}
-	if s.cfg.PreEncode && s.cfg.MaxParity > 0 {
+	s.era = make([]txGroup, n)
+	s.eraNext = 0
+	for g := range s.era {
+		s.era[g] = txGroup{index: uint32(len(s.groups) + g), data: shards[g*p.K : (g+1)*p.K : (g+1)*p.K],
+			k: p.K, h: p.H, codec: code, codecID: id, codecArg: arg}
+	}
+	switch {
+	case s.cfg.PreEncode && p.H > 0:
 		// Fig 18's improvement (i): compute every parity before the
 		// transfer starts so encoding never competes with sending. The
 		// whole burst goes through the codec's batch entry point — in one
@@ -318,184 +391,63 @@ func (s *Sender) Send(msg []byte) error {
 		// only which goroutine computes each parity row, never its bytes,
 		// and every shard validates identically, so the first error (if
 		// any) is the same one the serial call would return.
-		flatParity := make([][]byte, nTG*s.cfg.MaxParity)
+		parity := make([][]byte, n*p.H)
 		nsh := 1
 		if s.cfg.Pipeline.enabled() {
-			nsh = s.cfg.Pipeline.Workers * s.cfg.Pipeline.EncodeShards
-			if rows := nTG * s.cfg.MaxParity; nsh > rows {
-				nsh = rows
-			}
+			nsh = min(s.cfg.Pipeline.Workers*s.cfg.Pipeline.EncodeShards, len(parity))
 		}
-		if nsh <= 1 {
-			if err := s.code.EncodeBlocks(flatData, flatParity); err != nil {
+		errs := make([]error, nsh)
+		pipeline.Run(nsh, s.cfg.Pipeline.Workers, func(i int) {
+			errs[i] = code.EncodeBlocksShard(shards, parity, i, nsh)
+		})
+		for _, err := range errs {
+			if err != nil {
 				return err
 			}
-		} else {
-			errs := make([]error, nsh)
-			pipeline.Run(nsh, s.cfg.Pipeline.Workers, func(i int) {
-				errs[i] = s.code.EncodeBlocksShard(flatData, flatParity, i, nsh)
-			})
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
-			}
 		}
-		for g, tg := range s.groups {
-			tg.parities = flatParity[g*s.cfg.MaxParity : (g+1)*s.cfg.MaxParity : (g+1)*s.cfg.MaxParity]
-			s.stats.Encoded += s.cfg.MaxParity
-			s.m.encoded.Add(uint64(s.cfg.MaxParity))
+		for g := range s.era {
+			s.era[g].parities = parity[g*p.H : (g+1)*p.H : (g+1)*p.H]
 		}
-	}
-	s.frames.minCap = packet.HeaderLen + s.cfg.ShardSize
-	if s.cfg.Pipeline.enabled() && !s.cfg.PreEncode &&
-		s.cfg.Proactive > 0 && s.cfg.MaxParity > 0 {
-		// Encode-ahead: TG g's proactive parities are computed on the
-		// worker pool while earlier groups are on the wire, split across
-		// encShards row-sharded jobs per group. The window is static
-		// (Config.Proactive) even in Adaptive mode, where the EWMA may ask
-		// for more — the engine tops those up serially, exactly as it tops
-		// up NAK repairs beyond the window. The parity slices are
-		// pre-allocated here, on the engine, so concurrent shard jobs of
-		// one group fill disjoint entries of a slice they never resize.
-		s.encAhead = s.cfg.Proactive
-		s.encShards = s.cfg.Pipeline.EncodeShards
-		if s.encShards > s.encAhead {
-			s.encShards = s.encAhead // one row per shard is the finest split
-		}
-		for _, tg := range s.groups {
-			tg.parities = make([][]byte, s.encAhead)
-		}
-		s.encGroups = s.groups
-		s.encCodec = s.code
-		s.encH = s.cfg.MaxParity
+		s.stats.Encoded += len(parity)
+		s.m.encoded.Add(uint64(len(parity)))
+	case s.cfg.Pipeline.enabled() && p.A > 0:
+		// Encode-ahead: each group's first p.A parities are computed on
+		// the worker pool while earlier groups are on the wire. The window
+		// is the era's steady proactive level even when a group sends
+		// fewer (a ladder probe) or more (the EWMA): the spare parities
+		// serve the repair rounds, and the engine tops up serially beyond
+		// the window exactly as it tops up NAK repairs. The parity slices
+		// are cut here, on the engine, so concurrent shard jobs of one
+		// group fill disjoint entries of a slice they never resize.
+		s.encAhead = p.A
+		s.encShards = min(s.cfg.Pipeline.EncodeShards, p.A) // one row per shard is the finest split
+		s.encDone = 0
 		s.m.shardWidth.Set(int64(s.encShards))
+		parity := make([][]byte, n*p.A)
+		for g := range s.era {
+			s.era[g].parities = parity[g*p.A : (g+1)*p.A : (g+1)*p.A]
+		}
 		// Marshal-ahead: data frames of the groups the initial Prefetch
 		// exposes to the workers are pooled and sized here, on the engine,
 		// before any job can run (see prepFrames).
-		for g := 0; g < s.cfg.Pipeline.Depth && g < nTG; g++ {
-			s.prepFrames(s.groups[g])
-		}
-		s.enc = pipeline.New(nTG*s.encShards, s.cfg.Pipeline.Workers, s.encodeJob)
-		s.enc.Prefetch(s.cfg.Pipeline.Depth*s.encShards - 1)
-	}
-	s.ewma = float64(s.cfg.Proactive)
-	s.finLeft = s.cfg.FinCount
-	s.m.groups.Add(uint64(nTG))
-	s.m.sourcePkts.Add(uint64(nTG * s.cfg.K))
-	s.pump()
-	return nil
-}
-
-// sendAdaptive starts an adaptive (renegotiating) transfer: the message is
-// retained whole and cut into transmission groups lazily, so the control
-// plane can retune (k, h, a) between groups. Wire frames go out as
-// version 2, carrying each group's parameters in the TG header.
-func (s *Sender) sendAdaptive(msg []byte) error {
-	minK := s.cfg.Adapt.Ladder[0].P.K
-	for _, r := range s.cfg.Adapt.Ladder {
-		if r.P.K < minK {
-			minK = r.P.K
-		}
-	}
-	// Bound the group count by the leanest possible cut: even if the
-	// controller spends the whole transfer on the smallest-k rung, the
-	// group index must fit the receivers' MaxGroups budget.
-	perTG := minK * s.cfg.ShardSize
-	maxTG := (len(msg) + perTG - 1) / perTG
-	if maxTG == 0 {
-		maxTG = 1
-	}
-	if maxTG > s.cfg.MaxGroups {
-		return fmt.Errorf("core: message could need %d TGs at the ladder's smallest k, exceeding MaxGroups = %d", maxTG, s.cfg.MaxGroups)
-	}
-	// The era machinery re-reads the message on every retune, so the
-	// sender owns a copy rather than holding the caller to immutability.
-	// The copy stays non-nil even for an empty message: s.msg == nil means
-	// "no adaptive transfer active" to refillAdaptive.
-	s.msg = make([]byte, len(msg))
-	copy(s.msg, msg)
-	s.frames.minCap = packet.HeaderLenV2 + s.cfg.ShardSize
-	s.finLeft = s.cfg.FinCount
-	s.pump()
-	return nil
-}
-
-// startEra (re)cuts the untransmitted remainder of the message into groups
-// at working point p and restarts the encode-ahead pool over them. On a
-// retune this is the renegotiation flush: the previous era's unstreamed
-// groups and queued encode jobs are discarded at the TG boundary, and the
-// remainder is re-cut at the new (k, h) with the rung's (gate-vetted)
-// codec. Groups already streamed are untouched — their repairs keep using
-// their negotiated parameters and code.
-func (s *Sender) startEra(p adapt.Params) {
-	if s.enc != nil {
-		s.enc.Close()
-		// The pool has quiesced (Close waits for in-flight jobs): reclaim
-		// the pre-marshaled frames of groups the flushed era never
-		// streamed.
-		for _, tg := range s.era[s.eraNext:] {
-			s.releaseFrames(tg)
-		}
-		s.enc = nil
-		s.m.encQueue.Set(0)
-	}
-	code, id, arg := s.eraCodec(p)
-	perTG := p.K * s.cfg.ShardSize
-	n := (len(s.msg) - s.cursor + perTG - 1) / perTG
-	if n == 0 && len(s.groups) == 0 {
-		n = 1 // the empty transfer still announces one (zero-filled) group
-	}
-	s.era = make([]*txGroup, n)
-	s.eraNext = 0
-	s.eraBase = len(s.groups)
-	for g := range s.era {
-		tg := &txGroup{index: uint32(s.eraBase + g), data: make([][]byte, p.K), k: p.K, h: p.H,
-			codec: code, codecID: id, codecArg: arg}
-		base := s.cursor + g*perTG
-		for i := 0; i < p.K; i++ {
-			shard := make([]byte, s.cfg.ShardSize)
-			if off := base + i*s.cfg.ShardSize; off < len(s.msg) {
-				copy(shard, s.msg[off:])
-			}
-			tg.data[i] = shard
-		}
-		s.era[g] = tg
-	}
-	// Encode ahead at the rung's proactive count. Probe TGs (a = 0 on the
-	// wire) still profit: their parities serve the repair rounds they
-	// invite.
-	ahead := s.ctl.Params().A
-	if s.cfg.Pipeline.enabled() && ahead > 0 && n > 0 {
-		s.encAhead = ahead
-		s.encShards = s.cfg.Pipeline.EncodeShards
-		if s.encShards > ahead {
-			s.encShards = ahead
-		}
-		for _, tg := range s.era {
-			tg.parities = make([][]byte, ahead)
-		}
-		s.encGroups = s.era
-		s.encCodec = code
-		s.encH = p.H
-		s.encDone = 0
-		s.m.shardWidth.Set(int64(s.encShards))
 		for g := 0; g < s.cfg.Pipeline.Depth && g < n; g++ {
-			s.prepFrames(s.era[g])
+			s.prepFrames(&s.era[g])
 		}
 		s.enc = pipeline.New(n*s.encShards, s.cfg.Pipeline.Workers, s.encodeJob)
 		s.enc.Prefetch(s.cfg.Pipeline.Depth*s.encShards - 1)
 	}
+	return nil
 }
 
-// eraCodec resolves the repair code an era uses: the rung's requested
-// codec when the benchmark gate admits it, else the Reed-Solomon
-// incumbent at the same (k, h). The gate mode (Config.CodecGate) decides
-// whether admission is measured, forced or denied.
+// eraCodec resolves the repair code an era uses: the working point's
+// requested codec when the benchmark gate admits it, else the Reed-Solomon
+// incumbent at the same (k, h) — which is also what every static session
+// requests. The gate mode (Config.CodecGate) decides whether admission is
+// measured, forced or denied.
 func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 	rs, err := s.codecs.get(p.K, p.H, packet.CodecRS, 0)
 	if err != nil {
-		panic(err) // ladder rungs are validated against codec limits
+		panic(err) // NewSender built the static point; ladder rungs are validated against codec limits
 	}
 	if p.Codec == packet.CodecRS {
 		return rs, packet.CodecRS, 0
@@ -528,88 +480,22 @@ func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 	return cand, p.Codec, p.CodecArg
 }
 
-// refillAdaptive streams the next transmission group under the control
-// plane: close observations whose feedback window has elapsed, ask the
-// controller for the next working point, renegotiate (flush and re-cut
-// the era) on a retune, then stream one group at the era's parameters.
-func (s *Sender) refillAdaptive() {
-	if s.msg == nil || s.finSent {
-		return
-	}
-	// Group g's observation closes when group g+ObserveLag is about to be
-	// cut: its worst first-round NAK deficit has had that many group
-	// airtimes to arrive (0 deficit = no NAK, exact at a=0, censored
-	// otherwise — see internal/adapt).
-	for s.obsNext+s.cfg.ObserveLag <= len(s.groups) {
-		tg := s.groups[s.obsNext]
-		s.ctl.Observe(tg.k, tg.aUsed, tg.maxNeed)
-		s.obsNext++
-	}
-	prm, changed := s.ctl.Decide()
-	if s.era == nil || changed {
-		//rmlint:ignore hotpath-alloc era cut runs once per retune, not per group; amortized across the era's groups
-		s.startEra(prm)
-	}
-	if s.eraNext >= len(s.era) {
-		s.finSent = true
-		s.enqueueFin()
-		return
-	}
-	tg := s.era[s.eraNext]
-	s.eraNext++
-	//rmlint:ignore hotpath-alloc session-lifetime group log; doubling growth is amortized over the transfer
-	s.groups = append(s.groups, tg)
-	if s.cursor += tg.k * s.cfg.ShardSize; s.cursor > len(s.msg) {
-		s.cursor = len(s.msg)
-	}
-	s.collectParities(tg)
-	for i := 0; i < tg.k; i++ {
-		s.enqueue(outPkt{wire: s.dataPacket(tg, i), kind: packet.TypeData, tg: tg})
-	}
-	s.releaseFrames(tg) // every entry consumed; recycle the slice
-	a := prm.A
-	if a > tg.h {
-		a = tg.h
-	}
-	sent := 0
-	for j := 0; j < a; j++ {
-		wire, err := s.parityPacket(tg)
-		if err != nil {
-			break
-		}
-		s.enqueue(outPkt{wire: wire, kind: packet.TypeParity, tg: tg})
-		sent++
-	}
-	tg.aUsed = sent
-	s.enqueuePoll(tg, tg.k+sent)
-	s.m.groups.Inc()
-	s.m.sourcePkts.Add(uint64(tg.k))
-	if s.cursor >= len(s.msg) {
-		s.finSent = true
-		s.enqueueFin()
-	}
-}
-
 // prepFrames allocates and sizes tg's data wire frames so pool workers
 // can marshal into them (marshal-ahead). It must run on the engine
 // BEFORE the pool can reach any of tg's jobs — at pool construction for
 // the groups the initial Prefetch exposes, and in collectParities for
 // the group each Prefetch advance newly exposes — because the frame
 // slice is handed to workers through the pool's submit edge, which is
-// also what publishes it. Every data packet of a group has the same
+// also what publishes it. Every data packet of a session has the same
 // wire length (header + shard), so the frames are cut to final size
 // here and the workers only fill bytes.
 func (s *Sender) prepFrames(tg *txGroup) {
 	if tg.frames != nil {
 		return
 	}
-	hdr := packet.HeaderLen
-	if s.cfg.AdaptiveFEC {
-		hdr = packet.HeaderLenV2
-	}
 	tg.frames = s.frameList(tg.k)
 	for i := range tg.frames {
-		tg.frames[i] = s.frames.get(hdr + s.cfg.ShardSize)
+		tg.frames[i] = s.frames.get(s.frameLen)
 	}
 }
 
@@ -626,8 +512,8 @@ func (s *Sender) frameList(k int) [][]byte {
 
 // releaseFrames returns tg's unconsumed pre-marshaled frames to the
 // buffer pool and recycles the slice itself. Safe only when no pool job
-// of tg can still be running: callers are the post-stream refill paths
-// (the group's jobs were Waited on) and the era flush (after enc.Close).
+// of tg can still be running: callers are refill (the group's jobs were
+// Waited on) and the era flush (after enc.Close).
 func (s *Sender) releaseFrames(tg *txGroup) {
 	if tg.frames == nil {
 		return
@@ -643,29 +529,29 @@ func (s *Sender) releaseFrames(tg *txGroup) {
 	tg.frames = nil
 }
 
-// encodeJob computes one row shard of a TG's first encAhead parities:
-// pool job idx covers group idx/encShards, shard idx%encShards, and owns
-// the parity rows j with j % encShards == shard. It runs on a pool worker
-// and writes only its own disjoint entries of the group's pre-allocated
-// parities slice; the engine reads them only after collectParities has
-// Waited on every shard job of the group, which publishes the writes.
-// Row j here is byte-identical to the serial path's on-demand
-// EncodeParity(j) at ANY shard count: the batch, sharded-batch and
-// single-row codec entry points all evaluate the same generator row,
+// encodeJob computes one row shard of an era group's first encAhead
+// parities: pool job idx covers era group idx/encShards, shard
+// idx%encShards, and owns the parity rows j with j % encShards == shard.
+// It runs on a pool worker and writes only its own disjoint entries of the
+// group's pre-cut parities slice; the engine reads them only after
+// collectParities has Waited on every shard job of the group, which
+// publishes the writes. Row j here is byte-identical to the serial path's
+// on-demand EncodeParity(j) at ANY shard count: the batch, sharded-batch
+// and single-row codec entry points all evaluate the same generator row,
 // which is what keeps a pipelined zero-loss transcript equal to the
 // serial one. A failed row is left empty and re-encoded serially by
 // parityPacket.
 func (s *Sender) encodeJob(idx int) {
 	g, sh := idx/s.encShards, idx%s.encShards
-	tg := s.encGroups[g]
+	tg := &s.era[g]
 	s.m.shardJobs.Inc()
 	s.marshalJob(tg, sh)
-	if s.encAhead == s.encH {
-		s.encCodec.EncodeBlocksShard(tg.data, tg.parities, sh, s.encShards) //nolint:errcheck // failed rows stay empty; engine re-encodes
+	if s.encAhead == tg.h {
+		tg.codec.EncodeBlocksShard(tg.data, tg.parities, sh, s.encShards) //nolint:errcheck // failed rows stay empty; engine re-encodes
 		return
 	}
 	for j := sh; j < s.encAhead; j += s.encShards {
-		shard, err := s.encCodec.EncodeParity(j, tg.data)
+		shard, err := tg.codec.EncodeParity(j, tg.data)
 		if err != nil {
 			return
 		}
@@ -689,9 +575,9 @@ func (s *Sender) marshalJob(tg *txGroup, sh int) {
 	if tg.frames == nil {
 		return
 	}
-	var p packet.Packet
 	for i := sh; i < tg.k; i += s.encShards {
-		s.buildData(&p, tg, i)
+		p := dataPkt(tg, i)
+		s.stamp(&p, tg)
 		if _, err := p.MarshalTo(tg.frames[i]); err != nil {
 			panic(err) // engine-built packets are statically valid
 		}
@@ -701,19 +587,20 @@ func (s *Sender) marshalJob(tg *txGroup, sh int) {
 // collectParities folds the encode-ahead jobs of tg into the engine:
 // waits on every row shard of the group (a hit only when ALL shards were
 // already complete), advances the prefetch window by whole groups, and
-// accounts the encoded shards. No-op on the serial path and after the
-// first collection.
+// accounts the encoded shards. No-op without a pool and after the first
+// collection.
 func (s *Sender) collectParities(tg *txGroup) {
-	if s.enc == nil || tg.collected || int(tg.index) < s.eraBase {
-		// The last case is an adaptive group from a flushed era: its pool
-		// is gone and any uncollected parities were discarded with it.
+	// era[0]'s global index is the count of groups streamed before the era.
+	rel := int(tg.index) - (len(s.groups) - s.eraNext)
+	if s.enc == nil || tg.collected || rel < 0 {
+		// The last case is a group from a flushed era: its pool is gone
+		// and any uncollected parities were discarded with it.
 		return
 	}
 	tg.collected = true
-	base := (int(tg.index) - s.eraBase) * s.encShards
 	ready := true
 	for sh := 0; sh < s.encShards; sh++ {
-		if !s.enc.Wait(base + sh) {
+		if !s.enc.Wait(rel*s.encShards + sh) {
 			ready = false
 		}
 	}
@@ -727,10 +614,11 @@ func (s *Sender) collectParities(tg *txGroup) {
 	s.encDone += s.encShards
 	// The Prefetch below newly exposes group rel+Depth to the workers;
 	// size its marshal-ahead frames first (see prepFrames).
-	if next := int(tg.index) - s.eraBase + s.cfg.Pipeline.Depth; next < len(s.encGroups) {
-		s.prepFrames(s.encGroups[next])
+	next := rel + s.cfg.Pipeline.Depth
+	if next < len(s.era) {
+		s.prepFrames(&s.era[next])
 	}
-	s.enc.Prefetch((int(tg.index)-s.eraBase+s.cfg.Pipeline.Depth)*s.encShards + s.encShards - 1)
+	s.enc.Prefetch(next*s.encShards + s.encShards - 1)
 	s.m.encQueue.Set(int64(s.enc.Submitted() - s.encDone))
 	enc := 0
 	for _, p := range tg.parities {
@@ -742,60 +630,51 @@ func (s *Sender) collectParities(tg *txGroup) {
 	s.m.encoded.Add(uint64(enc))
 }
 
-// proactiveFor returns the number of parities sent with a group's first
-// round: the static Config.Proactive, or the adaptive EWMA of recent
-// repair deficits when Config.Adaptive is set.
-func (s *Sender) proactiveFor() int {
-	if !s.cfg.Adaptive {
-		return s.cfg.Proactive
-	}
-	a := int(math.Ceil(s.ewma - 1e-9))
-	if a < 0 {
-		a = 0
-	}
-	if a > s.cfg.MaxParity/2 {
-		a = s.cfg.MaxParity / 2
-	}
-	return a
-}
-
 // refill streams the next transmission group's first round into the send
-// queue: k data packets, the proactive parities, and (except in carousel
-// mode) the POLL soliciting per-TG feedback. The FIN follows the last
-// group. Lazy streaming keeps memory proportional to one group and lets
-// the adaptive mode steer later groups with earlier groups' feedback.
+// queue: k data packets, the parities the policy grants it, and (except in
+// carousel mode) the POLL soliciting per-TG feedback. The FIN follows the
+// last group. Streaming one group at a time lets the policy steer later
+// groups with earlier groups' feedback; when it moves the working point,
+// the remainder is re-cut before the group is taken.
 func (s *Sender) refill() {
-	if s.cfg.AdaptiveFEC {
-		s.refillAdaptive()
-		return
+	if s.eraNext >= len(s.era) {
+		return // not started, or every group streamed
 	}
-	if s.groups == nil || s.nextTG >= len(s.groups) {
-		return
+	a, recut := s.policy.next(s.groups)
+	if recut {
+		//rmlint:ignore hotpath-alloc era cut runs once per retune, not per group; amortized across the era's groups
+		_ = s.startEra() // only the PreEncode burst fails, and no re-cutting policy admits PreEncode
 	}
-	tg := s.groups[s.nextTG]
-	s.nextTG++
+	tg := &s.era[s.eraNext]
+	s.eraNext++
+	//rmlint:ignore hotpath-alloc session-lifetime group log; doubling growth is amortized over the transfer
+	s.groups = append(s.groups, tg)
+	s.cursor = min(s.cursor+tg.k*s.cfg.ShardSize, len(s.msg))
 	s.collectParities(tg)
-	if s.cfg.Adaptive {
-		// Gentle decay so the proactive level sinks again when the loss
-		// subsides; NAK arrivals (HandlePacket) push it back up.
-		s.ewma *= 0.97
-	}
-	for i := 0; i < s.cfg.K; i++ {
+	for i := 0; i < tg.k; i++ {
 		s.enqueue(outPkt{wire: s.dataPacket(tg, i), kind: packet.TypeData, tg: tg})
 	}
 	s.releaseFrames(tg) // every entry consumed; recycle the slice
-	a := s.proactiveFor()
-	for j := 0; j < a; j++ {
+	sent := 0
+	for ; sent < a; sent++ {
 		wire, err := s.parityPacket(tg)
 		if err != nil {
-			break // parity budget exhausted; the poll still goes out
+			break // cannot happen with a validated config; the poll still goes out
 		}
 		s.enqueue(outPkt{wire: wire, kind: packet.TypeParity, tg: tg})
 	}
-	if !s.cfg.Carousel {
-		s.enqueuePoll(tg, s.cfg.K+a)
+	if s.ctl != nil {
+		// The controller's censoring input (see ladderPolicy.next). Static
+		// and EWMA groups have always traced AUsed = 0, which the
+		// mode-matrix goldens pin.
+		tg.aUsed = sent
 	}
-	if s.nextTG == len(s.groups) {
+	if !s.cfg.Carousel {
+		s.enqueuePoll(tg, tg.k+sent)
+	}
+	s.m.groups.Inc()
+	s.m.sourcePkts.Add(uint64(tg.k))
+	if s.eraNext == len(s.era) {
 		s.enqueueFin()
 	}
 }
@@ -809,16 +688,10 @@ func (s *Sender) HandlePacket(wire []byte) {
 		return
 	}
 	var pkt packet.Packet
-	var err error
-	if s.cfg.AdaptiveFEC {
-		err = packet.DecodeInto(&pkt, wire)
-	} else {
-		// Non-adaptive engines speak strict v1: v2 frames on a shared
-		// group are rejected wholesale, exactly as before renegotiation
-		// existed.
-		err = packet.DecodeIntoV1(&pkt, wire)
-	}
-	if err != nil || pkt.Session != s.cfg.Session {
+	// A session ignores frames of a newer wire version than its own: v2
+	// traffic on a group shared with a v1 session is dropped wholesale,
+	// exactly as before renegotiation existed.
+	if err := packet.DecodeInto(&pkt, wire); err != nil || pkt.Vers > s.vers || pkt.Session != s.cfg.Session {
 		return
 	}
 	if pkt.Type != packet.TypeNak {
@@ -827,11 +700,13 @@ func (s *Sender) HandlePacket(wire []byte) {
 	s.stats.NakRx++
 	s.m.nakRx.Inc()
 	s.cfg.Trace.Record(metrics.Event{At: s.env.Now(), Kind: TraceNakRx, A: uint64(pkt.Group), B: uint64(pkt.Count)})
-	g := int(pkt.Group)
-	if g < 0 || g >= len(s.groups) {
+	// Only streamed groups can be NAKed: a forged or corrupt NAK naming a
+	// later group must not put parities on the wire ahead of their data
+	// (or make the engine wait on the whole encode backlog).
+	if uint64(pkt.Group) >= uint64(len(s.groups)) {
 		return
 	}
-	tg := s.groups[g]
+	tg := s.groups[pkt.Group]
 	need := int(pkt.Count)
 	if need <= 0 {
 		return
@@ -851,17 +726,7 @@ func (s *Sender) HandlePacket(wire []byte) {
 		// deficit is already covered by queued repairs.
 		s.recordLossMap(tg, pkt.Payload)
 	}
-	if s.cfg.Adaptive {
-		// Track the repair level: rise quickly on a worse deficit, sink
-		// slowly otherwise. NAKs are the only completion signal a
-		// NAK-based sender gets, so the EWMA is fed here rather than per
-		// finished group.
-		if f := float64(need); f > s.ewma {
-			s.ewma = 0.5*s.ewma + 0.5*f
-		} else {
-			s.ewma = 0.9*s.ewma + 0.1*f
-		}
-	}
+	s.policy.heard(need)
 	// Aggregate with parities already queued for this TG but not yet sent:
 	// a second NAK for the same round must not double the repair traffic.
 	if need <= tg.queued {
@@ -1000,16 +865,7 @@ func (s *Sender) ncPacket(tg *txGroup, mask uint64) []byte {
 			gf256.AddSlice(tg.data[i], body)
 		}
 	}
-	p := packet.Packet{
-		Type:    packet.TypeNcRepair,
-		Session: s.cfg.Session,
-		Group:   tg.index,
-		K:       uint16(tg.k),
-		Total:   s.wireTotal(),
-		Payload: buf,
-	}
-	s.stampVersion(&p, tg)
-	return s.frameFor(&p)
+	return s.tgFrame(packet.Packet{Type: packet.TypeNcRepair, Payload: buf}, tg)
 }
 
 // serviceRound queues `extra` repair packets for tg at the FRONT of the
@@ -1063,32 +919,19 @@ func (s *Sender) enqueuePoll(tg *txGroup, roundSize int) {
 
 func (s *Sender) enqueueFin() {
 	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], s.msgLen)
+	binary.BigEndian.PutUint64(payload[:], uint64(len(s.msg)))
+	// The FIN carries the only authoritative group count of a v2 transfer
+	// (its TG headers say Total = 0). It is first enqueued after the last
+	// group, when len(s.groups) is final.
 	p := packet.Packet{
 		Type:    packet.TypeFin,
+		Vers:    s.vers,
 		Session: s.cfg.Session,
 		K:       uint16(s.cfg.K),
 		Total:   uint32(len(s.groups)),
 		Payload: payload[:],
 	}
-	if s.cfg.AdaptiveFEC {
-		// The FIN carries the only authoritative group count of an
-		// adaptive transfer — data packets say Total = 0 because the
-		// count depends on retunes still ahead. It is first enqueued
-		// after the last group, when len(s.groups) is final.
-		p.Vers = packet.V2
-	}
 	s.enqueue(outPkt{wire: s.frameFor(&p), control: true, kind: packet.TypeFin})
-}
-
-// wireTotal is the Total field of TG-scoped packets: the group count on
-// the static path; 0 (unknown until FIN) on the adaptive path, where
-// future retunes change how many groups the message cuts into.
-func (s *Sender) wireTotal() uint32 {
-	if s.cfg.AdaptiveFEC {
-		return 0
-	}
-	return uint32(len(s.groups))
 }
 
 // frameFor marshals p into a pooled wire frame. The frame returns to the
@@ -1102,22 +945,20 @@ func (s *Sender) frameFor(p *packet.Packet) []byte {
 	return frame
 }
 
-// buildData fills p with tg's data packet i. Split from dataPacket so
-// marshal-ahead pool workers build byte-identical frames: it reads only
-// immutable-after-cut group state and session config (wireTotal is
-// worker-safe — the adaptive arm returns 0 without touching s.groups,
-// the static arm reads a count fixed before the pool starts).
-func (s *Sender) buildData(p *packet.Packet, tg *txGroup, i int) {
-	*p = packet.Packet{
-		Type:    packet.TypeData,
-		Session: s.cfg.Session,
-		Group:   tg.index,
-		Seq:     uint16(i),
-		K:       uint16(tg.k),
-		Total:   s.wireTotal(),
-		Payload: tg.data[i],
-	}
-	s.stampVersion(p, tg)
+// stamp fills the header fields every packet of tg shares: the session's
+// wire version and Total, and the group's identity. H and the codec pair
+// are marshalled by v2 only. It reads nothing that changes once a pool can
+// run, so marshal-ahead workers stamp the same bytes as the engine.
+func (s *Sender) stamp(p *packet.Packet, tg *txGroup) {
+	p.Vers, p.Session, p.Total = s.vers, s.cfg.Session, s.total
+	p.Group, p.K, p.H = tg.index, uint16(tg.k), uint16(tg.h)
+	p.Codec, p.CodecArg = tg.codecID, tg.codecArg
+}
+
+// tgFrame stamps p as a packet of tg and marshals it into a pooled frame.
+func (s *Sender) tgFrame(p packet.Packet, tg *txGroup) []byte {
+	s.stamp(&p, tg)
+	return s.frameFor(&p)
 }
 
 func (s *Sender) dataPacket(tg *txGroup, i int) []byte {
@@ -1128,22 +969,14 @@ func (s *Sender) dataPacket(tg *txGroup, i int) []byte {
 		tg.frames[i] = nil
 		return f
 	}
-	var p packet.Packet
-	s.buildData(&p, tg, i)
-	return s.frameFor(&p)
+	return s.tgFrame(dataPkt(tg, i), tg)
 }
 
-// stampVersion upgrades a TG-scoped packet to wire v2 on adaptive
-// sessions, carrying the group's negotiated parity budget and codec
-// identity in the extended header. Static sessions stay on v1 byte for
-// byte.
-func (s *Sender) stampVersion(p *packet.Packet, tg *txGroup) {
-	if s.cfg.AdaptiveFEC {
-		p.Vers = packet.V2
-		p.H = uint16(tg.h)
-		p.Codec = tg.codecID
-		p.CodecArg = tg.codecArg
-	}
+// dataPkt is tg's data packet i before stamping; the engine and the
+// marshal-ahead workers both start from it, so their frames are
+// byte-identical.
+func dataPkt(tg *txGroup, i int) packet.Packet {
+	return packet.Packet{Type: packet.TypeData, Seq: uint16(i), Payload: tg.data[i]}
 }
 
 func (s *Sender) parityPacket(tg *txGroup) ([]byte, error) {
@@ -1167,30 +1000,11 @@ func (s *Sender) parityPacket(tg *txGroup) ([]byte, error) {
 		s.m.encoded.Inc()
 	}
 	tg.nextParity++
-	p := packet.Packet{
-		Type:    packet.TypeParity,
-		Session: s.cfg.Session,
-		Group:   tg.index,
-		Seq:     uint16(tg.k + j),
-		K:       uint16(tg.k),
-		Total:   s.wireTotal(),
-		Payload: shard,
-	}
-	s.stampVersion(&p, tg)
-	return s.frameFor(&p), nil
+	return s.tgFrame(packet.Packet{Type: packet.TypeParity, Seq: uint16(tg.k + j), Payload: shard}, tg), nil
 }
 
 func (s *Sender) pollPacket(tg *txGroup, roundSize int) []byte {
-	p := packet.Packet{
-		Type:    packet.TypePoll,
-		Session: s.cfg.Session,
-		Group:   tg.index,
-		K:       uint16(tg.k),
-		Count:   uint16(roundSize),
-		Total:   s.wireTotal(),
-	}
-	s.stampVersion(&p, tg)
-	return s.frameFor(&p)
+	return s.tgFrame(packet.Packet{Type: packet.TypePoll, Count: uint16(roundSize)}, tg)
 }
 
 // pump drains the send queue: one packet per Delta on the serial path, up

@@ -6,15 +6,15 @@
 # paper's k=7,h=7 and k=20,h=5 operating points, the sparse Monte-Carlo
 # engines (NoFEC and Layered at R = 1e4 and 1e6, p = 0.01) against the
 # retained dense pre-PR engines, the NP loopback sender throughput
-# (pipelined encode-ahead + pooled frames + batched transmit against the
-# retained pre-PR serial transmit path, at the paper's k=20, h=5, 1 KiB
-# operating point), the per-core encode scaling sweep (GOMAXPROCS 1/2/4/8
-# with row-sharded parallel encode), measured syscalls/pkt on a real
+# (pipelined encode-ahead + batched transmit against pipeline depth 0, at
+# the paper's k=20, h=5, 1 KiB operating point), the per-core encode
+# scaling sweep (GOMAXPROCS 1/2/4/8 with row-sharded parallel encode),
+# measured syscalls/pkt on a real
 # multicast socket (sendmmsg vs per-frame write), the receiver-field tier
 # (full NP transfers fronting R = 1e4..1e6 simulated receivers through one
 # struct-of-arrays field.Field, in receivers/s against a per-instance
 # core.Receiver baseline), and one end-to-end `figures -quick`
-# regeneration. The snapshot goes to BENCH_PR8.json (median of several
+# regeneration. The snapshot goes to BENCH_PR14.json (median of several
 # passes; see cmd/bench). Compare snapshots across PRs to catch codec,
 # protocol or simulation regressions.
 set -eu

@@ -40,11 +40,12 @@
 #                       (including the per-core scaling sweep, which skips
 #                       itself with skipped_insufficient_cpus on 1-CPU
 #                       hosts, and the sendmmsg syscall tier) compile and
-#                       both sender paths drain to idle; plus one 1-pass
-#                       -codec-only run: the codec-portfolio tier (rect vs
-#                       RS encode cost) and the NC-vs-carousel repair
-#                       scenario, which hard-fails if either field scenario
-#                       leaves the population incomplete
+#                       the depth-0 and pipelined legs drain to idle; plus
+#                       one 1-pass -codec-only run: the codec-portfolio
+#                       tier (rect vs RS encode cost) and the
+#                       NC-vs-carousel repair scenario, which hard-fails
+#                       if either field scenario leaves the population
+#                       incomplete
 #   9. transcripts      the sender transcript hash of a fixed transfer,
 #                       twice at pipeline depth 0, once pipelined, and
 #                       once pipelined with sharded parallel encode:
