@@ -16,9 +16,10 @@ lint:
 	$(GO) run ./cmd/rmlint ./...
 
 # Race-detector pass over the packages that own or drive concurrency
-# (rse/rse16 join for the sharded parallel encode).
+# (rse/rse16 join for the sharded parallel encode, gf256 for the pair
+# tables' compare-and-swap publish).
 race:
-	$(GO) test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/
+	$(GO) test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/
 
 check:
 	sh scripts/check.sh
@@ -33,8 +34,9 @@ bench:
 pair:
 	bash scripts/pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
-# Non-blank, non-comment, non-test Go lines per package and in total
-# (benchmark/ excluded): the yardstick for "same behaviour, less code".
+# Non-blank, non-comment lines of non-test Go and of assembly, per package
+# and in total (benchmark/ excluded): the yardstick for "same behaviour,
+# less code".
 loc:
 	sh scripts/loc.sh
 

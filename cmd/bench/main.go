@@ -93,6 +93,7 @@ type snapshot struct {
 	GOOS                string           `json:"goos"`
 	GOARCH              string           `json:"goarch"`
 	HostCPUs            int              `json:"host_cpus"`
+	GFKernel            string           `json:"gf_kernel"`
 	ShardBytes          int              `json:"shard_bytes"`
 	Runs                int              `json:"runs"`
 	Kernels             kernelStats      `json:"kernels,omitempty"`
@@ -388,6 +389,7 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		HostCPUs:   runtime.NumCPU(),
+		GFKernel:   gf256.Kernel(),
 		ShardBytes: shardBytes,
 		Runs:       *runs,
 	}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"rmfec/internal/figures"
+	"rmfec/internal/gf256"
 )
 
 func main() {
@@ -25,6 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
+	fmt.Printf("# gf256 kernel: %s\n", gf256.Kernel())
 	fmt.Printf("%-6s %-6s %-12s %-16s %-16s\n", "k", "h", "redundancy", "encode [pkt/s]", "decode [pkt/s]")
 	for _, kStr := range strings.Split(*ks, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(kStr))

@@ -138,8 +138,9 @@ func lengthMismatch(op string, a, b int) string {
 	return fmt.Sprintf("gf256: %s length mismatch %d != %d", op, a, b)
 }
 
-// MulSlice sets dst[i] = c*src[i] with the word-parallel kernel of
-// kernels.go. dst and src must have equal length and must not alias unless
+// MulSlice sets dst[i] = c*src[i] through the kernel dispatch of
+// kernels.go: the AVX2 prefix where the CPU has it, then the pair-table
+// word kernel. dst and src must have equal length and must not alias unless
 // identical. A zero coefficient zeroes dst; coefficient one copies.
 //
 //rmlint:hotpath
@@ -155,13 +156,21 @@ func MulSlice(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
+		if useAVX2 && len(src) >= vecBlock {
+			mulVec(&mulLo[c], &mulHi[c], src, dst)
+			n := len(src) &^ (vecBlock - 1)
+			if n == len(src) {
+				return // no tail: do not build a pair table for it
+			}
+			src, dst = src[n:], dst[n:]
+		}
 		mulWords(c, src, dst)
 	}
 }
 
 // MulAddSlice computes dst[i] ^= c*src[i], the multiply-accumulate kernel at
-// the heart of Reed-Solomon encoding and decoding, with the word-parallel
-// kernel of kernels.go. dst and src must have equal length and must not
+// the heart of Reed-Solomon encoding and decoding, through the same
+// dispatch as MulSlice. dst and src must have equal length and must not
 // alias unless identical.
 //
 //rmlint:hotpath
@@ -175,18 +184,27 @@ func MulAddSlice(c byte, src, dst []byte) {
 	case 1:
 		xorWords(src, dst)
 	default:
+		if useAVX2 && len(src) >= vecBlock {
+			mulAddVec(&mulLo[c], &mulHi[c], src, dst)
+			n := len(src) &^ (vecBlock - 1)
+			if n == len(src) {
+				return // no tail: do not build a pair table for it
+			}
+			src, dst = src[n:], dst[n:]
+		}
 		mulAddWords(c, src, dst)
 	}
 }
 
 // MulSliceCompact is MulSlice restricted to the shared 64 KiB product
-// table: the general case runs the byte-at-a-time row loop and no
-// per-coefficient pair table is built or touched. Callers whose coefficient
-// working set is large — the rse codec gates on the distinct-coefficient
-// count of its generator matrix — use the compact forms, because cycling
-// through many 128 KiB pair tables evicts them faster than they pay off
-// (the word kernel drops to ~0.25x the scalar loop beyond ~64 live
-// coefficients; see BenchmarkKernels and DESIGN.md).
+// table: past the AVX2 prefix (which needs no table) the general case runs
+// the byte-at-a-time row loop and no per-coefficient pair table is built
+// or touched. Callers whose coefficient working set is large — the rse
+// codec gates on the distinct-coefficient count of its generator matrix —
+// use the compact forms, because cycling through many 128 KiB pair tables
+// evicts them faster than they pay off (the word kernel drops to ~0.25x
+// the scalar loop beyond ~64 live coefficients; see DESIGN.md). On an AVX2
+// host the two forms differ only in how they finish the last < 32 bytes.
 //
 //rmlint:hotpath
 func MulSliceCompact(c byte, src, dst []byte) {
@@ -201,6 +219,11 @@ func MulSliceCompact(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
+		if useAVX2 && len(src) >= vecBlock {
+			mulVec(&mulLo[c], &mulHi[c], src, dst)
+			n := len(src) &^ (vecBlock - 1)
+			src, dst = src[n:], dst[n:]
+		}
 		tbl := &mulTbl[c]
 		for i, s := range src {
 			dst[i] = tbl[s]
@@ -223,6 +246,11 @@ func MulAddSliceCompact(c byte, src, dst []byte) {
 	case 1:
 		xorWords(src, dst)
 	default:
+		if useAVX2 && len(src) >= vecBlock {
+			mulAddVec(&mulLo[c], &mulHi[c], src, dst)
+			n := len(src) &^ (vecBlock - 1)
+			src, dst = src[n:], dst[n:]
+		}
 		tbl := &mulTbl[c]
 		for i, s := range src {
 			dst[i] ^= tbl[s]

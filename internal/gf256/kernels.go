@@ -1,44 +1,43 @@
 package gf256
 
-// Word-parallel multiply-accumulate kernels.
+// Slice multiply-accumulate kernels.
 //
 // The byte-at-a-time kernels (kept below as MulAddSliceScalar and
-// MulSliceScalar — the correctness oracle and the baseline the benchmark
-// gate compares against) spend most of their time on per-byte loads,
-// stores and bounds checks rather than on field arithmetic. The kernels
-// here instead move 64 bits per memory operation. Three table layouts are
-// implemented; BenchmarkKernels measures all of them and DESIGN.md
-// records why the pair-table kernel is the production dispatch:
+// MulSliceScalar — the correctness oracle every other kernel is tested
+// against) spend most of their time on per-byte loads, stores and bounds
+// checks rather than on field arithmetic. The public slice functions of
+// gf256.go therefore dispatch, in this order:
 //
-//   - Pair tables (production): for each coefficient c a lazily built
-//     65536-entry table maps a byte *pair* (b0, b1) to the packed pair of
-//     products (c*b0, c*b1). A 64-bit word then needs only four table
-//     lookups, one 64-bit load and one 64-bit store — half the lookups of
-//     the full-row word kernel and a quarter of the split-nibble one.
-//     This is the layout GF-Complete calls SPLIT(8,8). Tables are 128 KiB
-//     per coefficient, built on first use and published with an atomic
-//     pointer (32 MiB ceiling if all 254 non-trivial coefficients are
-//     ever exercised). The layout only pays while the live tables fit in
-//     cache: measured on the reference host it beats the scalar loop up
-//     to roughly 32 distinct coefficients and collapses to ~0.25x beyond
-//     64, so the rse codec counts the distinct coefficients of each
-//     generator or decode matrix and falls back to the *Compact forms
-//     (gf256.go) past its budget.
+//   - Vector prefix (amd64 with AVX2, slices of >= vecBlock bytes): the
+//     split-nibble identity c*x = mulLo[c][x&15] ^ mulHi[c][x>>4] with the
+//     two 16-entry rows held in YMM registers, so one VPSHUFB performs 32
+//     table lookups (kernels_amd64.s). 32 bytes per iteration, no table
+//     traffic at all — the working set is the two rows — so it is
+//     indifferent to how many distinct coefficients a code uses. The CPU
+//     is qualified once at start-up (useAVX2, kernels_amd64.go); on other
+//     architectures useAVX2 is the constant false and the branch compiles
+//     away (kernels_other.go).
 //
-//   - Split-nibble (ablation): two 16-entry tables per coefficient
-//     (mulLo, mulHi — 8 KiB total, always L1-resident), the SWAR analogue
-//     of the PSHUFB trick every SIMD erasure coder uses: c*x =
-//     c*(x & 0x0f) ^ c*(x & 0xf0). Sixteen lookups per word; the
-//     register-assembly cost makes it slower than scalar in pure Go on
-//     the hosts measured, which is why it is not the default.
+//   - Pair tables (the portable word kernel: the tail the vector kernel
+//     leaves, every slice shorter than vecBlock, and everything on hosts
+//     without AVX2): for each coefficient c a lazily built 65536-entry
+//     table maps a byte *pair* (b0, b1) to the packed pair of products
+//     (c*b0, c*b1). A 64-bit word then needs only four table lookups, one
+//     64-bit load and one 64-bit store. This is the layout GF-Complete
+//     calls SPLIT(8,8). Tables are 128 KiB per coefficient, built on first
+//     use and published with an atomic pointer (32 MiB ceiling if all 254
+//     non-trivial coefficients are ever exercised). The layout only pays
+//     while the live tables fit in cache: measured on the reference host
+//     it beats the scalar loop up to roughly 32 distinct coefficients and
+//     collapses to ~0.25x beyond 64, so the rse codec counts the distinct
+//     coefficients of each generator or decode matrix and falls back to
+//     the *Compact forms (gf256.go) past its budget; those run the same
+//     vector prefix and then the byte loop over the shared product table.
 //
-//   - Full-row word (ablation): eight lookups per word into the
-//     coefficient's 256-entry row of mulTbl.
-//
-// All kernels re-slice up front (d := dst[:len(src)]) so the compiler
-// drops bounds checks, go through encoding/binary — no unsafe, no
-// goroutines — and are bit-identical to the scalar reference on every
-// input (see TestKernelsMatchScalar).
+// The portable kernels re-slice up front (d := dst[:len(src)]) so the
+// compiler drops bounds checks and go through encoding/binary — no unsafe,
+// no goroutines. Every kernel is bit-identical to the scalar reference on
+// every input (see TestKernelsMatchScalar).
 //
 // The c == 1 case (pure XOR: parity accumulation with unit coefficient,
 // AddSlice) skips the tables entirely and XORs four words per iteration.
@@ -47,6 +46,10 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 )
+
+// vecBlock is the vector kernels' granule: they process the largest
+// vecBlock-multiple prefix of a slice and leave the rest.
+const vecBlock = 32
 
 var (
 	// mulLo[c][x] = c*x for x in [0,16): products of the low nibble.
@@ -68,6 +71,16 @@ func buildNibbleTables() {
 			mulHi[c][x] = mulSlow(byte(c), byte(x<<4))
 		}
 	}
+}
+
+// Kernel names the multiply kernel this process dispatches to for slices of
+// at least 32 bytes: "avx2" or "portable". Benchmark output carries it so a
+// number taken on a CPU without AVX2 is not read as a regression.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
 }
 
 // pairTableFor returns the pair-product table for c, building it on first
@@ -180,95 +193,6 @@ func mulWords(c byte, src, dst []byte) {
 		for i, v := range s {
 			d[i] = row[v]
 		}
-	}
-}
-
-// mulWord returns the eight GF(2^8) products c*b for the packed bytes of
-// x, using the coefficient's split-nibble tables. The &15 masks prove the
-// indices in range, so the lookups compile without bounds checks.
-func mulWord(lo, hi *[16]byte, x uint64) uint64 {
-	return uint64(lo[x&15]^hi[(x>>4)&15]) |
-		uint64(lo[(x>>8)&15]^hi[(x>>12)&15])<<8 |
-		uint64(lo[(x>>16)&15]^hi[(x>>20)&15])<<16 |
-		uint64(lo[(x>>24)&15]^hi[(x>>28)&15])<<24 |
-		uint64(lo[(x>>32)&15]^hi[(x>>36)&15])<<32 |
-		uint64(lo[(x>>40)&15]^hi[(x>>44)&15])<<40 |
-		uint64(lo[(x>>48)&15]^hi[(x>>52)&15])<<48 |
-		uint64(lo[(x>>56)&15]^hi[(x>>60)&15])<<56
-}
-
-// mulAddWordsNibble is the split-nibble ablation variant of mulAddWords:
-// word-at-a-time loads/stores with sixteen L1-resident nibble lookups per
-// word, 4x unrolled. Measured slower than the pair-table kernel in pure
-// Go (the sixteen lookups plus register assembly dominate), so it is kept
-// for BenchmarkKernels and the equivalence tests, not the dispatch.
-func mulAddWordsNibble(c byte, src, dst []byte) {
-	lo, hi := &mulLo[c], &mulHi[c]
-	d := dst[:len(src)]
-	s := src
-	for len(s) >= 32 {
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^mulWord(lo, hi, binary.LittleEndian.Uint64(s)))
-		binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(d[8:])^mulWord(lo, hi, binary.LittleEndian.Uint64(s[8:])))
-		binary.LittleEndian.PutUint64(d[16:], binary.LittleEndian.Uint64(d[16:])^mulWord(lo, hi, binary.LittleEndian.Uint64(s[16:])))
-		binary.LittleEndian.PutUint64(d[24:], binary.LittleEndian.Uint64(d[24:])^mulWord(lo, hi, binary.LittleEndian.Uint64(s[24:])))
-		s = s[32:]
-		d = d[32:]
-	}
-	for len(s) >= 8 {
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^mulWord(lo, hi, binary.LittleEndian.Uint64(s)))
-		s = s[8:]
-		d = d[8:]
-	}
-	if len(s) > 0 {
-		tbl := &mulTbl[c]
-		for i, v := range s {
-			d[i] ^= tbl[v]
-		}
-	}
-}
-
-// mulWordsNibble is the split-nibble ablation counterpart of mulWords.
-func mulWordsNibble(c byte, src, dst []byte) {
-	lo, hi := &mulLo[c], &mulHi[c]
-	d := dst[:len(src)]
-	s := src
-	for len(s) >= 8 {
-		binary.LittleEndian.PutUint64(d, mulWord(lo, hi, binary.LittleEndian.Uint64(s)))
-		s = s[8:]
-		d = d[8:]
-	}
-	if len(s) > 0 {
-		tbl := &mulTbl[c]
-		for i, v := range s {
-			d[i] = tbl[v]
-		}
-	}
-}
-
-// mulAddWordsTable is the full-row ablation: word-at-a-time loads/stores
-// with eight lookups per word into the coefficient's 256-entry product
-// row (twice the lookups of the pair kernel, a 512x smaller working set).
-// Kept for BenchmarkKernels to document the pair-table choice.
-func mulAddWordsTable(c byte, src, dst []byte) {
-	tbl := &mulTbl[c]
-	d := dst[:len(src)]
-	s := src
-	for len(s) >= 8 {
-		x := binary.LittleEndian.Uint64(s)
-		w := uint64(tbl[x&0xff]) |
-			uint64(tbl[(x>>8)&0xff])<<8 |
-			uint64(tbl[(x>>16)&0xff])<<16 |
-			uint64(tbl[(x>>24)&0xff])<<24 |
-			uint64(tbl[(x>>32)&0xff])<<32 |
-			uint64(tbl[(x>>40)&0xff])<<40 |
-			uint64(tbl[(x>>48)&0xff])<<48 |
-			uint64(tbl[(x>>56)&0xff])<<56
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^w)
-		s = s[8:]
-		d = d[8:]
-	}
-	for i, v := range s {
-		d[i] ^= tbl[v]
 	}
 }
 

@@ -6,6 +6,9 @@
 #   2. go vet           the stock analyzer suite, plus a second pass with
 #                       an extended -unusedresult function list
 #   3. go build         everything compiles
+#   3a. cross-compile   GOARCH=arm64 go vet and GOARCH=386 go build, so the
+#                       !amd64 stubs beside the gf256 assembly kernels
+#                       (and asmdecl's view of them) cannot rot
 #   4. rmlint           project invariants (env-discipline, no-goroutines,
 #                       float-eq, mutex-discipline, doc-comment, and the
 #                       dataflow rules hotpath-alloc, buffer-ownership,
@@ -24,8 +27,10 @@
 #                       pipeline pool, the row-sharded rse/rse16/rect
 #                       parallel encode, the receiver field, whose
 #                       NAK-schedule determinism contract runs under mcrun
-#                       parallelism, and the adaptive FEC controller driven
-#                       by the core engines' pipelined scenario tests)
+#                       parallelism, the adaptive FEC controller driven
+#                       by the core engines' pipelined scenario tests, and
+#                       gf256, whose pair tables are published by a
+#                       lock-free compare-and-swap)
 #   7. field smoke      one reduced-scale receiver-field transfer — a full
 #                       NP session fronting R = 1e5 simulated receivers
 #                       through one struct-of-arrays field.Field with
@@ -89,6 +94,10 @@ go vet -unusedresult \
 echo '== go build ./...'
 go build ./...
 
+echo '== cross-compile (GOARCH=arm64 go vet, GOARCH=386 go build)'
+GOARCH=arm64 go vet ./...
+GOARCH=386 go build ./...
+
 echo '== rmlint ./...'
 go run ./cmd/rmlint ./...
 json=$(go run ./cmd/rmlint -json ./...)
@@ -111,7 +120,7 @@ go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|Test
 go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed' ./internal/simnet/
 
 echo '== go test -race -short (concurrent packages)'
-go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/
+go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/
 
 echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
 go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/

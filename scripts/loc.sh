@@ -1,14 +1,15 @@
 #!/usr/bin/env sh
-# loc.sh — how much Go the repository carries (`make loc`): non-blank,
-# non-comment lines of the non-test .go files, per package directory and in
-# total. benchmark/ (the frozen ledger harness) and .bench_build/ (its
-# build output) are not counted. With arguments, counts those files instead:
+# loc.sh — how much code the repository carries (`make loc`): non-blank,
+# non-comment lines of the non-test .go files and of the Go assembly (.s,
+# same // comment rule), per package directory and in total. benchmark/
+# (the frozen ledger harness) and .bench_build/ (its build output) are not
+# counted. With arguments, counts those files instead:
 #   sh scripts/loc.sh internal/core/sender.go cmd/bench/np.go
 set -eu
 cd "$(dirname "$0")/.."
 
 if [ $# -eq 0 ]; then
-    set -- $(find . -name '*.go' ! -name '*_test.go' \
+    set -- $(find . \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' \
         ! -path './benchmark/*' ! -path './.bench_build/*' | sed 's|^\./||' | sort)
     by=dir
 else
