@@ -176,6 +176,56 @@ func TestBernoulliDrawStreamPinned(t *testing.T) {
 	}
 }
 
+// hashLost returns the FNV-1a hash of the first n lost indices draw yields,
+// each as a little-endian uint64.
+func hashLost(n int, draw func() []int) uint64 {
+	h := fnv.New64a()
+	var word [8]byte
+	for hashed := 0; hashed < n; {
+		lost := draw()
+		lost = lost[:min(len(lost), n-hashed)]
+		for _, j := range lost {
+			binary.LittleEndian.PutUint64(word[:], uint64(j))
+			h.Write(word[:])
+		}
+		hashed += len(lost)
+	}
+	return h.Sum64()
+}
+
+// TestSkipStreamsPinned widens TestBernoulliDrawStreamPinned's fence to
+// every other stream a change to the skip kernel could move: Bernoulli
+// DrawLost across the figure sweeps' range of p (only p = 0.01 is pinned
+// above), and MarkovPopulation.DrawLost, which draws its state-0 losses
+// through the same geoNext at a per-draw P01(dt), and FBT.DrawLost, whose
+// nextFailure is a copy of it. Same hash, same seed, same amd64 values.
+func TestSkipStreamsPinned(t *testing.T) {
+	const r, n, seed = 1_000_000, 100_000, 20260926
+	for _, c := range []struct {
+		p    float64
+		want uint64
+	}{
+		{0.001, 0x74b40f3c6dde8267},
+		{0.05, 0x51e62007db9ad348},
+		{0.25, 0xda650aa5c61d886e},
+	} {
+		bp := NewBernoulliPopulation(r, c.p, rand.New(rand.NewSource(seed)))
+		if got := hashLost(n, func() []int { return bp.DrawLost(0.04) }); got != c.want {
+			t.Errorf("Bernoulli p=%g: first %d lost indices hash to %#x, want %#x: the RNG stream moved", c.p, n, got, c.want)
+		}
+	}
+	mp := NewMarkovPopulation(r, 0.01, 2, 25, rand.New(rand.NewSource(seed)))
+	const wantMarkov = 0x15cf71c6874e5dae
+	if got := hashLost(n, func() []int { return mp.DrawLost(0.04) }); got != wantMarkov {
+		t.Errorf("Markov: first %d lost indices hash to %#x, want %#x: the RNG stream moved", n, got, uint64(wantMarkov))
+	}
+	fbt := NewFBT(16, 0.01, rand.New(rand.NewSource(seed)))
+	const wantFBT = 0x9e7503baa7e2f8ee
+	if got := hashLost(n, func() []int { return fbt.DrawLost(0.04) }); got != wantFBT {
+		t.Errorf("FBT: first %d lost indices hash to %#x, want %#x: the RNG stream moved", n, got, uint64(wantFBT))
+	}
+}
+
 func TestBernoulliPopulationEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	never := NewBernoulliPopulation(50, 0, rng)
