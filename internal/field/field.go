@@ -546,8 +546,11 @@ func (f *Field) onShard(pkt *packet.Packet, lost []int) {
 		if fresh {
 			// The data round never repeats a seq, so a pre-consolidation
 			// duplicate carries no new loss information worth recording.
-			for _, id := range lost {
-				g.pend = append(g.pend, int64(id)<<6|int64(seq))
+			n := len(g.pend)
+			g.pend = slices.Grow(g.pend, len(lost))[:n+len(lost)]
+			pairs := g.pend[n:]
+			for i, id := range lost {
+				pairs[i] = int64(id)<<6 | int64(seq)
 			}
 		}
 		return

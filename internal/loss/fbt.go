@@ -130,17 +130,7 @@ func (t *FBT) DrawLost(_ float64) []int {
 // nextFailure returns the smallest failed node index > prev, or t.nodes if
 // none: a geometric jump with success probability PNode.
 func (t *FBT) nextFailure(prev int) int {
-	// Geometric(PNode) number of non-failures before the next failure.
-	u := t.rng.Float64()
-	for u == 0 {
-		u = t.rng.Float64()
-	}
-	skip := int(math.Log(u) / t.logq) // floor; >= 0
-	next := prev + 1 + skip
-	if next < 0 || next > t.nodes { // overflow guard
-		return t.nodes
-	}
-	return next
+	return geoNext(prev, t.nodes, t.PNode, t.logq, t.rng)
 }
 
 // leafSpan returns the half-open leaf range [lo, hi) under node idx (heap

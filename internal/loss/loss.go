@@ -223,17 +223,19 @@ func (ip *Independent) Reset() {
 
 // BernoulliPopulation is a homogeneous independent-Bernoulli population
 // with a sparse draw kernel: DrawLost enumerates the lost receivers by
-// geometric skip-sampling, spending one RNG draw (and one log) per LOST
-// receiver instead of one uniform per receiver. At p = 0.01 that is ~100x
-// fewer RNG calls than the dense Independent population while remaining
+// geometric skip-sampling, spending one RNG draw and one table lookup per
+// LOST receiver instead of one uniform per receiver (a geoTable; only
+// skips past its 1024 steps still cost a logarithm: 3 draws in 10^5 at
+// p = 0.01, most draws below p = 10^-3). At p = 0.01 that is ~100x fewer
+// RNG calls than the dense Independent population while remaining
 // distributionally identical — the gaps between consecutive lost indices
 // are exactly the Geometric(p) gaps of R independent Bernoulli trials.
 type BernoulliPopulation struct {
-	r    int
-	p    float64
-	logq float64 // ln(1-p); 0 when p is 0 or 1 (both special-cased)
-	rng  *rand.Rand
-	idx  []int // DrawLost scratch, reused across draws
+	r   int
+	p   float64
+	rng *rand.Rand
+	tab *geoTable // shared per p; fetched at the first sparse draw
+	idx []int     // DrawLost scratch, reused across draws
 }
 
 // NewBernoulliPopulation returns a sparse homogeneous Bernoulli population
@@ -245,11 +247,7 @@ func NewBernoulliPopulation(r int, p float64, rng *rand.Rand) *BernoulliPopulati
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		panic(fmt.Sprintf("loss: BernoulliPopulation p = %g", p))
 	}
-	bp := &BernoulliPopulation{r: r, p: p, rng: rng}
-	if p > 0 && p < 1 {
-		bp.logq = math.Log1p(-p)
-	}
-	return bp
+	return &BernoulliPopulation{r: r, p: p, rng: rng}
 }
 
 // R implements Population.
@@ -271,7 +269,7 @@ func (bp *BernoulliPopulation) DrawLost(float64) []int {
 		}
 		return bp.idx
 	}
-	bp.idx = geoSample(bp.idx, bp.r, bp.p, bp.rng)
+	bp.idx = bp.table().sample(bp.idx, nil, bp.r, bp.rng)
 	return bp.idx
 }
 
@@ -288,11 +286,18 @@ func (bp *BernoulliPopulation) DrawLostAmong(_ float64, among []int) []int {
 		bp.idx = append(bp.idx, among...)
 		return bp.idx
 	}
-	a := len(among)
-	for i := geoNext(-1, a, bp.p, bp.logq, bp.rng); i < a; i = geoNext(i, a, bp.p, bp.logq, bp.rng) {
-		bp.idx = append(bp.idx, among[i])
-	}
+	bp.idx = bp.table().sample(bp.idx, among, len(among), bp.rng)
 	return bp.idx
+}
+
+// table returns the skip table for 0 < p < 1. Fetching it here rather than
+// in the constructor keeps populations that are built but never drawn
+// from, or only at p = 0 or 1, from paying for one.
+func (bp *BernoulliPopulation) table() *geoTable {
+	if bp.tab == nil {
+		bp.tab = geoTableFor(bp.p)
+	}
+	return bp.tab
 }
 
 // Draw implements Population by scattering DrawLost into the dense buffer,
@@ -399,38 +404,4 @@ func (mp *MarkovPopulation) Draw(dt float64, lost []bool) {
 	for _, j := range mp.DrawLost(dt) {
 		lost[j] = true
 	}
-}
-
-// geoSample appends a Bernoulli(p) subset of [0, limit) to dst by
-// geometric skip-sampling, ascending.
-func geoSample(dst []int, limit int, p float64, rng *rand.Rand) []int {
-	logq := 0.0
-	if p > 0 && p < 1 {
-		logq = math.Log1p(-p)
-	}
-	for j := geoNext(-1, limit, p, logq, rng); j < limit; j = geoNext(j, limit, p, logq, rng) {
-		dst = append(dst, j)
-	}
-	return dst
-}
-
-// geoNext returns the smallest success index > prev of Bernoulli(p) trials,
-// or limit when the remaining trials all fail; logq = ln(1-p) for 0<p<1.
-func geoNext(prev, limit int, p float64, logq float64, rng *rand.Rand) int {
-	switch {
-	case p <= 0:
-		return limit
-	case p >= 1:
-		return prev + 1
-	}
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	skip := int(math.Log(u) / logq) // floor; >= 0
-	next := prev + 1 + skip
-	if next < 0 || next > limit { // overflow guard
-		return limit
-	}
-	return next
 }

@@ -2,6 +2,7 @@ package loss
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -140,10 +141,13 @@ func TestBernoulliDrawLostAmong(t *testing.T) {
 // output: an FNV-1a hash of the first 1e5 lost indices of DrawLost and of
 // DrawLostAmong under one fixed seed. Every exact-repeat ledger metric of
 // the field workloads (tx_per_pkt, ctrl_per_group, completion_stretch)
-// hangs on this stream, so a change that trims geoNext's constant factors
-// must leave both hashes alone — or move them on purpose and re-measure
-// the ledger baselines. (Values from go1.24 on amd64, where math.Log is
-// the portable Go implementation.)
+// hangs on this stream, so a change that trims the kernel's constant
+// factors must leave both hashes alone — or move them on purpose and
+// re-measure the ledger baselines. The hashes are the amd64 values, where
+// math.Log runs the assembly of math/log_amd64.s; another architecture's
+// math.Log may round some draw the other way and move them. The geoTable
+// cannot: it is built from the host's own math.Log, so on every
+// architecture it reproduces that host's geoSkip stream.
 func TestBernoulliDrawStreamPinned(t *testing.T) {
 	const r, p, n = 1_000_000, 0.01, 100_000
 	among := make([]int, 0, r/3+1)
@@ -159,18 +163,7 @@ func TestBernoulliDrawStreamPinned(t *testing.T) {
 		{"DrawLostAmong", func(bp *BernoulliPopulation) []int { return bp.DrawLostAmong(0.04, among) }, 0x2901ad0cb39fe646},
 	} {
 		bp := NewBernoulliPopulation(r, p, rand.New(rand.NewSource(20260926)))
-		h := fnv.New64a()
-		var word [8]byte
-		for hashed := 0; hashed < n; {
-			lost := c.draw(bp)
-			lost = lost[:min(len(lost), n-hashed)]
-			for _, j := range lost {
-				binary.LittleEndian.PutUint64(word[:], uint64(j))
-				h.Write(word[:])
-			}
-			hashed += len(lost)
-		}
-		if got := h.Sum64(); got != c.want {
+		if got := hashLost(n, func() []int { return c.draw(bp) }); got != c.want {
 			t.Errorf("%s: first %d lost indices hash to %#x, want %#x: the RNG stream moved", c.name, n, got, c.want)
 		}
 	}
@@ -196,9 +189,9 @@ func hashLost(n int, draw func() []int) uint64 {
 // TestSkipStreamsPinned widens TestBernoulliDrawStreamPinned's fence to
 // every other stream a change to the skip kernel could move: Bernoulli
 // DrawLost across the figure sweeps' range of p (only p = 0.01 is pinned
-// above), and MarkovPopulation.DrawLost, which draws its state-0 losses
-// through the same geoNext at a per-draw P01(dt), and FBT.DrawLost, whose
-// nextFailure is a copy of it. Same hash, same seed, same amd64 values.
+// above), MarkovPopulation.DrawLost, which draws its state-0 losses
+// through geoNext at a per-draw P01(dt), and FBT.DrawLost, which finds
+// failed nodes with it. Same hash, same seed, same amd64 values.
 func TestSkipStreamsPinned(t *testing.T) {
 	const r, n, seed = 1_000_000, 100_000, 20260926
 	for _, c := range []struct {
@@ -363,5 +356,23 @@ func TestFBTSparseDenseIdentical(t *testing.T) {
 					tc.depth, tc.p, draw, len(lost)-li, lost[li:])
 			}
 		}
+	}
+}
+
+// BenchmarkBernoulliDrawLost measures the sparse draw at the field's scale
+// (R = 10^6) across the figure sweeps' loss range, per LOST receiver: the
+// unit the field pays in.
+func BenchmarkBernoulliDrawLost(b *testing.B) {
+	for _, p := range []float64{0.001, 0.01, 0.05} {
+		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
+			bp := NewBernoulliPopulation(1_000_000, p, rand.New(rand.NewSource(1)))
+			bp.DrawLost(0.04) // size the scratch, fetch the table
+			lost := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lost += len(bp.DrawLost(0.04))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lost), "ns/lost")
+		})
 	}
 }

@@ -28,9 +28,10 @@
 #                       parallel encode, the receiver field, whose
 #                       NAK-schedule determinism contract runs under mcrun
 #                       parallelism, the adaptive FEC controller driven
-#                       by the core engines' pipelined scenario tests, and
+#                       by the core engines' pipelined scenario tests,
 #                       gf256, whose pair tables are published by a
-#                       lock-free compare-and-swap)
+#                       lock-free compare-and-swap, and loss, whose skip
+#                       tables are shared per p behind one mutex)
 #   7. field smoke      one reduced-scale receiver-field transfer — a full
 #                       NP session fronting R = 1e5 simulated receivers
 #                       through one struct-of-arrays field.Field with
@@ -39,7 +40,11 @@
 #                       stays in the full `go test ./...` tier above),
 #                       plus the count-filtered consolidation's pins
 #                       uncached: output identical to sort-everything,
-#                       the filter tight, 0 allocs/op in steady state
+#                       the filter tight, 0 allocs/op in steady state;
+#                       then the loss draw the field runs on: the skip
+#                       table against the reference expression (-short:
+#                       every boundary, 2e5 random draws per p) and the
+#                       pinned draw streams
 #   8a. bench smoke     one 1-pass NP loopback drain through cmd/bench
 #                       -np-only, so the end-to-end throughput tiers
 #                       (including the per-core scaling sweep, which skips
@@ -120,10 +125,11 @@ go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|Test
 go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed' ./internal/simnet/
 
 echo '== go test -race -short (concurrent packages)'
-go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/
+go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
 
 echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
 go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/
+go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned' ./internal/loss/
 
 echo '== NP loopback bench smoke (cmd/bench -np-only, 1 pass)'
 go run ./cmd/bench -np-only -runs 1 -np-groups 40 -out - > /dev/null
