@@ -185,6 +185,75 @@ func TestInPlaceArrivalOrders(t *testing.T) {
 	}
 }
 
+// TestGroupMemo: Receiver.group remembers its last answer. The memo must
+// die with a streaming-mode release — a late duplicate of the released
+// group finds neither it nor a map entry to resurrect, and the recycled
+// rxGroup serves the next group under its own index — and the memoised
+// group is still an entry of r.groups, so a buffer step taken in the
+// middle of its shards re-points it like any other.
+func TestGroupMemo(t *testing.T) {
+	cfg := inplaceConfig()
+	msg := testMessage(cfg.K*cfg.ShardSize*6+9, 17)
+	frames := captureWire(t, cfg, msg)
+	data := func(group uint32) (out []wireFrame) {
+		for _, f := range frames {
+			if f.typ == packet.TypeData && f.group == group {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+
+	t.Run("streaming release", func(t *testing.T) {
+		r, err := NewReceiver(newSinkEnv(3), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var groups []uint32
+		r.OnGroup = func(g uint32, _ [][]byte) { groups = append(groups, g) }
+		g0 := data(0)
+		feed(r, g0[:cfg.K-1], nil)
+		if r.lastG == nil || r.lastIdx != 0 || r.lastG != r.groups[0] {
+			t.Fatalf("memo (%d, %p) is not group 0's entry %p", r.lastIdx, r.lastG, r.groups[0])
+		}
+		recycled := r.lastG
+		feed(r, g0[cfg.K-1:], nil) // completes, delivers and releases group 0
+		if r.lastG != nil || len(r.groups) != 0 || !r.released(0) {
+			t.Fatalf("after the release: memo %p, %d groups held, released %v", r.lastG, len(r.groups), r.released(0))
+		}
+		feed(r, g0[:2], nil) // late duplicates
+		if r.lastG != nil || len(r.groups) != 0 || len(groups) != 1 {
+			t.Errorf("a late duplicate resurrected state: memo %p, %d groups held, OnGroup fired %d times", r.lastG, len(r.groups), len(groups))
+		}
+		feed(r, data(1)[:1], nil)
+		if r.lastG != recycled || r.lastIdx != 1 || r.groups[1] != recycled {
+			t.Errorf("group 1 did not take over the recycled state under its own index: memo (%d, %p)", r.lastIdx, r.lastG)
+		}
+		feed(r, frames, nil)
+		if !r.Complete() || len(groups) != 7 {
+			t.Errorf("complete %v after %d OnGroup calls, want true after 7", r.Complete(), len(groups))
+		}
+	})
+
+	t.Run("grow re-points the memoised group", func(t *testing.T) {
+		r, got := directReceiver(t, cfg)
+		r.firstStep = 3 * cfg.ShardSize
+		feed(r, data(0)[:5], nil) // shards 3 and 4 each buy a buffer step
+		if len(r.msgBuf) <= r.firstStep || r.lastG != r.groups[0] {
+			t.Fatalf("buffer %d bytes, memo %p vs entry %p: no step was taken under the memo", len(r.msgBuf), r.lastG, r.groups[0])
+		}
+		for j := 0; j < 5; j++ {
+			if !r.inPlace(r.lastG.shards[j], r.msgBuf, 0, j) {
+				t.Errorf("shard %d of the memoised group points outside the grown buffer", j)
+			}
+		}
+		feed(r, frames, nil)
+		if !bytes.Equal(*got, msg) || r.gathers != 0 {
+			t.Errorf("delivered %d bytes (want %d) with %d gathers (want 0)", len(*got), len(msg), r.gathers)
+		}
+	})
+}
+
 // TestInPlaceGF16EndsInGather: the GF(2^16) codec allocates the shards it
 // rebuilds, so exactly those are gathered; received ones are in place.
 func TestInPlaceGF16EndsInGather(t *testing.T) {

@@ -66,6 +66,11 @@ type Receiver struct {
 	complete bool
 	closed   bool
 
+	// group's one-entry memo: lastG is groups[lastIdx], the entry looked up
+	// last, or nil (nothing looked up yet, or that group was released).
+	lastIdx uint32
+	lastG   *rxGroup
+
 	// msgBuf is the message under reassembly (OnComplete mode), committed in
 	// steps (commit): data shard (g, seq) of a static session lives at offset.
 	msgBuf    []byte
@@ -199,7 +204,14 @@ func (r *Receiver) setReleased(idx uint32) {
 // parameters when first seen. k = 0 means the parameters are unknown yet
 // (an adaptive group announced only by a FIN): state is sized to the
 // ladder's bounds and the true (k, h) is adopted from the first shard.
+//
+// A group's shards arrive back to back, so the last answer is remembered:
+// an OnComplete session holds every group in the map until delivery, and
+// one probe per shard into it costs more than the rest of the shard path.
 func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
+	if r.lastG != nil && r.lastIdx == idx {
+		return r.lastG
+	}
 	g, ok := r.groups[idx]
 	if !ok {
 		nsh := k + h
@@ -222,6 +234,7 @@ func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
 		g.k, g.h = k, h
 		r.groups[idx] = g
 	}
+	r.lastIdx, r.lastG = idx, g
 	return g
 }
 
@@ -246,6 +259,9 @@ func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
 		g.nakCancel = nil
 	}
 	delete(r.groups, idx)
+	if r.lastIdx == idx {
+		r.lastG = nil
+	}
 	//rmlint:ignore hotpath-alloc free-list growth is amortized across the session
 	r.freeGroups = append(r.freeGroups, g)
 }

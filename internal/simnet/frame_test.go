@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,9 +100,9 @@ func TestMulticastSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// closureSend is the medium's previous ingress: one copy, and one closure
-// event per destination through Scheduler.At. It is the reference the
-// typed delivery events must interleave identically to.
+// closureSend is the medium's first ingress: one copy, and one closure
+// event per destination through Scheduler.At. It is the reference that
+// delivery runs must interleave identically to.
 func closureSend(node *Node, b []byte, control bool) {
 	b = append([]byte(nil), b...)
 	net := node.net
@@ -120,31 +121,62 @@ func closureSend(node *Node, b []byte, control bool) {
 	}
 }
 
+// orderCase is one way of running TestDeliveryEventsKeepClosureOrder's
+// script: the topology it runs on and how the scheduler is driven.
+type orderCase struct {
+	name      string
+	nets      int             // networks sharing the one scheduler
+	delays    []time.Duration // per node; nil draws 0..2 ms and jitters the odd nodes
+	stops     bool            // handlers call Stop on one arrival in seven
+	slice     time.Duration   // drive by RunUntil at multiples of slice instead of Run
+	maxEvents uint64          // Scheduler.MaxEvents; the panic is logged, not fatal
+}
+
 // TestDeliveryEventsKeepClosureOrder runs one randomized script — timers
-// that multicast, re-arm themselves and cancel each other, on nodes whose
-// coarse delays and jitter collide on many timestamps — once on the typed
-// delivery events and once on the all-closure reference, and requires the
-// same pop order event for event: (at, seq) ties and the net.rng jitter
-// draw order are untouched.
+// that multicast, re-arm themselves and cancel each other, from senders
+// first, in the middle and last in net.nodes — once on delivery runs and
+// once on the all-closure reference, and requires the same pop order event
+// for event: (at, seq) ties and the net.rng jitter draw order are
+// untouched. The cases add what a run could get wrong: coarse delays and
+// jitter that collide on many timestamps; equal delays, where a
+// transmission is one run with the sender inside it; 2, 3, 2 ms, where
+// equal instants sit in different runs; Stop from a handler in the middle
+// of a run and a resume with exactly the remaining destinations; RunUntil
+// deadlines that equal a run's timestamp; MaxEvents tripping on the same
+// delivery; two networks on one scheduler.
 func TestDeliveryEventsKeepClosureOrder(t *testing.T) {
-	run := func(seed int64, typed bool) (log []string) {
+	const ms = time.Millisecond
+	run := func(seed int64, typed bool, c orderCase) (log []string) {
 		s := NewScheduler()
-		net := NewNetwork(s, rand.New(rand.NewSource(seed)))
+		s.MaxEvents = c.maxEvents
 		script := rand.New(rand.NewSource(seed + 1))
+		var nets []*Network
 		var nodes []*Node
-		for i := 0; i < 5; i++ {
-			cfg := NodeConfig{Delay: time.Duration(script.Intn(3)) * time.Millisecond}
-			if i%2 == 1 {
-				cfg.Jitter = 3 // ns: most draws tie with a neighbour's arrival
+		for len(nets) < c.nets {
+			net := NewNetwork(s, rand.New(rand.NewSource(seed+int64(len(nets)))))
+			for i := 0; i < 5; i++ {
+				var cfg NodeConfig
+				if c.delays != nil {
+					cfg.Delay = c.delays[i]
+				} else {
+					cfg.Delay = time.Duration(script.Intn(3)) * ms
+					if i%2 == 1 {
+						cfg.Jitter = 3 // ns: most draws tie with a neighbour's arrival
+					}
+				}
+				if i == 4 {
+					cfg.Loss = loss.NewBernoulli(0.3, rand.New(rand.NewSource(seed+2)))
+				}
+				n, tag := net.AddNode(cfg), fmt.Sprintf("rx%d.%d", len(nets), i)
+				n.SetHandler(func(b []byte) {
+					log = append(log, fmt.Sprintf("%v %s %s", s.Now(), tag, b))
+					if c.stops && script.Intn(7) == 0 {
+						s.Stop()
+					}
+				})
+				nodes = append(nodes, n)
 			}
-			if i == 4 {
-				cfg.Loss = loss.NewBernoulli(0.3, rand.New(rand.NewSource(seed+2)))
-			}
-			n := net.AddNode(cfg)
-			n.SetHandler(func(b []byte) {
-				log = append(log, fmt.Sprintf("%v rx%d %s", s.Now(), n.id, b))
-			})
-			nodes = append(nodes, n)
+			nets = append(nets, net)
 		}
 		send := func(n *Node, b []byte, control bool) {
 			if typed {
@@ -164,30 +196,62 @@ func TestDeliveryEventsKeepClosureOrder(t *testing.T) {
 					cancels[script.Intn(len(cancels))]()
 				}
 				if left > 0 {
-					d := time.Duration(script.Intn(3)) * time.Millisecond
+					d := time.Duration(script.Intn(3)) * ms
 					cancels = append(cancels, s.After(d, tick(id, left-1)))
 				}
 			}
 		}
 		for id := 0; id < 12; id++ {
-			cancels = append(cancels, s.At(time.Duration(script.Intn(4))*time.Millisecond, tick(id, 20)))
+			cancels = append(cancels, s.At(time.Duration(script.Intn(4))*ms, tick(id, 20)))
 		}
-		s.Run()
-		sent, delivered, dropped := net.Stats()
-		return append(log, fmt.Sprintf("end %v sent=%d delivered=%d dropped=%d", s.Now(), sent, delivered, dropped))
+		defer func() {
+			if p := recover(); p != nil {
+				log = append(log, fmt.Sprint("panic: ", p))
+			}
+			for _, net := range nets {
+				sent, delivered, dropped := net.Stats()
+				log = append(log, fmt.Sprintf("end %v sent=%d delivered=%d dropped=%d", s.Now(), sent, delivered, dropped))
+			}
+			log = append(log, fmt.Sprintf("processed=%d", s.processed))
+		}()
+		for deadline := c.slice; s.Pending() > 0; deadline += c.slice {
+			if c.slice == 0 {
+				s.Run()
+			} else {
+				s.RunUntil(deadline)
+			}
+			log = append(log, fmt.Sprintf("%v returned", s.Now()))
+		}
+		return log
 	}
-	for seed := int64(1); seed <= 20; seed++ {
-		want, got := run(seed, false), run(seed, true)
-		if len(want) < 500 {
-			t.Fatalf("seed %d: script too short to mean anything: %d events", seed, len(want))
-		}
-		if !reflect.DeepEqual(got, want) {
-			for i := range want {
-				if i >= len(got) || got[i] != want[i] {
-					t.Fatalf("seed %d: event %d differs: typed %q, closures %q", seed, i, got[min(i, len(got)-1)], want[i])
+	for _, c := range []orderCase{
+		{name: "collisions", nets: 1},
+		{name: "equal-delays", nets: 1, delays: []time.Duration{2 * ms, 2 * ms, 2 * ms, 2 * ms, 2 * ms}},
+		{name: "2-3-2", nets: 1, delays: []time.Duration{2 * ms, 3 * ms, 2 * ms, 2 * ms, 3 * ms}},
+		{name: "stop-and-resume", nets: 1, delays: []time.Duration{2 * ms, 2 * ms, 3 * ms, 2 * ms, 2 * ms}, stops: true},
+		{name: "sliced", nets: 1, delays: []time.Duration{ms, ms, ms, 2 * ms, ms}, slice: ms},
+		{name: "sliced+stops+jitter", nets: 1, stops: true, slice: ms / 2},
+		{name: "max-events", nets: 1, delays: []time.Duration{ms, ms, ms, ms, ms}, maxEvents: 400},
+		{name: "two-networks", nets: 2, delays: []time.Duration{2 * ms, 2 * ms, 2 * ms, 3 * ms, 2 * ms}, stops: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				want, got := run(seed, false, c), run(seed, true, c)
+				if c.maxEvents == 0 && len(want) < 500 {
+					t.Fatalf("seed %d: script too short to mean anything: %d events", seed, len(want))
+				}
+				if c.maxEvents > 0 && !strings.HasPrefix(want[len(want)-3], "panic: ") {
+					t.Fatalf("seed %d: MaxEvents did not trip: %q", seed, want[len(want)-3:])
+				}
+				if !reflect.DeepEqual(got, want) {
+					for i := range want {
+						if i >= len(got) || got[i] != want[i] {
+							t.Fatalf("seed %d: event %d differs: typed %q, closures %q", seed, i, got[min(i, len(got)-1)], want[i])
+						}
+					}
+					t.Fatalf("seed %d: typed run has %d extra events", seed, len(got)-len(want))
 				}
 			}
-			t.Fatalf("seed %d: typed run has %d extra events", seed, len(got)-len(want))
-		}
+		})
 	}
 }

@@ -84,10 +84,10 @@ func (n *Network) Stats() (sent, delivered, dropped uint64) {
 // destination's pending arrival and recycled after the last of them.
 type frame struct {
 	buf  []byte
-	refs int // arrivals not yet delivered
+	refs int // delivery runs not yet finished
 }
 
-// release drops one arrival's reference; the last one recycles the frame.
+// release drops one run's reference; the last one recycles the frame.
 //
 //rmlint:hotpath
 func (n *Network) release(f *frame) {
@@ -189,8 +189,11 @@ func (node *Node) send(b []byte, control bool) error {
 	f := take(&net.frames)
 	//rmlint:ignore hotpath-alloc pool growth: appends only until the frame has carried the largest packet size
 	f.buf = append(f.buf[:0], b...)
-	f.refs = len(net.nodes) - 1
-	for _, dst := range net.nodes {
+	// One queue entry per maximal run of consecutive destinations with the
+	// same arrival instant; each run holds one reference to the frame.
+	f.refs = 0
+	var run *event
+	for i, dst := range net.nodes {
 		if dst == node {
 			continue
 		}
@@ -198,7 +201,12 @@ func (node *Node) send(b []byte, control bool) error {
 		if dst.cfg.Jitter > 0 {
 			d += time.Duration(net.rng.Int63n(int64(dst.cfg.Jitter)))
 		}
-		net.sched.deliverAt(now+d, dst, f, node.id, control)
+		if run != nil && run.at == now+d {
+			run.to = i + 1
+			continue
+		}
+		run = net.sched.deliverAt(now+d, net, f, node.id, control, i)
+		f.refs++
 	}
 	return nil
 }

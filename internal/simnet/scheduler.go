@@ -8,47 +8,42 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
 	"rmfec/internal/metrics"
 )
 
-// event is a scheduled timer callback (fn set) or a packet delivery (fn
-// nil, dst/frame/src/control set). Deliveries are never canceled, so they
-// need no closure and recycle through Scheduler.free; a timer's cancel
-// func holds its event, so timers are left to the garbage collector.
+// event is one entry of the scheduler's queue: a timer (fn set) or a
+// delivery run (fn nil) — the arrival of frame, sent by node src of net, at
+// the consecutive destinations net.nodes[next:to) that share one arrival
+// instant, src itself skipped. A run is delivered one destination per loop
+// iteration and stays at the head of the queue until its last arrival;
+// nothing overtakes it there, because whatever a handler schedules, even
+// for the same instant, takes a later seq — the order is the one a queue
+// entry per destination (consecutive seqs, one instant) would give.
+//
+// Both kinds recycle through Scheduler.free. gen counts the recycles of
+// this object: a timer's cancel func captures the generation it was armed
+// in and does nothing once the object has moved on, so a cancel kept past
+// its timer's firing can never reach the event's next user.
 type event struct {
 	at       time.Duration
 	seq      uint64 // tie-break: FIFO among equal timestamps
+	gen      uint64
 	fn       func()
 	canceled bool
 
-	dst     *Node
-	frame   *frame
-	src     int
-	control bool
+	control  bool
+	net      *Network
+	frame    *frame
+	src      int
+	next, to int
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before is the queue's order: timestamp, then issue order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Scheduler is a single-threaded virtual-time event loop. It is not safe
@@ -56,8 +51,8 @@ func (h *eventHeap) Pop() any {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	pq      eventHeap
-	free    []*event // recycled delivery events
+	pq      []*event // binary min-heap on (at, seq)
+	free    []*event // recycled events, timers and delivery runs alike
 	stopped bool
 	// Budget guards against runaway simulations; 0 disables the check.
 	MaxEvents uint64
@@ -80,10 +75,11 @@ type schedulerMetrics struct {
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // Instrument registers the scheduler's live metrics on r: events processed
-// and canceled, current and high-watermark queue depth, and a histogram of
-// the scheduling horizon — how far ahead of virtual now each event is
-// scheduled, i.e. the lag between scheduling an event and its firing. A
-// nil registry disables instrumentation.
+// (timers fired and single deliveries) and canceled, current and
+// high-watermark queue depth (see Pending: a delivery run is one entry),
+// and a histogram of the scheduling horizon — how far ahead of virtual now
+// each queue entry is scheduled, i.e. the lag between scheduling an event
+// and its firing. A nil registry disables instrumentation.
 func (s *Scheduler) Instrument(r *metrics.Registry) {
 	if r == nil {
 		s.m = schedulerMetrics{}
@@ -98,7 +94,7 @@ func (s *Scheduler) Instrument(r *metrics.Registry) {
 		run:      ev("run"),
 		canceled: ev("canceled"),
 		depth: r.Gauge("simnet_queue_depth",
-			"current scheduled-event queue depth (including canceled entries)"),
+			"current scheduled-event queue depth (including canceled timers; a delivery run counts once)"),
 		depthMax: r.Gauge("simnet_queue_depth_max",
 			"high watermark of the scheduled-event queue depth"),
 		horizon: r.Histogram("simnet_event_horizon_seconds",
@@ -119,9 +115,15 @@ func (s *Scheduler) At(t time.Duration, fn func()) (cancel func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("simnet: scheduling in the past: %v < %v", t, s.now))
 	}
-	e := &event{fn: fn}
+	e := take(&s.free)
+	e.fn = fn
 	s.push(e, t)
-	return func() { e.canceled = true }
+	gen := e.gen
+	return func() {
+		if e.gen == gen {
+			e.canceled = true
+		}
+	}
 }
 
 // push queues e at time t behind everything already scheduled for t.
@@ -130,10 +132,55 @@ func (s *Scheduler) At(t time.Duration, fn func()) (cancel func()) {
 func (s *Scheduler) push(e *event, t time.Duration) {
 	e.at, e.seq = t, s.seq
 	s.seq++
-	heap.Push(&s.pq, e)
-	s.m.horizon.Observe((t - s.now).Seconds())
-	s.m.depth.Set(int64(len(s.pq)))
-	s.m.depthMax.SetMax(int64(len(s.pq)))
+	//rmlint:ignore hotpath-alloc queue growth: amortized up to the peak number of queued events
+	s.pq = append(s.pq, e)
+	h := s.pq
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	if s.m.horizon != nil {
+		s.m.horizon.Observe((t - s.now).Seconds())
+	}
+	s.m.depth.Set(int64(len(h)))
+	s.m.depthMax.SetMax(int64(len(h)))
+}
+
+// pop removes the head of the queue.
+//
+//rmlint:hotpath
+func (s *Scheduler) pop() {
+	h := s.pq
+	n := len(h) - 1
+	e := h[n]
+	h[n] = nil
+	s.pq = h[:n]
+	s.m.depth.Set(int64(n))
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
 }
 
 // take pops a recycled *T off a free list, or allocates the pool's next.
@@ -149,26 +196,52 @@ func take[T any](free *[]*T) *T {
 	return new(T)
 }
 
-// deliverAt schedules the arrival of f at dst at time t, in the same
-// (at, seq) sequence as At: deliveries and timers interleave in issue order.
+// recycle returns a popped event to the free list under a new generation,
+// which turns every cancel func still holding it into a no-op.
 //
 //rmlint:hotpath
-func (s *Scheduler) deliverAt(t time.Duration, dst *Node, f *frame, src int, control bool) {
-	e := take(&s.free)
-	e.dst, e.frame, e.src, e.control = dst, f, src, control
-	s.push(e, t)
+func (s *Scheduler) recycle(e *event) {
+	*e = event{gen: e.gen + 1}
+	//rmlint:ignore hotpath-alloc pool growth: amortized up to the peak number of queued events
+	s.free = append(s.free, e)
 }
 
-// deliver runs a delivery event, recycles it and drops its frame reference.
+// deliverAt queues a delivery run of one destination, net.nodes[first], for
+// time t, in the same (at, seq) sequence as At: runs and timers interleave
+// in issue order. The caller extends the run (to) over the destinations
+// that follow while their arrival instant is also t, and owns the frame
+// reference the run holds.
+//
+//rmlint:hotpath
+func (s *Scheduler) deliverAt(t time.Duration, net *Network, f *frame, src int, control bool, first int) *event {
+	e := take(&s.free)
+	e.net, e.frame, e.src, e.control = net, f, src, control
+	e.next, e.to = first, first+1
+	s.push(e, t)
+	return e
+}
+
+// deliver hands the frame of the run at the head of the queue to the run's
+// next destination. The last arrival pops and recycles the run before the
+// handler is called and drops the run's frame reference after it.
 //
 //rmlint:hotpath
 func (s *Scheduler) deliver(e *event) {
-	dst, f := e.dst, e.frame
-	dst.receive(f.buf, e.src, e.control)
-	*e = event{}
-	//rmlint:ignore hotpath-alloc pool growth: amortized up to the in-flight delivery count
-	s.free = append(s.free, e)
-	dst.net.release(f)
+	net, f, src, control := e.net, e.frame, e.src, e.control
+	dst := net.nodes[e.next]
+	e.next++
+	if e.next == src {
+		e.next++ // the sender does not hear itself; a run never ends on it
+	}
+	last := e.next >= e.to
+	if last {
+		s.pop()
+		s.recycle(e)
+	}
+	dst.receive(f.buf, src, control)
+	if last {
+		net.release(f)
+	}
 }
 
 // After schedules fn after delay d; see At.
@@ -189,37 +262,48 @@ func (s *Scheduler) Run() {
 	s.RunUntil(1<<63 - 1)
 }
 
-// RunUntil processes events with timestamps <= deadline. Virtual time is
-// left at the last processed event (or deadline if nothing ran after it).
+// RunUntil processes events with timestamps <= deadline: one timer or one
+// destination of a delivery run per iteration, so Stop, MaxEvents and the
+// event counters all count single deliveries. Virtual time is left at the
+// last processed event, or at the deadline if that is later and nothing
+// due by then is still queued (a Stop can leave such events behind).
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.stopped = false
 	for len(s.pq) > 0 && !s.stopped {
-		next := s.pq[0]
-		if next.at > deadline {
+		e := s.pq[0]
+		if e.at > deadline {
 			break
 		}
-		heap.Pop(&s.pq)
-		s.m.depth.Set(int64(len(s.pq)))
-		if next.canceled {
-			s.m.canceled.Inc()
-			continue
+		at, fn := e.at, e.fn
+		if fn != nil {
+			s.pop()
+			canceled := e.canceled
+			s.recycle(e)
+			if canceled {
+				s.m.canceled.Inc()
+				continue
+			}
 		}
 		s.m.run.Inc()
-		s.now = next.at
+		s.now = at
 		s.processed++
 		if s.MaxEvents > 0 && s.processed > s.MaxEvents {
 			panic(fmt.Sprintf("simnet: exceeded %d events — livelock?", s.MaxEvents))
 		}
-		if next.fn != nil {
-			next.fn()
+		if fn != nil {
+			fn()
 		} else {
-			s.deliver(next)
+			s.deliver(e)
 		}
 	}
-	if s.now < deadline && deadline < 1<<62 {
+	if s.now < deadline && deadline < 1<<62 && (len(s.pq) == 0 || s.pq[0].at > deadline) {
 		s.now = deadline
 	}
 }
 
-// Pending returns the number of queued (possibly canceled) events.
+// Pending returns the number of queued events: timers, canceled ones
+// included until they are popped, and delivery runs. A run counts once
+// however many destinations it still has to reach, and stops counting when
+// its last arrival is handed over; simnet_queue_depth and
+// simnet_queue_depth_max report this same count.
 func (s *Scheduler) Pending() int { return len(s.pq) }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -101,6 +102,130 @@ func TestSchedulerStop(t *testing.T) {
 	s.Run() // resumes
 	if n != 2 {
 		t.Fatalf("n = %d after resume", n)
+	}
+}
+
+// TestRunUntilStoppedEarlyKeepsClock: a Stop inside a finite RunUntil leaves
+// events due before the deadline in the queue, so the clock must stay at
+// the last processed event — not jump to the deadline and run backwards
+// (or refuse an At as "in the past") when the run resumes.
+func TestRunUntilStoppedEarlyKeepsClock(t *testing.T) {
+	s := NewScheduler()
+	var firedAt time.Duration
+	s.After(time.Millisecond, s.Stop)
+	s.After(2*time.Millisecond, func() { firedAt = s.Now() })
+	s.After(20*time.Second, func() {})
+	s.RunUntil(10 * time.Second)
+	if s.Now() != time.Millisecond || s.Pending() != 2 {
+		t.Fatalf("stopped at %v with %d pending, want 1ms with 2", s.Now(), s.Pending())
+	}
+	s.At(5*time.Second, s.Stop) // not in the past
+	s.Run()
+	if firedAt != 2*time.Millisecond || s.Now() != 5*time.Second {
+		t.Fatalf("resumed event saw %v, clock now %v; want 2ms, 5s", firedAt, s.Now())
+	}
+	// Stopped with nothing left that is due by the deadline: it is reached.
+	s.RunUntil(10 * time.Second)
+	if s.Now() != 10*time.Second || s.Pending() != 1 {
+		t.Fatalf("clock %v with %d pending, want the 10s deadline with 1", s.Now(), s.Pending())
+	}
+}
+
+// TestStaleCancelCancelsNothing: timers and delivery runs share one free
+// list, so a cancel func kept past its timer's firing holds an event object
+// that later belongs to someone else. The generation guard makes it a
+// no-op for a later timer and for a delivery run alike.
+func TestStaleCancelCancelsNothing(t *testing.T) {
+	s := NewScheduler()
+	net := NewNetwork(s, rand.New(rand.NewSource(1)))
+	src := net.AddNode(NodeConfig{})
+	delivered := 0
+	net.AddNode(NodeConfig{Delay: time.Millisecond}).SetHandler(func([]byte) { delivered++ })
+
+	fired := 0
+	stale := s.After(time.Millisecond, func() { fired++ })
+	s.Run()
+	if fired != 1 || len(s.free) != 1 {
+		t.Fatalf("fired %d, %d events recycled; want 1, 1", fired, len(s.free))
+	}
+	e := s.free[0]
+
+	s.After(time.Millisecond, func() { fired++ })
+	if s.pq[0] != e {
+		t.Fatal("the second timer did not reuse the first one's event")
+	}
+	stale()
+	s.Run()
+	if fired != 2 {
+		t.Errorf("a stale cancel stopped a later timer on the same event: fired %d, want 2", fired)
+	}
+
+	src.Multicast([]byte{1}) //nolint:errcheck
+	if s.pq[0] != e {
+		t.Fatal("the delivery run did not reuse the timers' event")
+	}
+	stale()
+	s.Run()
+	if delivered != 1 || e.canceled {
+		t.Errorf("a stale cancel touched a delivery run: delivered %d, canceled %v", delivered, e.canceled)
+	}
+
+	// A live cancel still works on the recycled object, and the object
+	// comes back clean: the next timer on it fires.
+	s.After(time.Millisecond, func() { fired++ })()
+	s.Run()
+	s.After(time.Millisecond, func() { fired++ })
+	if s.pq[0] != e {
+		t.Fatal("the event did not come back after a canceled timer")
+	}
+	s.Run()
+	if fired != 3 {
+		t.Errorf("fired %d after a cancel and a re-arm on the same event, want 3", fired)
+	}
+}
+
+// TestTimerSteadyStateOneAlloc: a timer's event is recycled, so arming and
+// firing one allocates its cancel closure and nothing else.
+func TestTimerSteadyStateOneAlloc(t *testing.T) {
+	s := NewScheduler()
+	nop := func() {}
+	arm := func() {
+		s.After(time.Millisecond, nop)
+		s.Run()
+	}
+	arm()
+	if allocs := testing.AllocsPerRun(100, arm); allocs > 1 {
+		t.Errorf("After + fire: %.1f allocs/op, want <= 1", allocs)
+	}
+}
+
+// TestDeliveryRunCountsOnceInPending: destinations with one arrival instant
+// share a queue entry, which Pending counts once until its last arrival is
+// handed over; a Stop in the middle of the run keeps the rest queued.
+func TestDeliveryRunCountsOnceInPending(t *testing.T) {
+	s := NewScheduler()
+	net := NewNetwork(s, rand.New(rand.NewSource(1)))
+	var got, pending []int
+	for i := 0; i < 4; i++ {
+		n := net.AddNode(NodeConfig{Delay: time.Millisecond})
+		n.SetHandler(func([]byte) {
+			got, pending = append(got, n.ID()), append(pending, s.Pending())
+			if n.ID() == 2 {
+				s.Stop()
+			}
+		})
+	}
+	net.nodes[1].Multicast([]byte{1}) //nolint:errcheck
+	if s.Pending() != 1 {
+		t.Fatalf("%d entries queued for one transmission to equal delays, want 1", s.Pending())
+	}
+	s.Run()
+	if !reflect.DeepEqual(got, []int{0, 2}) || s.Pending() != 1 {
+		t.Fatalf("stopped after %v with %d pending, want [0 2] with 1", got, s.Pending())
+	}
+	s.Run()
+	if !reflect.DeepEqual(got, []int{0, 2, 3}) || !reflect.DeepEqual(pending, []int{1, 1, 0}) {
+		t.Fatalf("deliveries %v saw Pending %v, want [0 2 3] and [1 1 0]", got, pending)
 	}
 }
 

@@ -19,7 +19,10 @@
 #   5. go test          full test suite, then the copy-once receive-path
 #                       pins again uncached (0 allocs/op in simnet and in
 #                       the OnComplete receiver, no second payload copy,
-#                       forged Total bounded, delivery-event order)
+#                       forged Total bounded, delivery-event order: runs
+#                       against the all-closure reference, a stale cancel
+#                       on a recycled event, the clock after a Stop inside
+#                       RunUntil, one alloc per timer)
 #   6. go test -race    short-mode tests of the concurrent packages under
 #                       the race detector (udpcast transport, simnet
 #                       scheduler, core engines driven by both, the mcrun
@@ -121,8 +124,8 @@ echo '== go test ./...'
 go test ./...
 # The copy-once pins (0-alloc medium and OnComplete receiver, no second
 # copy, forged Total, event order) must run, not come from the test cache.
-go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath' ./internal/core/
-go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed' ./internal/simnet/
+go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestGroupMemo' ./internal/core/
+go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed|TestStaleCancelCancelsNothing|TestRunUntilStoppedEarlyKeepsClock|TestTimerSteadyStateOneAlloc|TestDeliveryRunCountsOnceInPending' ./internal/simnet/
 
 echo '== go test -race -short (concurrent packages)'
 go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
