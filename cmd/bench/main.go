@@ -226,7 +226,7 @@ func codecBench(runs, k, h int, reg *metrics.Registry) codecStats {
 
 	// Decode rate: lose min(h,k) data packets each op, reconstruct from
 	// the rest. Recycled zero-length buffers keep it on the steady-state
-	// path (cached inversion, no allocation).
+	// path (no allocation).
 	lose := h
 	if lose > k {
 		lose = k
@@ -484,7 +484,7 @@ func main() {
 }
 
 // printMetrics dumps the codec instrument snapshot accumulated across the
-// benchmark passes (rse_* symbol throughput and inversion-cache hits).
+// benchmark passes (rse_* symbol throughput and subsystem solves).
 func printMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return

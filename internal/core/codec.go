@@ -124,7 +124,7 @@ func codecZeroFill(c Codec) bool {
 // newCodec selects the backend for the configuration: GF(2^8) whenever the
 // block fits in 255 packets, GF(2^16) beyond that. When the config carries
 // a metrics registry, the GF(2^8) codec's rse_* instruments (symbol
-// throughput, inversion-cache hit rate) are registered on it.
+// throughput, subsystem solves) are registered on it.
 func newCodec(cfg Config) (Codec, error) {
 	return newCodecKH(cfg.K, cfg.MaxParity, cfg.ShardSize, cfg.Metrics)
 }

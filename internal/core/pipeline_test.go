@@ -97,8 +97,8 @@ func TestSenderSteadyStateZeroAlloc(t *testing.T) {
 // path: decode-in-place arrival, pooled shard copies and per-group release
 // (OnComplete unset) make processing a whole group allocation-free — both
 // when all k data shards arrive and when a fixed loss pattern forces a
-// Reed-Solomon reconstruction every group (the decode-inversion cache and
-// the codec's scratch free-list keep even that path clean).
+// Reed-Solomon reconstruction every group (the codec's scratch free-list
+// keeps even that path clean).
 func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 	const (
 		k     = 8
@@ -134,7 +134,7 @@ func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 					seq, typ := uint16(i), packet.TypeData
 					if tc.decode && i == 0 {
 						// Fixed pattern: data shard 0 lost, parity 0 takes
-						// its place — same inversion-cache key every group.
+						// its place — the same pattern every group.
 						seq, typ = uint16(k), packet.TypeParity
 					}
 					p := packet.Packet{Type: typ, Session: 5, Group: g,

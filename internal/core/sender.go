@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -316,7 +317,9 @@ func (s *Sender) Send(msg []byte) error {
 		// every TG header can announce the final count.
 		s.total = uint32(maxTG)
 	}
-	s.msg = append(make([]byte, 0, len(msg)), msg...)
+	// Clone appends onto an empty slice, so nothing is zero-filled first:
+	// growslice does not clear what it is about to copy over, make would.
+	s.msg = bytes.Clone(msg)
 	s.finLeft = s.cfg.FinCount
 	if err := s.startEra(); err != nil {
 		return err

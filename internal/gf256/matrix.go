@@ -161,6 +161,52 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	return inv, nil
 }
 
+// SolveSmall runs Invert's Gauss-Jordan elimination in place, allocating
+// nothing, over the row-major n x w matrix m = [A | B] with A square: it
+// leaves [I | A^-1 B], so B = I yields the inverse and any other columns
+// ride along at one pass. It works a byte at a time through the shared
+// product table: it is meant for a handful of short rows (the rse
+// decoder's l x l parity subsystem), where the slice kernels' dispatch
+// would cost more than the arithmetic and their pair tables would be built
+// for rows of a few words. Returns ErrSingular, with m half-reduced, if A
+// has no inverse.
+//
+//rmlint:hotpath
+func SolveSmall(m []byte, n, w int) error {
+	for col := 0; col < n; col++ {
+		pivot := col
+		for pivot < n && m[pivot*w+col] == 0 {
+			pivot++
+		}
+		if pivot == n {
+			return ErrSingular
+		}
+		prow := m[col*w : (col+1)*w]
+		if pivot != col {
+			other := m[pivot*w : (pivot+1)*w]
+			for i := range prow {
+				prow[i], other[i] = other[i], prow[i]
+			}
+		}
+		if pv := prow[col]; pv != 1 {
+			t := &mulTbl[invTbl[pv]]
+			for i, v := range prow {
+				prow[i] = t[v]
+			}
+		}
+		for r := 0; r < n; r++ {
+			row := m[r*w : (r+1)*w]
+			if f := row[col]; r != col && f != 0 {
+				t := &mulTbl[f]
+				for i, v := range prow {
+					row[i] ^= t[v]
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func swapRows(m *Matrix, i, j int) {
 	ri, rj := m.Row(i), m.Row(j)
 	for k := range ri {

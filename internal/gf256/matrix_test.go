@@ -74,6 +74,63 @@ func TestInvertSingular(t *testing.T) {
 	}
 }
 
+// TestSolveSmallMatchesInvert holds the in-place, allocation-free
+// elimination to the Matrix algebra on random systems [A | I | B] (which
+// need pivot swaps now and then), singular ones included: it must leave
+// [I | A^-1 | A^-1 B], and allocate nothing.
+func TestSolveSmallMatchesInvert(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	// join lays matrices side by side.
+	join := func(ms ...*Matrix) *Matrix {
+		w := 0
+		for _, m := range ms {
+			w += m.Cols
+		}
+		out := NewMatrix(ms[0].Rows, w)
+		for r := 0; r < out.Rows; r++ {
+			row := out.Row(r)[:0]
+			for _, m := range ms {
+				row = append(row, m.Row(r)...)
+			}
+		}
+		return out
+	}
+	for _, n := range []int{1, 2, 3, 7, 20, 33} {
+		for trial := 0; trial < 50; trial++ {
+			a, b := randomMatrix(rng, n, n), randomMatrix(rng, n, 1+trial%5)
+			if trial%5 == 0 {
+				a.Set(0, 0, 0) // force a swap on the first column
+			}
+			want, wantErr := a.Invert()
+			m := join(a, Identity(n), b)
+			err := SolveSmall(m.Data, n, m.Cols)
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("n=%d: SolveSmall err = %v, Invert err = %v", n, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !matricesEqual(m, join(Identity(n), want, want.Mul(b))) {
+				t.Fatalf("n=%d: SolveSmall left %v, want [I | A^-1 | A^-1 B]", n, m.Data)
+			}
+		}
+	}
+	dup := []byte{5, 7, 1, 5, 7, 2}
+	if err := SolveSmall(dup, 2, 3); !errors.Is(err, ErrSingular) {
+		t.Errorf("SolveSmall of a duplicate-row system: err = %v, want ErrSingular", err)
+	}
+	src := join(Vandermonde(4, 4, 1), Identity(4))
+	m := make([]byte, len(src.Data))
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(m, src.Data)
+		if err := SolveSmall(m, 4, 8); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SolveSmall allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestVandermondeRowSubmatricesInvertible(t *testing.T) {
 	// Any k rows of an n x k Vandermonde matrix with distinct evaluation
 	// points form an invertible matrix: this is the property the systematic

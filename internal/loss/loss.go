@@ -56,6 +56,10 @@ type Markov struct {
 	pi1              float64
 	state            int
 	rng              *rand.Rand
+	// decayDt, decayExp remember the last dt and exp(-rate*dt): a paced
+	// sender presents the same dt packet after packet. NewMarkov starts
+	// them at the dt = 0 entry, exp(0) = 1.
+	decayDt, decayExp float64
 }
 
 // NewMarkov builds the chain from the paper's parameters: target packet
@@ -80,7 +84,7 @@ func NewMarkov(p, meanBurst, pktRate float64, rng *rand.Rand) *Markov {
 	}
 	l1 := -pktRate * math.Log(1-1/meanBurst)
 	l0 := l1 * p / (1 - p)
-	m := &Markov{Lambda0: l0, Lambda1: l1, rate: l0 + l1, pi1: p, rng: rng}
+	m := &Markov{Lambda0: l0, Lambda1: l1, rate: l0 + l1, pi1: p, rng: rng, decayExp: 1}
 	m.Reset()
 	return m
 }
@@ -97,14 +101,22 @@ func (m *Markov) Reset() {
 // State returns the current chain state (0 = good, 1 = loss).
 func (m *Markov) State() int { return m.state }
 
+// decay returns exp(-rate*dt), recomputed only when dt changes.
+func (m *Markov) decay(dt float64) float64 {
+	if dt != m.decayDt {
+		m.decayDt, m.decayExp = dt, math.Exp(-m.rate*dt)
+	}
+	return m.decayExp
+}
+
 // P11 returns P(X_{t+dt} = 1 | X_t = 1).
 func (m *Markov) P11(dt float64) float64 {
-	return m.pi1 + (1-m.pi1)*math.Exp(-m.rate*dt)
+	return m.pi1 + (1-m.pi1)*m.decay(dt)
 }
 
 // P01 returns P(X_{t+dt} = 1 | X_t = 0).
 func (m *Markov) P01(dt float64) float64 {
-	return m.pi1 * (1 - math.Exp(-m.rate*dt))
+	return m.pi1 * (1 - m.decay(dt))
 }
 
 // Lost advances the chain by dt and reports loss.

@@ -18,13 +18,17 @@
 // the coder runs len(packet) parallel GF(2^8) codes exactly as described by
 // McAuley (symbol size m = 8).
 //
-// Decoding keeps two caches on the hot path (see DESIGN.md "Codec
-// performance"): an LRU-bounded inversion cache keyed by the block's
-// present-shard bitmap, so a repeated loss pattern skips the O(k^3)
-// Gaussian elimination, and a scratch free-list for the decode index
-// slices, so steady-state Reconstruct performs no heap allocations when
-// the caller also recycles the output shards (pass a missing shard as a
-// zero-length slice with spare capacity instead of nil).
+// Decoding keeps that proportionality in its matrix work too (see
+// DESIGN.md "Codec performance"): with l data packets lost, the k-l
+// present ones are already solved, so Reconstruct inverts only the l x l
+// block of parity coefficients that couples the missing packets to the
+// parities standing in for them — O(l^3 + l^2 k) byte operations, against
+// the l*k*len(packet) of the data pass — and no decode matrix is cached.
+// The one structure on the hot path is a scratch free-list holding the
+// index slices and that small system, so Reconstruct performs no heap
+// allocations on any loss pattern when the caller also recycles the output
+// shards (pass a missing shard as a zero-length slice with spare capacity
+// instead of nil).
 package rse
 
 import (
@@ -41,21 +45,15 @@ import (
 // number of distinct evaluation points in GF(2^8).
 const MaxBlock = 256
 
-// invCacheCap bounds the inversion cache: at ~k*k bytes per entry the
-// cache tops out around 128 * 20^2 = 50 KiB at the paper's k=20 operating
-// point. Real multicast loss is bursty and strongly repeats patterns
-// within a session, so a small LRU captures nearly all reuse.
-const invCacheCap = 128
-
-// pairCoeffBudget caps the number of distinct non-trivial coefficients a
-// matrix may use before the codec abandons gf256's pair-table word kernels
-// for the compact shared-table loop. Each pair table is 128 KiB; measured
-// on the reference host the word kernel beats the scalar loop while the
-// live tables fit in cache (~1.2x at 8 coefficients) but collapses to
-// ~0.25x once the rotation exceeds the cache (~64+ coefficients). 32
-// tables = 4 MiB keeps the paper's operating points (k=7 uses <= 27
-// distinct coefficients, k=20 with h <= 4 uses 19) on the fast path and
-// sends wide codes (k=100 uses 139+) down the compact one.
+// pairCoeffBudget caps the number of distinct non-trivial coefficients the
+// generator may use before the encoder abandons gf256's pair-table word
+// kernels for the compact shared-table loop. Each pair table is 128 KiB;
+// measured on the reference host the word kernel beats the scalar loop
+// while the live tables fit in cache (~1.2x at 8 coefficients) but
+// collapses to ~0.25x once the rotation exceeds the cache (~64+
+// coefficients). 32 tables = 4 MiB keeps the paper's operating points
+// (k=7 uses <= 27 distinct coefficients, k=20 with h <= 4 uses 19) on the
+// fast path and sends wide codes (k=100 uses 139+) down the compact one.
 const pairCoeffBudget = 32
 
 // wideKernelOK reports whether the pair-table word kernels pay off for a
@@ -85,37 +83,41 @@ var (
 )
 
 // Code is a systematic (n, k) Reed-Solomon erasure code. The generator is
-// immutable after construction; the decode-side caches are guarded by an
-// internal mutex, so a Code is safe for concurrent use.
+// immutable after construction; the decode scratch free-list is guarded by
+// an internal mutex, so a Code is safe for concurrent use.
 type Code struct {
 	k, h   int
 	parity *gf256.Matrix // h x k parity generator rows of G = [I; P]
 	// wideEncode selects the pair-table word kernels for encoding; set at
 	// construction iff the generator's coefficient diversity is within
-	// pairCoeffBudget (decode matrices carry their own flag per cache
-	// entry).
+	// pairCoeffBudget. Decode rows carry ~k distinct coefficients per
+	// erasure pattern, the case the budget exists to keep off the pair
+	// tables, so Reconstruct always runs the compact forms.
 	wideEncode bool
 
-	mu       sync.Mutex
-	invCache map[shardBitmap]*invCacheEntry
-	tick     uint64           // LRU clock for invCache
-	scratch  []*decodeScratch // free-list of decode scratch
+	mu      sync.Mutex
+	scratch []*decodeScratch // free-list of decode scratch
 
 	ins Instruments // optional live counters; zero value = disabled
 }
 
 // Instruments is the codec's optional live metric set (see
-// internal/metrics): symbol throughput on both paths and the inversion
-// cache's hit rate. Any field may be nil; increments on nil counters are
-// no-ops, so partial instrumentation is fine.
+// internal/metrics): symbol throughput on both paths and the count of
+// decodes that solved a parity subsystem. Any field may be nil; increments
+// on nil counters are no-ops, so partial instrumentation is fine.
 type Instruments struct {
 	// EncodeBytes counts parity bytes produced (parity rows x shard size).
 	EncodeBytes *metrics.Counter
 	// DecodeBytes counts data bytes reconstructed (missing rows x size).
 	DecodeBytes *metrics.Counter
-	// CacheHits counts Reconstruct calls served by the inversion cache.
+	// CacheHits is retired: the inversion cache it counted is gone and
+	// nothing increments it. The field and its series stay registered until
+	// the benchmark's cold-row gate, which reads it, is folded away (see
+	// ROADMAP).
 	CacheHits *metrics.Counter
-	// CacheMisses counts Reconstruct calls that ran Gaussian elimination.
+	// CacheMisses counts Reconstruct calls that solved a parity subsystem
+	// (every call with a data shard missing). Retired with CacheHits; the
+	// name is the series' history, not its meaning.
 	CacheMisses *metrics.Counter
 }
 
@@ -133,7 +135,7 @@ func RegisterInstruments(r *metrics.Registry) Instruments {
 	}
 	cache := func(result string) *metrics.Counter {
 		return r.Counter("rse_inv_cache_total",
-			"decode-inversion cache lookups, by result",
+			"retired: decodes that solved a parity subsystem count as miss, hit stays 0",
 			metrics.Label{Key: "result", Value: result})
 	}
 	return Instruments{
@@ -146,20 +148,12 @@ func RegisterInstruments(r *metrics.Registry) Instruments {
 	}
 }
 
-// shardBitmap records which of the n <= 256 shards are present; it keys
-// the inversion cache (the decode matrix is a pure function of it).
-type shardBitmap [4]uint64
-
-func (b *shardBitmap) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-type invCacheEntry struct {
-	inv  *gf256.Matrix
-	wide bool // decode matrix diversity within pairCoeffBudget
-	tick uint64
-}
-
+// decodeScratch is one Reconstruct call's working set, sized at
+// allocation for the worst pattern the code can decode (l = min(k, h) data
+// shards missing) so no call grows it.
 type decodeScratch struct {
 	missing, chosen []int
+	rows            []byte // l x (l+k): see decodeRows
 }
 
 // New returns a code with k data shards and h parity shards per block.
@@ -415,10 +409,12 @@ func (c *Code) getScratch() *decodeScratch {
 	}
 	c.mu.Unlock()
 	if sc == nil {
+		l := min(c.k, c.h)
 		//rmlint:ignore hotpath-alloc scratch allocated on pool miss; recycled by putScratch
 		sc = &decodeScratch{
 			missing: make([]int, 0, c.k),
 			chosen:  make([]int, 0, c.k),
+			rows:    make([]byte, l*(l+c.k)),
 		}
 	}
 	return sc
@@ -431,44 +427,44 @@ func (c *Code) putScratch(sc *decodeScratch) {
 	c.mu.Unlock()
 }
 
-// cachedInverse returns the decode inverse for the given present-shard
-// bitmap and its kernel-choice flag, or nil on a miss. Hits refresh the
-// entry's LRU tick.
-func (c *Code) cachedInverse(key shardBitmap) (inv *gf256.Matrix, wide bool) {
-	c.mu.Lock()
-	if e := c.invCache[key]; e != nil {
-		c.tick++
-		e.tick = c.tick
-		inv, wide = e.inv, e.wide
-	}
-	c.mu.Unlock()
-	return inv, wide
-}
-
-// storeInverse inserts a freshly computed decode inverse, evicting the
-// least-recently-used entry once the cache is full. The entry's kernel
-// choice is decided here, once per erasure pattern.
-func (c *Code) storeInverse(key shardBitmap, inv *gf256.Matrix, wide bool) {
-	c.mu.Lock()
-	if c.invCache == nil {
-		c.invCache = make(map[shardBitmap]*invCacheEntry, invCacheCap)
-	}
-	if _, ok := c.invCache[key]; !ok && len(c.invCache) >= invCacheCap {
-		var oldestKey shardBitmap
-		var oldest uint64
-		first := true
-		for k, e := range c.invCache {
-			if first || e.tick < oldest {
-				oldest = e.tick
-				oldestKey = k
-				first = false
-			}
+// decodeRows returns the l = len(missing) decode rows of an erasure
+// pattern as an l x (l+k) matrix: past its first l columns (the identity),
+// row j holds the k coefficients that rebuild data shard missing[j] from
+// the shards in chosen (the k-l present data shards, then l present
+// parities). Because G = [I; P] is systematic, the present data shards are
+// already solved and only the missing ones are unknowns: writing M for
+// missing, D for the present data and Q for the chosen parities,
+// y_Q = P[Q][M] x_M + P[Q][D] x_D, so with A = P[Q][M]
+//
+//	x_M = (A^-1 P[Q][D]) x_D + A^-1 y_Q
+//
+// (addition and subtraction coincide), and one elimination of the l rows
+// [A | P[Q][D] | I] to [I | A^-1 P[Q][D] | A^-1] produces both factors:
+// O(l^2 (l+k)) byte operations. The rows are exactly rows M of the inverse
+// of the k chosen generator rows — that inverse is unique — without the
+// O(k^3) elimination over rows that were unit vectors to begin with.
+func (c *Code) decodeRows(sc *decodeScratch, missing, chosen []int) ([]byte, error) {
+	l, k := len(missing), c.k
+	w := l + k
+	rows := sc.rows[:l*w]
+	for q, idx := range chosen[k-l:] {
+		prow, row := c.parity.Row(idx-k), rows[q*w:(q+1)*w]
+		for j, m := range missing {
+			row[j] = prow[m]
 		}
-		delete(c.invCache, oldestKey)
+		for r, d := range chosen[:k-l] {
+			row[l+r] = prow[d]
+		}
+		clear(row[k:])
+		row[k+q] = 1
 	}
-	c.tick++
-	c.invCache[key] = &invCacheEntry{inv: inv, wide: wide, tick: c.tick}
-	c.mu.Unlock()
+	if err := gf256.SolveSmall(rows, l, w); err != nil {
+		// Cannot happen for this generator matrix: any k rows are linearly
+		// independent by construction, and A is singular only if the chosen
+		// rows are dependent.
+		return nil, fmt.Errorf("rse: internal decode failure: %w", err)
+	}
+	return rows, nil
 }
 
 // Reconstruct rebuilds every missing data shard in place. shards must have
@@ -476,16 +472,17 @@ func (c *Code) storeInverse(key shardBitmap, inv *gf256.Matrix, wide bool) {
 // must share one (non-zero) length. Data shards occupy indices [0,k),
 // parities [k,n). At least k shards must be present. Missing parity
 // shards are left untouched (recompute them with Encode if needed). The
-// work is proportional to the number of missing data shards, matching the
-// paper's observation that decoding overhead is proportional to the loss
-// count l.
+// work is proportional to the number of missing data shards l, matching
+// the paper's observation that decoding overhead is proportional to the
+// loss count: l*k multiply-accumulates over the shard length, after the
+// O(l^3 + l^2 k) bytes of decodeRows.
 //
 // Allocation contract: a missing shard passed as a zero-length slice with
 // capacity >= the shard length is rebuilt into its own backing array, so
 // a caller that recycles shard buffers makes steady-state Reconstruct
-// allocation-free once the loss pattern's inverse is cached (see
-// TestReconstructSteadyStateAllocs). Missing shards passed as nil are
-// freshly allocated as before.
+// allocation-free whatever the loss pattern (see
+// TestReconstructSteadyStateAllocs, TestReconstructCyclingPatternsAllocs).
+// Missing shards passed as nil are freshly allocated as before.
 //
 //rmlint:hotpath
 func (c *Code) Reconstruct(shards [][]byte) error {
@@ -500,89 +497,51 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	missing := sc.missing[:0]
+	// Pick k present shards: every present data shard (its generator row is
+	// a unit vector, so it costs the solve nothing), then the first present
+	// parities, one per missing data shard.
+	missing, chosen := sc.missing[:0], sc.chosen[:0]
 	for i := 0; i < c.k; i++ {
 		if len(shards[i]) == 0 {
 			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
 			missing = append(missing, i)
+		} else {
+			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
+			chosen = append(chosen, i)
 		}
 	}
 	if len(missing) == 0 {
 		return nil // systematic fast path: nothing to decode
 	}
-
-	// Pick k present shards, preferring data shards (their generator rows
-	// are unit vectors, which keeps the decode matrix sparse), and build
-	// the present-shard bitmap that keys the inversion cache.
-	chosen := sc.chosen[:0]
-	var key shardBitmap
-	for i := 0; i < c.k && len(chosen) < c.k; i++ {
-		if len(shards[i]) != 0 {
-			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
-			chosen = append(chosen, i)
-			key.set(i)
-		}
-	}
 	for i := c.k; i < n && len(chosen) < c.k; i++ {
 		if len(shards[i]) != 0 {
 			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
 			chosen = append(chosen, i)
-			key.set(i)
 		}
 	}
 	if len(chosen) < c.k {
 		return fmt.Errorf("%w: %d of %d present", ErrTooFewShards, len(chosen), c.k)
 	}
-
-	inv, wide := c.cachedInverse(key)
-	if inv != nil {
-		c.ins.CacheHits.Inc()
-	} else {
-		c.ins.CacheMisses.Inc()
+	rows, err := c.decodeRows(sc, missing, chosen)
+	if err != nil {
+		return err
 	}
-	if inv == nil {
-		// Decode matrix: rows of G for the chosen shards.
-		//rmlint:ignore hotpath-alloc decode inverse is built once per erasure pattern, then cached
-		a := gf256.NewMatrix(c.k, c.k)
-		for r, idx := range chosen {
-			if idx < c.k {
-				a.Set(r, idx, 1)
-			} else {
-				copy(a.Row(r), c.parity.Row(idx-c.k))
-			}
-		}
-		//rmlint:ignore hotpath-alloc decode inverse is built once per erasure pattern, then cached
-		inv, err = a.Invert()
-		if err != nil {
-			// Cannot happen for this generator matrix; any k rows are
-			// linearly independent by construction.
-			return fmt.Errorf("rse: internal decode failure: %w", err)
-		}
-		wide = wideKernelOK(inv)
-		//rmlint:ignore hotpath-alloc cache insert runs once per erasure pattern
-		c.storeInverse(key, inv, wide)
-	}
+	c.ins.CacheMisses.Inc()
 
-	// Each missing data shard i is row i of inv times the received
+	// Each missing data shard is its decode row times the received
 	// vector; the first column overwrites via MulSlice so recycled
 	// output buffers need no zero-fill.
-	for _, i := range missing {
+	l := len(missing)
+	for j, i := range missing {
 		out := sizeFor(shards[i], size)
-		row := inv.Row(i)
-		if wide {
-			gf256.MulSlice(row[0], shards[chosen[0]], out)
-			for r := 1; r < len(chosen); r++ {
-				gf256.MulAddSlice(row[r], shards[chosen[r]], out)
-			}
-		} else {
-			gf256.MulSliceCompact(row[0], shards[chosen[0]], out)
-			for r := 1; r < len(chosen); r++ {
-				gf256.MulAddSliceCompact(row[r], shards[chosen[r]], out)
-			}
+		row := rows[j*(l+c.k)+l : (j+1)*(l+c.k)]
+		gf256.MulSliceCompact(row[0], shards[chosen[0]], out)
+		for r := 1; r < len(chosen); r++ {
+			gf256.MulAddSliceCompact(row[r], shards[chosen[r]], out)
 		}
 		shards[i] = out
 	}
-	c.ins.DecodeBytes.Add(uint64(len(missing)) * uint64(size))
+	c.ins.DecodeBytes.Add(uint64(l) * uint64(size))
 	return nil
 }
 
