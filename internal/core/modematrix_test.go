@@ -192,16 +192,16 @@ var modeGoldens = map[string]modeGolden{
 	"ewma/depth8": {"2261:c4a18e293ce2c0873652b3f250d79f1a167c0599ff458d93381f95f6275b7dce",
 		"{DataTx:1416 ParityTx:513 PollTx:326 FinTx:6 NakRx:167 NakServed:150 Encoded:513 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:5fc1c4572db3156964df51343dedbbb92f2f479c76a33009e50efb5914b85ae7"},
-	"ladder/depth0": {"2888:41619beb482e29dddd55dca3cb1b81a0e9fbbf09c284551ba1aa2cca62b8ba63",
+	"ladder/depth0": {"2888:2e71bce080aeb0976c9033d81e49f76a8ce7a29e42c8a4895b2569ad77118f5b",
 		"{DataTx:1420 ParityTx:1160 PollTx:302 FinTx:6 NakRx:134 NakServed:106 Encoded:1160 TxErrors:0 NcTx:0 NcRounds:0}",
 		"196:31996cbf96b8bda35205c59fdf1dd2c22ad04fb79240a52f5f06d21358531e27"},
-	"ladder/depth8": {"2888:41619beb482e29dddd55dca3cb1b81a0e9fbbf09c284551ba1aa2cca62b8ba63",
+	"ladder/depth8": {"2888:2e71bce080aeb0976c9033d81e49f76a8ce7a29e42c8a4895b2569ad77118f5b",
 		"{DataTx:1420 ParityTx:1160 PollTx:302 FinTx:6 NakRx:134 NakServed:106 Encoded:1389 TxErrors:0 NcTx:0 NcRounds:0}",
 		"196:31996cbf96b8bda35205c59fdf1dd2c22ad04fb79240a52f5f06d21358531e27"},
-	"ladder-nc/depth0": {"2918:97f17a533d506911f24fa65f502fb2d61623726024759ed8a9a1170bbc53fbb4",
+	"ladder-nc/depth0": {"2918:76ea5a81de271e9dfc13309eb016ef7b70f666845493ce7884755a1405bdbf98",
 		"{DataTx:1408 ParityTx:1169 PollTx:305 FinTx:6 NakRx:135 NakServed:108 Encoded:1169 TxErrors:0 NcTx:30 NcRounds:4}",
 		"197:34d1a58c8e640e53a38a2d0239769fac602918fd38e2808c31bf53506a556f5a"},
-	"ladder-nc/depth8": {"2918:97f17a533d506911f24fa65f502fb2d61623726024759ed8a9a1170bbc53fbb4",
+	"ladder-nc/depth8": {"2918:76ea5a81de271e9dfc13309eb016ef7b70f666845493ce7884755a1405bdbf98",
 		"{DataTx:1408 ParityTx:1169 PollTx:305 FinTx:6 NakRx:135 NakServed:108 Encoded:1399 TxErrors:0 NcTx:30 NcRounds:4}",
 		"197:34d1a58c8e640e53a38a2d0239769fac602918fd38e2808c31bf53506a556f5a"},
 }

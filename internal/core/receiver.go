@@ -382,6 +382,15 @@ func (r *Receiver) noteTotal(total uint32) {
 	}
 }
 
+// noteHeader notes a TG-scoped frame's Total. Only a v1 header states the
+// group count there; a v2 one announces the message's source-shard count
+// (on v2 the FIN alone brings the group count).
+func (r *Receiver) noteHeader(pkt *packet.Packet) {
+	if pkt.Vers != packet.V2 {
+		r.noteTotal(pkt.Total)
+	}
+}
+
 // wireKH extracts and validates a TG-scoped packet's group parameters.
 // Static sessions pin them to the config; adaptive sessions read them from
 // the v2 header (a v1 frame carries no h, so the ladder bound is assumed)
@@ -412,7 +421,7 @@ func (r *Receiver) onShard(pkt *packet.Packet) {
 	if int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
 		return // beyond any transfer this receiver would accept
 	}
-	r.noteTotal(pkt.Total)
+	r.noteHeader(pkt)
 	if r.released(pkt.Group) {
 		return
 	}
@@ -612,7 +621,7 @@ func (r *Receiver) onPoll(pkt *packet.Packet) {
 	if int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
 		return
 	}
-	r.noteTotal(pkt.Total)
+	r.noteHeader(pkt)
 	if r.released(pkt.Group) {
 		return
 	}
@@ -737,7 +746,7 @@ func (r *Receiver) onNcRepair(pkt *packet.Packet) {
 	if !ok || int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
 		return
 	}
-	r.noteTotal(pkt.Total)
+	r.noteHeader(pkt)
 	if r.released(pkt.Group) {
 		return
 	}

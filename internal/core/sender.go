@@ -68,7 +68,7 @@ type Sender struct {
 	// newer frames.
 	vers     uint8
 	frameLen int    // wire length of a data or parity frame
-	total    uint32 // Total of TG-scoped packets: the group count on v1, 0 (unknown until FIN) on v2
+	total    uint32 // Total of TG-scoped packets: the group count on v1, the message's source-shard count on v2
 
 	policy redundancy
 	ctl    *adapt.Controller // the ladder policy's controller, else nil
@@ -316,6 +316,12 @@ func (s *Sender) Send(msg []byte) error {
 		// A v1 session never re-cuts, so the leanest cut is the cut and
 		// every TG header can announce the final count.
 		s.total = uint32(maxTG)
+	} else {
+		// Re-cuts move the group count but never the shard count: a v2 TG
+		// header announces how many source shards the message cuts into
+		// (0 for the empty message), which is what a receiver needs to
+		// size its reassembly buffer before the FIN.
+		s.total = uint32((len(msg) + s.cfg.ShardSize - 1) / s.cfg.ShardSize)
 	}
 	// Clone appends onto an empty slice, so nothing is zero-filled first:
 	// growslice does not clear what it is about to copy over, make would.
@@ -923,9 +929,9 @@ func (s *Sender) enqueuePoll(tg *txGroup, roundSize int) {
 func (s *Sender) enqueueFin() {
 	var payload [8]byte
 	binary.BigEndian.PutUint64(payload[:], uint64(len(s.msg)))
-	// The FIN carries the only authoritative group count of a v2 transfer
-	// (its TG headers say Total = 0). It is first enqueued after the last
-	// group, when len(s.groups) is final.
+	// The FIN carries the only group count of a v2 transfer (its TG headers
+	// announce the source-shard count instead). It is first enqueued after
+	// the last group, when len(s.groups) is final.
 	p := packet.Packet{
 		Type:    packet.TypeFin,
 		Vers:    s.vers,

@@ -460,6 +460,16 @@ func (f *Field) noteTotal(total uint32) {
 	}
 }
 
+// noteHeader notes a TG-scoped frame's Total. Only a v1 header states the
+// group count there; a v2 one announces the message's source-shard count,
+// which a field, holding no payload, has no use for (on v2 the FIN alone
+// brings the group count).
+func (f *Field) noteHeader(pkt *packet.Packet) {
+	if pkt.Vers != packet.V2 {
+		f.noteTotal(pkt.Total)
+	}
+}
+
 func (f *Field) group(idx uint32) *fgroup {
 	g, ok := f.groups[idx]
 	if !ok {
@@ -511,7 +521,7 @@ func (f *Field) onShard(pkt *packet.Packet, lost []int) {
 	if int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
 		return
 	}
-	f.noteTotal(pkt.Total)
+	f.noteHeader(pkt)
 	g := f.group(pkt.Group)
 	if g.k == 0 {
 		g.k, g.h = k, h // FIN-created group adopts the negotiated params
@@ -824,7 +834,7 @@ func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
 	if !ok || int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
 		return
 	}
-	f.noteTotal(pkt.Total)
+	f.noteHeader(pkt)
 	g := f.group(pkt.Group)
 	if g.k == 0 {
 		g.k, g.h = k, h
@@ -871,7 +881,7 @@ func (f *Field) onPoll(pkt *packet.Packet) {
 	if int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
 		return
 	}
-	f.noteTotal(pkt.Total)
+	f.noteHeader(pkt)
 	g := f.group(pkt.Group)
 	if g.k == 0 {
 		if k, h, ok := f.wireKH(pkt); ok {
