@@ -17,7 +17,8 @@ lint:
 
 # Race-detector pass over the packages that own or drive concurrency
 # (rse/rse16 join for the sharded parallel encode, gf256 for the pair
-# tables' compare-and-swap publish, loss for its shared skip tables).
+# tables' compare-and-swap publish, loss for its shared skip tables;
+# internal/core's placement and peak-heap tests run under -short too).
 race:
 	$(GO) test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
 

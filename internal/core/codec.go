@@ -36,7 +36,9 @@ type Codec interface {
 	// the sharded encode-ahead path parallelises over.
 	EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error
 	// Reconstruct rebuilds missing data shards in place; shards has
-	// length k+h with nil marking losses.
+	// length k+h with nil or zero-length slices marking losses, and a
+	// zero-length one with capacity for a shard is rebuilt into its own
+	// backing array (the receiver's message-buffer slots).
 	Reconstruct(shards [][]byte) error
 	// ShortfallBits returns the number of repair packets still needed to
 	// complete a group given the present-shard bitmap have (bit i set
@@ -107,18 +109,6 @@ func mdsShortfall(k, n int, have uint64) int {
 		return 0
 	}
 	return k - held
-}
-
-// codecZeroFill reports whether the backend's Reconstruct expects missing
-// shards as zero-length slices with spare capacity (the recycling
-// contract of rse and rect) rather than nil.
-func codecZeroFill(c Codec) bool {
-	switch c.(type) {
-	case gf8Codec, rectCodec:
-		return true
-	default:
-		return false
-	}
 }
 
 // newCodec selects the backend for the configuration: GF(2^8) whenever the

@@ -12,20 +12,20 @@ import (
 	"rmfec/internal/simnet"
 )
 
-// recordingEnv is a simnet sender node whose every outgoing frame is
-// folded into a transcript hash before it reaches the medium.
+// recordingEnv is a simnet sender node whose every outgoing frame is shown
+// to tap (a transcript hash, a frame capture) before it reaches the medium.
 type recordingEnv struct {
 	*simnet.Node
-	hash *transcriptHash
+	tap func(b []byte)
 }
 
 func (e recordingEnv) Multicast(b []byte) error {
-	e.hash.add(b)
+	e.tap(b)
 	return e.Node.Multicast(b)
 }
 
 func (e recordingEnv) MulticastControl(b []byte) error {
-	e.hash.add(b)
+	e.tap(b)
 	return e.Node.MulticastControl(b)
 }
 
@@ -96,9 +96,10 @@ func renderTrace(tr []GroupInfo) string {
 	return b.String()
 }
 
-func runModeCell(t *testing.T, cfg Config) (modeGolden, *Sender, string) {
+// runMatrixChannel transfers the matrix message over the matrix channel,
+// showing tap every frame the sender multicasts.
+func runMatrixChannel(t testing.TB, cfg Config, tap func(b []byte)) (*harness, []byte) {
 	t.Helper()
-	hash := newTranscriptHash()
 	h := newHarness(t, harnessOpts{
 		r:   4,
 		cfg: cfg,
@@ -110,13 +111,20 @@ func runModeCell(t *testing.T, cfg Config) (modeGolden, *Sender, string) {
 			}
 		},
 		seed:      3101,
-		senderEnv: func(n *simnet.Node) Env { return recordingEnv{n, hash} },
+		senderEnv: func(n *simnet.Node) Env { return recordingEnv{n, tap} },
 	})
 	// Not a multiple of any K*ShardSize in the matrix: the last group of
 	// every mode carries a partial shard and all-padding shards.
 	msg := testMessage(90017, 3102)
 	h.run(t, msg)
 	h.checkDelivered(t, msg)
+	return h, msg
+}
+
+func runModeCell(t *testing.T, cfg Config) (modeGolden, *Sender, string) {
+	t.Helper()
+	hash := newTranscriptHash()
+	h, _ := runMatrixChannel(t, cfg, hash.add)
 	trace := renderTrace(h.sender.GroupTrace())
 	return modeGolden{
 		transcript: hash.sum(),

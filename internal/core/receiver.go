@@ -72,12 +72,19 @@ type Receiver struct {
 	lastG   *rxGroup
 
 	// msgBuf is the message under reassembly (OnComplete mode), committed in
-	// steps (commit): data shard (g, seq) of a static session lives at offset.
+	// steps (commit): data shard seq of group g is message shard g.base+seq
+	// and lives at offset(g, seq) once the buffer covers it. slots is how
+	// many message shards the sender declared (noteHeader), the most the
+	// buffer is ever committed for; 0 until declared. Groups [0, frontG) of
+	// an adaptive session have their base, frontBase being the next one.
 	msgBuf    []byte
+	slots     int
+	frontG    uint32
+	frontBase int
 	firstStep int // firstCommit; tests shrink it to reach the later steps
+	loose     int // data shards taken from the pool, not placed in msgBuf; 0 = nothing to gather
 	gathers   int // shards the delivery gather had to copy into msgBuf
 
-	zeroFill   bool       // codec rebuilds into zero-len buffers with capacity (GF(2^8))
 	shardPool  bufPool    // recycled shard buffers (ShardSize each)
 	ctrlFrames bufPool    // recycled NAK wire frames
 	freeGroups []*rxGroup // recycled group bookkeeping (streaming mode)
@@ -108,6 +115,7 @@ type rxGroup struct {
 	shards     [][]byte // len k+h; nil = not received
 	k          int      // data shards; 0 while unknown (adaptive group seen only via FIN)
 	h          int      // parity budget
+	base       int      // message shard index of data shard 0; -1 while unknown (setBase)
 	have       int      // shards present
 	firstAt    time.Duration
 	sawShard   bool
@@ -143,15 +151,10 @@ func NewReceiver(env Env, cfg Config) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only the GF(2^8) and rect codecs honour the zero-length-with-capacity
-	// Reconstruct contract; GF(2^16) groups mark losses with nil and let
-	// the codec allocate.
-	zeroFill := codecZeroFill(code)
 	r := &Receiver{
 		env:        env,
 		cfg:        cfg,
 		code:       code,
-		zeroFill:   zeroFill,
 		firstStep:  firstCommit,
 		groups:     make(map[uint32]*rxGroup),
 		totalTG:    -1,
@@ -231,11 +234,33 @@ func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
 			//rmlint:ignore hotpath-alloc one allocation per live group; groups recycle through freeGroups
 			g = &rxGroup{shards: make([][]byte, nsh)}
 		}
-		g.k, g.h = k, h
+		g.k, g.h, g.base = k, h, -1
 		r.groups[idx] = g
+		r.setBase(idx, g)
 	}
 	r.lastIdx, r.lastG = idx, g
 	return g
+}
+
+// setBase gives g its base as soon as it can be known. On a static session
+// that is at once: every group holds K shards. On an adaptive one it is the
+// sum of the k of every earlier group, so bases are handed out by a
+// frontier that advances over each consecutive group whose k is known
+// (call this whenever a group's k becomes known); a group behind an earlier
+// one that was lost whole waits.
+func (r *Receiver) setBase(idx uint32, g *rxGroup) {
+	if !r.cfg.AdaptiveFEC {
+		g.base = int(idx) * r.cfg.K
+		return
+	}
+	if idx != r.frontG {
+		return
+	}
+	for ; g != nil && g.k > 0; g = r.groups[r.frontG] {
+		g.base = r.frontBase
+		r.frontBase += g.k
+		r.frontG++
+	}
 }
 
 // putShards returns pooled shard buffers to the pool and clears their slots.
@@ -269,42 +294,46 @@ func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
 // firstCommit is the first step of the message-buffer commit rule.
 const firstCommit = 64 << 20
 
-// offset is where data shard (group, seq) of a static session sits in msgBuf.
-func (r *Receiver) offset(group uint32, seq int) int {
-	return (int(group)*r.cfg.K + seq) * r.cfg.ShardSize
+// offset is where data shard seq of g sits in msgBuf, given g's base.
+func (r *Receiver) offset(g *rxGroup, seq int) int {
+	return (g.base + seq) * r.cfg.ShardSize
 }
 
-// shardBuf returns the buffer shard (group, seq) is received or rebuilt
-// into: its final slot in the message buffer if it can be placed, else a
-// pooled buffer, which the delivery gather copies into place. Not
-// placeable: streaming mode, parities, adaptive sessions (per-group k makes
-// offsets unknowable until every group is in), an unknown total, and slots
-// the commit rule keeps out of the buffer.
+// shardBuf returns the buffer shard seq of g is received or rebuilt into:
+// its final slot in the message buffer if it can be placed, else a pooled
+// buffer, which the delivery gather copies into place. Not placeable:
+// streaming mode, parities, a group whose base is not known yet, shards
+// past the declared count (none declared yet, or the tail group's
+// all-padding shards), and slots the commit rule keeps out of the buffer.
 //
 //rmlint:hotpath
-func (r *Receiver) shardBuf(group uint32, seq int) []byte {
+func (r *Receiver) shardBuf(g *rxGroup, seq int) []byte {
 	ss := r.cfg.ShardSize
-	if r.OnComplete != nil && !r.cfg.AdaptiveFEC && seq < r.cfg.K && int(group) < r.totalTG {
-		if off := r.offset(group, seq); off+ss <= len(r.msgBuf) || r.commit(off+ss) {
-			return r.msgBuf[off : off+ss : off+ss]
+	if seq < g.k {
+		if r.OnComplete != nil && g.base >= 0 && g.base+seq < r.slots {
+			if off := r.offset(g, seq); off+ss <= len(r.msgBuf) || r.commit(off+ss) {
+				return r.msgBuf[off : off+ss : off+ss]
+			}
 		}
+		r.loose++
 	}
 	return r.shardPool.get(ss)
 }
 
-// inPlace reports whether s is data shard (group, seq)'s slot of buf.
-func (r *Receiver) inPlace(s, buf []byte, group uint32, seq int) bool {
-	off := r.offset(group, seq)
-	return cap(s) > 0 && off < len(buf) && &s[:1][0] == &buf[off]
+// inPlace reports whether s is the slot of buf that data shard seq of g
+// belongs in.
+func (r *Receiver) inPlace(s, buf []byte, g *rxGroup, seq int) bool {
+	off := r.offset(g, seq)
+	return g.base >= 0 && cap(s) > 0 && off < len(buf) && &s[:1][0] == &buf[off]
 }
 
 // commit extends msgBuf by one step so that it covers [0, end), or reports
-// that the rule forbids it. A packet's declared Total must not buy memory:
+// that the rule forbids it. A header's declared count must not buy memory:
 // the first step is min(declared bytes, firstStep), each later one x4 and
 // no larger than 4x the shard bytes accepted so far.
 func (r *Receiver) commit(end int) bool {
 	ss := r.cfg.ShardSize
-	declared := r.totalTG * r.cfg.K * ss
+	declared := r.slots * ss
 	size, limit := r.firstStep, declared
 	if n := len(r.msgBuf); n > 0 {
 		size, limit = 4*n, 4*ss*(r.stats.DataRx+r.stats.ParityRx+r.stats.NcRepaired)
@@ -323,10 +352,10 @@ func (r *Receiver) grow(size int) {
 	//rmlint:ignore hotpath-alloc message buffer commit: at most log4(size/firstCommit)+1 steps per session
 	r.msgBuf = make([]byte, size)
 	copy(r.msgBuf, old)
-	for idx, g := range r.groups {
+	for _, g := range r.groups {
 		for j := 0; j < g.k; j++ {
-			if s := g.shards[j]; r.inPlace(s, old, idx, j) {
-				off := r.offset(idx, j)
+			if s := g.shards[j]; r.inPlace(s, old, g, j) {
+				off := r.offset(g, j)
 				g.shards[j] = r.msgBuf[off : off+len(s) : off+r.cfg.ShardSize]
 			}
 		}
@@ -382,12 +411,19 @@ func (r *Receiver) noteTotal(total uint32) {
 	}
 }
 
-// noteHeader notes a TG-scoped frame's Total. Only a v1 header states the
-// group count there; a v2 one announces the message's source-shard count
-// (on v2 the FIN alone brings the group count).
-func (r *Receiver) noteHeader(pkt *packet.Packet) {
+// noteHeader notes what a TG-scoped frame's Total declares. A v1 header
+// states the group count, each group holding k shards; a v2 one announces
+// the message's source-shard count itself (0 = unannounced; the group count
+// of a v2 session comes with the FIN alone). The first declaration stands.
+func (r *Receiver) noteHeader(pkt *packet.Packet, k int) {
+	if r.slots > 0 {
+		return
+	}
 	if pkt.Vers != packet.V2 {
 		r.noteTotal(pkt.Total)
+		r.slots = max(r.totalTG, 0) * k
+	} else if int64(pkt.Total) <= int64(r.cfg.MaxGroups)*int64(r.maxK) {
+		r.slots = int(pkt.Total)
 	}
 }
 
@@ -413,32 +449,44 @@ func (r *Receiver) wireKH(pkt *packet.Packet) (k, h int, ok bool) {
 	return k, h, true
 }
 
-func (r *Receiver) onShard(pkt *packet.Packet) {
+// shardGroup is the front half DATA, PARITY and NCREPAIR frames share: it
+// checks the header against the session's bounds, notes its total and
+// returns the frame's group with (k, h) and the codec adopted — or nil when
+// the frame is to be ignored: foreign, beyond any transfer this receiver
+// would accept, for a finished group, or contradicting what the group
+// adopted from an earlier frame.
+func (r *Receiver) shardGroup(pkt *packet.Packet) *rxGroup {
 	k, h, ok := r.wireKH(pkt)
-	if !ok {
-		return
+	if !ok || int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
+		return nil
 	}
-	if int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
-		return // beyond any transfer this receiver would accept
-	}
-	r.noteHeader(pkt)
+	r.noteHeader(pkt, k)
 	if r.released(pkt.Group) {
-		return
+		return nil
 	}
 	g := r.group(pkt.Group, k, h)
 	if g.done {
-		return
+		return nil
 	}
 	if g.k == 0 {
 		g.k, g.h = k, h // FIN-created group adopts the negotiated params
+		r.setBase(pkt.Group, g)
 	} else if g.k != k {
-		return // conflicting parameters for the same group
+		return nil
 	}
 	if !r.adoptCodec(g, pkt, k, h) {
+		return nil
+	}
+	return g
+}
+
+func (r *Receiver) onShard(pkt *packet.Packet) {
+	g := r.shardGroup(pkt)
+	if g == nil {
 		return
 	}
 	idx := int(pkt.Seq)
-	if idx >= len(g.shards) || idx >= k+h || len(pkt.Payload) != r.cfg.ShardSize {
+	if idx >= len(g.shards) || idx >= g.k+g.h || len(pkt.Payload) != r.cfg.ShardSize {
 		return
 	}
 	if g.shards[idx] != nil {
@@ -447,7 +495,7 @@ func (r *Receiver) onShard(pkt *packet.Packet) {
 		return
 	}
 	// pkt.Payload aliases the transport's read buffer; keep the one copy.
-	shard := r.shardBuf(pkt.Group, idx)
+	shard := r.shardBuf(g, idx)
 	copy(shard, pkt.Payload)
 	g.shards[idx] = shard
 	g.have++
@@ -494,7 +542,7 @@ func (r *Receiver) adoptCodec(g *rxGroup, pkt *packet.Packet, k, h int) bool {
 		if int(arg) != h || k+h > 64 {
 			return false
 		}
-		c, _ := r.codecKH(k, h, id, arg)
+		c := r.codecKH(k, h, id, arg)
 		if c == nil {
 			return false
 		}
@@ -518,19 +566,19 @@ func (r *Receiver) groupComplete(g *rxGroup) bool {
 	return g.have >= g.k
 }
 
-// codecKH returns the codec (and its zero-fill contract) for a group's
-// (k, h, codec id, codec arg): the static instance when everything
-// matches the config, else a cached per-(rung, codec) instance. A nil
-// codec means the combination is unserviceable.
-func (r *Receiver) codecKH(k, h int, id, arg uint8) (Codec, bool) {
+// codecKH returns the codec for a group's (k, h, codec id, codec arg): the
+// static instance when everything matches the config, else a cached
+// per-(rung, codec) instance. A nil codec means the combination is
+// unserviceable.
+func (r *Receiver) codecKH(k, h int, id, arg uint8) Codec {
 	if id == packet.CodecRS && arg == 0 && k == r.cfg.K && h == r.cfg.MaxParity {
-		return r.code, r.zeroFill
+		return r.code
 	}
 	c, err := r.codecs.get(k, h, id, arg)
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	return c, codecZeroFill(c)
+	return c
 }
 
 func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
@@ -547,18 +595,16 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 		}
 	}
 	if needsDecode {
-		code, zeroFill := r.codecKH(gk, g.h, g.codecID, g.codecArg)
+		code := r.codecKH(gk, g.h, g.codecID, g.codecArg)
 		if code == nil {
 			return // unserviceable (k,h); the group stays incomplete
 		}
-		if zeroFill {
-			// Hand the codec zero-length buffers for the missing data
-			// slots; Reconstruct rebuilds into them in place, so a lost
-			// shard lands where a received one would have.
-			for i := 0; i < gk; i++ {
-				if g.shards[i] == nil {
-					g.shards[i] = r.shardBuf(idx, i)[:0]
-				}
+		// Hand the codec zero-length buffers for the missing data slots;
+		// Reconstruct rebuilds into them in place, so a lost shard lands
+		// where a received one would have.
+		for i := 0; i < gk; i++ {
+			if g.shards[i] == nil {
+				g.shards[i] = r.shardBuf(g, i)[:0]
 			}
 		}
 		if err := code.Reconstruct(g.shards[:nsh]); err != nil {
@@ -566,8 +612,9 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 			// incomplete.
 			for i := 0; i < gk; i++ {
 				if s := g.shards[i]; s != nil && len(s) == 0 {
-					if !r.inPlace(s, r.msgBuf, idx, i) {
+					if !r.inPlace(s, r.msgBuf, g, i) {
 						r.shardPool.put(s[:cap(s)])
+						r.loose--
 					}
 					g.shards[i] = nil
 				}
@@ -618,20 +665,18 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 func (r *Receiver) onPoll(pkt *packet.Packet) {
 	r.stats.PollRx++
 	r.m.pollRx.Inc()
-	if int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
-		return
-	}
-	r.noteHeader(pkt)
-	if r.released(pkt.Group) {
-		return
-	}
 	k, h, ok := r.wireKH(pkt)
-	if !ok {
+	if !ok || int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
+		return
+	}
+	r.noteHeader(pkt, k)
+	if r.released(pkt.Group) {
 		return
 	}
 	g := r.group(pkt.Group, k, h)
 	if g.k == 0 {
 		g.k, g.h = k, h
+		r.setBase(pkt.Group, g)
 	}
 	g.heardNak = 0 // new suppression round
 	r.armNak(pkt.Group, g, int(pkt.Count))
@@ -742,30 +787,14 @@ func (r *Receiver) fireNak(idx uint32, g *rxGroup) {
 // combos covering 2+ local losses are undecodable here and only counted
 // — the next POLL's NAK re-reports the loss map and the sender re-plans.
 func (r *Receiver) onNcRepair(pkt *packet.Packet) {
-	k, h, ok := r.wireKH(pkt)
-	if !ok || int64(pkt.Group) >= int64(r.cfg.MaxGroups) {
+	if len(pkt.Payload) != packet.NcMaskLen+r.cfg.ShardSize || pkt.K > 63 {
 		return
 	}
-	r.noteHeader(pkt)
-	if r.released(pkt.Group) {
+	g := r.shardGroup(pkt)
+	if g == nil {
 		return
 	}
-	if len(pkt.Payload) != packet.NcMaskLen+r.cfg.ShardSize || k > 63 {
-		return
-	}
-	g := r.group(pkt.Group, k, h)
-	if g.done {
-		return
-	}
-	if g.k == 0 {
-		g.k, g.h = k, h
-	} else if g.k != k {
-		return
-	}
-	if !r.adoptCodec(g, pkt, k, h) {
-		return
-	}
-	mask := binary.BigEndian.Uint64(pkt.Payload) & (uint64(1)<<uint(k) - 1)
+	mask := binary.BigEndian.Uint64(pkt.Payload) & (uint64(1)<<uint(g.k) - 1)
 	if mask == 0 {
 		return
 	}
@@ -788,7 +817,7 @@ func (r *Receiver) onNcRepair(pkt *packet.Packet) {
 		r.m.ncUnusable.Inc()
 		return
 	}
-	shard := r.shardBuf(pkt.Group, missIdx)
+	shard := r.shardBuf(g, missIdx)
 	copy(shard, pkt.Payload[packet.NcMaskLen:])
 	for m := mask &^ (uint64(1) << uint(missIdx)); m != 0; {
 		i := bits.TrailingZeros64(m)
@@ -865,8 +894,9 @@ func (r *Receiver) maybeComplete() {
 		r.Close()
 		return
 	}
-	// Gather: place if you can, gather what you couldn't. The buffer is
-	// sized by the shards actually held, never by the FIN's msgLen.
+	// Gather: place if you can, gather what you couldn't. The FIN's msgLen
+	// is believed only up to the shards actually held, and the buffer grows
+	// only to the shards the message reaches into.
 	ss := r.cfg.ShardSize
 	total := 0
 	for i := 0; i < r.totalTG; i++ {
@@ -879,15 +909,20 @@ func (r *Receiver) maybeComplete() {
 	if uint64(total) < r.msgLen {
 		return // inconsistent sender; refuse to deliver short data
 	}
-	if len(r.msgBuf) < total {
-		r.grow(total)
+	need := (int(r.msgLen) + ss - 1) / ss * ss
+	if r.msgBuf == nil || len(r.msgBuf) < need {
+		r.grow(need) // even by nothing: the empty message is delivered non-nil
 	}
-	for i, off := uint32(0), 0; int(i) < r.totalTG; i++ {
-		g := r.groups[i]
-		for j := 0; j < g.k; j, off = j+1, off+ss {
-			if s := g.shards[j]; !r.inPlace(s, r.msgBuf, i, j) {
-				copy(r.msgBuf[off:], s)
-				r.gathers++
+	// With every data shard in place the buffer already is the message;
+	// else copy in the pooled ones it reaches into.
+	if r.loose > 0 {
+		for i, off := uint32(0), 0; off < need; i++ {
+			g := r.groups[i]
+			for j := 0; j < g.k && off < need; j, off = j+1, off+ss {
+				if s := g.shards[j]; !r.inPlace(s, r.msgBuf, g, j) {
+					copy(r.msgBuf[off:], s)
+					r.gathers++
+				}
 			}
 		}
 	}

@@ -15,6 +15,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{Magic, V1, byte(TypeNak), 0, 0, 0, 0, 1})
 	f.Add((&Packet{Vers: V2, Type: TypeData, K: 8, H: 4, Payload: []byte("v2 seed")}).MustEncode())
 	f.Add((&Packet{Vers: V2, Type: TypeParity, K: 12, H: 10, Seq: 13, Codec: 1, CodecArg: 2}).MustEncode())
+	f.Add((&Packet{Vers: V2, Type: TypeData, K: 32, H: 4, Group: 2, Seq: 7, Total: 8192, // announces the source-shard count
+		Payload: []byte("announced")}).MustEncode())
 	f.Add([]byte{Magic, V2, byte(TypePoll), 0, 0, 0, 0, 1}) // v2 header truncated below HeaderLenV2
 	f.Add((&Packet{Vers: V2, Type: TypeData, K: 20, H: 5, Seq: 3, Codec: CodecRect, CodecArg: 5,
 		Payload: []byte("rect shard")}).MustEncode())

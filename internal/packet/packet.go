@@ -17,16 +17,25 @@
 //	offset 16 : uint16 count  — POLL: packets sent in the finished round (s)
 //	                            NAK:  packets still needed (l)
 //	offset 18 : uint16 payload length
-//	offset 20 : uint32 total  — FIN: number of TGs (NP) / packets (N2) in
-//	                            the transfer; 0 elsewhere
+//	offset 20 : uint32 total  — number of TGs (NP) / packets (N2) in the
+//	                            transfer: on the FIN and on every
+//	                            TG-scoped frame (DATA, PARITY, POLL); 0 =
+//	                            not stated
 //	offset 24 : payload
 //
 // Version 2 extends the header to 28 bytes for the adaptive FEC control
 // plane (see internal/adapt): the TG header carries the full codec
 // parameterisation so a sender may renegotiate (k, h) between transmission
 // groups mid-transfer and receivers can size each group's state from the
-// wire alone:
+// wire alone. A renegotiating sender does not know its final TG count
+// before the FIN, so offset 20 changes meaning on TG-scoped frames:
 //
+//	offset 20 : uint32 total  — FIN: number of TGs in the transfer.
+//	                            TG-scoped frames (DATA, PARITY, NCREPAIR,
+//	                            POLL): the message's source-shard count,
+//	                            ceil(message length / shard size), which
+//	                            no re-cut moves and a receiver sizes its
+//	                            reassembly buffer by; 0 = unannounced
 //	offset 24 : uint16 h      — parities encodable for this TG
 //	offset 26 : uint8  codec  — repair-code identifier (CodecRS,
 //	                            CodecRect, ...)
@@ -135,6 +144,10 @@ type Packet struct {
 	Seq     uint16
 	K       uint16
 	Count   uint16
+	// Total is the transfer's TG count (NP) or packet count (N2) — except
+	// on a v2 TG-scoped frame, where it announces the message's
+	// source-shard count and only the FIN carries the TG count. 0 states
+	// nothing.
 	Total   uint32
 	Payload []byte
 

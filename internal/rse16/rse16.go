@@ -152,10 +152,21 @@ func fromSymbols(sym []uint16, dst []byte) {
 	}
 }
 
+// sizeFor resizes dst to size, reusing its capacity when possible; the
+// contents are left for the caller to overwrite.
+func sizeFor(dst []byte, size int) []byte {
+	if cap(dst) < size {
+		return make([]byte, size)
+	}
+	return dst[:size]
+}
+
+// checkSizes returns the common length of the present shards; nil and
+// zero-length shards are missing.
 func checkSizes(shards [][]byte) (int, error) {
 	size := -1
 	for _, s := range shards {
-		if s == nil {
+		if len(s) == 0 {
 			continue
 		}
 		if len(s)%2 != 0 {
@@ -180,8 +191,8 @@ func (c *Code) validateData(data [][]byte) (size int, err error) {
 		return 0, fmt.Errorf("%w: %d data shards, want %d", ErrBadShardCount, len(data), c.k)
 	}
 	for _, d := range data {
-		if d == nil {
-			return 0, fmt.Errorf("%w: nil data shard", ErrBadShardCount)
+		if len(d) == 0 {
+			return 0, fmt.Errorf("%w: missing data shard", ErrBadShardCount)
 		}
 	}
 	return checkSizes(data)
@@ -236,11 +247,7 @@ func (c *Code) Encode(data [][]byte, parity [][]byte) error {
 		for i := 1; i < c.k; i++ {
 			gf16.MulAddSlice(row[i], syms[i], acc)
 		}
-		if cap(parity[j]) < size {
-			parity[j] = make([]byte, size)
-		} else {
-			parity[j] = parity[j][:size]
-		}
+		parity[j] = sizeFor(parity[j], size)
 		fromSymbols(acc, parity[j])
 	}
 	return nil
@@ -308,11 +315,7 @@ func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) erro
 			for i := 1; i < c.k; i++ {
 				gf16.MulAddSlice(row[i], syms[i], acc)
 			}
-			if cap(blockParity[j]) < size {
-				blockParity[j] = make([]byte, size)
-			} else {
-				blockParity[j] = blockParity[j][:size]
-			}
+			blockParity[j] = sizeFor(blockParity[j], size)
 			fromSymbols(acc, blockParity[j])
 		}
 	}
@@ -320,7 +323,10 @@ func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) erro
 }
 
 // Reconstruct rebuilds every missing data shard in place; shards has
-// length n with nil marking losses. At least k shards must be present.
+// length n with nil or zero-length slices marking losses. At least k shards
+// must be present. As in rse and rect, a missing shard passed as a
+// zero-length slice with capacity >= the shard length is rebuilt into its
+// own backing array; nil (or short) ones are freshly allocated.
 func (c *Code) Reconstruct(shards [][]byte) error {
 	n := c.N()
 	if len(shards) != n {
@@ -332,7 +338,7 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	}
 	missing := make([]int, 0, c.k)
 	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
+		if len(shards[i]) == 0 {
 			missing = append(missing, i)
 		}
 	}
@@ -341,7 +347,7 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	}
 	chosen := make([]int, 0, c.k)
 	for i := 0; i < n && len(chosen) < c.k; i++ {
-		if shards[i] != nil {
+		if len(shards[i]) != 0 {
 			chosen = append(chosen, i)
 		}
 	}
@@ -381,9 +387,8 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		for r := range chosen {
 			gf16.MulAddSlice(weights[r], received[r], acc)
 		}
-		out := make([]byte, size)
-		fromSymbols(acc, out)
-		shards[i] = out
+		shards[i] = sizeFor(shards[i], size)
+		fromSymbols(acc, shards[i])
 	}
 	return nil
 }

@@ -18,8 +18,9 @@
 #                       scripts/metrics_schema.txt byte for byte
 #   5. go test          full test suite, then the copy-once receive-path
 #                       pins again uncached (0 allocs/op in simnet and in
-#                       the OnComplete receiver, no second payload copy,
-#                       forged Total bounded, delivery-event order: runs
+#                       the OnComplete receiver, no second payload copy
+#                       on static, GF(2^16) and re-cutting adaptive
+#                       sessions, forged Total bounded, delivery-event order: runs
 #                       against the all-closure reference, a stale cancel
 #                       on a recycled event, the clock after a Stop inside
 #                       RunUntil, one alloc per timer)
@@ -34,7 +35,12 @@
 #                       by the core engines' pipelined scenario tests,
 #                       gf256, whose pair tables are published by a
 #                       lock-free compare-and-swap, and loss, whose skip
-#                       tables are shared per p behind one mutex)
+#                       tables are shared per p behind one mutex); none of
+#                       internal/core's placement tests skips under -short,
+#                       so TestInPlaceAdaptivePlacement, TestInPlaceAdaptiveNc
+#                       and TestReceiverPeakHeapAdaptiveTransfer — the first
+#                       to re-point in-place shards of an adaptive session
+#                       (Receiver.grow) — run here under the detector
 #   7. field smoke      one reduced-scale receiver-field transfer — a full
 #                       NP session fronting R = 1e5 simulated receivers
 #                       through one struct-of-arrays field.Field with
@@ -124,7 +130,7 @@ echo '== go test ./...'
 go test ./...
 # The copy-once pins (0-alloc medium and OnComplete receiver, no second
 # copy, forged Total, event order) must run, not come from the test cache.
-go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestGroupMemo' ./internal/core/
+go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestInPlaceGF16NoGather|TestInPlaceAdaptive|TestGroupMemo' ./internal/core/
 go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed|TestStaleCancelCancelsNothing|TestRunUntilStoppedEarlyKeepsClock|TestTimerSteadyStateOneAlloc|TestDeliveryRunCountsOnceInPending' ./internal/simnet/
 
 echo '== go test -race -short (concurrent packages)'
