@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -367,5 +369,146 @@ func TestLegacyReceiverRejectsAdaptiveSession(t *testing.T) {
 	st := rcV1.Stats()
 	if st.DataRx != 0 || st.ParityRx != 0 || st.PollRx != 0 || st.NakTx != 0 || st.Decodes != 0 {
 		t.Errorf("v1 receiver acted on v2 frames: %+v", st)
+	}
+}
+
+// rampLoss raises the Bernoulli loss rate linearly from p0 to p1 over span
+// draws, then holds at p1 — the slow congestion build-up that tests the
+// estimator's tracking rather than its step response.
+type rampLoss struct {
+	p0, p1 float64
+	span   int
+	drawn  int
+	rng    *rand.Rand
+}
+
+func (r *rampLoss) Lost(float64) bool {
+	p := r.p1
+	if r.drawn < r.span {
+		p = r.p0 + (r.p1-r.p0)*float64(r.drawn)/float64(r.span)
+		r.drawn++
+	}
+	return r.rng.Float64() < p
+}
+
+func (r *rampLoss) Reset() { r.drawn = 0 }
+
+// TestAdaptiveScenarioCurves is the loss-shift catalogue: four seeded
+// two-receiver transfers whose complete convergence curve — every group's
+// negotiated (k, h, a), its realized transmissions and the cumulative E[M],
+// then the controller's final state — is pinned byte for byte against
+// results/adapt_<name>.tsv, the files EXPERIMENTS.md "Loss-shift scenarios"
+// plots. There is no update switch: on a mismatch the regenerated file is
+// left under os.TempDir(), and a change that means to move the curves
+// (wire semantics, controller tuning) re-records with a cp.
+func TestAdaptiveScenarioCurves(t *testing.T) {
+	scenarios := []struct {
+		name, describe string
+		seed           int64
+		bytes          int
+		mkLoss         func(rng *rand.Rand) loss.Process
+		wantRung       int // minimum acceptable final rung
+	}{
+		{
+			name:     "adapt_shift_up",
+			describe: "Bernoulli loss 0.1% -> 15% after ~600 packets; expect convergence to rung 4 (k=8,h=12,a=6)",
+			seed:     1301, bytes: 300000, wantRung: 4,
+			mkLoss: func(rng *rand.Rand) loss.Process {
+				return &shiftLoss{
+					first:     loss.NewBernoulli(0.001, rng),
+					second:    loss.NewBernoulli(0.15, rng),
+					remaining: 600,
+				}
+			},
+		},
+		{
+			name:     "adapt_burst",
+			describe: "Bernoulli 3% -> Markov 3% (mean burst 4 pkts) after ~1500 packets; expect the burst detector to deepen the rung",
+			seed:     1401, bytes: 400000, wantRung: 3,
+			mkLoss: func(rng *rand.Rand) loss.Process {
+				return &shiftLoss{
+					first:     loss.NewBernoulli(0.03, rng),
+					second:    loss.NewMarkov(0.03, 4, 1000, rng),
+					remaining: 1500,
+				}
+			},
+		},
+		{
+			name:     "adapt_ramp",
+			describe: "Bernoulli loss ramping 0.5% -> 10% over ~2500 packets; expect the estimator to walk the ladder down to rung 3 without a step change to react to",
+			seed:     1501, bytes: 400000, wantRung: 3,
+			mkLoss: func(rng *rand.Rand) loss.Process {
+				return &rampLoss{p0: 0.005, p1: 0.10, span: 2500, rng: rng}
+			},
+		},
+		{
+			// Star/FBT shared backbone: both receivers draw from the same
+			// fixed-seed source, not from the harness's.
+			name:     "adapt_star_shift",
+			describe: "star/FBT shared backbone: every receiver draws the identical loss stream (fixed seed), 1% -> 12% after ~800 packets; expect rung 3 even though aggregated NAKs collapse the correlated deficits to one report",
+			seed:     1601, bytes: 350000, wantRung: 3,
+			mkLoss: func(*rand.Rand) loss.Process {
+				shared := rand.New(rand.NewSource(1602))
+				return &shiftLoss{
+					first:     loss.NewBernoulli(0.01, shared),
+					second:    loss.NewBernoulli(0.12, shared),
+					remaining: 800,
+				}
+			},
+		},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			h := newHarness(t, harnessOpts{r: 2, cfg: adaptiveConfig(), mkLoss: sc.mkLoss, seed: sc.seed})
+			msg := testMessage(sc.bytes, sc.seed+1)
+			h.run(t, msg)
+			h.checkDelivered(t, msg)
+
+			var b bytes.Buffer
+			fmt.Fprintf(&b, "# %s: %s\n", sc.name, sc.describe)
+			fmt.Fprintf(&b, "# x: transmission group (stream order), y: negotiated parameters and realized cost\n")
+			fmt.Fprintln(&b, "group\tk\th\ta\ttx\tem_cum")
+			var txSum, srcSum int
+			for _, g := range h.sender.GroupTrace() {
+				txSum += g.TxCount
+				srcSum += g.K
+				fmt.Fprintf(&b, "%d\t%d\t%d\t%d\t%d\t%.4f\n",
+					g.Index, g.K, g.H, g.AUsed, g.TxCount, float64(txSum)/float64(srcSum))
+			}
+			ctl := h.sender.Adapt()
+			p := ctl.Params()
+			final := fmt.Sprintf("# final: phat=%.4f rung=%d k=%d h=%d a=%d retunes=%d bursty=%v em=%.4f",
+				ctl.PHat(), ctl.Rung(), p.K, p.H, p.A, ctl.Retunes(), ctl.Bursty(), float64(txSum)/float64(srcSum))
+			fmt.Fprintln(&b, final)
+
+			if ctl.Rung() < sc.wantRung {
+				t.Errorf("converged to rung %d, want >= %d", ctl.Rung(), sc.wantRung)
+			}
+			golden := filepath.Join("..", "..", "results", sc.name+".tsv")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(b.Bytes(), want) {
+				return
+			}
+			fresh := filepath.Join(os.TempDir(), sc.name+".tsv")
+			if err := os.WriteFile(fresh, b.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, wantRows := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+			row := 0
+			for row < len(got) && row < len(wantRows) && got[row] == wantRows[row] {
+				row++
+			}
+			at := func(rows []string) string {
+				if row < len(rows) {
+					return rows[row]
+				}
+				return "<end of file>"
+			}
+			t.Errorf("curve differs from %s at line %d:\n got %q\nwant %q\nregenerated %s\nfresh file left at %s (cp it over the golden to re-record)",
+				golden, row+1, at(got), at(wantRows), final, fresh)
+		})
 	}
 }
