@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint race check fmt bench pair loc
+.PHONY: build test lint race check fmt pair loc
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,6 @@ race:
 
 check:
 	sh scripts/check.sh
-
-# Perf trajectory snapshot (kernel + codec + sim + NP loopback rates ->
-# the file named by cmd/bench's -out default, BENCH_PR14.json).
-bench:
-	sh scripts/bench.sh
 
 # Paired parent/change runs of benchmark/ workloads (choosing-metrics §8):
 # make pair PARENT=<git ref> WORKLOAD=clean_1k[,field_1e6,...]|all [PAIRS=10]

@@ -466,8 +466,8 @@ func TestAdaptiveScenarioCurves(t *testing.T) {
 
 			var b bytes.Buffer
 			fmt.Fprintf(&b, "# %s: %s\n", sc.name, sc.describe)
-			fmt.Fprintf(&b, "# x: transmission group (stream order), y: negotiated parameters and realized cost\n")
-			fmt.Fprintln(&b, "group\tk\th\ta\ttx\tem_cum")
+			b.WriteString("# x: transmission group (stream order), y: negotiated parameters and realized cost\n")
+			b.WriteString("group\tk\th\ta\ttx\tem_cum\n")
 			var txSum, srcSum int
 			for _, g := range h.sender.GroupTrace() {
 				txSum += g.TxCount

@@ -186,7 +186,7 @@ func TestFieldSmokeR100k(t *testing.T) {
 
 // TestFieldMillionReceivers is the acceptance run: one deterministic
 // simnet transfer to R=1e6 receivers, E[M] within 3 SE of the closed
-// form. Skipped under -short; cmd/bench times the same workload.
+// form. Skipped under -short; the field_1e6 ledger workload times it.
 func TestFieldMillionReceivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("R=1e6 full transfer is the long acceptance run")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"rmfec/internal/gf256"
 	"rmfec/internal/rse"
 )
 
@@ -50,7 +51,7 @@ func CodecRates(k, h, packetSize int, seed int64) (encode, decode float64, err e
 	// Decode throughput: lose min(h,k) data packets, reconstruct from the
 	// remaining data plus parities. The lost shards are handed back as
 	// recycled zero-length buffers, so the loop measures the steady-state
-	// receiver path: cached inversion, no allocation.
+	// receiver path: the l×l subsystem solve, no allocation.
 	lose := h
 	if lose > k {
 		lose = k
@@ -85,11 +86,13 @@ func CodecRates(k, h, packetSize int, seed int64) (encode, decode float64, err e
 }
 
 // fig1: coding and decoding rates versus redundancy h/k for k = 7, 20, 100
-// with 1 KByte packets, measured on this repository's coder.
+// with 1 KByte packets, measured on this repository's coder. The title
+// names the gf256 kernel that ran (avx2 or portable), so a Fig-1 number
+// says which one produced it.
 func fig1(opt Options) (*Figure, error) {
 	fig := &Figure{
 		ID:     "fig1",
-		Title:  "Encoding/decoding speed vs redundancy, P = 1 KByte",
+		Title:  "Encoding/decoding speed vs redundancy, P = 1 KByte, gf256 kernel " + gf256.Kernel(),
 		XLabel: "redundancy h/k [%]",
 		YLabel: "rate [packets/s]",
 		YLog:   true,

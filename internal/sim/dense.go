@@ -8,10 +8,9 @@ import (
 
 // This file retains the pre-PR dense-scan engines verbatim: every
 // transmission fills a []bool of length R and the recovery bookkeeping
-// rescans all receivers. They exist for two reasons — the statistical-
-// equivalence tests pin the sparse engines against them, and cmd/bench
-// measures the sparse speedup with them as the honest baseline. They are
-// not used by the figures.
+// rescans all receivers. They exist so the statistical-equivalence tests
+// can pin the sparse engines against them. They are not used by the
+// figures.
 
 // DenseNoFEC is the pre-PR reference implementation of NoFEC.
 func DenseNoFEC(pop loss.Population, tm Timing, packets int) Estimate {

@@ -6,83 +6,42 @@
 #   2. go vet           the stock analyzer suite, plus a second pass with
 #                       an extended -unusedresult function list
 #   3. go build         everything compiles
-#   3a. cross-compile   GOARCH=arm64 go vet and GOARCH=386 go build, so the
+#   4. cross-compile    GOARCH=arm64 go vet and GOARCH=386 go build, so the
 #                       !amd64 stubs beside the gf256 assembly kernels
 #                       (and asmdecl's view of them) cannot rot
-#   4. rmlint           project invariants (env-discipline, no-goroutines,
-#                       float-eq, mutex-discipline, doc-comment, and the
-#                       dataflow rules hotpath-alloc, buffer-ownership,
-#                       metrics-discipline) — see internal/lint. The tier
-#                       also asserts -json emits an empty array on a clean
-#                       tree and that `rmlint -metrics-schema` reproduces
+#   5. rmlint           project invariants (see internal/lint); -json must
+#                       emit an empty array on a clean tree and
+#                       -metrics-schema must reproduce
 #                       scripts/metrics_schema.txt byte for byte
-#   5. go test          full test suite, then the copy-once receive-path
-#                       pins again uncached (0 allocs/op in simnet and in
-#                       the OnComplete receiver, no second payload copy
-#                       on static, GF(2^16) and re-cutting adaptive
-#                       sessions, forged Total bounded, delivery-event order: runs
-#                       against the all-closure reference, a stale cancel
-#                       on a recycled event, the clock after a Stop inside
-#                       RunUntil, one alloc per timer)
-#   6. go test -race    short-mode tests of the concurrent packages under
-#                       the race detector (udpcast transport, simnet
-#                       scheduler, core engines driven by both, the mcrun
-#                       parallel Monte-Carlo runner, the encode-ahead
-#                       pipeline pool, the row-sharded rse/rse16/rect
-#                       parallel encode, the receiver field, whose
-#                       NAK-schedule determinism contract runs under mcrun
-#                       parallelism, the adaptive FEC controller driven
-#                       by the core engines' pipelined scenario tests,
-#                       gf256, whose pair tables are published by a
-#                       lock-free compare-and-swap, and loss, whose skip
-#                       tables are shared per p behind one mutex); none of
-#                       internal/core's placement tests skips under -short,
-#                       so TestInPlaceAdaptivePlacement, TestInPlaceAdaptiveNc
-#                       and TestReceiverPeakHeapAdaptiveTransfer — the first
-#                       to re-point in-place shards of an adaptive session
-#                       (Receiver.grow) — run here under the detector
-#   7. field smoke      one reduced-scale receiver-field transfer — a full
-#                       NP session fronting R = 1e5 simulated receivers
-#                       through one struct-of-arrays field.Field with
-#                       aggregated NAK feedback — reconciled against the
-#                       paper's closed form (the R = 1e6 acceptance run
-#                       stays in the full `go test ./...` tier above),
-#                       plus the count-filtered consolidation's pins
-#                       uncached: output identical to sort-everything,
-#                       the filter tight, 0 allocs/op in steady state;
-#                       then the loss draw the field runs on: the skip
-#                       table against the reference expression (-short:
-#                       every boundary, 2e5 random draws per p) and the
-#                       pinned draw streams
-#   8a. bench smoke     one 1-pass NP loopback drain through cmd/bench
-#                       -np-only, so the end-to-end throughput tiers
-#                       (including the per-core scaling sweep, which skips
-#                       itself with skipped_insufficient_cpus on 1-CPU
-#                       hosts, and the sendmmsg syscall tier) compile and
-#                       the depth-0 and pipelined legs drain to idle; plus
-#                       one 1-pass -codec-only run: the codec-portfolio
-#                       tier (rect vs RS encode cost) and the
-#                       NC-vs-carousel repair scenario, which hard-fails
-#                       if either field scenario leaves the population
-#                       incomplete
-#   9. transcripts      the sender transcript hash of a fixed transfer,
-#                       twice at pipeline depth 0, once pipelined, and
-#                       once pipelined with sharded parallel encode:
-#                       depth 0 must be deterministic run-to-run and every
-#                       pipelined wire sequence byte-identical to serial
+#   6. go test          full test suite, then the copy-once receive-path
+#                       and simnet event-order/alloc pins again uncached
+#   7. go test -race    short-mode tests of the packages that own or drive
+#                       concurrency; none of internal/core's placement
+#                       tests skips under -short
+#   8. field smoke      one R = 1e5 receiver-field transfer reconciled
+#                       against the paper's closed form (R = 1e6 stays in
+#                       tier 6), the consolidation pins, and the loss draw
+#                       the field runs on (skip table vs reference, pinned
+#                       streams), all uncached
+#   9. engine pins      uncached: sender transcripts (depth 0 against a
+#                       constant; pipelined and sharded byte-identical to
+#                       serial), the four loss-shift convergence curves
+#                       against results/adapt_*.tsv, NC repair vs the parity
+#                       carousel in core and in the field, the rect codec
+#                       field transfer, sendmmsg syscall amortisation
 #  10. figures diff     two `figures -quick` runs at different -parallel
 #                       values must produce byte-identical TSV output for
 #                       every simulated figure (the mcrun determinism
 #                       contract, end to end; fig 1 measures this
 #                       machine's coder throughput, so it is excluded)
-#  11. metrics smoke    start npsend -metrics-addr, scrape /metrics,
-#                       project the exposed series onto their static IDs
-#                       (drop _bucket, fold _sum/_count into the histogram
-#                       base name) and diff against the sender-side slice
-#                       of scripts/metrics_schema.txt — a renamed or
-#                       dropped series breaks dashboards silently, so the
-#                       schema is pinned (skipped when multicast or curl
-#                       is unavailable, like the udpcast tests)
+#  11. metrics smoke    start npsend -metrics-addr, scrape /metrics, project
+#                       the exposed series onto their static IDs and diff
+#                       against the sender-side slice of
+#                       scripts/metrics_schema.txt (skipped when multicast
+#                       or curl is unavailable, like the udpcast tests)
+#  12. loc ratchet      `make loc` total must not exceed loc_ceiling below;
+#                       a PR that deletes code lowers it, one that adds
+#                       code has to raise it in the open
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -140,32 +99,10 @@ echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
 go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/
 go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned' ./internal/loss/
 
-echo '== NP loopback bench smoke (cmd/bench -np-only, 1 pass)'
-go run ./cmd/bench -np-only -runs 1 -np-groups 40 -out - > /dev/null
-
-echo '== codec portfolio smoke (cmd/bench -codec-only: rect vs RS, NC vs carousel)'
-go run ./cmd/bench -codec-only -runs 1 -out - > /dev/null
-
-echo '== adaptive FEC smoke (cmd/bench -adapt-scenario: loss-shift convergence)'
-go run ./cmd/bench -adapt-scenario -adapt-out "$tmp/adapt"
-
-echo '== sender transcript determinism (depth 0 x2, pipelined x1, sharded x1)'
-t0a=$(go run ./cmd/bench -transcript -depth 0)
-t0b=$(go run ./cmd/bench -transcript -depth 0)
-t8=$(go run ./cmd/bench -transcript -depth 8)
-t8s=$(go run ./cmd/bench -transcript -depth 8 -shards 4)
-if [ "$t0a" != "$t0b" ]; then
-    echo "serial sender transcript not deterministic: $t0a vs $t0b" >&2
-    exit 1
-fi
-if [ "$t0a" != "$t8" ]; then
-    echo "pipelined sender transcript differs from serial: $t0a vs $t8" >&2
-    exit 1
-fi
-if [ "$t0a" != "$t8s" ]; then
-    echo "sharded-encode sender transcript differs from serial: $t0a vs $t8s" >&2
-    exit 1
-fi
+echo '== engine pins (transcripts, loss-shift curves, NC vs carousel, rect field, sendmmsg)'
+go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel' ./internal/core/
+go test -count=1 -run 'TestFieldNcRepairHeals|TestFieldRectCodecTransfer' ./internal/field/
+go test -count=1 -run TestBatchSyscallAmortization ./internal/udpcast/
 
 echo '== figures determinism (-parallel 1 vs 8, simulated figures)'
 go build -o "$tmp/figures" ./cmd/figures
@@ -231,5 +168,14 @@ else
     kill "$np_pid" 2>/dev/null || true
     wait "$np_pid" 2>/dev/null || true
 fi
+
+echo '== loc ratchet (make loc total vs ceiling)'
+loc_ceiling=13470
+loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
+if [ "$loc" -gt "$loc_ceiling" ]; then
+    echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
+    exit 1
+fi
+echo "make loc total $loc <= $loc_ceiling"
 
 echo 'check.sh: all tiers passed'

@@ -4,7 +4,7 @@
 # same // comment rule), per package directory and in total. benchmark/
 # (the frozen ledger harness) and .bench_build/ (its build output) are not
 # counted. With arguments, counts those files instead:
-#   sh scripts/loc.sh internal/core/sender.go cmd/bench/np.go
+#   sh scripts/loc.sh internal/core/sender.go internal/field/field.go
 set -eu
 cd "$(dirname "$0")/.."
 
