@@ -2,10 +2,12 @@ package field_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"rmfec/internal/adapt"
 	"rmfec/internal/core"
 	"rmfec/internal/field"
 	"rmfec/internal/loss"
@@ -311,6 +313,48 @@ func TestFieldEquivalenceCarousel(t *testing.T) {
 			got := runField(t, r, pcfg, 111, 222, mk, msg)
 			checkEquivalent(t, ref, got)
 		})
+	}
+}
+
+// TestFieldEquivalenceAdaptive extends the pin to adaptive sessions: wire
+// v2, per-group (k, h) walked by the controller, the rect codec of the
+// portfolio ladder and NC repair with its NAK loss maps.
+func TestFieldEquivalenceAdaptive(t *testing.T) {
+	ac := adapt.DefaultConfig()
+	ac.Window, ac.MinDwell, ac.MinBurstObs, ac.ProbeEvery = 12, 4, 6, 4
+	msg := testMessage(60_000, 55)
+	ladders := []struct {
+		name   string
+		ladder []adapt.Rung
+		gate   int
+	}{
+		{"default", adapt.DefaultLadder, 0},
+		{"portfolio", adapt.PortfolioLadder(), core.GateForce},
+	}
+	for _, l := range ladders {
+		for _, nc := range []bool{false, true} {
+			for _, p := range []float64{0.02, 0.15} {
+				for _, r := range []int{1, 4, 40} {
+					l, nc, p, r := l, nc, p, r
+					name := fmt.Sprintf("%s/nc=%t/p=%g/r=%d", l.name, nc, p, r)
+					t.Run(name, func(t *testing.T) {
+						cfg := ac
+						cfg.Ladder = l.ladder
+						pcfg := core.Config{
+							Session: 13, ShardSize: 32, AdaptiveFEC: true, Adapt: cfg,
+							CodecGate: l.gate, NCRepair: nc,
+							Ts: 2 * time.Millisecond, MaxNakSlots: 4, ObserveLag: 6,
+						}
+						mk := func(r int, rng *rand.Rand) loss.Population {
+							return loss.NewBernoulliPopulation(r, p, rng)
+						}
+						ref := runReference(t, r, pcfg, 3131, 4141, mk, msg)
+						got := runField(t, r, pcfg, 3131, 4141, mk, msg)
+						checkEquivalent(t, ref, got)
+					})
+				}
+			}
+		}
 	}
 }
 
