@@ -168,14 +168,6 @@ func newCodecID(id, arg uint8, k, h, shardSize int, reg *metrics.Registry) (Code
 	}
 }
 
-// CodecByID builds the codec named by a v2 wire (codec id, codec arg)
-// pair at working point (k, h), without instrument registration. It is
-// the exported constructor companion engines (internal/field) use to
-// honour per-group codec negotiation outside a core engine.
-func CodecByID(id, arg uint8, k, h, shardSize int) (Codec, error) {
-	return newCodecID(id, arg, k, h, shardSize, nil)
-}
-
 // codecCache lazily builds and memoizes a session's per-(k, h, codec)
 // codecs. A static session holds one entry; under adaptive FEC the working
 // point — and since the codec portfolio, the code itself — changes between

@@ -28,9 +28,9 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 		{packet.CodecRect, 3, 12, 3},
 	}
 	for _, c := range cases {
-		codec, err := CodecByID(c.id, c.arg, c.k, c.h, 64)
+		codec, err := newCodecID(c.id, c.arg, c.k, c.h, 64, nil)
 		if err != nil {
-			t.Fatalf("CodecByID(%d,%d,k=%d,h=%d): %v", c.id, c.arg, c.k, c.h, err)
+			t.Fatalf("newCodecID(%d,%d,k=%d,h=%d): %v", c.id, c.arg, c.k, c.h, err)
 		}
 		if id, arg := codec.ID(); id != c.id || arg != c.arg {
 			t.Errorf("codec (%d,%d) reports wire identity (%d,%d)", c.id, c.arg, id, arg)
@@ -47,8 +47,8 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 		{packet.CodecRect, 4, 20, 5},                                // rect arg must equal h
 		{packet.CodecRect, 44, 40, 44} /* k+d > 64 */, {7, 0, 8, 2}, // unknown id
 	} {
-		if _, err := CodecByID(c.id, c.arg, c.k, c.h, 64); err == nil {
-			t.Errorf("CodecByID(%d,%d,k=%d,h=%d) accepted a malformed pair", c.id, c.arg, c.k, c.h)
+		if _, err := newCodecID(c.id, c.arg, c.k, c.h, 64, nil); err == nil {
+			t.Errorf("newCodecID(%d,%d,k=%d,h=%d) accepted a malformed pair", c.id, c.arg, c.k, c.h)
 		}
 	}
 }

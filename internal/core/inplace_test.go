@@ -264,7 +264,7 @@ func TestGroupMemo(t *testing.T) {
 func looseHeld(r *Receiver) int {
 	n := 0
 	for _, g := range r.groups {
-		for j := 0; j < g.k; j++ {
+		for j := 0; j < g.K; j++ {
 			if s := g.shards[j]; s != nil && !r.inPlace(s, r.msgBuf, g, j) {
 				n++
 			}
@@ -457,8 +457,8 @@ func TestInPlaceAdaptivePlacement(t *testing.T) {
 			}
 			base := 0
 			for i, k := range w.ks {
-				if g := r.groups[uint32(i)]; g.k != k || g.base != base {
-					t.Fatalf("group %d: k %d at base %d, want k %d at base %d", i, g.k, g.base, k, base)
+				if g := r.groups[uint32(i)]; g.K != k || g.base != base {
+					t.Fatalf("group %d: k %d at base %d, want k %d at base %d", i, g.K, g.base, k, base)
 				}
 				base += k
 			}

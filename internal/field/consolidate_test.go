@@ -37,7 +37,7 @@ func bareField(tb testing.TB, r, k, h int, exact bool) *Field {
 // receivers and always by receiver full (pass -1 for none): one ascending
 // run of packed pairs per seq, as onShard appends them.
 func pendGroup(rng *rand.Rand, idx uint32, r, k, h, nTx int, p float64, full int) *fgroup {
-	g := &fgroup{idx: idx, k: k, h: h, nTx: nTx}
+	g := &fgroup{idx: idx, RxParams: core.RxParams{K: k, H: h}, nTx: nTx}
 	for _, seq := range rng.Perm(k + h)[:nTx] {
 		g.seqSeen |= uint64(1) << uint(seq)
 		for id := 0; id < r; id++ {
@@ -53,7 +53,7 @@ func pendGroup(rng *rand.Rand, idx uint32, r, k, h, nTx int, p float64, full int
 // sort every pair, OR per receiver, keep the deficient. It is the
 // reference the filtered path must match bit for bit.
 func sortEverything(f *Field, g *fgroup) (ids []int, missed []uint64) {
-	excess := g.nTx - f.groupK(g)
+	excess := g.nTx - f.rx.GroupK(&g.RxParams)
 	if excess < 0 {
 		ids = make([]int, f.popR)
 		missed = make([]uint64, f.popR)
@@ -76,8 +76,8 @@ func sortEverything(f *Field, g *fgroup) (ids []int, missed []uint64) {
 		}
 		i = j
 		deficient := bits.OnesCount64(bm) > excess
-		if g.code != nil {
-			deficient = g.code.ShortfallBits(g.seqSeen&^bm) > 0
+		if g.Code != nil {
+			deficient = g.Code.ShortfallBits(g.seqSeen&^bm) > 0
 		}
 		if deficient {
 			ids = append(ids, id)
@@ -127,12 +127,9 @@ func TestConsolidateMatchesSortEverything(t *testing.T) {
 			wantActive, wantMax := 0, 0
 			for idx := uint32(0); idx < 2; idx++ {
 				g := pendGroup(rng, idx, c.r, c.k, c.h, c.nTx, c.p, c.full)
-				if c.rect {
-					code, err := f.codecByID(packet.CodecRect, uint8(c.h), c.k, c.h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					g.code = code
+				rect := &packet.Packet{Type: packet.TypeData, K: uint16(c.k), Codec: packet.CodecRect, CodecArg: uint8(c.h)}
+				if c.rect && !f.rx.Admit(&g.RxParams, rect, c.k, c.h) {
+					t.Fatal("rect codec refused")
 				}
 				wantIDs, wantMissed := sortEverything(f, g)
 				wantActive += len(wantIDs)
@@ -222,7 +219,7 @@ func TestConsolidateSteadyStateAllocs(t *testing.T) {
 	pend := millionPend()
 	newGroup := func(idx uint32) *fgroup {
 		return &fgroup{
-			idx: idx, k: k, h: 24, nTx: nTx, seqSeen: 1<<nTx - 1,
+			idx: idx, RxParams: core.RxParams{K: k, H: 24}, nTx: nTx, seqSeen: 1<<nTx - 1,
 			pend: slices.Clone(pend),
 			ids:  make([]int, 0, 4096), missed: make([]uint64, 0, 4096),
 		}
@@ -262,7 +259,7 @@ func BenchmarkFieldConsolidate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				copy(buf, pend)
-				g := &fgroup{idx: uint32(i), k: k, h: 24, nTx: nTx, seqSeen: 1<<nTx - 1, pend: buf}
+				g := &fgroup{idx: uint32(i), RxParams: core.RxParams{K: k, H: 24}, nTx: nTx, seqSeen: 1<<nTx - 1, pend: buf}
 				f.freePend = f.freePend[:0]
 				b.StartTimer()
 				f.consolidate(g)

@@ -41,6 +41,16 @@
 // suppression window and retry backoff bit-for-bit; it exists to prove
 // equivalence against R real core.Receiver instances (same seeds, same
 // wire bytes — see TestFieldEquivalence) and is not meant for large R.
+//
+// # Receive rules
+//
+// Everything the protocol decides per frame or per group — which frames
+// are admitted, what (k, h, codec) a group adopts, a receiver's deficit,
+// what an NC combo repairs, the NAK slot and the NAK frame itself — is
+// core.RxRules, the code core.Receiver runs; the field calls it with its
+// own representation (a receiver's held shards are seqSeen &^ missed).
+// What stays here is what makes a population cheap: the struct-of-arrays
+// state, the loss draws, consolidation and the aggregate timer.
 package field
 
 import (
@@ -120,8 +130,8 @@ type Field struct {
 	jitterSeed func(i int) int64
 	interDelay time.Duration
 
+	rx         core.RxRules // the receive rules core.Receiver runs
 	groups     map[uint32]*fgroup
-	totalTG    int // -1 until learned from a packet
 	msgLen     uint64
 	sawFin     bool
 	complete   bool
@@ -137,23 +147,15 @@ type Field struct {
 	missCnt    []uint8            // dropRecovered's per-receiver miss counters; all-zero between calls
 	jitters    map[int]*rand.Rand // Exact mode: lazy per-receiver jitter streams
 
-	// Adaptive sessions: ladder bounds for per-group (k, h) taken from the
-	// v2 TG headers. Outside adaptive mode they mirror the static config.
-	maxK, maxH int
-
-	// Per-(k, h, codec id, codec arg) codec cache for groups negotiated
-	// onto a non-MDS code (rect), whose deficit rule needs ShortfallBits.
-	codecs map[uint64]core.Codec
-
 	stats Stats
 	m     fieldMetrics
 }
 
 // fgroup is one transmission group's field state.
 type fgroup struct {
+	core.RxParams // (k, h, codec); K = 0 while unknown (FIN-created)
+
 	idx     uint32
-	k       int     // negotiated data shards; 0 while unknown (FIN-created)
-	h       int     // negotiated parity budget
 	pend    []int64 // packed id<<6|seq loss pairs, pre-consolidation
 	seqSeen uint64  // distinct seqs that arrived at the field's endpoint
 	nTx     int     // popcount of seqSeen
@@ -162,17 +164,8 @@ type fgroup struct {
 	consolidated bool
 	done         bool
 
-	ids    []int // still-deficient receivers, ascending
-	missed []uint64
-
-	// Codec identity from the group's v2 headers (0/0 = RS, incl. every
-	// v1 group). code is non-nil only for non-MDS codecs (rect): their
-	// per-receiver deficit is the per-class shortfall of the held-shard
-	// bitmap (seqSeen &^ missed), not misses-beyond-excess.
-	codecID  uint8
-	codecArg uint8
-	codecSet bool
-	code     core.Codec
+	ids    []int    // still-deficient receivers, ascending
+	missed []uint64 // their missed seqs, each a subset of seqSeen
 
 	// Heard-NAK log for suppression windows: every NAK relevant to this
 	// group, with its arrival time at the population. src is the firing
@@ -225,14 +218,9 @@ func New(env core.Env, cfg Config) (*Field, error) {
 		exact:      cfg.Exact,
 		jitterSeed: cfg.JitterSeed,
 		interDelay: cfg.InterDelay,
+		rx:         core.NewRxRules(env, pc, 64), // one uint64 seq bitmap per receiver
 		groups:     make(map[uint32]*fgroup),
-		totalTG:    -1,
-		maxK:       pc.K,
-		maxH:       pc.MaxParity,
 		m:          newFieldMetrics(pc.Metrics),
-	}
-	if pc.AdaptiveFEC {
-		f.maxK, f.maxH = pc.Adapt.MaxKH()
 	}
 	if f.interDelay == 0 {
 		f.interDelay = 2 * time.Millisecond
@@ -292,12 +280,13 @@ func (f *Field) cancelTimers(g *fgroup) {
 // count is known. Dividing by k gives the per-group transmission
 // multiplicity M that the paper's E[M] model predicts.
 func (f *Field) GroupTx() []int {
-	if f.totalTG < 0 {
+	total := f.rx.TotalTG()
+	if total < 0 {
 		return nil
 	}
-	tx := make([]int, f.totalTG)
+	tx := make([]int, total)
 	for idx, g := range f.groups {
-		if int(idx) < f.totalTG {
+		if int(idx) < total {
 			tx[idx] = g.tx
 		}
 	}
@@ -308,17 +297,18 @@ func (f *Field) GroupTx() []int {
 // static sessions; 0 for adaptive groups whose parameters were never
 // learned), or nil before the total group count is known.
 func (f *Field) GroupKs() []int {
-	if f.totalTG < 0 {
+	total := f.rx.TotalTG()
+	if total < 0 {
 		return nil
 	}
-	ks := make([]int, f.totalTG)
+	ks := make([]int, total)
 	for i := range ks {
 		ks[i] = f.cfg.K
 	}
 	if f.cfg.AdaptiveFEC {
 		for idx, g := range f.groups {
-			if int(idx) < f.totalTG {
-				ks[idx] = g.k
+			if int(idx) < total {
+				ks[idx] = g.K
 			}
 		}
 	}
@@ -369,16 +359,8 @@ func (f *Field) HandlePacket(wire []byte) {
 		return
 	}
 	var pkt packet.Packet
-	var err error
-	if f.cfg.AdaptiveFEC {
-		err = packet.DecodeInto(&pkt, wire)
-	} else {
-		// Static fields speak strict v1, like core.Receiver: v2 frames are
-		// rejected wholesale before they can advance the loss population.
-		err = packet.DecodeIntoV1(&pkt, wire)
-	}
-	if err != nil {
-		return
+	if f.rx.Decode(&pkt, wire) != nil {
+		return // rejected before it can advance the loss population
 	}
 	var lost []int
 	if pkt.Type == packet.TypeData || pkt.Type == packet.TypeParity || pkt.Type == packet.TypeNcRepair {
@@ -441,33 +423,11 @@ func (f *Field) drawLoss(pkt *packet.Packet) []int {
 // unfinished group of this session — the only case where a subset draw is
 // sound (new losses can no longer make a done receiver deficient).
 func (f *Field) targetConsolidated(pkt *packet.Packet) bool {
-	if pkt.Session != f.cfg.Session || int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
+	if pkt.Session != f.cfg.Session {
 		return false
 	}
 	g, ok := f.groups[pkt.Group]
-	if !ok || !g.consolidated || g.done {
-		return false
-	}
-	if f.cfg.AdaptiveFEC {
-		return int(pkt.K) == g.k
-	}
-	return int(pkt.K) == f.cfg.K
-}
-
-func (f *Field) noteTotal(total uint32) {
-	if total > 0 && f.totalTG < 0 && int64(total) <= int64(f.cfg.MaxGroups) {
-		f.totalTG = int(total)
-	}
-}
-
-// noteHeader notes a TG-scoped frame's Total. Only a v1 header states the
-// group count there; a v2 one announces the message's source-shard count,
-// which a field, holding no payload, has no use for (on v2 the FIN alone
-// brings the group count).
-func (f *Field) noteHeader(pkt *packet.Packet) {
-	if pkt.Vers != packet.V2 {
-		f.noteTotal(pkt.Total)
-	}
+	return ok && g.consolidated && !g.done && int(pkt.K) == f.rx.GroupK(&g.RxParams)
 }
 
 func (f *Field) group(idx uint32) *fgroup {
@@ -483,58 +443,27 @@ func (f *Field) group(idx uint32) *fgroup {
 	return g
 }
 
-// wireKH extracts and validates a TG-scoped packet's group parameters,
-// mirroring core.Receiver: static sessions pin them to the config,
-// adaptive sessions read them from the v2 header bounded by the ladder.
-func (f *Field) wireKH(pkt *packet.Packet) (k, h int, ok bool) {
-	if !f.cfg.AdaptiveFEC {
-		if int(pkt.K) != f.cfg.K {
-			return 0, 0, false
-		}
-		return f.cfg.K, f.cfg.MaxParity, true
+// tgGroup returns the group of a TG-scoped frame with its parameters
+// adopted, or nil when core.RxRules refuse the frame — the same answer a
+// core.Receiver gets for it.
+func (f *Field) tgGroup(pkt *packet.Packet) *fgroup {
+	k, h, ok := f.rx.Header(pkt)
+	if !ok {
+		return nil
 	}
-	k = int(pkt.K)
-	h = f.maxH
-	if pkt.Vers == packet.V2 {
-		h = int(pkt.H)
+	g := f.group(pkt.Group)
+	if !f.rx.Admit(&g.RxParams, pkt, k, h) {
+		return nil
 	}
-	if k < 1 || k > f.maxK || h < 0 || h > f.maxH || k+h > 64 {
-		return 0, 0, false
-	}
-	return k, h, true
-}
-
-// groupK returns the data-shard count NAK math uses for g: its negotiated
-// k, or the ladder's largest k when the group is known only from a FIN.
-func (f *Field) groupK(g *fgroup) int {
-	if g.k > 0 {
-		return g.k
-	}
-	return f.maxK
+	return g
 }
 
 func (f *Field) onShard(pkt *packet.Packet, lost []int) {
-	k, h, ok := f.wireKH(pkt)
-	if !ok {
-		return
-	}
-	if int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
-		return
-	}
-	f.noteHeader(pkt)
-	g := f.group(pkt.Group)
-	if g.k == 0 {
-		g.k, g.h = k, h // FIN-created group adopts the negotiated params
-	} else if g.k != k {
-		return // conflicting parameters for the same group
-	}
-	if !f.adoptCodec(g, pkt) {
+	g := f.tgGroup(pkt)
+	if g == nil {
 		return
 	}
 	seq := int(pkt.Seq)
-	if seq >= g.k+g.h || len(pkt.Payload) != f.cfg.ShardSize {
-		return
-	}
 	g.tx++
 	bit := uint64(1) << uint(seq)
 	fresh := g.seqSeen&bit == 0
@@ -593,67 +522,12 @@ func (f *Field) applyRepair(g *fgroup, seq int, fresh bool, lost []int) {
 	f.sweepGroup(g)
 }
 
-// adoptCodec validates a data-plane frame's codec identity and fixes it
-// on the group at first contact, mirroring core.Receiver: unknown ids,
-// malformed (id, arg) pairs and frames conflicting with the adopted
-// codec are rejected. v1 frames decode as (0, 0) = RS, so static
-// sessions are unaffected.
-func (f *Field) adoptCodec(g *fgroup, pkt *packet.Packet) bool {
-	id, arg := pkt.Codec, pkt.CodecArg
-	if g.codecSet {
-		return g.codecID == id && g.codecArg == arg
-	}
-	switch id {
-	case packet.CodecRS:
-		if arg != 0 {
-			return false
-		}
-	case packet.CodecRect:
-		if int(arg) != g.h {
-			return false // the field already guarantees k+h <= 64
-		}
-		c, err := f.codecByID(id, arg, g.k, g.h)
-		if err != nil {
-			return false
-		}
-		g.code = c
-	default:
-		return false
-	}
-	g.codecID, g.codecArg, g.codecSet = id, arg, true
-	return true
-}
-
-// codecByID memoizes core.CodecByID per (k, h, id, arg) working point.
-func (f *Field) codecByID(id, arg uint8, k, h int) (core.Codec, error) {
-	key := uint64(k)<<32 | uint64(h)<<16 | uint64(id)<<8 | uint64(arg)
-	if c, ok := f.codecs[key]; ok {
-		return c, nil
-	}
-	c, err := core.CodecByID(id, arg, k, h, f.cfg.ShardSize)
-	if err != nil {
-		return nil, err
-	}
-	if f.codecs == nil {
-		f.codecs = make(map[uint64]core.Codec)
-	}
-	f.codecs[key] = c
-	return c, nil
-}
-
-// deficit returns how many shards active receiver i still needs. MDS
-// groups: misses beyond the group's excess transmissions, i.e. k - have.
-// Rect groups: the per-class shortfall of the receiver's held-shard
-// bitmap — extra parities of a covered class repair nothing.
-func (f *Field) deficit(g *fgroup, i int) int {
-	if g.code != nil {
-		return g.code.ShortfallBits(g.seqSeen &^ g.missed[i])
-	}
-	l := bits.OnesCount64(g.missed[i]) - (g.nTx - f.groupK(g))
-	if l < 0 {
-		l = 0
-	}
-	return l
+// deficit returns how many shards a receiver that missed the seqs in
+// missed still needs: core.RxRules.Deficit over what it holds, the rest of
+// what arrived.
+func (f *Field) deficit(g *fgroup, missed uint64) int {
+	held := g.seqSeen &^ missed
+	return f.rx.Deficit(&g.RxParams, bits.OnesCount64(held), held)
 }
 
 // sweepGroup drops active receivers whose deficit reached zero, compacting
@@ -661,7 +535,7 @@ func (f *Field) deficit(g *fgroup, i int) int {
 func (f *Field) sweepGroup(g *fgroup) {
 	w := 0
 	for i := range g.ids {
-		if f.deficit(g, i) > 0 {
+		if f.deficit(g, g.missed[i]) > 0 {
 			if w != i {
 				g.ids[w] = g.ids[i]
 				g.missed[w] = g.missed[i]
@@ -717,12 +591,12 @@ func (f *Field) consolidate(g *fgroup) {
 		return
 	}
 	g.consolidated = true
-	excess := g.nTx - f.groupK(g)
+	excess := g.nTx - f.rx.GroupK(&g.RxParams)
 	if excess < 0 {
 		f.materializeAll(g)
 	} else {
 		pend := g.pend
-		if g.code == nil && excess > 0 {
+		if g.Code == nil && excess > 0 {
 			pend = f.dropRecovered(pend, excess)
 		}
 		slices.Sort(pend)
@@ -734,16 +608,7 @@ func (f *Field) consolidate(g *fgroup) {
 				bm |= uint64(1) << uint(pend[j]&63)
 			}
 			i = j
-			// Codec-aware keep rule: under the MDS codes a receiver is
-			// deficient iff its misses exceed the group's excess; under
-			// rect a receiver can be deficient even below that bound (a
-			// parity only covers its own class), so the shortfall of its
-			// held-shard bitmap decides.
-			deficient := bits.OnesCount64(bm) > excess
-			if g.code != nil {
-				deficient = g.code.ShortfallBits(g.seqSeen&^bm) > 0
-			}
-			if deficient {
+			if f.deficit(g, bm) > 0 {
 				g.ids = append(g.ids, id)
 				g.missed = append(g.missed, bm)
 			}
@@ -830,24 +695,11 @@ func (f *Field) groupDone(g *fgroup) {
 // Receivers missing none are unaffected duplicates; receivers missing
 // two or more cannot decode it and keep their state.
 func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
-	k, h, ok := f.wireKH(pkt)
-	if !ok || int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
+	g := f.tgGroup(pkt)
+	if g == nil {
 		return
 	}
-	f.noteHeader(pkt)
-	g := f.group(pkt.Group)
-	if g.k == 0 {
-		g.k, g.h = k, h
-	} else if g.k != k {
-		return
-	}
-	if !f.adoptCodec(g, pkt) {
-		return
-	}
-	if len(pkt.Payload) != packet.NcMaskLen+f.cfg.ShardSize {
-		return
-	}
-	mask := binary.BigEndian.Uint64(pkt.Payload) & (uint64(1)<<uint(g.k) - 1)
+	mask := g.NcMask(pkt)
 	if mask == 0 {
 		return
 	}
@@ -867,8 +719,8 @@ func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
 		if li < len(lost) && lost[li] == id {
 			continue // this receiver lost the combo packet too
 		}
-		if m := g.missed[i] & mask; m != 0 && bits.OnesCount64(m) == 1 {
-			g.missed[i] &^= m
+		if bit := core.NcRepairs(mask, g.missed[i]); bit != 0 {
+			g.missed[i] &^= bit
 			f.stats.NcRepaired++
 		}
 	}
@@ -878,15 +730,9 @@ func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
 
 func (f *Field) onPoll(pkt *packet.Packet) {
 	f.stats.PollRx++
-	if int64(pkt.Group) >= int64(f.cfg.MaxGroups) {
+	g := f.tgGroup(pkt)
+	if g == nil {
 		return
-	}
-	f.noteHeader(pkt)
-	g := f.group(pkt.Group)
-	if g.k == 0 {
-		if k, h, ok := f.wireKH(pkt); ok {
-			g.k, g.h = k, h
-		}
 	}
 	if !g.done {
 		f.consolidate(g)
@@ -936,17 +782,14 @@ func (f *Field) heardMax(g *fgroup, since, before time.Duration, self int) int {
 }
 
 func (f *Field) onFin(pkt *packet.Packet) {
-	f.noteTotal(pkt.Total)
+	f.rx.NoteTotal(pkt.Total)
 	if len(pkt.Payload) >= 8 {
 		f.msgLen = binary.BigEndian.Uint64(pkt.Payload)
 		f.sawFin = true
 	}
-	if f.totalTG < 0 {
-		return
-	}
 	// The FIN doubles as a poll for every unfinished group, including
 	// groups the population never saw a packet of.
-	for i := 0; i < f.totalTG; i++ {
+	for i := 0; i < f.rx.TotalTG(); i++ {
 		g := f.group(uint32(i))
 		if !g.done {
 			f.consolidate(g)
@@ -957,67 +800,32 @@ func (f *Field) onFin(pkt *packet.Packet) {
 		if f.exact {
 			for j := range g.ids {
 				if g.cancel[j] == nil {
-					f.armExact(g, j, f.groupK(g))
+					f.armExact(g, j, f.rx.GroupK(&g.RxParams))
 				}
 			}
 		} else if g.repCancel == nil {
-			f.armRep(g, f.groupK(g))
+			f.armRep(g, f.rx.GroupK(&g.RxParams))
 		}
 	}
 	f.maybeComplete()
 }
 
 func (f *Field) maybeComplete() {
-	if f.complete || !f.sawFin || f.totalTG < 0 || f.doneGroups < f.totalTG {
+	total := f.rx.TotalTG()
+	if f.complete || !f.sawFin || total < 0 || f.doneGroups < total {
 		return
 	}
 	f.complete = true
 	f.m.deliveries.Add(uint64(f.popR))
-	f.cfg.Trace.Record(traceEvent(f.env.Now(), core.TraceDeliver, uint64(f.totalTG), f.msgLen))
+	f.cfg.Trace.Record(traceEvent(f.env.Now(), core.TraceDeliver, uint64(total), f.msgLen))
 	f.Close()
 }
 
-// slotDelay computes the paper's NAK schedule for deficit l in a round of
-// s transmissions: slot (s-l), clamped to [0, MaxNakSlots], at Ts width.
-func (f *Field) slotDelay(roundSize, l int) time.Duration {
-	slot := roundSize - l
-	if slot < 0 {
-		slot = 0
-	}
-	if slot > f.cfg.MaxNakSlots {
-		slot = f.cfg.MaxNakSlots
-	}
-	return time.Duration(slot) * f.cfg.Ts
-}
-
-// sendNak multicasts one NAK carrying deficit l for group g. recv is the
-// index (into g.ids) of the receiver the NAK speaks for, or -1 when
-// unknown; with NCRepair enabled its missing-data bitmap rides in the
-// payload so the sender can plan exact XOR retransmission combos.
-func (f *Field) sendNak(g *fgroup, l, recv int) {
-	k := f.cfg.K
-	if f.cfg.AdaptiveFEC {
-		k = f.groupK(g)
-	}
-	nak := packet.Packet{
-		Type:    packet.TypeNak,
-		Session: f.cfg.Session,
-		Group:   g.idx,
-		K:       uint16(k),
-		Count:   uint16(l),
-	}
-	var lossMap [packet.NcMaskLen]byte
-	if f.cfg.NCRepair && recv >= 0 && g.k > 0 {
-		held := g.seqSeen &^ g.missed[recv]
-		binary.BigEndian.PutUint64(lossMap[:], (uint64(1)<<uint(g.k)-1)&^held)
-		nak.Payload = lossMap[:]
-	}
-	frame := make([]byte, nak.EncodedLen())
-	if _, err := nak.MarshalTo(frame); err == nil {
-		f.env.MulticastControl(frame) //nolint:errcheck // best-effort
-	}
+// sendNak multicasts one NAK carrying deficit l for g on behalf of active
+// receiver i, whose missing-data bitmap rides along under NC repair.
+func (f *Field) sendNak(g *fgroup, l, i int) {
+	f.rx.Nak(g.idx, &g.RxParams, l, g.seqSeen&^g.missed[i])
 	f.stats.NakTx++
 	f.m.naksSent.Inc()
 	f.m.nakDeficit.Observe(float64(l))
-	f.cfg.Trace.Record(traceEvent(f.env.Now(), core.TraceNakTx, uint64(g.idx), uint64(l)))
 }

@@ -23,8 +23,10 @@ import (
 // parallelism.
 //
 // Exact: one emulated timer per deficient receiver, with per-receiver
-// jitter streams, suppression windows and linear retry backoff matching
-// core.Receiver bit for bit. Used to prove wire equivalence at small R.
+// jitter streams and suppression windows. Slot (RxRules.SlotDelay), retry
+// backoff (RxRules.Backoff) and the NAK frame (RxRules.Nak) are the calls
+// core.Receiver makes, so the wire matches it bit for bit. Used to prove
+// that equivalence at small R.
 
 // labelJitter draws the slot jitter for (group, round) from the seed
 // chain: uniform in [0, Ts), as the per-instance receivers draw from
@@ -46,7 +48,7 @@ func (f *Field) lmax(g *fgroup) int {
 func (f *Field) lmaxWith(g *fgroup) (int, int) {
 	max, wi := 0, -1
 	for i := range g.ids {
-		if l := f.deficit(g, i); l > max {
+		if l := f.deficit(g, g.missed[i]); l > max {
 			max, wi = l, i
 		}
 	}
@@ -60,7 +62,7 @@ func (f *Field) armRep(g *fgroup, roundSize int) {
 	if l == 0 {
 		return
 	}
-	delay := f.slotDelay(roundSize, l) + f.labelJitter(g.idx, g.repRound)
+	delay := f.rx.SlotDelay(roundSize, l) + f.labelJitter(g.idx, g.repRound)
 	g.repRound++
 	if g.repCancel != nil {
 		g.repCancel()
@@ -94,9 +96,8 @@ func (f *Field) fireRep(g *fgroup) {
 		f.m.naksSupp.Add(deficient - 1)
 	}
 	g.repRetry++
-	backoff := f.cfg.RetryBase * time.Duration(minInt(g.repRetry, 8))
 	g.repReset = now
-	g.repCancel = f.env.After(backoff, func() { f.fireRep(g) })
+	g.repCancel = f.env.After(f.rx.Backoff(g.repRetry), func() { f.fireRep(g) })
 }
 
 // jitterFor returns receiver id's private NAK-jitter stream (Exact mode),
@@ -114,17 +115,17 @@ func (f *Field) jitterFor(id int) *rand.Rand {
 	return r
 }
 
-// armExact arms receiver g.ids[i]'s emulated NAK timer, consuming one
-// jitter draw exactly as core.Receiver.armNak does.
+// armExact arms receiver g.ids[i]'s emulated NAK timer in its
+// RxRules.SlotDelay slot, consuming one jitter draw as core.Receiver does.
 func (f *Field) armExact(g *fgroup, i, roundSize int) {
 	id := g.ids[i]
-	l := f.deficit(g, i)
+	l := f.deficit(g, g.missed[i])
 	if l == 0 {
 		// Unreachable for tracked receivers (sweepGroup drops them), kept
 		// for symmetry with the reference receiver's guard.
 		return
 	}
-	delay := f.slotDelay(roundSize, l) +
+	delay := f.rx.SlotDelay(roundSize, l) +
 		time.Duration(f.jitterFor(id).Int63n(int64(f.cfg.Ts)))
 	if g.cancel[i] != nil {
 		g.cancel[i]()
@@ -145,7 +146,7 @@ func (f *Field) fireExact(g *fgroup, id int) {
 		return // recovered and dropped since arming
 	}
 	now := f.env.Now()
-	l := f.deficit(g, i)
+	l := f.deficit(g, g.missed[i])
 	if l == 0 {
 		return
 	}
@@ -158,14 +159,6 @@ func (f *Field) fireExact(g *fgroup, id int) {
 		f.hearNak(g, now+f.interDelay, l, id)
 	}
 	g.retry[i]++
-	backoff := f.cfg.RetryBase * time.Duration(minInt(g.retry[i], 8))
 	g.resetAt[i] = now
-	g.cancel[i] = f.env.After(backoff, func() { f.fireExact(g, id) })
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	g.cancel[i] = f.env.After(f.rx.Backoff(g.retry[i]), func() { f.fireExact(g, id) })
 }

@@ -195,10 +195,3 @@ func receiverGrid(opt Options, maxR int) []int {
 	}
 	return grid
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -28,7 +28,9 @@
 #                       serial), the four loss-shift convergence curves
 #                       against results/adapt_*.tsv, NC repair vs the parity
 #                       carousel in core and in the field, the rect codec
-#                       field transfer, sendmmsg syscall amortisation
+#                       field transfer, field Exact mode vs R receivers
+#                       (static, carousel, adaptive) and the hostile-header
+#                       differential, sendmmsg syscall amortisation
 #  10. figures diff     two `figures -quick` runs at different -parallel
 #                       values must produce byte-identical TSV output for
 #                       every simulated figure (the mcrun determinism
@@ -99,9 +101,9 @@ echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
 go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/
 go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned' ./internal/loss/
 
-echo '== engine pins (transcripts, loss-shift curves, NC vs carousel, rect field, sendmmsg)'
+echo '== engine pins (transcripts, loss-shift curves, NC vs carousel, rect field, field equivalence, hostile headers, sendmmsg)'
 go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel' ./internal/core/
-go test -count=1 -run 'TestFieldNcRepairHeals|TestFieldRectCodecTransfer' ./internal/field/
+go test -count=1 -run 'TestFieldNcRepairHeals|TestFieldRectCodecTransfer|TestFieldEquivalence|TestHostileHeaderDifferential' ./internal/field/
 go test -count=1 -run TestBatchSyscallAmortization ./internal/udpcast/
 
 echo '== figures determinism (-parallel 1 vs 8, simulated figures)'
@@ -170,7 +172,7 @@ else
 fi
 
 echo '== loc ratchet (make loc total vs ceiling)'
-loc_ceiling=13470
+loc_ceiling=13300
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
