@@ -2,9 +2,11 @@
 //
 //	nprecv -group 239.2.3.4:7654 -out big.iso -k 20 -shard 1024
 //
-// The coding parameters (-k, -shard, -session) must match the sender's.
-// An adaptive (wire v2) session needs -adaptive-fec on both ends: without
-// it the receiver rejects v2 frames cleanly and never joins.
+// The coding parameters (-k, -shard, -session) must match the sender's: a
+// static receiver admits only frames at its own (k, h, codec) working
+// point. An adaptive session needs -adaptive-fec on both ends: without it
+// the receiver refuses the groups cut at other working points and the
+// session's FIN, and never delivers.
 package main
 
 import (
@@ -26,7 +28,7 @@ func main() {
 		shard    = flag.Int("shard", 1024, "payload bytes per packet")
 		session  = flag.Uint("session", 1, "session id")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "give up after this long")
-		adaptFEC = flag.Bool("adaptive-fec", false, "join an adaptive FEC session: per-group (k, h) come from the wire v2 headers (overrides -k)")
+		adaptFEC = flag.Bool("adaptive-fec", false, "join an adaptive FEC session: per-group (k, h) come from each group's header (overrides -k)")
 		maddr    = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/trace on this address (off when empty)")
 	)
 	flag.Parse()
@@ -49,7 +51,7 @@ func main() {
 	}
 	if *adaptFEC {
 		// Mirror npsend: the ladder owns (k, h); each group's actual
-		// parameters arrive in its v2 TG header.
+		// parameters arrive in its TG header.
 		cfg.AdaptiveFEC = true
 		cfg.K = 0
 	}

@@ -31,7 +31,7 @@ func main() {
 		a        = flag.Int("proactive", 0, "parities sent with each group before any NAK")
 		carousel = flag.Bool("carousel", false, "integrated FEC 1: stream proactive parities, no polls")
 		adaptive = flag.Bool("adaptive", false, "learn the redundancy level from NAK feedback")
-		adaptFEC = flag.Bool("adaptive-fec", false, "full adaptive FEC control plane: retune (k,h,a) between groups from estimated loss (wire v2; overrides -k/-proactive)")
+		adaptFEC = flag.Bool("adaptive-fec", false, "full adaptive FEC control plane: retune (k,h,a) between groups from estimated loss (overrides -k/-proactive)")
 		depth    = flag.Int("depth", 0, "transmit pipeline depth in TGs (0 = serial reference path)")
 		workers  = flag.Int("workers", 0, "encode-ahead worker goroutines (0 = default when -depth > 0)")
 		batch    = flag.Int("batch", 0, "max packets per batched send (0 = default when -depth > 0)")
@@ -69,7 +69,8 @@ func main() {
 	}
 	if *adaptFEC {
 		// The control plane owns (k, h, a): the ladder's initial rung
-		// replaces the static flags, and frames go out as wire v2.
+		// replaces the static flags, and every TG header states its
+		// group's (k, h, codec).
 		cfg.AdaptiveFEC = true
 		cfg.K, cfg.Proactive = 0, 0
 	}
@@ -106,7 +107,7 @@ func main() {
 	var groups, source int
 	conn.Do(func() { groups, source = sender.Groups(), sender.SourcePackets() })
 	if *adaptFEC {
-		fmt.Printf("npsend: %d bytes, adaptive FEC (wire v2), %d groups cut so far, to %s\n",
+		fmt.Printf("npsend: %d bytes, adaptive FEC, %d groups cut so far, to %s\n",
 			len(msg), groups, *group)
 	} else {
 		fmt.Printf("npsend: %d bytes in %d groups of k=%d to %s\n", len(msg), groups, *k, *group)

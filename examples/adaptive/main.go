@@ -9,7 +9,7 @@
 //	               roughly the right redundancy by itself (a-only EWMA),
 //	adaptive-fec — the full control plane (internal/adapt): an online loss
 //	               estimator and burst detector retune (k, h, a) between
-//	               transmission groups, renegotiated on the wire (v2).
+//	               transmission groups, renegotiated on the wire.
 //
 // The table shows the classic trade: feedback rounds versus up-front
 // redundancy, at nearly constant total bandwidth. The trailing section
@@ -85,7 +85,7 @@ func main() {
 	// codec parameters mid-transfer, and what it believed at the end.
 	ctl := afSender.Adapt()
 	pt := ctl.Params()
-	fmt.Printf("\nadaptive-fec control plane (wire v2, ladder of %s):\n", "internal/adapt")
+	fmt.Printf("\nadaptive-fec control plane (ladder of %s):\n", "internal/adapt")
 	fmt.Printf("  final: p-hat = %.4f, rung %d (k=%d h=%d a=%d), %d retunes, bursty=%v\n",
 		ctl.PHat(), ctl.Rung(), pt.K, pt.H, pt.A, ctl.Retunes(), ctl.Bursty())
 	fmt.Printf("  (k,h) walk:")

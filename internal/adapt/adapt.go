@@ -76,8 +76,8 @@ type Params struct {
 	H int // parity shards encodable for the group (repair budget)
 	A int // parities multicast proactively in the first round (0 ≤ A ≤ H)
 
-	// Codec and CodecArg name the repair code of the rung using the v2
-	// wire identifiers (packet.CodecRS / packet.CodecRect): 0/0 is
+	// Codec and CodecArg name the repair code of the rung using the TG
+	// header's identifiers (packet.CodecRS / packet.CodecRect): 0/0 is
 	// Reed-Solomon, 1/d the interleaved XOR rectangular code with d
 	// classes (d must equal H). The sender's benchmark gate may still
 	// veto a non-RS codec at runtime; the rung then falls back to RS at

@@ -316,9 +316,9 @@ func TestAdaptiveMcrunWorkerInvariance(t *testing.T) {
 }
 
 // TestLegacyReceiverRejectsAdaptiveSession is the wire-compatibility story:
-// a v1-only receiver sharing the medium with an adaptive (v2) session must
-// reject every frame cleanly — no panic, no misparse, no partial delivery,
-// and no NAK chatter — while a v2 receiver on the same medium completes.
+// a static receiver sharing the medium with an adaptive session must refuse
+// every frame cleanly — no panic, no misparse, no partial delivery, and no
+// NAK chatter — while an adaptive receiver on the same medium completes.
 func TestLegacyReceiverRejectsAdaptiveSession(t *testing.T) {
 	sched := simnet.NewScheduler()
 	sched.MaxEvents = 5_000_000
@@ -342,8 +342,9 @@ func TestLegacyReceiverRejectsAdaptiveSession(t *testing.T) {
 	rcV2.OnComplete = func(m []byte) { gotV2 = m }
 	v2Node.SetHandler(rcV2.HandlePacket)
 
-	// Same session ID, but a plain v1 configuration: every v2 frame must
-	// fail its strict version check before any field is interpreted.
+	// Same session ID, but a plain static configuration: no rung of the
+	// ladder is its working point (8, 32, RS), and the session's FIN states
+	// H = 0, so every frame is refused.
 	cfgV1 := Config{Session: cfgA.Session, K: 8, ShardSize: 64}
 	var gotV1 []byte
 	v1Node := net.AddNode(simnet.NodeConfig{Delay: time.Millisecond})

@@ -17,23 +17,19 @@ import (
 // Reed-Solomon over GF(2^16) (the very large groups Section 4.2
 // recommends against burst loss), and the XOR-only interleaved
 // rectangular code of internal/rect for low-loss paths. The wire
-// identity (ID) and the relative cost model (CostModel) let the adaptive
-// control plane negotiate codecs per transmission group through the v2
-// header's codec id/arg byte, gated by measured encode cost (see
-// codecGate).
+// identity (ID) lets the adaptive control plane negotiate codecs per
+// transmission group through the TG header's codec id/arg byte, gated by
+// measured encode cost (see gateAdmit).
 type Codec interface {
 	// EncodeParity returns parity shard j computed from the k data shards.
 	EncodeParity(j int, data [][]byte) ([]byte, error)
-	// EncodeBlocks batch-encodes nb consecutive FEC blocks: data holds
-	// nb*k data shards, parity nb*h slices which are resized and
-	// overwritten. One call validates and encodes a whole pre-encode
-	// burst instead of nb*h EncodeParity round trips.
-	EncodeBlocks(data, parity [][]byte) error
-	// EncodeBlocksShard encodes only the parity rows r = b*h + j with
+	// EncodeBlocksShard batch-encodes nb consecutive FEC blocks — data
+	// holds nb*k data shards, parity nb*h slices which are resized and
+	// overwritten — but only the parity rows r = b*h + j with
 	// r % nshards == shard, leaving the rest of parity untouched. Running
-	// every shard — in any order or concurrently over one shared parity
-	// slice — is byte-identical to EncodeBlocks; this is the decomposition
-	// the sharded encode-ahead path parallelises over.
+	// every shard, in any order or concurrently over one shared parity
+	// slice, encodes every row exactly as shard 0 of 1 does; this is the
+	// decomposition the sharded encode-ahead path parallelises over.
 	EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error
 	// Reconstruct rebuilds missing data shards in place; shards has
 	// length k+h with nil or zero-length slices marking losses, and a
@@ -48,13 +44,8 @@ type Codec interface {
 	// receivers and the field report through NAK Count.
 	ShortfallBits(have uint64) int
 	// ID returns the codec's wire identity: the (codec, codec arg) byte
-	// pair carried by every v2 TG header (see packet.CodecRS and friends).
+	// pair carried by every TG header (see packet.CodecRS and friends).
 	ID() (id, arg uint8)
-	// CostModel returns the codec's modelled encode cost per parity byte
-	// in XOR-word-op equivalents: a plain XOR counts 1, a GF(2^8)
-	// multiply-add ~4 (SPLIT table lookups), a GF(2^16) multiply-add ~8.
-	// The benchmark gate measures real cost before trusting the model.
-	CostModel() float64
 }
 
 type gf8Codec struct{ c *rse.Code }
@@ -62,44 +53,36 @@ type gf8Codec struct{ c *rse.Code }
 func (g gf8Codec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data, nil)
 }
-func (g gf8Codec) EncodeBlocks(data, parity [][]byte) error { return g.c.EncodeBlocks(data, parity) }
 func (g gf8Codec) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
 	return g.c.EncodeBlocksShard(data, parity, shard, nshards)
 }
 func (g gf8Codec) Reconstruct(shards [][]byte) error { return g.c.Reconstruct(shards) }
 func (g gf8Codec) ShortfallBits(have uint64) int     { return mdsShortfall(g.c.K(), g.c.N(), have) }
 func (g gf8Codec) ID() (uint8, uint8)                { return packet.CodecRS, 0 }
-func (g gf8Codec) CostModel() float64                { return 4 * float64(g.c.K()) }
 
 type gf16Codec struct{ c *rse16.Code }
 
 func (g gf16Codec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data)
 }
-func (g gf16Codec) EncodeBlocks(data, parity [][]byte) error { return g.c.EncodeBlocks(data, parity) }
 func (g gf16Codec) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
 	return g.c.EncodeBlocksShard(data, parity, shard, nshards)
 }
 func (g gf16Codec) Reconstruct(shards [][]byte) error { return g.c.Reconstruct(shards) }
 func (g gf16Codec) ShortfallBits(have uint64) int     { return mdsShortfall(g.c.K(), g.c.N(), have) }
 func (g gf16Codec) ID() (uint8, uint8)                { return packet.CodecRS, 0 }
-func (g gf16Codec) CostModel() float64                { return 8 * float64(g.c.K()) }
 
 type rectCodec struct{ c *rect.Code }
 
 func (g rectCodec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data, nil)
 }
-func (g rectCodec) EncodeBlocks(data, parity [][]byte) error { return g.c.EncodeBlocks(data, parity) }
 func (g rectCodec) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
 	return g.c.EncodeBlocksShard(data, parity, shard, nshards)
 }
 func (g rectCodec) Reconstruct(shards [][]byte) error { return g.c.Reconstruct(shards) }
 func (g rectCodec) ShortfallBits(have uint64) int     { return g.c.ShortfallBits(have) }
 func (g rectCodec) ID() (uint8, uint8)                { return packet.CodecRect, uint8(g.c.D()) }
-func (g rectCodec) CostModel() float64 {
-	return float64((g.c.K() + g.c.D() - 1) / g.c.D())
-}
 
 // mdsShortfall is the MDS deficit rule: any k of the n shards complete
 // the group, so the shortfall is k minus the shards held.
@@ -111,18 +94,12 @@ func mdsShortfall(k, n int, have uint64) int {
 	return k - held
 }
 
-// newCodec selects the backend for the configuration: GF(2^8) whenever the
-// block fits in 255 packets, GF(2^16) beyond that. When the config carries
-// a metrics registry, the GF(2^8) codec's rse_* instruments (symbol
-// throughput, subsystem solves) are registered on it.
-func newCodec(cfg Config) (Codec, error) {
-	return newCodecKH(cfg.K, cfg.MaxParity, cfg.ShardSize, cfg.Metrics)
-}
-
-// newCodecKH builds a Reed-Solomon codec for an explicit (k, h) working
-// point, with the same backend selection rule as newCodec. Instrument
-// registration is idempotent per registry, so every GF(2^8) instance of a
-// session shares the rse_* counters.
+// newCodecKH builds a Reed-Solomon codec for a (k, h) working point:
+// GF(2^8) whenever the block fits in 255 packets, GF(2^16) beyond that.
+// With a metrics registry, the GF(2^8) codec's rse_* instruments (symbol
+// throughput, subsystem solves) are registered on it; registration is
+// idempotent per registry, so every GF(2^8) instance of a session shares
+// the counters.
 func newCodecKH(k, h, shardSize int, reg *metrics.Registry) (Codec, error) {
 	if k+h <= 255 {
 		c, err := rse.New(k, h)
@@ -143,7 +120,7 @@ func newCodecKH(k, h, shardSize int, reg *metrics.Registry) (Codec, error) {
 	return gf16Codec{c}, nil
 }
 
-// newCodecID builds the codec named by a v2 wire (codec id, codec arg)
+// newCodecID builds the codec named by a wire (codec id, codec arg)
 // pair at working point (k, h). Id 0 is Reed-Solomon with arg 0 and the
 // field chosen by k+h; id 1 is the interleaved XOR rectangular code,
 // whose arg carries the class count d and must equal h.

@@ -14,7 +14,7 @@ import (
 )
 
 // TestPortfolioCodecByIDRoundTrip pins the wire identity contract of every
-// registered codec: constructing a codec from a v2 (id, arg) pair and
+// registered codec: constructing a codec from a wire (id, arg) pair and
 // reading ID() back must reproduce the pair, and malformed pairs must be
 // rejected rather than silently mapped to a different code.
 func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
@@ -34,9 +34,6 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 		}
 		if id, arg := codec.ID(); id != c.id || arg != c.arg {
 			t.Errorf("codec (%d,%d) reports wire identity (%d,%d)", c.id, c.arg, id, arg)
-		}
-		if cost := codec.CostModel(); cost <= 0 {
-			t.Errorf("codec (%d,%d) has non-positive cost model %g", c.id, c.arg, cost)
 		}
 	}
 	for _, c := range []struct {
@@ -272,13 +269,12 @@ func TestPortfolioGateModes(t *testing.T) {
 	}
 }
 
-// ncNak synthesizes the v2 NAK a receiver with missing-data bitmap mask
+// ncNak synthesizes the NAK a receiver with missing-data bitmap mask
 // and deficit count would multicast.
 func ncNak(cfg Config, group uint32, count int, mask uint64) []byte {
 	var payload [packet.NcMaskLen]byte
 	binary.BigEndian.PutUint64(payload[:], mask)
 	p := packet.Packet{
-		Vers:    packet.V2,
 		Type:    packet.TypeNak,
 		Session: cfg.Session,
 		Group:   group,

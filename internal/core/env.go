@@ -133,14 +133,15 @@ type Config struct {
 	// AdaptiveFEC selects the sender's ladder redundancy policy, the full
 	// adaptive FEC control plane (internal/adapt): an online loss
 	// estimator plus burst detector steering (k, h, a) through a
-	// hysteresis ladder, renegotiated between transmission groups over
-	// wire version 2 (the TG header carries the group's k, h and codec
-	// id). K, MaxParity and Proactive are derived from the ladder's
-	// initial rung; a retune re-cuts the unstreamed remainder of the
-	// message at the new working point. Mutually exclusive with
-	// PreEncode, Carousel and Adaptive — the controller owns redundancy
-	// end to end. Both endpoints must enable it: a non-adaptive engine
-	// rejects v2 frames with ErrBadVersion.
+	// hysteresis ladder, renegotiated between transmission groups (every
+	// TG header carries its group's k, h and codec id). K, MaxParity and
+	// Proactive are derived from the ladder's initial rung; a retune
+	// re-cuts the unstreamed remainder of the message at the new working
+	// point. Mutually exclusive with PreEncode, Carousel and Adaptive —
+	// the controller owns redundancy end to end. Both endpoints must
+	// enable it: a static receiver admits only frames at its own (K,
+	// MaxParity, RS) working point, and never the FIN of an adaptive
+	// session, which states H = 0.
 	AdaptiveFEC bool
 	// Adapt tunes the control plane; the zero value takes
 	// adapt.DefaultConfig(). Sender and receivers must agree on the
@@ -154,11 +155,11 @@ type Config struct {
 	// on and a rung names a codec other than RS.
 	CodecGate int
 	// NCRepair enables network-coded retransmission (Qureshi et al.):
-	// v2 NAKs carry the receiver's missing-data bitmap when the group
+	// NAKs carry the receiver's missing-data bitmap when the group
 	// fits 64 shards, and the sender answers a repair round whose parity
 	// budget is exhausted with XOR combinations of the specific lost
 	// packets (NCREPAIR frames) instead of blind rotating resends. Both
-	// endpoints must enable it; requires AdaptiveFEC (the v2 wire).
+	// endpoints must enable it; requires AdaptiveFEC.
 	NCRepair bool
 	// ObserveLag is how many transmission groups the sender waits before
 	// closing a group's loss observation: group g's worst first-round NAK
@@ -316,7 +317,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: CodecGate = %d, need %d..%d", c.CodecGate, GateMeasure, GateOff)
 	}
 	if c.NCRepair && !c.AdaptiveFEC {
-		return fmt.Errorf("core: NCRepair requires AdaptiveFEC (the v2 wire)")
+		return fmt.Errorf("core: NCRepair requires AdaptiveFEC")
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func measureEncode(c Codec, data, parity [][]byte) time.Duration {
 	for rep := 0; rep < 3; rep++ {
 		//rmlint:ignore env-discipline the codec gate measures this host's real encode CPU, not simulated time; verdicts are memoized and never steer simulated schedules unless GateMeasure is explicitly selected
 		t0 := time.Now()
-		if err := c.EncodeBlocks(data, parity); err != nil {
+		if err := c.EncodeBlocksShard(data, parity, 0, 1); err != nil {
 			return best // malformed candidate never beats the incumbent
 		}
 		//rmlint:ignore env-discipline same real-CPU measurement as above

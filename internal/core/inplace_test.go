@@ -276,23 +276,27 @@ func looseHeld(r *Receiver) int {
 // TestInPlaceGF16NoGather: the GF(2^16) codec rebuilds into the slots it is
 // handed like the other two, so rebuilt shards are in place as received
 // ones are — and the loose count, which lets delivery skip its gather walk,
-// knows it (a codec that allocated its own output would leave loose at 0
-// over shards the buffer never saw).
+// knows it (a codec that allocated its own output would leave loose short
+// of the shards the buffer never saw). Only the tail group's 199
+// all-padding shards, past the announced shard count, are pooled, and the
+// delivery gather, which stops at the message's end, copies none of them.
 func TestInPlaceGF16NoGather(t *testing.T) {
 	cfg := Config{Session: 7, K: 200, MaxParity: 100, ShardSize: 16}
 	msg := testMessage(cfg.K*cfg.ShardSize*3+9, 14)
 	frames := captureWire(t, cfg, msg)
 	r, got := directReceiver(t, cfg)
-	if _, ok := r.code.(gf16Codec); !ok {
+	if c, err := r.rx.codecs.get(cfg.K, cfg.MaxParity, packet.CodecRS, 0); err != nil {
+		t.Fatal(err)
+	} else if _, ok := c.(gf16Codec); !ok {
 		t.Fatal("config did not select the GF(2^16) codec")
 	}
-	const lost = 3
+	const lost, padding = 3, 199
 	feed(r, frames, func(f wireFrame) bool {
 		return f.typ == packet.TypeData && f.seq >= lost || f.typ == packet.TypeParity && f.seq < cfg.K+lost
 	})
-	if r.Stats().Decodes != 4 || r.loose != 0 || looseHeld(r) != 0 {
-		t.Fatalf("%d decodes (want 4), loose count %d, %d shards actually outside the buffer (want 0, 0)",
-			r.Stats().Decodes, r.loose, looseHeld(r))
+	if r.Stats().Decodes != 4 || r.loose != padding || looseHeld(r) != padding {
+		t.Fatalf("%d decodes (want 4), loose count %d, %d shards actually outside the buffer (want %d, %d)",
+			r.Stats().Decodes, r.loose, looseHeld(r), padding, padding)
 	}
 	feed(r, frames, func(f wireFrame) bool { return f.typ == packet.TypeFin })
 	if !bytes.Equal(*got, msg) {
@@ -304,7 +308,7 @@ func TestInPlaceGF16NoGather(t *testing.T) {
 }
 
 // TestInPlaceAdaptiveNc: an adaptive session places like a static one. Its
-// v2 headers announce the message's shard count and each group's base is
+// TG headers announce the message's shard count and each group's base is
 // known once every earlier group's k is, so received, rebuilt and
 // NC-repaired shards land in the message buffer; the gather is left only
 // the shards that came in while their group had no base yet.
@@ -427,7 +431,7 @@ func TestInPlaceAdaptivePlacement(t *testing.T) {
 				for i, f := range w.frames {
 					if f.typ != packet.TypeFin {
 						f.raw = append([]byte(nil), f.raw...)
-						total := f.raw[20:24] // the v2 announcement
+						total := f.raw[20:24] // the shard-count announcement
 						binary.BigEndian.PutUint32(total, tc.announce(binary.BigEndian.Uint32(total)))
 					}
 					frames[i] = f
@@ -467,8 +471,8 @@ func TestInPlaceAdaptivePlacement(t *testing.T) {
 }
 
 // TestForgedTotalBoundsAllocation: one forged packet declaring the largest
-// acceptable transfer (v1: Total = MaxGroups groups, 10 GiB here; v2: an
-// announcement of MaxGroups x the ladder's largest k shards, 32 GiB) buys
+// acceptable transfer (an announcement of MaxGroups x the largest k shards:
+// 10 GiB here on the static session, 32 GiB at the ladder's k = 32) buys
 // the first commit step and the release bitset, not the declared size.
 func TestForgedTotalBoundsAllocation(t *testing.T) {
 	static := Config{Session: 7, K: 10, MaxParity: 2, ShardSize: 1024}
@@ -479,8 +483,8 @@ func TestForgedTotalBoundsAllocation(t *testing.T) {
 		cfg  Config
 		p    packet.Packet
 	}{
-		{"static", static, packet.Packet{K: 10, Total: 1 << 20}},
-		{"adaptive", ladder, packet.Packet{Vers: packet.V2, K: 32, H: 4, Total: 32 << 20}},
+		{"static", static, packet.Packet{K: 10, H: 2, Total: 10 << 20}},
+		{"adaptive", ladder, packet.Packet{K: 32, H: 4, Total: 32 << 20}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, _ := directReceiver(t, tc.cfg)
@@ -553,7 +557,7 @@ func TestHostileFinLengthRefused(t *testing.T) {
 // groups says (all-zero shards: a codeword of every linear code), one
 // reconstruction per group, and returns the peak of the heap it held over
 // the message length.
-func receiverPeakHeap(t *testing.T, cfg Config, vers uint8, groups []adapt.Params, msgLen int) float64 {
+func receiverPeakHeap(t *testing.T, cfg Config, groups []adapt.Params, msgLen int) float64 {
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -561,11 +565,8 @@ func receiverPeakHeap(t *testing.T, cfg Config, vers uint8, groups []adapt.Param
 		return ms.HeapAlloc
 	}
 	ss := cfg.ShardSize
-	p := packet.Packet{Vers: vers, Session: cfg.Session, Total: uint32(len(groups)), Payload: make([]byte, ss)}
-	if vers == packet.V2 {
-		p.Total = uint32((msgLen + ss - 1) / ss)
-	}
-	frame := make([]byte, packet.HeaderLenV2+ss)
+	p := packet.Packet{Session: cfg.Session, Total: uint32((msgLen + ss - 1) / ss), Payload: make([]byte, ss)}
+	frame := make([]byte, packet.HeaderLen+ss)
 	sendGroup := func(r *Receiver, g int) {
 		p.Group, p.K, p.H = uint32(g), uint16(groups[g].K), uint16(groups[g].H)
 		for i := 0; i < groups[g].K; i++ {
@@ -603,7 +604,7 @@ func receiverPeakHeap(t *testing.T, cfg Config, vers uint8, groups []adapt.Param
 			}
 		}
 	}
-	fin := packet.Packet{Type: packet.TypeFin, Vers: vers, Session: cfg.Session, K: uint16(cfg.K),
+	fin := packet.Packet{Type: packet.TypeFin, Session: cfg.Session, K: uint16(cfg.K), H: uint16(cfg.MaxParity),
 		Total: uint32(len(groups)), Payload: binary.BigEndian.AppendUint64(nil, uint64(msgLen))}
 	r.HandlePacket(fin.MustEncode())
 	if len(*got) != msgLen {
@@ -629,7 +630,7 @@ func TestReceiverPeakHeapStaticTransfer(t *testing.T) {
 	for g := range groups {
 		groups[g] = adapt.Params{K: 20, H: 5}
 	}
-	if used := receiverPeakHeap(t, cfg, packet.V1, groups, msgLen); used > 1.25 {
+	if used := receiverPeakHeap(t, cfg, groups, msgLen); used > 1.25 {
 		t.Errorf("receiver peak heap = %.2fx the message, want <= 1.25x", used)
 	}
 }
@@ -648,7 +649,7 @@ func TestReceiverPeakHeapAdaptiveTransfer(t *testing.T) {
 		groups = append(groups, adapt.Params{K: rung.K, H: rung.H})
 		cut += rung.K
 	}
-	if used := receiverPeakHeap(t, cfg, packet.V2, groups, msgLen); used > 1.25 {
+	if used := receiverPeakHeap(t, cfg, groups, msgLen); used > 1.25 {
 		t.Errorf("receiver peak heap = %.2fx the message, want <= 1.25x", used)
 	}
 }
@@ -674,14 +675,14 @@ func TestOnCompleteSteadyStateZeroAlloc(t *testing.T) {
 		header packet.Packet
 		decode bool
 	}{
-		{"all-data", static, packet.Packet{K: k, Total: groups}, false},
-		{"reconstruct", static, packet.Packet{K: k, Total: groups}, true},
-		{"adaptive/all-data", ladder, packet.Packet{Vers: packet.V2, K: k, H: 2, Total: groups * k}, false},
-		{"adaptive/reconstruct", ladder, packet.Packet{Vers: packet.V2, K: k, H: 2, Total: groups * k}, true},
+		{"all-data", static, packet.Packet{K: k, H: 2, Total: groups * k}, false},
+		{"reconstruct", static, packet.Packet{K: k, H: 2, Total: groups * k}, true},
+		{"adaptive/all-data", ladder, packet.Packet{K: k, H: 2, Total: groups * k}, false},
+		{"adaptive/reconstruct", ladder, packet.Packet{K: k, H: 2, Total: groups * k}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, _ := directReceiver(t, tc.cfg)
-			frame := make([]byte, packet.HeaderLenV2+shard)
+			frame := make([]byte, packet.HeaderLen+shard)
 			payload := make([]byte, shard)
 			send := func(g uint32, seq int) {
 				p := tc.header
@@ -738,7 +739,7 @@ func TestForgedGroupBeyondTotalCannotComplete(t *testing.T) {
 	feed(r, frames, func(f wireFrame) bool { return f.typ == packet.TypeData && f.group != 2 })
 	for seq := 0; seq < cfg.K; seq++ {
 		p := packet.Packet{Type: packet.TypeData, Session: cfg.Session, Group: 9, Seq: uint16(seq),
-			K: uint16(cfg.K), Total: 4, Payload: make([]byte, cfg.ShardSize)}
+			K: uint16(cfg.K), H: uint16(cfg.MaxParity), Total: uint32(4 * cfg.K), Payload: make([]byte, cfg.ShardSize)}
 		r.HandlePacket(p.MustEncode())
 	}
 	feed(r, frames, func(f wireFrame) bool { return f.typ == packet.TypeFin })

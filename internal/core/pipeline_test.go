@@ -138,7 +138,7 @@ func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 						seq, typ = uint16(k), packet.TypeParity
 					}
 					p := packet.Packet{Type: typ, Session: 5, Group: g,
-						Seq: seq, K: k, Total: total, Payload: payload}
+						Seq: seq, K: k, H: 2, Total: total * k, Payload: payload}
 					if _, err := p.MarshalTo(frame); err != nil {
 						t.Fatal(err)
 					}

@@ -153,3 +153,71 @@ func TestTransferCompletesUnderGarbageInjection(t *testing.T) {
 	h.run(t, msg)
 	h.checkDelivered(t, msg)
 }
+
+// runWithStranger runs h's transfer of msg with one more receiver on the
+// medium, a stranger configured with stranger (same Session) behind loss
+// lp (nil = none), for up to ten virtual minutes. The sender must be idle
+// by then and h's receivers must have delivered; it returns the stranger
+// and what the stranger delivered.
+func runWithStranger(t *testing.T, h *harness, stranger Config, lp loss.Process, msg []byte) (*Receiver, []byte) {
+	t.Helper()
+	node := h.net.AddNode(simnet.NodeConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: lp})
+	rc, err := NewReceiver(node, stranger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	rc.OnComplete = func(m []byte) { got = m }
+	node.SetHandler(rc.HandlePacket)
+	if err := h.sender.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	h.sched.RunUntil(10 * time.Minute)
+	if n := h.sched.Pending(); n != 0 {
+		t.Fatalf("not idle after ten virtual minutes: %d events pending; sender %+v, stranger %+v",
+			n, h.sender.Stats(), rc.Stats())
+	}
+	h.checkDelivered(t, msg)
+	return rc, got
+}
+
+// TestForeignKReceiverStaysSilent: a receiver configured with K = 8 on a
+// K = 16 static session of the same Session id refuses every frame, the
+// FIN included — it states the sender's K and H — so it never NAKs and the
+// sender goes idle. A receiver that took the FIN would NAK every group it
+// cannot decode, and the repairs it cannot use, forever.
+func TestForeignKReceiverStaysSilent(t *testing.T) {
+	cfg := baseConfig()
+	cfg.K = 16
+	h := newHarness(t, harnessOpts{r: 2, cfg: cfg, seed: 1701})
+	rc, got := runWithStranger(t, h, baseConfig(), nil, testMessage(20000, 1702))
+	if st := rc.Stats(); got != nil || st.NakTx != 0 || st.DataRx != 0 || st.PollRx != 0 {
+		t.Errorf("K = 8 receiver acted on a K = 16 session: delivered %d bytes, %+v", len(got), st)
+	}
+	if n := h.sender.Stats().NakRx; n != 0 {
+		t.Errorf("sender heard %d NAKs on a loss-free medium", n)
+	}
+}
+
+// TestStaticReceiverOnLadderRungDeliversNothing: a static receiver whose
+// config is exactly the ladder's initial rung (K 32, MaxParity 4) admits
+// the adaptive session's groups cut at that rung — they are its own working
+// point, and repairs them through its own NAKs — but never the session's
+// FIN, which states H = 0. It delivers nothing, and the run goes idle.
+func TestStaticReceiverOnLadderRungDeliversNothing(t *testing.T) {
+	cfg := adaptiveConfig()
+	shift := func(rng *rand.Rand) loss.Process {
+		return &shiftLoss{first: loss.NewBernoulli(0.005, rng), second: loss.NewBernoulli(0.2, rng), remaining: 600}
+	}
+	h := newHarness(t, harnessOpts{r: 2, cfg: cfg, seed: 1801, mkLoss: shift})
+	rung := cfg.Adapt.Ladder[cfg.Adapt.Initial].P
+	stranger := Config{Session: cfg.Session, K: rung.K, MaxParity: rung.H, ShardSize: cfg.ShardSize}
+	rc, got := runWithStranger(t, h, stranger, loss.NewBernoulli(0.05, rand.New(rand.NewSource(1802))), testMessage(90017, 1803))
+	if got != nil || rc.Complete() {
+		t.Fatalf("static receiver delivered %d bytes from an adaptive session", len(got))
+	}
+	if st := rc.Stats(); st.Decodes == 0 || st.NakTx == 0 || h.sender.ctl.Retunes() == 0 {
+		t.Errorf("vacuous: the stranger decoded %d groups after %d NAKs and the ladder retuned %d times; want all > 0",
+			st.Decodes, st.NakTx, h.sender.ctl.Retunes())
+	}
+}

@@ -35,7 +35,7 @@ type RxRules struct {
 type RxParams struct {
 	K, H     int
 	Code     Codec
-	codecID  uint8 // the codec identity of the group's v2 headers; 0/0 = RS, as on v1
+	codecID  uint8 // the codec identity of the group's headers; 0/0 = RS
 	codecArg uint8
 	codecSet bool // fixed at the group's first data-plane frame
 }
@@ -56,28 +56,14 @@ func NewRxRules(env Env, cfg Config, maxN int) RxRules {
 	return rr
 }
 
-// Decode parses wire into pkt in the session's wire version. Adaptive
-// sessions read v2 and v1; static ones speak strict v1, so the v2 frames of
-// an adaptive session sharing the group are rejected with ErrBadVersion
-// here — cleanly ignored, never misparsed.
-//
-//rmlint:hotpath
-func (rr *RxRules) Decode(pkt *packet.Packet, wire []byte) error {
-	if rr.cfg.AdaptiveFEC {
-		return packet.DecodeInto(pkt, wire)
-	}
-	return packet.DecodeIntoV1(pkt, wire)
-}
-
 // Header admits a TG-scoped frame (DATA, PARITY, NCREPAIR, POLL) on what
 // its header and length state, and returns the (k, h) it states for its
 // group. Refused (ok = false): a payload other than the frame type's, a
-// group at or past MaxGroups, a static session's frame whose K is not the
-// config's (a foreign or misconfigured sender), and an adaptive frame
-// whose (k, h) lies outside the ladder — a v1 frame carries no h, so the
-// ladder's is assumed — or beyond the k+h the engine tracks: a hostile
-// header must not inflate state. An admitted v1 header's Total notes the
-// group count.
+// group at or past MaxGroups, a static session's frame at any working point
+// (k, h, codec) but the config's own — a foreign, misconfigured or
+// renegotiating sender's — and an adaptive frame whose (k, h) lies outside
+// the ladder or beyond the k+h the engine tracks: a hostile header must not
+// inflate state.
 //
 //rmlint:hotpath
 func (rr *RxRules) Header(pkt *packet.Packet) (k, h int, ok bool) {
@@ -94,34 +80,29 @@ func (rr *RxRules) Header(pkt *packet.Packet) (k, h int, ok bool) {
 	if int64(pkt.Group) >= int64(rr.cfg.MaxGroups) {
 		return 0, 0, false
 	}
+	k, h = int(pkt.K), int(pkt.H)
 	if !rr.cfg.AdaptiveFEC {
-		if int(pkt.K) != rr.cfg.K {
-			return 0, 0, false
-		}
-		k, h = rr.cfg.K, rr.cfg.MaxParity
+		ok = k == rr.cfg.K && h == rr.cfg.MaxParity && pkt.Codec == packet.CodecRS && pkt.CodecArg == 0
 	} else {
-		k, h = int(pkt.K), rr.maxH
-		if pkt.Vers == packet.V2 {
-			h = int(pkt.H)
-		}
-		if k < 1 || k > rr.maxK || h < 0 || h > rr.maxH || k+h > rr.maxN {
-			return 0, 0, false
-		}
+		ok = k >= 1 && k <= rr.maxK && h <= rr.maxH && k+h <= rr.maxN
 	}
-	if pkt.Vers != packet.V2 {
-		rr.NoteTotal(pkt.Total)
-	}
-	return k, h, true
+	return k, h, ok
 }
 
-// NoteTotal notes the transfer's group count from a v1 TG header's or the
-// FIN's Total (a v2 TG header's Total announces source shards instead).
-// The first statement stands; 0 states nothing and a count past MaxGroups
-// is not believed.
-func (rr *RxRules) NoteTotal(total uint32) {
-	if total > 0 && rr.total < 0 && int64(total) <= int64(rr.cfg.MaxGroups) {
-		rr.total = int(total)
+// Fin admits a FIN and notes the transfer's group count from its Total: the
+// first statement stands, 0 states nothing and a count past MaxGroups is
+// not believed. A static session admits only a FIN that states the
+// config's K and H. A renegotiating sender's FIN states H = 0, which no
+// static config has, so a receiver never NAKs the groups of a session
+// whose frames it refuses.
+func (rr *RxRules) Fin(pkt *packet.Packet) bool {
+	if !rr.cfg.AdaptiveFEC && (int(pkt.K) != rr.cfg.K || int(pkt.H) != rr.cfg.MaxParity) {
+		return false
 	}
+	if pkt.Total > 0 && rr.total < 0 && int64(pkt.Total) <= int64(rr.cfg.MaxGroups) {
+		rr.total = int(pkt.Total)
+	}
+	return true
 }
 
 // TotalTG returns the transfer's group count, or -1 before it is noted.
@@ -135,7 +116,7 @@ func (rr *RxRules) TotalTG() int { return rr.total }
 // codec the group adopted at its first such frame — a known one,
 // well-formed for (k, h), fixed then: a hostile or corrupt header must not
 // flip a group's recovery rule mid-flight — and a shard index inside the
-// group's k+h. v1 frames carry no codec bytes and decode as (0, 0) = RS.
+// group's k+h.
 //
 //rmlint:hotpath
 func (rr *RxRules) Admit(p *RxParams, pkt *packet.Packet, k, h int) bool {

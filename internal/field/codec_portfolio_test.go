@@ -60,7 +60,7 @@ func portfolioRung(p adapt.Params, session uint32) core.Config {
 
 // TestFieldRectCodecTransfer drives a rect-coded adaptive session against
 // an emulated population: the field must adopt the rect identity from the
-// v2 headers and use the per-class shortfall rule for its NAK deficits —
+// TG headers and use the per-class shortfall rule for its NAK deficits —
 // the MDS rule would under-report and deadlock classes hit twice.
 func TestFieldRectCodecTransfer(t *testing.T) {
 	pcfg := portfolioRung(adapt.Params{K: 12, H: 3, A: 1, Codec: packet.CodecRect, CodecArg: 3}, 31)

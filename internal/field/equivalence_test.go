@@ -316,8 +316,8 @@ func TestFieldEquivalenceCarousel(t *testing.T) {
 	}
 }
 
-// TestFieldEquivalenceAdaptive extends the pin to adaptive sessions: wire
-// v2, per-group (k, h) walked by the controller, the rect codec of the
+// TestFieldEquivalenceAdaptive extends the pin to adaptive sessions:
+// per-group (k, h) walked by the controller, the rect codec of the
 // portfolio ladder and NC repair with its NAK loss maps.
 func TestFieldEquivalenceAdaptive(t *testing.T) {
 	ac := adapt.DefaultConfig()

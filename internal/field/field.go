@@ -104,7 +104,7 @@ type Stats struct {
 	DataRx     uint64 // distinct data shards accepted (node-level, not per receiver)
 	ParityRx   uint64 // distinct parity shards accepted
 	DupRx      uint64 // duplicate/resent shards seen
-	PollRx     uint64 // POLLs seen
+	PollRx     uint64 // POLLs admitted
 	NakTx      uint64 // NAK frames multicast
 	NakSupp    uint64 // receiver NAKs damped (aggregate: folded into a representative)
 	NcRx       uint64 // NCREPAIR combos seen by the field's endpoint
@@ -359,7 +359,7 @@ func (f *Field) HandlePacket(wire []byte) {
 		return
 	}
 	var pkt packet.Packet
-	if f.rx.Decode(&pkt, wire) != nil {
+	if packet.DecodeInto(&pkt, wire) != nil {
 		return // rejected before it can advance the loss population
 	}
 	var lost []int
@@ -729,11 +729,11 @@ func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
 }
 
 func (f *Field) onPoll(pkt *packet.Packet) {
-	f.stats.PollRx++
 	g := f.tgGroup(pkt)
 	if g == nil {
 		return
 	}
+	f.stats.PollRx++
 	if !g.done {
 		f.consolidate(g)
 	}
@@ -782,7 +782,9 @@ func (f *Field) heardMax(g *fgroup, since, before time.Duration, self int) int {
 }
 
 func (f *Field) onFin(pkt *packet.Packet) {
-	f.rx.NoteTotal(pkt.Total)
+	if !f.rx.Fin(pkt) {
+		return
+	}
 	if len(pkt.Payload) >= 8 {
 		f.msgLen = binary.BigEndian.Uint64(pkt.Payload)
 		f.sawFin = true

@@ -30,20 +30,28 @@ func hostileAdaptive() core.Config {
 		CodecGate: core.GateForce, NCRepair: true, Ts: 2 * time.Millisecond, MaxNakSlots: 4}
 }
 
-// v1 and v2 build one wire frame: v1 frames state the group count (2) in
-// Total, v2 frames — all of group 0 — their group's (k, h, codec).
-func v1(typ packet.Type, group uint32, seq, k, count int, payload []byte) []byte {
+// static and tg build one wire frame: static frames carry hostileStatic's
+// H and announce two groups' worth of shards (16) in Total, tg frames — all
+// of group 0 — the (k, h, codec) given.
+func static(typ packet.Type, group uint32, seq, k, count int, payload []byte) []byte {
 	p := packet.Packet{Type: typ, Session: 5, Group: group, Seq: uint16(seq), K: uint16(k),
-		Count: uint16(count), Total: 2, Payload: payload}
+		H: 8, Count: uint16(count), Total: 16, Payload: payload}
 	return p.MustEncode()
 }
 
-func v2(typ packet.Type, seq, k, h int, codec, arg uint8, payload []byte) []byte {
-	p := packet.Packet{Vers: packet.V2, Type: typ, Session: 5, Seq: uint16(seq), K: uint16(k),
+func tg(typ packet.Type, seq, k, h int, codec, arg uint8, payload []byte) []byte {
+	p := packet.Packet{Type: typ, Session: 5, Seq: uint16(seq), K: uint16(k),
 		H: uint16(h), Codec: codec, CodecArg: arg, Payload: payload}
 	if typ == packet.TypePoll {
 		p.Count = uint16(k)
 	}
+	return p.MustEncode()
+}
+
+// fin builds a FIN stating (k, h) and two groups.
+func fin(k, h int) []byte {
+	p := packet.Packet{Type: packet.TypeFin, Session: 5, K: uint16(k), H: uint16(h), Total: 2,
+		Payload: make([]byte, 8)}
 	return p.MustEncode()
 }
 
@@ -97,15 +105,15 @@ func hostileRun(t *testing.T, cfg core.Config, frames [][]byte, useField bool) (
 // TestHostileHeaderDifferential feeds crafted frames to a core.Receiver
 // and to an Exact-mode Field and demands the same NAKs, byte for byte:
 // both engines admit frames by one set of rules. Each row ends in a frame
-// that makes the group's state visible (a POLL), and wantL is the deficit
-// the first NAK must carry, 0 for none.
+// that makes the group's state visible (a POLL or a FIN), and wantL is the
+// deficit the first NAK must carry, 0 for none.
 func TestHostileHeaderDifferential(t *testing.T) {
 	shard := make([]byte, hostileShard)
 	var rs, rect uint8 = packet.CodecRS, packet.CodecRect
-	dataRun := func(from, to int) [][]byte { // v2 RS data seqs [from, to) of a (16, 8) group
+	dataRun := func(from, to int) [][]byte { // RS data seqs [from, to) of a (16, 8) group
 		var fs [][]byte
 		for s := from; s < to; s++ {
-			fs = append(fs, v2(packet.TypeData, s, 16, 8, rs, 0, shard))
+			fs = append(fs, tg(packet.TypeData, s, 16, 8, rs, 0, shard))
 		}
 		return fs
 	}
@@ -116,57 +124,63 @@ func TestHostileHeaderDifferential(t *testing.T) {
 		wantL  int
 	}{
 		{"poll with a foreign K", hostileStatic(), [][]byte{
-			v1(packet.TypeData, 0, 0, 8, 0, shard),
-			v1(packet.TypePoll, 0, 0, 9, 8, nil),
+			static(packet.TypeData, 0, 0, 8, 0, shard),
+			static(packet.TypePoll, 0, 0, 9, 8, nil),
 		}, 0},
 		{"poll whose k conflicts with the group's", hostileAdaptive(), [][]byte{
-			v2(packet.TypeData, 0, 16, 8, rs, 0, shard),
-			v2(packet.TypePoll, 0, 8, 12, rs, 0, nil),
+			tg(packet.TypeData, 0, 16, 8, rs, 0, shard),
+			tg(packet.TypePoll, 0, 8, 12, rs, 0, nil),
 		}, 0},
-		{"v2 frames to a static session", hostileStatic(), [][]byte{
-			v1(packet.TypeData, 0, 0, 8, 0, shard),
-			v2(packet.TypeData, 1, 8, 8, rs, 0, shard),
-			v2(packet.TypePoll, 0, 8, 8, rs, 0, nil),
-			v1(packet.TypePoll, 0, 0, 8, 8, nil),
+		{"frames at another working point (H, codec)", hostileStatic(), [][]byte{
+			static(packet.TypeData, 0, 0, 8, 0, shard),
+			tg(packet.TypeData, 1, 8, 4, rs, 0, shard),
+			tg(packet.TypeData, 2, 8, 8, rect, 8, shard),
+			tg(packet.TypePoll, 0, 8, 4, rs, 0, nil),
+			static(packet.TypePoll, 0, 0, 8, 8, nil),
 		}, 7},
 		{"k beyond the ladder", hostileAdaptive(), [][]byte{
-			v2(packet.TypeData, 0, 33, 4, rs, 0, shard),
-			v2(packet.TypeData, 1, 16, 8, rs, 0, shard),
-			v2(packet.TypePoll, 0, 16, 8, rs, 0, nil),
+			tg(packet.TypeData, 0, 33, 4, rs, 0, shard),
+			tg(packet.TypeData, 1, 16, 8, rs, 0, shard),
+			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
 		}, 15},
 		{"h beyond the ladder", hostileAdaptive(), [][]byte{
-			v2(packet.TypeData, 0, 16, 13, rs, 0, shard),
-			v2(packet.TypeData, 1, 16, 8, rs, 0, shard),
-			v2(packet.TypePoll, 0, 16, 8, rs, 0, nil),
+			tg(packet.TypeData, 0, 16, 13, rs, 0, shard),
+			tg(packet.TypeData, 1, 16, 8, rs, 0, shard),
+			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
 		}, 15},
 		{"rect with arg != h", hostileAdaptive(), [][]byte{
-			v2(packet.TypeData, 0, 32, 4, rect, 3, shard),
-			v2(packet.TypeData, 1, 32, 4, rect, 4, shard),
-			v2(packet.TypePoll, 0, 32, 4, rect, 4, nil),
+			tg(packet.TypeData, 0, 32, 4, rect, 3, shard),
+			tg(packet.TypeData, 1, 32, 4, rect, 4, shard),
+			tg(packet.TypePoll, 0, 32, 4, rect, 4, nil),
 		}, 31},
 		{"unknown codec id", hostileAdaptive(), [][]byte{
-			v2(packet.TypeData, 0, 16, 8, 7, 0, shard),
-			v2(packet.TypeData, 1, 16, 8, rs, 0, shard),
-			v2(packet.TypePoll, 0, 16, 8, rs, 0, nil),
+			tg(packet.TypeData, 0, 16, 8, 7, 0, shard),
+			tg(packet.TypeData, 1, 16, 8, rs, 0, shard),
+			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
 		}, 15},
 		{"codec conflicting with the group's", hostileAdaptive(), [][]byte{
-			v2(packet.TypeData, 0, 16, 8, rs, 0, shard),
-			v2(packet.TypeData, 1, 16, 8, rect, 8, shard),
-			v2(packet.TypePoll, 0, 16, 8, rs, 0, nil),
+			tg(packet.TypeData, 0, 16, 8, rs, 0, shard),
+			tg(packet.TypeData, 1, 16, 8, rect, 8, shard),
+			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
 		}, 15},
+		{"FIN at the session's working point", hostileStatic(), [][]byte{fin(8, 8)}, 8},
+		{"FIN of another K, or of a renegotiating session (H = 0)", hostileStatic(), [][]byte{
+			fin(16, 8),
+			fin(8, 0),
+		}, 0},
 		{"group >= MaxGroups", hostileStatic(), [][]byte{
-			v1(packet.TypeData, 4, 0, 8, 0, shard),
-			v1(packet.TypePoll, 4, 0, 8, 8, nil),
-			v1(packet.TypeData, 0, 0, 8, 0, shard),
-			v1(packet.TypePoll, 0, 0, 8, 8, nil),
+			static(packet.TypeData, 4, 0, 8, 0, shard),
+			static(packet.TypePoll, 4, 0, 8, 8, nil),
+			static(packet.TypeData, 0, 0, 8, 0, shard),
+			static(packet.TypePoll, 0, 0, 8, 8, nil),
 		}, 7},
 		{"ncrepair with K > 63", hostileAdaptive(), append(dataRun(1, 16),
-			v2(packet.TypeNcRepair, 0, 64, 0, rs, 0, ncCombo(1, hostileShard)),
-			v2(packet.TypePoll, 0, 16, 8, rs, 0, nil),
+			tg(packet.TypeNcRepair, 0, 64, 0, rs, 0, ncCombo(1, hostileShard)),
+			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
 		), 1},
 		{"ncrepair with a short payload", hostileAdaptive(), append(dataRun(1, 16),
-			v2(packet.TypeNcRepair, 0, 16, 8, rs, 0, ncCombo(1, hostileShard-1)),
-			v2(packet.TypePoll, 0, 16, 8, rs, 0, nil),
+			tg(packet.TypeNcRepair, 0, 16, 8, rs, 0, ncCombo(1, hostileShard-1)),
+			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
 		), 1},
 	}
 	for _, row := range rows {

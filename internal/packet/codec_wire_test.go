@@ -2,11 +2,10 @@ package packet
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
-// TestCodecIDRoundTripV2 round-trips a v2 frame for every registered codec
+// TestCodecIDRoundTripV2 round-trips a frame for every registered codec
 // identity through each marshal/decode pairing: the codec id/arg bytes are
 // part of the TG contract and must survive any path combination.
 func TestCodecIDRoundTripV2(t *testing.T) {
@@ -21,7 +20,7 @@ func TestCodecIDRoundTripV2(t *testing.T) {
 	for _, id := range ids {
 		for _, typ := range []Type{TypeData, TypeParity, TypeNcRepair} {
 			p := Packet{
-				Vers: V2, Type: typ, Session: 9, Group: 4, Seq: 2,
+				Type: typ, Session: 9, Group: 4, Seq: 2,
 				K: 12, H: 3, Total: 40, Codec: id.codec, CodecArg: id.arg,
 				Payload: bytes.Repeat([]byte{0x5A}, NcMaskLen+4),
 			}
@@ -42,39 +41,5 @@ func TestCodecIDRoundTripV2(t *testing.T) {
 				t.Errorf("%v: MarshalTo disagrees with Encode (err %v)", typ, err)
 			}
 		}
-	}
-}
-
-// TestNcRepairV2Only pins NCREPAIR to the v2 wire: v1 marshal must refuse
-// to emit it, and both decoders must reject a hand-built v1 frame claiming
-// type 6 — a v1-only receiver can never be asked to parse a combo.
-func TestNcRepairV2Only(t *testing.T) {
-	p := Packet{Type: TypeNcRepair, Session: 1, K: 8, Payload: make([]byte, NcMaskLen+8)}
-	if _, err := p.Encode(); err == nil {
-		t.Error("v1 Encode accepted an NCREPAIR frame")
-	}
-	if _, err := p.MarshalTo(make([]byte, 128)); err == nil {
-		t.Error("v1 MarshalTo accepted an NCREPAIR frame")
-	}
-
-	v1nc := make([]byte, HeaderLen)
-	v1nc[0], v1nc[1], v1nc[2] = Magic, V1, byte(TypeNcRepair)
-	if _, err := Decode(v1nc); err == nil {
-		t.Error("Decode accepted a v1 frame with type NCREPAIR")
-	}
-	var into Packet
-	if err := DecodeIntoV1(&into, v1nc); err == nil {
-		t.Error("DecodeIntoV1 accepted a v1 frame with type NCREPAIR")
-	}
-
-	// The same packet on v2 is well-formed, and the strict v1 decoder
-	// rejects it on version before type.
-	p.Vers = V2
-	wire := p.MustEncode()
-	if _, err := Decode(wire); err != nil {
-		t.Fatalf("v2 NCREPAIR rejected: %v", err)
-	}
-	if err := DecodeIntoV1(&into, wire); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("DecodeIntoV1(v2 NCREPAIR) = %v, want ErrBadVersion", err)
 	}
 }

@@ -40,7 +40,6 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripV2(t *testing.T) {
 	in := &Packet{
-		Vers:     V2,
 		Type:     TypeParity,
 		Session:  0xdeadbeef,
 		Group:    42,
@@ -57,18 +56,18 @@ func TestRoundTripV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wire) != HeaderLenV2+len(in.Payload) {
-		t.Fatalf("wire length %d, want %d", len(wire), HeaderLenV2+len(in.Payload))
+	if len(wire) != HeaderLen+len(in.Payload) {
+		t.Fatalf("wire length %d, want %d", len(wire), HeaderLen+len(in.Payload))
 	}
-	if wire[1] != V2 {
-		t.Fatalf("version byte %d, want %d", wire[1], V2)
+	if wire[1] != Version {
+		t.Fatalf("version byte %d, want %d", wire[1], Version)
 	}
 	out, err := Decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Vers != V2 || out.H != in.H || out.Codec != in.Codec || out.CodecArg != in.CodecArg {
-		t.Fatalf("v2 fields mismatch: %+v vs %+v", out, in)
+	if out.H != in.H || out.Codec != in.Codec || out.CodecArg != in.CodecArg {
+		t.Fatalf("h/codec fields mismatch: %+v vs %+v", out, in)
 	}
 	if out.Type != in.Type || out.Session != in.Session || out.Group != in.Group ||
 		out.Seq != in.Seq || out.K != in.K || out.Count != in.Count || out.Total != in.Total {
@@ -79,45 +78,15 @@ func TestRoundTripV2(t *testing.T) {
 	}
 }
 
-// TestV1DecoderRejectsV2 pins the compatibility contract: a pre-adaptive
-// engine (decoding through DecodeIntoV1) drops v2 frames with ErrBadVersion
-// rather than panicking or misparsing them, while the v2 decoder accepts
-// both versions and zeroes the extension fields on v1 frames.
-func TestV1DecoderRejectsV2(t *testing.T) {
-	v2 := (&Packet{Vers: V2, Type: TypeData, K: 8, H: 4, Payload: []byte("pp")}).MustEncode()
-	var p Packet
-	if err := DecodeIntoV1(&p, v2); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("DecodeIntoV1(v2 frame) = %v, want ErrBadVersion", err)
-	}
-	if err := DecodeInto(&p, v2); err != nil {
-		t.Fatalf("DecodeInto(v2 frame) = %v, want nil", err)
-	}
-	v1 := (&Packet{Type: TypeData, K: 8, Payload: []byte("pp")}).MustEncode()
-	p = Packet{H: 99, Codec: 9, CodecArg: 9, Vers: 77}
-	if err := DecodeIntoV1(&p, v1); err != nil {
-		t.Fatalf("DecodeIntoV1(v1 frame) = %v", err)
-	}
-	if p.Vers != V1 || p.H != 0 || p.Codec != 0 || p.CodecArg != 0 {
-		t.Fatalf("v1 decode left stale extension fields: %+v", p)
-	}
-	p = Packet{H: 99, Codec: 9, CodecArg: 9, Vers: 77}
-	if err := DecodeInto(&p, v1); err != nil {
-		t.Fatalf("DecodeInto(v1 frame) = %v", err)
-	}
-	if p.Vers != V1 || p.H != 0 || p.Codec != 0 || p.CodecArg != 0 {
-		t.Fatalf("v2 decoder left stale extension fields on v1 frame: %+v", p)
-	}
-}
-
 func TestDecodeV2TooShort(t *testing.T) {
-	wire := (&Packet{Vers: V2, Type: TypeData}).MustEncode()
-	for _, n := range []int{HeaderLen, HeaderLenV2 - 1} {
+	wire := (&Packet{Type: TypeData}).MustEncode()
+	for _, n := range []int{HeaderLen - 4, HeaderLen - 1} {
 		if _, err := Decode(wire[:n]); !errors.Is(err, ErrTooShort) {
-			t.Errorf("Decode(v2[:%d]) = %v, want ErrTooShort", n, err)
+			t.Errorf("Decode(frame[:%d]) = %v, want ErrTooShort", n, err)
 		}
 	}
 	if _, err := Decode(wire); err != nil {
-		t.Fatalf("full v2 header: %v", err)
+		t.Fatalf("full header: %v", err)
 	}
 }
 
@@ -135,16 +104,13 @@ func TestDecodeCopiesPayload(t *testing.T) {
 }
 
 func TestRoundTripQuick(t *testing.T) {
-	err := quick.Check(func(typ, vers uint8, sess, grp, total uint32, seq, k, cnt, h uint16, codec, codecArg byte, payload []byte) bool {
+	err := quick.Check(func(typ uint8, sess, grp, total uint32, seq, k, cnt, h uint16, codec, codecArg byte, payload []byte) bool {
 		ty := Type(typ%5) + 1
 		if len(payload) >= MaxPayload {
 			payload = payload[:MaxPayload-1]
 		}
-		in := &Packet{Vers: V1 + vers%2, Type: ty, Session: sess, Group: grp, Seq: seq, K: k,
-			Count: cnt, Total: total, Payload: payload}
-		if in.Vers == V2 {
-			in.H, in.Codec, in.CodecArg = h, codec, codecArg
-		}
+		in := &Packet{Type: ty, Session: sess, Group: grp, Seq: seq, K: k,
+			Count: cnt, Total: total, H: h, Codec: codec, CodecArg: codecArg, Payload: payload}
 		wire, err := in.Encode()
 		if err != nil {
 			return false
@@ -156,7 +122,7 @@ func TestRoundTripQuick(t *testing.T) {
 		return out.Type == in.Type && out.Session == in.Session &&
 			out.Group == in.Group && out.Seq == in.Seq && out.K == in.K &&
 			out.Count == in.Count && out.Total == in.Total &&
-			out.Vers == in.Vers && out.H == in.H &&
+			out.H == in.H &&
 			out.Codec == in.Codec && out.CodecArg == in.CodecArg &&
 			bytes.Equal(out.Payload, in.Payload)
 	}, &quick.Config{MaxCount: 500})
@@ -176,6 +142,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"short", func(b []byte) []byte { return b[:HeaderLen-1] }, ErrTooShort},
 		{"magic", func(b []byte) []byte { b[0] = 0; return b }, ErrBadMagic},
 		{"version", func(b []byte) []byte { b[1] = 9; return b }, ErrBadVersion},
+		{"v1", func(b []byte) []byte { b[1] = 1; return b }, ErrBadVersion},
 		{"type zero", func(b []byte) []byte { b[2] = 0; return b }, ErrBadType},
 		{"type high", func(b []byte) []byte { b[2] = 99; return b }, ErrBadType},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }, ErrTruncated},
@@ -198,9 +165,6 @@ func TestEncodeErrors(t *testing.T) {
 	big := &Packet{Type: TypeData, Payload: make([]byte, MaxPayload)}
 	if _, err := big.Encode(); !errors.Is(err, ErrOversize) {
 		t.Errorf("oversize: %v", err)
-	}
-	if _, err := (&Packet{Vers: 3, Type: TypeData}).Encode(); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("future version: %v", err)
 	}
 }
 

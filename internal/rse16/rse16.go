@@ -253,21 +253,15 @@ func (c *Code) Encode(data [][]byte, parity [][]byte) error {
 	return nil
 }
 
-// EncodeBlocks encodes nb consecutive FEC blocks in one call: data holds
-// nb*k data shards (block b at [b*k, (b+1)*k)) and parity nb*h parity
-// slices, resized and overwritten like Encode. Mirrors rse.EncodeBlocks
-// so batch senders can drive either backend.
-func (c *Code) EncodeBlocks(data, parity [][]byte) error {
-	return c.EncodeBlocksShard(data, parity, 0, 1)
-}
-
-// EncodeBlocksShard encodes only the parity rows owned by shard `shard`
-// of `nshards` partitions, mirroring rse.EncodeBlocksShard: ownership is
-// by global row index r = b*h + j with r % nshards == shard, every shard
-// validates every block identically, and running all shards — serially
-// or concurrently over one shared parity slice — is byte-identical to
-// EncodeBlocks because each row is computed by the same arithmetic
-// regardless of partitioning. The byte-to-symbol conversion of a block's
+// EncodeBlocksShard encodes nb consecutive FEC blocks in one call — data
+// holds nb*k data shards (block b at [b*k, (b+1)*k)) and parity nb*h
+// parity slices, resized and overwritten like Encode — but only the parity
+// rows owned by shard `shard` of `nshards` partitions, mirroring
+// rse.EncodeBlocksShard: ownership is by global row index r = b*h + j with
+// r % nshards == shard, every shard validates every block identically, and
+// running all shards — serially or concurrently over one shared parity
+// slice — is byte-identical to shard 0 of 1 because each row is computed
+// by the same arithmetic regardless of partitioning. The byte-to-symbol conversion of a block's
 // data shards runs once per (block, shard) with at least one owned row,
 // so a shard that owns no row of a block skips the block entirely after
 // validation.

@@ -295,7 +295,7 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 		rng.Read(data[i])
 	}
 	parity := make([][]byte, nb*2)
-	if err := c.EncodeBlocks(data, parity); err != nil {
+	if err := c.EncodeBlocksShard(data, parity, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b < nb; b++ {
@@ -309,10 +309,10 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 			}
 		}
 	}
-	if err := c.EncodeBlocks(data[:5], parity); err == nil {
+	if err := c.EncodeBlocksShard(data[:5], parity, 0, 1); err == nil {
 		t.Error("non-multiple data count accepted")
 	}
-	if err := c.EncodeBlocks(data, parity[:3]); err == nil {
+	if err := c.EncodeBlocksShard(data, parity[:3], 0, 1); err == nil {
 		t.Error("wrong parity count accepted")
 	}
 }

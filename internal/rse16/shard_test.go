@@ -9,7 +9,7 @@ import (
 
 // TestEncodeBlocksShardMatchesSerial mirrors the rse equivalence property:
 // for every shard count 1..16, running all shards must reproduce the
-// serial EncodeBlocks output byte-for-byte.
+// single-shard (0 of 1) output byte-for-byte.
 func TestEncodeBlocksShardMatchesSerial(t *testing.T) {
 	cases := []struct{ k, h, nb, size int }{
 		{1, 1, 1, 2},
@@ -29,7 +29,7 @@ func TestEncodeBlocksShardMatchesSerial(t *testing.T) {
 			rng.Read(data[i])
 		}
 		want := make([][]byte, tc.nb*tc.h)
-		if err := c.EncodeBlocks(data, want); err != nil {
+		if err := c.EncodeBlocksShard(data, want, 0, 1); err != nil {
 			t.Fatal(err)
 		}
 		for nshards := 1; nshards <= 16; nshards++ {
@@ -65,7 +65,7 @@ func TestEncodeBlocksShardConcurrent(t *testing.T) {
 		rng.Read(data[i])
 	}
 	want := make([][]byte, nb*h)
-	if err := c.EncodeBlocks(data, want); err != nil {
+	if err := c.EncodeBlocksShard(data, want, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, nshards := range []int{2, 4, 8} {
