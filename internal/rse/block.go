@@ -77,47 +77,3 @@ func Join(shards [][]byte) ([]byte, error) {
 	}
 	return buf[4 : 4+n], nil
 }
-
-// Interleaver spreads the packets of depth FEC blocks across time so that
-// a loss burst of up to depth consecutive packets hits each block at most
-// once. Section 4.2 of the paper discusses interleaving as the classical
-// FEC answer to burst loss (and shows large TGs make it unnecessary for
-// integrated FEC).
-type Interleaver struct {
-	depth int // number of blocks interleaved
-	n     int // packets per block
-}
-
-// NewInterleaver returns an interleaver over depth blocks of n packets.
-func NewInterleaver(depth, n int) (*Interleaver, error) {
-	if depth < 1 || n < 1 {
-		return nil, fmt.Errorf("rse: NewInterleaver(depth=%d, n=%d)", depth, n)
-	}
-	return &Interleaver{depth: depth, n: n}, nil
-}
-
-// Depth returns the number of interleaved blocks.
-func (iv *Interleaver) Depth() int { return iv.depth }
-
-// BlockLen returns the packets per block.
-func (iv *Interleaver) BlockLen() int { return iv.n }
-
-// Slots returns the total number of transmission slots, depth*n.
-func (iv *Interleaver) Slots() int { return iv.depth * iv.n }
-
-// Slot maps (block b, packet i within block) to its transmission slot.
-// Packets are emitted column-wise: slot = i*depth + b.
-func (iv *Interleaver) Slot(b, i int) int {
-	if b < 0 || b >= iv.depth || i < 0 || i >= iv.n {
-		panic(fmt.Sprintf("rse: Interleaver.Slot(%d,%d) out of range %dx%d", b, i, iv.depth, iv.n))
-	}
-	return i*iv.depth + b
-}
-
-// Unslot maps a transmission slot back to (block, packet-within-block).
-func (iv *Interleaver) Unslot(slot int) (b, i int) {
-	if slot < 0 || slot >= iv.Slots() {
-		panic(fmt.Sprintf("rse: Interleaver.Unslot(%d) out of range %d", slot, iv.Slots()))
-	}
-	return slot % iv.depth, slot / iv.depth
-}

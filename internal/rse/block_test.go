@@ -105,70 +105,6 @@ func TestJoinErrors(t *testing.T) {
 	}
 }
 
-func TestInterleaverBijective(t *testing.T) {
-	iv, err := NewInterleaver(4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool)
-	for b := 0; b < iv.Depth(); b++ {
-		for i := 0; i < iv.BlockLen(); i++ {
-			s := iv.Slot(b, i)
-			if s < 0 || s >= iv.Slots() {
-				t.Fatalf("slot %d out of range", s)
-			}
-			if seen[s] {
-				t.Fatalf("slot %d assigned twice", s)
-			}
-			seen[s] = true
-			gb, gi := iv.Unslot(s)
-			if gb != b || gi != i {
-				t.Fatalf("Unslot(Slot(%d,%d)) = (%d,%d)", b, i, gb, gi)
-			}
-		}
-	}
-	if len(seen) != iv.Slots() {
-		t.Fatalf("%d slots used, want %d", len(seen), iv.Slots())
-	}
-}
-
-func TestInterleaverSpreadsBursts(t *testing.T) {
-	// A burst of up to depth consecutive slots must touch each block at
-	// most once — the property that makes interleaving burst-resistant.
-	iv, _ := NewInterleaver(5, 8)
-	for start := 0; start+iv.Depth() <= iv.Slots(); start++ {
-		perBlock := make(map[int]int)
-		for s := start; s < start+iv.Depth(); s++ {
-			b, _ := iv.Unslot(s)
-			perBlock[b]++
-			if perBlock[b] > 1 {
-				t.Fatalf("burst at %d hits block %d twice", start, b)
-			}
-		}
-	}
-}
-
-func TestInterleaverValidation(t *testing.T) {
-	if _, err := NewInterleaver(0, 5); err == nil {
-		t.Error("depth 0 accepted")
-	}
-	if _, err := NewInterleaver(3, 0); err == nil {
-		t.Error("n 0 accepted")
-	}
-	iv, _ := NewInterleaver(2, 3)
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("Slot out of range", func() { iv.Slot(2, 0) })
-	mustPanic("Unslot out of range", func() { iv.Unslot(6) })
-}
-
 func TestSplitQuick(t *testing.T) {
 	err := quick.Check(func(msg []byte, kRaw uint8) bool {
 		k := int(kRaw%32) + 1

@@ -38,27 +38,3 @@ func ExampleSplit() {
 	// 5 shards of 11 bytes
 	// true
 }
-
-// Interleaving spreads each FEC block over depth slots so a loss burst of
-// up to depth packets hits every block at most once (Section 4.2).
-func ExampleInterleaver() {
-	iv, _ := rse.NewInterleaver(3, 4) // 3 blocks of 4 packets
-	for b := 0; b < 3; b++ {
-		for i := 0; i < 4; i++ {
-			fmt.Printf("block %d pkt %d -> slot %d\n", b, i, iv.Slot(b, i))
-		}
-	}
-	// Output:
-	// block 0 pkt 0 -> slot 0
-	// block 0 pkt 1 -> slot 3
-	// block 0 pkt 2 -> slot 6
-	// block 0 pkt 3 -> slot 9
-	// block 1 pkt 0 -> slot 1
-	// block 1 pkt 1 -> slot 4
-	// block 1 pkt 2 -> slot 7
-	// block 1 pkt 3 -> slot 10
-	// block 2 pkt 0 -> slot 2
-	// block 2 pkt 1 -> slot 5
-	// block 2 pkt 2 -> slot 8
-	// block 2 pkt 3 -> slot 11
-}
