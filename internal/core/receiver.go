@@ -560,11 +560,14 @@ func (r *Receiver) armNak(idx uint32, g *rxGroup, roundSize int) {
 	}
 	g.nakArmed = true
 	//rmlint:ignore hotpath-alloc NAK timer closure: armed only after loss, never in the loss-free steady state
-	g.nakCancel = r.env.After(delay, func() { r.fireNak(idx, g) })
+	g.nakCancel = r.env.After(delay, func() { r.fireNak(idx, g, false) })
 }
 
+// fireNak is g's NAK timer: the slot timer a POLL or the FIN armed, or
+// (retry) the backoff timer it re-arms while the group stays incomplete.
+//
 //rmlint:hotpath
-func (r *Receiver) fireNak(idx uint32, g *rxGroup) {
+func (r *Receiver) fireNak(idx uint32, g *rxGroup, retry bool) {
 	if r.closed || g.done {
 		return
 	}
@@ -579,7 +582,7 @@ func (r *Receiver) fireNak(idx uint32, g *rxGroup) {
 		r.stats.NakSupp++
 		r.m.nakSupp.Inc()
 	} else {
-		r.rx.Nak(idx, &g.RxParams, l, g.haveBits)
+		r.rx.Nak(idx, &g.RxParams, l, g.haveBits, retry)
 		r.stats.NakTx++
 		r.m.nakSent.Inc()
 	}
@@ -587,7 +590,7 @@ func (r *Receiver) fireNak(idx uint32, g *rxGroup) {
 	g.heardNak = 0
 	g.nakArmed = true
 	//rmlint:ignore hotpath-alloc NAK retry closure: runs only while a group stays incomplete after loss
-	g.nakCancel = r.env.After(r.rx.Backoff(g.retryCount), func() { r.fireNak(idx, g) })
+	g.nakCancel = r.env.After(r.rx.Backoff(g.retryCount), func() { r.fireNak(idx, g, true) })
 }
 
 // onNcRepair applies one network-coded repair combo: the payload is an

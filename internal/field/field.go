@@ -824,9 +824,10 @@ func (f *Field) maybeComplete() {
 }
 
 // sendNak multicasts one NAK carrying deficit l for g on behalf of active
-// receiver i, whose missing-data bitmap rides along under NC repair.
-func (f *Field) sendNak(g *fgroup, l, i int) {
-	f.rx.Nak(g.idx, &g.RxParams, l, g.seqSeen&^g.missed[i])
+// receiver i, whose missing-data bitmap rides along under NC repair; retry
+// marks a backoff timer's NAK, which echoes no POLL.
+func (f *Field) sendNak(g *fgroup, l, i int, retry bool) {
+	f.rx.Nak(g.idx, &g.RxParams, l, g.seqSeen&^g.missed[i], retry)
 	f.stats.NakTx++
 	f.m.naksSent.Inc()
 	f.m.nakDeficit.Observe(float64(l))

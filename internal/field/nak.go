@@ -67,14 +67,14 @@ func (f *Field) armRep(g *fgroup, roundSize int) {
 	if g.repCancel != nil {
 		g.repCancel()
 	}
-	g.repCancel = f.env.After(delay, func() { f.fireRep(g) })
+	g.repCancel = f.env.After(delay, func() { f.fireRep(g, false) })
 }
 
 // fireRep is the representative timer: re-check the deficit (repairs may
 // have landed while waiting), honour external damping, send one NAK for
 // the worst remaining deficit, and re-arm with linear backoff exactly as
-// a single receiver would.
-func (f *Field) fireRep(g *fgroup) {
+// a single receiver would (retry: the backoff's firing).
+func (f *Field) fireRep(g *fgroup, retry bool) {
 	if f.closed || g.done {
 		return
 	}
@@ -90,14 +90,14 @@ func (f *Field) fireRep(g *fgroup) {
 		f.stats.NakSupp += deficient
 		f.m.naksSupp.Add(deficient)
 	} else {
-		f.sendNak(g, l, worst)
+		f.sendNak(g, l, worst, retry)
 		// The representative spoke for every other deficient receiver.
 		f.stats.NakSupp += deficient - 1
 		f.m.naksSupp.Add(deficient - 1)
 	}
 	g.repRetry++
 	g.repReset = now
-	g.repCancel = f.env.After(f.rx.Backoff(g.repRetry), func() { f.fireRep(g) })
+	g.repCancel = f.env.After(f.rx.Backoff(g.repRetry), func() { f.fireRep(g, true) })
 }
 
 // jitterFor returns receiver id's private NAK-jitter stream (Exact mode),
@@ -130,14 +130,14 @@ func (f *Field) armExact(g *fgroup, i, roundSize int) {
 	if g.cancel[i] != nil {
 		g.cancel[i]()
 	}
-	g.cancel[i] = f.env.After(delay, func() { f.fireExact(g, id) })
+	g.cancel[i] = f.env.After(delay, func() { f.fireExact(g, id, false) })
 }
 
 // fireExact is one emulated receiver's NAK timer: suppressed if the
 // population heard an equal-or-larger NAK from someone else since the
 // receiver's last reset, multicast otherwise, and always re-armed with
-// linear backoff while the group stays incomplete.
-func (f *Field) fireExact(g *fgroup, id int) {
+// linear backoff (retry) while the group stays incomplete.
+func (f *Field) fireExact(g *fgroup, id int, retry bool) {
 	if f.closed || g.done {
 		return
 	}
@@ -154,11 +154,11 @@ func (f *Field) fireExact(g *fgroup, id int) {
 		f.stats.NakSupp++
 		f.m.naksSupp.Inc()
 	} else {
-		f.sendNak(g, l, i)
+		f.sendNak(g, l, i, retry)
 		// The population hears this NAK one inter-receiver delay later.
 		f.hearNak(g, now+f.interDelay, l, id)
 	}
 	g.retry[i]++
 	g.resetAt[i] = now
-	g.cancel[i] = f.env.After(f.rx.Backoff(g.retry[i]), func() { f.fireExact(g, id) })
+	g.cancel[i] = f.env.After(f.rx.Backoff(g.retry[i]), func() { f.fireExact(g, id, true) })
 }
