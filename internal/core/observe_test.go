@@ -210,3 +210,42 @@ func TestLiveEMMatchesAnalyticModel(t *testing.T) {
 			liveEM, se, want, diff, 3*se)
 	}
 }
+
+// TestRacingReceiversMeetModel is the same reconciliation where receivers
+// race: eight of them at 5 % Bernoulli loss, k = h = 20, a = 0 — the
+// lossy_decode working point — whose NAKs for one round can cross in
+// flight when their deficits share the capped last slot. The sender serves
+// each NAK only beyond the repairs queued since the POLL it echoes, so a
+// raced round is not bought twice, and per-group E[M] over 400 groups must
+// lie within 3 SE of the closed form at R = 8. Serving a raced NAK against
+// the queue alone reads 1.1805 here, 13 SE above it.
+func TestRacingReceiversMeetModel(t *testing.T) {
+	const (
+		k, r, p = 20, 8, 0.05
+		groups  = 100 // per seed
+	)
+	var sum, sumSq float64
+	n := 0
+	for seed := int64(2801); seed < 2805; seed++ {
+		cfg := baseConfig()
+		cfg.K, cfg.MaxParity = k, k
+		h := newHarness(t, harnessOpts{r: r, cfg: cfg, seed: seed,
+			mkLoss: func(rng *rand.Rand) loss.Process { return loss.NewBernoulli(p, rng) }})
+		msg := testMessage(groups*k*cfg.ShardSize, seed+100)
+		h.run(t, msg)
+		h.checkDelivered(t, msg)
+		for _, g := range h.sender.GroupTrace() {
+			em := float64(g.TxCount) / k
+			sum += em
+			sumSq += em * em
+			n++
+		}
+	}
+	mean := sum / float64(n)
+	se := math.Sqrt((sumSq-sum*sum/float64(n))/float64(n-1)) / math.Sqrt(float64(n))
+	want := model.ExpectedTxIntegratedFinite(k, k, 0, r, p)
+	t.Logf("E[M] = %.4f (SE %.4f, %d groups) vs analytic %.4f", mean, se, n, want)
+	if diff := mean - want; math.Abs(diff) > 3*se {
+		t.Errorf("E[M] is %+.1f SE from the model, want within 3", diff/se)
+	}
+}

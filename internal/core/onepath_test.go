@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,5 +128,69 @@ func TestSendCopiesMessageOnce(t *testing.T) {
 				name, got, len(msg), groups, bound)
 		}
 		s.Close()
+	}
+}
+
+// TestNakServesOnlyTheResidual pins the NAK service rule on one streamed
+// group: a NAK needing l is served l − max(queued, served − echo) repairs,
+// served being what the group's service rounds have queued so far and echo
+// the POLL count the NAK answers. A retry's 0xFFFF, or an echo past served
+// (forged), counts the queue alone. The POLL closing the round states the
+// new served, which saturates at 0xFFFE.
+func TestNakServesOnlyTheResidual(t *testing.T) {
+	rows := []struct {
+		name                 string
+		served, queued, echo int
+		need, want           int
+	}{
+		{"echo older than the last round: only the residual", 10, 0, 4, 8, 2},
+		{"echo older, and the queue covers more", 10, 7, 6, 8, 1},
+		{"raced round covers the whole deficit", 10, 0, 2, 8, 0},
+		{"echo equal to served: aggregated against the queue", 10, 3, 10, 8, 5},
+		{"retry, no echo: served in full", 10, 0, noEcho, 8, 8},
+		{"echo above served: served in full", 10, 0, 11, 8, 8},
+		{"served saturates below the no-echo marker", maxServed - 2, 0, maxServed - 2, 5, 5},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{Session: 7, K: 8, MaxParity: 32, ShardSize: 16, Delta: time.Millisecond}
+			env := newLoopEnv(1)
+			var polls []int
+			env.deliver = func(b []byte) {
+				var pkt packet.Packet
+				if packet.DecodeInto(&pkt, b) == nil && pkt.Type == packet.TypePoll {
+					polls = append(polls, int(pkt.Seq))
+				}
+			}
+			s, err := NewSender(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Send(transcriptMsg(8 * 16)); err != nil {
+				t.Fatal(err)
+			}
+			tg := s.groups[0]
+			tg.served, tg.queued = row.served, row.queued
+			nak := packet.Packet{Type: packet.TypeNak, Session: cfg.Session, Seq: uint16(row.echo), K: 8, Count: uint16(row.need)}
+			s.HandlePacket(nak.MustEncode())
+			if got := tg.queued - row.queued; got != row.want {
+				t.Fatalf("NAK(l = %d, echo %d) with served %d, queued %d: %d repairs queued, want %d",
+					row.need, row.echo, row.served, row.queued, got, row.want)
+			}
+			if want := min(row.served+row.want, maxServed); tg.served != want {
+				t.Errorf("served = %d, want %d", tg.served, want)
+			}
+			env.run()
+			// The service round went to the front of the queue, ahead of
+			// round 1's POLL (built when served was 0).
+			want := []int{0}
+			if row.want > 0 {
+				want = []int{tg.served, 0}
+			}
+			if !slices.Equal(polls, want) {
+				t.Errorf("POLLs stated %v, want %v", polls, want)
+			}
+		})
 	}
 }

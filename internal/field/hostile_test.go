@@ -106,7 +106,8 @@ func hostileRun(t *testing.T, cfg core.Config, frames [][]byte, useField bool) (
 // and to an Exact-mode Field and demands the same NAKs, byte for byte:
 // both engines admit frames by one set of rules. Each row ends in a frame
 // that makes the group's state visible (a POLL or a FIN), and wantL is the
-// deficit the first NAK must carry, 0 for none.
+// deficit the first NAK must carry, 0 for none. Where set, echo lists the
+// Seq the first NAKs must carry: the POLL's, then a retry's 0xFFFF.
 func TestHostileHeaderDifferential(t *testing.T) {
 	shard := make([]byte, hostileShard)
 	var rs, rect uint8 = packet.CodecRS, packet.CodecRect
@@ -122,66 +123,74 @@ func TestHostileHeaderDifferential(t *testing.T) {
 		cfg    core.Config
 		frames [][]byte
 		wantL  int
+		echo   []uint16
 	}{
 		{"poll with a foreign K", hostileStatic(), [][]byte{
 			static(packet.TypeData, 0, 0, 8, 0, shard),
 			static(packet.TypePoll, 0, 0, 9, 8, nil),
-		}, 0},
+		}, 0, nil},
 		{"poll whose k conflicts with the group's", hostileAdaptive(), [][]byte{
 			tg(packet.TypeData, 0, 16, 8, rs, 0, shard),
 			tg(packet.TypePoll, 0, 8, 12, rs, 0, nil),
-		}, 0},
+		}, 0, nil},
 		{"frames at another working point (H, codec)", hostileStatic(), [][]byte{
 			static(packet.TypeData, 0, 0, 8, 0, shard),
 			tg(packet.TypeData, 1, 8, 4, rs, 0, shard),
 			tg(packet.TypeData, 2, 8, 8, rect, 8, shard),
 			tg(packet.TypePoll, 0, 8, 4, rs, 0, nil),
 			static(packet.TypePoll, 0, 0, 8, 8, nil),
-		}, 7},
+		}, 7, nil},
 		{"k beyond the ladder", hostileAdaptive(), [][]byte{
 			tg(packet.TypeData, 0, 33, 4, rs, 0, shard),
 			tg(packet.TypeData, 1, 16, 8, rs, 0, shard),
 			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
-		}, 15},
+		}, 15, nil},
 		{"h beyond the ladder", hostileAdaptive(), [][]byte{
 			tg(packet.TypeData, 0, 16, 13, rs, 0, shard),
 			tg(packet.TypeData, 1, 16, 8, rs, 0, shard),
 			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
-		}, 15},
+		}, 15, nil},
 		{"rect with arg != h", hostileAdaptive(), [][]byte{
 			tg(packet.TypeData, 0, 32, 4, rect, 3, shard),
 			tg(packet.TypeData, 1, 32, 4, rect, 4, shard),
 			tg(packet.TypePoll, 0, 32, 4, rect, 4, nil),
-		}, 31},
+		}, 31, nil},
 		{"unknown codec id", hostileAdaptive(), [][]byte{
 			tg(packet.TypeData, 0, 16, 8, 7, 0, shard),
 			tg(packet.TypeData, 1, 16, 8, rs, 0, shard),
 			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
-		}, 15},
+		}, 15, nil},
 		{"codec conflicting with the group's", hostileAdaptive(), [][]byte{
 			tg(packet.TypeData, 0, 16, 8, rs, 0, shard),
 			tg(packet.TypeData, 1, 16, 8, rect, 8, shard),
 			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
-		}, 15},
-		{"FIN at the session's working point", hostileStatic(), [][]byte{fin(8, 8)}, 8},
+		}, 15, nil},
+		{"FIN at the session's working point", hostileStatic(), [][]byte{fin(8, 8)}, 8, nil},
+		{"POLL with Seq 7: the NAK echoes it, its retry echoes none", hostileStatic(), [][]byte{
+			static(packet.TypeData, 0, 0, 8, 0, shard),
+			static(packet.TypePoll, 0, 7, 8, 8, nil),
+		}, 7, []uint16{7, 0xFFFF}},
+		{"adaptive POLL with Seq 7, NAK with a loss map", hostileAdaptive(), append(dataRun(1, 16),
+			tg(packet.TypePoll, 7, 16, 8, rs, 0, nil),
+		), 1, []uint16{7, 0xFFFF}},
 		{"FIN of another K, or of a renegotiating session (H = 0)", hostileStatic(), [][]byte{
 			fin(16, 8),
 			fin(8, 0),
-		}, 0},
+		}, 0, nil},
 		{"group >= MaxGroups", hostileStatic(), [][]byte{
 			static(packet.TypeData, 4, 0, 8, 0, shard),
 			static(packet.TypePoll, 4, 0, 8, 8, nil),
 			static(packet.TypeData, 0, 0, 8, 0, shard),
 			static(packet.TypePoll, 0, 0, 8, 8, nil),
-		}, 7},
+		}, 7, nil},
 		{"ncrepair with K > 63", hostileAdaptive(), append(dataRun(1, 16),
 			tg(packet.TypeNcRepair, 0, 64, 0, rs, 0, ncCombo(1, hostileShard)),
 			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
-		), 1},
+		), 1, nil},
 		{"ncrepair with a short payload", hostileAdaptive(), append(dataRun(1, 16),
 			tg(packet.TypeNcRepair, 0, 16, 8, rs, 0, ncCombo(1, hostileShard-1)),
 			tg(packet.TypePoll, 0, 16, 8, rs, 0, nil),
-		), 1},
+		), 1, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -205,6 +214,15 @@ func TestHostileHeaderDifferential(t *testing.T) {
 			}
 			if l != row.wantL {
 				t.Fatalf("first NAK carries deficit %d, want %d", l, row.wantL)
+			}
+			if len(ref) < len(row.echo) {
+				t.Fatalf("%d NAKs, want at least %d", len(ref), len(row.echo))
+			}
+			for i, want := range row.echo {
+				var nak packet.Packet
+				if err := packet.DecodeInto(&nak, ref[i]); err != nil || nak.Seq != want {
+					t.Fatalf("NAK %d echoes Seq %d (%v), want %d", i, nak.Seq, err, want)
+				}
 			}
 		})
 	}

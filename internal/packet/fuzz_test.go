@@ -23,6 +23,12 @@ func FuzzDecode(f *testing.F) {
 	ncPayload[NcMaskLen-1] = 0b10101
 	f.Add((&Packet{Type: TypeNcRepair, K: 8, H: 2, Codec: CodecRS, Total: 8,
 		Payload: ncPayload}).MustEncode())
+	// A POLL stating the repairs served so far, a NAK echoing it, and a
+	// retry's NAK echoing none.
+	f.Add((&Packet{Type: TypePoll, Group: 3, Seq: 7, K: 20, H: 20, Count: 4, Total: 400}).MustEncode())
+	f.Add((&Packet{Type: TypeNak, Group: 3, Seq: 7, K: 20, Count: 2}).MustEncode())
+	f.Add((&Packet{Type: TypeNak, Group: 3, Seq: 0xFFFF, K: 20, Count: 2,
+		Payload: make([]byte, NcMaskLen)}).MustEncode())
 	// A 24-byte version-1 header: rejected, never round-tripped.
 	v1 := make([]byte, 24)
 	v1[0], v1[1], v1[2] = Magic, 1, byte(TypeNak)
