@@ -27,7 +27,6 @@ func main() {
 		session  = flag.Uint("session", 1, "session id (receivers must match)")
 		delta    = flag.Duration("delta", time.Millisecond, "packet pacing")
 		linger   = flag.Duration("linger", 3*time.Second, "NAK service time after the last FIN")
-		pre      = flag.Bool("preencode", false, "compute all parities before sending (Fig 18)")
 		a        = flag.Int("proactive", 0, "parities sent with each group before any NAK")
 		carousel = flag.Bool("carousel", false, "integrated FEC 1: stream proactive parities, no polls")
 		adaptive = flag.Bool("adaptive", false, "learn the redundancy level from NAK feedback")
@@ -35,7 +34,6 @@ func main() {
 		depth    = flag.Int("depth", 0, "transmit pipeline depth in TGs (0 = serial reference path)")
 		workers  = flag.Int("workers", 0, "encode-ahead worker goroutines (0 = default when -depth > 0)")
 		batch    = flag.Int("batch", 0, "max packets per batched send (0 = default when -depth > 0)")
-		eshards  = flag.Int("encode-shards", 0, "parity-row shards per encode job, output bytes identical at any value (0 = default when -depth > 0)")
 		maddr    = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/trace on this address (off when empty)")
 	)
 	flag.Parse()
@@ -61,11 +59,10 @@ func main() {
 		K:         *k,
 		ShardSize: *shard,
 		Delta:     *delta,
-		PreEncode: *pre,
 		Proactive: *a,
 		Carousel:  *carousel,
 		Adaptive:  *adaptive,
-		Pipeline:  core.PipelineConfig{Depth: *depth, Workers: *workers, Batch: *batch, EncodeShards: *eshards},
+		Pipeline:  core.PipelineConfig{Depth: *depth, Workers: *workers, Batch: *batch},
 	}
 	if *adaptFEC {
 		// The control plane owns (k, h, a): the ladder's initial rung
@@ -74,6 +71,7 @@ func main() {
 		cfg.AdaptiveFEC = true
 		cfg.K, cfg.Proactive = 0, 0
 	}
+	cfg.Defaults() // FinCount and FinInterval time the exit below
 	if *maddr != "" {
 		cfg.Metrics = metrics.NewRegistry()
 		cfg.Trace = metrics.NewTracer(4096)
@@ -113,16 +111,13 @@ func main() {
 		fmt.Printf("npsend: %d bytes in %d groups of k=%d to %s\n", len(msg), groups, *k, *group)
 	}
 
-	// The data phase takes about sourcePackets+polls transmissions; after
-	// it drains we linger to serve late NAKs. Under adaptive FEC the group
-	// count grows as eras are cut, so size the wait by the message instead.
-	perGroup := *k + 2
-	if *adaptFEC {
-		perGroup = 2
-		groups = len(msg) / *shard
+	// The transfer has left once the last FIN has: one after the last
+	// group, then FinCount repeats. Linger after it to serve late NAKs.
+	for fins := 0; fins < 1+cfg.FinCount; {
+		time.Sleep(cfg.FinInterval)
+		conn.Do(func() { fins = sender.Stats().FinTx })
 	}
-	dataTime := time.Duration(groups*perGroup) * *delta
-	time.Sleep(dataTime + *linger)
+	time.Sleep(*linger)
 
 	var st core.SenderStats
 	conn.Do(func() {

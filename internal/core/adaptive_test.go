@@ -255,15 +255,15 @@ func runAdaptiveShiftScenario(t testing.TB, cfg Config, seed int64) (string, [][
 
 // TestAdaptiveRetuneScheduleDeterministic pins the acceptance property that
 // the encode pipeline is invisible to the control plane: the retune
-// schedule is byte-identical at pipeline depth 0 and at any depth, worker
-// count, and shard width. Batch is pinned to 1 so pacing (and therefore
+// schedule is byte-identical at pipeline depth 0 and at any depth and
+// worker count. Batch is pinned to 1 so pacing (and therefore
 // virtual-time feedback arrival) matches the serial reference.
 func TestAdaptiveRetuneScheduleDeterministic(t *testing.T) {
 	variants := []PipelineConfig{
 		{},
-		{Depth: 4, Workers: 1, Batch: 1, EncodeShards: 1},
-		{Depth: 4, Workers: 4, Batch: 1, EncodeShards: 2},
-		{Depth: 8, Workers: 3, Batch: 1, EncodeShards: 3},
+		{Depth: 4, Workers: 1, Batch: 1},
+		{Depth: 4, Workers: 4, Batch: 1},
+		{Depth: 8, Workers: 3, Batch: 1},
 	}
 	var refSched string
 	var refDeliv [][]byte

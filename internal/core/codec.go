@@ -23,14 +23,10 @@ import (
 type Codec interface {
 	// EncodeParity returns parity shard j computed from the k data shards.
 	EncodeParity(j int, data [][]byte) ([]byte, error)
-	// EncodeBlocksShard batch-encodes nb consecutive FEC blocks — data
-	// holds nb*k data shards, parity nb*h slices which are resized and
-	// overwritten — but only the parity rows r = b*h + j with
-	// r % nshards == shard, leaving the rest of parity untouched. Running
-	// every shard, in any order or concurrently over one shared parity
-	// slice, encodes every row exactly as shard 0 of 1 does; this is the
-	// decomposition the sharded encode-ahead path parallelises over.
-	EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error
+	// Encode computes all h parity shards of one block from its k data
+	// shards into parity (length h), resizing and overwriting its entries.
+	// Row j is byte for byte what EncodeParity(j) returns.
+	Encode(data, parity [][]byte) error
 	// Reconstruct rebuilds missing data shards in place; shards has
 	// length k+h with nil or zero-length slices marking losses, and a
 	// zero-length one with capacity for a shard is rebuilt into its own
@@ -53,36 +49,30 @@ type gf8Codec struct{ c *rse.Code }
 func (g gf8Codec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data, nil)
 }
-func (g gf8Codec) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
-	return g.c.EncodeBlocksShard(data, parity, shard, nshards)
-}
-func (g gf8Codec) Reconstruct(shards [][]byte) error { return g.c.Reconstruct(shards) }
-func (g gf8Codec) ShortfallBits(have uint64) int     { return mdsShortfall(g.c.K(), g.c.N(), have) }
-func (g gf8Codec) ID() (uint8, uint8)                { return packet.CodecRS, 0 }
+func (g gf8Codec) Encode(data, parity [][]byte) error { return g.c.Encode(data, parity) }
+func (g gf8Codec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
+func (g gf8Codec) ShortfallBits(have uint64) int      { return mdsShortfall(g.c.K(), g.c.N(), have) }
+func (g gf8Codec) ID() (uint8, uint8)                 { return packet.CodecRS, 0 }
 
 type gf16Codec struct{ c *rse16.Code }
 
 func (g gf16Codec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data)
 }
-func (g gf16Codec) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
-	return g.c.EncodeBlocksShard(data, parity, shard, nshards)
-}
-func (g gf16Codec) Reconstruct(shards [][]byte) error { return g.c.Reconstruct(shards) }
-func (g gf16Codec) ShortfallBits(have uint64) int     { return mdsShortfall(g.c.K(), g.c.N(), have) }
-func (g gf16Codec) ID() (uint8, uint8)                { return packet.CodecRS, 0 }
+func (g gf16Codec) Encode(data, parity [][]byte) error { return g.c.Encode(data, parity) }
+func (g gf16Codec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
+func (g gf16Codec) ShortfallBits(have uint64) int      { return mdsShortfall(g.c.K(), g.c.N(), have) }
+func (g gf16Codec) ID() (uint8, uint8)                 { return packet.CodecRS, 0 }
 
 type rectCodec struct{ c *rect.Code }
 
 func (g rectCodec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data, nil)
 }
-func (g rectCodec) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
-	return g.c.EncodeBlocksShard(data, parity, shard, nshards)
-}
-func (g rectCodec) Reconstruct(shards [][]byte) error { return g.c.Reconstruct(shards) }
-func (g rectCodec) ShortfallBits(have uint64) int     { return g.c.ShortfallBits(have) }
-func (g rectCodec) ID() (uint8, uint8)                { return packet.CodecRect, uint8(g.c.D()) }
+func (g rectCodec) Encode(data, parity [][]byte) error { return g.c.EncodeBlocks(data, parity) }
+func (g rectCodec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
+func (g rectCodec) ShortfallBits(have uint64) int      { return g.c.ShortfallBits(have) }
+func (g rectCodec) ID() (uint8, uint8)                 { return packet.CodecRect, uint8(g.c.D()) }
 
 // mdsShortfall is the MDS deficit rule: any k of the n shards complete
 // the group, so the shortfall is k minus the shards held.

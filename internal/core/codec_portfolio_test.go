@@ -50,6 +50,49 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecEncodeMatchesEncodeParity pins what the encode-ahead job relies
+// on: row j of a block's Codec.Encode is byte for byte the on-demand
+// EncodeParity(j), on every backend, so a group's parities do not depend
+// on whether the pool or parityPacket computed them.
+func TestCodecEncodeMatchesEncodeParity(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		id, arg uint8
+		k, h    int
+	}{
+		{"rs8", packet.CodecRS, 0, 20, 5},
+		{"rs16", packet.CodecRS, 0, 300, 8},
+		{"rect", packet.CodecRect, 4, 8, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const size = 64 // even, as GF(2^16) requires
+			codec, err := newCodecID(c.id, c.arg, c.k, c.h, size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(c.k)))
+			data := make([][]byte, c.k)
+			for i := range data {
+				data[i] = make([]byte, size)
+				rng.Read(data[i])
+			}
+			parity := make([][]byte, c.h)
+			if err := codec.Encode(data, parity); err != nil {
+				t.Fatal(err)
+			}
+			for j := range parity {
+				want, err := codec.EncodeParity(j, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(parity[j], want) {
+					t.Fatalf("Encode row %d differs from EncodeParity(%d)", j, j)
+				}
+			}
+		})
+	}
+}
+
 // rectRungConfig is an adaptive session pinned to a single rectangular-
 // coded rung, with proactive parities so the encode-ahead pool actually
 // exercises the XOR kernels.
@@ -65,16 +108,16 @@ func rectRungConfig(gate int) Config {
 // TestPortfolioRectTranscriptDeterministic is the marshal-ahead/encode-
 // ahead equivalence gate for the rectangular codec: a rect-coded adaptive
 // sender must put byte-identical frames on the wire at pipeline depth 0
-// and at any depth, worker and shard count, and (under GateForce) every
+// and at any depth and worker count, and (under GateForce) every
 // data-plane frame must carry the rect wire identity.
 func TestPortfolioRectTranscriptDeterministic(t *testing.T) {
 	const msgLen = 20 * 64 * 12 // 12 groups at the rung's working point
 	serial := senderTranscript(t, rectRungConfig(GateForce), msgLen)
 
 	for _, pc := range []PipelineConfig{
-		{Depth: 4, Workers: 1, Batch: 1, EncodeShards: 1},
-		{Depth: 8, Workers: 3, Batch: 1, EncodeShards: 2},
-		{Depth: 8, Workers: 4, Batch: 1, EncodeShards: 5},
+		{Depth: 4, Workers: 1, Batch: 1},
+		{Depth: 8, Workers: 3, Batch: 1},
+		{Depth: 8, Workers: 4, Batch: 1},
 	} {
 		cfg := rectRungConfig(GateForce)
 		cfg.Pipeline = pc
@@ -148,7 +191,7 @@ func TestPortfolioRectTranscriptDeterministic(t *testing.T) {
 // exact even when classes take multiple hits.
 func TestPortfolioRectLossyDelivery(t *testing.T) {
 	cfg := rectRungConfig(GateForce)
-	cfg.Pipeline = PipelineConfig{Depth: 4, Workers: 2, Batch: 1, EncodeShards: 2}
+	cfg.Pipeline = PipelineConfig{Depth: 4, Workers: 2, Batch: 1}
 	h := newHarness(t, harnessOpts{
 		r:   3,
 		cfg: cfg,
@@ -217,13 +260,13 @@ func portfolioConfig(gate int) Config {
 // codec-switch path: a transfer that renegotiates from the rect rungs to
 // the Reed-Solomon rungs mid-stream must produce an identical
 // codec-extended schedule and identical deliveries at pipeline depth 0 and
-// at any depth, worker and shard count.
+// at any depth and worker count.
 func TestPortfolioCodecSwitchDeterministic(t *testing.T) {
 	variants := []PipelineConfig{
 		{},
-		{Depth: 4, Workers: 1, Batch: 1, EncodeShards: 1},
-		{Depth: 4, Workers: 4, Batch: 1, EncodeShards: 2},
-		{Depth: 8, Workers: 3, Batch: 1, EncodeShards: 3},
+		{Depth: 4, Workers: 1, Batch: 1},
+		{Depth: 4, Workers: 4, Batch: 1},
+		{Depth: 8, Workers: 3, Batch: 1},
 	}
 	var refSched string
 	var refDeliv [][]byte

@@ -82,17 +82,6 @@ type PipelineConfig struct {
 	// transport per pacing tick (via BatchEnv when available). Defaults to
 	// 32 when Depth > 0; 1 keeps per-packet pacing with the pipeline on.
 	Batch int
-	// EncodeShards splits each encode job's parity rows across that many
-	// pool jobs, so one transmission group's encode can run on several
-	// workers at once (row r of a batch goes to shard r % EncodeShards).
-	// The output is byte-identical to the serial encoder for every value —
-	// shards own disjoint rows and each row is computed by the same
-	// generator-row kernel — so this is purely a throughput knob for
-	// encode-bound (high-proactive) senders on multi-core hosts. Defaults
-	// to 1 (one job per TG, the pre-sharding behaviour) when Depth > 0.
-	// It also widens the PreEncode burst: with the pipeline enabled the
-	// burst is split into Workers*EncodeShards row shards run in parallel.
-	EncodeShards int
 }
 
 // enabled reports whether any pipelined behaviour is configured.
@@ -114,10 +103,6 @@ type Config struct {
 	FinInterval time.Duration // gap between FIN repeats
 	FinCount    int           // how many FINs the sender emits after data
 
-	// PreEncode computes every parity of every group before the first
-	// packet leaves — Fig 18's improvement (i), trading memory and startup
-	// latency for a sender that never encodes on the data path.
-	PreEncode bool
 	// Carousel selects the paper's "integrated FEC 1" variant: the
 	// Proactive parities stream right behind the data with NO per-group
 	// POLL; a receiver simply stops caring once it holds k packets. The
@@ -137,8 +122,8 @@ type Config struct {
 	// TG header carries its group's k, h and codec id). K, MaxParity and
 	// Proactive are derived from the ladder's initial rung; a retune
 	// re-cuts the unstreamed remainder of the message at the new working
-	// point. Mutually exclusive with PreEncode, Carousel and Adaptive —
-	// the controller owns redundancy end to end. Both endpoints must
+	// point. Mutually exclusive with Carousel and Adaptive — the
+	// controller owns redundancy end to end. Both endpoints must
 	// enable it: a static receiver admits only frames at its own (K,
 	// MaxParity, RS) working point, and never the FIN of an adaptive
 	// session, which states H = 0.
@@ -248,9 +233,6 @@ func (c *Config) Defaults() {
 		if c.Pipeline.Batch == 0 {
 			c.Pipeline.Batch = 32
 		}
-		if c.Pipeline.EncodeShards == 0 {
-			c.Pipeline.EncodeShards = 1
-		}
 	}
 }
 
@@ -290,13 +272,10 @@ func (c *Config) Validate() error {
 		if c.Pipeline.Batch < 1 || c.Pipeline.Batch > 4096 {
 			return fmt.Errorf("core: Pipeline.Batch = %d, need 1..4096", c.Pipeline.Batch)
 		}
-		if c.Pipeline.EncodeShards < 1 || c.Pipeline.EncodeShards > 256 {
-			return fmt.Errorf("core: Pipeline.EncodeShards = %d, need 1..256", c.Pipeline.EncodeShards)
-		}
 	}
 	if c.AdaptiveFEC {
-		if c.PreEncode || c.Carousel || c.Adaptive {
-			return fmt.Errorf("core: AdaptiveFEC is mutually exclusive with PreEncode/Carousel/Adaptive")
+		if c.Carousel || c.Adaptive {
+			return fmt.Errorf("core: AdaptiveFEC is mutually exclusive with Carousel/Adaptive")
 		}
 		if err := c.Adapt.Validate(); err != nil {
 			return err

@@ -48,12 +48,10 @@ type senderMetrics struct {
 	// Pipelined-path instruments (np_pipeline_*). Registered even for a
 	// serial sender so the exposition schema does not depend on the
 	// Pipeline knob; they simply stay zero when Depth = 0.
-	encHits    *metrics.Counter   // encode-ahead window was deep enough
-	encMisses  *metrics.Counter   // engine had to block on the encode pool
-	encQueue   *metrics.Gauge     // encode jobs submitted but not yet collected
-	batchPkts  *metrics.Histogram // data-plane frames per transmitted batch
-	shardJobs  *metrics.Counter   // sharded encode jobs executed on the pool
-	shardWidth *metrics.Gauge     // configured EncodeShards of the live transfer
+	encHits   *metrics.Counter   // encode-ahead window was deep enough
+	encMisses *metrics.Counter   // engine had to block on the encode pool
+	encQueue  *metrics.Gauge     // encode jobs submitted but not yet collected
+	batchPkts *metrics.Histogram // data-plane frames per transmitted batch
 
 	// Codec-portfolio instruments (np_codec_*): benchmark-gate verdicts
 	// per era and the NC retransmission path's activity.
@@ -119,10 +117,6 @@ func newSenderMetrics(r *metrics.Registry, k int) senderMetrics {
 		batchPkts: r.Histogram("np_pipeline_batch_packets",
 			"data-plane frames handed to the transport per batched transmission",
 			batchBuckets),
-		shardJobs: r.Counter("np_pipeline_encode_shard_jobs_total",
-			"row-sharded encode jobs executed on the worker pool (EncodeShards per TG)"),
-		shardWidth: r.Gauge("np_pipeline_encode_shard_width",
-			"EncodeShards of the transfer in flight: parity-row shards per encode-ahead TG"),
 		gateAdmit:  gate(r, "admit"),
 		gateReject: gate(r, "reject"),
 		gateForced: gate(r, "force"),

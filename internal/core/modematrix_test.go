@@ -64,7 +64,7 @@ func staticMatrixConfig() Config {
 		Ts: 2 * time.Millisecond, MaxNakSlots: 4}
 }
 
-// modeMatrix lists the sender's seven redundancy/emission modes. Every
+// modeMatrix lists the sender's six redundancy/emission modes. Every
 // row runs over the same seeded channel: 4 receivers, 0.5% Bernoulli loss
 // shifting to 20% mid-transfer, which exhausts the small parity budgets
 // of the static rows and of the ladder's low rungs.
@@ -81,11 +81,6 @@ var modeMatrix = []struct {
 	{"carousel", func() Config {
 		c := staticMatrixConfig()
 		c.Proactive, c.Carousel = 3, true
-		return c
-	}},
-	{"preencode", func() Config {
-		c := staticMatrixConfig()
-		c.Proactive, c.PreEncode = 1, true
 		return c
 	}},
 	{"ewma", func() Config {
@@ -106,7 +101,7 @@ var matrixPipelines = []struct {
 	pl   PipelineConfig
 }{
 	{"depth0", PipelineConfig{}},
-	{"depth8", PipelineConfig{Depth: 8, Workers: 3, Batch: 1, EncodeShards: 2}},
+	{"depth8", PipelineConfig{Depth: 8, Workers: 3, Batch: 1}},
 }
 
 func renderTrace(tr []GroupInfo) string {
@@ -228,14 +223,6 @@ var modeGoldens = map[string]modeGolden{
 		"{DataTx:1705 ParityTx:528 PollTx:243 FinTx:6 NakRx:300 NakServed:243 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:7786322e379f115abe414ecc03123f1ed7e02b2c87a8445e29e4d1525c60c9b7",
 		"2482:f36ecbad2b2685b6cbd8cb78918b56a7aa68b834cd926b5340eb4cb225850030"},
-	"preencode/depth0": {"2604:d04c32619ec2074e96af90c8254ca103e10b89e6d5e2ffe41de42740c65dd941",
-		"{DataTx:1689 ParityTx:368 PollTx:541 FinTx:6 NakRx:499 NakServed:365 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:8145502d2d17cb31436a6301075166cd8c58e1db3e3e0671ddbf13629601ab6b",
-		"2604:590aeea36fc7fc82bc651042e046478abc4aecf8d986ebae3147f40c6b891f12"},
-	"preencode/depth8": {"2604:d04c32619ec2074e96af90c8254ca103e10b89e6d5e2ffe41de42740c65dd941",
-		"{DataTx:1689 ParityTx:368 PollTx:541 FinTx:6 NakRx:499 NakServed:365 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:8145502d2d17cb31436a6301075166cd8c58e1db3e3e0671ddbf13629601ab6b",
-		"2604:590aeea36fc7fc82bc651042e046478abc4aecf8d986ebae3147f40c6b891f12"},
 	"ewma/depth0": {"2176:da52d13459c705ce7600fdf17f3a376875876d4e859ed0c8f7efd996a8efce00",
 		"{DataTx:1408 ParityTx:460 PollTx:302 FinTx:6 NakRx:171 NakServed:126 Encoded:460 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:a4c6bb89f9fe6d19fbd1052536e9e299f4485bc16e761e4d8a323be2d69a3dd8",

@@ -9,30 +9,6 @@ import (
 	"rmfec/internal/model"
 )
 
-func TestPreEncodeTransfers(t *testing.T) {
-	cfg := baseConfig()
-	cfg.PreEncode = true
-	h := newHarness(t, harnessOpts{
-		r:   10,
-		cfg: cfg,
-		mkLoss: func(rng *rand.Rand) loss.Process {
-			return loss.NewBernoulli(0.05, rng)
-		},
-		seed: 101,
-	})
-	msg := testMessage(8000, 102)
-	h.run(t, msg)
-	h.checkDelivered(t, msg)
-	st := h.sender.Stats()
-	wantEncoded := h.sender.Groups() * h.sender.cfg.MaxParity
-	if st.Encoded != wantEncoded {
-		t.Errorf("PreEncode encoded %d parities, want all %d up front", st.Encoded, wantEncoded)
-	}
-	if st.ParityTx == 0 {
-		t.Error("no parities were used despite loss")
-	}
-}
-
 func TestOnDemandEncodingCountsOnlyWhatIsSent(t *testing.T) {
 	cfg := baseConfig()
 	h := newHarness(t, harnessOpts{

@@ -16,7 +16,7 @@ import (
 // its data and, with the pipeline on, no Pool.Wait that would submit the
 // whole encode backlog and block the engine on it.
 func TestNakForUnstreamedGroupIgnored(t *testing.T) {
-	for _, pl := range []PipelineConfig{{}, {Depth: 8, Workers: 3, Batch: 1, EncodeShards: 2}} {
+	for _, pl := range []PipelineConfig{{}, {Depth: 8, Workers: 3, Batch: 1}} {
 		cfg := Config{Session: 7, K: 4, MaxParity: 2, Proactive: 1, ShardSize: 16,
 			Delta: time.Millisecond, Pipeline: pl}
 		env := newLoopEnv(1)
@@ -81,13 +81,12 @@ func TestNakForUnstreamedGroupIgnored(t *testing.T) {
 // views into it, so cutting allocates O(groups) on top of len(msg).
 func TestSendCopiesMessageOnce(t *testing.T) {
 	static := Config{Session: 7, K: 8, MaxParity: 4, Proactive: 1, ShardSize: 1024}
-	preEncode, ewma := static, static
-	preEncode.PreEncode = true
+	ewma := static
 	ewma.Adaptive = true
 	ladder := adaptiveConfig()
 	ladder.ShardSize = 1024
-	for name, cfg := range map[string]Config{"constant": static, "preencode": preEncode, "ewma": ewma, "ladder": ladder} {
-		for _, pl := range []PipelineConfig{{}, {Depth: 8, Workers: 3, Batch: 1, EncodeShards: 2}} {
+	for name, cfg := range map[string]Config{"constant": static, "ewma": ewma, "ladder": ladder} {
+		for _, pl := range []PipelineConfig{{}, {Depth: 8, Workers: 3, Batch: 1}} {
 			cfg.Pipeline = pl
 			h := newHarness(t, harnessOpts{r: 2, cfg: cfg, seed: 3201})
 			want := testMessage(1<<20+17, 3202)
@@ -107,9 +106,6 @@ func TestSendCopiesMessageOnce(t *testing.T) {
 		// measured: per group k slice headers and one txGroup, plus the
 		// first group's frames and the send queue (the slack).
 		cfg.Pipeline = PipelineConfig{}
-		if cfg.PreEncode {
-			continue // the burst allocates every parity by design
-		}
 		msg := make([]byte, 1<<20+17)
 		s, err := NewSender(newSinkEnv(1), cfg)
 		if err != nil {

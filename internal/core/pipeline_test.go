@@ -209,24 +209,6 @@ func TestPipelinedTranscriptMatchesSerial(t *testing.T) {
 				base.name, got, serial)
 		}
 
-		// Sharded encode-ahead: splitting each group's parity rows across
-		// several pool jobs must not move a single byte — shards own
-		// disjoint rows computed by the same kernels.
-		for _, shards := range []int{2, 4, 16} {
-			sharded := base.cfg
-			sharded.Pipeline = PipelineConfig{Depth: 8, Workers: 3, Batch: 1, EncodeShards: shards}
-			if got := senderTranscript(t, sharded, base.msg); got != serial {
-				t.Errorf("%s: EncodeShards=%d transcript differs from serial:\n got %s\nwant %s",
-					base.name, shards, got, serial)
-			}
-		}
-		shardedBatched := base.cfg
-		shardedBatched.Pipeline = PipelineConfig{Depth: 4, Workers: 2, Batch: 16, EncodeShards: 3}
-		if got := senderTranscript(t, shardedBatched, base.msg); got != serial {
-			t.Errorf("%s: sharded batched transcript differs from serial:\n got %s\nwant %s",
-				base.name, got, serial)
-		}
-
 		// Same batched config through a BatchEnv-capable transport.
 		env := newLoopEnv(1)
 		s, err := NewSender(batchLoopEnv{env}, batched)
@@ -251,11 +233,8 @@ func TestPipelinedTranscriptMatchesSerial(t *testing.T) {
 // With `make race` covering this package, it doubles as the race proof for
 // the engine/worker-pool seam.
 func TestPipelinedLossyTransfer(t *testing.T) {
-	// EncodeShards: 2 splits each group's proactive encode across two pool
-	// jobs, so the lossy run (and `make race` over it) also covers the
-	// sharded encode-ahead seam.
 	cfg := Config{Session: 7, K: 8, MaxParity: 16, Proactive: 2, ShardSize: 64,
-		Pipeline: PipelineConfig{Depth: 4, Workers: 2, Batch: 8, EncodeShards: 2}}
+		Pipeline: PipelineConfig{Depth: 4, Workers: 2, Batch: 8}}
 	h := newHarness(t, harnessOpts{
 		r:   5,
 		cfg: cfg,

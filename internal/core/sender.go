@@ -24,7 +24,7 @@ type SenderStats struct {
 	FinTx     int // FINs sent
 	NakRx     int // NAKs received
 	NakServed int // NAKs that triggered a parity round
-	Encoded   int // parity shards actually encoded (0 extra if pre-encoded)
+	Encoded   int // parity shards actually encoded, ahead on the pool or on demand
 	TxErrors  int // frames the transport reported as failed to send
 	NcTx      int // network-coded repair packets (NCREPAIR) transmitted
 	NcRounds  int // repair rounds served with NC combinations instead of parities
@@ -56,7 +56,7 @@ type PipelineStats struct {
 // while earlier groups are on the wire, wire frames are recycled through a
 // free-list (the steady-state transmit path allocates nothing), and data
 // frames leave in batches through BatchEnv-capable transports. The wire
-// transcript is byte-identical at every depth, worker and shard count.
+// transcript is byte-identical at every depth and worker count.
 type Sender struct {
 	env  Env
 	benv BatchEnv // env's batching extension; nil when unsupported/disabled
@@ -90,17 +90,11 @@ type Sender struct {
 	started bool
 
 	// Encode-ahead pool over the current era; nil when the pipeline is off
-	// or the era sends no proactive parities. The first encAhead parities
-	// of era group g are computed by the encShards pool jobs
-	// [g*encShards, (g+1)*encShards) before the group is needed — each job
-	// owns the parity rows j with j % encShards == its shard index, so one
-	// group's encode spreads across up to encShards workers while staying
-	// byte-identical to the serial encoder (disjoint rows, same row
-	// kernel). encDone counts collected jobs for the queue-depth gauge.
-	enc       *pipeline.Pool
-	encAhead  int
-	encShards int
-	encDone   int
+	// or the era sends no proactive parities. Pool job g fills era group
+	// g's parities before the group is needed. encDone counts collected
+	// jobs for the queue-depth gauge.
+	enc     *pipeline.Pool
+	encDone int
 
 	// Marshal-ahead free-lists: per-group wire-frame slices recycled once
 	// every data frame of a group has been consumed, so the steady state
@@ -128,7 +122,7 @@ type txGroup struct {
 	k          int      // data shards
 	h          int      // parity budget
 	aUsed      int      // proactive parities sent with round 1; the ladder's censoring input
-	parities   [][]byte // pre-encoded parity shards (PreEncode or encode-ahead)
+	parities   [][]byte // parities 0..A-1 of the era's working point, computed by the encode-ahead pool
 	collected  bool     // encode-ahead job results folded in
 	nextParity int      // next unsent parity index (0-based)
 	queued     int      // parities queued but not yet sent, for NAK aggregation
@@ -315,9 +309,7 @@ func (s *Sender) Send(msg []byte) error {
 	// growslice does not clear what it is about to copy over, make would.
 	s.msg = bytes.Clone(msg)
 	s.finLeft = s.cfg.FinCount
-	if err := s.startEra(); err != nil {
-		return err
-	}
+	s.startEra()
 	s.pump()
 	return nil
 }
@@ -337,8 +329,8 @@ func groupsFor(n, perTG int) int {
 // over them. On a retune this is the renegotiation flush: the previous
 // era's unstreamed groups and queued encode jobs are discarded at the TG
 // boundary. Groups already streamed are untouched — their repairs keep
-// using their own parameters and code. Only the PreEncode burst can fail.
-func (s *Sender) startEra() error {
+// using their own parameters and code.
+func (s *Sender) startEra() {
 	if s.enc != nil {
 		s.enc.Close()
 		// The pool has quiesced (Close waits for in-flight jobs): reclaim
@@ -378,62 +370,28 @@ func (s *Sender) startEra() error {
 		s.era[g] = txGroup{index: uint32(len(s.groups) + g), data: shards[g*p.K : (g+1)*p.K : (g+1)*p.K],
 			k: p.K, h: p.H, codec: code, codecID: id, codecArg: arg}
 	}
-	switch {
-	case s.cfg.PreEncode && p.H > 0:
-		// Fig 18's improvement (i): compute every parity before the
-		// transfer starts so encoding never competes with sending. The
-		// whole burst goes through the codec's batch entry point — in one
-		// call when serial, or split into row shards across a one-shot
-		// worker pool when the pipeline is configured. Sharding changes
-		// only which goroutine computes each parity row, never its bytes,
-		// and every shard validates identically, so the first error (if
-		// any) is the same one the serial call would return.
-		parity := make([][]byte, n*p.H)
-		nsh := 1
-		if s.cfg.Pipeline.enabled() {
-			nsh = min(s.cfg.Pipeline.Workers*s.cfg.Pipeline.EncodeShards, len(parity))
-		}
-		errs := make([]error, nsh)
-		pipeline.Run(nsh, s.cfg.Pipeline.Workers, func(i int) {
-			errs[i] = code.EncodeBlocksShard(shards, parity, i, nsh)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		for g := range s.era {
-			s.era[g].parities = parity[g*p.H : (g+1)*p.H : (g+1)*p.H]
-		}
-		s.stats.Encoded += len(parity)
-		s.m.encoded.Add(uint64(len(parity)))
-	case s.cfg.Pipeline.enabled() && p.A > 0:
-		// Encode-ahead: each group's first p.A parities are computed on
-		// the worker pool while earlier groups are on the wire. The window
-		// is the era's steady proactive level even when a group sends
-		// fewer (a ladder probe) or more (the EWMA): the spare parities
-		// serve the repair rounds, and the engine tops up serially beyond
-		// the window exactly as it tops up NAK repairs. The parity slices
-		// are cut here, on the engine, so concurrent shard jobs of one
-		// group fill disjoint entries of a slice they never resize.
-		s.encAhead = p.A
-		s.encShards = min(s.cfg.Pipeline.EncodeShards, p.A) // one row per shard is the finest split
-		s.encDone = 0
-		s.m.shardWidth.Set(int64(s.encShards))
-		parity := make([][]byte, n*p.A)
-		for g := range s.era {
-			s.era[g].parities = parity[g*p.A : (g+1)*p.A : (g+1)*p.A]
-		}
-		// Marshal-ahead: data frames of the groups the initial Prefetch
-		// exposes to the workers are pooled and sized here, on the engine,
-		// before any job can run (see prepFrames).
-		for g := 0; g < s.cfg.Pipeline.Depth && g < n; g++ {
-			s.prepFrames(&s.era[g])
-		}
-		s.enc = pipeline.New(n*s.encShards, s.cfg.Pipeline.Workers, s.encodeJob)
-		s.enc.Prefetch(s.cfg.Pipeline.Depth*s.encShards - 1)
+	if !s.cfg.Pipeline.enabled() || p.A == 0 {
+		return
 	}
-	return nil
+	// Encode-ahead: each group's first p.A parities are computed on the
+	// worker pool while earlier groups are on the wire. The window is the
+	// era's steady proactive level even when a group sends fewer (a ladder
+	// probe) or more (the EWMA): the spare parities serve the repair
+	// rounds, and the engine tops up serially beyond the window exactly as
+	// it tops up NAK repairs.
+	s.encDone = 0
+	parity := make([][]byte, n*p.A)
+	for g := range s.era {
+		s.era[g].parities = parity[g*p.A : (g+1)*p.A : (g+1)*p.A]
+	}
+	// Marshal-ahead: data frames of the groups the initial Prefetch exposes
+	// to the workers are pooled and sized here, on the engine, before any
+	// job can run (see prepFrames).
+	for g := 0; g < s.cfg.Pipeline.Depth && g < n; g++ {
+		s.prepFrames(&s.era[g])
+	}
+	s.enc = pipeline.New(n, s.cfg.Pipeline.Workers, s.encodeJob)
+	s.enc.Prefetch(s.cfg.Pipeline.Depth - 1)
 }
 
 // eraCodec resolves the repair code an era uses: the working point's
@@ -526,28 +484,23 @@ func (s *Sender) releaseFrames(tg *txGroup) {
 	tg.frames = nil
 }
 
-// encodeJob computes one row shard of an era group's first encAhead
-// parities: pool job idx covers era group idx/encShards, shard
-// idx%encShards, and owns the parity rows j with j % encShards == shard.
-// It runs on a pool worker and writes only its own disjoint entries of the
-// group's pre-cut parities slice; the engine reads them only after
-// collectParities has Waited on every shard job of the group, which
-// publishes the writes. Row j here is byte-identical to the serial path's
-// on-demand EncodeParity(j) at ANY shard count: the batch, sharded-batch
-// and single-row codec entry points all evaluate the same generator row,
-// which is what keeps a pipelined zero-loss transcript equal to the
-// serial one. A failed row is left empty and re-encoded serially by
-// parityPacket.
-func (s *Sender) encodeJob(idx int) {
-	g, sh := idx/s.encShards, idx%s.encShards
+// encodeJob computes era group g's first len(parities) parities and
+// marshals its data frames. It runs on a pool worker and writes only the
+// group's own parities and frames; the engine reads them only after
+// collectParities has Waited on the job, which publishes the writes. Row
+// j here is byte-identical to the serial path's on-demand
+// EncodeParity(j): Codec.Encode and EncodeParity evaluate the same
+// generator row, which is what keeps a pipelined zero-loss transcript
+// equal to the serial one. A failed row is left empty and re-encoded
+// serially by parityPacket.
+func (s *Sender) encodeJob(g int) {
 	tg := &s.era[g]
-	s.m.shardJobs.Inc()
-	s.marshalJob(tg, sh)
-	if s.encAhead == tg.h {
-		tg.codec.EncodeBlocksShard(tg.data, tg.parities, sh, s.encShards) //nolint:errcheck // failed rows stay empty; engine re-encodes
+	s.marshalJob(tg)
+	if len(tg.parities) == tg.h {
+		tg.codec.Encode(tg.data, tg.parities) //nolint:errcheck // failed rows stay empty; engine re-encodes
 		return
 	}
-	for j := sh; j < s.encAhead; j += s.encShards {
+	for j := range tg.parities {
 		shard, err := tg.codec.EncodeParity(j, tg.data)
 		if err != nil {
 			return
@@ -557,35 +510,33 @@ func (s *Sender) encodeJob(idx int) {
 }
 
 // marshalJob is the marshal-ahead half of a pool job: it serializes the
-// data wire frames i with i % encShards == sh into the buffers
-// prepFrames cut on the engine, so the per-frame header/payload copy
-// happens off the engine goroutine alongside the parity math. The frame
-// CONTENT is exactly what the engine's frameFor would have produced
-// (same Packet fields, same MarshalTo), so transcripts cannot change;
-// the engine reads the bytes only after collectParities has Waited on
-// the group's jobs, which publishes the writes. Skipped (tg.frames ==
-// nil) when the group was never prepped — dataPacket then marshals on
-// demand as before.
+// group's data wire frames into the buffers prepFrames cut on the engine,
+// so the per-frame header/payload copy happens off the engine goroutine
+// alongside the parity math. The frame CONTENT is exactly what the
+// engine's frameFor would have produced (same Packet fields, same
+// MarshalTo), so transcripts cannot change; the engine reads the bytes
+// only after collectParities has Waited on the group's job, which
+// publishes the writes. Skipped (tg.frames == nil) when the group was
+// never prepped — dataPacket then marshals on demand as before.
 //
 //rmlint:hotpath
-func (s *Sender) marshalJob(tg *txGroup, sh int) {
+func (s *Sender) marshalJob(tg *txGroup) {
 	if tg.frames == nil {
 		return
 	}
-	for i := sh; i < tg.k; i += s.encShards {
+	for i, f := range tg.frames {
 		p := dataPkt(tg, i)
 		s.stamp(&p, tg)
-		if _, err := p.MarshalTo(tg.frames[i]); err != nil {
+		if _, err := p.MarshalTo(f); err != nil {
 			panic(err) // engine-built packets are statically valid
 		}
 	}
 }
 
-// collectParities folds the encode-ahead jobs of tg into the engine:
-// waits on every row shard of the group (a hit only when ALL shards were
-// already complete), advances the prefetch window by whole groups, and
-// accounts the encoded shards. No-op without a pool and after the first
-// collection.
+// collectParities folds tg's encode-ahead job into the engine: waits on
+// it (a hit when it was already complete), advances the prefetch window
+// by one group, and accounts the encoded shards. No-op without a pool and
+// after the first collection.
 func (s *Sender) collectParities(tg *txGroup) {
 	// era[0]'s global index is the count of groups streamed before the era.
 	rel := int(tg.index) - (len(s.groups) - s.eraNext)
@@ -595,27 +546,21 @@ func (s *Sender) collectParities(tg *txGroup) {
 		return
 	}
 	tg.collected = true
-	ready := true
-	for sh := 0; sh < s.encShards; sh++ {
-		if !s.enc.Wait(rel*s.encShards + sh) {
-			ready = false
-		}
-	}
-	if ready {
+	if s.enc.Wait(rel) {
 		s.pstats.EncodeHits++
 		s.m.encHits.Inc()
 	} else {
 		s.pstats.EncodeMisses++
 		s.m.encMisses.Inc()
 	}
-	s.encDone += s.encShards
+	s.encDone++
 	// The Prefetch below newly exposes group rel+Depth to the workers;
 	// size its marshal-ahead frames first (see prepFrames).
 	next := rel + s.cfg.Pipeline.Depth
 	if next < len(s.era) {
 		s.prepFrames(&s.era[next])
 	}
-	s.enc.Prefetch(next*s.encShards + s.encShards - 1)
+	s.enc.Prefetch(next)
 	s.m.encQueue.Set(int64(s.enc.Submitted() - s.encDone))
 	enc := 0
 	for _, p := range tg.parities {
@@ -640,7 +585,7 @@ func (s *Sender) refill() {
 	a, recut := s.policy.next(s.groups)
 	if recut {
 		//rmlint:ignore hotpath-alloc era cut runs once per retune, not per group; amortized across the era's groups
-		_ = s.startEra() // only the PreEncode burst fails, and no re-cutting policy admits PreEncode
+		s.startEra()
 	}
 	tg := &s.era[s.eraNext]
 	s.eraNext++
@@ -984,9 +929,9 @@ func (s *Sender) parityPacket(tg *txGroup) ([]byte, error) {
 	}
 	var shard []byte
 	if j < len(tg.parities) && len(tg.parities[j]) > 0 {
-		// Pre-encoded: either the PreEncode burst or the collected
-		// encode-ahead jobs. An empty entry means the job failed or was
-		// abandoned; fall through to the serial encode below.
+		// Pre-encoded by the collected encode-ahead job. An empty entry
+		// means the job failed or was abandoned; fall through to the
+		// serial encode below.
 		shard = tg.parities[j]
 	} else {
 		var err error

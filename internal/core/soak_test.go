@@ -27,7 +27,6 @@ func TestSoakRandomConfigurations(t *testing.T) {
 			K:         2 + rng.Intn(30),
 			ShardSize: 16 + rng.Intn(500),
 			Proactive: rng.Intn(3),
-			PreEncode: rng.Intn(2) == 0,
 			Adaptive:  rng.Intn(2) == 0,
 			Carousel:  rng.Intn(4) == 0, // occasionally
 		}

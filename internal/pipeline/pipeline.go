@@ -130,33 +130,6 @@ func (p *Pool) Wait(i int) (ready bool) {
 	return false
 }
 
-// Run executes jobs 0..n-1 on `workers` goroutines and returns when all
-// have completed — a one-shot parallel-for built on Pool with the same
-// determinism contract: each job must write only its own disjoint state,
-// so the combined result is independent of worker count and scheduling.
-// The caller is the owner for the duration of the call. Used by the NP
-// sender's PreEncode burst to shard a large batch encode across cores;
-// setup cost is one pool construction, so it suits coarse jobs, not
-// per-packet work.
-func Run(n, workers int, run func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		// Serial fast path: no goroutines, same job order as submission.
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	p := New(n, workers, run)
-	p.Prefetch(n - 1)
-	for i := 0; i < n; i++ {
-		p.Wait(i)
-	}
-	p.Close()
-}
-
 // Close stops the workers and waits for the in-flight jobs to finish.
 // Submitted-but-unstarted jobs are abandoned; their done channels never
 // close, so the owner must not Wait after Close. Close is idempotent.

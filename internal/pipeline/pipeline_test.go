@@ -139,22 +139,25 @@ func TestZeroJobs(t *testing.T) {
 	p.Close()
 }
 
-// TestRunCompletesAllJobs exercises the one-shot parallel-for across
-// worker counts, including the serial fast path, and checks every job ran
-// exactly once with its own slot.
+// TestRunCompletesAllJobs runs a full job set across worker counts,
+// including the clamped 0, and checks every job ran exactly once with its
+// own slot.
 func TestRunCompletesAllJobs(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16} {
 		const n = 64
 		got := make([]int32, n)
-		Run(n, workers, func(i int) {
+		p := New(n, workers, func(i int) {
 			atomic.AddInt32(&got[i], 1)
 		})
+		p.Prefetch(n - 1)
+		for i := 0; i < n; i++ {
+			p.Wait(i)
+		}
+		p.Close()
 		for i, v := range got {
 			if v != 1 {
 				t.Fatalf("workers=%d: job %d ran %d times", workers, i, v)
 			}
 		}
 	}
-	Run(0, 4, func(i int) { t.Error("job ran for n=0") })
-	Run(-3, 4, func(i int) { t.Error("job ran for n<0") })
 }

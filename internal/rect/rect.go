@@ -144,24 +144,11 @@ func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
 }
 
 // EncodeBlocks batch-encodes nb consecutive blocks: data holds nb*k data
-// shards, parity nb*d slices which are resized and overwritten.
-func (c *Code) EncodeBlocks(data, parity [][]byte) error {
-	return c.EncodeBlocksShard(data, parity, 0, 1)
-}
-
-// EncodeBlocksShard encodes only the parity rows r = b*d + j (block b,
-// row j) with r % nshards == shard, leaving every other entry of parity
-// untouched. Running every shard in [0, nshards) — in any order,
-// concurrently or not — is byte-identical to EncodeBlocks, the same
-// decomposition contract as rse.EncodeBlocksShard. Validation is
-// identical across shards so a failed batch fails the same way no matter
-// how it was partitioned.
+// shards, parity nb*d slices which are resized and overwritten. Row j of
+// block b is byte for byte what EncodeParity(j) returns for that block.
 //
 //rmlint:hotpath
-func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
-	if nshards < 1 || shard < 0 || shard >= nshards {
-		return fmt.Errorf("rect: shard %d of %d out of range", shard, nshards)
-	}
+func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 	if len(data)%c.k != 0 {
 		return fmt.Errorf("%w: %d data shards, want a multiple of %d", ErrBadShardCount, len(data), c.k)
 	}
@@ -177,12 +164,8 @@ func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) erro
 		}
 		for j := 0; j < c.d; j++ {
 			r := b*c.d + j
-			if r%nshards != shard {
-				continue
-			}
-			out := sizeFor(parity[r], size)
-			c.encodeRow(j, block, out)
-			parity[r] = out
+			parity[r] = sizeFor(parity[r], size)
+			c.encodeRow(j, block, parity[r])
 		}
 	}
 	return nil

@@ -65,27 +65,38 @@ func TestEncodeParityMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestEncodeBlocksShardByteIdentical(t *testing.T) {
+// TestEncodeBlocksMatchesEncodeParity checks the batch encode row by row
+// against EncodeParity on each block, and its count and size validation.
+func TestEncodeBlocksMatchesEncodeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := MustNew(12, 3)
 	const nb, size = 5, 64
 	data := randBlock(t, rng, nb*12, size)
-	want := make([][]byte, nb*3)
-	if err := c.EncodeBlocks(data, want); err != nil {
+	got := make([][]byte, nb*3)
+	if err := c.EncodeBlocks(data, got); err != nil {
 		t.Fatal(err)
 	}
-	for _, nshards := range []int{1, 2, 3, 4, 7} {
-		got := make([][]byte, nb*3)
-		for s := nshards - 1; s >= 0; s-- { // any order
-			if err := c.EncodeBlocksShard(data, got, s, nshards); err != nil {
+	for b := 0; b < nb; b++ {
+		for j := 0; j < 3; j++ {
+			want, err := c.EncodeParity(j, data[b*12:(b+1)*12], nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for r := range want {
-			if !bytes.Equal(got[r], want[r]) {
-				t.Fatalf("nshards=%d row %d differs from serial", nshards, r)
+			if !bytes.Equal(got[b*3+j], want) {
+				t.Fatalf("block %d row %d differs from EncodeParity", b, j)
 			}
 		}
+	}
+	if err := c.EncodeBlocks(data[:13], make([][]byte, 3)); err == nil {
+		t.Error("non-multiple data count accepted")
+	}
+	if err := c.EncodeBlocks(data, make([][]byte, nb*3-1)); err == nil {
+		t.Error("wrong parity count accepted")
+	}
+	uneven := append([][]byte(nil), data[:12]...)
+	uneven[7] = uneven[7][:size-1]
+	if err := c.EncodeBlocks(uneven, make([][]byte, 3)); err == nil {
+		t.Error("uneven shard sizes accepted")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"rmfec/internal/metrics"
 )
 
 // makeBlock returns a fully encoded block of n = k+h shards.
@@ -141,6 +143,62 @@ func TestEncodeBlocksErrors(t *testing.T) {
 	uneven := [][]byte{make([]byte, 8), make([]byte, 9), make([]byte, 8)}
 	if err := c.EncodeBlocks(uneven, make([][]byte, 2)); err == nil {
 		t.Error("uneven shard sizes accepted")
+	}
+	// A size mismatch inside a later block fails the whole batch.
+	midBatch := randBlocks(t, 2, 3, 16, 8)
+	midBatch[4] = midBatch[4][:7]
+	if err := c.EncodeBlocks(midBatch, make([][]byte, 4)); err == nil {
+		t.Error("mid-batch shard size mismatch accepted")
+	}
+}
+
+// randBlocks builds nb*k data shards of the given size from a fixed seed.
+func randBlocks(t *testing.T, nb, k, size int, seed int64) [][]byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	data := make([][]byte, nb*k)
+	for i := range data {
+		data[i] = make([]byte, size)
+		rng.Read(data[i])
+	}
+	return data
+}
+
+// TestEncodeBlocksCountsBytes checks the EncodeBytes instrument counts
+// every parity byte a batch writes, once.
+func TestEncodeBlocksCountsBytes(t *testing.T) {
+	const k, h, nb, size = 7, 3, 5, 128
+	c := MustNew(k, h)
+	ins := RegisterInstruments(metrics.NewRegistry())
+	c.Instrument(ins)
+	data := randBlocks(t, nb, k, size, 11)
+	if err := c.EncodeBlocks(data, make([][]byte, nb*h)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ins.EncodeBytes.Value(), uint64(nb*h*size); got != want {
+		t.Errorf("EncodeBytes = %d, want %d", got, want)
+	}
+}
+
+// TestEncodeBlocksSteadyStateAllocs pins the zero-alloc contract of the
+// batch encode: with warmed (recycled) parity buffers a call performs no
+// heap allocations.
+func TestEncodeBlocksSteadyStateAllocs(t *testing.T) {
+	const k, h, nb, size = 20, 5, 4, 1024
+	c := MustNew(k, h)
+	data := randBlocks(t, nb, k, size, 3)
+	parity := make([][]byte, nb*h)
+	// Warm the buffers so sizeFor reuses capacity thereafter.
+	if err := c.EncodeBlocks(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := c.EncodeBlocks(data, parity); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs/op on warmed EncodeBlocks, want 0", allocs)
 	}
 }
 

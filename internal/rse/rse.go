@@ -317,37 +317,11 @@ func (c *Code) Encode(data, parity [][]byte) error {
 
 // EncodeBlocks encodes nb consecutive FEC blocks in one call: data holds
 // nb*k data shards (block b's shards at [b*k, (b+1)*k)) and parity holds
-// nb*h parity slices, resized and overwritten like Encode. This is the
-// batch entry point for senders that pre-encode many TGs at once; it
-// validates each block once and then runs the unchecked row loop.
+// nb*h parity slices, resized and overwritten like Encode, which it runs
+// on each block in turn.
 //
 //rmlint:hotpath
 func (c *Code) EncodeBlocks(data, parity [][]byte) error {
-	return c.EncodeBlocksShard(data, parity, 0, 1)
-}
-
-// EncodeBlocksShard is the parallel-decomposition form of EncodeBlocks:
-// it encodes only the parity rows owned by shard `shard` of `nshards`
-// equal partitions, leaving every other entry of parity untouched.
-// Ownership is by global parity-row index r = b*h + j (block b, row j):
-// shard s owns the rows with r % nshards == s. Running every shard in
-// [0, nshards) — in any order, concurrently or not — produces output
-// byte-identical to EncodeBlocks, because each row is computed by the
-// same encodeRow call regardless of which shard (or goroutine) runs it
-// and no two shards touch the same parity entry. Callers running shards
-// concurrently must ensure parity's backing array is shared and that
-// each shard writes only its own entries (this function guarantees the
-// latter).
-//
-// Validation is identical across shards: every shard validates every
-// block, so all shards agree on the error (if any) and a failed batch
-// fails the same way no matter how it was partitioned.
-//
-//rmlint:hotpath
-func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
-	if nshards < 1 || shard < 0 || shard >= nshards {
-		return fmt.Errorf("rse: shard %d of %d out of range", shard, nshards)
-	}
 	if c.k == 0 || len(data)%c.k != 0 {
 		return fmt.Errorf("%w: %d data shards, want a multiple of %d", ErrBadShardCount, len(data), c.k)
 	}
@@ -356,23 +330,8 @@ func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) erro
 		return fmt.Errorf("%w: %d parity shards, want %d", ErrBadShardCount, len(parity), nb*c.h)
 	}
 	for b := 0; b < nb; b++ {
-		blockData := data[b*c.k : (b+1)*c.k]
-		size, err := c.validateEncode(blockData)
-		if err != nil {
+		if err := c.Encode(data[b*c.k:(b+1)*c.k], parity[b*c.h:(b+1)*c.h]); err != nil {
 			return fmt.Errorf("block %d: %w", b, err)
-		}
-		blockParity := parity[b*c.h : (b+1)*c.h]
-		owned := 0
-		for j := 0; j < c.h; j++ {
-			if (b*c.h+j)%nshards != shard {
-				continue
-			}
-			blockParity[j] = sizeFor(blockParity[j], size)
-			c.encodeRow(j, blockData, blockParity[j])
-			owned++
-		}
-		if owned > 0 {
-			c.ins.EncodeBytes.Add(uint64(owned) * uint64(size))
 		}
 	}
 	return nil

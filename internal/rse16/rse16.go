@@ -253,69 +253,6 @@ func (c *Code) Encode(data [][]byte, parity [][]byte) error {
 	return nil
 }
 
-// EncodeBlocksShard encodes nb consecutive FEC blocks in one call — data
-// holds nb*k data shards (block b at [b*k, (b+1)*k)) and parity nb*h
-// parity slices, resized and overwritten like Encode — but only the parity
-// rows owned by shard `shard` of `nshards` partitions, mirroring
-// rse.EncodeBlocksShard: ownership is by global row index r = b*h + j with
-// r % nshards == shard, every shard validates every block identically, and
-// running all shards — serially or concurrently over one shared parity
-// slice — is byte-identical to shard 0 of 1 because each row is computed
-// by the same arithmetic regardless of partitioning. The byte-to-symbol conversion of a block's
-// data shards runs once per (block, shard) with at least one owned row,
-// so a shard that owns no row of a block skips the block entirely after
-// validation.
-func (c *Code) EncodeBlocksShard(data, parity [][]byte, shard, nshards int) error {
-	if nshards < 1 || shard < 0 || shard >= nshards {
-		return fmt.Errorf("rse16: shard %d of %d out of range", shard, nshards)
-	}
-	if len(data)%c.k != 0 {
-		return fmt.Errorf("%w: %d data shards, want a multiple of %d", ErrBadShardCount, len(data), c.k)
-	}
-	nb := len(data) / c.k
-	if len(parity) != nb*c.h {
-		return fmt.Errorf("%w: %d parity shards, want %d", ErrBadShardCount, len(parity), nb*c.h)
-	}
-	var syms [][]uint16
-	var acc []uint16
-	for b := 0; b < nb; b++ {
-		blockData := data[b*c.k : (b+1)*c.k]
-		size, err := c.validateData(blockData)
-		if err != nil {
-			return fmt.Errorf("block %d: %w", b, err)
-		}
-		blockParity := parity[b*c.h : (b+1)*c.h]
-		converted := false
-		for j := 0; j < c.h; j++ {
-			if (b*c.h+j)%nshards != shard {
-				continue
-			}
-			if !converted {
-				if syms == nil {
-					syms = make([][]uint16, c.k)
-				}
-				for i, d := range blockData {
-					syms[i] = toSymbols(d)
-				}
-				if cap(acc)*2 < size {
-					acc = make([]uint16, size/2)
-				} else {
-					acc = acc[:size/2]
-				}
-				converted = true
-			}
-			row := c.parity[j]
-			gf16.MulSlice(row[0], syms[0], acc)
-			for i := 1; i < c.k; i++ {
-				gf16.MulAddSlice(row[i], syms[i], acc)
-			}
-			blockParity[j] = sizeFor(blockParity[j], size)
-			fromSymbols(acc, blockParity[j])
-		}
-	}
-	return nil
-}
-
 // Reconstruct rebuilds every missing data shard in place; shards has
 // length n with nil or zero-length slices marking losses. At least k shards
 // must be present. As in rse and rect, a missing shard passed as a

@@ -282,37 +282,24 @@ func TestEncodeReusesParityBuffers(t *testing.T) {
 	}
 }
 
-func TestEncodeBlocks16MatchesEncode(t *testing.T) {
+// TestEncodeErrors pins Encode's count and size validation.
+func TestEncodeErrors(t *testing.T) {
 	c, err := New(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nb = 3
-	rng := rand.New(rand.NewSource(17))
-	data := make([][]byte, nb*4)
-	for i := range data {
-		data[i] = make([]byte, 32)
-		rng.Read(data[i])
+	data := randShards(rand.New(rand.NewSource(17)), 4, 32)
+	if err := c.Encode(data[:3], make([][]byte, 2)); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("short data: %v", err)
 	}
-	parity := make([][]byte, nb*2)
-	if err := c.EncodeBlocksShard(data, parity, 0, 1); err != nil {
-		t.Fatal(err)
+	if err := c.Encode(data, make([][]byte, 3)); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("wrong parity count: %v", err)
 	}
-	for b := 0; b < nb; b++ {
-		want := make([][]byte, 2)
-		if err := c.Encode(data[b*4:(b+1)*4], want); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 2; j++ {
-			if !bytes.Equal(parity[b*2+j], want[j]) {
-				t.Fatalf("block %d parity %d diverges", b, j)
-			}
-		}
+	if err := c.Encode([][]byte{data[0], nil, data[2], data[3]}, make([][]byte, 2)); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("nil data shard: %v", err)
 	}
-	if err := c.EncodeBlocksShard(data[:5], parity, 0, 1); err == nil {
-		t.Error("non-multiple data count accepted")
-	}
-	if err := c.EncodeBlocksShard(data, parity[:3], 0, 1); err == nil {
-		t.Error("wrong parity count accepted")
+	uneven := [][]byte{data[0], data[1][:30], data[2], data[3]}
+	if err := c.Encode(uneven, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
+		t.Errorf("uneven shard sizes: %v", err)
 	}
 }
