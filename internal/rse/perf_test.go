@@ -2,8 +2,10 @@ package rse
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rmfec/internal/metrics"
@@ -144,11 +146,27 @@ func TestEncodeBlocksErrors(t *testing.T) {
 	if err := c.EncodeBlocks(uneven, make([][]byte, 2)); err == nil {
 		t.Error("uneven shard sizes accepted")
 	}
-	// A size mismatch inside a later block fails the whole batch.
-	midBatch := randBlocks(t, 2, 3, 16, 8)
-	midBatch[4] = midBatch[4][:7]
-	if err := c.EncodeBlocks(midBatch, make([][]byte, 4)); err == nil {
-		t.Error("mid-batch shard size mismatch accepted")
+}
+
+// TestEncodeBlocksShardErrors pins how EncodeBlocks rejects a malformed
+// multi-block batch: a data count that is not a whole number of blocks or
+// a short parity slice fails with ErrBadShardCount, and a size mismatch
+// inside a later block fails the call with ErrShardSize, naming the block.
+func TestEncodeBlocksShardErrors(t *testing.T) {
+	c := MustNew(4, 2)
+	data := randBlocks(t, 2, 4, 16, 7)
+	parity := make([][]byte, 4)
+	if err := c.EncodeBlocks(data[:3], parity); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("ragged data: %v", err)
+	}
+	if err := c.EncodeBlocks(data, parity[:3]); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("short parity: %v", err)
+	}
+	bad := randBlocks(t, 2, 4, 16, 8)
+	bad[5] = bad[5][:7]
+	err := c.EncodeBlocks(bad, parity)
+	if !errors.Is(err, ErrShardSize) || !strings.Contains(err.Error(), "block 1") {
+		t.Errorf("mid-batch shard size mismatch: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rmfec/internal/gf16"
+	"rmfec/internal/rse"
 )
 
 func randShards(rng *rand.Rand, k, size int) [][]byte {
@@ -282,24 +283,81 @@ func TestEncodeReusesParityBuffers(t *testing.T) {
 	}
 }
 
-// TestEncodeErrors pins Encode's count and size validation.
-func TestEncodeErrors(t *testing.T) {
-	c, err := New(4, 2)
+// TestEncodeBlocks16MatchesEncode encodes a batch of blocks with one
+// Encode call per block over sub-slices of shared flat data and parity
+// slices, and checks every parity row against EncodeParity. A second
+// batch of fresh data encoded into the same slots must reuse each parity
+// buffer and leave no stale bytes behind.
+func TestEncodeBlocks16MatchesEncode(t *testing.T) {
+	const k, h, nb, size = 4, 2, 3, 32
+	c, err := New(k, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := randShards(rand.New(rand.NewSource(17)), 4, 32)
-	if err := c.Encode(data[:3], make([][]byte, 2)); !errors.Is(err, ErrBadShardCount) {
-		t.Errorf("short data: %v", err)
+	rng := rand.New(rand.NewSource(17))
+	parity := make([][]byte, nb*h)
+	encodeBatch := func(data [][]byte) {
+		t.Helper()
+		for b := 0; b < nb; b++ {
+			if err := c.Encode(data[b*k:(b+1)*k], parity[b*h:(b+1)*h]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 0; b < nb; b++ {
+			for j := 0; j < h; j++ {
+				want, err := c.EncodeParity(j, data[b*k:(b+1)*k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(parity[b*h+j], want) {
+					t.Fatalf("block %d parity %d diverges from EncodeParity", b, j)
+				}
+			}
+		}
 	}
-	if err := c.Encode(data, make([][]byte, 3)); !errors.Is(err, ErrBadShardCount) {
-		t.Errorf("wrong parity count: %v", err)
+	encodeBatch(randShards(rng, nb*k, size))
+	before := make([]*byte, len(parity))
+	for r := range parity {
+		before[r] = &parity[r][0]
 	}
-	if err := c.Encode([][]byte{data[0], nil, data[2], data[3]}, make([][]byte, 2)); !errors.Is(err, ErrBadShardCount) {
-		t.Errorf("nil data shard: %v", err)
+	encodeBatch(randShards(rng, nb*k, size))
+	for r := range parity {
+		if &parity[r][0] != before[r] {
+			t.Fatalf("parity slot %d reallocated on the second batch", r)
+		}
 	}
-	uneven := [][]byte{data[0], data[1][:30], data[2], data[3]}
-	if err := c.Encode(uneven, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
-		t.Errorf("uneven shard sizes: %v", err)
+}
+
+// TestEncodeBlocksShardErrors pins argument validation parity with rse:
+// the sender picks the GF(2^8) or the GF(2^16) code by k+h behind one
+// Codec, so every malformed Encode call must fail in both, with the
+// matching sentinel.
+func TestEncodeBlocksShardErrors(t *testing.T) {
+	const k, h = 4, 2
+	c, err := New(k, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c8 := rse.MustNew(k, h)
+	data := randShards(rand.New(rand.NewSource(17)), k, 32)
+	cases := []struct {
+		name          string
+		data          [][]byte
+		nparity       int
+		want16, want8 error
+	}{
+		{"short data", data[:3], h, ErrBadShardCount, rse.ErrBadShardCount},
+		{"wrong parity count", data, h + 1, ErrBadShardCount, rse.ErrBadShardCount},
+		{"short parity", data, h - 1, ErrBadShardCount, rse.ErrBadShardCount},
+		{"nil data shard", [][]byte{data[0], nil, data[2], data[3]}, h, ErrBadShardCount, rse.ErrBadShardCount},
+		{"uneven shard sizes", [][]byte{data[0], data[1][:30], data[2], data[3]}, h, ErrShardSize, rse.ErrShardSize},
+	}
+	for _, tc := range cases {
+		if err := c.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want16) {
+			t.Errorf("%s: rse16: %v", tc.name, err)
+		}
+		if err := c8.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want8) {
+			t.Errorf("%s: rse: %v", tc.name, err)
+		}
 	}
 }
