@@ -162,12 +162,13 @@ type Config struct {
 	// transmission. It never changes a byte or the order of the wire
 	// transcript; the zero value runs everything on the engine.
 	Pipeline PipelineConfig
-	// MaxNakSlots caps the slot index of the paper's NAK schedule
-	// [(s-l)Ts, (s-l+1)Ts]. The formula assumes small rounds; with large
-	// transmission groups an uncapped slot would delay low-deficit
-	// receivers by (k-l)*Ts — seconds. The cap keeps the "worst deficit
-	// answers first" ordering among the receivers that matter while
-	// bounding feedback latency. Default 16.
+	// MaxNakSlots bounds the paper's NAK schedule [(s-l)Ts, (s-l+1)Ts]. The
+	// formula assumes small rounds; with large transmission groups an
+	// uncapped slot would delay low-deficit receivers by (k-l)*Ts —
+	// seconds. A round of more than MaxNakSlots transmissions is slotted as
+	// one of MaxNakSlots, so no NAK waits more than MaxNakSlots*Ts and
+	// deficits below the cap still answer worst first, one slot apart.
+	// Default 16.
 	MaxNakSlots int
 
 	// Metrics, when non-nil, registers the engine's live instrument set

@@ -199,52 +199,52 @@ func TestModeMatrixGolden(t *testing.T) {
 }
 
 var modeGoldens = map[string]modeGolden{
-	"reactive/depth0": {"2455:3b668c59c4c43bc7201ad556426e8901bcf5088c09ab850763a40d2006982334",
-		"{DataTx:1633 ParityTx:289 PollTx:527 FinTx:6 NakRx:592 NakServed:351 Encoded:289 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:3f64d5a249cb188e11bf814a7b38e04cefe856e8ec7e3fce3c66a23e270fdaf5",
-		"2455:a92cff8067390c4c37764479bbade62f5d6264a1fbfd177856e255349161c0d8"},
-	"reactive/depth8": {"2455:3b668c59c4c43bc7201ad556426e8901bcf5088c09ab850763a40d2006982334",
-		"{DataTx:1633 ParityTx:289 PollTx:527 FinTx:6 NakRx:592 NakServed:351 Encoded:289 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:3f64d5a249cb188e11bf814a7b38e04cefe856e8ec7e3fce3c66a23e270fdaf5",
-		"2455:a92cff8067390c4c37764479bbade62f5d6264a1fbfd177856e255349161c0d8"},
-	"proactive/depth0": {"2702:c1680e2ecabcadce72e688878c84210e7de00fa7214020eb9121ef49bf354b1a",
-		"{DataTx:1735 ParityTx:448 PollTx:513 FinTx:6 NakRx:415 NakServed:337 Encoded:448 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:9bf35b2f3762dc2c791f9b73328f0691dad0f0480fe20d5b456ae82604a69deb",
-		"2702:eada3b9b26006d9f77712dcdfe3f2af1aaffa6f9cb73a07ad7eb7f21620ef0f3"},
-	"proactive/depth8": {"2702:c1680e2ecabcadce72e688878c84210e7de00fa7214020eb9121ef49bf354b1a",
-		"{DataTx:1735 ParityTx:448 PollTx:513 FinTx:6 NakRx:415 NakServed:337 Encoded:448 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:9bf35b2f3762dc2c791f9b73328f0691dad0f0480fe20d5b456ae82604a69deb",
-		"2702:eada3b9b26006d9f77712dcdfe3f2af1aaffa6f9cb73a07ad7eb7f21620ef0f3"},
-	"carousel/depth0": {"2482:53a699a23b5b0306cf0ef6dfd7406d1f81c73867d647ce38ece391976f71a68e",
-		"{DataTx:1705 ParityTx:528 PollTx:243 FinTx:6 NakRx:300 NakServed:243 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:7786322e379f115abe414ecc03123f1ed7e02b2c87a8445e29e4d1525c60c9b7",
-		"2482:f36ecbad2b2685b6cbd8cb78918b56a7aa68b834cd926b5340eb4cb225850030"},
-	"carousel/depth8": {"2482:53a699a23b5b0306cf0ef6dfd7406d1f81c73867d647ce38ece391976f71a68e",
-		"{DataTx:1705 ParityTx:528 PollTx:243 FinTx:6 NakRx:300 NakServed:243 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:7786322e379f115abe414ecc03123f1ed7e02b2c87a8445e29e4d1525c60c9b7",
-		"2482:f36ecbad2b2685b6cbd8cb78918b56a7aa68b834cd926b5340eb4cb225850030"},
-	"ewma/depth0": {"2176:da52d13459c705ce7600fdf17f3a376875876d4e859ed0c8f7efd996a8efce00",
-		"{DataTx:1408 ParityTx:460 PollTx:302 FinTx:6 NakRx:171 NakServed:126 Encoded:460 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:a4c6bb89f9fe6d19fbd1052536e9e299f4485bc16e761e4d8a323be2d69a3dd8",
-		"2176:90d208d16ed32a6e3e56ed652ea21de7be1d8eaae3b59b2241b479bec9cd6585"},
-	"ewma/depth8": {"2176:da52d13459c705ce7600fdf17f3a376875876d4e859ed0c8f7efd996a8efce00",
-		"{DataTx:1408 ParityTx:460 PollTx:302 FinTx:6 NakRx:171 NakServed:126 Encoded:460 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:a4c6bb89f9fe6d19fbd1052536e9e299f4485bc16e761e4d8a323be2d69a3dd8",
-		"2176:90d208d16ed32a6e3e56ed652ea21de7be1d8eaae3b59b2241b479bec9cd6585"},
-	"ladder/depth0": {"2834:16a35215937929eed0725e14d766dde9fa7f03f1bb09785184857fc9415f61bc",
-		"{DataTx:1415 ParityTx:1121 PollTx:292 FinTx:6 NakRx:166 NakServed:100 Encoded:1121 TxErrors:0 NcTx:0 NcRounds:0}",
-		"192:c022f9be8d85d8d861769754e457565039b67d8372e72ec588677264711bb3b6",
-		"2834:2f6aa316dcef7b78edeca64003ae5c364a00c5a5000e3ae0582adb568e7ba66b"},
-	"ladder/depth8": {"2834:16a35215937929eed0725e14d766dde9fa7f03f1bb09785184857fc9415f61bc",
-		"{DataTx:1415 ParityTx:1121 PollTx:292 FinTx:6 NakRx:166 NakServed:100 Encoded:1337 TxErrors:0 NcTx:0 NcRounds:0}",
-		"192:c022f9be8d85d8d861769754e457565039b67d8372e72ec588677264711bb3b6",
-		"2834:2f6aa316dcef7b78edeca64003ae5c364a00c5a5000e3ae0582adb568e7ba66b"},
-	"ladder-nc/depth0": {"2892:3c6a5b2d9cd8713b40744c51e6b630fa13879b74715dd52328fc9fe4be02bc49",
-		"{DataTx:1408 ParityTx:1158 PollTx:304 FinTx:6 NakRx:173 NakServed:108 Encoded:1158 TxErrors:0 NcTx:16 NcRounds:2}",
-		"196:57242d9f4ed0488d525866dffed6372cf0b73764c2c45046321e059b601519e4",
-		"2892:3e4e4f4c632d7c3c4b1f2da2ed473f96ad84bd45747d112064dca0c4d70e857d"},
-	"ladder-nc/depth8": {"2892:3c6a5b2d9cd8713b40744c51e6b630fa13879b74715dd52328fc9fe4be02bc49",
-		"{DataTx:1408 ParityTx:1158 PollTx:304 FinTx:6 NakRx:173 NakServed:108 Encoded:1391 TxErrors:0 NcTx:16 NcRounds:2}",
-		"196:57242d9f4ed0488d525866dffed6372cf0b73764c2c45046321e059b601519e4",
-		"2892:3e4e4f4c632d7c3c4b1f2da2ed473f96ad84bd45747d112064dca0c4d70e857d"},
+	"reactive/depth0": {"2385:5f2cda49c38b80f6ee123663833570e6be3539762b53e4ead964270c2f6d52a2",
+		"{DataTx:1620 ParityTx:292 PollTx:467 FinTx:6 NakRx:428 NakServed:291 Encoded:292 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:5acea6dfc98e7be8335ff403d3a3fd0a29bc4e7ae67ff26afea540af7d6222b6",
+		"2385:a99c516bcca3531488ed16285464efed5a0d9ed9642bb7e08c2919b871af9e49"},
+	"reactive/depth8": {"2385:5f2cda49c38b80f6ee123663833570e6be3539762b53e4ead964270c2f6d52a2",
+		"{DataTx:1620 ParityTx:292 PollTx:467 FinTx:6 NakRx:428 NakServed:291 Encoded:292 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:5acea6dfc98e7be8335ff403d3a3fd0a29bc4e7ae67ff26afea540af7d6222b6",
+		"2385:a99c516bcca3531488ed16285464efed5a0d9ed9642bb7e08c2919b871af9e49"},
+	"proactive/depth0": {"2541:cd72f7c5939e5b6d412037fd8a71450632751249251ef551be70e4edbed1ec4a",
+		"{DataTx:1655 ParityTx:441 PollTx:439 FinTx:6 NakRx:310 NakServed:263 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:bfd05f3eb2d6b37ef781c6f3e1664361d5faba777307de4c09587ad9fad37fc8",
+		"2541:b84c92eda177983b28fffb39e24fe690626730e2777a7be8d3b218d6bbe62ec4"},
+	"proactive/depth8": {"2541:cd72f7c5939e5b6d412037fd8a71450632751249251ef551be70e4edbed1ec4a",
+		"{DataTx:1655 ParityTx:441 PollTx:439 FinTx:6 NakRx:310 NakServed:263 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:bfd05f3eb2d6b37ef781c6f3e1664361d5faba777307de4c09587ad9fad37fc8",
+		"2541:b84c92eda177983b28fffb39e24fe690626730e2777a7be8d3b218d6bbe62ec4"},
+	"carousel/depth0": {"2520:277a5126e8b6968ab8e6e4d2ce738b49eb252d20434c8fe1cfa3d7281cbd926a",
+		"{DataTx:1728 ParityTx:528 PollTx:258 FinTx:6 NakRx:309 NakServed:258 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:532ac47fdb168e6657f33e5e1c35fb7bc667ef4b7751e69b2b92ad2174384c7f",
+		"2520:29aa3859baee0f7d3973956cec46f7080c9d897c681774ab9b09e4e6a9e54e95"},
+	"carousel/depth8": {"2520:277a5126e8b6968ab8e6e4d2ce738b49eb252d20434c8fe1cfa3d7281cbd926a",
+		"{DataTx:1728 ParityTx:528 PollTx:258 FinTx:6 NakRx:309 NakServed:258 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:532ac47fdb168e6657f33e5e1c35fb7bc667ef4b7751e69b2b92ad2174384c7f",
+		"2520:29aa3859baee0f7d3973956cec46f7080c9d897c681774ab9b09e4e6a9e54e95"},
+	"ewma/depth0": {"2189:884d6b1f20dc828bca8420887e46dfd416963413fbe2f37b06325ac18d586dbd",
+		"{DataTx:1410 ParityTx:483 PollTx:290 FinTx:6 NakRx:143 NakServed:114 Encoded:483 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:a18e45f2c4bc3a7cd5978aea900a2a17617be72867642b0ebd01ad6063aea71b",
+		"2189:04bfb569ff920c883018943254606188537dfc5329226dd98e05ef05257dfc20"},
+	"ewma/depth8": {"2189:884d6b1f20dc828bca8420887e46dfd416963413fbe2f37b06325ac18d586dbd",
+		"{DataTx:1410 ParityTx:483 PollTx:290 FinTx:6 NakRx:143 NakServed:114 Encoded:483 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:a18e45f2c4bc3a7cd5978aea900a2a17617be72867642b0ebd01ad6063aea71b",
+		"2189:04bfb569ff920c883018943254606188537dfc5329226dd98e05ef05257dfc20"},
+	"ladder/depth0": {"2816:57e30a90d47419a3471d3587db1546aa961e1b646531fcf68669376cf259e410",
+		"{DataTx:1414 ParityTx:1120 PollTx:276 FinTx:6 NakRx:136 NakServed:82 Encoded:1120 TxErrors:0 NcTx:0 NcRounds:0}",
+		"194:0f5213c46271812ca9031410c114d4ae0cb142a2e7010e8d4f80800fd96ccca7",
+		"2816:54f0a216808794ce9d9d4a102b89d9cd17fe2ab324619fbc928bbac2d4db8de8"},
+	"ladder/depth8": {"2816:57e30a90d47419a3471d3587db1546aa961e1b646531fcf68669376cf259e410",
+		"{DataTx:1414 ParityTx:1120 PollTx:276 FinTx:6 NakRx:136 NakServed:82 Encoded:1357 TxErrors:0 NcTx:0 NcRounds:0}",
+		"194:0f5213c46271812ca9031410c114d4ae0cb142a2e7010e8d4f80800fd96ccca7",
+		"2816:54f0a216808794ce9d9d4a102b89d9cd17fe2ab324619fbc928bbac2d4db8de8"},
+	"ladder-nc/depth0": {"2857:827e2898215c576e2277cfd38746c0340b0a351043c2cfef92ca43f087e0d3b2",
+		"{DataTx:1408 ParityTx:1145 PollTx:292 FinTx:6 NakRx:147 NakServed:98 Encoded:1145 TxErrors:0 NcTx:6 NcRounds:1}",
+		"194:e848c9361a06bcbfbe024eb694d21ec9bc78010c669b31dae26345968ed1f041",
+		"2857:af3b791ad6a19e2fa32336cbcae00adbe2a7a794e8a7714586836bb60b7310de"},
+	"ladder-nc/depth8": {"2857:827e2898215c576e2277cfd38746c0340b0a351043c2cfef92ca43f087e0d3b2",
+		"{DataTx:1408 ParityTx:1145 PollTx:292 FinTx:6 NakRx:147 NakServed:98 Encoded:1370 TxErrors:0 NcTx:6 NcRounds:1}",
+		"194:e848c9361a06bcbfbe024eb694d21ec9bc78010c669b31dae26345968ed1f041",
+		"2857:af3b791ad6a19e2fa32336cbcae00adbe2a7a794e8a7714586836bb60b7310de"},
 }

@@ -214,38 +214,72 @@ func TestLiveEMMatchesAnalyticModel(t *testing.T) {
 // TestRacingReceiversMeetModel is the same reconciliation where receivers
 // race: eight of them at 5 % Bernoulli loss, k = h = 20, a = 0 — the
 // lossy_decode working point — whose NAKs for one round can cross in
-// flight when their deficits share the capped last slot. The sender serves
-// each NAK only beyond the repairs queued since the POLL it echoes, so a
-// raced round is not bought twice, and per-group E[M] over 400 groups must
-// lie within 3 SE of the closed form at R = 8. Serving a raced NAK against
-// the queue alone reads 1.1805 here, 13 SE above it.
+// flight when they share a slot. The sender serves each NAK only beyond
+// the repairs queued since the POLL it echoes, so a raced round is not
+// bought twice, and per-group E[M] over 400 groups must lie within 3 SE of
+// the closed form at R = 8. Serving a raced NAK against the queue alone
+// read 1.1805 here, 13 SE above it, when every deficit up to 4 shared the
+// last slot.
 func TestRacingReceiversMeetModel(t *testing.T) {
-	const (
-		k, r, p = 20, 8, 0.05
-		groups  = 100 // per seed
-	)
 	var sum, sumSq float64
 	n := 0
-	for seed := int64(2801); seed < 2805; seed++ {
-		cfg := baseConfig()
-		cfg.K, cfg.MaxParity = k, k
-		h := newHarness(t, harnessOpts{r: r, cfg: cfg, seed: seed,
-			mkLoss: func(rng *rand.Rand) loss.Process { return loss.NewBernoulli(p, rng) }})
-		msg := testMessage(groups*k*cfg.ShardSize, seed+100)
-		h.run(t, msg)
-		h.checkDelivered(t, msg)
-		for _, g := range h.sender.GroupTrace() {
-			em := float64(g.TxCount) / k
+	racingTransfers(t, func(s *Sender) {
+		for _, g := range s.GroupTrace() {
+			em := float64(g.TxCount) / racingK
 			sum += em
 			sumSq += em * em
 			n++
 		}
-	}
+	})
 	mean := sum / float64(n)
 	se := math.Sqrt((sumSq-sum*sum/float64(n))/float64(n-1)) / math.Sqrt(float64(n))
-	want := model.ExpectedTxIntegratedFinite(k, k, 0, r, p)
+	want := model.ExpectedTxIntegratedFinite(racingK, racingK, 0, racingR, racingP)
 	t.Logf("E[M] = %.4f (SE %.4f, %d groups) vs analytic %.4f", mean, se, n, want)
 	if diff := mean - want; math.Abs(diff) > 3*se {
 		t.Errorf("E[M] is %+.1f SE from the model, want within 3", diff/se)
+	}
+}
+
+// The racing working point: lossy_decode's k = h = 20, a = 0, R = 8 at 5 %
+// Bernoulli loss.
+const (
+	racingK, racingR = 20, 8
+	racingP          = 0.05
+)
+
+// racingTransfers runs the racing working point over 100 groups on each of
+// four seeds and hands fn every sender once its transfer is delivered.
+func racingTransfers(t *testing.T, fn func(s *Sender)) {
+	t.Helper()
+	const groups = 100 // per seed
+	for seed := int64(2801); seed < 2805; seed++ {
+		cfg := baseConfig()
+		cfg.K, cfg.MaxParity = racingK, racingK
+		h := newHarness(t, harnessOpts{r: racingR, cfg: cfg, seed: seed,
+			mkLoss: func(rng *rand.Rand) loss.Process { return loss.NewBernoulli(racingP, rng) }})
+		msg := testMessage(groups*racingK*cfg.ShardSize, seed+100)
+		h.run(t, msg)
+		h.checkDelivered(t, msg)
+		fn(h.sender)
+	}
+}
+
+// TestRacingReceiversNakWorstFirst pins the NAK slotting of §5.1 at the
+// racing working point: a round of 20 is slotted as one of MaxNakSlots
+// (16), so deficits 1 … 16 each get their own slot, the receiver missing
+// most answers first and its NAK damps the rest. Capping the slot index
+// instead put every deficit up to 4 — nearly all of them at 5 % loss — in
+// the last slot, where damping came down to jitter, and read 3.17 NAKs per
+// group here; the rule as it stands reads 1.49.
+func TestRacingReceiversNakWorstFirst(t *testing.T) {
+	var naks, groups int
+	racingTransfers(t, func(s *Sender) {
+		naks += s.Stats().NakRx
+		groups += s.Groups()
+	})
+	perGroup := float64(naks) / float64(groups)
+	t.Logf("%.3f NAKs per group over %d groups", perGroup, groups)
+	if perGroup > 1.8 {
+		t.Errorf("%.3f NAKs per group at R = %d, want ≤ 1.8: the worst deficit no longer answers first", perGroup, racingR)
 	}
 }

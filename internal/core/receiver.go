@@ -527,8 +527,10 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 }
 
 // onPoll implements the paper's feedback rule: compute the deficit l and
-// schedule NAK(i,l) in slot [(s-l)Ts, (s-l+1)Ts] — receivers missing more
-// answer earlier — unless damped by an equal-or-larger NAK.
+// schedule NAK(i,l) in its RxRules.SlotDelay slot — slot s − l of a round
+// of s, with s at most MaxNakSlots, so receivers missing more answer
+// earlier — unless damped by an equal-or-larger NAK. A POLL opens a new
+// round, so the NAK backoff starts over from its first step.
 func (r *Receiver) onPoll(pkt *packet.Packet) {
 	g := r.tgGroup(pkt)
 	if g == nil {
@@ -537,6 +539,7 @@ func (r *Receiver) onPoll(pkt *packet.Packet) {
 	r.stats.PollRx++
 	r.m.pollRx.Inc()
 	g.heardNak = 0 // new suppression round
+	g.retryCount = 0
 	r.armNak(pkt.Group, g, int(pkt.Count))
 }
 

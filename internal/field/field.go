@@ -739,13 +739,17 @@ func (f *Field) onPoll(pkt *packet.Packet) {
 	}
 	if !g.done {
 		now := f.env.Now()
+		// A POLL opens a new round: the suppression windows and the NAK
+		// backoff start over, as in core.Receiver.onPoll.
 		if f.exact {
 			for i := range g.ids {
 				g.resetAt[i] = now
+				g.retry[i] = 0
 				f.armExact(g, i, int(pkt.Count))
 			}
 		} else {
 			g.repReset = now
+			g.repRetry = 0
 			f.armRep(g, int(pkt.Count))
 		}
 	}
