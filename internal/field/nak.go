@@ -37,15 +37,9 @@ func (f *Field) labelJitter(group uint32, round int) time.Duration {
 	return time.Duration(r.Int63n(int64(f.cfg.Ts)))
 }
 
-// lmax returns the group's worst active deficit.
-func (f *Field) lmax(g *fgroup) int {
-	l, _ := f.lmaxWith(g)
-	return l
-}
-
-// lmaxWith returns the group's worst active deficit and the index (into
-// g.ids) of a receiver attaining it, -1 when every deficit is zero.
-func (f *Field) lmaxWith(g *fgroup) (int, int) {
+// lmax returns the group's worst active deficit and the index (into g.ids)
+// of a receiver attaining it, -1 when every deficit is zero.
+func (f *Field) lmax(g *fgroup) (int, int) {
 	max, wi := 0, -1
 	for i := range g.ids {
 		if l := f.deficit(g, g.missed[i]); l > max {
@@ -58,7 +52,7 @@ func (f *Field) lmaxWith(g *fgroup) (int, int) {
 // armRep arms (or re-arms) the group's representative NAK timer for a
 // round of roundSize transmissions.
 func (f *Field) armRep(g *fgroup, roundSize int) {
-	l := f.lmax(g)
+	l, _ := f.lmax(g)
 	if l == 0 {
 		return
 	}
@@ -79,7 +73,7 @@ func (f *Field) fireRep(g *fgroup, retry bool) {
 		return
 	}
 	now := f.env.Now()
-	l, worst := f.lmaxWith(g)
+	l, worst := f.lmax(g)
 	if l == 0 {
 		return
 	}
