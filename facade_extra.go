@@ -50,17 +50,12 @@ type (
 	TraceEvent = simnet.TraceEvent
 	// Tracer observes packet events.
 	Tracer = simnet.Tracer
-	// RingTracer keeps the most recent events.
-	RingTracer = simnet.RingTracer
 	// CountTracer aggregates per-node traffic accounting.
 	CountTracer = simnet.CountTracer
 )
 
-// NewRingTracer and NewCountTracer construct network tracers.
-var (
-	NewRingTracer  = simnet.NewRingTracer
-	NewCountTracer = simnet.NewCountTracer
-)
+// NewCountTracer constructs the per-node accounting tracer.
+var NewCountTracer = simnet.NewCountTracer
 
 // Large-block erasure coding over GF(2^16) (internal/rse16): FEC blocks
 // beyond the 256-packet limit of GF(2^8), for bulk distribution with the

@@ -105,8 +105,8 @@ func rectRungConfig(gate int) Config {
 	return cfg
 }
 
-// TestPortfolioRectTranscriptDeterministic is the marshal-ahead/encode-
-// ahead equivalence gate for the rectangular codec: a rect-coded adaptive
+// TestPortfolioRectTranscriptDeterministic is the encode-ahead
+// equivalence gate for the rectangular codec: a rect-coded adaptive
 // sender must put byte-identical frames on the wire at pipeline depth 0
 // and at any depth and worker count, and (under GateForce) every
 // data-plane frame must carry the rect wire identity.

@@ -158,9 +158,10 @@ type Config struct {
 	// groups. Default 1<<20.
 	MaxGroups int
 	// Pipeline configures the sender's pipelined transmit stages: parallel
-	// encode- and marshal-ahead over the current era's groups, and batched
-	// transmission. It never changes a byte or the order of the wire
-	// transcript; the zero value runs everything on the engine.
+	// encode-ahead of the proactive parities over the current era's groups,
+	// and batched transmission. The engine marshals every frame either way.
+	// It never changes a byte or the order of the wire transcript; the zero
+	// value runs everything on the engine.
 	Pipeline PipelineConfig
 	// MaxNakSlots bounds the paper's NAK schedule [(s-l)Ts, (s-l+1)Ts]. The
 	// formula assumes small rounds; with large transmission groups an

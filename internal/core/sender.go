@@ -51,19 +51,18 @@ type PipelineStats struct {
 // a move flushes the era at the TG boundary and re-cuts the remainder. A
 // static transfer is simply one era.
 //
-// With Config.Pipeline enabled the first proactive parities and the data
-// wire frames of upcoming groups are computed on a bounded worker pool
-// while earlier groups are on the wire, wire frames are recycled through a
-// free-list (the steady-state transmit path allocates nothing), and data
-// frames leave in batches through BatchEnv-capable transports. The wire
-// transcript is byte-identical at every depth and worker count.
+// With Config.Pipeline enabled the first proactive parities of upcoming
+// groups are computed on a bounded worker pool while earlier groups are on
+// the wire, and data frames leave in batches through BatchEnv-capable
+// transports. The engine marshals every frame into a recycled buffer (the
+// steady-state transmit path allocates nothing). The wire transcript is
+// byte-identical at every depth and worker count.
 type Sender struct {
 	env  Env
 	benv BatchEnv // env's batching extension; nil when unsupported/disabled
 	cfg  Config
 
-	frameLen int    // wire length of a data or parity frame
-	total    uint32 // Total of TG-scoped packets: the message's source-shard count
+	total uint32 // Total of TG-scoped packets: the message's source-shard count
 
 	policy redundancy
 	ctl    *adapt.Controller // the ladder policy's controller, else nil
@@ -95,11 +94,6 @@ type Sender struct {
 	// jobs for the queue-depth gauge.
 	enc     *pipeline.Pool
 	encDone int
-
-	// Marshal-ahead free-lists: per-group wire-frame slices recycled once
-	// every data frame of a group has been consumed, so the steady state
-	// allocates neither the frames nor the slice headers.
-	frameLists [][][]byte
 
 	// NC retransmission scratch (Config.NCRepair): the combo masks of one
 	// repair round and the XOR accumulation buffer, both reused.
@@ -137,11 +131,6 @@ type txGroup struct {
 	codec    Codec
 	codecID  uint8
 	codecArg uint8
-
-	// frames holds the group's pre-marshaled data wire frames
-	// (marshal-ahead, encode-ahead path only): entry i is consumed by the
-	// group's first-round dataPacket(i) and nil afterwards.
-	frames [][]byte
 
 	// NC retransmission state: missing-data bitmaps heard in NAK
 	// payloads since the last served round. lossUnknown marks a NAK that
@@ -191,8 +180,7 @@ func NewSender(env Env, cfg Config) (*Sender, error) {
 	default:
 		s.policy = fixed
 	}
-	s.frameLen = packet.HeaderLen + cfg.ShardSize
-	s.frames.minCap = s.frameLen
+	s.frames.minCap = packet.HeaderLen + cfg.ShardSize // a data or parity frame
 	s.pumpCb = func() {
 		s.pumping = false
 		s.pump()
@@ -333,12 +321,6 @@ func groupsFor(n, perTG int) int {
 func (s *Sender) startEra() {
 	if s.enc != nil {
 		s.enc.Close()
-		// The pool has quiesced (Close waits for in-flight jobs): reclaim
-		// the pre-marshaled frames of groups the flushed era never
-		// streamed.
-		for i := s.eraNext; i < len(s.era); i++ {
-			s.releaseFrames(&s.era[i])
-		}
 		s.enc = nil
 		s.m.encQueue.Set(0)
 	}
@@ -383,12 +365,6 @@ func (s *Sender) startEra() {
 	parity := make([][]byte, n*p.A)
 	for g := range s.era {
 		s.era[g].parities = parity[g*p.A : (g+1)*p.A : (g+1)*p.A]
-	}
-	// Marshal-ahead: data frames of the groups the initial Prefetch exposes
-	// to the workers are pooled and sized here, on the engine, before any
-	// job can run (see prepFrames).
-	for g := 0; g < s.cfg.Pipeline.Depth && g < n; g++ {
-		s.prepFrames(&s.era[g])
 	}
 	s.enc = pipeline.New(n, s.cfg.Pipeline.Workers, s.encodeJob)
 	s.enc.Prefetch(s.cfg.Pipeline.Depth - 1)
@@ -435,67 +411,16 @@ func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 	return cand, p.Codec, p.CodecArg
 }
 
-// prepFrames allocates and sizes tg's data wire frames so pool workers
-// can marshal into them (marshal-ahead). It must run on the engine
-// BEFORE the pool can reach any of tg's jobs — at pool construction for
-// the groups the initial Prefetch exposes, and in collectParities for
-// the group each Prefetch advance newly exposes — because the frame
-// slice is handed to workers through the pool's submit edge, which is
-// also what publishes it. Every data packet of a session has the same
-// wire length (header + shard), so the frames are cut to final size
-// here and the workers only fill bytes.
-func (s *Sender) prepFrames(tg *txGroup) {
-	if tg.frames != nil {
-		return
-	}
-	tg.frames = s.frameList(tg.k)
-	for i := range tg.frames {
-		tg.frames[i] = s.frames.get(s.frameLen)
-	}
-}
-
-// frameList pops a recycled frame slice (or allocates the first few).
-func (s *Sender) frameList(k int) [][]byte {
-	if n := len(s.frameLists); n > 0 && cap(s.frameLists[n-1]) >= k {
-		l := s.frameLists[n-1][:k]
-		s.frameLists = s.frameLists[:n-1]
-		return l
-	}
-	//rmlint:ignore hotpath-alloc free-list miss: steady state recycles the per-group frame slices
-	return make([][]byte, k)
-}
-
-// releaseFrames returns tg's unconsumed pre-marshaled frames to the
-// buffer pool and recycles the slice itself. Safe only when no pool job
-// of tg can still be running: callers are refill (the group's jobs were
-// Waited on) and the era flush (after enc.Close).
-func (s *Sender) releaseFrames(tg *txGroup) {
-	if tg.frames == nil {
-		return
-	}
-	for i, f := range tg.frames {
-		if f != nil {
-			s.frames.put(f)
-			tg.frames[i] = nil
-		}
-	}
-	//rmlint:ignore hotpath-alloc free-list growth is amortized across the session
-	s.frameLists = append(s.frameLists, tg.frames)
-	tg.frames = nil
-}
-
-// encodeJob computes era group g's first len(parities) parities and
-// marshals its data frames. It runs on a pool worker and writes only the
-// group's own parities and frames; the engine reads them only after
-// collectParities has Waited on the job, which publishes the writes. Row
-// j here is byte-identical to the serial path's on-demand
-// EncodeParity(j): Codec.Encode and EncodeParity evaluate the same
-// generator row, which is what keeps a pipelined zero-loss transcript
+// encodeJob computes era group g's first len(parities) parities. It runs
+// on a pool worker and writes only the group's own parities; the engine
+// reads them only after collectParities has Waited on the job, which
+// publishes the writes. Row j here is byte-identical to the serial path's
+// on-demand EncodeParity(j): Codec.Encode and EncodeParity evaluate the
+// same generator row, which is what keeps a pipelined zero-loss transcript
 // equal to the serial one. A failed row is left empty and re-encoded
 // serially by parityPacket.
 func (s *Sender) encodeJob(g int) {
 	tg := &s.era[g]
-	s.marshalJob(tg)
 	if len(tg.parities) == tg.h {
 		tg.codec.Encode(tg.data, tg.parities) //nolint:errcheck // failed rows stay empty; engine re-encodes
 		return
@@ -506,30 +431,6 @@ func (s *Sender) encodeJob(g int) {
 			return
 		}
 		tg.parities[j] = shard
-	}
-}
-
-// marshalJob is the marshal-ahead half of a pool job: it serializes the
-// group's data wire frames into the buffers prepFrames cut on the engine,
-// so the per-frame header/payload copy happens off the engine goroutine
-// alongside the parity math. The frame CONTENT is exactly what the
-// engine's frameFor would have produced (same Packet fields, same
-// MarshalTo), so transcripts cannot change; the engine reads the bytes
-// only after collectParities has Waited on the group's job, which
-// publishes the writes. Skipped (tg.frames == nil) when the group was
-// never prepped — dataPacket then marshals on demand as before.
-//
-//rmlint:hotpath
-func (s *Sender) marshalJob(tg *txGroup) {
-	if tg.frames == nil {
-		return
-	}
-	for i, f := range tg.frames {
-		p := dataPkt(tg, i)
-		s.stamp(&p, tg)
-		if _, err := p.MarshalTo(f); err != nil {
-			panic(err) // engine-built packets are statically valid
-		}
 	}
 }
 
@@ -554,13 +455,7 @@ func (s *Sender) collectParities(tg *txGroup) {
 		s.m.encMisses.Inc()
 	}
 	s.encDone++
-	// The Prefetch below newly exposes group rel+Depth to the workers;
-	// size its marshal-ahead frames first (see prepFrames).
-	next := rel + s.cfg.Pipeline.Depth
-	if next < len(s.era) {
-		s.prepFrames(&s.era[next])
-	}
-	s.enc.Prefetch(next)
+	s.enc.Prefetch(rel + s.cfg.Pipeline.Depth)
 	s.m.encQueue.Set(int64(s.enc.Submitted() - s.encDone))
 	enc := 0
 	for _, p := range tg.parities {
@@ -596,7 +491,6 @@ func (s *Sender) refill() {
 	for i := 0; i < tg.k; i++ {
 		s.enqueue(outPkt{wire: s.dataPacket(tg, i), kind: packet.TypeData, tg: tg})
 	}
-	s.releaseFrames(tg) // every entry consumed; recycle the slice
 	for ; tg.aUsed < a; tg.aUsed++ {
 		wire, err := s.parityPacket(tg)
 		if err != nil {
@@ -889,9 +783,7 @@ func (s *Sender) frameFor(p *packet.Packet) []byte {
 }
 
 // stamp fills the header fields every packet of tg shares: the session and
-// Total, and the group's working point. It reads nothing that changes once
-// a pool can run, so marshal-ahead workers stamp the same bytes as the
-// engine.
+// Total, and the group's working point.
 func (s *Sender) stamp(p *packet.Packet, tg *txGroup) {
 	p.Session, p.Total = s.cfg.Session, s.total
 	p.Group, p.K, p.H = tg.index, uint16(tg.k), uint16(tg.h)
@@ -905,21 +797,7 @@ func (s *Sender) tgFrame(p packet.Packet, tg *txGroup) []byte {
 }
 
 func (s *Sender) dataPacket(tg *txGroup, i int) []byte {
-	if tg.frames != nil && tg.frames[i] != nil {
-		// Marshal-ahead hit: the frame was serialized by a pool worker;
-		// consume it (the transmit path recycles it like any frame).
-		f := tg.frames[i]
-		tg.frames[i] = nil
-		return f
-	}
-	return s.tgFrame(dataPkt(tg, i), tg)
-}
-
-// dataPkt is tg's data packet i before stamping; the engine and the
-// marshal-ahead workers both start from it, so their frames are
-// byte-identical.
-func dataPkt(tg *txGroup, i int) packet.Packet {
-	return packet.Packet{Type: packet.TypeData, Seq: uint16(i), Payload: tg.data[i]}
+	return s.tgFrame(packet.Packet{Type: packet.TypeData, Seq: uint16(i), Payload: tg.data[i]}, tg)
 }
 
 func (s *Sender) parityPacket(tg *txGroup) ([]byte, error) {

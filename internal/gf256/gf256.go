@@ -267,15 +267,3 @@ func AddSlice(src, dst []byte) {
 	}
 	xorWords(src, dst)
 }
-
-// DotProduct returns sum_i a[i]*b[i] over the field.
-func DotProduct(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("gf256: DotProduct length mismatch %d != %d", len(a), len(b)))
-	}
-	var acc byte
-	for i := range a {
-		acc ^= mulTbl[a[i]][b[i]]
-	}
-	return acc
-}

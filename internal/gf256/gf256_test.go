@@ -132,7 +132,6 @@ func TestPanics(t *testing.T) {
 	mustPanic("negative Exp", func() { Exp(-1) })
 	mustPanic("MulSlice mismatch", func() { MulSlice(2, make([]byte, 3), make([]byte, 4)) })
 	mustPanic("MulAddSlice mismatch", func() { MulAddSlice(2, make([]byte, 3), make([]byte, 4)) })
-	mustPanic("DotProduct mismatch", func() { DotProduct(make([]byte, 3), make([]byte, 4)) })
 }
 
 func TestSliceKernels(t *testing.T) {
@@ -172,15 +171,6 @@ func TestAddSlice(t *testing.T) {
 	AddSlice(a, b)
 	if !bytes.Equal(b, []byte{5, 7, 5}) {
 		t.Errorf("AddSlice = %v", b)
-	}
-}
-
-func TestDotProduct(t *testing.T) {
-	a := []byte{1, 2, 0, 9}
-	b := []byte{7, 3, 5, 0}
-	want := Mul(1, 7) ^ Mul(2, 3) ^ Mul(0, 5) ^ Mul(9, 0)
-	if got := DotProduct(a, b); got != want {
-		t.Errorf("DotProduct = %#x, want %#x", got, want)
 	}
 }
 

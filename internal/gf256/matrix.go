@@ -28,12 +28,11 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Vandermonde returns the rows x cols matrix V with V[i][j] = alpha_i^j,
-// where alpha_i is the field element with value i+shift. With shift 1 the
-// evaluation points are 1, alpha^?... — more precisely the points are the
-// consecutive field values i+shift interpreted as elements, which are
-// pairwise distinct for rows+shift <= 256, making every square submatrix of
-// the systematic construction invertible.
+// Vandermonde returns the rows x cols matrix V with V[i][j] = x_i^j, where
+// x_i is the field element whose byte value is i+shift. The points are
+// pairwise distinct while rows+shift <= Order, so any cols of the rows
+// form an invertible matrix: the property the systematic construction
+// relies on.
 func Vandermonde(rows, cols, shift int) *Matrix {
 	if rows+shift > Order {
 		panic(fmt.Sprintf("gf256: Vandermonde needs rows+shift <= %d, got %d", Order, rows+shift))
@@ -45,20 +44,6 @@ func Vandermonde(rows, cols, shift int) *Matrix {
 		for j := 0; j < cols; j++ {
 			m.Set(i, j, v)
 			v = Mul(v, x)
-		}
-	}
-	return m
-}
-
-// PowerVandermonde returns the rows x cols matrix with entry
-// (alpha^i)^j = alpha^{i*j}, the form used by the paper's RSE encoder where
-// parity j is F(alpha^{j-1}) for the data polynomial F. Rows index the
-// evaluation point exponent, columns the coefficient.
-func PowerVandermonde(rows, cols int) *Matrix {
-	m := NewMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, Exp(i*j))
 		}
 	}
 	return m
@@ -95,18 +80,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 				MulAddSlice(c, other.Row(k), oi)
 			}
 		}
-	}
-	return out
-}
-
-// MulVec returns m*v for a column vector v of length m.Cols.
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("gf256: MulVec length mismatch %d != %d", len(v), m.Cols))
-	}
-	out := make([]byte, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = DotProduct(m.Row(i), v)
 	}
 	return out
 }

@@ -146,33 +146,6 @@ func TestVandermondeRowSubmatricesInvertible(t *testing.T) {
 	}
 }
 
-func TestPowerVandermonde(t *testing.T) {
-	m := PowerVandermonde(4, 3)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			if got, want := m.At(i, j), Pow(Exp(i), j); got != want {
-				t.Errorf("entry (%d,%d) = %#x, want %#x", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestMulVecAgainstMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randomMatrix(rng, 6, 4)
-	v := make([]byte, 4)
-	rng.Read(v)
-	col := NewMatrix(4, 1)
-	copy(col.Data, v)
-	prod := a.Mul(col)
-	got := a.MulVec(v)
-	for i := range got {
-		if got[i] != prod.At(i, 0) {
-			t.Fatalf("MulVec[%d] = %#x, want %#x", i, got[i], prod.At(i, 0))
-		}
-	}
-}
-
 func TestMatrixMulAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomMatrix(rng, 3, 4)
@@ -195,7 +168,6 @@ func TestMatrixPanics(t *testing.T) {
 	}
 	mustPanic("zero dims", func() { NewMatrix(0, 3) })
 	mustPanic("product mismatch", func() { NewMatrix(2, 3).Mul(NewMatrix(2, 3)) })
-	mustPanic("MulVec mismatch", func() { NewMatrix(2, 3).MulVec(make([]byte, 2)) })
 	mustPanic("Invert non-square", func() { NewMatrix(2, 3).Invert() }) //nolint:errcheck
 	mustPanic("Vandermonde too tall", func() { Vandermonde(300, 3, 0) })
 }

@@ -54,21 +54,21 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("decode/encode/decode not idempotent")
 		}
 
-		// The append-style paths must agree with Encode byte for byte.
-		appended, err := p.AppendTo(append([]byte(nil), 0xAA, 0xBB))
-		if err != nil {
-			t.Fatalf("AppendTo failed on a decodable packet: %v", err)
-		}
-		if !bytes.Equal(appended[2:], wire) {
-			t.Fatal("AppendTo output differs from Encode")
-		}
-		frame := make([]byte, p.EncodedLen())
-		n, err := p.MarshalTo(frame)
+		// MarshalTo at an offset into a larger guard-filled buffer must
+		// agree with Encode byte for byte and touch nothing outside its span.
+		const off, tail = 2, 3
+		frame := bytes.Repeat([]byte{0xAA}, off+p.EncodedLen()+tail)
+		n, err := p.MarshalTo(frame[off:])
 		if err != nil {
 			t.Fatalf("MarshalTo failed on a decodable packet: %v", err)
 		}
-		if !bytes.Equal(frame[:n], wire) {
+		if !bytes.Equal(frame[off:off+n], wire) {
 			t.Fatal("MarshalTo output differs from Encode")
+		}
+		for i, c := range frame {
+			if (i < off || i >= off+n) && c != 0xAA {
+				t.Fatalf("MarshalTo wrote byte %d outside its span [%d, %d)", i, off, off+n)
+			}
 		}
 
 		// The aliasing decode must agree with the copying one.

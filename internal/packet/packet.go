@@ -186,30 +186,13 @@ func (p *Packet) MarshalTo(dst []byte) (int, error) {
 	return n, nil
 }
 
-// AppendTo appends the wire encoding of p to dst and returns the extended
-// slice. With sufficient spare capacity in dst it performs no allocation.
-func (p *Packet) AppendTo(dst []byte) ([]byte, error) {
-	at := len(dst)
-	n := p.EncodedLen()
-	if cap(dst)-at < n {
-		grown := make([]byte, at, at+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:at+n]
-	if _, err := p.MarshalTo(dst[at:]); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// AppendEncode appends the wire encoding of p to dst and returns the
-// extended slice. It is AppendTo under its historical name.
-func (p *Packet) AppendEncode(dst []byte) ([]byte, error) { return p.AppendTo(dst) }
-
 // Encode returns the wire encoding of p in a fresh buffer.
 func (p *Packet) Encode() ([]byte, error) {
-	return p.AppendEncode(make([]byte, 0, p.EncodedLen()))
+	b := make([]byte, p.EncodedLen())
+	if _, err := p.MarshalTo(b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // MustEncode is Encode panicking on error, for statically valid packets.

@@ -168,21 +168,6 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
-func TestAppendEncodeAppends(t *testing.T) {
-	prefix := []byte("prefix")
-	p := &Packet{Type: TypeNak, Count: 2}
-	out, err := p.AppendEncode(append([]byte(nil), prefix...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(out, prefix) {
-		t.Fatal("prefix clobbered")
-	}
-	if _, err := Decode(out[len(prefix):]); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TypeData: "DATA", TypeParity: "PARITY", TypePoll: "POLL",
@@ -247,7 +232,7 @@ func TestMarshalToClearsFlags(t *testing.T) {
 }
 
 // TestMarshalPathsZeroAlloc pins the zero-allocation contract of the
-// append-style marshal and aliasing decode: the sender's frame-pool path
+// in-place marshal and aliasing decode: the sender's frame-pool path
 // depends on it (see core.Sender and DESIGN.md "Transmit pipeline").
 func TestMarshalPathsZeroAlloc(t *testing.T) {
 	payload := make([]byte, 1024)
@@ -260,15 +245,15 @@ func TestMarshalPathsZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("MarshalTo allocates %.1f/op, want 0", avg)
 	}
-	appendBuf := make([]byte, 0, p.EncodedLen())
+	// A recycled pool frame is larger than the packet; writing at an
+	// offset into it must not allocate either.
+	pooled := make([]byte, 2*p.EncodedLen())
 	if avg := testing.AllocsPerRun(200, func() {
-		out, err := p.AppendTo(appendBuf)
-		if err != nil {
+		if _, err := p.MarshalTo(pooled[7:]); err != nil {
 			t.Fatal(err)
 		}
-		_ = out
 	}); avg != 0 {
-		t.Errorf("AppendTo with capacity allocates %.1f/op, want 0", avg)
+		t.Errorf("MarshalTo into a larger frame allocates %.1f/op, want 0", avg)
 	}
 	var dec Packet
 	if avg := testing.AllocsPerRun(200, func() {

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -41,52 +40,6 @@ type Tracer interface {
 
 // SetTracer installs a tracer on the network (nil disables tracing).
 func (n *Network) SetTracer(tr Tracer) { n.tracer = tr }
-
-// RingTracer keeps the most recent events in a fixed-size ring.
-type RingTracer struct {
-	buf  []TraceEvent
-	next int
-	full bool
-}
-
-// NewRingTracer returns a tracer holding the last n events.
-func NewRingTracer(n int) *RingTracer {
-	if n < 1 {
-		panic(fmt.Sprintf("simnet: NewRingTracer(%d)", n))
-	}
-	return &RingTracer{buf: make([]TraceEvent, n)}
-}
-
-// Record implements Tracer.
-func (r *RingTracer) Record(ev TraceEvent) {
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Events returns the recorded events, oldest first.
-func (r *RingTracer) Events() []TraceEvent {
-	if !r.full {
-		return append([]TraceEvent(nil), r.buf[:r.next]...)
-	}
-	out := make([]TraceEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Dump writes the recorded events to w, one per line.
-func (r *RingTracer) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintln(w, ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // NodeAccounting aggregates per-node traffic.
 type NodeAccounting struct {

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,38 +10,12 @@ import (
 	"rmfec/internal/loss"
 )
 
-func TestRingTracerOrderAndWrap(t *testing.T) {
-	r := NewRingTracer(3)
-	if len(r.Events()) != 0 {
-		t.Fatal("fresh tracer not empty")
-	}
-	for i := 1; i <= 5; i++ {
-		r.Record(TraceEvent{Len: i})
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring holds %d events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Len != i+3 {
-			t.Fatalf("event %d has Len %d, want %d (oldest first)", i, ev.Len, i+3)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewRingTracer(0) accepted")
-		}
-	}()
-	NewRingTracer(0)
-}
-
 func TestTraceEventsOnNetwork(t *testing.T) {
 	sched := NewScheduler()
 	rng := rand.New(rand.NewSource(1))
 	net := NewNetwork(sched, rng)
-	ring := NewRingTracer(64)
 	counts := NewCountTracer()
-	net.SetTracer(multiTracer{ring, counts})
+	net.SetTracer(counts)
 
 	a := net.AddNode(NodeConfig{Delay: time.Millisecond})
 	b := net.AddNode(NodeConfig{Delay: time.Millisecond, Loss: loss.NewBernoulli(1, rng)}) // drops all data
@@ -52,24 +27,13 @@ func TestTraceEventsOnNetwork(t *testing.T) {
 	a.MulticastControl(make([]byte, 10)) //nolint:errcheck
 	sched.Run()
 
-	evs := ring.Events()
 	// 2 TX events + per destination: data (b drop, c rx), control (b rx, c rx).
-	if len(evs) != 6 {
-		t.Fatalf("got %d events: %v", len(evs), evs)
+	tot := counts.Totals()
+	if tot.TxPackets != 2 || tot.RxPackets != 3 || tot.DropPackets != 1 {
+		t.Fatalf("tx/rx/drop = %d/%d/%d, want 2/3/1", tot.TxPackets, tot.RxPackets, tot.DropPackets)
 	}
-	var tx, rx, drop int
-	for _, ev := range evs {
-		switch {
-		case ev.Dst < 0:
-			tx++
-		case ev.Dropped:
-			drop++
-		default:
-			rx++
-		}
-	}
-	if tx != 2 || rx != 3 || drop != 1 {
-		t.Fatalf("tx/rx/drop = %d/%d/%d, want 2/3/1", tx, rx, drop)
+	if tot.TxBytes != 110 || tot.RxBytes != 120 || tot.DropBytes != 100 {
+		t.Errorf("byte totals %+v", tot)
 	}
 
 	accA := counts.Node(a.ID())
@@ -80,33 +44,20 @@ func TestTraceEventsOnNetwork(t *testing.T) {
 	if accB.DropPackets != 1 || accB.RxPackets != 1 {
 		t.Errorf("node B accounting %+v", accB)
 	}
-	tot := counts.Totals()
-	if tot.TxPackets != 2 || tot.RxPackets != 3 || tot.DropPackets != 1 {
-		t.Errorf("totals %+v", tot)
-	}
 	if counts.Node(99).TxPackets != 0 {
 		t.Error("unknown node should be zero value")
 	}
 }
 
-// multiTracer fans one event out to several tracers.
-type multiTracer []Tracer
-
-func (m multiTracer) Record(ev TraceEvent) {
-	for _, tr := range m {
-		tr.Record(ev)
-	}
-}
-
 func TestTraceDumpFormat(t *testing.T) {
-	r := NewRingTracer(8)
-	r.Record(TraceEvent{Time: time.Second, Src: 0, Dst: -1, Len: 42})
-	r.Record(TraceEvent{Time: time.Second, Src: 0, Dst: 1, Len: 42})
-	r.Record(TraceEvent{Time: time.Second, Src: 0, Dst: 2, Len: 42, Dropped: true})
-	r.Record(TraceEvent{Time: time.Second, Src: 0, Dst: -1, Len: 8, Control: true})
 	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
+	for _, ev := range []TraceEvent{
+		{Time: time.Second, Src: 0, Dst: -1, Len: 42},
+		{Time: time.Second, Src: 0, Dst: 1, Len: 42},
+		{Time: time.Second, Src: 0, Dst: 2, Len: 42, Dropped: true},
+		{Time: time.Second, Src: 0, Dst: -1, Len: 8, Control: true},
+	} {
+		fmt.Fprintln(&sb, ev)
 	}
 	out := sb.String()
 	for _, want := range []string{"TX", "RX", "DROP", "ctl", "node0", "from node0"} {

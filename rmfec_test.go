@@ -163,11 +163,6 @@ func TestFacadeSimsAndTracers(t *testing.T) {
 	if eT := ExpectedRoundsNP(7, 100, 0.01); eT < 1 {
 		t.Errorf("ExpectedRoundsNP = %g", eT)
 	}
-	ring := NewRingTracer(4)
-	ring.Record(TraceEvent{Len: 1})
-	if len(ring.Events()) != 1 {
-		t.Error("ring tracer")
-	}
 	counts := NewCountTracer()
 	counts.Record(TraceEvent{Src: 0, Dst: -1, Len: 10})
 	if counts.Totals().TxBytes != 10 {
