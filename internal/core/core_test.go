@@ -29,8 +29,8 @@ type harnessOpts struct {
 	mkLoss      func(rng *rand.Rand) loss.Process // per receiver; nil = lossless
 	loseControl bool
 	n2          bool
-	// senderEnv, if set, wraps the NP sender's node (e.g. to record its
-	// wire transcript); the node itself still receives the NAKs.
+	// senderEnv, if set, wraps the sender's node (e.g. to record its wire
+	// transcript); the node itself still receives the NAKs.
 	senderEnv func(*simnet.Node) Env
 }
 
@@ -42,18 +42,18 @@ func newHarness(t testing.TB, o harnessOpts) *harness {
 	h.net = simnet.NewNetwork(h.sched, rng)
 
 	senderNode := h.net.AddNode(simnet.NodeConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond})
+	var env Env = senderNode
+	if o.senderEnv != nil {
+		env = o.senderEnv(senderNode)
+	}
 	if o.n2 {
-		s, err := NewSenderN2(senderNode, o.cfg)
+		s, err := NewSenderN2(env, o.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.senderN2 = s
 		senderNode.SetHandler(s.HandlePacket)
 	} else {
-		var env Env = senderNode
-		if o.senderEnv != nil {
-			env = o.senderEnv(senderNode)
-		}
 		s, err := NewSender(env, o.cfg)
 		if err != nil {
 			t.Fatal(err)

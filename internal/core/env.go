@@ -100,7 +100,7 @@ type Config struct {
 	Delta       time.Duration // pacing between consecutive transmissions
 	Ts          time.Duration // NAK slot width for slotting and damping
 	RetryBase   time.Duration // receiver re-NAK timeout while unserved
-	FinInterval time.Duration // gap between FIN repeats
+	FinInterval time.Duration // gap between FIN repeats; never delays a repair round
 	FinCount    int           // how many FINs the sender emits after data
 
 	// Carousel selects the paper's "integrated FEC 1" variant: the

@@ -199,38 +199,38 @@ func TestModeMatrixGolden(t *testing.T) {
 }
 
 var modeGoldens = map[string]modeGolden{
-	"reactive/depth0": {"2385:5f2cda49c38b80f6ee123663833570e6be3539762b53e4ead964270c2f6d52a2",
-		"{DataTx:1620 ParityTx:292 PollTx:467 FinTx:6 NakRx:428 NakServed:291 Encoded:292 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:5acea6dfc98e7be8335ff403d3a3fd0a29bc4e7ae67ff26afea540af7d6222b6",
-		"2385:a99c516bcca3531488ed16285464efed5a0d9ed9642bb7e08c2919b871af9e49"},
-	"reactive/depth8": {"2385:5f2cda49c38b80f6ee123663833570e6be3539762b53e4ead964270c2f6d52a2",
-		"{DataTx:1620 ParityTx:292 PollTx:467 FinTx:6 NakRx:428 NakServed:291 Encoded:292 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:5acea6dfc98e7be8335ff403d3a3fd0a29bc4e7ae67ff26afea540af7d6222b6",
-		"2385:a99c516bcca3531488ed16285464efed5a0d9ed9642bb7e08c2919b871af9e49"},
-	"proactive/depth0": {"2541:cd72f7c5939e5b6d412037fd8a71450632751249251ef551be70e4edbed1ec4a",
-		"{DataTx:1655 ParityTx:441 PollTx:439 FinTx:6 NakRx:310 NakServed:263 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:bfd05f3eb2d6b37ef781c6f3e1664361d5faba777307de4c09587ad9fad37fc8",
-		"2541:b84c92eda177983b28fffb39e24fe690626730e2777a7be8d3b218d6bbe62ec4"},
-	"proactive/depth8": {"2541:cd72f7c5939e5b6d412037fd8a71450632751249251ef551be70e4edbed1ec4a",
-		"{DataTx:1655 ParityTx:441 PollTx:439 FinTx:6 NakRx:310 NakServed:263 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:bfd05f3eb2d6b37ef781c6f3e1664361d5faba777307de4c09587ad9fad37fc8",
-		"2541:b84c92eda177983b28fffb39e24fe690626730e2777a7be8d3b218d6bbe62ec4"},
-	"carousel/depth0": {"2520:277a5126e8b6968ab8e6e4d2ce738b49eb252d20434c8fe1cfa3d7281cbd926a",
-		"{DataTx:1728 ParityTx:528 PollTx:258 FinTx:6 NakRx:309 NakServed:258 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:532ac47fdb168e6657f33e5e1c35fb7bc667ef4b7751e69b2b92ad2174384c7f",
-		"2520:29aa3859baee0f7d3973956cec46f7080c9d897c681774ab9b09e4e6a9e54e95"},
-	"carousel/depth8": {"2520:277a5126e8b6968ab8e6e4d2ce738b49eb252d20434c8fe1cfa3d7281cbd926a",
-		"{DataTx:1728 ParityTx:528 PollTx:258 FinTx:6 NakRx:309 NakServed:258 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:532ac47fdb168e6657f33e5e1c35fb7bc667ef4b7751e69b2b92ad2174384c7f",
-		"2520:29aa3859baee0f7d3973956cec46f7080c9d897c681774ab9b09e4e6a9e54e95"},
-	"ewma/depth0": {"2189:884d6b1f20dc828bca8420887e46dfd416963413fbe2f37b06325ac18d586dbd",
-		"{DataTx:1410 ParityTx:483 PollTx:290 FinTx:6 NakRx:143 NakServed:114 Encoded:483 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:a18e45f2c4bc3a7cd5978aea900a2a17617be72867642b0ebd01ad6063aea71b",
-		"2189:04bfb569ff920c883018943254606188537dfc5329226dd98e05ef05257dfc20"},
-	"ewma/depth8": {"2189:884d6b1f20dc828bca8420887e46dfd416963413fbe2f37b06325ac18d586dbd",
-		"{DataTx:1410 ParityTx:483 PollTx:290 FinTx:6 NakRx:143 NakServed:114 Encoded:483 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:a18e45f2c4bc3a7cd5978aea900a2a17617be72867642b0ebd01ad6063aea71b",
-		"2189:04bfb569ff920c883018943254606188537dfc5329226dd98e05ef05257dfc20"},
+	"reactive/depth0": {"2377:207e53c43585a972e720a3483b43c8e0ded898452fa5695304e018a36bd2a36c",
+		"{DataTx:1617 ParityTx:291 PollTx:463 FinTx:6 NakRx:424 NakServed:287 Encoded:291 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:226ae58047c25b699d3d3a7eba201dfaea1e0bfaed87401b8f9e52d067f6cbf9",
+		"2377:fad0b61e07807bef8511023eac85c653d5a49d37f7e886daea7caca8d9ba0869"},
+	"reactive/depth8": {"2377:207e53c43585a972e720a3483b43c8e0ded898452fa5695304e018a36bd2a36c",
+		"{DataTx:1617 ParityTx:291 PollTx:463 FinTx:6 NakRx:424 NakServed:287 Encoded:291 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:226ae58047c25b699d3d3a7eba201dfaea1e0bfaed87401b8f9e52d067f6cbf9",
+		"2377:fad0b61e07807bef8511023eac85c653d5a49d37f7e886daea7caca8d9ba0869"},
+	"proactive/depth0": {"2545:b75a25d20e09d632b73b4a905bf5e8ebffff9801e4d9585fb06e6655a2447330",
+		"{DataTx:1657 ParityTx:441 PollTx:441 FinTx:6 NakRx:312 NakServed:265 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:d6a14bc7bf02bd16bd2ee119bcde0cfae2e673eb7be47760173383a2801c9abe",
+		"2545:3de712fc710404595510588175d0879bb896ddb993c1dd2f71514fd4f4b63425"},
+	"proactive/depth8": {"2545:b75a25d20e09d632b73b4a905bf5e8ebffff9801e4d9585fb06e6655a2447330",
+		"{DataTx:1657 ParityTx:441 PollTx:441 FinTx:6 NakRx:312 NakServed:265 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:d6a14bc7bf02bd16bd2ee119bcde0cfae2e673eb7be47760173383a2801c9abe",
+		"2545:3de712fc710404595510588175d0879bb896ddb993c1dd2f71514fd4f4b63425"},
+	"carousel/depth0": {"2471:4f084ad9ad99377b68de26cdf582f3047089d0fb92b86984f141336a0a68a5a4",
+		"{DataTx:1698 ParityTx:528 PollTx:239 FinTx:6 NakRx:283 NakServed:239 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:4e7b1bf3a8e75311ee645defa58df810ddc5776ef3b6961fc0b0e5a930df0249",
+		"2471:9fc6f090bc207ccf9839990647ca46fa15388fe4263f1568a886d3764b25c914"},
+	"carousel/depth8": {"2471:4f084ad9ad99377b68de26cdf582f3047089d0fb92b86984f141336a0a68a5a4",
+		"{DataTx:1698 ParityTx:528 PollTx:239 FinTx:6 NakRx:283 NakServed:239 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:4e7b1bf3a8e75311ee645defa58df810ddc5776ef3b6961fc0b0e5a930df0249",
+		"2471:9fc6f090bc207ccf9839990647ca46fa15388fe4263f1568a886d3764b25c914"},
+	"ewma/depth0": {"2183:8761eaeb9d73193e2b2be8cac2815f76d74a388055c0fd1b3ec4ad18237513b7",
+		"{DataTx:1410 ParityTx:480 PollTx:287 FinTx:6 NakRx:140 NakServed:111 Encoded:480 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:4c5344acfd90f57afda55703a4b4a0e51a5aad9d56afce4b86870453874f268d",
+		"2183:fcf9cff9359047c466bb29c771c0283540235d32253011ec23fa6ca103387714"},
+	"ewma/depth8": {"2183:8761eaeb9d73193e2b2be8cac2815f76d74a388055c0fd1b3ec4ad18237513b7",
+		"{DataTx:1410 ParityTx:480 PollTx:287 FinTx:6 NakRx:140 NakServed:111 Encoded:480 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:4c5344acfd90f57afda55703a4b4a0e51a5aad9d56afce4b86870453874f268d",
+		"2183:fcf9cff9359047c466bb29c771c0283540235d32253011ec23fa6ca103387714"},
 	"ladder/depth0": {"2816:57e30a90d47419a3471d3587db1546aa961e1b646531fcf68669376cf259e410",
 		"{DataTx:1414 ParityTx:1120 PollTx:276 FinTx:6 NakRx:136 NakServed:82 Encoded:1120 TxErrors:0 NcTx:0 NcRounds:0}",
 		"194:0f5213c46271812ca9031410c114d4ae0cb142a2e7010e8d4f80800fd96ccca7",

@@ -23,8 +23,11 @@ type SenderN2 struct {
 	queued  map[uint32]bool // retransmissions queued but unsent
 	pumping bool
 	finLeft int
+	finDue  bool // a FIN repeat's timer is pending
 	closed  bool
 	started bool
+
+	pumpCb, finCb func() // hoisted pacing and FIN-repeat callbacks
 
 	stats SenderStats
 }
@@ -36,7 +39,17 @@ func NewSenderN2(env Env, cfg Config) (*SenderN2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SenderN2{env: env, cfg: cfg, queued: make(map[uint32]bool)}, nil
+	s := &SenderN2{env: env, cfg: cfg, queued: make(map[uint32]bool)}
+	s.pumpCb = func() {
+		s.pumping = false
+		s.pump()
+	}
+	s.finCb = func() {
+		s.finDue = false
+		s.enqueueFin() // into a dead queue once closed: pump sends nothing
+		s.pump()
+	}
+	return s, nil
 }
 
 // Stats returns a snapshot of the sender's counters. ParityTx is always 0:
@@ -76,7 +89,7 @@ func (s *SenderN2) Send(msg []byte) error {
 			copy(shard, msg[off:])
 		}
 		s.shards[i] = shard
-		s.sendQ = append(s.sendQ, outPkt{wire: s.dataPacket(uint32(i)), kind: packet.TypeData})
+		s.sendQ = append(s.sendQ, outPkt{wire: s.dataPacket(uint32(i))})
 	}
 	s.finLeft = s.cfg.FinCount
 	s.enqueueFin()
@@ -101,7 +114,7 @@ func (s *SenderN2) HandlePacket(wire []byte) {
 	s.queued[seq] = true
 	s.stats.NakServed++
 	// Retransmissions preempt the remaining first-pass data.
-	s.sendQ = append([]outPkt{{wire: s.dataPacket(seq), kind: packet.TypeData, service: true}}, s.sendQ...)
+	s.sendQ = append([]outPkt{{wire: s.dataPacket(seq), service: true}}, s.sendQ...)
 	s.pump()
 }
 
@@ -127,48 +140,40 @@ func (s *SenderN2) enqueueFin() {
 		Total:   uint32(len(s.shards)),
 		Payload: payload[:],
 	}
-	s.sendQ = append(s.sendQ, outPkt{wire: p.MustEncode(), control: true, kind: packet.TypeFin})
+	s.sendQ = append(s.sendQ, outPkt{wire: p.MustEncode(), control: true})
 }
 
+// pump sends one queued packet per Delta. Like Sender.pump it never
+// sleeps between FIN repeats, so a retransmission goes out at once.
 func (s *SenderN2) pump() {
 	if s.pumping || s.closed {
 		return
 	}
 	if len(s.sendQ) == 0 {
-		if s.finLeft > 0 {
+		if s.finLeft > 0 && !s.finDue {
 			s.finLeft--
-			s.enqueueFin()
-			s.pumping = true
-			s.env.After(s.cfg.FinInterval, func() {
-				s.pumping = false
-				s.pump()
-			})
+			s.finDue = true
+			s.env.After(s.cfg.FinInterval, s.finCb)
 		}
 		return
 	}
 	out := s.sendQ[0]
 	s.sendQ = s.sendQ[1:]
-	switch out.kind {
-	case packet.TypeData:
-		s.stats.DataTx++
-	case packet.TypeFin:
-		s.stats.FinTx++
-	}
 	if out.service {
 		if pkt, err := packet.Decode(out.wire); err == nil {
 			delete(s.queued, pkt.Group)
 		}
 	}
+	// N2 sends data and the FIN, its only control frame.
 	if out.control {
+		s.stats.FinTx++
 		s.env.MulticastControl(out.wire) //nolint:errcheck // best-effort
 	} else {
+		s.stats.DataTx++
 		s.env.Multicast(out.wire) //nolint:errcheck // best-effort
 	}
 	s.pumping = true
-	s.env.After(s.cfg.Delta, func() {
-		s.pumping = false
-		s.pump()
-	})
+	s.env.After(s.cfg.Delta, s.pumpCb)
 }
 
 // ReceiverN2 is the N2 receiver: it detects sequence gaps, multicasts

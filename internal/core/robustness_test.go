@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -202,6 +203,119 @@ func TestLossyControlPlaneStaysLive(t *testing.T) {
 				last = max(last, lastTx)
 			}
 			t.Logf("latest sender frame over 60 seeds at %v", last)
+		})
+	}
+}
+
+// dropFrames loses the data-plane frames its receiver draws with indices
+// in [from, to), counting from 0, and no others.
+type dropFrames struct{ n, from, to int }
+
+func (d *dropFrames) Lost(float64) bool {
+	d.n++
+	return d.n > d.from && d.n <= d.to
+}
+
+func (d *dropFrames) Reset() {}
+
+// TestRepairPreemptsFinGap: one receiver loses part of the last group's
+// first round, so its NAK reaches the sender while the sender waits out
+// the FinInterval between two FINs. The first repair must still leave
+// within Delta of that NAK, on every service path: parities (reactive),
+// the exhaustion resend (carousel, whose FIN is its only poll), an NC
+// combo round (ladder-nc) and N2's retransmission. A pump that sleeps
+// through the FIN gap sends it up to FinInterval later.
+func TestRepairPreemptsFinGap(t *testing.T) {
+	reactive := staticMatrixConfig()
+	carousel := staticMatrixConfig()
+	carousel.Proactive, carousel.Carousel = 3, true
+	ladderNC := portfolioConfig(GateForce)
+	ladderNC.NCRepair = true
+	for _, row := range []struct {
+		name     string
+		cfg      Config
+		n2       bool
+		msgLen   int         // whole groups: the last one's frames are the last drawn
+		from, to int         // data-plane frames the lossy receiver loses
+		repair   packet.Type // what the first repair frame is
+	}{
+		{"reactive", reactive, false, 4 * 8 * 64, 24, 26, packet.TypeParity},
+		{"carousel", carousel, false, 4 * 8 * 64, 33, 37, packet.TypeData},
+		{"ladder-nc", ladderNC, false, 3 * 32 * 64, 64, 69, packet.TypeNcRepair},
+		{"n2", baseConfig(), true, 32 * 64, 30, 32, packet.TypeData},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			type frameAt struct {
+				at  time.Duration
+				typ packet.Type
+			}
+			var (
+				node  *simnet.Node
+				tx    []frameAt
+				nakAt time.Duration = -1
+			)
+			lossy := true
+			h := newHarness(t, harnessOpts{r: 3, cfg: row.cfg, seed: 3301, n2: row.n2,
+				mkLoss: func(*rand.Rand) loss.Process {
+					if !lossy {
+						return nil
+					}
+					lossy = false
+					return &dropFrames{from: row.from, to: row.to}
+				},
+				senderEnv: func(n *simnet.Node) Env {
+					node = n
+					return recordingEnv{n, func(b []byte) {
+						var p packet.Packet
+						if err := packet.DecodeInto(&p, b); err != nil {
+							t.Fatal(err)
+						}
+						tx = append(tx, frameAt{n.Now(), p.Type})
+					}}
+				}})
+			handle := func(b []byte) {
+				if h.sender != nil {
+					h.sender.HandlePacket(b)
+				} else {
+					h.senderN2.HandlePacket(b)
+				}
+			}
+			cfg := row.cfg
+			cfg.Defaults()
+			delta := cfg.Delta
+			node.SetHandler(func(b []byte) {
+				var p packet.Packet
+				// The first NAK to arrive more than Delta after a FIN,
+				// with nothing sent since, lands in a FIN gap.
+				if nakAt < 0 && packet.DecodeInto(&p, b) == nil && p.Type == packet.TypeNak &&
+					len(tx) > 0 && tx[len(tx)-1].typ == packet.TypeFin && node.Now()-tx[len(tx)-1].at > delta {
+					nakAt = node.Now()
+				}
+				handle(b)
+			})
+			msg := testMessage(row.msgLen, 3302)
+			h.run(t, msg)
+			h.checkDelivered(t, msg)
+			if nakAt < 0 {
+				t.Fatal("no NAK reached the sender inside a FIN gap; the scenario no longer tests the gap")
+			}
+			i := slices.IndexFunc(tx, func(f frameAt) bool { return f.at >= nakAt })
+			if i < 0 {
+				t.Fatalf("nothing sent after the NAK at %v", nakAt)
+			}
+			if f := tx[i]; f.typ != row.repair || f.at-nakAt > delta {
+				t.Errorf("NAK in the FIN gap at %v: next frame %v at %v (+%v), want %v within Delta %v",
+					nakAt, f.typ, f.at, f.at-nakAt, row.repair, delta)
+			}
+			fins := 0
+			for _, f := range tx {
+				if f.typ == packet.TypeFin {
+					fins++
+				}
+			}
+			if fins != 1+cfg.FinCount {
+				t.Errorf("sent %d FINs, want 1 + FinCount = %d", fins, 1+cfg.FinCount)
+			}
 		})
 	}
 }

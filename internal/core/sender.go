@@ -85,6 +85,7 @@ type Sender struct {
 	round   []outPkt // scratch for assembling a service round
 	pumping bool
 	finLeft int
+	finDue  bool // a FIN repeat's timer is pending
 	closed  bool
 	started bool
 
@@ -101,6 +102,7 @@ type Sender struct {
 	ncShard  []byte
 
 	pumpCb func() // hoisted pacing callback; one closure per Sender
+	finCb  func() // hoisted FIN-repeat callback
 
 	stats   SenderStats
 	pstats  PipelineStats
@@ -184,6 +186,13 @@ func NewSender(env Env, cfg Config) (*Sender, error) {
 	s.pumpCb = func() {
 		s.pumping = false
 		s.pump()
+	}
+	s.finCb = func() {
+		s.finDue = false
+		if !s.closed {
+			s.enqueueFin()
+			s.pump()
+		}
 	}
 	if cfg.Pipeline.enabled() && cfg.Pipeline.Batch > 1 {
 		s.benv, _ = env.(BatchEnv)
@@ -499,7 +508,7 @@ func (s *Sender) refill() {
 		s.enqueue(outPkt{wire: wire, kind: packet.TypeParity, tg: tg})
 	}
 	if !s.cfg.Carousel {
-		s.enqueuePoll(tg, tg.k+tg.aUsed)
+		s.enqueue(outPkt{wire: s.pollPacket(tg, tg.k+tg.aUsed), control: true, kind: packet.TypePoll})
 	}
 	s.m.groups.Inc()
 	s.m.sourcePkts.Add(uint64(tg.k))
@@ -660,19 +669,10 @@ func (s *Sender) tryNcRound(tg *txGroup, extra int) bool {
 		//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
 		round = append(round, outPkt{wire: s.ncPacket(tg, c), kind: packet.TypeNcRepair, service: true, tg: tg})
 	}
-	tg.queued += len(combos)
-	tg.served = min(tg.served+len(combos), maxServed)
 	tg.lossMaps = tg.lossMaps[:0]
-	//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
-	round = append(round, outPkt{wire: s.pollPacket(tg, len(combos)), control: true, kind: packet.TypePoll})
-	for i := len(round) - 1; i >= 0; i-- {
-		s.sendQ.pushFront(round[i])
-	}
-	s.round = round[:0]
 	s.stats.NcRounds++
 	s.m.ncRounds.Inc()
-	s.m.queueDepth.Set(int64(s.sendQ.size()))
-	s.pump()
+	s.queueRound(tg, round)
 	return true
 }
 
@@ -701,7 +701,8 @@ func (s *Sender) ncPacket(tg *txGroup, mask uint64) []byte {
 }
 
 // serviceRound queues `extra` repair packets for tg at the FRONT of the
-// send queue, followed by a POLL, preempting data of later groups.
+// send queue, followed by a POLL, preempting data of later groups and the
+// FIN train.
 func (s *Sender) serviceRound(tg *txGroup, extra int) {
 	s.collectParities(tg) // a NAK can outrun the group's refill
 	if s.cfg.NCRepair && s.tryNcRound(tg, extra) {
@@ -729,10 +730,18 @@ func (s *Sender) serviceRound(tg *txGroup, extra int) {
 			round = append(round, outPkt{wire: s.dataPacket(tg, idx), kind: packet.TypeData, service: true, tg: tg})
 		}
 	}
-	tg.queued += extra
-	tg.served = min(tg.served+extra, maxServed)
+	s.queueRound(tg, round)
+}
+
+// queueRound puts a service round's repairs for tg, then the POLL that
+// closes the round, at the front of the send queue, and pumps: the round
+// leaves as soon as pacing allows, even between two FIN repeats.
+func (s *Sender) queueRound(tg *txGroup, round []outPkt) {
+	n := len(round)
+	tg.queued += n
+	tg.served = min(tg.served+n, maxServed)
 	//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
-	round = append(round, outPkt{wire: s.pollPacket(tg, extra), control: true, kind: packet.TypePoll})
+	round = append(round, outPkt{wire: s.pollPacket(tg, n), control: true, kind: packet.TypePoll})
 	for i := len(round) - 1; i >= 0; i-- {
 		s.sendQ.pushFront(round[i])
 	}
@@ -744,10 +753,6 @@ func (s *Sender) serviceRound(tg *txGroup, extra int) {
 func (s *Sender) enqueue(p outPkt) {
 	s.sendQ.pushBack(p)
 	s.m.queueDepth.Set(int64(s.sendQ.size()))
-}
-
-func (s *Sender) enqueuePoll(tg *txGroup, roundSize int) {
-	s.enqueue(outPkt{wire: s.pollPacket(tg, roundSize), control: true, kind: packet.TypePoll})
 }
 
 func (s *Sender) enqueueFin() {
@@ -835,7 +840,9 @@ func (s *Sender) pollPacket(tg *txGroup, roundSize int) []byte {
 }
 
 // pump drains the send queue: one packet per Delta on the serial path, up
-// to Pipeline.Batch data frames per n*Delta tick on the batched path.
+// to Pipeline.Batch data frames per n*Delta tick on the batched path. It
+// never sleeps longer than that pacing gap: the FIN repeat runs on its own
+// timer, so a repair round queued between two FINs leaves at once.
 //
 //rmlint:hotpath
 func (s *Sender) pump() {
@@ -848,11 +855,10 @@ func (s *Sender) pump() {
 	if s.sendQ.empty() {
 		// Data and service rounds drained; keep repeating FIN so that
 		// receivers that lost it learn the transfer bounds.
-		if s.finLeft > 0 {
+		if s.finLeft > 0 && !s.finDue {
 			s.finLeft--
-			s.enqueueFin()
-			s.pumping = true
-			s.env.After(s.cfg.FinInterval, s.pumpCb)
+			s.finDue = true
+			s.env.After(s.cfg.FinInterval, s.finCb)
 		}
 		return
 	}

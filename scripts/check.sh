@@ -39,7 +39,9 @@
 #                       first under the slot cap, NAKs per group at R = 8),
 #                       the era-flush and prefetch paths of the encode-ahead
 #                       pool (pipelined lossy transfer, retune schedule,
-#                       codec switch), sendmmsg syscall amortisation
+#                       codec switch), a NAK that lands between two FINs
+#                       served within Delta (NP and N2), sendmmsg syscall
+#                       amortisation
 #  10. figures diff     two `figures -quick` runs at different -parallel
 #                       values must produce byte-identical TSV output for
 #                       every simulated figure (the mcrun determinism
@@ -110,8 +112,8 @@ echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
 go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/
 go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned' ./internal/loss/
 
-echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, rect field, field equivalence, hostile headers, sendmmsg)'
-go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel|TestForeignKReceiverStaysSilent|TestStaticReceiverOnLadderRungDeliversNothing|TestLegacyReceiverRejectsAdaptiveSession|TestLossyControlPlaneStaysLive|TestRacingReceiversMeetModel|TestNakServesOnlyTheResidual|TestSlotDelayLargestDeficitFirst|TestRacingReceiversNakWorstFirst|TestPipelinedLossyTransfer|TestAdaptiveRetuneScheduleDeterministic|TestPortfolioCodecSwitchDeterministic' ./internal/core/
+echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, repairs in the FIN gap, rect field, field equivalence, hostile headers, sendmmsg)'
+go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel|TestForeignKReceiverStaysSilent|TestStaticReceiverOnLadderRungDeliversNothing|TestLegacyReceiverRejectsAdaptiveSession|TestLossyControlPlaneStaysLive|TestRacingReceiversMeetModel|TestNakServesOnlyTheResidual|TestSlotDelayLargestDeficitFirst|TestRacingReceiversNakWorstFirst|TestPipelinedLossyTransfer|TestAdaptiveRetuneScheduleDeterministic|TestPortfolioCodecSwitchDeterministic|TestRepairPreemptsFinGap' ./internal/core/
 go test -count=1 -run 'TestFieldNcRepairHeals|TestFieldRectCodecTransfer|TestFieldEquivalence|TestHostileHeaderDifferential' ./internal/field/
 go test -count=1 -run TestBatchSyscallAmortization ./internal/udpcast/
 
@@ -181,7 +183,7 @@ else
 fi
 
 echo '== loc ratchet (make loc total vs ceiling)'
-loc_ceiling=12895
+loc_ceiling=12897
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
