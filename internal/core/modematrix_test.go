@@ -199,22 +199,22 @@ func TestModeMatrixGolden(t *testing.T) {
 }
 
 var modeGoldens = map[string]modeGolden{
-	"reactive/depth0": {"2377:207e53c43585a972e720a3483b43c8e0ded898452fa5695304e018a36bd2a36c",
-		"{DataTx:1617 ParityTx:291 PollTx:463 FinTx:6 NakRx:424 NakServed:287 Encoded:291 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:226ae58047c25b699d3d3a7eba201dfaea1e0bfaed87401b8f9e52d067f6cbf9",
-		"2377:fad0b61e07807bef8511023eac85c653d5a49d37f7e886daea7caca8d9ba0869"},
-	"reactive/depth8": {"2377:207e53c43585a972e720a3483b43c8e0ded898452fa5695304e018a36bd2a36c",
-		"{DataTx:1617 ParityTx:291 PollTx:463 FinTx:6 NakRx:424 NakServed:287 Encoded:291 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:226ae58047c25b699d3d3a7eba201dfaea1e0bfaed87401b8f9e52d067f6cbf9",
-		"2377:fad0b61e07807bef8511023eac85c653d5a49d37f7e886daea7caca8d9ba0869"},
-	"proactive/depth0": {"2545:b75a25d20e09d632b73b4a905bf5e8ebffff9801e4d9585fb06e6655a2447330",
+	"reactive/depth0": {"2350:09c85a61cbd235cec6d4f330e873863676e0c772bb09b8e7c9b5dfb36b3e60eb",
+		"{DataTx:1607 ParityTx:282 PollTx:455 FinTx:6 NakRx:413 NakServed:279 Encoded:282 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:c85a6f4acd2f5514e5def21bd89cb75ca4788ab0a8e469be54aa3b8f6322fe5e",
+		"2350:d3a83eb87666e9f0760b87706437038081a0c8c0dd16de04c02bbfe9da5a492b"},
+	"reactive/depth8": {"2350:09c85a61cbd235cec6d4f330e873863676e0c772bb09b8e7c9b5dfb36b3e60eb",
+		"{DataTx:1607 ParityTx:282 PollTx:455 FinTx:6 NakRx:413 NakServed:279 Encoded:282 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:c85a6f4acd2f5514e5def21bd89cb75ca4788ab0a8e469be54aa3b8f6322fe5e",
+		"2350:d3a83eb87666e9f0760b87706437038081a0c8c0dd16de04c02bbfe9da5a492b"},
+	"proactive/depth0": {"2545:57e7bd321d5568a414e4b1c848b772113a28091c311786c558d1bbc1a4bdc5a2",
 		"{DataTx:1657 ParityTx:441 PollTx:441 FinTx:6 NakRx:312 NakServed:265 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:d6a14bc7bf02bd16bd2ee119bcde0cfae2e673eb7be47760173383a2801c9abe",
-		"2545:3de712fc710404595510588175d0879bb896ddb993c1dd2f71514fd4f4b63425"},
-	"proactive/depth8": {"2545:b75a25d20e09d632b73b4a905bf5e8ebffff9801e4d9585fb06e6655a2447330",
+		"2545:3e215536d173fad017c233f00664c36b18270e3d73b78644fb1d8aca5a602bf8"},
+	"proactive/depth8": {"2545:57e7bd321d5568a414e4b1c848b772113a28091c311786c558d1bbc1a4bdc5a2",
 		"{DataTx:1657 ParityTx:441 PollTx:441 FinTx:6 NakRx:312 NakServed:265 Encoded:441 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:d6a14bc7bf02bd16bd2ee119bcde0cfae2e673eb7be47760173383a2801c9abe",
-		"2545:3de712fc710404595510588175d0879bb896ddb993c1dd2f71514fd4f4b63425"},
+		"2545:3e215536d173fad017c233f00664c36b18270e3d73b78644fb1d8aca5a602bf8"},
 	"carousel/depth0": {"2471:4f084ad9ad99377b68de26cdf582f3047089d0fb92b86984f141336a0a68a5a4",
 		"{DataTx:1698 ParityTx:528 PollTx:239 FinTx:6 NakRx:283 NakServed:239 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:4e7b1bf3a8e75311ee645defa58df810ddc5776ef3b6961fc0b0e5a930df0249",
@@ -223,28 +223,28 @@ var modeGoldens = map[string]modeGolden{
 		"{DataTx:1698 ParityTx:528 PollTx:239 FinTx:6 NakRx:283 NakServed:239 Encoded:528 TxErrors:0 NcTx:0 NcRounds:0}",
 		"176:4e7b1bf3a8e75311ee645defa58df810ddc5776ef3b6961fc0b0e5a930df0249",
 		"2471:9fc6f090bc207ccf9839990647ca46fa15388fe4263f1568a886d3764b25c914"},
-	"ewma/depth0": {"2183:8761eaeb9d73193e2b2be8cac2815f76d74a388055c0fd1b3ec4ad18237513b7",
-		"{DataTx:1410 ParityTx:480 PollTx:287 FinTx:6 NakRx:140 NakServed:111 Encoded:480 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:4c5344acfd90f57afda55703a4b4a0e51a5aad9d56afce4b86870453874f268d",
-		"2183:fcf9cff9359047c466bb29c771c0283540235d32253011ec23fa6ca103387714"},
-	"ewma/depth8": {"2183:8761eaeb9d73193e2b2be8cac2815f76d74a388055c0fd1b3ec4ad18237513b7",
-		"{DataTx:1410 ParityTx:480 PollTx:287 FinTx:6 NakRx:140 NakServed:111 Encoded:480 TxErrors:0 NcTx:0 NcRounds:0}",
-		"176:4c5344acfd90f57afda55703a4b4a0e51a5aad9d56afce4b86870453874f268d",
-		"2183:fcf9cff9359047c466bb29c771c0283540235d32253011ec23fa6ca103387714"},
-	"ladder/depth0": {"2816:57e30a90d47419a3471d3587db1546aa961e1b646531fcf68669376cf259e410",
-		"{DataTx:1414 ParityTx:1120 PollTx:276 FinTx:6 NakRx:136 NakServed:82 Encoded:1120 TxErrors:0 NcTx:0 NcRounds:0}",
-		"194:0f5213c46271812ca9031410c114d4ae0cb142a2e7010e8d4f80800fd96ccca7",
-		"2816:54f0a216808794ce9d9d4a102b89d9cd17fe2ab324619fbc928bbac2d4db8de8"},
-	"ladder/depth8": {"2816:57e30a90d47419a3471d3587db1546aa961e1b646531fcf68669376cf259e410",
-		"{DataTx:1414 ParityTx:1120 PollTx:276 FinTx:6 NakRx:136 NakServed:82 Encoded:1357 TxErrors:0 NcTx:0 NcRounds:0}",
-		"194:0f5213c46271812ca9031410c114d4ae0cb142a2e7010e8d4f80800fd96ccca7",
-		"2816:54f0a216808794ce9d9d4a102b89d9cd17fe2ab324619fbc928bbac2d4db8de8"},
-	"ladder-nc/depth0": {"2857:827e2898215c576e2277cfd38746c0340b0a351043c2cfef92ca43f087e0d3b2",
-		"{DataTx:1408 ParityTx:1145 PollTx:292 FinTx:6 NakRx:147 NakServed:98 Encoded:1145 TxErrors:0 NcTx:6 NcRounds:1}",
-		"194:e848c9361a06bcbfbe024eb694d21ec9bc78010c669b31dae26345968ed1f041",
-		"2857:af3b791ad6a19e2fa32336cbcae00adbe2a7a794e8a7714586836bb60b7310de"},
-	"ladder-nc/depth8": {"2857:827e2898215c576e2277cfd38746c0340b0a351043c2cfef92ca43f087e0d3b2",
-		"{DataTx:1408 ParityTx:1145 PollTx:292 FinTx:6 NakRx:147 NakServed:98 Encoded:1370 TxErrors:0 NcTx:6 NcRounds:1}",
-		"194:e848c9361a06bcbfbe024eb694d21ec9bc78010c669b31dae26345968ed1f041",
-		"2857:af3b791ad6a19e2fa32336cbcae00adbe2a7a794e8a7714586836bb60b7310de"},
+	"ewma/depth0": {"2199:a2df05e23173bacdf4b7bd34d907267aef82b39649cb2beb9218e23bd1e1f480",
+		"{DataTx:1408 ParityTx:486 PollTx:299 FinTx:6 NakRx:160 NakServed:123 Encoded:486 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:7ab65030ffa8b71af1fd939063add61de1bd6c2f23ae966fa1f2e08e78260cf0",
+		"2199:02dc3ca436e7b40fbf48b6c4a99650577355287a3341f27f1fd04f1e3aad5a17"},
+	"ewma/depth8": {"2199:a2df05e23173bacdf4b7bd34d907267aef82b39649cb2beb9218e23bd1e1f480",
+		"{DataTx:1408 ParityTx:486 PollTx:299 FinTx:6 NakRx:160 NakServed:123 Encoded:486 TxErrors:0 NcTx:0 NcRounds:0}",
+		"176:7ab65030ffa8b71af1fd939063add61de1bd6c2f23ae966fa1f2e08e78260cf0",
+		"2199:02dc3ca436e7b40fbf48b6c4a99650577355287a3341f27f1fd04f1e3aad5a17"},
+	"ladder/depth0": {"2785:6da27720438da986dfaf3a2adeb5cd038cde8a8518d76a255e97f41c3dc06ca6",
+		"{DataTx:1409 ParityTx:1092 PollTx:278 FinTx:6 NakRx:136 NakServed:88 Encoded:1092 TxErrors:0 NcTx:0 NcRounds:0}",
+		"190:46b9ad3406bfaf86420e90ba27c0bf4454570e84a569b07122fa177fc711a65a",
+		"2785:402a9e0cfab64a660a24644f642a3ccbd35814e6eb0b54f760af71e5f5380a4d"},
+	"ladder/depth8": {"2785:6da27720438da986dfaf3a2adeb5cd038cde8a8518d76a255e97f41c3dc06ca6",
+		"{DataTx:1409 ParityTx:1092 PollTx:278 FinTx:6 NakRx:136 NakServed:88 Encoded:1317 TxErrors:0 NcTx:0 NcRounds:0}",
+		"190:46b9ad3406bfaf86420e90ba27c0bf4454570e84a569b07122fa177fc711a65a",
+		"2785:402a9e0cfab64a660a24644f642a3ccbd35814e6eb0b54f760af71e5f5380a4d"},
+	"ladder-nc/depth0": {"2840:d7889e4d2ad7c4fb3af98c093d182f1db40e91003e904a07a9ba4eb105f70118",
+		"{DataTx:1408 ParityTx:1144 PollTx:277 FinTx:6 NakRx:111 NakServed:82 Encoded:1144 TxErrors:0 NcTx:5 NcRounds:1}",
+		"195:1713a98edce69dcdc95e529f806ddaa54279493020ea35e58526663194c5091c",
+		"2840:42faf7efa282a4c41b3ac62906c623c532a7928e59872745079b3c94d1996fdb"},
+	"ladder-nc/depth8": {"2840:d7889e4d2ad7c4fb3af98c093d182f1db40e91003e904a07a9ba4eb105f70118",
+		"{DataTx:1408 ParityTx:1144 PollTx:277 FinTx:6 NakRx:111 NakServed:82 Encoded:1379 TxErrors:0 NcTx:5 NcRounds:1}",
+		"195:1713a98edce69dcdc95e529f806ddaa54279493020ea35e58526663194c5091c",
+		"2840:42faf7efa282a4c41b3ac62906c623c532a7928e59872745079b3c94d1996fdb"},
 }

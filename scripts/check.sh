@@ -112,8 +112,8 @@ echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
 go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight' ./internal/field/
 go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned' ./internal/loss/
 
-echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, repairs in the FIN gap, rect field, field equivalence, hostile headers, sendmmsg)'
-go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel|TestForeignKReceiverStaysSilent|TestStaticReceiverOnLadderRungDeliversNothing|TestLegacyReceiverRejectsAdaptiveSession|TestLossyControlPlaneStaysLive|TestRacingReceiversMeetModel|TestNakServesOnlyTheResidual|TestSlotDelayLargestDeficitFirst|TestRacingReceiversNakWorstFirst|TestPipelinedLossyTransfer|TestAdaptiveRetuneScheduleDeterministic|TestPortfolioCodecSwitchDeterministic|TestRepairPreemptsFinGap' ./internal/core/
+echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, repairs in the FIN gap, POLL slot span, rect field, field equivalence, hostile headers, sendmmsg)'
+go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel|TestForeignKReceiverStaysSilent|TestStaticReceiverOnLadderRungDeliversNothing|TestLegacyReceiverRejectsAdaptiveSession|TestLossyControlPlaneStaysLive|TestRacingReceiversMeetModel|TestNakServesOnlyTheResidual|TestSlotDelayLargestDeficitFirst|TestRacingReceiversNakWorstFirst|TestPipelinedLossyTransfer|TestAdaptiveRetuneScheduleDeterministic|TestPortfolioCodecSwitchDeterministic|TestRepairPreemptsFinGap|TestPollStatesSlotSpan' ./internal/core/
 go test -count=1 -run 'TestFieldNcRepairHeals|TestFieldRectCodecTransfer|TestFieldEquivalence|TestHostileHeaderDifferential' ./internal/field/
 go test -count=1 -run TestBatchSyscallAmortization ./internal/udpcast/
 
