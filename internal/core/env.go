@@ -163,13 +163,15 @@ type Config struct {
 	// It never changes a byte or the order of the wire transcript; the zero
 	// value runs everything on the engine.
 	Pipeline PipelineConfig
-	// MaxNakSlots bounds the paper's NAK schedule [(s-l)Ts, (s-l+1)Ts]. The
-	// formula assumes small rounds; with large transmission groups an
-	// uncapped slot would delay low-deficit receivers by (k-l)*Ts —
-	// seconds. A round of more than MaxNakSlots transmissions is slotted as
-	// one of MaxNakSlots, so no NAK waits more than MaxNakSlots*Ts and
-	// deficits below the cap still answer worst first, one slot apart.
-	// Default 16.
+	// MaxNakSlots bounds the paper's NAK schedule [(s-l)Ts, (s-l+1)Ts], s
+	// the slot span a POLL states. The formula assumes small rounds; with
+	// large transmission groups an uncapped slot would delay low-deficit
+	// receivers by (k-l)*Ts — seconds. A span of more than MaxNakSlots is
+	// slotted as one of MaxNakSlots, so no NAK waits more than
+	// MaxNakSlots*Ts and deficits below the cap still answer worst first,
+	// one slot apart. The sender narrows the span itself once NAKs show
+	// the top slots unused, so the cap binds only before the first NAK, at
+	// high loss, or on the FIN. Default 16.
 	MaxNakSlots int
 
 	// Metrics, when non-nil, registers the engine's live instrument set

@@ -527,9 +527,9 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 }
 
 // onPoll implements the paper's feedback rule: compute the deficit l and
-// schedule NAK(i,l) in its RxRules.SlotDelay slot — slot s − l of a round
-// of s, with s at most MaxNakSlots, so receivers missing more answer
-// earlier — unless damped by an equal-or-larger NAK. A POLL opens a new
+// schedule NAK(i,l) in its RxRules.SlotDelay slot — slot s − l under the
+// slot span s the POLL states, with s at most MaxNakSlots, so receivers
+// missing more answer earlier — unless damped by an equal-or-larger NAK. A POLL opens a new
 // round, so the NAK backoff starts over from its first step.
 func (r *Receiver) onPoll(pkt *packet.Packet) {
 	g := r.tgGroup(pkt)

@@ -218,13 +218,15 @@ func NcRepairs(mask, missing uint64) uint64 {
 	return m
 }
 
-// SlotDelay is the NAK slot of §5.1 for deficit l in a round of s
-// transmissions: slot s − l, so receivers missing more answer earlier and
-// damp the rest, each slot Ts wide. A round larger than MaxNakSlots counts
-// as MaxNakSlots transmissions, so the slot stays below that bound and
-// deficits 1 … MaxNakSlots still get one slot each, largest first; a
-// deficit at or past the bound takes slot 0. The engine adds its jitter
-// within the slot.
+// SlotDelay is the NAK slot of §5.1 for deficit l under a slot span of s:
+// slot s − l, so receivers missing more answer earlier and damp the rest,
+// each slot Ts wide. s is the span the POLL states in Count — its round
+// size until the sender hears a NAK, then at most one past the largest
+// deficit heard — or the group's k when the FIN arms the timer. A span
+// larger than MaxNakSlots counts as MaxNakSlots, so the slot stays below
+// that bound and deficits 1 … MaxNakSlots still get one slot each, largest
+// first; a deficit at or past the span takes slot 0. The engine adds its
+// jitter within the slot.
 func (rr *RxRules) SlotDelay(s, l int) time.Duration {
 	return time.Duration(max(min(s, rr.cfg.MaxNakSlots)-l, 0)) * rr.cfg.Ts
 }

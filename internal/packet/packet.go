@@ -132,7 +132,10 @@ type Packet struct {
 	Group   uint32
 	Seq     uint16
 	K       uint16
-	Count   uint16
+	// Count is a POLL's slot span, the s its receivers slot their NAKs
+	// by (the round size, or less once the sender has heard NAKs), and a
+	// NAK's deficit l (always 1 on an N2 NAK). Other frames leave it 0.
+	Count uint16
 	// Total is the transfer's TG count (NP) or packet count (N2) on the
 	// FIN, and the message's source-shard count on a TG-scoped frame. 0
 	// states nothing.
