@@ -80,16 +80,11 @@ func verify(deliveries [][]byte, msg []byte) {
 	}
 }
 
-// traceNP enables bandwidth accounting on the NP run.
+// traceNP prints the NP run's per-node bandwidth accounting.
 var traceNP bool
 
 func runNP(msg []byte, r int, p float64, seed int64) core.SenderStats {
 	sched, net, rng := buildNet(seed)
-	var counts *simnet.CountTracer
-	if traceNP {
-		counts = simnet.NewCountTracer()
-		net.SetTracer(counts)
-	}
 	cfg := core.Config{Session: 1, K: 8, ShardSize: 256}
 	sn := net.AddNode(simnet.NodeConfig{Delay: 5 * time.Millisecond})
 	sender, err := core.NewSender(sn, cfg)
@@ -98,11 +93,15 @@ func runNP(msg []byte, r int, p float64, seed int64) core.SenderStats {
 	}
 	sn.SetHandler(sender.HandlePacket)
 	deliveries := make([][]byte, r)
+	var first *simnet.Node
 	for i := 0; i < r; i++ {
 		node := net.AddNode(simnet.NodeConfig{
 			Delay: 5 * time.Millisecond,
 			Loss:  rmfec.NewBernoulli(p, rng),
 		})
+		if i == 0 {
+			first = node
+		}
 		rc, err := core.NewReceiver(node, cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -116,14 +115,14 @@ func runNP(msg []byte, r int, p float64, seed int64) core.SenderStats {
 	}
 	sched.Run()
 	verify(deliveries, msg)
-	if counts != nil {
-		tot := counts.Totals()
-		sAcc := counts.Node(0)
+	if traceNP {
+		_, delivered, dropped := net.Stats()
+		sAcc, rAcc := sn.Accounting(), first.Accounting()
 		fmt.Printf("\n[trace] NP sender: %d pkts / %d KiB multicast; network-wide: %d deliveries, %d drops (%.1f%% of deliveries+drops)\n",
-			sAcc.TxPackets, sAcc.TxBytes>>10, tot.RxPackets, tot.DropPackets,
-			100*float64(tot.DropPackets)/float64(tot.RxPackets+tot.DropPackets))
+			sAcc.TxPackets, sAcc.TxBytes>>10, delivered, dropped,
+			100*float64(dropped)/float64(delivered+dropped))
 		fmt.Printf("[trace] receiver 1 saw %d pkts / %d KiB, dropped %d\n\n",
-			counts.Node(1).RxPackets, counts.Node(1).RxBytes>>10, counts.Node(1).DropPackets)
+			rAcc.RxPackets, rAcc.RxBytes>>10, rAcc.DropPackets)
 	}
 	return sender.Stats()
 }

@@ -7,7 +7,6 @@ import (
 	"rmfec/internal/loss"
 	"rmfec/internal/model"
 	"rmfec/internal/rse16"
-	"rmfec/internal/simnet"
 )
 
 // End-host performance models (internal/model, internal/hostperf).
@@ -43,19 +42,6 @@ type (
 func NewLayeredShim(lower Env, cfg LayeredConfig) (*LayeredShim, error) {
 	return layered.New(lower, cfg)
 }
-
-// Network tracing (internal/simnet).
-type (
-	// TraceEvent is one packet event on the simulated medium.
-	TraceEvent = simnet.TraceEvent
-	// Tracer observes packet events.
-	Tracer = simnet.Tracer
-	// CountTracer aggregates per-node traffic accounting.
-	CountTracer = simnet.CountTracer
-)
-
-// NewCountTracer constructs the per-node accounting tracer.
-var NewCountTracer = simnet.NewCountTracer
 
 // Large-block erasure coding over GF(2^16) (internal/rse16): FEC blocks
 // beyond the 256-packet limit of GF(2^8), for bulk distribution with the

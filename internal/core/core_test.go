@@ -15,6 +15,7 @@ import (
 type harness struct {
 	sched     *simnet.Scheduler
 	net       *simnet.Network
+	nodes     []*simnet.Node // the sender's first, then the receivers'
 	sender    *Sender
 	senderN2  *SenderN2
 	receivers []*Receiver
@@ -28,6 +29,7 @@ type harnessOpts struct {
 	seed        int64
 	mkLoss      func(rng *rand.Rand) loss.Process // per receiver; nil = lossless
 	loseControl bool
+	lossyCtlR   int // receivers 0..lossyCtlR-1 lose control frames even without loseControl
 	n2          bool
 	// senderEnv, if set, wraps the sender's node (e.g. to record its wire
 	// transcript); the node itself still receives the NAKs.
@@ -42,6 +44,7 @@ func newHarness(t testing.TB, o harnessOpts) *harness {
 	h.net = simnet.NewNetwork(h.sched, rng)
 
 	senderNode := h.net.AddNode(simnet.NodeConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond})
+	h.nodes = append(h.nodes, senderNode)
 	var env Env = senderNode
 	if o.senderEnv != nil {
 		env = o.senderEnv(senderNode)
@@ -72,8 +75,9 @@ func newHarness(t testing.TB, o harnessOpts) *harness {
 			Delay:       2 * time.Millisecond,
 			Jitter:      time.Millisecond,
 			Loss:        lp,
-			LoseControl: o.loseControl,
+			LoseControl: o.loseControl || i < o.lossyCtlR,
 		})
+		h.nodes = append(h.nodes, node)
 		idx := i
 		if o.n2 {
 			rc, err := NewReceiverN2(node, o.cfg)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rmfec/internal/loss"
+	"rmfec/internal/metrics"
 )
 
 // TestHandlerBufferIsBorrowed pins the SetHandler contract: the buffer is
@@ -69,34 +70,46 @@ func TestSendWithoutDestinations(t *testing.T) {
 
 // TestMulticastSteadyStateZeroAlloc pins the medium next to the engines:
 // once the frame and event free lists are warm, a multicast and its R
-// deliveries (lossy destinations included) allocate nothing.
+// deliveries (lossy destinations included) allocate nothing, with or
+// without a tracer recording every packet event.
 func TestMulticastSteadyStateZeroAlloc(t *testing.T) {
-	s := NewScheduler()
-	rng := rand.New(rand.NewSource(3))
-	net := NewNetwork(s, rng)
-	src := net.AddNode(NodeConfig{})
-	delivered := 0
-	for i := 0; i < 4; i++ {
-		cfg := NodeConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}
-		if i == 3 {
-			cfg.Loss = loss.NewBernoulli(0.5, rng)
-		}
-		net.AddNode(cfg).SetHandler(func([]byte) { delivered++ })
-	}
-	pkt := make([]byte, 1024)
-	burst := func() {
-		for i := 0; i < 8; i++ {
-			src.Multicast(pkt) //nolint:errcheck
-		}
-		src.MulticastControl(pkt[:24]) //nolint:errcheck
-		s.Run()
-	}
-	burst()
-	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
-		t.Errorf("steady-state multicast burst: %.1f allocs/op, want 0", allocs)
-	}
-	if delivered == 0 {
-		t.Error("nothing was delivered")
+	for _, row := range []struct {
+		name   string
+		tracer *metrics.Tracer
+	}{{"untraced", nil}, {"traced", metrics.NewTracer(64)}} {
+		t.Run(row.name, func(t *testing.T) {
+			s := NewScheduler()
+			rng := rand.New(rand.NewSource(3))
+			net := NewNetwork(s, rng)
+			net.SetTracer(row.tracer)
+			src := net.AddNode(NodeConfig{})
+			delivered := 0
+			for i := 0; i < 4; i++ {
+				cfg := NodeConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}
+				if i == 3 {
+					cfg.Loss = loss.NewBernoulli(0.5, rng)
+				}
+				net.AddNode(cfg).SetHandler(func([]byte) { delivered++ })
+			}
+			pkt := make([]byte, 1024)
+			burst := func() {
+				for i := 0; i < 8; i++ {
+					src.Multicast(pkt) //nolint:errcheck
+				}
+				src.MulticastControl(pkt[:24]) //nolint:errcheck
+				s.Run()
+			}
+			burst()
+			if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+				t.Errorf("steady-state multicast burst: %.1f allocs/op, want 0", allocs)
+			}
+			if delivered == 0 {
+				t.Error("nothing was delivered")
+			}
+			if row.tracer != nil && row.tracer.Total() == 0 {
+				t.Error("the tracer recorded nothing")
+			}
+		})
 	}
 }
 
@@ -106,7 +119,7 @@ func TestMulticastSteadyStateZeroAlloc(t *testing.T) {
 func closureSend(node *Node, b []byte, control bool) {
 	b = append([]byte(nil), b...)
 	net := node.net
-	net.sent++
+	node.acct.TxPackets++
 	now := net.sched.Now()
 	for _, dst := range net.nodes {
 		if dst == node {

@@ -22,12 +22,7 @@ type Network struct {
 	frames    []*frame     // recycled ingress copies
 	onRecycle func([]byte) // test hook: sees each frame as it is recycled
 
-	// Stats
-	sent      uint64 // multicast transmissions
-	delivered uint64 // per-destination deliveries
-	dropped   uint64 // per-destination drops
-
-	tracer Tracer // optional packet-event observer
+	tracer *metrics.Tracer // optional packet-event ring
 	m      networkMetrics
 }
 
@@ -75,9 +70,14 @@ func NewNetwork(sched *Scheduler, rng *rand.Rand) *Network {
 func (n *Network) Scheduler() *Scheduler { return n.sched }
 
 // Stats returns (multicast transmissions, per-destination deliveries,
-// per-destination drops) so far.
+// per-destination drops) so far, summed over the nodes' accounting.
 func (n *Network) Stats() (sent, delivered, dropped uint64) {
-	return n.sent, n.delivered, n.dropped
+	for _, node := range n.nodes {
+		sent += node.acct.TxPackets
+		delivered += node.acct.RxPackets
+		dropped += node.acct.DropPackets
+	}
+	return sent, delivered, dropped
 }
 
 // frame is the medium's one copy of a transmitted packet, shared by every
@@ -126,6 +126,7 @@ type Node struct {
 	rng     *rand.Rand
 	lastRx  time.Duration // last arrival, for temporal loss processes
 	hasRx   bool
+	acct    NodeAccounting
 }
 
 // AddNode attaches a node with the given reception characteristics.
@@ -174,11 +175,12 @@ func (node *Node) MulticastControl(b []byte) error { return node.send(b, true) }
 //rmlint:hotpath
 func (node *Node) send(b []byte, control bool) error {
 	net := node.net
-	net.sent++
+	node.acct.TxPackets++
+	node.acct.TxBytes += uint64(len(b))
 	net.m.sent.Inc()
 	now := net.sched.Now()
 	if net.tracer != nil {
-		net.tracer.Record(TraceEvent{Time: now, Src: node.id, Dst: -1, Len: len(b), Control: control})
+		net.tracer.Record(traceEvent(TraceTx, now, node.id, node.id, len(b), control))
 	}
 	if len(net.nodes) == 1 {
 		return nil // nobody to deliver to: no frame taken
@@ -223,20 +225,20 @@ func (node *Node) receive(b []byte, src int, control bool) {
 		node.lastRx = now
 		node.hasRx = true
 		if node.cfg.Loss.Lost(dt) {
-			node.net.dropped++
+			node.acct.DropPackets++
+			node.acct.DropBytes += uint64(len(b))
 			node.net.m.dropped.Inc()
 			if node.net.tracer != nil {
-				node.net.tracer.Record(TraceEvent{Time: now, Src: src, Dst: node.id,
-					Len: len(b), Control: control, Dropped: true})
+				node.net.tracer.Record(traceEvent(TraceDrop, now, src, node.id, len(b), control))
 			}
 			return
 		}
 	}
-	node.net.delivered++
+	node.acct.RxPackets++
+	node.acct.RxBytes += uint64(len(b))
 	node.net.m.delivered.Inc()
 	if node.net.tracer != nil {
-		node.net.tracer.Record(TraceEvent{Time: node.net.sched.Now(), Src: src,
-			Dst: node.id, Len: len(b), Control: control})
+		node.net.tracer.Record(traceEvent(TraceRx, node.net.sched.Now(), src, node.id, len(b), control))
 	}
 	if node.handler != nil {
 		node.handler(b)

@@ -111,6 +111,8 @@ type (
 	Node = simnet.Node
 	// NodeConfig sets a node's delay and loss behaviour.
 	NodeConfig = simnet.NodeConfig
+	// NodeAccounting is what the medium carried from and to one node.
+	NodeAccounting = simnet.NodeAccounting
 )
 
 // NewScheduler returns an empty virtual-time scheduler.

@@ -146,7 +146,6 @@ func TestFacadeSimsAndTracers(t *testing.T) {
 		}
 		return NewFBT(3, 0.05, r) // 8 receivers, shared loss
 	}
-	_ = rng
 	if est := SimLayered(popMk(1), 7, 1, tm, 200); est.Mean < 1 {
 		t.Errorf("SimLayered mean %g", est.Mean)
 	}
@@ -163,10 +162,13 @@ func TestFacadeSimsAndTracers(t *testing.T) {
 	if eT := ExpectedRoundsNP(7, 100, 0.01); eT < 1 {
 		t.Errorf("ExpectedRoundsNP = %g", eT)
 	}
-	counts := NewCountTracer()
-	counts.Record(TraceEvent{Src: 0, Dst: -1, Len: 10})
-	if counts.Totals().TxBytes != 10 {
-		t.Error("count tracer")
+	net := NewNetwork(NewScheduler(), rng)
+	a := net.AddNode(NodeConfig{})
+	net.AddNode(NodeConfig{})
+	a.Multicast(make([]byte, 10)) //nolint:errcheck
+	var acc NodeAccounting = a.Accounting()
+	if acc.TxPackets != 1 || acc.TxBytes != 10 {
+		t.Errorf("node accounting %+v", acc)
 	}
 }
 
