@@ -241,7 +241,8 @@ func benchReconstruct(b *testing.B, k, h, lose, size int) {
 		b.Fatal(err)
 	}
 	// Lost shards are recycled zero-length buffers: the benchmark measures
-	// the steady-state receiver path (cached inversion, zero allocations).
+	// the steady-state receiver path (the l×l subsystem solve, zero
+	// allocations).
 	lostBuf := make([][]byte, lose)
 	for i := range lostBuf {
 		lostBuf[i] = make([]byte, size)

@@ -204,15 +204,6 @@ func TestFig17And18Shape(t *testing.T) {
 	}
 }
 
-func TestCodecRatesErrors(t *testing.T) {
-	if _, _, err := CodecRates(0, 1, 64, 1); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := CodecRates(200, 100, 64, 1); err == nil {
-		t.Error("oversized block accepted")
-	}
-}
-
 func TestSamplesForScaling(t *testing.T) {
 	o := Options{Samples: 1500}
 	if got := o.samplesFor(1); got != 1500 {

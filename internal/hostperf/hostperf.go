@@ -4,7 +4,9 @@
 // Reed-Solomon coder, and the per-packet send/receive processing times of
 // the UDP stack. The authors measured the same constants on a DECstation
 // 5000/200 (model.PaperTiming); feeding measured constants into
-// model.NPRates/N2Rates reproduces Figs 17/18 for today's hardware.
+// model.NPRates/N2Rates reproduces Figs 17/18 for today's hardware. Coder,
+// which MeasureCoding builds on, also times Fig 1's coder throughput, so
+// every figure about the coder reads one clock.
 package hostperf
 
 import (
@@ -20,83 +22,94 @@ import (
 // measureWindow is how long each micro-measurement loop runs.
 const measureWindow = 40 * time.Millisecond
 
+// perOp runs op back to back for window and returns its mean cost in
+// microseconds. It is the one wall-clock loop every measurement here runs.
+func perOp(window time.Duration, op func() error) (float64, error) {
+	iters := 0
+	start := time.Now()
+	var elapsed time.Duration
+	for elapsed < window {
+		if err := op(); err != nil {
+			return 0, err
+		}
+		iters++
+		elapsed = time.Since(start)
+	}
+	return elapsed.Seconds() * 1e6 / float64(iters), nil
+}
+
+// coderOps builds the two operations Coder times on a (k, h) Reed-Solomon
+// code over size-byte packets: a full-block Encode of h parities, and a
+// Reconstruct of lose lost data shards from the rest plus the parities.
+// The lost shards are handed back as recycled zero-length buffers, so
+// decode times the steady-state receiver path: the l×l subsystem solve,
+// no allocation after the first call.
+func coderOps(k, h, lose, size int) (encode, decode func() error, err error) {
+	if size < 1 || lose < 1 || lose > min(k, h) {
+		return nil, nil, fmt.Errorf("hostperf: size %d, lose %d of k = %d, h = %d", size, lose, k, h)
+	}
+	code, err := rse.New(k, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	rng := rand.New(rand.NewSource(1))
+	data := make([][]byte, k)
+	for i := range data {
+		data[i] = make([]byte, size)
+		rng.Read(data[i])
+	}
+	parity := make([][]byte, h)
+	if err := code.Encode(data, parity); err != nil {
+		return nil, nil, err
+	}
+	shards := make([][]byte, k+h)
+	copy(shards[lose:], data[lose:])
+	copy(shards[k:], parity)
+	encode = func() error { return code.Encode(data, parity) }
+	decode = func() error {
+		for i := range lose {
+			shards[i] = shards[i][:0]
+		}
+		return code.Reconstruct(shards)
+	}
+	return encode, decode, nil
+}
+
+// Coder times the Reed-Solomon coder for one (k, h) with size-byte
+// packets, in microseconds per operation: encode is a full-block Encode of
+// the h parities of k data packets; decode is a Reconstruct of lose lost
+// data packets (1 <= lose <= min(k, h)) from the remaining data plus the
+// parities. It is the one clock for the coder: Fig 1 plots k/encode and
+// k/decode, and MeasureCoding derives ce and cd from it.
+func Coder(k, h, lose, size int) (encode, decode float64, err error) {
+	enc, dec, err := coderOps(k, h, lose, size)
+	if err != nil {
+		return 0, 0, err
+	}
+	if encode, err = perOp(measureWindow, enc); err != nil {
+		return 0, 0, err
+	}
+	decode, err = perOp(measureWindow, dec)
+	return encode, decode, err
+}
+
 // MeasureCoding returns the encoding and decoding constants (microseconds)
 // for packetSize-byte packets: producing one parity for a TG of size k
 // costs about k*ce, and reconstructing l lost packets costs about l*k*cd.
-// The constants are averaged over several k to wash out fixed overheads.
+// The constants come from Coder with h = 4 and l = 3 (ce = encode/(h*k),
+// cd = decode/(l*k)), averaged over several k to wash out fixed overheads.
 func MeasureCoding(packetSize int) (ce, cd float64, err error) {
-	if packetSize < 1 {
-		return 0, 0, fmt.Errorf("hostperf: packetSize = %d", packetSize)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var ceSum, cdSum float64
+	const h, lose = 4, 3
 	ks := []int{10, 20, 40}
 	for _, k := range ks {
-		const h = 4
-		code, err := rse.New(k, h)
+		enc, dec, err := Coder(k, h, lose, packetSize)
 		if err != nil {
 			return 0, 0, err
 		}
-		data := make([][]byte, k)
-		for i := range data {
-			data[i] = make([]byte, packetSize)
-			rng.Read(data[i])
-		}
-
-		// Encoding: one parity costs k*ce.
-		var buf []byte
-		iters := 0
-		start := time.Now()
-		var elapsed time.Duration
-		for elapsed < measureWindow {
-			buf, err = code.EncodeParity(iters%h, data, buf)
-			if err != nil {
-				return 0, 0, err
-			}
-			iters++
-			elapsed = time.Since(start)
-		}
-		perParity := elapsed.Seconds() * 1e6 / float64(iters)
-		ceSum += perParity / float64(k)
-
-		// Decoding: reconstructing l lost data packets costs l*k*cd.
-		parity := make([][]byte, h)
-		if err := code.Encode(data, parity); err != nil {
-			return 0, 0, err
-		}
-		// Lost shards are recycled zero-length buffers so the loop times
-		// the steady-state decode path (cached inversion, no allocation),
-		// matching what a long-running receiver sees.
-		const lose = 3
-		lostBuf := make([][]byte, lose)
-		for i := range lostBuf {
-			lostBuf[i] = make([]byte, packetSize)
-		}
-		shards := make([][]byte, k+h)
-		iters = 0
-		start = time.Now()
-		elapsed = 0
-		for elapsed < measureWindow {
-			for i := 0; i < k; i++ {
-				if i < lose {
-					shards[i] = lostBuf[i][:0]
-				} else {
-					shards[i] = data[i]
-				}
-			}
-			for j := 0; j < h; j++ {
-				shards[k+j] = parity[j]
-			}
-			if err := code.Reconstruct(shards); err != nil {
-				return 0, 0, err
-			}
-			iters++
-			elapsed = time.Since(start)
-		}
-		perDecode := elapsed.Seconds() * 1e6 / float64(iters)
-		cdSum += perDecode / float64(lose*k)
+		ce += enc / float64(h*k)
+		cd += dec / float64(lose*k)
 	}
-	return ceSum / float64(len(ks)), cdSum / float64(len(ks)), nil
+	return ce / float64(len(ks)), cd / float64(len(ks)), nil
 }
 
 // MeasureUDP returns the per-packet processing time (microseconds) for
@@ -123,24 +136,22 @@ func MeasureUDP(size int) (send, recv float64, err error) {
 
 	// Send cost: time WriteTo calls (kernel may drop under pressure; we
 	// only time the send path).
-	iters := 0
-	start := time.Now()
-	var elapsed time.Duration
-	for elapsed < measureWindow {
+	send, err = perOp(measureWindow, func() error {
 		if _, err := sc.Write(payload); err != nil {
-			return 0, 0, fmt.Errorf("hostperf: send: %w", err)
+			return fmt.Errorf("hostperf: send: %w", err)
 		}
-		iters++
-		elapsed = time.Since(start)
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	send = elapsed.Seconds() * 1e6 / float64(iters)
 
 	// Drain what is buffered, timing the receive path.
 	if err := rc.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
 		return 0, 0, err
 	}
 	got := 0
-	start = time.Now()
+	start := time.Now()
 	for {
 		if _, _, err := rc.ReadFromUDP(buf); err != nil {
 			break // deadline: buffer drained
@@ -179,16 +190,10 @@ func Timing() (model.Timing, error) {
 		tm.Xn, tm.Yn, tm.Yo = sendN, recvN, recvN
 	}
 
-	// Timer overhead: arming and cancelling a timer.
-	iters := 0
-	start := time.Now()
-	var elapsed time.Duration
-	for elapsed < measureWindow/4 {
-		t := time.AfterFunc(time.Hour, func() {})
-		t.Stop()
-		iters++
-		elapsed = time.Since(start)
-	}
-	tm.Yt = elapsed.Seconds() * 1e6 / float64(iters)
+	// Timer overhead: arming and cancelling a timer (the op cannot fail).
+	tm.Yt, _ = perOp(measureWindow/4, func() error {
+		time.AfterFunc(time.Hour, func() {}).Stop()
+		return nil
+	})
 	return tm, tm.Validate()
 }

@@ -35,6 +35,37 @@ func TestMeasureCodingValidation(t *testing.T) {
 	}
 }
 
+func TestCoderErrors(t *testing.T) {
+	for _, c := range []struct{ k, h, lose int }{
+		{0, 1, 1},     // no data shards
+		{200, 100, 3}, // k + h > 255
+		{10, 4, 0},    // nothing lost
+		{10, 4, 5},    // more lost than parities
+		{3, 4, 4},     // more lost than data shards
+	} {
+		if _, _, err := Coder(c.k, c.h, c.lose, 64); err == nil {
+			t.Errorf("Coder(%d, %d, %d) accepted", c.k, c.h, c.lose)
+		}
+	}
+}
+
+// TestCoderOpsAllocateNothing pins what Fig 1 and MeasureCoding time: the
+// steady-state coder, whose encode and decode allocate nothing.
+func TestCoderOpsAllocateNothing(t *testing.T) {
+	enc, dec, err := coderOps(20, 4, 3, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func() error{"encode": enc, "decode": dec} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = op() }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
 func TestMeasureUDP(t *testing.T) {
 	send, recv, err := MeasureUDP(2048)
 	if err != nil {
