@@ -6,8 +6,6 @@
 //	rmlint ./...               # whole module (the usual CI invocation)
 //	rmlint ./internal/core     # one package (analysis still spans the module)
 //	rmlint -rules              # list rules and what they guard
-//	rmlint -explain <rule>     # what a rule proves, what it cannot, how to suppress
-//	rmlint -json ./...         # findings as a JSON array, for tooling
 //	rmlint -metrics-schema     # print the derived static metrics series set
 //
 // Findings print as "file:line: rule: message" and make the exit status 1;
@@ -18,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,11 +27,9 @@ import (
 
 func main() {
 	listRules := flag.Bool("rules", false, "list the enforced rules and exit")
-	explain := flag.String("explain", "", "print a rule's long-form description and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	metricsSchema := flag.Bool("metrics-schema", false, "print the derived static metrics series set and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: rmlint [-rules] [-explain rule] [-json] [-metrics-schema] [packages]\n\npackages are module-relative dirs or ./... (default)\n")
+		fmt.Fprintf(os.Stderr, "usage: rmlint [-rules] [-metrics-schema] [packages]\n\npackages are module-relative dirs or ./... (default)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -43,14 +38,6 @@ func main() {
 		for _, r := range lint.Rules() {
 			fmt.Printf("%-18s %s\n", r.Name, r.Doc)
 		}
-		return
-	}
-	if *explain != "" {
-		text, ok := lint.Explain(*explain)
-		if !ok {
-			fatal(fmt.Errorf("rmlint: unknown rule %q (try -rules)", *explain))
-		}
-		fmt.Printf("%s\n\n%s\n", *explain, text)
 		return
 	}
 
@@ -105,27 +92,8 @@ func main() {
 		diags = kept
 	}
 
-	if *asJSON {
-		type jsonDiag struct {
-			File string `json:"file"`
-			Line int    `json:"line"`
-			Col  int    `json:"col"`
-			Rule string `json:"rule"`
-			Msg  string `json:"msg"`
-		}
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Msg})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "rmlint: %d finding(s)\n", len(diags))

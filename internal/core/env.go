@@ -34,6 +34,10 @@ import (
 // free-list, so b is valid only UNTIL the send call returns. A transport
 // that defers delivery (a simulator scheduling an arrival, a queueing
 // socket) must copy b before returning; it must never retain the slice.
+// The same holds the other way for the packet a transport hands to
+// HandlePacket. simnet's TestHandlerBufferIsBorrowed pins the medium's
+// side, the core transfer tests (which run over simnet's recycled frames)
+// and udpcast's TestNPTransferOverUDP the engines' side.
 type Env interface {
 	// Now returns the current time (virtual or wall-clock).
 	Now() time.Duration

@@ -13,9 +13,6 @@
 //   - float-eq: model/numeric/figures code must not compare two
 //     non-constant floating-point expressions with == or != (comparisons
 //     against constants, e.g. p == 0 sentinel guards, are allowed).
-//   - mutex-discipline: a method that calls another method of the same
-//     receiver while mu may be held, where the callee itself locks mu, is a
-//     self-deadlock and is flagged.
 //   - doc-comment: packages under internal/ carry a package comment and
 //     doc comments on every exported declaration; the docs are where the
 //     paper's definitions are pinned to the code.
@@ -23,16 +20,13 @@
 //     transmit, receiver decode, RSE reconstruction and gf256 kernel
 //     paths — and their same-module callees (to Config.HotpathDepth) must
 //     be allocation-free in steady state.
-//   - buffer-ownership: Env/udpcast handlers borrow their []byte argument
-//     for the duration of the call; storing, capturing, channel-sending or
-//     aliasing-by-append it is flagged unless the bytes are copied.
 //   - metrics-discipline: metrics.Registry series names are constant
 //     snake_case strings, one kind per name, and the derived static series
 //     set reconciles exactly against scripts/metrics_schema.txt.
 //
 // Every rule consumes one shared traversal (see pass.go), which builds the
-// function index, hotpath annotations, call sites, closure bindings,
-// handler signatures, and the ignore-directive index per Run.
+// function index, hotpath annotations, call sites, closure bindings and
+// the ignore-directive index per Run.
 //
 // Findings can be suppressed line-by-line with
 //
@@ -77,8 +71,8 @@ func (d Diagnostic) String() string {
 // Config selects which packages each rule applies to. Paths are
 // module-relative package directories ("internal/core"; "" is the module
 // root package). The zero Config applies env-discipline, no-goroutines and
-// float-eq nowhere; mutex-discipline, hotpath-alloc, buffer-ownership,
-// metrics-discipline and the meta rules always run everywhere.
+// float-eq nowhere; hotpath-alloc, metrics-discipline and the meta rules
+// always run everywhere.
 type Config struct {
 	// EnvPackages are checked by env-discipline: the deterministic engine
 	// packages plus the Env implementations whose wall-clock use must be
@@ -164,9 +158,8 @@ func pathIn(rel string, set []string) bool {
 // for rules whose facts span packages, like the hotpath call-graph walk
 // and the schema reconciliation.
 type Rule struct {
-	Name    string
-	Doc     string
-	Explain string // long-form: what it proves, what it cannot, how to suppress
+	Name string
+	Doc  string
 
 	check       func(p *Package, cfg Config, fx *facts) []Diagnostic
 	checkModule func(cfg Config, fx *facts) []Diagnostic
@@ -178,123 +171,36 @@ type Rule struct {
 func Rules() []Rule {
 	return []Rule{
 		{
-			Name: "env-discipline",
-			Doc:  "engine packages take time and randomness only from core.Env (no time.Now/Sleep/After, no global math/rand)",
-			Explain: `Proves: no configured engine package reads the wall clock (time.Now,
-Since, Until, Sleep, After, Tick, New{Ticker,Timer}, AfterFunc) or draws
-from the global math/rand source, so a seed fully determines a run.
-Cannot prove: indirect reads through function values or dependencies
-outside the module. Suppress on annotated wall-clock Env implementations
-with //rmlint:ignore env-discipline <reason>.`,
+			Name:  "env-discipline",
+			Doc:   "engine packages take time and randomness only from core.Env (no time.Now/Sleep/After, no global math/rand)",
 			check: func(p *Package, cfg Config, fx *facts) []Diagnostic { return checkEnvDiscipline(p, cfg) },
 		},
 		{
-			Name: "no-goroutines",
-			Doc:  "engine packages contain no go statements; concurrency belongs to transports",
-			Explain: `Proves: the configured engine packages contain no go statement, so
-engine state needs no locks and replays deterministically. Cannot prove:
-goroutines started on the engines' behalf by other packages (that is the
-sanctioned pattern: udpcast, mcrun, pipeline own the concurrency).`,
+			Name:  "no-goroutines",
+			Doc:   "engine packages contain no go statements; concurrency belongs to transports",
 			check: func(p *Package, cfg Config, fx *facts) []Diagnostic { return checkNoGoroutines(p, cfg) },
 		},
 		{
-			Name: "float-eq",
-			Doc:  "no ==/!= between non-constant floating-point expressions in model/numeric/figures",
-			Explain: `Proves: the configured numeric packages never compare two computed
-floats for exact equality; comparisons against constants (p == 0 sentinel
-guards) stay legal. Cannot prove: equality hidden behind interface
-comparisons or reflect.`,
+			Name:  "float-eq",
+			Doc:   "no ==/!= between non-constant floating-point expressions in model/numeric/figures",
 			check: func(p *Package, cfg Config, fx *facts) []Diagnostic { return checkFloatEq(p, cfg) },
 		},
 		{
-			Name: "mutex-discipline",
-			Doc:  "no call to a mu-locking method of the same receiver while mu may already be held",
-			Explain: `Proves: no method of a receiver calls another method of the same
-receiver that locks the same mu field on a path where mu may already be
-held (self-deadlock). Cannot prove: deadlocks across distinct mutexes or
-through interfaces.`,
-			check: func(p *Package, cfg Config, fx *facts) []Diagnostic { return checkMutexDiscipline(p, cfg) },
-		},
-		{
-			Name: "doc-comment",
-			Doc:  "documented packages carry a package comment and doc comments on every exported declaration",
-			Explain: `Proves: every package under the configured prefixes has a package
-comment and every exported declaration a doc comment — the place where
-the paper's definitions are pinned to code. Cannot prove: that the
-comments are accurate.`,
+			Name:  "doc-comment",
+			Doc:   "documented packages carry a package comment and doc comments on every exported declaration",
 			check: func(p *Package, cfg Config, fx *facts) []Diagnostic { return checkDocComments(p, cfg) },
 		},
 		{
-			Name: "hotpath-alloc",
-			Doc:  "//rmlint:hotpath functions and their same-module callees are allocation-free in steady state",
-			Explain: `Proves: no function reachable from a //rmlint:hotpath annotation
-(breadth-first over same-module calls, to Config.HotpathDepth) contains
-an allocation site: make/new, append, slice/map composite literals,
-&composite literals, closures, string concatenation or conversion, direct
-fmt formatting, go statements, or interface boxing of non-pointer
-arguments. Expressions inside return statements of error-returning
-functions and panic arguments are cold and exempt. Cannot prove: calls
-through interfaces or func values (annotate the implementations), map
-growth on assignment, or allocations inside the standard library.
-Suppress audited amortized allocators with //rmlint:ignore hotpath-alloc
-<reason>; on a call line the directive also prunes the callee's subtree
-from the walk.`,
+			Name:        "hotpath-alloc",
+			Doc:         "//rmlint:hotpath functions and their same-module callees are allocation-free in steady state",
 			checkModule: checkHotpathAlloc,
 		},
 		{
-			Name: "buffer-ownership",
-			Doc:  "Env/udpcast handlers must not retain their []byte argument without an explicit copy",
-			Explain: `Proves: a HandlePacket/Multicast/MulticastControl/MulticastBatch body
-(or a func([]byte) handler literal) never stores its buffer parameter to
-a field, global, channel or goroutine, never returns it, never captures
-it in a closure that may outlive the call, and never appends the slice
-itself to another slice — only its bytes (append(dst, b...) into []byte,
-or copy). Tracking is local: the parameter and its direct slice aliases.
-Cannot prove: aliases created inside callees (a decode that retains a
-sub-slice) or stores via reflection. Suppress with
-//rmlint:ignore buffer-ownership <reason> where a copy is proven
-elsewhere.`,
-			checkModule: checkBufferOwnership,
-		},
-		{
-			Name: "metrics-discipline",
-			Doc:  "metrics series names are constant snake_case literals, one kind per name, reconciled against scripts/metrics_schema.txt",
-			Explain: `Proves: every metrics.Registry Counter/Gauge/Histogram registration
-uses a constant snake_case name (never computed), literal label keys, and
-label values that resolve to string constants (directly or through
-helper parameters fed only literals at every call site); one name keeps
-one instrument kind; and the full derived series set equals the pinned
-schema file byte-for-byte, in both directions. Cannot prove: names built
-via reflection or registries hidden behind interfaces. Regenerate the
-schema with rmlint -metrics-schema; there is deliberately no suppression
-story for schema drift.`,
+			Name:        "metrics-discipline",
+			Doc:         "metrics series names are constant snake_case literals, one kind per name, reconciled against scripts/metrics_schema.txt",
 			checkModule: checkMetricsDiscipline,
 		},
 	}
-}
-
-// metaExplains documents the findings rmlint emits about itself; they are
-// not suppressible and so are not Rules.
-var metaExplains = map[string]string{
-	"bad-ignore": `A //rmlint:ignore directive that names no rule, an unknown rule, or
-gives no reason. Not suppressible.`,
-	"stale-ignore": `A well-formed //rmlint:ignore directive that suppressed nothing on its
-own or the next line (and pruned no hotpath edge). Stale suppressions hide
-future regressions; remove them. Not suppressible.`,
-	"type-error": `The type checker rejected a package. Rules still run on the parsed
-AST, degraded to syntactic matching, but findings are unreliable until the
-tree type-checks. Not suppressible.`,
-}
-
-// Explain returns the long-form description of a rule or meta finding.
-func Explain(name string) (string, bool) {
-	for _, r := range Rules() {
-		if r.Name == name {
-			return r.Doc + "\n\n" + r.Explain, true
-		}
-	}
-	e, ok := metaExplains[name]
-	return e, ok
 }
 
 // knownRule reports whether name is a suppressible rule, so misspelled

@@ -188,94 +188,6 @@ func Eq(a, b float64) bool { return a == b }
 	wantDiags(t, got)
 }
 
-func TestMutexDisciplinePositive(t *testing.T) {
-	got := runFixture(t, engineCfg(), map[string]string{
-		"conn/conn.go": `package conn
-
-import "sync"
-
-type Conn struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *Conn) Incr() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n++
-}
-
-func (c *Conn) Deadlock() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Incr()
-}
-
-func (c *Conn) BranchDeadlock(cond bool) {
-	if cond {
-		c.mu.Lock()
-	}
-	c.Incr()
-}
-`,
-	})
-	wantDiags(t, got,
-		"conn/conn.go:19: mutex-discipline",
-		"conn/conn.go:26: mutex-discipline",
-	)
-}
-
-func TestMutexDisciplineNegative(t *testing.T) {
-	got := runFixture(t, engineCfg(), map[string]string{
-		"conn/conn.go": `package conn
-
-import "sync"
-
-type Conn struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *Conn) Incr() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n++
-}
-
-// Peek never locks; calling it under mu is fine.
-func (c *Conn) Peek() int { return c.n }
-
-func (c *Conn) AfterUnlock() {
-	c.mu.Lock()
-	n := c.Peek()
-	c.mu.Unlock()
-	c.Incr()
-	_ = n
-}
-
-// EarlyReturn locks only on the path that returns, so the call at the end
-// runs with mu released.
-func (c *Conn) EarlyReturn(cond bool) {
-	if cond {
-		c.mu.Lock()
-		c.mu.Unlock()
-		return
-	}
-	c.Incr()
-}
-
-// Closures are separate execution contexts (timers, goroutines): a locking
-// call inside one is not a call under this frame's mu.
-func (c *Conn) Defers() func() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return func() { c.Incr() }
-}
-`,
-	})
-	wantDiags(t, got)
-}
-
 func TestIgnoreDirectives(t *testing.T) {
 	got := runFixture(t, engineCfg(), map[string]string{
 		"engine/engine.go": `package engine
@@ -324,11 +236,17 @@ func A() {}
 
 //rmlint:ignore env-discipline
 func B() {}
+
+//rmlint:ignore mutex-discipline a deleted rule suppresses nothing
+func C() {}
 `,
 	})
+	// A directive naming a rule rmlint no longer has (mutex-discipline) is
+	// reported like any other unknown rule, not silently accepted.
 	wantDiags(t, got,
 		"engine/engine.go:3: bad-ignore",
 		"engine/engine.go:6: bad-ignore",
+		"engine/engine.go:9: bad-ignore",
 	)
 }
 

@@ -29,17 +29,6 @@ type callSite struct {
 	call *ast.CallExpr
 }
 
-// handlerUnit is one function body bound by the Env buffer-ownership
-// contract: its []byte (or [][]byte) parameters borrow the caller's buffer
-// for the duration of the call only.
-type handlerUnit struct {
-	pkg    *Package
-	name   string
-	body   *ast.BlockStmt
-	params []types.Object
-	pos    token.Pos
-}
-
 // ignoreEntry is one parsed //rmlint:ignore directive. used flips when the
 // directive suppresses a finding (or prunes a hotpath edge); directives
 // that stay unused are themselves reported under stale-ignore.
@@ -51,8 +40,8 @@ type ignoreEntry struct {
 
 // facts is the module-wide fact store every rule consumes: the function
 // index with hotpath annotations, closure bindings and call sites (the
-// call graph), handler signatures, and the ignore-directive index. It is
-// built in one shared traversal per Run.
+// call graph), and the ignore-directive index. It is built in one shared
+// traversal per Run.
 type facts struct {
 	mod   *Module
 	funcs map[*types.Func]*funcInfo
@@ -71,8 +60,6 @@ type facts struct {
 	// closure-bound variables (calls spelled through the variable).
 	callsOfFunc map[*types.Func][]callSite
 	callsOfVar  map[types.Object][]callSite
-
-	handlers []handlerUnit
 
 	// ignores[file][line][rule] holds the directives covering that line (a
 	// directive covers its own line and the next).
@@ -103,8 +90,8 @@ func buildFacts(mod *Module) *facts {
 	return fx
 }
 
-// collect indexes one file: declared functions (with hotpath annotations
-// and handler signatures), closure bindings, and every call site.
+// collect indexes one file: declared functions (with hotpath
+// annotations), closure bindings, and every call site.
 func (fx *facts) collect(p *Package, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -113,9 +100,6 @@ func (fx *facts) collect(p *Package, f *ast.File) {
 			if obj != nil {
 				fx.funcs[obj] = &funcInfo{pkg: p, decl: x, obj: obj, hotpath: hasHotpathMarker(x.Doc)}
 				fx.recordParams(p, x.Type, func(o types.Object) { fx.paramFunc[o] = obj })
-			}
-			if x.Body != nil {
-				fx.maybeHandlerDecl(p, x)
 			}
 		case *ast.FuncLit:
 			fx.recordParams(p, x.Type, func(o types.Object) { fx.paramLit[o] = x })
@@ -159,9 +143,7 @@ func (fx *facts) bindLit(p *Package, id *ast.Ident, lit *ast.FuncLit) {
 	fx.varOfLit[lit] = obj
 }
 
-// indexCall records the call under its statically resolved callee and
-// registers func-literal handler arguments (func([]byte) callbacks handed
-// to Serve/SetHandler-style registration points).
+// indexCall records the call under its statically resolved callee.
 func (fx *facts) indexCall(p *Package, call *ast.CallExpr) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -176,87 +158,6 @@ func (fx *facts) indexCall(p *Package, call *ast.CallExpr) {
 			fx.callsOfFunc[obj] = append(fx.callsOfFunc[obj], callSite{p, call})
 		}
 	}
-	for _, arg := range call.Args {
-		lit, ok := arg.(*ast.FuncLit)
-		if !ok || lit.Body == nil {
-			continue
-		}
-		if params := fx.byteHandlerParams(p, lit.Type); len(params) == 1 && lit.Type.Results.NumFields() == 0 {
-			fx.handlers = append(fx.handlers, handlerUnit{
-				pkg: p, name: "handler literal", body: lit.Body, params: params, pos: lit.Pos(),
-			})
-		}
-	}
-}
-
-// handlerNames are the method/function names bound by the Env contract:
-// packet handlers receive the transport's read buffer, Multicast* receive
-// the engine's pooled frames. Neither side may retain the slice.
-var handlerNames = map[string]bool{
-	"HandlePacket":     true,
-	"Multicast":        true,
-	"MulticastControl": true,
-	"MulticastBatch":   true,
-}
-
-// maybeHandlerDecl registers a declared function as a buffer-ownership
-// unit when its name and signature match the Env contract surface.
-func (fx *facts) maybeHandlerDecl(p *Package, decl *ast.FuncDecl) {
-	if !handlerNames[decl.Name.Name] {
-		return
-	}
-	params := fx.byteHandlerParams(p, decl.Type)
-	if len(params) == 0 {
-		return
-	}
-	name := decl.Name.Name
-	if decl.Recv != nil && len(decl.Recv.List) == 1 {
-		name = recvTypeString(decl.Recv.List[0].Type) + "." + name
-	}
-	fx.handlers = append(fx.handlers, handlerUnit{
-		pkg: p, name: name, body: decl.Body, params: params, pos: decl.Pos(),
-	})
-}
-
-// byteHandlerParams returns the parameter objects of ft whose type is
-// []byte or [][]byte.
-func (fx *facts) byteHandlerParams(p *Package, ft *ast.FuncType) []types.Object {
-	var out []types.Object
-	if ft.Params == nil {
-		return nil
-	}
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			obj := p.Info.Defs[name]
-			if obj != nil && isByteSliceish(obj.Type()) {
-				out = append(out, obj)
-			}
-		}
-	}
-	return out
-}
-
-// isByteSliceish reports whether t is []byte or [][]byte.
-func isByteSliceish(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	if isByteSlice(s.Elem()) {
-		return true
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
-// isByteSlice reports whether t is []byte.
-func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
 }
 
 // recordParams feeds each named parameter object of ft to record.
@@ -453,29 +354,6 @@ func paramIndexOfLit(fx *facts, lit *ast.FuncLit, obj types.Object) int {
 		}
 	}
 	return -1
-}
-
-// recvTypeString renders a receiver type expression ("*Sender" -> "(*Sender)").
-func recvTypeString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return "(*" + recvBase(x.X) + ")"
-	default:
-		return recvBase(e)
-	}
-}
-
-func recvBase(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.IndexExpr:
-		return recvBase(x.X)
-	case *ast.IndexListExpr:
-		return recvBase(x.X)
-	default:
-		return "?"
-	}
 }
 
 // funcDisplay renders a function's qualified name with the module path

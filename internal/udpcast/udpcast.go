@@ -33,6 +33,8 @@ type Conn struct {
 	// mu serialises engine callbacks (packet handler, timers) and Rand
 	// access. Engine callbacks run WITH mu held and may call Multicast/
 	// MulticastControl re-entrantly, so those methods must not take mu.
+	// TestCallbacksMayReenterConn pins this for every Env method under Do;
+	// TestNPTransferOverUDP drives it through the real engines.
 	mu      sync.Mutex
 	handler func(b []byte)
 	rng     *rand.Rand
@@ -282,7 +284,8 @@ func (c *Conn) After(d time.Duration, fn func()) (cancel func()) {
 // which the next datagram overwrites: the handler must copy anything it
 // keeps and must not retain the slice after returning. The core engines
 // honour this (they decode in place and copy shards into pooled buffers),
-// which is what lets the read loop run without a per-datagram allocation.
+// which is what lets the read loop run without a per-datagram allocation;
+// TestNPTransferOverUDP and the core transfer tests fail when they do not.
 func (c *Conn) Serve(handler func(b []byte)) {
 	c.mu.Lock()
 	if c.closed.Load() {

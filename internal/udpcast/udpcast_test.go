@@ -102,6 +102,46 @@ func TestAfterAndCancel(t *testing.T) {
 	}
 }
 
+// TestCallbacksMayReenterConn pins the re-entrancy contract of Conn: engine
+// callbacks run with the engine mutex held and call back into the Env
+// methods, so none of them may take that mutex. It needs no loopback
+// delivery, only a joined group. A method that re-takes mu blocks forever,
+// so the test fails at a deadline instead of hanging, and skips Close
+// (which would block on mu too) on that path.
+func TestCallbacksMayReenterConn(t *testing.T) {
+	c, err := Join(groupAddr(t), nil)
+	if err != nil {
+		t.Skipf("multicast unavailable: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Do(func() {
+			if err := c.Multicast([]byte("data")); err != nil {
+				t.Errorf("Multicast: %v", err)
+			}
+			if err := c.MulticastControl([]byte("control")); err != nil {
+				t.Errorf("MulticastControl: %v", err)
+			}
+			if sent, err := c.MulticastBatch([][]byte{[]byte("b0"), []byte("b1")}); err != nil || sent != 2 {
+				t.Errorf("MulticastBatch = (%d, %v), want (2, nil)", sent, err)
+			}
+			cancel := c.After(time.Hour, func() {})
+			cancel()
+			_ = c.Rand().Int63()
+			_ = c.Now()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an Env method called under Do did not return within 5s: it takes the engine mutex its caller holds")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCloseIdempotentAndStopsTimers(t *testing.T) {
 	group := groupAddr(t)
 	c := join(t, group)

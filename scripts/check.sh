@@ -9,14 +9,14 @@
 #   4. cross-compile    GOARCH=arm64 go vet and GOARCH=386 go build, so the
 #                       !amd64 stubs beside the gf256 assembly kernels
 #                       (and asmdecl's view of them) cannot rot
-#   5. rmlint           project invariants (see internal/lint); -json must
-#                       emit an empty array on a clean tree and
+#   5. rmlint           project invariants (see internal/lint);
 #                       -metrics-schema must reproduce
 #                       scripts/metrics_schema.txt byte for byte
 #   6. go test          full test suite, then the copy-once receive-path
-#                       and simnet event-order/alloc pins, and the medium's
-#                       per-node accounting against the engines, again
-#                       uncached
+#                       and simnet event-order/alloc pins, the medium's
+#                       per-node accounting against the engines, and
+#                       udpcast's re-entrancy pins (under a 60 s timeout,
+#                       so a self-deadlock fails fast), again uncached
 #   7. go test -race    short-mode tests of the packages that own or drive
 #                       concurrency; none of internal/core's placement
 #                       tests skips under -short
@@ -90,11 +90,6 @@ GOARCH=386 go build ./...
 
 echo '== rmlint ./...'
 go run ./cmd/rmlint ./...
-json=$(go run ./cmd/rmlint -json ./...)
-if [ "$json" != "[]" ]; then
-    echo "rmlint -json on a clean tree must emit an empty array, got: $json" >&2
-    exit 1
-fi
 go run ./cmd/rmlint -metrics-schema > "$tmp/schema.derived"
 if ! cmp -s "$tmp/schema.derived" scripts/metrics_schema.txt; then
     echo 'rmlint -metrics-schema disagrees with scripts/metrics_schema.txt:' >&2
@@ -109,6 +104,10 @@ go test ./...
 # engines must run, not come from the test cache.
 go test -count=1 -run 'SteadyStateZeroAlloc|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestInPlaceGF16NoGather|TestInPlaceAdaptive|TestGroupMemo|TestMediumAccountingMatchesEngines' ./internal/core/
 go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed|TestStaleCancelCancelsNothing|TestRunUntilStoppedEarlyKeepsClock|TestTimerSteadyStateOneAlloc|TestDeliveryRunCountsOnceInPending' ./internal/simnet/
+# Engine callbacks re-enter the Conn under its mutex; a method that takes
+# it deadlocks, which these fail on within a minute rather than hanging for
+# go test's default ten.
+go test -count=1 -timeout 60s -run 'TestNPTransferOverUDP|TestConcurrentCloseServeMulticast|TestCallbacksMayReenterConn' ./internal/udpcast/
 
 echo '== go test -race -short (concurrent packages)'
 go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rse16/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
@@ -188,14 +187,14 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=12774
+loc_ceiling=12126
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
     exit 1
 fi
 echo "make loc total $loc <= $loc_ceiling"
-doc_ceiling=244461
+doc_ceiling=243272
 doc=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
 if [ "$doc" -gt "$doc_ceiling" ]; then
     echo "DESIGN.md + EXPERIMENTS.md are $doc bytes, over the doc_ceiling $doc_ceiling set in scripts/check.sh" >&2
