@@ -286,59 +286,35 @@ func runTransfer(b *testing.B, useNP bool, proactive int, r int, p float64, seed
 
 	cfg := core.Config{Session: 1, K: 8, ShardSize: 256, Proactive: proactive}
 	sn := net.AddNode(simnet.NodeConfig{Delay: 2 * time.Millisecond})
+	newSender, newReceiver := core.NewSender, core.NewReceiver
+	if !useNP {
+		newSender, newReceiver = core.NewSenderN2, core.NewReceiverN2
+	}
+	s, err := newSender(sn, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn.SetHandler(s.HandlePacket)
 	deliver := make([][]byte, r)
-	addReceivers := func(handle func(node *simnet.Node, idx int)) {
-		for i := 0; i < r; i++ {
-			node := net.AddNode(simnet.NodeConfig{
-				Delay: 2 * time.Millisecond,
-				Loss:  loss.NewBernoulli(p, rng),
-			})
-			handle(node, i)
-		}
-	}
-	var total, packets int
-	if useNP {
-		s, err := core.NewSender(sn, cfg)
+	for i := 0; i < r; i++ {
+		node := net.AddNode(simnet.NodeConfig{
+			Delay: 2 * time.Millisecond,
+			Loss:  loss.NewBernoulli(p, rng),
+		})
+		rc, err := newReceiver(node, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sn.SetHandler(s.HandlePacket)
-		addReceivers(func(node *simnet.Node, idx int) {
-			rc, err := core.NewReceiver(node, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rc.OnComplete = func(m []byte) { deliver[idx] = m }
-			node.SetHandler(rc.HandlePacket)
-		})
-		if err := s.Send(msg); err != nil {
-			b.Fatal(err)
-		}
-		sched.Run()
-		st := s.Stats()
-		total = st.DataTx + st.ParityTx
-		packets = s.Groups() * cfg.K
-	} else {
-		s, err := core.NewSenderN2(sn, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sn.SetHandler(s.HandlePacket)
-		addReceivers(func(node *simnet.Node, idx int) {
-			rc, err := core.NewReceiverN2(node, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rc.OnComplete = func(m []byte) { deliver[idx] = m }
-			node.SetHandler(rc.HandlePacket)
-		})
-		if err := s.Send(msg); err != nil {
-			b.Fatal(err)
-		}
-		sched.Run()
-		total = s.Stats().DataTx
-		packets = s.Packets()
+		idx := i
+		rc.OnComplete = func(m []byte) { deliver[idx] = m }
+		node.SetHandler(rc.HandlePacket)
 	}
+	if err := s.Send(msg); err != nil {
+		b.Fatal(err)
+	}
+	sched.Run()
+	st := s.Stats()
+	total, packets := st.DataTx+st.ParityTx, s.SourcePackets()
 	for i, d := range deliver {
 		if !bytes.Equal(d, msg) {
 			b.Fatalf("receiver %d incomplete", i)
@@ -455,7 +431,7 @@ func runTransferNakRate(b *testing.B, seed int64) float64 {
 		b.Fatal(err)
 	}
 	sched.Run()
-	return float64(s.Stats().NakRx) / float64(s.Packets())
+	return float64(s.Stats().NakRx) / float64(s.SourcePackets())
 }
 
 // BenchmarkProtocolTransfer measures end-to-end simulated-transfer speed:

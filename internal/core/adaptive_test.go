@@ -329,7 +329,10 @@ func TestAdaptiveMcrunWorkerInvariance(t *testing.T) {
 // TestLegacyReceiverRejectsAdaptiveSession is the wire-compatibility story:
 // a static receiver sharing the medium with an adaptive session must refuse
 // every frame cleanly — no panic, no misparse, no partial delivery, and no
-// NAK chatter — while an adaptive receiver on the same medium completes.
+// NAK chatter — while an adaptive receiver on the same medium completes. An
+// N2 receiver of the same Session refuses it too: N2 is the one static
+// config whose FIN states H = 0, like the session's, but at k = 1, where no
+// rung of the ladder starts.
 func TestLegacyReceiverRejectsAdaptiveSession(t *testing.T) {
 	sched := simnet.NewScheduler()
 	sched.MaxEvents = 5_000_000
@@ -366,6 +369,15 @@ func TestLegacyReceiverRejectsAdaptiveSession(t *testing.T) {
 	rcV1.OnComplete = func(m []byte) { gotV1 = m }
 	v1Node.SetHandler(rcV1.HandlePacket)
 
+	var gotN2 []byte
+	n2Node := net.AddNode(simnet.NodeConfig{Delay: time.Millisecond})
+	rcN2, err := NewReceiverN2(n2Node, Config{Session: cfgA.Session, K: 1, ShardSize: cfgA.ShardSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcN2.OnComplete = func(m []byte) { gotN2 = m }
+	n2Node.SetHandler(rcN2.HandlePacket)
+
 	msg := testMessage(30000, 1602)
 	if err := s.Send(msg); err != nil {
 		t.Fatal(err)
@@ -378,9 +390,14 @@ func TestLegacyReceiverRejectsAdaptiveSession(t *testing.T) {
 	if gotV1 != nil {
 		t.Fatalf("v1 receiver delivered %d bytes from a v2 session", len(gotV1))
 	}
-	st := rcV1.Stats()
-	if st.DataRx != 0 || st.ParityRx != 0 || st.PollRx != 0 || st.NakTx != 0 || st.Decodes != 0 {
-		t.Errorf("v1 receiver acted on v2 frames: %+v", st)
+	if gotN2 != nil || rcN2.Complete() {
+		t.Fatalf("N2 receiver delivered %d bytes from a v2 session", len(gotN2))
+	}
+	for name, rc := range map[string]*Receiver{"v1": rcV1, "N2": rcN2} {
+		st := rc.Stats()
+		if st.DataRx != 0 || st.ParityRx != 0 || st.PollRx != 0 || st.NakTx != 0 || st.Decodes != 0 {
+			t.Errorf("%s receiver acted on v2 frames: %+v", name, st)
+		}
 	}
 }
 

@@ -17,9 +17,7 @@ type harness struct {
 	net       *simnet.Network
 	nodes     []*simnet.Node // the sender's first, then the receivers'
 	sender    *Sender
-	senderN2  *SenderN2
 	receivers []*Receiver
-	recvN2    []*ReceiverN2
 	delivered [][]byte
 }
 
@@ -49,21 +47,16 @@ func newHarness(t testing.TB, o harnessOpts) *harness {
 	if o.senderEnv != nil {
 		env = o.senderEnv(senderNode)
 	}
+	newSender, newReceiver := NewSender, NewReceiver
 	if o.n2 {
-		s, err := NewSenderN2(env, o.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.senderN2 = s
-		senderNode.SetHandler(s.HandlePacket)
-	} else {
-		s, err := NewSender(env, o.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.sender = s
-		senderNode.SetHandler(s.HandlePacket)
+		newSender, newReceiver = NewSenderN2, NewReceiverN2
 	}
+	s, err := newSender(env, o.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.sender = s
+	senderNode.SetHandler(s.HandlePacket)
 
 	h.delivered = make([][]byte, o.r)
 	for i := 0; i < o.r; i++ {
@@ -79,36 +72,20 @@ func newHarness(t testing.TB, o harnessOpts) *harness {
 		})
 		h.nodes = append(h.nodes, node)
 		idx := i
-		if o.n2 {
-			rc, err := NewReceiverN2(node, o.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc.OnComplete = func(msg []byte) { h.delivered[idx] = msg }
-			h.recvN2 = append(h.recvN2, rc)
-			node.SetHandler(rc.HandlePacket)
-		} else {
-			rc, err := NewReceiver(node, o.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc.OnComplete = func(msg []byte) { h.delivered[idx] = msg }
-			h.receivers = append(h.receivers, rc)
-			node.SetHandler(rc.HandlePacket)
+		rc, err := newReceiver(node, o.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rc.OnComplete = func(msg []byte) { h.delivered[idx] = msg }
+		h.receivers = append(h.receivers, rc)
+		node.SetHandler(rc.HandlePacket)
 	}
 	return h
 }
 
 func (h *harness) run(t testing.TB, msg []byte) {
 	t.Helper()
-	var err error
-	if h.sender != nil {
-		err = h.sender.Send(msg)
-	} else {
-		err = h.senderN2.Send(msg)
-	}
-	if err != nil {
+	if err := h.sender.Send(msg); err != nil {
 		t.Fatal(err)
 	}
 	h.sched.Run()
@@ -317,8 +294,8 @@ func TestN2LosslessAndLossy(t *testing.T) {
 		h.run(t, msg)
 		h.checkDelivered(t, msg)
 		if p == 0 {
-			if st := h.senderN2.Stats(); st.DataTx != h.senderN2.Packets() {
-				t.Errorf("lossless N2 sent %d packets for %d", st.DataTx, h.senderN2.Packets())
+			if st := h.sender.Stats(); st.DataTx != h.sender.SourcePackets() {
+				t.Errorf("lossless N2 sent %d packets for %d", st.DataTx, h.sender.SourcePackets())
 			}
 		}
 	}
@@ -349,7 +326,7 @@ func TestNPBeatsN2OnBandwidth(t *testing.T) {
 	})
 	hN2.run(t, msg)
 	hN2.checkDelivered(t, msg)
-	n2 := hN2.senderN2.Stats()
+	n2 := hN2.sender.Stats()
 
 	// Same payload, same shard size: compare total data-plane packets.
 	if npTotal >= n2.DataTx {

@@ -7,9 +7,10 @@
 //     packets they still miss; the sender answers a round's worst deficit l
 //     with l Reed-Solomon parities, each of which can repair a different
 //     loss at every receiver.
-//   - N2 (Towsley/Kurose/Pingali): the ARQ-only baseline. Receivers NAK
-//     individual sequence numbers and the sender re-multicasts the
-//     original packets.
+//   - N2 (Towsley/Kurose/Pingali): the ARQ-only baseline, which is NP at
+//     k = 1 with no parities and no POLL (NewSenderN2, NewReceiverN2).
+//     Receivers NAK the packets missing below the highest one seen, and
+//     the sender re-multicasts the originals.
 //
 // The engines are single-threaded and environment-agnostic: they interact
 // with the world only through the Env interface, implemented by
@@ -130,7 +131,9 @@ type Config struct {
 	// controller owns redundancy end to end. Both endpoints must
 	// enable it: a static receiver admits only frames at its own (K,
 	// MaxParity, RS) working point, and never the FIN of an adaptive
-	// session, which states H = 0.
+	// session, which states H = 0 at the initial rung's k: N2 (K = 1) is
+	// the one static config with H = 0, so a ladder that starts at k = 1
+	// would reach N2 receivers of its Session with its FIN.
 	AdaptiveFEC bool
 	// Adapt tunes the control plane; the zero value takes
 	// adapt.DefaultConfig(). Sender and receivers must agree on the
@@ -242,6 +245,13 @@ func (c *Config) Defaults() {
 			c.Pipeline.Batch = 32
 		}
 	}
+}
+
+// pinN2 pins a defaulted config to N2's working point: one packet per
+// group, no parities, static redundancy.
+func (c *Config) pinN2() {
+	c.K, c.MaxParity, c.Proactive = 1, 0, 0
+	c.Adaptive, c.AdaptiveFEC, c.NCRepair = false, false, false
 }
 
 // Validate reports configuration errors.

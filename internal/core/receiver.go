@@ -90,6 +90,11 @@ type Receiver struct {
 	freeGroups []*rxGroup // recycled group bookkeeping (streaming mode)
 	doneBits   []uint64   // groups released after streaming delivery
 
+	// arq marks an N2 receiver (NewReceiverN2), which no POLL reaches: a
+	// frame for a group at or past nextGap NAKs the unseen groups before it.
+	arq     bool
+	nextGap uint32
+
 	// OnComplete is invoked exactly once with the reassembled message; the
 	// slice is the callee's to keep (the receiver never touches it again).
 	// Leaving it nil selects STREAMING mode: each group's buffers are
@@ -127,6 +132,19 @@ type rxGroup struct {
 // Session, K, MaxParity and ShardSize.
 func NewReceiver(env Env, cfg Config) (*Receiver, error) {
 	cfg.Defaults()
+	return newReceiver(env, cfg, false)
+}
+
+// NewReceiverN2 creates a receiver for NewSenderN2's sessions: the NP
+// receiver at N2's working point, which NAKs the sequence gaps it sees.
+// cfg must agree with the sender's on Session and ShardSize.
+func NewReceiverN2(env Env, cfg Config) (*Receiver, error) {
+	cfg.Defaults()
+	cfg.pinN2()
+	return newReceiver(env, cfg, true)
+}
+
+func newReceiver(env Env, cfg Config, arq bool) (*Receiver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,6 +158,7 @@ func NewReceiver(env Env, cfg Config) (*Receiver, error) {
 		env:       env,
 		cfg:       cfg,
 		rx:        rx,
+		arq:       arq,
 		firstStep: firstCommit,
 		groups:    make(map[uint32]*rxGroup),
 		shardPool: bufPool{minCap: cfg.ShardSize},
@@ -423,6 +442,9 @@ func (r *Receiver) onShard(pkt *packet.Packet) {
 		r.m.dupRx.Inc()
 		return
 	}
+	if r.arq {
+		r.armGaps(pkt.Group)
+	}
 	// pkt.Payload aliases the transport's read buffer; keep the one copy.
 	shard := r.shardBuf(g, idx)
 	copy(shard, pkt.Payload)
@@ -564,6 +586,27 @@ func (r *Receiver) armNak(idx uint32, g *rxGroup, roundSize int) {
 	g.nakArmed = true
 	//rmlint:ignore hotpath-alloc NAK timer closure: armed only after loss, never in the loss-free steady state
 	g.nakCancel = r.env.After(delay, func() { r.fireNak(idx, g, false) })
+}
+
+// armGaps is N2's loss detection: a frame for group idx at or past nextGap
+// shows that the unseen groups before it were lost, and each gets a NAK in
+// slot SlotDelay(2, 1) — one Ts out, past the airtime of a layered FEC
+// group whose parities may still rebuild it. Only groups below the
+// announced shard count are armed: a forged frame near MaxGroups must not
+// buy a timer per group.
+func (r *Receiver) armGaps(idx uint32) {
+	if idx < r.nextGap || int64(idx) >= int64(r.slots) {
+		return
+	}
+	for m := r.nextGap; m < idx; m++ {
+		if r.released(m) {
+			continue
+		}
+		if g := r.group(m, 0, 0); !g.done && !g.nakArmed {
+			r.armNak(m, g, 2)
+		}
+	}
+	r.nextGap = idx + 1
 }
 
 // fireNak is g's NAK timer: the slot timer a POLL or the FIN armed, or

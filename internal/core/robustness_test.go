@@ -35,7 +35,7 @@ func mkEngines(t *testing.T, seed int64) (*Sender, *Receiver, *simnet.Scheduler)
 
 func TestEnginesSurviveGarbage(t *testing.T) {
 	s, r, _ := mkEngines(t, 1)
-	s2 := func() *SenderN2 {
+	s2 := func() *Sender {
 		sched := simnet.NewScheduler()
 		net := simnet.NewNetwork(sched, rand.New(rand.NewSource(2)))
 		n := net.AddNode(simnet.NodeConfig{})
@@ -45,7 +45,7 @@ func TestEnginesSurviveGarbage(t *testing.T) {
 		}
 		return e
 	}()
-	r2 := func() *ReceiverN2 {
+	r2 := func() *Receiver {
 		sched := simnet.NewScheduler()
 		net := simnet.NewNetwork(sched, rand.New(rand.NewSource(3)))
 		n := net.AddNode(simnet.NodeConfig{})
@@ -65,6 +65,45 @@ func TestEnginesSurviveGarbage(t *testing.T) {
 	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestN2GapNaksBoundedByTotal: an N2 receiver NAKs the packets missing
+// below the highest one it has seen, but only below the Total the session's
+// headers announced. A forged frame for a packet near MaxGroups arms no
+// timer, whether it follows an honest frame or announces nothing itself;
+// unbounded, it armed one for each of the ~10^6 packets below it.
+func TestN2GapNaksBoundedByTotal(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Defaults()
+	frame := func(seq, total uint32) []byte {
+		p := packet.Packet{Type: packet.TypeData, Session: cfg.Session, Group: seq, K: 1,
+			Total: total, Payload: make([]byte, cfg.ShardSize)}
+		return p.MustEncode()
+	}
+	forged := uint32(cfg.MaxGroups - 1)
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte // the honest frame of packet 2 leaves gaps 0 and 1
+	}{
+		{"after-honest", [][]byte{frame(2, 4), frame(forged, 4)}},
+		{"unannounced", [][]byte{frame(forged, 0), frame(2, 4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := simnet.NewScheduler()
+			net := simnet.NewNetwork(sched, rand.New(rand.NewSource(5)))
+			r, err := NewReceiverN2(net.AddNode(simnet.NodeConfig{}), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range tc.frames {
+				r.HandlePacket(f)
+			}
+			if n := sched.Pending(); n != 2 || len(r.groups) > 4 {
+				t.Errorf("%d timers pending over %d groups, want 2 gap NAKs and at most 4 groups",
+					n, len(r.groups))
+			}
+		})
 	}
 }
 
@@ -273,13 +312,6 @@ func TestRepairPreemptsFinGap(t *testing.T) {
 						tx = append(tx, frameAt{n.Now(), p.Type})
 					}}
 				}})
-			handle := func(b []byte) {
-				if h.sender != nil {
-					h.sender.HandlePacket(b)
-				} else {
-					h.senderN2.HandlePacket(b)
-				}
-			}
 			cfg := row.cfg
 			cfg.Defaults()
 			delta := cfg.Delta
@@ -291,7 +323,7 @@ func TestRepairPreemptsFinGap(t *testing.T) {
 					len(tx) > 0 && tx[len(tx)-1].typ == packet.TypeFin && node.Now()-tx[len(tx)-1].at > delta {
 					nakAt = node.Now()
 				}
-				handle(b)
+				h.sender.HandlePacket(b)
 			})
 			msg := testMessage(row.msgLen, 3302)
 			h.run(t, msg)

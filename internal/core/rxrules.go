@@ -98,9 +98,10 @@ func (rr *RxRules) Header(pkt *packet.Packet) (k, h int, ok bool) {
 // Fin admits a FIN and notes the transfer's group count from its Total: the
 // first statement stands, 0 states nothing and a count past MaxGroups is
 // not believed. A static session admits only a FIN that states the
-// config's K and H. A renegotiating sender's FIN states H = 0, which no
-// static config has, so a receiver never NAKs the groups of a session
-// whose frames it refuses.
+// config's K and H. A renegotiating sender's FIN states H = 0 at its
+// ladder's initial k. Of the static configs only N2's (K = 1) has H = 0,
+// so unless a ladder starts at k = 1 a receiver never NAKs the groups of
+// a session whose frames it refuses.
 func (rr *RxRules) Fin(pkt *packet.Packet) bool {
 	if !rr.cfg.AdaptiveFEC && (int(pkt.K) != rr.cfg.K || int(pkt.H) != rr.cfg.MaxParity) {
 		return false
@@ -222,7 +223,8 @@ func NcRepairs(mask, missing uint64) uint64 {
 // slot s − l, so receivers missing more answer earlier and damp the rest,
 // each slot Ts wide. s is the span the POLL states in Count — its round
 // size until the sender hears a NAK, then at most one past the largest
-// deficit heard — or the group's k when the FIN arms the timer. A span
+// deficit heard — the group's k when the FIN arms the timer, or 2 for
+// N2's gap NAK (Receiver.armGaps). A span
 // larger than MaxNakSlots counts as MaxNakSlots, so the slot stays below
 // that bound and deficits 1 … MaxNakSlots still get one slot each, largest
 // first; a deficit at or past the span takes slot 0. The engine adds its

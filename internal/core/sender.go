@@ -107,6 +107,10 @@ type Sender struct {
 	pumpCb func() // hoisted pacing callback; one closure per Sender
 	finCb  func() // hoisted FIN-repeat callback
 
+	// arq marks an N2 sender (NewSenderN2): no POLL follows a data round or
+	// a repair round, so receivers NAK the gaps they see and the FIN.
+	arq bool
+
 	stats   SenderStats
 	pstats  PipelineStats
 	m       senderMetrics
@@ -160,10 +164,25 @@ type outPkt struct {
 // and validated.
 func NewSender(env Env, cfg Config) (*Sender, error) {
 	cfg.Defaults()
+	return newSender(env, cfg, false)
+}
+
+// NewSenderN2 creates a sender of the ARQ-only baseline N2 (Towsley, Kurose
+// and Pingali) on env: NP pinned to k = 1 with no parities (Config.pinN2),
+// so that every packet is its own group and a NAK's repair is the
+// parity-exhausted resend of the original, and with no POLL after a round.
+// Eq 8 at k = 1 is Eq 1.
+func NewSenderN2(env Env, cfg Config) (*Sender, error) {
+	cfg.Defaults()
+	cfg.pinN2()
+	return newSender(env, cfg, true)
+}
+
+func newSender(env Env, cfg Config, arq bool) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sender{env: env, cfg: cfg, minK: cfg.K,
+	s := &Sender{env: env, cfg: cfg, minK: cfg.K, arq: arq,
 		codecs: newCodecCache(cfg.ShardSize, cfg.Metrics), m: newSenderMetrics(cfg.Metrics, cfg.K)}
 	// Building the initial working point's codec here reports a config the
 	// codec layer refuses (GF(2^16) with an odd ShardSize) as an error.
@@ -510,7 +529,7 @@ func (s *Sender) refill() {
 		}
 		s.enqueue(outPkt{wire: wire, kind: packet.TypeParity, tg: tg})
 	}
-	if !s.cfg.Carousel {
+	if !s.cfg.Carousel && !s.arq {
 		s.enqueue(outPkt{wire: s.pollPacket(tg, tg.k+tg.aUsed), control: true, kind: packet.TypePoll})
 	}
 	s.m.groups.Inc()
@@ -732,15 +751,18 @@ func (s *Sender) serviceRound(tg *txGroup, extra int) {
 	s.queueRound(tg, round)
 }
 
-// queueRound puts a service round's repairs for tg, then the POLL that
-// closes the round, at the front of the send queue, and pumps: the round
-// leaves as soon as pacing allows, even between two FIN repeats.
+// queueRound puts a service round's repairs for tg, then (except on N2)
+// the POLL that closes the round, at the front of the send queue, and
+// pumps: the round leaves as soon as pacing allows, even between two FIN
+// repeats.
 func (s *Sender) queueRound(tg *txGroup, round []outPkt) {
 	n := len(round)
 	tg.queued += n
 	tg.served = min(tg.served+n, maxServed)
-	//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
-	round = append(round, outPkt{wire: s.pollPacket(tg, n), control: true, kind: packet.TypePoll})
+	if !s.arq {
+		//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
+		round = append(round, outPkt{wire: s.pollPacket(tg, n), control: true, kind: packet.TypePoll})
+	}
 	for i := len(round) - 1; i >= 0; i-- {
 		s.sendQ.pushFront(round[i])
 	}
@@ -760,8 +782,9 @@ func (s *Sender) enqueueFin() {
 	// The FIN carries the transfer's only group count (TG headers announce
 	// the source-shard count instead). It is first enqueued after the last
 	// group, when len(s.groups) is final. A static session's FIN states its
-	// working point; a renegotiating one's states H = 0, which no static
-	// config has, so static receivers ignore it.
+	// working point; a renegotiating one's states H = 0 at the initial
+	// rung's k, which no static receiver but N2 at k = 1 matches
+	// (RxRules.Fin).
 	p := packet.Packet{
 		Type:    packet.TypeFin,
 		Session: s.cfg.Session,

@@ -2,12 +2,15 @@ package layered
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"rmfec/internal/core"
 	"rmfec/internal/loss"
+	"rmfec/internal/model"
 	"rmfec/internal/packet"
 	"rmfec/internal/simnet"
 )
@@ -15,8 +18,8 @@ import (
 // stack is an N2 endpoint running over a layered-FEC shim on a simnet node.
 type stack struct {
 	shim *Shim
-	sNP  *core.SenderN2
-	rNP  *core.ReceiverN2
+	sNP  *core.Sender
+	rNP  *core.Receiver
 }
 
 func fecConfig() Config {
@@ -72,6 +75,46 @@ func buildNet(t testing.TB, r int, seed int64, mkLoss func(*rand.Rand) loss.Proc
 		rcvs = append(rcvs, st)
 	}
 	return sched, snd, rcvs, delivered
+}
+
+// plainN2 runs N2 without the FEC layer: a sender and r receivers on nodes
+// configured as nc, each receiver behind Bernoulli loss p. It checks every
+// delivery and returns the sender.
+func plainN2(t testing.TB, r int, seed int64, p float64, nc simnet.NodeConfig, msg []byte) *core.Sender {
+	t.Helper()
+	sched := simnet.NewScheduler()
+	sched.MaxEvents = 10_000_000
+	rng := rand.New(rand.NewSource(seed))
+	net := simnet.NewNetwork(sched, rng)
+	sndNode := net.AddNode(nc)
+	s, err := core.NewSenderN2(sndNode, rmConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sndNode.SetHandler(s.HandlePacket)
+	got := make([][]byte, r)
+	for i := 0; i < r; i++ {
+		rnc := nc
+		rnc.Loss = loss.NewBernoulli(p, rng)
+		node := net.AddNode(rnc)
+		rc, err := core.NewReceiverN2(node, rmConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := i
+		rc.OnComplete = func(m []byte) { got[idx] = m }
+		node.SetHandler(rc.HandlePacket)
+	}
+	if err := s.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	sched.Run()
+	for i, d := range got {
+		if !bytes.Equal(d, msg) {
+			t.Fatalf("plain receiver %d corrupted", i)
+		}
+	}
+	return s
 }
 
 func testMessage(n int, seed int64) []byte {
@@ -182,37 +225,7 @@ func TestLayeredReducesARQRetransmissions(t *testing.T) {
 	layeredRetx := snd.sNP.Stats().NakServed
 
 	// Plain N2 on a raw network, same seed and loss.
-	sched2 := simnet.NewScheduler()
-	sched2.MaxEvents = 10_000_000
-	rng2 := rand.New(rand.NewSource(8))
-	net2 := simnet.NewNetwork(sched2, rng2)
-	sndNode := net2.AddNode(simnet.NodeConfig{Delay: time.Millisecond})
-	s2, err := core.NewSenderN2(sndNode, rmConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sndNode.SetHandler(s2.HandlePacket)
-	got := make([][]byte, R)
-	for i := 0; i < R; i++ {
-		node := net2.AddNode(simnet.NodeConfig{Delay: time.Millisecond, Loss: loss.NewBernoulli(p, rng2)})
-		rc, err := core.NewReceiverN2(node, rmConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := i
-		rc.OnComplete = func(m []byte) { got[idx] = m }
-		node.SetHandler(rc.HandlePacket)
-	}
-	if err := s2.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	sched2.Run()
-	for i, d := range got {
-		if !bytes.Equal(d, msg) {
-			t.Fatalf("plain receiver %d corrupted", i)
-		}
-	}
-	plainRetx := s2.Stats().NakServed
+	plainRetx := plainN2(t, R, 8, p, simnet.NodeConfig{Delay: time.Millisecond}, msg).Stats().NakServed
 	if layeredRetx >= plainRetx {
 		t.Errorf("layered FEC should cut ARQ retransmissions: layered %d vs plain %d",
 			layeredRetx, plainRetx)
@@ -350,5 +363,67 @@ func TestGroupEviction(t *testing.T) {
 	sh.HandlePacket(old.MustEncode())
 	if len(sh.groups) != 2 {
 		t.Error("evicted group resurrected")
+	}
+}
+
+// TestArchitecturesMeetClosedForms pins both ARQ architectures to their
+// closed forms: plain N2 against Eq 1 (200 packets on 2 ms ± 1 ms nodes)
+// and N2 over the FEC layer (k = 7, h = 1, 210 packets) against Eq 3, for
+// R in {1, 8, 32} at Bernoulli 1 % and 5 % with loss-free control. The
+// live E[M] — data-plane transmissions per source packet, parities
+// included — averaged over 20 seeds must lie within 3 SE of the model.
+// A NAK that raced an earlier one for the same packet bought a second
+// retransmission and put N2 6.4 SE above Eq 1 at R = 32, p = 5 %; a gap NAK
+// that could fire before the FEC group's parity arrived asked for packets
+// the layer below rebuilt, 3.8 and 5.7 SE above Eq 3 at R = 8 and 32, 1 %.
+func TestArchitecturesMeetClosedForms(t *testing.T) {
+	const seeds, shard = 20, 64
+	fec := fecConfig()
+	jittered := simnet.NodeConfig{Delay: 2 * time.Millisecond, Jitter: time.Millisecond}
+	for _, r := range []int{1, 8, 32} {
+		for _, p := range []float64{0.01, 0.05} {
+			for _, arch := range []struct {
+				name string
+				want float64
+				run  func(seed int64) float64 // one transfer's E[M]
+			}{
+				{"n2", model.ExpectedTxNoFEC(r, p), func(seed int64) float64 {
+					s := plainN2(t, r, seed, p, jittered, testMessage(200*shard, seed))
+					return float64(s.Stats().DataTx) / float64(s.SourcePackets())
+				}},
+				{"layered", model.ExpectedTxLayered(fec.K, fec.H, r, p), func(seed int64) float64 {
+					mk := func(rng *rand.Rand) loss.Process { return loss.NewBernoulli(p, rng) }
+					sched, snd, _, delivered := buildNet(t, r, seed, mk, fec)
+					msg := testMessage(210*shard, seed)
+					if err := snd.sNP.Send(msg); err != nil {
+						t.Fatal(err)
+					}
+					sched.Run()
+					for i, d := range delivered {
+						if !bytes.Equal(d, msg) {
+							t.Fatalf("seed %d: receiver %d corrupted", seed, i)
+						}
+					}
+					st := snd.shim.Stats()
+					return float64(st.WrappedTx+st.ParityTx) / float64(snd.sNP.SourcePackets())
+				}},
+			} {
+				t.Run(fmt.Sprintf("%s/R=%d/p=%g", arch.name, r, p), func(t *testing.T) {
+					var sum, sumSq float64
+					for i := int64(0); i < seeds; i++ {
+						em := arch.run(1000 + i)
+						sum += em
+						sumSq += em * em
+					}
+					mean := sum / seeds
+					se := math.Sqrt((sumSq-sum*sum/seeds)/(seeds-1)) / math.Sqrt(seeds)
+					t.Logf("E[M] = %.4f (SE %.4f) vs closed form %.4f: %+.1f SE", mean, se, arch.want, (mean-arch.want)/se)
+					if math.Abs(mean-arch.want) > 3*se {
+						t.Errorf("E[M] %.4f is %+.1f SE from the closed form %.4f, want within 3",
+							mean, (mean-arch.want)/se, arch.want)
+					}
+				})
+			}
+		}
 	}
 }

@@ -62,10 +62,6 @@ type (
 	Sender = core.Sender
 	// Receiver is the NP hybrid-ARQ receiver.
 	Receiver = core.Receiver
-	// SenderN2 is the ARQ-only baseline sender.
-	SenderN2 = core.SenderN2
-	// ReceiverN2 is the ARQ-only baseline receiver.
-	ReceiverN2 = core.ReceiverN2
 	// SenderStats counts sender-side protocol activity.
 	SenderStats = core.SenderStats
 	// ReceiverStats counts receiver-side protocol activity.
@@ -78,11 +74,13 @@ func NewSender(env Env, cfg Config) (*Sender, error) { return core.NewSender(env
 // NewReceiver creates an NP receiver on env.
 func NewReceiver(env Env, cfg Config) (*Receiver, error) { return core.NewReceiver(env, cfg) }
 
-// NewSenderN2 creates an N2 (ARQ-only) sender on env.
-func NewSenderN2(env Env, cfg Config) (*SenderN2, error) { return core.NewSenderN2(env, cfg) }
+// NewSenderN2 creates an N2 (ARQ-only) sender on env: the NP sender at
+// k = 1 with no parities.
+func NewSenderN2(env Env, cfg Config) (*Sender, error) { return core.NewSenderN2(env, cfg) }
 
-// NewReceiverN2 creates an N2 (ARQ-only) receiver on env.
-func NewReceiverN2(env Env, cfg Config) (*ReceiverN2, error) { return core.NewReceiverN2(env, cfg) }
+// NewReceiverN2 creates an N2 (ARQ-only) receiver on env: the NP receiver
+// at k = 1, NAKing the gaps it sees.
+func NewReceiverN2(env Env, cfg Config) (*Receiver, error) { return core.NewReceiverN2(env, cfg) }
 
 // Erasure codec (internal/rse).
 type (
