@@ -16,14 +16,22 @@ import (
 
 // bareField returns a Field fronting r receivers that no packet has
 // reached yet, for tests that build group state by hand and call
-// consolidate directly.
+// consolidate directly. Its population is stateful (Markov), so
+// consolidation takes the per-packet path through pend; a memoryless
+// population would draw the round itself and ignore pend.
 func bareField(tb testing.TB, r, k, h int, exact bool) *Field {
+	tb.Helper()
+	return popField(tb, loss.NewMarkovPopulation(r, 0.01, 2, 100, rand.New(rand.NewSource(2))), k, h, exact)
+}
+
+// popField is bareField over the given population.
+func popField(tb testing.TB, pop loss.Population, k, h int, exact bool) *Field {
 	tb.Helper()
 	net := simnet.NewNetwork(simnet.NewScheduler(), rand.New(rand.NewSource(1)))
 	node := net.AddNode(simnet.NodeConfig{Delay: time.Millisecond})
 	f, err := New(node, Config{
 		Protocol:   core.Config{Session: 1, K: k, MaxParity: h, ShardSize: 16},
-		Population: loss.NewBernoulliPopulation(r, 0.5, rand.New(rand.NewSource(2))),
+		Population: pop,
 		Exact:      exact,
 	})
 	if err != nil {
@@ -212,41 +220,56 @@ func millionPend() []int64 {
 // TestConsolidateSteadyStateAllocs pins that, once the counter scratch
 // and the pend free list exist, consolidating a group allocates nothing
 // but the growth of its ids/missed arrays — shown by giving those their
-// final capacity up front and demanding zero.
+// final capacity up front and demanding zero — on both paths: the
+// per-packet pairs of a stateful population, and the whole-round draw of
+// a memoryless one (which ignores pend).
 func TestConsolidateSteadyStateAllocs(t *testing.T) {
 	const k, nTx, runs = 20, 22, 5
-	f := bareField(t, 1_000_000, k, 24, false)
 	pend := millionPend()
-	newGroup := func(idx uint32) *fgroup {
-		return &fgroup{
-			idx: idx, RxParams: core.RxParams{K: k, H: 24}, nTx: nTx, seqSeen: 1<<nTx - 1,
-			pend: slices.Clone(pend),
-			ids:  make([]int, 0, 4096), missed: make([]uint64, 0, 4096),
-		}
-	}
-	f.consolidate(newGroup(0)) // warm: allocates missCnt
-	f.freePend = slices.Grow(f.freePend, runs+2)
-	groups := make([]*fgroup, runs+1) // AllocsPerRun makes one warm-up call
-	for i := range groups {
-		groups[i] = newGroup(uint32(i + 1))
-	}
-	next := 0
-	if a := testing.AllocsPerRun(runs, func() {
-		f.consolidate(groups[next])
-		next++
-	}); a != 0 {
-		t.Fatalf("steady-state consolidate: %v allocs/op, want 0", a)
-	}
-	if n := len(groups[0].ids); n == 0 || n > 4096 {
-		t.Fatalf("%d deficient receivers: the pin needs 0 < n <= 4096 to mean anything", n)
+	for _, c := range []struct {
+		name string
+		f    *Field
+	}{
+		{"pend", bareField(t, 1_000_000, k, 24, false)},
+		{"group", popField(t, loss.NewBernoulliPopulation(1_000_000, 0.01, rand.New(rand.NewSource(7))), k, 24, false)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := c.f
+			newGroup := func(idx uint32) *fgroup {
+				return &fgroup{
+					idx: idx, RxParams: core.RxParams{K: k, H: 24}, nTx: nTx, seqSeen: 1<<nTx - 1,
+					pend: slices.Clone(pend),
+					ids:  make([]int, 0, 4096), missed: make([]uint64, 0, 4096),
+				}
+			}
+			f.consolidate(newGroup(0)) // warm: allocates missCnt
+			f.freePend = slices.Grow(f.freePend, runs+2)
+			groups := make([]*fgroup, runs+1) // AllocsPerRun makes one warm-up call
+			for i := range groups {
+				groups[i] = newGroup(uint32(i + 1))
+			}
+			next := 0
+			if a := testing.AllocsPerRun(runs, func() {
+				f.consolidate(groups[next])
+				next++
+			}); a != 0 {
+				t.Fatalf("steady-state consolidate: %v allocs/op, want 0", a)
+			}
+			if n := len(groups[0].ids); n == 0 || n > 4096 {
+				t.Fatalf("%d deficient receivers: the pin needs 0 < n <= 4096 to mean anything", n)
+			}
+		})
 	}
 }
 
 // BenchmarkFieldConsolidate times one group's consolidation at the
-// field_1e6 operating point (R = 1e6, p = 1 %, 22 transmissions):
-// excess=2 is k = 20 with two proactive parities and takes the count
-// filter; excess=0 is k = 22, where every touched receiver is deficient
-// and every pair goes through the sort as before.
+// field_1e6 operating point (R = 1e6, p = 1 %, 22 transmissions). On the
+// per-packet path (stateful populations, Exact mode) excess=2 is k = 20
+// with two proactive parities and takes the count filter; excess=0 is
+// k = 22, where every touched receiver is deficient and every pair goes
+// through the sort as before. round is what field_1e6 runs: a memoryless
+// population draws the whole round (t = 2) and pend is never filled; the
+// per-packet path also paid ~220 000 DrawLost losses before consolidating.
 func BenchmarkFieldConsolidate(b *testing.B) {
 	const nTx = 22
 	pend := millionPend()
@@ -266,4 +289,11 @@ func BenchmarkFieldConsolidate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("round", func(b *testing.B) {
+		f := popField(b, loss.NewBernoulliPopulation(1_000_000, 0.01, rand.New(rand.NewSource(7))), nTx-2, 24, false)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.consolidate(&fgroup{idx: uint32(i), RxParams: core.RxParams{K: nTx - 2, H: 24}, nTx: nTx, seqSeen: 1<<nTx - 1})
+		}
+	})
 }

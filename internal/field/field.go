@@ -4,28 +4,35 @@
 // runs around 1e4..1e5 receivers — the field keeps only what the paper
 // shows the protocol actually needs: per transmission group, which
 // receivers are still deficient and by how much. Loss outcomes come from
-// the sparse loss.DrawLost kernels, so per-packet cost is proportional to
-// the number of LOST receivers, not to the population, and a full NP
-// transfer to R=1e6 receivers completes in seconds of wall-clock.
+// the sparse loss kernels, so cost is proportional to the number of LOST
+// receivers, not to the population, and a full NP transfer to R=1e6
+// receivers completes in well under a second of wall-clock.
 //
 // # State layout
 //
-// A group lives in two phases. During its data round the field appends
-// each packet's loss draw as packed (receiver, seq) pairs — no protocol
-// state is stored per receiver. At the group's first POLL (or the FIN)
-// the pairs are consolidated: each touched receiver's misses collapse
-// into one uint64 seq bitmap, and only the receivers whose deficit
-// l = misses − (distinctTx − k) is still positive are kept, as two
-// parallel ascending arrays (ids, missed). Everyone else — the
-// overwhelming majority — is done and is never looked at again.
-// Consolidation is linear in the drawn losses: one pass counts misses per
-// receiver into a byte-per-receiver scratch array (missCnt: shared by all
-// groups, all-zero between consolidations, so state stays O(deficient)),
-// a second drops the pairs of every receiver whose count cannot exceed
-// the group's excess, and only the few survivors are sorted. Repair
-// packets then cost a merge walk of the draw against the active array,
-// and receivers are dropped the moment their deficit reaches zero. The
-// single-word bitmap is why the field requires K+MaxParity <= 64.
+// A group lives in two phases. During its data round no protocol state is
+// stored per receiver. At the group's first POLL (or the FIN) the round
+// is consolidated: each receiver's misses are one uint64 seq bitmap, and
+// only the receivers whose deficit l = misses − (distinctTx − k) is still
+// positive are kept, as two parallel ascending arrays (ids, missed).
+// Everyone else — the overwhelming majority — is done and is never looked
+// at again.
+//
+// Under a memoryless population (loss.SubsetPopulation, outside Exact
+// mode) the data round is not drawn packet by packet at all: consolidation
+// draws it once with DrawExceeding, which enumerates only the receivers
+// that miss more packets than the group's excess, ~0.14 % of them at
+// R = 1e6, p = 1 %, a = 2. In Exact mode and under stateful populations
+// (Markov, FBT, Independent) each arrival's loss draw is appended as
+// packed (receiver, seq) pairs, and consolidation is linear in the drawn
+// losses: one pass counts misses per receiver into a byte-per-receiver
+// scratch array (missCnt: shared by all groups, all-zero between
+// consolidations, so state stays O(deficient)), a second drops the pairs
+// of every receiver whose count cannot exceed the group's excess, and
+// only the few survivors are sorted. Repair packets then cost a merge walk
+// of the draw against the active array, and receivers are dropped the
+// moment their deficit reaches zero. The single-word bitmap is why the
+// field requires K+MaxParity <= 64.
 //
 // # Feedback
 //
@@ -77,8 +84,10 @@ type Config struct {
 	// tracked receiver).
 	Protocol core.Config
 	// Population supplies the joint per-packet loss outcome for all R
-	// receivers; R is Population.R(). Sparse populations (DrawLost) are
-	// used as such; plain ones fall back to a dense Draw plus scan.
+	// receivers; R is Population.R(). Subset populations draw each data
+	// round whole (DrawExceeding) outside Exact mode; sparse ones
+	// (DrawLost) are drawn per packet; plain ones fall back to a dense
+	// Draw plus scan.
 	Population loss.Population
 	// Seed roots the label-derived NAK jitter chain (aggregate mode) via
 	// mcrun.DeriveSeed, so NAK schedules replay exactly across runs.
@@ -100,7 +109,7 @@ type Config struct {
 // Stats counts the field's aggregate protocol activity.
 type Stats struct {
 	Population int    // receivers fronted by the field
-	Losses     uint64 // receiver-packet loss outcomes drawn
+	Losses     uint64 // receiver-packet losses drawn (a whole-round draw counts its enumerated receivers only)
 	DataRx     uint64 // distinct data shards accepted (node-level, not per receiver)
 	ParityRx   uint64 // distinct parity shards accepted
 	DupRx      uint64 // duplicate/resent shards seen
@@ -122,7 +131,7 @@ type Field struct {
 	cfg    core.Config
 	pop    loss.Population
 	sparse loss.SparsePopulation // non-nil when pop enumerates losses sparsely
-	subset loss.SubsetPopulation // non-nil when pop draws among subsets
+	subset loss.SubsetPopulation // non-nil when pop draws among subsets, outside Exact mode
 	popR   int
 
 	seed       int64
@@ -230,7 +239,7 @@ func New(env core.Env, cfg Config) (*Field, error) {
 	} else {
 		f.denseLost = make([]bool, f.popR)
 	}
-	if sub, ok := cfg.Population.(loss.SubsetPopulation); ok {
+	if sub, ok := cfg.Population.(loss.SubsetPopulation); ok && !f.exact {
 		f.subset = sub
 	}
 	if f.exact && f.jitterSeed == nil {
@@ -349,11 +358,13 @@ func (f *Field) EM() (mean, se float64) {
 }
 
 // HandlePacket feeds one arriving wire packet to the field. The buffer is
-// only read during the call. Data-plane packets (DATA/PARITY) advance the
-// loss population exactly once each — mirroring a simnet node's
-// per-arrival loss application — before any session filtering, so the
-// population's RNG stream matches a reference topology of per-instance
-// receivers packet for packet.
+// only read during the call. In Exact mode and under stateful populations,
+// data-plane packets (DATA/PARITY/NCREPAIR) advance the loss population
+// exactly once each — mirroring a simnet node's per-arrival loss
+// application — before any session filtering, so the population's RNG
+// stream matches a reference topology of per-instance receivers packet
+// for packet. A memoryless population is drawn per arrival only for
+// consolidated groups; data rounds are drawn whole at consolidation.
 func (f *Field) HandlePacket(wire []byte) {
 	if f.closed {
 		return
@@ -384,11 +395,12 @@ func (f *Field) HandlePacket(wire []byte) {
 }
 
 // drawLoss advances the population by the inter-arrival time and returns
-// the ascending indices of receivers that miss this packet. For a
-// consolidated group under a memoryless subset population (and outside
-// Exact mode, which must keep the reference RNG stream) the draw is
-// restricted to the group's still-active receivers, making repair rounds
-// O(p*active) instead of O(p*R).
+// the ascending indices of receivers that miss this packet. Under a
+// memoryless subset population (never in Exact mode, which must keep the
+// reference RNG stream) a data round is drawn whole at consolidation, so
+// nothing is drawn for a group that is not consolidated, and a
+// consolidated group's draw is restricted to its still-active receivers,
+// making repair rounds O(p*active) instead of O(p*R).
 func (f *Field) drawLoss(pkt *packet.Packet) []int {
 	now := f.env.Now()
 	dt := 0.0
@@ -400,7 +412,10 @@ func (f *Field) drawLoss(pkt *packet.Packet) []int {
 
 	var lost []int
 	switch {
-	case f.subset != nil && !f.exact && f.targetConsolidated(pkt):
+	case f.subset != nil:
+		if !f.targetConsolidated(pkt) {
+			return nil
+		}
 		lost = f.subset.DrawLostAmong(dt, f.groups[pkt.Group].ids)
 	case f.sparse != nil:
 		lost = f.sparse.DrawLost(dt)
@@ -420,8 +435,9 @@ func (f *Field) drawLoss(pkt *packet.Packet) []int {
 }
 
 // targetConsolidated reports whether pkt addresses an already-consolidated,
-// unfinished group of this session — the only case where a subset draw is
-// sound (new losses can no longer make a done receiver deficient).
+// unfinished group of this session — the only case where a subset draw
+// has receivers to draw for (new losses can no longer make a done
+// receiver deficient).
 func (f *Field) targetConsolidated(pkt *packet.Packet) bool {
 	if pkt.Session != f.cfg.Session {
 		return false
@@ -579,22 +595,26 @@ func (f *Field) setActive(n int) {
 	f.m.activeReceivers.Set(int64(n))
 }
 
-// consolidate collapses the group's pending loss pairs into the active
-// struct-of-arrays form at its first poll: sort the packed (id, seq)
-// pairs, OR each receiver's misses into one bitmap, and keep only the
-// receivers whose deficit is still positive. Under the MDS codes with
-// excess transmissions the pairs of receivers that cannot be deficient
-// are dropped before the sort, which is what keeps a 1e6-receiver group
-// linear in its drawn losses.
+// consolidate collapses the group's data round into the active
+// struct-of-arrays form at its first poll and keeps only the receivers
+// whose deficit is still positive. Under a subset population the round is
+// drawn here, once (drawRound). Otherwise it sorts the pending packed
+// (id, seq) pairs and ORs each receiver's misses into one bitmap; under
+// the MDS codes with excess transmissions the pairs of receivers that
+// cannot be deficient are dropped before the sort, which is what keeps a
+// 1e6-receiver group linear in its drawn losses.
 func (f *Field) consolidate(g *fgroup) {
 	if g.consolidated {
 		return
 	}
 	g.consolidated = true
 	excess := g.nTx - f.rx.GroupK(&g.RxParams)
-	if excess < 0 {
+	switch {
+	case f.subset != nil:
+		f.drawRound(g, excess)
+	case excess < 0:
 		f.materializeAll(g)
-	} else {
+	default:
 		pend := g.pend
 		if g.Code == nil && excess > 0 {
 			pend = f.dropRecovered(pend, excess)
@@ -626,6 +646,35 @@ func (f *Field) consolidate(g *fgroup) {
 	if len(g.ids) == 0 {
 		f.groupDone(g)
 	}
+}
+
+// drawRound draws g's data round, every seq of seqSeen sent once to every
+// receiver, and keeps the deficient receivers. Only receivers that miss
+// more than t packets are drawn at all: under an MDS code those are
+// exactly the deficient ones (t = excess), a rect class may fall short
+// after any miss (t = 0), and a group short of k transmissions leaves
+// everyone deficient (t = -1).
+func (f *Field) drawRound(g *fgroup, excess int) {
+	t := excess
+	if g.Code != nil {
+		t = 0
+	}
+	if excess < 0 {
+		t = -1
+	}
+	ids, missed := f.subset.DrawExceeding(g.seqSeen, t, g.ids[:0], g.missed[:0])
+	var losses uint64
+	w := 0
+	for i, id := range ids {
+		losses += uint64(bits.OnesCount64(missed[i]))
+		if f.deficit(g, missed[i]) > 0 {
+			ids[w], missed[w] = id, missed[i]
+			w++
+		}
+	}
+	g.ids, g.missed = ids[:w], missed[:w]
+	f.stats.Losses += losses
+	f.m.losses.Add(losses)
 }
 
 // dropRecovered compacts pend in place to the pairs of the receivers that

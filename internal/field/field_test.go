@@ -94,6 +94,70 @@ func TestFieldEMReconciliation(t *testing.T) {
 	t.Logf("field E[M] = %.4f +- %.4f, model = %.4f (%d groups, R=%d)", mean, se, want, groups, r)
 }
 
+// perPacketPopulation hides a population's SubsetPopulation methods, so
+// the field draws every data packet (DrawLost) instead of each data round
+// at consolidation (DrawExceeding), and repair rounds over all R.
+type perPacketPopulation struct{ loss.SparsePopulation }
+
+// TestFieldRoundDrawMatchesPerPacket checks the whole-round draw against
+// the per-packet path it replaces, end to end: over 20 seeds of a 40-group
+// transfer to R = 2000 receivers at p = 5 % (k = 8, a = 2), the mean E[M]
+// and NAKs per group of the two paths agree within 3 combined standard
+// errors over seeds. The per-packet path must also have drawn more losses:
+// otherwise the wrapper did not reach it.
+func TestFieldRoundDrawMatchesPerPacket(t *testing.T) {
+	const (
+		k, h, a = 8, 16, 2
+		r, p    = 2000, 0.05
+		groups  = 40
+		seeds   = 20
+	)
+	pcfg := core.Config{Session: 7, K: k, MaxParity: h, Proactive: a, ShardSize: 16}
+	var em, naks [2][]float64
+	var drawn [2]uint64
+	for i := range seeds {
+		for path := range 2 {
+			var pop loss.Population = loss.NewBernoulliPopulation(r, p, rand.New(rand.NewSource(int64(1000+i))))
+			if path == 1 {
+				pop = perPacketPopulation{pop.(loss.SparsePopulation)}
+			}
+			run := runAggregateField(t, pcfg, groups, pop, int64(2000+i), int64(3000+i))
+			if !run.field.Complete() {
+				t.Fatalf("seed %d path %d: transfer incomplete", i, path)
+			}
+			mean, _ := run.field.EM()
+			em[path] = append(em[path], mean)
+			naks[path] = append(naks[path], float64(run.field.Stats().NakTx)/groups)
+			drawn[path] += run.field.Stats().Losses
+		}
+	}
+	if drawn[0] >= drawn[1] {
+		t.Fatalf("round draw drew %d losses, per-packet %d: the per-packet path was not taken", drawn[0], drawn[1])
+	}
+	meanSE := func(xs []float64) (mean, se float64) {
+		var sum, ss float64
+		for _, x := range xs {
+			sum += x
+			ss += x * x
+		}
+		n := float64(len(xs))
+		mean = sum / n
+		return mean, math.Sqrt((ss - sum*sum/n) / (n - 1) / n)
+	}
+	for _, c := range []struct {
+		name string
+		v    [2][]float64
+	}{{"E[M]", em}, {"NAKs per group", naks}} {
+		m0, se0 := meanSE(c.v[0])
+		m1, se1 := meanSE(c.v[1])
+		d := math.Abs(m0-m1) / math.Hypot(se0, se1)
+		t.Logf("%s: round draw %.4f +- %.4f, per-packet %.4f +- %.4f: %.1f SE", c.name, m0, se0, m1, se1, d)
+		if d > 3 {
+			t.Errorf("%s: round draw %.4f +- %.4f vs per-packet %.4f +- %.4f: %.1f SE apart", c.name, m0, se0, m1, se1, d)
+		}
+	}
+}
+
 // nakSchedule extracts the (time, group, deficit) triples of every NAK
 // the field multicast, in order.
 func nakSchedule(tr *metrics.Tracer) []string {

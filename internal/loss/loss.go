@@ -10,6 +10,7 @@ package loss
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -170,7 +171,11 @@ type SparsePopulation interface {
 // rounds to the still-active receivers, making a round cost O(p*active)
 // instead of O(p*R). Populations with per-receiver state (Markov) or
 // cross-receiver structure (FBT) must not implement it; the engines fall
-// back to a full draw plus an intersection for those.
+// back to a full draw plus an intersection for those. Memorylessness also
+// lets a whole round be drawn at once: DrawExceeding enumerates only the
+// receivers a round leaves with more than t misses, so the field draws a
+// group's data round when it consolidates, at O(tail * R) instead of
+// O(p * R) per packet.
 type SubsetPopulation interface {
 	SparsePopulation
 	// DrawLostAmong returns the members of among (ascending, no
@@ -178,6 +183,12 @@ type SubsetPopulation interface {
 	// returned slice is owned by the population, is only valid until the
 	// next Draw* call, and must not alias among.
 	DrawLostAmong(dt float64, among []int) []int
+	// DrawExceeding draws a round in which every packet of the seq bitmap
+	// sent went once to every receiver. It appends to ids, ascending, the
+	// receivers that miss more than t of those packets, and to missed
+	// each one's missed seqs (a subset of sent); t < 0 enumerates every
+	// receiver. Receivers with at most t misses are never drawn.
+	DrawExceeding(sent uint64, t int, ids []int, missed []uint64) ([]int, []uint64)
 }
 
 // Independent is a Population of mutually independent per-receiver
@@ -300,6 +311,67 @@ func (bp *BernoulliPopulation) DrawLostAmong(_ float64, among []int) []int {
 	}
 	bp.idx = bp.table().sample(bp.idx, among, len(among), bp.rng)
 	return bp.idx
+}
+
+// DrawExceeding implements SubsetPopulation. Each receiver's misses among
+// the n = popcount(sent) packets are Binomial(n, p), independently of
+// every other receiver, so the receivers with more than t misses are a
+// Bernoulli(tail) subset of [0, R) at tail = P(Bin(n, p) > t), found by
+// geometric skips. Each one's count c is drawn from the pmf conditioned on
+// c > t with one Float64, and its missed seqs are a uniform c-subset of
+// sent, picked by Floyd's algorithm.
+func (bp *BernoulliPopulation) DrawExceeding(sent uint64, t int, ids []int, missed []uint64) ([]int, []uint64) {
+	var seqs [64]uint8
+	n := 0
+	for s := sent; s != 0; s &= s - 1 {
+		seqs[n] = uint8(bits.TrailingZeros64(s))
+		n++
+	}
+	t = max(t, -1)
+	if t >= n {
+		return ids, missed
+	}
+	var pmf, qpow [65]float64 // pmf[c] = C(n, c) p^c (1-p)^(n-c); qpow[i] = (1-p)^i
+	qpow[0] = 1
+	for i := 1; i <= n; i++ {
+		qpow[i] = qpow[i-1] * (1 - bp.p)
+	}
+	tail, choose, ppow := 0.0, 1.0, 1.0
+	for c := 0; c <= n; c++ {
+		pmf[c] = choose * ppow * qpow[n-c]
+		choose = choose * float64(n-c) / float64(c+1)
+		ppow *= bp.p
+		if c > t {
+			tail += pmf[c]
+		}
+	}
+	if t < 0 {
+		tail = 1
+	}
+	logq := 0.0
+	if tail > 0 && tail < 1 {
+		logq = math.Log1p(-tail)
+	}
+	for j := geoNext(-1, bp.r, tail, logq, bp.rng); j < bp.r; j = geoNext(j, bp.r, tail, logq, bp.rng) {
+		c := t + 1
+		for u := bp.rng.Float64() * tail; c < n && u >= pmf[c]; c++ {
+			u -= pmf[c]
+		}
+		bm := sent
+		if c < n {
+			bm = 0
+			for i := n - c; i < n; i++ {
+				s := uint64(1) << seqs[bp.rng.Int63n(int64(i+1))]
+				if bm&s != 0 {
+					s = 1 << seqs[i]
+				}
+				bm |= s
+			}
+		}
+		ids = append(ids, j)
+		missed = append(missed, bm)
+	}
+	return ids, missed
 }
 
 // table returns the skip table for 0 < p < 1. Fetching it here rather than

@@ -16,8 +16,9 @@
 // when the population supports it, a dense scan otherwise) and the
 // bookkeeping per transmission costs O(losses), not O(R). With the sparse
 // Bernoulli and FBT draw kernels this makes per-sample cost scale with
-// p*R instead of R — the dense pre-PR engines are retained in dense.go as
-// the statistical reference and benchmark baseline.
+// p*R instead of R. The dense-scan engines they replaced survive as
+// recorded reference runs, testdata/dense_witness.tsv, which the tests
+// compare the sparse engines against.
 package sim
 
 import (

@@ -3,6 +3,9 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rmfec/internal/loss"
@@ -181,46 +184,59 @@ func agreeStats(a, b Estimate) bool {
 	return math.Abs(a.Mean-b.Mean) <= tol
 }
 
+// denseWitness returns the recorded dense-scan reference estimates,
+// testdata/dense_witness.tsv, keyed "population/engine".
+func denseWitness(t *testing.T) map[string]Estimate {
+	t.Helper()
+	data, err := os.ReadFile("testdata/dense_witness.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]Estimate)
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Split(line, "\t")
+		if strings.HasPrefix(line, "#") || len(f) != 4 || f[0] == "population" {
+			continue
+		}
+		mean, err1 := strconv.ParseFloat(f[2], 64)
+		se, err2 := strconv.ParseFloat(f[3], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("dense witness line %q: %v %v", line, err1, err2)
+		}
+		out[f[0]+"/"+f[1]] = Estimate{Mean: mean, StdErr: se}
+	}
+	return out
+}
+
 // TestSparseEnginesMatchDenseReference pins every sparse engine against
-// its retained pre-PR dense implementation on fixed seeds, both under the
-// sparse Bernoulli population (geometric skip-sampling) and its dense
+// the recorded dense-scan reference runs of the same workload, both under
+// the sparse Bernoulli population (geometric skip-sampling) and its dense
 // counterpart.
 func TestSparseEnginesMatchDenseReference(t *testing.T) {
 	const r, p, samples = 400, 0.02, 4000
+	witness := denseWitness(t)
 	sparsePop := func(seed int64) loss.Population {
 		return loss.NewBernoulliPopulation(r, p, rand.New(rand.NewSource(seed)))
 	}
 	densePop := func(seed int64) loss.Population {
 		return loss.NewIndependentBernoulli(r, p, rand.New(rand.NewSource(seed)))
 	}
-	for name, tc := range map[string]struct {
-		sparse func(loss.Population) Estimate
-		dense  func(loss.Population) Estimate
-	}{
-		"NoFEC": {
-			func(pop loss.Population) Estimate { return NoFEC(pop, PaperTiming, samples) },
-			func(pop loss.Population) Estimate { return DenseNoFEC(pop, PaperTiming, samples) },
-		},
-		"Layered": {
-			func(pop loss.Population) Estimate { return Layered(pop, 7, 1, PaperTiming, samples/4) },
-			func(pop loss.Population) Estimate { return DenseLayered(pop, 7, 1, PaperTiming, samples/4) },
-		},
-		"Integrated1": {
-			func(pop loss.Population) Estimate { return Integrated1(pop, 7, PaperTiming, samples/4) },
-			func(pop loss.Population) Estimate { return DenseIntegrated1(pop, 7, PaperTiming, samples/4) },
-		},
-		"Integrated2": {
-			func(pop loss.Population) Estimate { return Integrated2(pop, 7, PaperTiming, samples/4) },
-			func(pop loss.Population) Estimate { return DenseIntegrated2(pop, 7, PaperTiming, samples/4) },
-		},
+	for name, sparse := range map[string]func(loss.Population) Estimate{
+		"NoFEC":       func(pop loss.Population) Estimate { return NoFEC(pop, PaperTiming, samples) },
+		"Layered":     func(pop loss.Population) Estimate { return Layered(pop, 7, 1, PaperTiming, samples/4) },
+		"Integrated1": func(pop loss.Population) Estimate { return Integrated1(pop, 7, PaperTiming, samples/4) },
+		"Integrated2": func(pop loss.Population) Estimate { return Integrated2(pop, 7, PaperTiming, samples/4) },
 	} {
-		ref := tc.dense(densePop(200))
-		forSparse := tc.sparse(sparsePop(201))
+		ref, ok := witness["bernoulli/"+name]
+		if !ok {
+			t.Fatalf("%s: no dense witness row", name)
+		}
+		forSparse := sparse(sparsePop(201))
 		if !agreeStats(forSparse, ref) {
 			t.Errorf("%s: sparse engine + sparse population %g+-%g vs dense reference %g+-%g",
 				name, forSparse.Mean, forSparse.StdErr, ref.Mean, ref.StdErr)
 		}
-		forDense := tc.sparse(densePop(202))
+		forDense := sparse(densePop(202))
 		if !agreeStats(forDense, ref) {
 			t.Errorf("%s: sparse engine + dense population %g+-%g vs dense reference %g+-%g",
 				name, forDense.Mean, forDense.StdErr, ref.Mean, ref.StdErr)
@@ -229,37 +245,26 @@ func TestSparseEnginesMatchDenseReference(t *testing.T) {
 }
 
 // TestMarkovPopulationMatchesDense runs the burst-loss engines of Figs
-// 15/16 with the sparse state-bucket Markov population against the dense
-// per-receiver chains; this also exercises the draw-then-intersect
-// fallback of drawLostAmong (MarkovPopulation is sparse but cannot
-// restrict its draw to a subset).
+// 15/16 with the sparse state-bucket Markov population against the
+// recorded dense-scan runs over per-receiver chains; this also exercises
+// the draw-then-intersect fallback of drawLostAmong (MarkovPopulation is
+// sparse but cannot restrict its draw to a subset).
 func TestMarkovPopulationMatchesDense(t *testing.T) {
 	const r, p, samples = 300, 0.02, 3000
+	witness := denseWitness(t)
 	sparsePop := func(seed int64) loss.Population {
 		return loss.NewMarkovPopulation(r, p, 2, 25, rand.New(rand.NewSource(seed)))
 	}
-	densePop := func(seed int64) loss.Population {
-		return loss.NewIndependentMarkov(r, p, 2, 25, rand.New(rand.NewSource(seed)))
-	}
-	for name, tc := range map[string]struct {
-		sparse func(loss.Population) Estimate
-		dense  func(loss.Population) Estimate
-	}{
-		"NoFEC": {
-			func(pop loss.Population) Estimate { return NoFEC(pop, PaperTiming, samples) },
-			func(pop loss.Population) Estimate { return DenseNoFEC(pop, PaperTiming, samples) },
-		},
-		"Layered": {
-			func(pop loss.Population) Estimate { return Layered(pop, 7, 1, PaperTiming, samples/4) },
-			func(pop loss.Population) Estimate { return DenseLayered(pop, 7, 1, PaperTiming, samples/4) },
-		},
-		"Integrated2": {
-			func(pop loss.Population) Estimate { return Integrated2(pop, 7, PaperTiming, samples/4) },
-			func(pop loss.Population) Estimate { return DenseIntegrated2(pop, 7, PaperTiming, samples/4) },
-		},
+	for name, sparse := range map[string]func(loss.Population) Estimate{
+		"NoFEC":       func(pop loss.Population) Estimate { return NoFEC(pop, PaperTiming, samples) },
+		"Layered":     func(pop loss.Population) Estimate { return Layered(pop, 7, 1, PaperTiming, samples/4) },
+		"Integrated2": func(pop loss.Population) Estimate { return Integrated2(pop, 7, PaperTiming, samples/4) },
 	} {
-		ref := tc.dense(densePop(230))
-		got := tc.sparse(sparsePop(231))
+		ref, ok := witness["markov/"+name]
+		if !ok {
+			t.Fatalf("%s: no dense witness row", name)
+		}
+		got := sparse(sparsePop(231))
 		if !agreeStats(got, ref) {
 			t.Errorf("%s: sparse Markov population %g+-%g vs dense reference %g+-%g",
 				name, got.Mean, got.StdErr, ref.Mean, ref.StdErr)

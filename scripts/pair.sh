@@ -5,11 +5,25 @@
 # `all` is every workload BENCHMARK.json lists; each workload gets its own
 # pairs and its own table, one after the other.
 #
-# The change is the working tree; the parent is `git archive <parent-ref>`
-# unpacked under .bench_build/pair/parent, so each side builds with its own
-# benchmark/run.sh into its own .bench_build. Pair i runs both sides with
-# --seed i --seconds 15 --trace 0, the parent first on odd i and the change
-# first on even i. Per end-to-end metric of BENCHMARK.json it prints each
+# The change is a copy of the working tree under .bench_build/pair/change,
+# taken when the script starts; the parent is `git archive <parent-ref>`
+# unpacked under .bench_build/pair/parent. Each side builds with its own
+# benchmark/run.sh into its own .bench_build (kept warm across runs). Pair i
+# runs both sides with --seed i --seconds 15 --trace 0, the parent first on
+# odd i and the change first on even i.
+#
+# Layout is randomised, not left to the linker (Stabilizer-style; Curtsinger
+# and Berger, ASPLOS 2013). Functions are 32-byte aligned, so where a hot
+# loop falls modulo 64 moves with the size of all code linked before it,
+# and one such shift read as a few per cent of goodput. Before pair i both
+# build trees get, in each of gf256, loss, rse, simnet, core and field, a
+# pad of three tiny functions (96 bytes, 32 mod 64) or none, by the parity
+# of the first hex digit of md5("pad <i> <package>"); a pad moves its
+# package and every later one by 32 bytes mod 64. Both sides then sample
+# the same spread of alignments, and the medians average layout out. The checkout itself is never padded. Each pair prints the
+# pads and each side's hot-symbol offsets mod 64, from `go tool nm`.
+#
+# Per end-to-end metric of BENCHMARK.json it prints each
 # side's median and quartiles, the change's wins/losses/ties over the pairs
 # and "gain" when the change wins >= 9/10 of the pairs AND the medians differ
 # by more than the parent's interquartile distance. Every run's result line
@@ -26,14 +40,37 @@ if [[ $workloads == all ]]; then
 		on && /"name"/ {gsub(/[",]/, ""); print $2}' "$root/BENCHMARK.json")
 fi
 out="$root/.bench_build/pair"
-parent="$out/parent"
-rm -rf "$parent"
-mkdir -p "$parent"
+parent="$out/parent" change="$out/change"
+fresh() { # fresh <dir>: empty a build tree but keep its .bench_build cache
+	mkdir -p "$1"
+	find "$1" -mindepth 1 -maxdepth 1 ! -name .bench_build -exec rm -rf {} +
+}
+fresh "$parent"
 git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
+fresh "$change"
+tar -C "$root" --exclude=./.git --exclude=./.bench_build -cf - . | tar -x -C "$change"
+
+padpkgs="gf256 loss rse simnet core field"
+pad() { # pad <checkout> <pair>: write pair i's layout pads into a build tree
+	local pkg f
+	for pkg in $padpkgs; do
+		f="$1/internal/$pkg/aaa_layout_pad.go"
+		rm -f "$f"
+		if [[ -d ${f%/*} ]] && ((16#$(printf 'pad %s %s' "$2" "$pkg" | md5sum | cut -c1) % 2)); then
+			printf 'package %s\n\nfunc init() { layoutPadA() }\n\n//go:noinline\nfunc layoutPadA() { layoutPadB() }\n\n//go:noinline\nfunc layoutPadB() {}\n' "$pkg" >"$f"
+		fi
+	done
+}
+hot='gf256\.MulAddSlice|loss\.\(\*geoTable\)\.sample|rse\.\(\*Code\)\.Reconstruct|simnet\.\(\*Scheduler\)\.deliver|core\.\(\*Receiver\)\.onShard|core\.\(\*Sender\)\.pump|field\.\(\*Field\)\.onShard'
+offsets() { # offsets <checkout>: its binary's hot symbols, address mod 64
+	go tool nm "$1/.bench_build/npbench" | grep -E " T rmfec/internal/($hot)\$" |
+		while read -r addr _ name; do printf ' %s=%d' "${name#rmfec/internal/}" $((16#$addr % 64)); done
+}
 
 run() { # run <side> <checkout> <seed>: append the run's JSON result line
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds 15 --trace 0 2>/dev/null) |
 		tail -n 1 >>"$out/$workload.$1.jsonl"
+	echo "  $1:$(offsets "$2")"
 }
 
 # "name better" for each end-to-end metric, from the pretty-printed contract.
@@ -80,11 +117,14 @@ for workload in $workloads; do
 	: >"$out/$workload.parent.jsonl"
 	: >"$out/$workload.change.jsonl"
 	for i in $(seq 1 "$pairs"); do
+		pad "$parent" "$i"
+		pad "$change" "$i"
+		echo "$workload pair $i pads:" $(cd "$change/internal" && ls */aaa_layout_pad.go 2>/dev/null | cut -d/ -f1)
 		if ((i % 2)); then
 			run parent "$parent" "$i"
-			run change "$root" "$i"
+			run change "$change" "$i"
 		else
-			run change "$root" "$i"
+			run change "$change" "$i"
 			run parent "$parent" "$i"
 		fi
 		echo "$workload: pair $i/$pairs done" >&2
