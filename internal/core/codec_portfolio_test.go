@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -539,5 +540,44 @@ func TestNcFewerRepairsThanParityCarousel(t *testing.T) {
 	if ncRepairs >= baseRepairs {
 		t.Errorf("NC used %d repair packets, carousel baseline %d; want strictly fewer (nc=%+v base=%+v)",
 			ncRepairs, baseRepairs, ncStats, baseStats)
+	}
+}
+
+// TestWideRSParityPinned pins the GF(2^16) Reed-Solomon parity bytes: for
+// each working point past the GF(2^8) block limit, the SHA-256 of every
+// parity row, in order, that Encode computes from seeded 64-byte data
+// shards. The wide field's generator is wire format — a receiver decodes
+// with its own copy — so these must not move.
+func TestWideRSParityPinned(t *testing.T) {
+	for _, c := range []struct {
+		k, h int
+		want string
+	}{
+		{200, 100, "3b16186fa8dc700aad53df5d5c9cbf2cb969f16143309cb9cd5f40d5007d12a7"},
+		{300, 60, "052c60705148b24baf4349c30b190dbd4dce3cc206c8d62e23a93880fce65f05"},
+		{1200, 40, "cfd433c887cd341e56f1adb9d0802b800765611550907c7c5c857812ca2cbcd3"},
+	} {
+		const size = 64
+		codec, err := newCodecID(packet.CodecRS, 0, c.k, c.h, size, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(c.k*1000 + c.h)))
+		data := make([][]byte, c.k)
+		for i := range data {
+			data[i] = make([]byte, size)
+			rng.Read(data[i])
+		}
+		parity := make([][]byte, c.h)
+		if err := codec.Encode(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.New()
+		for _, p := range parity {
+			sum.Write(p)
+		}
+		if got := fmt.Sprintf("%x", sum.Sum(nil)); got != c.want {
+			t.Errorf("k=%d h=%d: parity hash %s, want %s", c.k, c.h, got, c.want)
+		}
 	}
 }
