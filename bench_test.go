@@ -16,7 +16,6 @@ import (
 	"rmfec/internal/loss"
 	"rmfec/internal/model"
 	"rmfec/internal/rse"
-	"rmfec/internal/rse16"
 	"rmfec/internal/sim"
 	"rmfec/internal/simnet"
 )
@@ -569,7 +568,7 @@ func BenchmarkAblationSymbolSize(b *testing.B) {
 		}
 	})
 	b.Run("gf16", func(b *testing.B) {
-		code, err := rse16.New(k, h)
+		code, err := rse.NewWide(k, h)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 	"rmfec/internal/layered"
 	"rmfec/internal/loss"
 	"rmfec/internal/model"
-	"rmfec/internal/rse16"
+	"rmfec/internal/rse"
 )
 
 // End-host performance models (internal/model, internal/hostperf).
@@ -43,15 +43,15 @@ func NewLayeredShim(lower Env, cfg LayeredConfig) (*LayeredShim, error) {
 	return layered.New(lower, cfg)
 }
 
-// Large-block erasure coding over GF(2^16) (internal/rse16): FEC blocks
-// beyond the 256-packet limit of GF(2^8), for bulk distribution with the
-// very large transmission groups Section 4.2 recommends against burst
-// loss.
-type LargeCode = rse16.Code
+// Large-block erasure coding over GF(2^16) (internal/rse's NewWide): the
+// same codec as Code with FEC blocks beyond the 256-packet limit of
+// GF(2^8), for bulk distribution with the very large transmission groups
+// Section 4.2 recommends against burst loss.
+type LargeCode = rse.Code
 
 // NewLargeCode returns a GF(2^16) erasure code with k data and h parity
 // shards per block (k up to 4096, k+h up to 65536; even shard sizes).
-func NewLargeCode(k, h int) (*LargeCode, error) { return rse16.New(k, h) }
+func NewLargeCode(k, h int) (*LargeCode, error) { return rse.NewWide(k, h) }
 
 // Generalised shared-loss topologies (internal/loss): arbitrary multicast
 // trees with per-node loss, of which the paper's full binary tree is the

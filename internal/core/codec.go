@@ -8,18 +8,17 @@ import (
 	"rmfec/internal/packet"
 	"rmfec/internal/rect"
 	"rmfec/internal/rse"
-	"rmfec/internal/rse16"
 )
 
 // Codec is the repair-code abstraction the protocol engines encode and
-// decode transmission groups through. Three backends register behind it:
-// Reed-Solomon over GF(2^8) (interactive group sizes, K <= 254),
-// Reed-Solomon over GF(2^16) (the very large groups Section 4.2
-// recommends against burst loss), and the XOR-only interleaved
-// rectangular code of internal/rect for low-loss paths. The wire
-// identity (ID) lets the adaptive control plane negotiate codecs per
-// transmission group through the TG header's codec id/arg byte, gated by
-// measured encode cost (see gateAdmit).
+// decode transmission groups through. Two backends register behind it:
+// Reed-Solomon (internal/rse: over GF(2^8) for interactive group sizes,
+// over GF(2^16) for the very large groups Section 4.2 recommends against
+// burst loss), and the XOR-only interleaved rectangular code of
+// internal/rect for low-loss paths. The wire identity (ID) lets the
+// adaptive control plane negotiate codecs per transmission group through
+// the TG header's codec id/arg byte, gated by measured encode cost (see
+// gateAdmit).
 type Codec interface {
 	// EncodeParity returns parity shard j computed from the k data shards.
 	EncodeParity(j int, data [][]byte) ([]byte, error)
@@ -44,25 +43,15 @@ type Codec interface {
 	ID() (id, arg uint8)
 }
 
-type gf8Codec struct{ c *rse.Code }
+type rsCodec struct{ c *rse.Code }
 
-func (g gf8Codec) EncodeParity(j int, data [][]byte) ([]byte, error) {
+func (g rsCodec) EncodeParity(j int, data [][]byte) ([]byte, error) {
 	return g.c.EncodeParity(j, data, nil)
 }
-func (g gf8Codec) Encode(data, parity [][]byte) error { return g.c.Encode(data, parity) }
-func (g gf8Codec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
-func (g gf8Codec) ShortfallBits(have uint64) int      { return mdsShortfall(g.c.K(), g.c.N(), have) }
-func (g gf8Codec) ID() (uint8, uint8)                 { return packet.CodecRS, 0 }
-
-type gf16Codec struct{ c *rse16.Code }
-
-func (g gf16Codec) EncodeParity(j int, data [][]byte) ([]byte, error) {
-	return g.c.EncodeParity(j, data)
-}
-func (g gf16Codec) Encode(data, parity [][]byte) error { return g.c.Encode(data, parity) }
-func (g gf16Codec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
-func (g gf16Codec) ShortfallBits(have uint64) int      { return mdsShortfall(g.c.K(), g.c.N(), have) }
-func (g gf16Codec) ID() (uint8, uint8)                 { return packet.CodecRS, 0 }
+func (g rsCodec) Encode(data, parity [][]byte) error { return g.c.Encode(data, parity) }
+func (g rsCodec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
+func (g rsCodec) ShortfallBits(have uint64) int      { return mdsShortfall(g.c.K(), g.c.N(), have) }
+func (g rsCodec) ID() (uint8, uint8)                 { return packet.CodecRS, 0 }
 
 type rectCodec struct{ c *rect.Code }
 
@@ -85,29 +74,26 @@ func mdsShortfall(k, n int, have uint64) int {
 }
 
 // newCodecKH builds a Reed-Solomon codec for a (k, h) working point:
-// GF(2^8) whenever the block fits in 255 packets, GF(2^16) beyond that.
-// With a metrics registry, the GF(2^8) codec's rse_* instruments (symbol
-// throughput, subsystem solves) are registered on it; registration is
-// idempotent per registry, so every GF(2^8) instance of a session shares
-// the counters.
+// over GF(2^8) whenever the block fits in rse.MaxNarrowBlock packets,
+// over GF(2^16) beyond that. With a metrics registry, the codec's rse_*
+// instruments (symbol throughput, subsystem solves) are registered on it;
+// registration is idempotent per registry, so every instance of a session
+// shares the counters.
 func newCodecKH(k, h, shardSize int, reg *metrics.Registry) (Codec, error) {
-	if k+h <= 255 {
-		c, err := rse.New(k, h)
-		if err != nil {
-			return nil, err
+	build := rse.New
+	if k+h > rse.MaxNarrowBlock {
+		if shardSize%2 != 0 {
+			return nil, fmt.Errorf("core: K+MaxParity = %d needs the GF(2^16) codec, which requires an even ShardSize (got %d)",
+				k+h, shardSize)
 		}
-		c.Instrument(rse.RegisterInstruments(reg))
-		return gf8Codec{c}, nil
+		build = rse.NewWide
 	}
-	if shardSize%2 != 0 {
-		return nil, fmt.Errorf("core: K+MaxParity = %d needs the GF(2^16) codec, which requires an even ShardSize (got %d)",
-			k+h, shardSize)
-	}
-	c, err := rse16.New(k, h)
+	c, err := build(k, h)
 	if err != nil {
 		return nil, err
 	}
-	return gf16Codec{c}, nil
+	c.Instrument(rse.RegisterInstruments(reg))
+	return rsCodec{c}, nil
 }
 
 // newCodecID builds the codec named by a wire (codec id, codec arg)

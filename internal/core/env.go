@@ -27,6 +27,7 @@ import (
 
 	"rmfec/internal/adapt"
 	"rmfec/internal/metrics"
+	"rmfec/internal/rse"
 )
 
 // Env abstracts time, randomness and the multicast medium.
@@ -211,9 +212,9 @@ func (c *Config) Defaults() {
 	}
 	if c.MaxParity == 0 {
 		c.MaxParity = 4 * c.K
-		if c.K <= 127 && c.MaxParity > 255-c.K {
+		if c.K <= 127 && c.MaxParity > rse.MaxNarrowBlock-c.K {
 			// Stay within GF(2^8) when the group fits it.
-			c.MaxParity = 255 - c.K
+			c.MaxParity = rse.MaxNarrowBlock - c.K
 		}
 	}
 	if c.Delta == 0 {
@@ -256,8 +257,8 @@ func (c *Config) pinN2() {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.K < 1 || c.K > 4096 {
-		return fmt.Errorf("core: K = %d, need 1..4096", c.K)
+	if c.K < 1 || c.K > rse.MaxWideK {
+		return fmt.Errorf("core: K = %d, need 1..%d", c.K, rse.MaxWideK)
 	}
 	if c.MaxParity < 0 || c.K+c.MaxParity > 65535 {
 		return fmt.Errorf("core: MaxParity = %d with K = %d exceeds block limit", c.MaxParity, c.K)
@@ -299,10 +300,10 @@ func (c *Config) Validate() error {
 			return err
 		}
 		for i, r := range c.Adapt.Ladder {
-			if r.P.K > 4096 || r.P.K+r.P.H > 65535 {
+			if r.P.K > rse.MaxWideK || r.P.K+r.P.H > 65535 {
 				return fmt.Errorf("core: ladder rung %d (k=%d, h=%d) exceeds block limits", i, r.P.K, r.P.H)
 			}
-			if r.P.K+r.P.H > 255 && c.ShardSize%2 != 0 {
+			if r.P.K+r.P.H > rse.MaxNarrowBlock && c.ShardSize%2 != 0 {
 				return fmt.Errorf("core: ladder rung %d needs the GF(2^16) codec, which requires an even ShardSize (got %d)", i, c.ShardSize)
 			}
 		}

@@ -287,7 +287,7 @@ func TestInPlaceGF16NoGather(t *testing.T) {
 	r, got := directReceiver(t, cfg)
 	if c, err := r.rx.codecs.get(cfg.K, cfg.MaxParity, packet.CodecRS, 0); err != nil {
 		t.Fatal(err)
-	} else if _, ok := c.(gf16Codec); !ok {
+	} else if !c.(rsCodec).c.Wide() {
 		t.Fatal("config did not select the GF(2^16) codec")
 	}
 	const lost, padding = 3, 199

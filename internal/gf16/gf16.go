@@ -5,11 +5,18 @@
 // (package gf256) caps an FEC block at 256 packets; this field lifts the
 // limit to 65536, enabling the very large transmission groups that
 // Section 4.2 shows are the right answer to burst loss. Elements are
-// uint16; multiplication uses 512 KiB log/exp tables (a full product table
-// would need 8 GiB).
+// uint16; multiplication uses 768 KiB of log/exp tables (a full product
+// table would need 8 GiB). The slice kernels work on packets as they arrive: a
+// byte slice whose big-endian byte pairs are the symbols.
 package gf16
 
-import "fmt"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"rmfec/internal/gf256"
+)
 
 // Poly is the primitive polynomial x^16+x^12+x^3+x+1 (0x1100B) generating
 // the field.
@@ -20,10 +27,47 @@ const Order = 1 << 16
 
 const groupOrder = Order - 1 // order of the multiplicative group
 
+// expTbl holds alpha^i twice over, so the exponent sum of a product
+// needs no reduction, then zeros: logTbl[0] is logZero, past the powers,
+// so the slice kernels multiply a zero symbol without a branch. The
+// table's length is a power of two, so a masked index needs no bounds
+// check.
 var (
-	expTbl [2 * groupOrder]uint16
+	expTbl [1 << 18]uint16
 	logTbl [Order]int32
 )
+
+const (
+	logZero = 2 * groupOrder
+	expMask = len(expTbl) - 1
+)
+
+// mulLog returns s times the element whose logarithm is lc.
+func mulLog(lc int32, s uint16) uint16 { return expTbl[int(lc+logTbl[s])&expMask] }
+
+// mulPairs writes the big-endian symbols of src times the element whose
+// logarithm is lc into dst, XORing them into dst's contents when add is
+// set; four symbols, one 64-bit word, at a time.
+func mulPairs(lc int32, src, dst []byte, add bool) {
+	d := dst[:len(src)]
+	for len(src) >= 8 {
+		w := binary.BigEndian.Uint64(src)
+		p := uint64(mulLog(lc, uint16(w>>48)))<<48 | uint64(mulLog(lc, uint16(w>>32)))<<32 |
+			uint64(mulLog(lc, uint16(w>>16)))<<16 | uint64(mulLog(lc, uint16(w)))
+		if add {
+			p ^= binary.BigEndian.Uint64(d)
+		}
+		binary.BigEndian.PutUint64(d, p)
+		src, d = src[8:], d[8:]
+	}
+	for i := 0; i < len(src); i += 2 {
+		p := mulLog(lc, binary.BigEndian.Uint16(src[i:]))
+		if add {
+			p ^= binary.BigEndian.Uint16(d[i:])
+		}
+		binary.BigEndian.PutUint16(d[i:], p)
+	}
+}
 
 func init() {
 	x := 1
@@ -41,7 +85,7 @@ func init() {
 	for i := groupOrder; i < 2*groupOrder; i++ {
 		expTbl[i] = expTbl[i-groupOrder]
 	}
-	logTbl[0] = -1 // sentinel
+	logTbl[0] = logZero
 }
 
 // Add returns a+b (XOR).
@@ -97,81 +141,96 @@ func Pow(a uint16, e int) uint16 {
 	return expTbl[le]
 }
 
-// xorSymbols computes dst[i] ^= src[i], the GF(2^16) sibling of gf256's
-// word-parallel XOR: the slice is re-sliced up front so bounds checks
-// vanish and the loop processes eight symbols (one 16-byte pair per two
-// registers) per iteration.
-func xorSymbols(src, dst []uint16) {
-	d := dst[:len(src)]
-	s := src
-	for len(s) >= 8 {
-		d[0] ^= s[0]
-		d[1] ^= s[1]
-		d[2] ^= s[2]
-		d[3] ^= s[3]
-		d[4] ^= s[4]
-		d[5] ^= s[5]
-		d[6] ^= s[6]
-		d[7] ^= s[7]
-		s = s[8:]
-		d = d[8:]
-	}
-	for i, v := range s {
-		d[i] ^= v
+// checkPairs panics unless src and dst have one even length: the slice
+// kernels read big-endian 16-bit symbols, byte pair (2i, 2i+1) being
+// symbol i.
+func checkPairs(op string, src, dst []byte) {
+	if len(src) != len(dst) || len(src)%2 != 0 {
+		panic(fmt.Sprintf("gf16: %s lengths %d and %d, want equal and even", op, len(src), len(dst)))
 	}
 }
 
-// AddSlice computes dst[i] ^= src[i] — unit-coefficient parity
-// accumulation, shared with the c == 1 dispatch of MulAddSlice. The
-// slices must have equal length.
-func AddSlice(src, dst []uint16) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("gf16: AddSlice length mismatch %d != %d", len(src), len(dst)))
-	}
-	xorSymbols(src, dst)
+// AddSlice computes dst ^= src over big-endian 16-bit symbols, which is
+// byte-wise XOR, so it runs gf256's word-parallel kernel, as MulAddSlice
+// does for c == 1.
+//
+//rmlint:hotpath
+func AddSlice(src, dst []byte) {
+	checkPairs("AddSlice", src, dst)
+	gf256.AddSlice(src, dst)
 }
 
-// MulAddSlice computes dst[i] ^= c*src[i] over uint16 symbols — the codec
-// kernel. The slices must have equal length.
-func MulAddSlice(c uint16, src, dst []uint16) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("gf16: MulAddSlice length mismatch %d != %d", len(src), len(dst)))
-	}
+// MulAddSlice computes dst ^= c*src over big-endian 16-bit symbols, the
+// codec kernel. The slices must have equal, even length.
+//
+//rmlint:hotpath
+func MulAddSlice(c uint16, src, dst []byte) {
+	checkPairs("MulAddSlice", src, dst)
 	switch c {
 	case 0:
-		return
 	case 1:
-		xorSymbols(src, dst)
+		gf256.AddSlice(src, dst)
 	default:
-		lc := logTbl[c]
-		for i, s := range src {
-			if s != 0 {
-				dst[i] ^= expTbl[lc+logTbl[s]]
-			}
-		}
+		mulPairs(logTbl[c], src, dst, true)
 	}
 }
 
-// MulSlice sets dst[i] = c*src[i].
-func MulSlice(c uint16, src, dst []uint16) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("gf16: MulSlice length mismatch %d != %d", len(src), len(dst)))
-	}
+// MulSlice sets dst = c*src over big-endian 16-bit symbols. The slices
+// must have equal, even length.
+//
+//rmlint:hotpath
+func MulSlice(c uint16, src, dst []byte) {
+	checkPairs("MulSlice", src, dst)
 	switch c {
 	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	case 1:
 		copy(dst, src)
 	default:
-		lc := logTbl[c]
-		for i, s := range src {
-			if s == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = expTbl[lc+logTbl[s]]
+		mulPairs(logTbl[c], src, dst, false)
+	}
+}
+
+// ErrSingular is returned by SolveSmall when the system has no solution.
+var ErrSingular = errors.New("gf16: singular matrix")
+
+// SolveSmall is gf256.SolveSmall over GF(2^16): Gauss-Jordan elimination
+// in place, allocating nothing, over the row-major n x w matrix m = [A | B]
+// with A square, leaving [I | A^-1 B]. Returns ErrSingular, with m
+// half-reduced, if A has no inverse.
+//
+//rmlint:hotpath
+func SolveSmall(m []uint16, n, w int) error {
+	for col := 0; col < n; col++ {
+		pivot := col
+		for pivot < n && m[pivot*w+col] == 0 {
+			pivot++
+		}
+		if pivot == n {
+			return ErrSingular
+		}
+		prow := m[col*w : (col+1)*w]
+		if pivot != col {
+			other := m[pivot*w : (pivot+1)*w]
+			for i := range prow {
+				prow[i], other[i] = other[i], prow[i]
+			}
+		}
+		if pv := prow[col]; pv != 1 {
+			li := groupOrder - logTbl[pv] // log of pv^-1
+			for i, v := range prow {
+				prow[i] = mulLog(li, v)
+			}
+		}
+		for r := 0; r < n; r++ {
+			row := m[r*w : (r+1)*w]
+			if f := row[col]; r != col && f != 0 {
+				lf := logTbl[f]
+				for i, v := range prow {
+					row[i] ^= mulLog(lf, v)
+				}
 			}
 		}
 	}
+	return nil
 }

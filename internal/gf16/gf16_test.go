@@ -1,6 +1,9 @@
 package gf16
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,35 +104,94 @@ func TestPow(t *testing.T) {
 	}
 }
 
+// pairs packs symbols into the kernels' big-endian byte form.
+func pairs(sym ...uint16) []byte {
+	b := make([]byte, 2*len(sym))
+	for i, v := range sym {
+		binary.BigEndian.PutUint16(b[2*i:], v)
+	}
+	return b
+}
+
+// symbol returns symbol i of a byte-pair slice.
+func symbol(b []byte, i int) uint16 { return binary.BigEndian.Uint16(b[2*i:]) }
+
 func TestSliceKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(200)
-		src := make([]uint16, n)
-		dst := make([]uint16, n)
-		for i := range src {
-			src[i] = uint16(rng.Intn(Order))
-			dst[i] = uint16(rng.Intn(Order))
-		}
+		src := make([]byte, 2*n)
+		dst := make([]byte, 2*n)
+		rng.Read(src)
+		rng.Read(dst)
 		c := uint16(rng.Intn(Order))
-		wantAdd := make([]uint16, n)
-		wantMul := make([]uint16, n)
-		for i := range src {
-			wantAdd[i] = dst[i] ^ Mul(c, src[i])
-			wantMul[i] = Mul(c, src[i])
-		}
-		gotAdd := append([]uint16(nil), dst...)
+		gotAdd := append([]byte(nil), dst...)
 		MulAddSlice(c, src, gotAdd)
-		gotMul := append([]uint16(nil), dst...)
+		gotMul := append([]byte(nil), dst...)
 		MulSlice(c, src, gotMul)
-		for i := range src {
-			if gotAdd[i] != wantAdd[i] {
+		for i := 0; i < n; i++ {
+			if symbol(gotAdd, i) != symbol(dst, i)^Mul(c, symbol(src, i)) {
 				t.Fatalf("MulAddSlice(%#x) wrong at %d", c, i)
 			}
-			if gotMul[i] != wantMul[i] {
+			if symbol(gotMul, i) != Mul(c, symbol(src, i)) {
 				t.Fatalf("MulSlice(%#x) wrong at %d", c, i)
 			}
 		}
+	}
+}
+
+// TestSolveSmall checks SolveSmall against the product it inverts: for
+// random systems [A | I] it must leave [I | A^-1] with A A^-1 = I, and a
+// singular A must report ErrSingular. It allocates nothing.
+func TestSolveSmall(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 5, 17} {
+		a := make([]uint16, n*n)
+		m := make([]uint16, n*2*n)
+		for trial := 0; trial < 20; trial++ {
+			for i := range a {
+				a[i] = uint16(rng.Intn(Order))
+			}
+			for r := 0; r < n; r++ {
+				copy(m[r*2*n:], a[r*n:(r+1)*n])
+				clear(m[r*2*n+n : (r+1)*2*n])
+				m[r*2*n+n+r] = 1
+			}
+			if err := SolveSmall(m, n, 2*n); err != nil {
+				continue // random A is singular with probability ~n/65536
+			}
+			for r := 0; r < n; r++ {
+				for c := 0; c < n; c++ {
+					var acc uint16
+					for i := 0; i < n; i++ {
+						acc ^= Mul(a[r*n+i], m[i*2*n+n+c])
+					}
+					want := uint16(0)
+					if r == c {
+						want = 1
+					}
+					if acc != want {
+						t.Fatalf("n=%d: (A A^-1)[%d][%d] = %#x, want %#x", n, r, c, acc, want)
+					}
+				}
+			}
+		}
+	}
+	dup := []uint16{3, 7, 1, 0, 3, 7, 0, 1}
+	if err := SolveSmall(dup, 2, 4); !errors.Is(err, ErrSingular) {
+		t.Errorf("duplicate-row system: err = %v, want ErrSingular", err)
+	}
+	m := make([]uint16, 4*8)
+	if allocs := testing.AllocsPerRun(20, func() {
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 8; c++ {
+				m[r*8+c] = uint16(r*8 + c + 1)
+			}
+			m[r*8+r] = 0x8000 | uint16(r)
+		}
+		_ = SolveSmall(m, 4, 8)
+	}); allocs != 0 {
+		t.Errorf("SolveSmall allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -138,7 +200,8 @@ func TestPanics(t *testing.T) {
 		"div0":     func() { Div(3, 0) },
 		"inv0":     func() { Inv(0) },
 		"exp neg":  func() { Exp(-1) },
-		"mismatch": func() { MulAddSlice(2, make([]uint16, 3), make([]uint16, 4)) },
+		"mismatch": func() { MulAddSlice(2, make([]byte, 4), make([]byte, 6)) },
+		"odd":      func() { MulSlice(2, make([]byte, 3), make([]byte, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -152,12 +215,9 @@ func TestPanics(t *testing.T) {
 }
 
 func BenchmarkGF16MulAddSlice(b *testing.B) {
-	src := make([]uint16, 512) // 1 KiB packet as uint16 symbols
-	dst := make([]uint16, 512)
-	rng := rand.New(rand.NewSource(5))
-	for i := range src {
-		src[i] = uint16(rng.Intn(Order))
-	}
+	src := make([]byte, 1024) // 1 KiB packet = 512 symbols
+	dst := make([]byte, 1024)
+	rand.New(rand.NewSource(5)).Read(src)
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -166,39 +226,31 @@ func BenchmarkGF16MulAddSlice(b *testing.B) {
 }
 
 func TestSliceKernelSpecialCoefficients(t *testing.T) {
-	src := []uint16{1, 0, 0xffff, 42}
-	dst := []uint16{9, 9, 9, 9}
+	src := pairs(1, 0, 0xffff, 42)
+	dst := pairs(9, 9, 9, 9)
 	// c = 0: MulAdd is a no-op, Mul zeroes.
-	d := append([]uint16(nil), dst...)
+	d := append([]byte(nil), dst...)
 	MulAddSlice(0, src, d)
-	for i := range d {
-		if d[i] != dst[i] {
-			t.Fatal("MulAddSlice(0) changed dst")
-		}
+	if !bytes.Equal(d, dst) {
+		t.Fatal("MulAddSlice(0) changed dst")
 	}
 	MulSlice(0, src, d)
-	for _, v := range d {
-		if v != 0 {
-			t.Fatal("MulSlice(0) did not zero dst")
-		}
+	if !bytes.Equal(d, pairs(0, 0, 0, 0)) {
+		t.Fatal("MulSlice(0) did not zero dst")
 	}
 	// c = 1: MulAdd XORs, Mul copies.
-	d = append([]uint16(nil), dst...)
+	d = append(d[:0], dst...)
 	MulAddSlice(1, src, d)
-	for i := range d {
-		if d[i] != dst[i]^src[i] {
-			t.Fatal("MulAddSlice(1) != XOR")
-		}
+	if !bytes.Equal(d, pairs(9^1, 9, 9^0xffff, 9^42)) {
+		t.Fatal("MulAddSlice(1) != XOR")
 	}
 	MulSlice(1, src, d)
-	for i := range d {
-		if d[i] != src[i] {
-			t.Fatal("MulSlice(1) != copy")
-		}
+	if !bytes.Equal(d, src) {
+		t.Fatal("MulSlice(1) != copy")
 	}
 	// General c with zero symbols inside.
 	MulSlice(7, src, d)
-	if d[1] != 0 || d[0] != Mul(7, 1) {
+	if symbol(d, 1) != 0 || symbol(d, 0) != Mul(7, 1) {
 		t.Fatal("MulSlice(7) wrong on zero/one symbols")
 	}
 	if got := Pow(5, 3); got != Mul(5, Mul(5, 5)) {

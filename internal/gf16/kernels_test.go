@@ -1,27 +1,18 @@
 package gf16
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
 
-// mulAddScalarRef is the pre-PR byte-at-a-time (symbol-at-a-time) c == 1
-// loop, kept in the tests as the reference the unrolled XOR path must
-// match.
-func mulAddScalarRef(c uint16, src, dst []uint16) {
-	switch c {
-	case 0:
-	case 1:
-		for i, s := range src {
-			dst[i] ^= s
-		}
-	default:
-		lc := logTbl[c]
-		for i, s := range src {
-			if s != 0 {
-				dst[i] ^= expTbl[lc+logTbl[s]]
-			}
-		}
+// mulAddScalarRef is the symbol-at-a-time multiply-add over big-endian
+// byte pairs, kept in the tests as the reference the c == 1 dispatch to
+// gf256's word-parallel XOR must match.
+func mulAddScalarRef(c uint16, src, dst []byte) {
+	for i := 0; i < len(src)/2; i++ {
+		p := symbol(dst, i) ^ Mul(c, symbol(src, i))
+		dst[2*i], dst[2*i+1] = byte(p>>8), byte(p)
 	}
 }
 
@@ -33,32 +24,26 @@ func TestXorFastPathMatchesScalar(t *testing.T) {
 	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100, 511, 512}
 	for _, n := range lengths {
 		for _, align := range []int{0, 1, 3, 7} {
-			backingSrc := make([]uint16, n+align)
-			backingDst := make([]uint16, n+align)
-			for i := range backingSrc {
-				backingSrc[i] = uint16(rng.Intn(Order))
-				backingDst[i] = uint16(rng.Intn(Order))
-			}
+			backingSrc := make([]byte, 2*n+align)
+			backingDst := make([]byte, 2*n+align)
+			rng.Read(backingSrc)
+			rng.Read(backingDst)
 			src := backingSrc[align:]
 			dst := backingDst[align:]
 
-			want := append([]uint16(nil), dst...)
+			want := append([]byte(nil), dst...)
 			mulAddScalarRef(1, src, want)
 
-			got := append([]uint16(nil), dst...)
+			got := append([]byte(nil), dst...)
 			MulAddSlice(1, src, got)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("MulAddSlice(1, n=%d, align=%d) diverges at %d", n, align, i)
-				}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("MulAddSlice(1, n=%d, align=%d) diverges", n, align)
 			}
 
 			got = append(got[:0], dst...)
 			AddSlice(src, got)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("AddSlice(n=%d, align=%d) diverges at %d", n, align, i)
-				}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("AddSlice(n=%d, align=%d) diverges", n, align)
 			}
 		}
 	}
@@ -70,28 +55,25 @@ func TestAddSliceLengthMismatch(t *testing.T) {
 			t.Error("AddSlice length mismatch did not panic")
 		}
 	}()
-	AddSlice(make([]uint16, 3), make([]uint16, 4))
+	AddSlice(make([]byte, 6), make([]byte, 8))
 }
 
 // BenchmarkKernels16 measures the symbol XOR path against the scalar
 // reference; check.sh runs it with -benchtime 1x as a smoke test.
 func BenchmarkKernels16(b *testing.B) {
-	const n = 512 // symbols = 1 KiB
-	src := make([]uint16, n)
-	dst := make([]uint16, n)
-	rng := rand.New(rand.NewSource(2))
-	for i := range src {
-		src[i] = uint16(rng.Intn(Order))
-	}
+	const n = 1024 // bytes = 512 symbols
+	src := make([]byte, n)
+	dst := make([]byte, n)
+	rand.New(rand.NewSource(2)).Read(src)
 	b.Run("Xor", func(b *testing.B) {
-		b.SetBytes(2 * n)
+		b.SetBytes(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			AddSlice(src, dst)
 		}
 	})
 	b.Run("XorScalarRef", func(b *testing.B) {
-		b.SetBytes(2 * n)
+		b.SetBytes(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			mulAddScalarRef(1, src, dst)

@@ -53,7 +53,7 @@ func (c *Config) Defaults() {
 
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
-	if c.K < 1 || c.H < 0 || c.K+c.H > 255 {
+	if c.K < 1 || c.H < 0 || c.K+c.H > rse.MaxNarrowBlock {
 		return fmt.Errorf("layered: bad code (k=%d, h=%d)", c.K, c.H)
 	}
 	if c.ShardSize < 1 || c.ShardSize > 65000-2 {

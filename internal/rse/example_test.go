@@ -25,16 +25,3 @@ func Example() {
 	// Output:
 	// packets of a TG!
 }
-
-// Split an application message into equal shards for a transmission
-// group, and reassemble it after recovery.
-func ExampleSplit() {
-	msg := []byte("reliable multicast with parity-based loss recovery")
-	shards, _ := rse.Split(msg, 5)
-	fmt.Println(len(shards), "shards of", len(shards[0]), "bytes")
-	got, _ := rse.Join(shards)
-	fmt.Println(string(got) == string(msg))
-	// Output:
-	// 5 shards of 11 bytes
-	// true
-}

@@ -29,18 +29,30 @@ func makeBlock(t testing.TB, c *Code, size int, seed int64) [][]byte {
 	return shards
 }
 
-// TestReconstructSteadyStateAllocs pins the PR 2 acceptance gate: when the
-// caller recycles the output buffers (zero-length shards with capacity),
-// Reconstruct performs zero heap allocations.
+// TestReconstructSteadyStateAllocs pins the codec's zero-allocation
+// contract in both fields: when the caller recycles the output buffers
+// (zero-length shards with capacity), Reconstruct performs zero heap
+// allocations.
 func TestReconstructSteadyStateAllocs(t *testing.T) {
-	c := MustNew(7, 7)
+	for _, p := range []struct {
+		wide bool
+		k, h int
+		lost []int // repeated erasure pattern
+	}{
+		{false, 7, 7, []int{0, 3, 5, 9}},                                    // 3 data + 1 parity
+		{true, 300, 60, []int{0, 31, 64, 99, 150, 151, 200, 298, 299, 310}}, // 9 data + 1 parity
+	} {
+		reconstructSteadyStateAllocs(t, mustCode(t, p.wide, p.k, p.h), p.lost)
+	}
+}
+
+func reconstructSteadyStateAllocs(t *testing.T, c *Code, lost []int) {
 	const size = 1024
 	ref := makeBlock(t, c, size, 42)
 	shards := make([][]byte, c.N())
 	for i := range shards {
 		shards[i] = append([]byte(nil), ref[i]...)
 	}
-	lost := []int{0, 3, 5, 9} // repeated erasure pattern: 3 data + 1 parity
 
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, i := range lost {
@@ -51,7 +63,7 @@ func TestReconstructSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Reconstruct allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("wide=%v: steady-state Reconstruct allocated %.1f times per run, want 0", c.Wide(), allocs)
 	}
 	for i := 0; i < c.K(); i++ {
 		if !bytes.Equal(shards[i], ref[i]) {
@@ -64,7 +76,12 @@ func TestReconstructSteadyStateAllocs(t *testing.T) {
 // contract across many random patterns, interleaving recycled and nil
 // missing shards, and checks the rebuilt data always matches.
 func TestReconstructRecycledBuffers(t *testing.T) {
-	c := MustNew(20, 5)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { reconstructRecycledBuffers(t, mustCode(t, f.wide, 20, 5)) })
+	}
+}
+
+func reconstructRecycledBuffers(t *testing.T, c *Code) {
 	const size = 512
 	ref := makeBlock(t, c, size, 7)
 	rng := rand.New(rand.NewSource(8))
@@ -95,7 +112,12 @@ func TestReconstructRecycledBuffers(t *testing.T) {
 // TestEncodeBlocksMatchesEncode checks the batch API against per-block
 // Encode on shared flat shard slices, including parity buffer reuse.
 func TestEncodeBlocksMatchesEncode(t *testing.T) {
-	c := MustNew(7, 3)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { encodeBlocksMatchesEncode(t, mustCode(t, f.wide, 7, 3)) })
+	}
+}
+
+func encodeBlocksMatchesEncode(t *testing.T, c *Code) {
 	const nb, size = 4, 256
 	rng := rand.New(rand.NewSource(11))
 	data := make([][]byte, nb*c.K())
@@ -116,6 +138,9 @@ func TestEncodeBlocksMatchesEncode(t *testing.T) {
 			if !bytes.Equal(parity[b*c.H()+j], want[j]) {
 				t.Fatalf("block %d parity %d diverges from Encode", b, j)
 			}
+			if p, err := c.EncodeParity(j, data[b*c.K():(b+1)*c.K()], nil); err != nil || !bytes.Equal(p, want[j]) {
+				t.Fatalf("block %d parity %d diverges from EncodeParity (err %v)", b, j, err)
+			}
 		}
 	}
 	// Re-encode into the same parity buffers: must reuse, not grow.
@@ -130,7 +155,12 @@ func TestEncodeBlocksMatchesEncode(t *testing.T) {
 
 // TestEncodeBlocksErrors covers the batch validation paths.
 func TestEncodeBlocksErrors(t *testing.T) {
-	c := MustNew(3, 2)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { encodeBlocksErrors(t, mustCode(t, f.wide, 3, 2)) })
+	}
+}
+
+func encodeBlocksErrors(t *testing.T, c *Code) {
 	good := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
 	if err := c.EncodeBlocks(good[:2], make([][]byte, 2)); err == nil {
 		t.Error("non-multiple data count accepted")
@@ -142,7 +172,7 @@ func TestEncodeBlocksErrors(t *testing.T) {
 	if err := c.EncodeBlocks(bad, make([][]byte, 2)); err == nil {
 		t.Error("nil data shard accepted")
 	}
-	uneven := [][]byte{make([]byte, 8), make([]byte, 9), make([]byte, 8)}
+	uneven := [][]byte{make([]byte, 8), make([]byte, 10), make([]byte, 8)}
 	if err := c.EncodeBlocks(uneven, make([][]byte, 2)); err == nil {
 		t.Error("uneven shard sizes accepted")
 	}
@@ -152,8 +182,14 @@ func TestEncodeBlocksErrors(t *testing.T) {
 // multi-block batch: a data count that is not a whole number of blocks or
 // a short parity slice fails with ErrBadShardCount, and a size mismatch
 // inside a later block fails the call with ErrShardSize, naming the block.
+// Both fields share the validation, so both answer alike.
 func TestEncodeBlocksShardErrors(t *testing.T) {
-	c := MustNew(4, 2)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { encodeBlocksShardErrors(t, mustCode(t, f.wide, 4, 2)) })
+	}
+}
+
+func encodeBlocksShardErrors(t *testing.T, c *Code) {
 	data := randBlocks(t, 2, 4, 16, 7)
 	parity := make([][]byte, 4)
 	if err := c.EncodeBlocks(data[:3], parity); !errors.Is(err, ErrBadShardCount) {
@@ -183,40 +219,73 @@ func randBlocks(t *testing.T, nb, k, size int, seed int64) [][]byte {
 }
 
 // TestEncodeBlocksCountsBytes checks the EncodeBytes instrument counts
-// every parity byte a batch writes, once.
+// every parity byte a batch writes, once, in either field.
 func TestEncodeBlocksCountsBytes(t *testing.T) {
 	const k, h, nb, size = 7, 3, 5, 128
-	c := MustNew(k, h)
-	ins := RegisterInstruments(metrics.NewRegistry())
-	c.Instrument(ins)
-	data := randBlocks(t, nb, k, size, 11)
-	if err := c.EncodeBlocks(data, make([][]byte, nb*h)); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ins.EncodeBytes.Value(), uint64(nb*h*size); got != want {
-		t.Errorf("EncodeBytes = %d, want %d", got, want)
+	for _, f := range fields {
+		c := mustCode(t, f.wide, k, h)
+		ins := RegisterInstruments(metrics.NewRegistry())
+		c.Instrument(ins)
+		data := randBlocks(t, nb, k, size, 11)
+		if err := c.EncodeBlocks(data, make([][]byte, nb*h)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ins.EncodeBytes.Value(), uint64(nb*h*size); got != want {
+			t.Errorf("%s: EncodeBytes = %d, want %d", f.name, got, want)
+		}
 	}
 }
 
 // TestEncodeBlocksSteadyStateAllocs pins the zero-alloc contract of the
-// batch encode: with warmed (recycled) parity buffers a call performs no
-// heap allocations.
+// batch encode in both fields: with warmed (recycled) parity buffers a
+// call performs no heap allocations.
 func TestEncodeBlocksSteadyStateAllocs(t *testing.T) {
-	const k, h, nb, size = 20, 5, 4, 1024
-	c := MustNew(k, h)
-	data := randBlocks(t, nb, k, size, 3)
-	parity := make([][]byte, nb*h)
-	// Warm the buffers so sizeFor reuses capacity thereafter.
-	if err := c.EncodeBlocks(data, parity); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, p := range []struct {
+		wide           bool
+		k, h, nb, size int
+	}{{false, 20, 5, 4, 1024}, {true, 300, 60, 2, 64}} {
+		c := mustCode(t, p.wide, p.k, p.h)
+		data := randBlocks(t, p.nb, p.k, p.size, 3)
+		parity := make([][]byte, p.nb*p.h)
+		// Warm the buffers so sizeFor reuses capacity thereafter.
 		if err := c.EncodeBlocks(data, parity); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs/op on warmed EncodeBlocks, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := c.EncodeBlocks(data, parity); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("wide=%v: %v allocs/op on warmed EncodeBlocks, want 0", p.wide, allocs)
+		}
+	}
+}
+
+// TestEncodeParitySteadyStateAllocs pins the on-demand path NP runs per
+// repair round: EncodeParity into a warmed dst allocates nothing, in
+// either field.
+func TestEncodeParitySteadyStateAllocs(t *testing.T) {
+	for _, p := range []struct {
+		wide bool
+		k, h int
+	}{{false, 20, 5}, {true, 300, 60}} {
+		c := mustCode(t, p.wide, p.k, p.h)
+		data := randBlocks(t, 1, p.k, 1024, 4)
+		dst, err := c.EncodeParity(0, data, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			j = (j + 1) % p.h
+			if dst, err = c.EncodeParity(j, data, dst[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("wide=%v: %v allocs/op on EncodeParity into dst, want 0", p.wide, allocs)
+		}
 	}
 }
 
@@ -225,7 +294,7 @@ func TestEncodeBlocksSteadyStateAllocs(t *testing.T) {
 // completeness check).
 func TestNewZeroParityCheap(t *testing.T) {
 	c := MustNew(200, 0) // would be a 200x200 inversion without the skip
-	if c.parity != nil {
+	if c.p8 != nil {
 		t.Fatal("h == 0 code built a parity matrix")
 	}
 	if err := c.Encode(make2D(200, 16), [][]byte{}); err != nil {
@@ -254,15 +323,15 @@ func TestKernelGate(t *testing.T) {
 	}{
 		{7, 7, true}, {20, 4, true}, {20, 12, false}, {100, 5, false},
 	} {
-		if got := MustNew(tc.k, tc.h).wideEncode; got != tc.wide {
-			t.Errorf("k=%d h=%d: wideEncode = %v, want %v", tc.k, tc.h, got, tc.wide)
+		if got := MustNew(tc.k, tc.h).pairEncode; got != tc.wide {
+			t.Errorf("k=%d h=%d: pairEncode = %v, want %v", tc.k, tc.h, got, tc.wide)
 		}
 	}
 
 	// Round-trip through the compact path: k=100 exceeds the budget for
 	// both its generator and every decode matrix.
 	c := MustNew(100, 10)
-	if c.wideEncode {
+	if c.pairEncode {
 		t.Fatal("k=100 h=10 unexpectedly within pairCoeffBudget")
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -288,8 +357,14 @@ func TestKernelGate(t *testing.T) {
 			t.Fatalf("compact-path reconstruct diverged at shard %d", i)
 		}
 	}
-	if ok, err := c.Verify(shards); err != nil || !ok {
-		t.Fatalf("compact-path Verify rejected a valid block: ok=%v err=%v", ok, err)
+	parity := make([][]byte, 10)
+	if err := c.Encode(shards[:100], parity); err != nil {
+		t.Fatal(err)
+	}
+	for j := range parity {
+		if !bytes.Equal(parity[j], shards[100+j]) {
+			t.Fatalf("re-encoding the rebuilt data moved parity %d", j)
+		}
 	}
 }
 
@@ -302,16 +377,20 @@ func make2D(n, size int) [][]byte {
 }
 
 // BenchmarkReconstruct measures steady-state decode at the paper's two
-// operating points with recycled buffers (the receiver's hot path).
+// operating points and a GF(2^16) group of 300 + 60 with recycled buffers
+// (the receiver's hot path).
 func BenchmarkReconstruct(b *testing.B) {
-	for _, p := range []struct{ k, h int }{{7, 7}, {20, 5}} {
-		c := MustNew(p.k, p.h)
+	for _, p := range []struct {
+		wide       bool
+		k, h, lose int
+	}{{false, 7, 7, 7}, {false, 20, 5, 5}, {true, 300, 60, 10}} {
+		c := mustCode(b, p.wide, p.k, p.h)
 		ref := makeBlock(b, c, 1024, 9)
 		shards := make([][]byte, c.N())
 		for i := range shards {
 			shards[i] = append([]byte(nil), ref[i]...)
 		}
-		lost := make([]int, p.h)
+		lost := make([]int, p.lose)
 		for i := range lost {
 			lost[i] = i * 2 // data-heavy repeated pattern
 		}
@@ -330,10 +409,14 @@ func BenchmarkReconstruct(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode measures batch encode at the paper's operating points.
+// BenchmarkEncode measures batch encode at the paper's operating points
+// and at a GF(2^16) group of 300 + 60.
 func BenchmarkEncode(b *testing.B) {
-	for _, p := range []struct{ k, h int }{{7, 7}, {20, 5}} {
-		c := MustNew(p.k, p.h)
+	for _, p := range []struct {
+		wide bool
+		k, h int
+	}{{false, 7, 7}, {false, 20, 5}, {true, 300, 60}} {
+		c := mustCode(b, p.wide, p.k, p.h)
 		shards := makeBlock(b, c, 1024, 10)
 		b.Run(benchName(p.k, p.h), func(b *testing.B) {
 			b.SetBytes(int64(p.k * 1024))

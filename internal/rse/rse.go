@@ -22,28 +22,50 @@
 // DESIGN.md "Codec performance"): with l data packets lost, the k-l
 // present ones are already solved, so Reconstruct inverts only the l x l
 // block of parity coefficients that couples the missing packets to the
-// parities standing in for them — O(l^3 + l^2 k) byte operations, against
+// parities standing in for them — O(l^3 + l^2 k) field operations, against
 // the l*k*len(packet) of the data pass — and no decode matrix is cached.
 // The one structure on the hot path is a scratch free-list holding the
 // index slices and that small system, so Reconstruct performs no heap
 // allocations on any loss pattern when the caller also recycles the output
 // shards (pass a missing shard as a zero-length slice with spare capacity
 // instead of nil).
+//
+// One Code serves both symbol sizes of Section 2.2, where a block of n
+// packets needs n < 2^m. New builds the code over GF(2^8) (m = 8, blocks
+// up to MaxBlock packets); NewWide builds the same systematic Vandermonde
+// code at the same points over GF(2^16) (package gf16), for the very large
+// transmission groups Section 4.2 recommends against burst loss: k up to
+// MaxWideK, k+h up to MaxWideBlock. A wide code reads each big-endian byte
+// pair of a packet as one symbol, so its shards must have even length. The
+// field supplies only the generator rows, the small solve and the slice
+// kernels; validation, encoding, the choice of shards and the decode
+// subsystem are shared.
 package rse
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
+	"rmfec/internal/gf16"
 	"rmfec/internal/gf256"
 	"rmfec/internal/metrics"
 )
 
-// MaxBlock is the largest supported FEC block size n = k+h, bounded by the
-// number of distinct evaluation points in GF(2^8).
-const MaxBlock = 256
+// Block limits. MaxBlock bounds New's n = k+h by the number of distinct
+// evaluation points in GF(2^8); MaxWideBlock does the same for NewWide in
+// GF(2^16), and MaxWideK caps a wide group, whose per-shard work still
+// grows linearly with k.
+const (
+	MaxBlock     = 256
+	MaxWideBlock = gf16.Order
+	MaxWideK     = 4096
+)
+
+// MaxNarrowBlock is the largest block k+h the protocol engines code over
+// GF(2^8), the paper's n < 2^m at m = 8; a larger block takes NewWide and
+// an even shard size.
+const MaxNarrowBlock = MaxBlock - 1
 
 // pairCoeffBudget caps the number of distinct non-trivial coefficients the
 // generator may use before the encoder abandons gf256's pair-table word
@@ -56,13 +78,14 @@ const MaxBlock = 256
 // fast path and sends wide codes (k=100 uses 139+) down the compact one.
 const pairCoeffBudget = 32
 
-// wideKernelOK reports whether the pair-table word kernels pay off for a
-// matrix: true when the count of distinct coefficients outside {0, 1}
-// (the only values that consult a pair table) is within pairCoeffBudget.
-func wideKernelOK(m *gf256.Matrix) bool {
+// pairKernelOK reports whether the pair-table word kernels pay off for
+// GF(2^8) generator rows: true when the count of distinct coefficients
+// outside {0, 1} (the only values that consult a pair table) is within
+// pairCoeffBudget.
+func pairKernelOK(rows []byte) bool {
 	var seen [256]bool
 	distinct := 0
-	for _, co := range m.Data {
+	for _, co := range rows {
 		if co > 1 && !seen[co] {
 			seen[co] = true
 			distinct++
@@ -82,18 +105,24 @@ var (
 	ErrBadParityIndex = errors.New("rse: parity index out of range")
 )
 
-// Code is a systematic (n, k) Reed-Solomon erasure code. The generator is
-// immutable after construction; the decode scratch free-list is guarded by
-// an internal mutex, so a Code is safe for concurrent use.
+// Code is a systematic (n, k) Reed-Solomon erasure code over GF(2^8) or
+// GF(2^16). The generator is immutable after construction; the decode
+// scratch free-list is guarded by an internal mutex, so a Code is safe for
+// concurrent use.
 type Code struct {
-	k, h   int
-	parity *gf256.Matrix // h x k parity generator rows of G = [I; P]
-	// wideEncode selects the pair-table word kernels for encoding; set at
-	// construction iff the generator's coefficient diversity is within
-	// pairCoeffBudget. Decode rows carry ~k distinct coefficients per
-	// erasure pattern, the case the budget exists to keep off the pair
-	// tables, so Reconstruct always runs the compact forms.
-	wideEncode bool
+	k, h int
+	wide bool // GF(2^16): symbols are big-endian byte pairs
+	// The h x k parity generator rows of G = [I; P], row-major, in the
+	// code's field: p8 for GF(2^8), p16 for GF(2^16).
+	p8  []byte
+	p16 []uint16
+	// pairEncode selects gf256's pair-table word kernels for encoding;
+	// set at construction iff the GF(2^8) generator's coefficient
+	// diversity is within pairCoeffBudget. Decode rows carry ~k distinct
+	// coefficients per erasure pattern, the case the budget exists to
+	// keep off the pair tables, so Reconstruct always runs the compact
+	// forms.
+	pairEncode bool
 
 	mu      sync.Mutex
 	scratch []*decodeScratch // free-list of decode scratch
@@ -140,9 +169,9 @@ func RegisterInstruments(r *metrics.Registry) Instruments {
 	}
 	return Instruments{
 		EncodeBytes: r.Counter("rse_encode_bytes_total",
-			"parity bytes produced by the GF(2^8) encoder"),
+			"parity bytes produced by the Reed-Solomon encoder"),
 		DecodeBytes: r.Counter("rse_decode_bytes_total",
-			"data bytes reconstructed by the GF(2^8) decoder"),
+			"data bytes reconstructed by the Reed-Solomon decoder"),
 		CacheHits:   cache("hit"),
 		CacheMisses: cache("miss"),
 	}
@@ -153,28 +182,34 @@ func RegisterInstruments(r *metrics.Registry) Instruments {
 // shards missing) so no call grows it.
 type decodeScratch struct {
 	missing, chosen []int
-	rows            []byte // l x (l+k): see decodeRows
+	rows            []byte   // GF(2^8) l x (l+k) system: see decodeRows
+	rows16          []uint16 // the same for a GF(2^16) code
 }
 
-// New returns a code with k data shards and h parity shards per block.
-// Constraints: k >= 1, h >= 0, k+h <= MaxBlock.
-func New(k, h int) (*Code, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("rse: k = %d, need k >= 1", k)
+// newCode validates (k, h) against a field's limits.
+func newCode(k, h, maxK, maxN int) (*Code, error) {
+	if k < 1 || k > maxK {
+		return nil, fmt.Errorf("rse: k = %d, need 1..%d", k, maxK)
 	}
 	if h < 0 {
 		return nil, fmt.Errorf("rse: h = %d, need h >= 0", h)
 	}
+	if k+h > maxN {
+		return nil, fmt.Errorf("rse: block size k+h = %d exceeds %d", k+h, maxN)
+	}
+	return &Code{k: k, h: h}, nil
+}
+
+// New returns a code over GF(2^8) with k data shards and h parity shards
+// per block. Constraints: k >= 1, h >= 0, k+h <= MaxBlock.
+func New(k, h int) (*Code, error) {
+	c, err := newCode(k, h, MaxBlock, MaxBlock)
+	if err != nil || h == 0 {
+		// A code with no parities encodes nothing and Reconstruct can
+		// only verify completeness: skip the O(k^3) construction.
+		return c, err
+	}
 	n := k + h
-	if n > MaxBlock {
-		return nil, fmt.Errorf("rse: block size k+h = %d exceeds %d", n, MaxBlock)
-	}
-	if h == 0 {
-		// Degenerate code with no parities; Encode is a no-op and
-		// Reconstruct can only verify completeness, so skip the O(k^3)
-		// Vandermonde construction and inversion entirely.
-		return &Code{k: k, h: 0}, nil
-	}
 	v := gf256.Vandermonde(n, k, 0)
 	topRows := make([]int, k)
 	for i := range topRows {
@@ -191,8 +226,50 @@ func New(k, h int) (*Code, error) {
 	for j := range bottom {
 		bottom[j] = k + j
 	}
-	parity := g.SubMatrix(bottom)
-	return &Code{k: k, h: h, parity: parity, wideEncode: wideKernelOK(parity)}, nil
+	c.p8 = g.SubMatrix(bottom).Data
+	c.pairEncode = pairKernelOK(c.p8)
+	return c, nil
+}
+
+// NewWide returns the same code over GF(2^16), for blocks past GF(2^8):
+// k <= MaxWideK, k+h <= MaxWideBlock, shards of even length. Its generator
+// is G = V inv(V_top) at the points 0..k+h-1 as in New, so row k+j holds
+// the Lagrange basis polynomials of the points 0..k-1 evaluated at x = k+j:
+//
+//	L_c(x) = prod_{r != c} (x + r) / (c + r)
+//
+// (addition is subtraction in characteristic 2). The denominators are
+// computed once, so the rows cost O(k^2 + hk) field operations instead of
+// an O(k^3) elimination.
+func NewWide(k, h int) (*Code, error) {
+	c, err := newCode(k, h, MaxWideK, MaxWideBlock)
+	if err != nil {
+		return nil, err
+	}
+	c.wide = true
+	den := make([]uint16, k) // den[i] = prod_{r != i} (i + r)
+	for i := range den {
+		d := uint16(1)
+		for r := 0; r < k; r++ {
+			if r != i {
+				d = gf16.Mul(d, uint16(i^r))
+			}
+		}
+		den[i] = d
+	}
+	c.p16 = make([]uint16, h*k)
+	for j := 0; j < h; j++ {
+		x := k + j
+		all := uint16(1) // prod_r (x + r), non-zero: x is no data point
+		for r := 0; r < k; r++ {
+			all = gf16.Mul(all, uint16(x^r))
+		}
+		row := c.p16[j*k : (j+1)*k]
+		for i := range row {
+			row[i] = gf16.Div(all, gf16.Mul(uint16(x^i), den[i]))
+		}
+	}
+	return c, nil
 }
 
 // MustNew is New, panicking on error; for statically valid parameters.
@@ -213,10 +290,17 @@ func (c *Code) H() int { return c.h }
 // N returns the block size k+h.
 func (c *Code) N() int { return c.k + c.h }
 
-func checkSizes(shards [][]byte) (size int, err error) {
+// Wide reports whether the code runs over GF(2^16) (NewWide).
+func (c *Code) Wide() bool { return c.wide }
+
+// checkSizes returns the common length of the present shards: those not
+// nil and, under Reconstruct's missing-shard contract (sparse), not
+// zero-length either — which lets callers hand in recycled buffers with
+// spare capacity. A GF(2^16) code also needs the length even.
+func (c *Code) checkSizes(shards [][]byte, sparse bool) (size int, err error) {
 	size = -1
 	for _, s := range shards {
-		if s == nil {
+		if s == nil || sparse && len(s) == 0 {
 			continue
 		}
 		if size < 0 {
@@ -228,32 +312,14 @@ func checkSizes(shards [][]byte) (size int, err error) {
 	if size < 0 {
 		return 0, ErrTooFewShards
 	}
-	return size, nil
-}
-
-// checkSizesSparse is checkSizes under Reconstruct's missing-shard
-// contract: a shard is missing if it is nil OR zero-length (the latter
-// lets callers hand in recycled buffers with spare capacity).
-func checkSizesSparse(shards [][]byte) (size int, err error) {
-	size = -1
-	for _, s := range shards {
-		if len(s) == 0 {
-			continue
-		}
-		if size < 0 {
-			size = len(s)
-		} else if len(s) != size {
-			return 0, ErrShardSize
-		}
-	}
-	if size < 0 {
-		return 0, ErrTooFewShards
+	if c.wide && size%2 != 0 {
+		return 0, fmt.Errorf("%w: %d bytes, GF(2^16) needs an even size", ErrShardSize, size)
 	}
 	return size, nil
 }
 
-// validateEncode checks the data-shard slice for Encode/EncodeParity/
-// Verify once, so the per-parity loops can run unchecked.
+// validateEncode checks the data-shard slice for Encode/EncodeParity
+// once, so the per-parity loops can run unchecked.
 func (c *Code) validateEncode(data [][]byte) (size int, err error) {
 	if len(data) != c.k {
 		return 0, fmt.Errorf("%w: %d data shards, want %d", ErrBadShardCount, len(data), c.k)
@@ -263,7 +329,7 @@ func (c *Code) validateEncode(data [][]byte) (size int, err error) {
 			return 0, fmt.Errorf("%w: nil data shard", ErrBadShardCount)
 		}
 	}
-	return checkSizes(data)
+	return c.checkSizes(data, false)
 }
 
 // encodeRow writes parity row j over the validated data shards into dst,
@@ -271,8 +337,16 @@ func (c *Code) validateEncode(data [][]byte) (size int, err error) {
 // applied with MulSlice — overwriting dst — so no zero-fill pass is
 // needed before the multiply-accumulate sweep.
 func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
-	row := c.parity.Row(j)
-	if c.wideEncode {
+	if c.wide {
+		row := c.p16[j*c.k : (j+1)*c.k]
+		gf16.MulSlice(row[0], data[0], dst)
+		for i := 1; i < c.k; i++ {
+			gf16.MulAddSlice(row[i], data[i], dst)
+		}
+		return
+	}
+	row := c.p8[j*c.k : (j+1)*c.k]
+	if c.pairEncode {
 		gf256.MulSlice(row[0], data[0], dst)
 		for i := 1; i < c.k; i++ {
 			gf256.MulAddSlice(row[i], data[i], dst)
@@ -368,13 +442,19 @@ func (c *Code) getScratch() *decodeScratch {
 	}
 	c.mu.Unlock()
 	if sc == nil {
-		l := min(c.k, c.h)
 		//rmlint:ignore hotpath-alloc scratch allocated on pool miss; recycled by putScratch
-		sc = &decodeScratch{
-			missing: make([]int, 0, c.k),
-			chosen:  make([]int, 0, c.k),
-			rows:    make([]byte, l*(l+c.k)),
-		}
+		sc = c.newScratch()
+	}
+	return sc
+}
+
+func (c *Code) newScratch() *decodeScratch {
+	l := min(c.k, c.h)
+	sc := &decodeScratch{missing: make([]int, 0, c.k), chosen: make([]int, 0, c.k)}
+	if c.wide {
+		sc.rows16 = make([]uint16, l*(l+c.k))
+	} else {
+		sc.rows = make([]byte, l*(l+c.k))
 	}
 	return sc
 }
@@ -386,28 +466,50 @@ func (c *Code) putScratch(sc *decodeScratch) {
 	c.mu.Unlock()
 }
 
-// decodeRows returns the l = len(missing) decode rows of an erasure
-// pattern as an l x (l+k) matrix: past its first l columns (the identity),
-// row j holds the k coefficients that rebuild data shard missing[j] from
-// the shards in chosen (the k-l present data shards, then l present
-// parities). Because G = [I; P] is systematic, the present data shards are
-// already solved and only the missing ones are unknowns: writing M for
-// missing, D for the present data and Q for the chosen parities,
-// y_Q = P[Q][M] x_M + P[Q][D] x_D, so with A = P[Q][M]
+// decodeRows leaves in the scratch's rows (GF(2^8)) or rows16 (GF(2^16))
+// the l = len(missing) decode rows of an erasure pattern as an l x (l+k)
+// matrix: past its first l columns (the identity), row j holds the k
+// coefficients that rebuild data shard missing[j] from the shards in
+// chosen (the k-l present data shards, then l present parities). Because
+// G = [I; P] is systematic, the present data shards are already solved and
+// only the missing ones are unknowns: writing M for missing, D for the
+// present data and Q for the chosen parities, y_Q = P[Q][M] x_M +
+// P[Q][D] x_D, so with A = P[Q][M]
 //
 //	x_M = (A^-1 P[Q][D]) x_D + A^-1 y_Q
 //
 // (addition and subtraction coincide), and one elimination of the l rows
 // [A | P[Q][D] | I] to [I | A^-1 P[Q][D] | A^-1] produces both factors:
-// O(l^2 (l+k)) byte operations. The rows are exactly rows M of the inverse
-// of the k chosen generator rows — that inverse is unique — without the
-// O(k^3) elimination over rows that were unit vectors to begin with.
-func (c *Code) decodeRows(sc *decodeScratch, missing, chosen []int) ([]byte, error) {
-	l, k := len(missing), c.k
+// O(l^2 (l+k)) symbol operations. The rows are exactly rows M of the
+// inverse of the k chosen generator rows — that inverse is unique — without
+// the O(k^3) elimination over rows that were unit vectors to begin with.
+func (c *Code) decodeRows(sc *decodeScratch, missing, chosen []int) error {
+	l := len(missing)
+	n := l * (l + c.k)
+	var err error
+	if c.wide {
+		subsystem(c.p16, sc.rows16[:n], c.k, missing, chosen)
+		err = gf16.SolveSmall(sc.rows16[:n], l, l+c.k)
+	} else {
+		subsystem(c.p8, sc.rows[:n], c.k, missing, chosen)
+		err = gf256.SolveSmall(sc.rows[:n], l, l+c.k)
+	}
+	if err != nil {
+		// Cannot happen for this generator matrix: any k rows are linearly
+		// independent by construction, and A is singular only if the chosen
+		// rows are dependent.
+		return fmt.Errorf("rse: internal decode failure: %w", err)
+	}
+	return nil
+}
+
+// subsystem writes decodeRows' l x (l+k) system [A | P[Q][D] | I] from the
+// parity generator rows p.
+func subsystem[T byte | uint16](p, rows []T, k int, missing, chosen []int) {
+	l := len(missing)
 	w := l + k
-	rows := sc.rows[:l*w]
 	for q, idx := range chosen[k-l:] {
-		prow, row := c.parity.Row(idx-k), rows[q*w:(q+1)*w]
+		prow, row := p[(idx-k)*k:(idx-k+1)*k], rows[q*w:(q+1)*w]
 		for j, m := range missing {
 			row[j] = prow[m]
 		}
@@ -417,13 +519,6 @@ func (c *Code) decodeRows(sc *decodeScratch, missing, chosen []int) ([]byte, err
 		clear(row[k:])
 		row[k+q] = 1
 	}
-	if err := gf256.SolveSmall(rows, l, w); err != nil {
-		// Cannot happen for this generator matrix: any k rows are linearly
-		// independent by construction, and A is singular only if the chosen
-		// rows are dependent.
-		return nil, fmt.Errorf("rse: internal decode failure: %w", err)
-	}
-	return rows, nil
 }
 
 // Reconstruct rebuilds every missing data shard in place. shards must have
@@ -449,7 +544,7 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	if len(shards) != n {
 		return fmt.Errorf("%w: %d shards, want %d", ErrBadShardCount, len(shards), n)
 	}
-	size, err := checkSizesSparse(shards)
+	size, err := c.checkSizes(shards, true)
 	if err != nil {
 		return err
 	}
@@ -481,8 +576,7 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	if len(chosen) < c.k {
 		return fmt.Errorf("%w: %d of %d present", ErrTooFewShards, len(chosen), c.k)
 	}
-	rows, err := c.decodeRows(sc, missing, chosen)
-	if err != nil {
+	if err := c.decodeRows(sc, missing, chosen); err != nil {
 		return err
 	}
 	c.ins.CacheMisses.Inc()
@@ -490,77 +584,24 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	// Each missing data shard is its decode row times the received
 	// vector; the first column overwrites via MulSlice so recycled
 	// output buffers need no zero-fill.
-	l := len(missing)
+	l, w := len(missing), len(missing)+c.k
 	for j, i := range missing {
 		out := sizeFor(shards[i], size)
-		row := rows[j*(l+c.k)+l : (j+1)*(l+c.k)]
-		gf256.MulSliceCompact(row[0], shards[chosen[0]], out)
-		for r := 1; r < len(chosen); r++ {
-			gf256.MulAddSliceCompact(row[r], shards[chosen[r]], out)
+		if c.wide {
+			row := sc.rows16[j*w+l : (j+1)*w]
+			gf16.MulSlice(row[0], shards[chosen[0]], out)
+			for r := 1; r < c.k; r++ {
+				gf16.MulAddSlice(row[r], shards[chosen[r]], out)
+			}
+		} else {
+			row := sc.rows[j*w+l : (j+1)*w]
+			gf256.MulSliceCompact(row[0], shards[chosen[0]], out)
+			for r := 1; r < c.k; r++ {
+				gf256.MulAddSliceCompact(row[r], shards[chosen[r]], out)
+			}
 		}
 		shards[i] = out
 	}
 	c.ins.DecodeBytes.Add(uint64(l) * uint64(size))
 	return nil
-}
-
-// ReconstructAll rebuilds missing data shards and then re-encodes any
-// missing parity shards, leaving a fully populated block.
-func (c *Code) ReconstructAll(shards [][]byte) error {
-	if err := c.Reconstruct(shards); err != nil {
-		return err
-	}
-	needParity := false
-	for j := 0; j < c.h; j++ {
-		if len(shards[c.k+j]) == 0 {
-			needParity = true
-			break
-		}
-	}
-	if !needParity {
-		return nil
-	}
-	data := shards[:c.k]
-	for j := 0; j < c.h; j++ {
-		if len(shards[c.k+j]) != 0 {
-			continue
-		}
-		p, err := c.EncodeParity(j, data, shards[c.k+j])
-		if err != nil {
-			return err
-		}
-		shards[c.k+j] = p
-	}
-	return nil
-}
-
-// Verify reports whether the parity shards are consistent with the data
-// shards. All n shards must be present. The shard validation runs once up
-// front; the per-parity loop just re-encodes into one reused buffer and
-// compares.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	n := c.N()
-	if len(shards) != n {
-		return false, fmt.Errorf("%w: %d shards, want %d", ErrBadShardCount, len(shards), n)
-	}
-	for _, s := range shards {
-		if s == nil {
-			return false, ErrTooFewShards
-		}
-	}
-	size, err := c.validateEncode(shards[:c.k])
-	if err != nil {
-		return false, err
-	}
-	buf := make([]byte, size)
-	for j := 0; j < c.h; j++ {
-		if len(shards[c.k+j]) != size {
-			return false, ErrShardSize
-		}
-		c.encodeRow(j, shards[:c.k], buf)
-		if !bytes.Equal(buf, shards[c.k+j]) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -17,6 +17,27 @@ func randShards(rng *rand.Rand, k, size int) [][]byte {
 	return data
 }
 
+// fields names the two constructors; tests that hold for both run once
+// per field.
+var fields = []struct {
+	name string
+	wide bool
+}{{"gf8", false}, {"gf16", true}}
+
+// mustCode builds the (k, h) code over GF(2^16) when wide, else GF(2^8).
+func mustCode(tb testing.TB, wide bool, k, h int) *Code {
+	tb.Helper()
+	build := New
+	if wide {
+		build = NewWide
+	}
+	c, err := build(k, h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 func encodeBlock(t testing.TB, c *Code, data [][]byte) [][]byte {
 	t.Helper()
 	parity := make([][]byte, c.H())
@@ -31,16 +52,29 @@ func encodeBlock(t testing.TB, c *Code, data [][]byte) [][]byte {
 
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
+		wide bool
 		k, h int
 		ok   bool
 	}{
-		{1, 0, true}, {1, 255, true}, {7, 3, true}, {100, 156, true},
-		{0, 1, false}, {-1, 2, false}, {3, -1, false}, {200, 57, false},
+		{false, 1, 0, true}, {false, 1, 255, true}, {false, 7, 3, true}, {false, 100, 156, true},
+		{false, 0, 1, false}, {false, -1, 2, false}, {false, 3, -1, false}, {false, 200, 57, false},
+		// GF(2^16): k up to MaxWideK, built in O(k^2), and k+h up to
+		// MaxWideBlock.
+		{true, 1, 0, true}, {true, 300, 60, true}, {true, MaxWideK, 1, true}, {true, 1, MaxWideBlock - 1, true},
+		{true, 0, 1, false}, {true, -1, 2, false}, {true, 3, -1, false}, {true, MaxWideK + 1, 1, false},
+		{true, 2, MaxWideBlock - 1, false},
 	}
 	for _, tc := range cases {
-		_, err := New(tc.k, tc.h)
+		build := New
+		if tc.wide {
+			build = NewWide
+		}
+		c, err := build(tc.k, tc.h)
 		if (err == nil) != tc.ok {
-			t.Errorf("New(%d,%d): err = %v, want ok=%v", tc.k, tc.h, err, tc.ok)
+			t.Errorf("wide=%v (%d,%d): err = %v, want ok=%v", tc.wide, tc.k, tc.h, err, tc.ok)
+		}
+		if err == nil && c.Wide() != tc.wide {
+			t.Errorf("wide=%v (%d,%d): Wide() = %v", tc.wide, tc.k, tc.h, c.Wide())
 		}
 	}
 }
@@ -49,7 +83,13 @@ func TestRoundTripAllErasurePatterns(t *testing.T) {
 	// Exhaustive over every erasure pattern that leaves >= k shards, for a
 	// small code: the decoder must always reconstruct the exact data.
 	const k, h = 4, 3
-	c := MustNew(k, h)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { roundTripAllErasurePatterns(t, mustCode(t, f.wide, k, h)) })
+	}
+}
+
+func roundTripAllErasurePatterns(t *testing.T, c *Code) {
+	k := c.K()
 	rng := rand.New(rand.NewSource(10))
 	data := randShards(rng, k, 64)
 	block := encodeBlock(t, c, data)
@@ -97,9 +137,17 @@ func TestRoundTripAllErasurePatterns(t *testing.T) {
 
 func TestRoundTripRandomPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, kh := range [][2]int{{7, 3}, {20, 10}, {100, 20}, {1, 5}, {64, 64}} {
-		k, h := kh[0], kh[1]
-		c := MustNew(k, h)
+	for _, p := range []struct {
+		wide bool
+		k, h int
+	}{
+		{false, 7, 3}, {false, 20, 10}, {false, 100, 20}, {false, 1, 5}, {false, 64, 64},
+		// GF(2^16), past the 256-packet ceiling of GF(2^8) too: a 300 + 60
+		// block and a k = 1200 group.
+		{true, 4, 3}, {true, 7, 1}, {true, 16, 8}, {true, 300, 60}, {true, 1200, 40},
+	} {
+		k, h := p.k, p.h
+		c := mustCode(t, p.wide, k, h)
 		data := randShards(rng, k, 128)
 		block := encodeBlock(t, c, data)
 		for trial := 0; trial < 25; trial++ {
@@ -112,11 +160,11 @@ func TestRoundTripRandomPatterns(t *testing.T) {
 				}
 			}
 			if err := c.Reconstruct(shards); err != nil {
-				t.Fatalf("(%d,%d) lose %d: %v", k, h, lose, err)
+				t.Fatalf("wide=%v (%d,%d) lose %d: %v", p.wide, k, h, lose, err)
 			}
 			for i := 0; i < k; i++ {
 				if !bytes.Equal(shards[i], data[i]) {
-					t.Fatalf("(%d,%d) lose %d: shard %d wrong", k, h, lose, i)
+					t.Fatalf("wide=%v (%d,%d) lose %d: shard %d wrong", p.wide, k, h, lose, i)
 				}
 			}
 		}
@@ -126,7 +174,12 @@ func TestRoundTripRandomPatterns(t *testing.T) {
 func TestDecodeNeverSucceedsBelowK(t *testing.T) {
 	// Property: with fewer than k shards present and at least one data
 	// shard missing, Reconstruct must fail — the code cannot invent data.
-	c := MustNew(5, 4)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { decodeNeverSucceedsBelowK(t, mustCode(t, f.wide, 5, 4)) })
+	}
+}
+
+func decodeNeverSucceedsBelowK(t *testing.T, c *Code) {
 	rng := rand.New(rand.NewSource(12))
 	data := randShards(rng, 5, 32)
 	block := encodeBlock(t, c, data)
@@ -146,8 +199,8 @@ func TestDecodeNeverSucceedsBelowK(t *testing.T) {
 		if !missingData {
 			continue
 		}
-		if err := c.Reconstruct(shards); err == nil {
-			t.Fatalf("Reconstruct succeeded with %d < k shards", present)
+		if err := c.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
+			t.Fatalf("Reconstruct with %d < k shards: err = %v, want ErrTooFewShards", present, err)
 		}
 	}
 }
@@ -182,7 +235,12 @@ func TestSingleParityIsXOR(t *testing.T) {
 }
 
 func TestEncodeParityMatchesEncode(t *testing.T) {
-	c := MustNew(7, 5)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { encodeParityMatchesEncode(t, mustCode(t, f.wide, 7, 5)) })
+	}
+}
+
+func encodeParityMatchesEncode(t *testing.T, c *Code) {
 	rng := rand.New(rand.NewSource(14))
 	data := randShards(rng, 7, 48)
 	parity := make([][]byte, 5)
@@ -204,10 +262,23 @@ func TestEncodeParityMatchesEncode(t *testing.T) {
 	if _, err := c.EncodeParity(-1, data, nil); !errors.Is(err, ErrBadParityIndex) {
 		t.Errorf("EncodeParity(-1): err = %v", err)
 	}
+	if _, err := c.EncodeParity(0, data[:6], nil); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("short data: err = %v", err)
+	}
+	holed := append([][]byte(nil), data...)
+	holed[3] = nil
+	if _, err := c.EncodeParity(0, holed, nil); !errors.Is(err, ErrBadShardCount) {
+		t.Errorf("nil data shard: err = %v", err)
+	}
 }
 
 func TestEncodeBufferReuse(t *testing.T) {
-	c := MustNew(3, 2)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { encodeBufferReuse(t, mustCode(t, f.wide, 3, 2)) })
+	}
+}
+
+func encodeBufferReuse(t *testing.T, c *Code) {
 	rng := rand.New(rand.NewSource(15))
 	data := randShards(rng, 3, 40)
 	parity := [][]byte{make([]byte, 64), make([]byte, 8)}
@@ -231,59 +302,53 @@ func TestEncodeBufferReuse(t *testing.T) {
 	}
 }
 
-func TestReconstructAllAndVerify(t *testing.T) {
-	c := MustNew(6, 3)
-	rng := rand.New(rand.NewSource(16))
-	data := randShards(rng, 6, 24)
-	block := encodeBlock(t, c, data)
-
-	shards := make([][]byte, c.N())
-	copy(shards, block)
-	shards[0], shards[7] = nil, nil // one data, one parity missing
-	if err := c.ReconstructAll(shards); err != nil {
-		t.Fatal(err)
+func TestReconstructErrors(t *testing.T) {
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { reconstructErrors(t, mustCode(t, f.wide, 3, 2)) })
 	}
-	for i, s := range shards {
-		if !bytes.Equal(s, block[i]) {
-			t.Fatalf("shard %d differs after ReconstructAll", i)
-		}
+	// GF(2^16) reads byte pairs: an odd shard size is refused on every path.
+	c := mustCode(t, true, 3, 2)
+	odd := [][]byte{make([]byte, 7), make([]byte, 7), make([]byte, 7)}
+	if err := c.Encode(odd, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
+		t.Errorf("odd size, Encode: %v", err)
 	}
-	ok, err := c.Verify(shards)
-	if err != nil || !ok {
-		t.Fatalf("Verify = %v, %v; want true, nil", ok, err)
+	if _, err := c.EncodeParity(1, odd, nil); !errors.Is(err, ErrShardSize) {
+		t.Errorf("odd size, EncodeParity: %v", err)
 	}
-	shards[8][3] ^= 0xff
-	ok, err = c.Verify(shards)
-	if err != nil || ok {
-		t.Fatalf("Verify of corrupted block = %v, %v; want false, nil", ok, err)
+	if err := c.Reconstruct([][]byte{nil, odd[1], odd[2], make([]byte, 7), nil}); !errors.Is(err, ErrShardSize) {
+		t.Errorf("odd size, Reconstruct: %v", err)
 	}
 }
 
-func TestReconstructErrors(t *testing.T) {
-	c := MustNew(3, 2)
+func reconstructErrors(t *testing.T, c *Code) {
 	if err := c.Reconstruct(make([][]byte, 4)); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("wrong shard count: %v", err)
 	}
 	shards := make([][]byte, 5)
 	shards[0] = make([]byte, 4)
-	shards[1] = make([]byte, 5)
+	shards[1] = make([]byte, 6)
 	if err := c.Reconstruct(shards); !errors.Is(err, ErrShardSize) {
 		t.Errorf("inconsistent sizes: %v", err)
 	}
 	if err := c.Reconstruct(make([][]byte, 5)); !errors.Is(err, ErrTooFewShards) {
 		t.Errorf("all missing: %v", err)
 	}
-	data := [][]byte{{1}, {2}, {3}}
+	data := [][]byte{{1, 2}, {3, 4}, {5, 6}}
 	if err := c.Encode(data, make([][]byte, 1)); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("bad parity count: %v", err)
 	}
-	if err := c.Encode([][]byte{{1}, nil, {3}}, make([][]byte, 2)); !errors.Is(err, ErrBadShardCount) {
+	if err := c.Encode([][]byte{{1, 2}, nil, {5, 6}}, make([][]byte, 2)); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("nil data shard: %v", err)
 	}
 }
 
 func TestZeroParityCode(t *testing.T) {
-	c := MustNew(4, 0)
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) { zeroParityCode(t, mustCode(t, f.wide, 4, 0)) })
+	}
+}
+
+func zeroParityCode(t *testing.T, c *Code) {
 	rng := rand.New(rand.NewSource(17))
 	data := randShards(rng, 4, 10)
 	if err := c.Encode(data, nil); err != nil {
@@ -301,9 +366,13 @@ func TestZeroParityCode(t *testing.T) {
 }
 
 func TestQuickRandomErasures(t *testing.T) {
-	c := MustNew(9, 6)
+	quickRandomErasures(t, MustNew(9, 6), 17)
+	quickRandomErasures(t, mustCode(t, true, 9, 6), 18)
+}
+
+func quickRandomErasures(t *testing.T, c *Code, size int) {
 	rng := rand.New(rand.NewSource(18))
-	data := randShards(rng, 9, 17)
+	data := randShards(rng, 9, size)
 	block := encodeBlock(t, c, data)
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -3,9 +3,11 @@ package rse
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"rmfec/internal/gf16"
 	"rmfec/internal/gf256"
 )
 
@@ -29,21 +31,68 @@ func plan(c *Code, present []bool) (missing, chosen []int, ok bool) {
 	return missing, chosen, len(chosen) == c.K()
 }
 
-// generator returns the full n x k matrix G = [I; P] of c.
-func generator(c *Code) *gf256.Matrix {
-	g := gf256.NewMatrix(c.N(), c.K())
-	for i := 0; i < c.K(); i++ {
-		g.Set(i, i, 1)
+// genRow returns row i of c's generator G = [I; P] as symbols.
+func genRow(c *Code, i int) []uint16 {
+	k := c.K()
+	row := make([]uint16, k)
+	switch {
+	case i < k:
+		row[i] = 1
+	case c.wide:
+		copy(row, c.p16[(i-k)*k:])
+	default:
+		for j := range row {
+			row[j] = uint16(c.p8[(i-k)*k+j])
+		}
 	}
-	copy(g.Data[c.K()*c.K():], c.parity.Data)
-	return g
+	return row
 }
 
-// checkPattern holds one erasure pattern against the parent's algebra:
+// fullInverse inverts the k chosen generator rows of c by direct
+// elimination over the whole k x k matrix (gf256.Matrix.Invert, or
+// gf16.SolveSmall on [G_chosen | I]), rows as symbols.
+func fullInverse(t *testing.T, c *Code, chosen []int) [][]uint16 {
+	t.Helper()
+	k := c.K()
+	inv := make([][]uint16, k)
+	if c.wide {
+		m := make([]uint16, k*2*k)
+		for r, idx := range chosen {
+			copy(m[r*2*k:], genRow(c, idx))
+			m[r*2*k+k+r] = 1
+		}
+		if err := gf16.SolveSmall(m, k, 2*k); err != nil {
+			t.Fatalf("chosen %v: reference inversion: %v", chosen, err)
+		}
+		for r := range inv {
+			inv[r] = m[r*2*k+k : (r+1)*2*k]
+		}
+		return inv
+	}
+	g := gf256.NewMatrix(k, k)
+	for r, idx := range chosen {
+		for j, v := range genRow(c, idx) {
+			g.Set(r, j, byte(v))
+		}
+	}
+	gi, err := g.Invert()
+	if err != nil {
+		t.Fatalf("chosen %v: reference inversion: %v", chosen, err)
+	}
+	for r := range inv {
+		inv[r] = make([]uint16, k)
+		for j, v := range gi.Row(r) {
+			inv[r][j] = uint16(v)
+		}
+	}
+	return inv
+}
+
+// checkPattern holds one erasure pattern against direct linear algebra:
 // decodeRows must equal the missing rows of the full k x k inverse of the
 // chosen generator rows, and Reconstruct must return ref's bytes through
 // nil slots and through recycled ones.
-func checkPattern(t *testing.T, c *Code, g *gf256.Matrix, ref [][]byte, present []bool) {
+func checkPattern(t *testing.T, c *Code, ref [][]byte, present []bool) {
 	t.Helper()
 	missing, chosen, ok := plan(c, present)
 	shards := make([][]byte, c.N())
@@ -75,36 +124,43 @@ func checkPattern(t *testing.T, c *Code, g *gf256.Matrix, ref [][]byte, present 
 	if len(missing) == 0 {
 		return
 	}
-	inv, err := g.SubMatrix(chosen).Invert()
-	if err != nil {
-		t.Fatalf("present %v: reference inversion: %v", present, err)
-	}
+	inv := fullInverse(t, c, chosen)
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	rows, err := c.decodeRows(sc, missing, chosen)
-	if err != nil {
+	if err := c.decodeRows(sc, missing, chosen); err != nil {
 		t.Fatalf("present %v: %v", present, err)
 	}
 	l, w := len(missing), len(missing)+c.K()
 	for j, m := range missing {
-		if got, want := rows[j*w+l:(j+1)*w], inv.Row(m); !bytes.Equal(got, want) {
-			t.Fatalf("present %v: decode row for shard %d = %v, full inverse has %v", present, m, got, want)
+		got := make([]uint16, c.K())
+		for r := range got {
+			if c.wide {
+				got[r] = sc.rows16[j*w+l+r]
+			} else {
+				got[r] = uint16(sc.rows[j*w+l+r])
+			}
+		}
+		if !slices.Equal(got, inv[m]) {
+			t.Fatalf("present %v: decode row for shard %d = %v, full inverse has %v", present, m, got, inv[m])
 		}
 	}
 }
 
 // TestDecodeRowsExhaustive runs every subset of present shards of two small
-// codes, undecodable ones included.
+// codes in each field, undecodable ones included.
 func TestDecodeRowsExhaustive(t *testing.T) {
-	for _, p := range []struct{ k, h int }{{4, 3}, {7, 4}} {
-		c := MustNew(p.k, p.h)
-		g, ref := generator(c), makeBlock(t, c, 40, int64(p.k))
+	for _, p := range []struct {
+		wide bool
+		k, h int
+	}{{false, 4, 3}, {false, 7, 4}, {true, 2, 2}, {true, 4, 3}, {true, 7, 4}} {
+		c := mustCode(t, p.wide, p.k, p.h)
+		ref := makeBlock(t, c, 40, int64(p.k))
 		present := make([]bool, c.N())
 		for mask := 0; mask < 1<<c.N(); mask++ {
 			for i := range present {
 				present[i] = mask>>i&1 == 1
 			}
-			checkPattern(t, c, g, ref, present)
+			checkPattern(t, c, ref, present)
 		}
 	}
 }
@@ -120,9 +176,12 @@ func TestDecodeRowsSeeded(t *testing.T) {
 	if testing.Short() {
 		patterns = 200
 	}
-	for _, p := range []struct{ k, h int }{{20, 20}, {100, 28}, {1, 5}} {
-		c := MustNew(p.k, p.h)
-		g, ref := generator(c), makeBlock(t, c, 40, int64(p.k))
+	for _, p := range []struct {
+		wide bool
+		k, h int
+	}{{false, 20, 20}, {false, 100, 28}, {false, 1, 5}, {true, 20, 20}, {true, 1, 5}} {
+		c := mustCode(t, p.wide, p.k, p.h)
+		ref := makeBlock(t, c, 40, int64(p.k))
 		rng := rand.New(rand.NewSource(int64(p.k*1000 + p.h)))
 		present := make([]bool, c.N())
 		for n := 0; n < patterns; n++ {
@@ -136,16 +195,53 @@ func TestDecodeRowsSeeded(t *testing.T) {
 			for _, j := range rng.Perm(p.h)[:rng.Intn(p.h-l+1)] {
 				present[p.k+j] = false
 			}
-			checkPattern(t, c, g, ref, present)
+			checkPattern(t, c, ref, present)
+		}
+	}
+}
+
+// TestWideParityRows holds NewWide's Lagrange-form parity rows to the
+// construction they stand for, G = V inv(V_top) over the Vandermonde
+// matrix V[i][c] = i^c at the points 0..k+h-1: solved by elimination as
+// V_top^T P^T = V_bottom^T, which leaves P^T in the last h columns.
+func TestWideParityRows(t *testing.T) {
+	for _, p := range []struct{ k, h int }{{1, 3}, {2, 2}, {5, 4}, {17, 9}, {40, 300}} {
+		c := mustCode(t, true, p.k, p.h)
+		k, w := p.k, p.k+p.h
+		m := make([]uint16, k*w) // row r: column r of V, over all k+h points
+		for r := 0; r < k; r++ {
+			for i := 0; i < w; i++ {
+				m[r*w+i] = gf16.Pow(uint16(i), r)
+			}
+		}
+		if err := gf16.SolveSmall(m, k, w); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < p.h; j++ {
+			for i := 0; i < k; i++ {
+				if got, want := c.p16[j*k+i], m[i*w+k+j]; got != want {
+					t.Fatalf("(%d,%d): P[%d][%d] = %#x, elimination gives %#x", p.k, p.h, j, i, got, want)
+				}
+			}
 		}
 	}
 }
 
 // TestReconstructCyclingPatternsAllocs pins that no erasure pattern costs
 // an allocation, not only a repeated one: it walks the 190 two-erasure
-// patterns of k = 20 with recycled output buffers.
+// patterns of k = 20, and the first 380 of a GF(2^16) group of 300 + 60,
+// with recycled output buffers.
 func TestReconstructCyclingPatternsAllocs(t *testing.T) {
-	c := MustNew(20, 20)
+	for _, f := range fields {
+		k, h := 20, 20
+		if f.wide {
+			k, h = 300, 60
+		}
+		t.Run(f.name, func(t *testing.T) { reconstructCyclingPatternsAllocs(t, mustCode(t, f.wide, k, h)) })
+	}
+}
+
+func reconstructCyclingPatternsAllocs(t *testing.T, c *Code) {
 	ref := makeBlock(t, c, 256, 21)
 	shards := make([][]byte, c.N())
 	for i := range shards {

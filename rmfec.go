@@ -92,13 +92,6 @@ type (
 // shards per block.
 func NewCode(k, h int) (*Code, error) { return rse.New(k, h) }
 
-// Split slices a message into k equal shards with a recoverable length
-// prefix; Join reverses it.
-var (
-	Split = rse.Split
-	Join  = rse.Join
-)
-
 // Simulated network (internal/simnet).
 type (
 	// Scheduler is a deterministic virtual-time event loop.
