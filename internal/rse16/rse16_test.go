@@ -1,3 +1,7 @@
+// Package rse16 holds the GF(2^16) round-trip and validation tests of the
+// Reed-Solomon code that rse.NewWide builds. The codec itself lives in
+// rse, which serves both symbol sizes; this directory has no non-test
+// files.
 package rse16
 
 import (
@@ -6,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rmfec/internal/gf16"
 	"rmfec/internal/rse"
 )
 
@@ -19,7 +22,16 @@ func randShards(rng *rand.Rand, k, size int) [][]byte {
 	return data
 }
 
-func encodeBlock(t testing.TB, c *Code, data [][]byte) [][]byte {
+func newWide(t testing.TB, k, h int) *rse.Code {
+	t.Helper()
+	c, err := rse.NewWide(k, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func encodeBlock(t testing.TB, c *rse.Code, data [][]byte) [][]byte {
 	t.Helper()
 	parity := make([][]byte, c.H())
 	if err := c.Encode(data, parity); err != nil {
@@ -33,15 +45,15 @@ func TestNewValidation(t *testing.T) {
 		k, h int
 		ok   bool
 	}{
-		// k = 4096 is legal but its O(k^3) construction takes minutes, so
-		// the largest constructor exercised here is k = 300 (see
-		// TestLargeBlockBeyondGF256); only the bound check runs for 4097.
 		{1, 0, true}, {7, 3, true}, {300, 60, true},
-		{0, 1, false}, {-1, 2, false}, {3, -1, false}, {4097, 1, false},
+		{0, 1, false}, {-1, 2, false}, {3, -1, false}, {rse.MaxWideK + 1, 1, false},
 	} {
-		_, err := New(tc.k, tc.h)
+		c, err := rse.NewWide(tc.k, tc.h)
 		if (err == nil) != tc.ok {
-			t.Errorf("New(%d,%d): err = %v, want ok=%v", tc.k, tc.h, err, tc.ok)
+			t.Errorf("NewWide(%d,%d): err = %v, want ok=%v", tc.k, tc.h, err, tc.ok)
+		}
+		if err == nil && !c.Wide() {
+			t.Errorf("NewWide(%d,%d) built a GF(2^8) code", tc.k, tc.h)
 		}
 	}
 }
@@ -50,10 +62,7 @@ func TestRoundTripSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, kh := range [][2]int{{4, 3}, {7, 1}, {16, 8}} {
 		k, h := kh[0], kh[1]
-		c, err := New(k, h)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newWide(t, k, h)
 		data := randShards(rng, k, 64)
 		block := encodeBlock(t, c, data)
 		for trial := 0; trial < 40; trial++ {
@@ -81,10 +90,10 @@ func TestLargeBlockBeyondGF256(t *testing.T) {
 	// The point of GF(2^16): a block of 300+60 packets, impossible with
 	// 8-bit symbols. Lose a scattered 60 and reconstruct.
 	const k, h = 300, 60
-	c, err := New(k, h)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := rse.New(k, h); err == nil {
+		t.Fatalf("rse.New(%d,%d) accepted a block beyond GF(2^8)", k, h)
 	}
+	c := newWide(t, k, h)
 	rng := rand.New(rand.NewSource(2))
 	data := randShards(rng, k, 128)
 	block := encodeBlock(t, c, data)
@@ -106,45 +115,36 @@ func TestLargeBlockBeyondGF256(t *testing.T) {
 }
 
 func TestOddShardSizeRejected(t *testing.T) {
-	c, err := New(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, 3, 2)
 	data := [][]byte{make([]byte, 7), make([]byte, 7), make([]byte, 7)}
-	if err := c.Encode(data, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
+	if err := c.Encode(data, make([][]byte, 2)); !errors.Is(err, rse.ErrShardSize) {
 		t.Errorf("odd shard size: %v", err)
 	}
 }
 
 func TestTooFewShards(t *testing.T) {
-	c, err := New(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, 5, 2)
 	rng := rand.New(rand.NewSource(3))
 	data := randShards(rng, 5, 32)
 	block := encodeBlock(t, c, data)
 	shards := make([][]byte, c.N())
 	shards[0] = block[0]
 	shards[5] = block[5]
-	if err := c.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
+	if err := c.Reconstruct(shards); !errors.Is(err, rse.ErrTooFewShards) {
 		t.Errorf("4 missing of 7: %v", err)
 	}
 }
 
 func TestEncodeParityErrors(t *testing.T) {
-	c, err := New(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, 3, 2)
 	data := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	if _, err := c.EncodeParity(2, data); !errors.Is(err, ErrBadIndex) {
+	if _, err := c.EncodeParity(2, data, nil); !errors.Is(err, rse.ErrBadParityIndex) {
 		t.Errorf("index 2: %v", err)
 	}
-	if _, err := c.EncodeParity(0, data[:2]); !errors.Is(err, ErrBadShardCount) {
+	if _, err := c.EncodeParity(0, data[:2], nil); !errors.Is(err, rse.ErrBadShardCount) {
 		t.Errorf("short data: %v", err)
 	}
-	if _, err := c.EncodeParity(0, [][]byte{{1, 2}, nil, {5, 6}}); !errors.Is(err, ErrBadShardCount) {
+	if _, err := c.EncodeParity(0, [][]byte{{1, 2}, nil, {5, 6}}, nil); !errors.Is(err, rse.ErrBadShardCount) {
 		t.Errorf("nil shard: %v", err)
 	}
 }
@@ -152,10 +152,7 @@ func TestEncodeParityErrors(t *testing.T) {
 func TestAgreesWithDirectLinearAlgebra(t *testing.T) {
 	// Parity row consistency: reconstructing from parities must invert the
 	// encoding exactly for a hand-checkable k=2 case.
-	c, err := New(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, 2, 2)
 	data := [][]byte{{0x12, 0x34}, {0xab, 0xcd}}
 	block := encodeBlock(t, c, data)
 	// Lose both data shards; recover from the two parities alone.
@@ -168,65 +165,11 @@ func TestAgreesWithDirectLinearAlgebra(t *testing.T) {
 	}
 }
 
-func BenchmarkRSE16EncodeK300(b *testing.B) {
-	c, err := New(300, 30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	data := randShards(rng, 300, 1024)
-	parity := make([][]byte, 30)
-	b.SetBytes(300 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Encode(data, parity); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestLagrangeInverseIsInverse(t *testing.T) {
-	// M must satisfy sum_c xs[r]^c * M[c][s] = delta(r,s): evaluating the
-	// Lagrange basis polynomial L_s at every point.
-	rng := rand.New(rand.NewSource(10))
-	for _, k := range []int{1, 2, 5, 17} {
-		seen := map[uint16]bool{}
-		xs := make([]uint16, 0, k)
-		for len(xs) < k {
-			x := uint16(rng.Intn(1 << 16))
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-		m := lagrangeInverse(xs)
-		for r := 0; r < k; r++ {
-			for s := 0; s < k; s++ {
-				var acc, pow uint16 = 0, 1
-				for c := 0; c < k; c++ {
-					acc ^= gf16.Mul(pow, m[c][s])
-					pow = gf16.Mul(pow, xs[r])
-				}
-				want := uint16(0)
-				if r == s {
-					want = 1
-				}
-				if acc != want {
-					t.Fatalf("k=%d: (V*M)[%d][%d] = %#x, want %#x", k, r, s, acc, want)
-				}
-			}
-		}
-	}
-}
-
 func TestHugeGroupRoundTrip(t *testing.T) {
 	// k = 1200 with 40 parities: construction and decode must complete in
-	// well under a second thanks to the O(k^2) Lagrange path.
+	// well under a second thanks to the O(k^2) Lagrange rows.
 	const k, h = 1200, 40
-	c, err := New(k, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, k, h)
 	rng := rand.New(rand.NewSource(11))
 	data := randShards(rng, k, 32)
 	block := encodeBlock(t, c, data)
@@ -247,30 +190,19 @@ func TestHugeGroupRoundTrip(t *testing.T) {
 }
 
 func TestEncodeReusesParityBuffers(t *testing.T) {
-	c, err := New(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, 5, 3)
 	rng := rand.New(rand.NewSource(13))
-	data := make([][]byte, 5)
-	for i := range data {
-		data[i] = make([]byte, 64)
-		rng.Read(data[i])
-	}
+	data := randShards(rng, 5, 64)
 	parity := make([][]byte, 3)
 	if err := c.Encode(data, parity); err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]byte, 3)
-	for j := range want {
-		p, err := c.EncodeParity(j, data)
+	for j := range parity {
+		want, err := c.EncodeParity(j, data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[j] = p
-	}
-	for j := range parity {
-		if !bytes.Equal(parity[j], want[j]) {
+		if !bytes.Equal(parity[j], want) {
 			t.Fatalf("Encode parity %d diverges from EncodeParity", j)
 		}
 	}
@@ -290,10 +222,7 @@ func TestEncodeReusesParityBuffers(t *testing.T) {
 // buffer and leave no stale bytes behind.
 func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 	const k, h, nb, size = 4, 2, 3, 32
-	c, err := New(k, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newWide(t, k, h)
 	rng := rand.New(rand.NewSource(17))
 	parity := make([][]byte, nb*h)
 	encodeBatch := func(data [][]byte) {
@@ -305,7 +234,7 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 		}
 		for b := 0; b < nb; b++ {
 			for j := 0; j < h; j++ {
-				want, err := c.EncodeParity(j, data[b*k:(b+1)*k])
+				want, err := c.EncodeParity(j, data[b*k:(b+1)*k], nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -328,36 +257,33 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 	}
 }
 
-// TestEncodeBlocksShardErrors pins argument validation parity with rse:
-// the sender picks the GF(2^8) or the GF(2^16) code by k+h behind one
-// Codec, so every malformed Encode call must fail in both, with the
-// matching sentinel.
+// TestEncodeBlocksShardErrors pins argument validation across the two
+// fields: the sender picks the GF(2^8) or the GF(2^16) code by k+h behind
+// one Codec, so every malformed Encode call must fail in both, with the
+// same sentinel.
 func TestEncodeBlocksShardErrors(t *testing.T) {
 	const k, h = 4, 2
-	c, err := New(k, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c16 := newWide(t, k, h)
 	c8 := rse.MustNew(k, h)
 	data := randShards(rand.New(rand.NewSource(17)), k, 32)
 	cases := []struct {
-		name          string
-		data          [][]byte
-		nparity       int
-		want16, want8 error
+		name    string
+		data    [][]byte
+		nparity int
+		want    error
 	}{
-		{"short data", data[:3], h, ErrBadShardCount, rse.ErrBadShardCount},
-		{"wrong parity count", data, h + 1, ErrBadShardCount, rse.ErrBadShardCount},
-		{"short parity", data, h - 1, ErrBadShardCount, rse.ErrBadShardCount},
-		{"nil data shard", [][]byte{data[0], nil, data[2], data[3]}, h, ErrBadShardCount, rse.ErrBadShardCount},
-		{"uneven shard sizes", [][]byte{data[0], data[1][:30], data[2], data[3]}, h, ErrShardSize, rse.ErrShardSize},
+		{"short data", data[:3], h, rse.ErrBadShardCount},
+		{"wrong parity count", data, h + 1, rse.ErrBadShardCount},
+		{"short parity", data, h - 1, rse.ErrBadShardCount},
+		{"nil data shard", [][]byte{data[0], nil, data[2], data[3]}, h, rse.ErrBadShardCount},
+		{"uneven shard sizes", [][]byte{data[0], data[1][:30], data[2], data[3]}, h, rse.ErrShardSize},
 	}
 	for _, tc := range cases {
-		if err := c.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want16) {
-			t.Errorf("%s: rse16: %v", tc.name, err)
+		if err := c16.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: GF(2^16): %v", tc.name, err)
 		}
-		if err := c8.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want8) {
-			t.Errorf("%s: rse: %v", tc.name, err)
+		if err := c8.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: GF(2^8): %v", tc.name, err)
 		}
 	}
 }
