@@ -153,6 +153,7 @@ type Field struct {
 	denseLost  []bool // dense-draw fallback scratch
 	scratchIdx []int  // lost-index scratch for the dense fallback
 	freePend   [][]int64
+	freeActive []activeArrays     // finished groups' ids/missed, emptied, for consolidate to reuse
 	missCnt    []uint8            // dropRecovered's per-receiver miss counters; all-zero between calls
 	jitters    map[int]*rand.Rand // Exact mode: lazy per-receiver jitter streams
 
@@ -175,6 +176,9 @@ type fgroup struct {
 
 	ids    []int    // still-deficient receivers, ascending
 	missed []uint64 // their missed seqs, each a subset of seqSeen
+	// The worst deficit l_max among ids and the first index attaining it
+	// (0 and -1 when none), as the latest pass over the arrays found them.
+	lmax, lmaxAt int
 
 	// Heard-NAK log for suppression windows: every NAK relevant to this
 	// group, with its arrival time at the population. src is the firing
@@ -183,16 +187,24 @@ type fgroup struct {
 	heardCnt []int
 	heardSrc []int
 
-	// Aggregate mode: the representative suppression timer.
-	repCancel func()
-	repRetry  int
-	repRound  int
-	repReset  time.Duration
+	// Aggregate mode: the representative suppression timer, and its two
+	// callbacks, made once per group so that arming one allocates nothing.
+	repCancel             func()
+	repRetry              int
+	repRound              int
+	repReset              time.Duration
+	repFire, repRetryFire func()
 
 	// Exact mode: per-receiver timer state, parallel to ids.
 	resetAt []time.Duration
 	retry   []int
 	cancel  []func()
+}
+
+// activeArrays is a finished group's ids/missed pair, kept for reuse.
+type activeArrays struct {
+	ids    []int
+	missed []uint64
 }
 
 // New creates a receiver field on env. The Protocol config must satisfy
@@ -454,6 +466,10 @@ func (f *Field) group(idx uint32) *fgroup {
 			g.pend = f.freePend[n-1][:0]
 			f.freePend = f.freePend[:n-1]
 		}
+		if !f.exact {
+			g.repFire = func() { f.fireRep(g, false) }
+			g.repRetryFire = func() { f.fireRep(g, true) }
+		}
 		f.groups[idx] = g
 	}
 	return g
@@ -468,7 +484,14 @@ func (f *Field) tgGroup(pkt *packet.Packet) *fgroup {
 		return nil
 	}
 	g := f.group(pkt.Group)
-	if !f.rx.Admit(&g.RxParams, pkt, k, h) {
+	k0, rect0 := g.K, g.Code != nil
+	ok = f.rx.Admit(&g.RxParams, pkt, k, h)
+	if g.consolidated && (g.K != k0 || (g.Code != nil) != rect0) {
+		// The group learned its k or its codec only now, which moves
+		// every deficit; the next arrival's sweep drops whoever is done.
+		f.rescanLmax(g)
+	}
+	if !ok {
 		return nil
 	}
 	return g
@@ -518,10 +541,11 @@ func (f *Field) onShard(pkt *packet.Packet, lost []int) {
 // active arrays: a fresh seq raises everyone's excess by one and marks the
 // receivers that lost it; a resend of a known seq heals the active
 // receivers that were missing it and did not lose it again. Receivers
-// whose deficit reaches zero are dropped immediately.
+// whose deficit reaches zero are dropped in the same pass.
 func (f *Field) applyRepair(g *fgroup, seq int, fresh bool, lost []int) {
 	bit := uint64(1) << uint(seq)
 	li := 0
+	s := sweep{at: -1}
 	for i, id := range g.ids {
 		for li < len(lost) && lost[li] < id {
 			li++
@@ -534,8 +558,9 @@ func (f *Field) applyRepair(g *fgroup, seq int, fresh bool, lost []int) {
 		} else if !hit {
 			g.missed[i] &^= bit
 		}
+		f.keep(g, &s, i)
 	}
-	f.sweepGroup(g)
+	f.settle(g, &s, 0)
 }
 
 // deficit returns how many shards a receiver that missed the seqs in
@@ -546,44 +571,65 @@ func (f *Field) deficit(g *fgroup, missed uint64) int {
 	return f.rx.Deficit(&g.RxParams, bits.OnesCount64(held), held)
 }
 
-// sweepGroup drops active receivers whose deficit reached zero, compacting
-// the parallel arrays in place, and finishes the group when none remain.
-func (f *Field) sweepGroup(g *fgroup) {
-	w := 0
-	for i := range g.ids {
-		if f.deficit(g, g.missed[i]) > 0 {
-			if w != i {
-				g.ids[w] = g.ids[i]
-				g.missed[w] = g.missed[i]
-				if f.exact {
-					g.resetAt[w] = g.resetAt[i]
-					g.retry[w] = g.retry[i]
-					g.cancel[w] = g.cancel[i]
-				}
-			}
-			w++
-			continue
-		}
+// sweep is one pass over a group's active arrays that compacts them in
+// place to the receivers whose deficit is still positive (w of them so
+// far) and finds the worst deficit lmax and the first kept index
+// attaining it. Every change to a tracked receiver's missed bitmap goes
+// through one, so the NAK timer reads g.lmax instead of scanning.
+type sweep struct{ w, lmax, at int }
+
+// keep visits active receiver i once its missed bitmap is final for the
+// pass: it drops the receiver if its deficit is zero and moves it down to
+// slot s.w otherwise.
+func (f *Field) keep(g *fgroup, s *sweep, i int) {
+	l := f.deficit(g, g.missed[i])
+	if l <= 0 {
 		if f.exact && g.cancel[i] != nil {
 			g.cancel[i]()
 		}
-	}
-	if w == len(g.ids) {
 		return
 	}
-	f.setActive(f.active - (len(g.ids) - w))
-	g.ids = g.ids[:w]
-	g.missed = g.missed[:w]
-	if f.exact {
-		for i := w; i < len(g.cancel); i++ {
-			g.cancel[i] = nil
+	if l > s.lmax {
+		s.lmax, s.at = l, s.w
+	}
+	if w := s.w; w != i {
+		g.ids[w] = g.ids[i]
+		g.missed[w] = g.missed[i]
+		if f.exact {
+			g.resetAt[w] = g.resetAt[i]
+			g.retry[w] = g.retry[i]
+			g.cancel[w] = g.cancel[i]
 		}
-		g.resetAt = g.resetAt[:w]
-		g.retry = g.retry[:w]
-		g.cancel = g.cancel[:w]
+	}
+	s.w++
+}
+
+// settle ends a pass over g that kept s.w receivers: it records the
+// pass's worst deficit, truncates the arrays, moves the active count by
+// the added receivers less the dropped ones, and finishes the group when
+// none remain.
+func (f *Field) settle(g *fgroup, s *sweep, added int) {
+	w := s.w
+	g.lmax, g.lmaxAt = s.lmax, s.at
+	f.setActive(f.active + added - (len(g.ids) - w))
+	g.ids, g.missed = g.ids[:w], g.missed[:w]
+	if f.exact {
+		clear(g.cancel[w:])
+		g.resetAt, g.retry, g.cancel = g.resetAt[:w], g.retry[:w], g.cancel[:w]
 	}
 	if w == 0 {
 		f.groupDone(g)
+	}
+}
+
+// rescanLmax records g's worst deficit and its first index without
+// dropping anyone.
+func (f *Field) rescanLmax(g *fgroup) {
+	g.lmax, g.lmaxAt = 0, -1
+	for i := range g.ids {
+		if l := f.deficit(g, g.missed[i]); l > g.lmax {
+			g.lmax, g.lmaxAt = l, i
+		}
 	}
 }
 
@@ -609,6 +655,10 @@ func (f *Field) consolidate(g *fgroup) {
 	}
 	g.consolidated = true
 	excess := g.nTx - f.rx.GroupK(&g.RxParams)
+	if n := len(f.freeActive); n > 0 && g.ids == nil {
+		g.ids, g.missed = f.freeActive[n-1].ids, f.freeActive[n-1].missed
+		f.freeActive = f.freeActive[:n-1]
+	}
 	switch {
 	case f.subset != nil:
 		f.drawRound(g, excess)
@@ -641,19 +691,20 @@ func (f *Field) consolidate(g *fgroup) {
 		g.retry = make([]int, len(g.ids))
 		g.cancel = make([]func(), len(g.ids))
 	}
-	f.setActive(f.active + len(g.ids))
-	f.m.deficient.Observe(float64(len(g.ids)))
-	if len(g.ids) == 0 {
-		f.groupDone(g)
+	s := sweep{at: -1}
+	for i := range g.ids {
+		f.keep(g, &s, i)
 	}
+	f.m.deficient.Observe(float64(s.w))
+	f.settle(g, &s, len(g.ids))
 }
 
 // drawRound draws g's data round, every seq of seqSeen sent once to every
-// receiver, and keeps the deficient receivers. Only receivers that miss
-// more than t packets are drawn at all: under an MDS code those are
-// exactly the deficient ones (t = excess), a rect class may fall short
-// after any miss (t = 0), and a group short of k transmissions leaves
-// everyone deficient (t = -1).
+// receiver, into its active arrays. Only receivers that miss more than t
+// packets are drawn at all: under an MDS code those are exactly the
+// deficient ones (t = excess), a rect class may fall short after any miss
+// (t = 0; consolidate's pass drops those that do not), and a group short
+// of k transmissions leaves everyone deficient (t = -1).
 func (f *Field) drawRound(g *fgroup, excess int) {
 	t := excess
 	if g.Code != nil {
@@ -662,17 +713,11 @@ func (f *Field) drawRound(g *fgroup, excess int) {
 	if excess < 0 {
 		t = -1
 	}
-	ids, missed := f.subset.DrawExceeding(g.seqSeen, t, g.ids[:0], g.missed[:0])
+	g.ids, g.missed = f.subset.DrawExceeding(g.seqSeen, t, g.ids[:0], g.missed[:0])
 	var losses uint64
-	w := 0
-	for i, id := range ids {
-		losses += uint64(bits.OnesCount64(missed[i]))
-		if f.deficit(g, missed[i]) > 0 {
-			ids[w], missed[w] = id, missed[i]
-			w++
-		}
+	for _, bm := range g.missed {
+		losses += uint64(bits.OnesCount64(bm))
 	}
-	g.ids, g.missed = ids[:w], missed[:w]
 	f.stats.Losses += losses
 	f.m.losses.Add(losses)
 }
@@ -710,8 +755,9 @@ func (f *Field) dropRecovered(pend []int64, excess int) []int64 {
 // materializeAll handles the degenerate consolidation of a group polled
 // before k distinct transmissions arrived: every receiver is deficient.
 func (f *Field) materializeAll(g *fgroup) {
-	g.ids = make([]int, f.popR)
-	g.missed = make([]uint64, f.popR)
+	g.ids = slices.Grow(g.ids[:0], f.popR)[:f.popR]
+	g.missed = slices.Grow(g.missed[:0], f.popR)[:f.popR]
+	clear(g.missed)
 	for i := range g.ids {
 		g.ids[i] = i
 	}
@@ -728,6 +774,9 @@ func (f *Field) groupDone(g *fgroup) {
 	}
 	g.done = true
 	f.cancelTimers(g)
+	if cap(g.ids) > 0 {
+		f.freeActive = append(f.freeActive, activeArrays{g.ids[:0], g.missed[:0]})
+	}
 	g.ids = nil
 	g.missed = nil
 	g.heardAt, g.heardCnt, g.heardSrc = nil, nil, nil
@@ -761,19 +810,21 @@ func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
 		return
 	}
 	li := 0
+	s := sweep{at: -1}
 	for i, id := range g.ids {
 		for li < len(lost) && lost[li] < id {
 			li++
 		}
-		if li < len(lost) && lost[li] == id {
-			continue // this receiver lost the combo packet too
+		// A receiver that lost the combo packet too keeps its bitmap.
+		if li >= len(lost) || lost[li] != id {
+			if bit := core.NcRepairs(mask, g.missed[i]); bit != 0 {
+				g.missed[i] &^= bit
+				f.stats.NcRepaired++
+			}
 		}
-		if bit := core.NcRepairs(mask, g.missed[i]); bit != 0 {
-			g.missed[i] &^= bit
-			f.stats.NcRepaired++
-		}
+		f.keep(g, &s, i)
 	}
-	f.sweepGroup(g)
+	f.settle(g, &s, 0)
 	f.maybeComplete()
 }
 

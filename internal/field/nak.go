@@ -1,9 +1,9 @@
 package field
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"time"
 
 	"rmfec/internal/mcrun"
@@ -30,29 +30,25 @@ import (
 
 // labelJitter draws the slot jitter for (group, round) from the seed
 // chain: uniform in [0, Ts), as the per-instance receivers draw from
-// their node RNGs.
+// their node RNGs. The label "field/nak/<session>/<group>/<round>" is
+// built on the stack, and the draw, the first Int63n of a source seeded
+// with the derived seed, is taken in closed form: no allocation and no
+// 607-word seeding.
 func (f *Field) labelJitter(group uint32, round int) time.Duration {
-	label := fmt.Sprintf("field/nak/%d/%d/%d", f.cfg.Session, group, round)
-	r := rand.New(rand.NewSource(mcrun.DeriveSeed(f.seed, label)))
-	return time.Duration(r.Int63n(int64(f.cfg.Ts)))
-}
-
-// lmax returns the group's worst active deficit and the index (into g.ids)
-// of a receiver attaining it, -1 when every deficit is zero.
-func (f *Field) lmax(g *fgroup) (int, int) {
-	max, wi := 0, -1
-	for i := range g.ids {
-		if l := f.deficit(g, g.missed[i]); l > max {
-			max, wi = l, i
-		}
-	}
-	return max, wi
+	var buf [64]byte
+	label := append(buf[:0], "field/nak/"...)
+	label = strconv.AppendUint(label, uint64(f.cfg.Session), 10)
+	label = append(label, '/')
+	label = strconv.AppendUint(label, uint64(group), 10)
+	label = append(label, '/')
+	label = strconv.AppendInt(label, int64(round), 10)
+	return time.Duration(mcrun.FirstInt63n(mcrun.DeriveSeed(f.seed, label), int64(f.cfg.Ts)))
 }
 
 // armRep arms (or re-arms) the group's representative NAK timer for a
 // round of roundSize transmissions.
 func (f *Field) armRep(g *fgroup, roundSize int) {
-	l, _ := f.lmax(g)
+	l := g.lmax
 	if l == 0 {
 		return
 	}
@@ -61,7 +57,7 @@ func (f *Field) armRep(g *fgroup, roundSize int) {
 	if g.repCancel != nil {
 		g.repCancel()
 	}
-	g.repCancel = f.env.After(delay, func() { f.fireRep(g, false) })
+	g.repCancel = f.env.After(delay, g.repFire)
 }
 
 // fireRep is the representative timer: re-check the deficit (repairs may
@@ -73,7 +69,7 @@ func (f *Field) fireRep(g *fgroup, retry bool) {
 		return
 	}
 	now := f.env.Now()
-	l, worst := f.lmax(g)
+	l, worst := g.lmax, g.lmaxAt
 	if l == 0 {
 		return
 	}
@@ -91,7 +87,7 @@ func (f *Field) fireRep(g *fgroup, retry bool) {
 	}
 	g.repRetry++
 	g.repReset = now
-	g.repCancel = f.env.After(f.rx.Backoff(g.repRetry), func() { f.fireRep(g, true) })
+	g.repCancel = f.env.After(f.rx.Backoff(g.repRetry), g.repRetryFire)
 }
 
 // jitterFor returns receiver id's private NAK-jitter stream (Exact mode),
@@ -115,7 +111,7 @@ func (f *Field) armExact(g *fgroup, i, roundSize int) {
 	id := g.ids[i]
 	l := f.deficit(g, g.missed[i])
 	if l == 0 {
-		// Unreachable for tracked receivers (sweepGroup drops them), kept
+		// Unreachable for tracked receivers (every sweep drops them), kept
 		// for symmetry with the reference receiver's guard.
 		return
 	}

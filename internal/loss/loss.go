@@ -348,25 +348,26 @@ func (bp *BernoulliPopulation) DrawExceeding(sent uint64, t int, ids []int, miss
 	if t < 0 {
 		tail = 1
 	}
-	logq := 0.0
+	var tab *geoTable // nil when tail is 0 or 1 and the skips draw nothing
 	if tail > 0 && tail < 1 {
-		logq = math.Log1p(-tail)
+		tab = geoTableFor(tail, tailDepth(tail))
 	}
-	for j := geoNext(-1, bp.r, tail, logq, bp.rng); j < bp.r; j = geoNext(j, bp.r, tail, logq, bp.rng) {
+	for j := -1; ; {
+		if tab != nil {
+			j = tab.next(j, bp.r, bp.rng)
+		} else {
+			j = geoNext(j, bp.r, tail, 0, bp.rng)
+		}
+		if j >= bp.r {
+			break
+		}
 		c := t + 1
 		for u := bp.rng.Float64() * tail; c < n && u >= pmf[c]; c++ {
 			u -= pmf[c]
 		}
 		bm := sent
 		if c < n {
-			bm = 0
-			for i := n - c; i < n; i++ {
-				s := uint64(1) << seqs[bp.rng.Int63n(int64(i+1))]
-				if bm&s != 0 {
-					s = 1 << seqs[i]
-				}
-				bm |= s
-			}
+			bm = floydSubset(bp.rng, &seqs, n, c)
 		}
 		ids = append(ids, j)
 		missed = append(missed, bm)
@@ -374,12 +375,50 @@ func (bp *BernoulliPopulation) DrawExceeding(sent uint64, t int, ids []int, miss
 	return ids, missed
 }
 
+// floydSubset returns a uniform c-subset of seqs[:n] as a seq bitmap, by
+// Floyd's algorithm. Its picks are rng.Int63n(i+1), i = n-c .. n-1, bit for
+// bit and draw for draw, without a division: a draw above Int63n's bound
+// is rejected, and the remainder comes from multiply-high by
+// floor((2^64-1)/(i+1)), whose quotient falls short by at most one. For a
+// power of two the bound rejects nothing and the remainder is Int63n's
+// mask.
+func floydSubset(rng *rand.Rand, seqs *[64]uint8, n, c int) uint64 {
+	var bm uint64
+	for i := n - c; i < n; i++ {
+		m := uint64(i + 1)
+		d := &floydDivs[m]
+		v := uint64(rng.Int63())
+		for v > d.bound {
+			v = uint64(rng.Int63())
+		}
+		q, _ := bits.Mul64(v, d.inv)
+		v -= q * m
+		v -= m & uint64(int64(m-1-v)>>63) // v < 2m: one branch-free correction
+		s := uint64(1) << seqs[v]
+		if bm&s != 0 {
+			s = 1 << seqs[i]
+		}
+		bm |= s
+	}
+	return bm
+}
+
+// floydDivs[n] holds Int63n's rejection bound and floor((2^64-1)/n) for n
+// in [1, 64].
+var floydDivs = func() (d [65]struct{ bound, inv uint64 }) {
+	for n := uint64(1); n <= 64; n++ {
+		d[n].bound = 1<<63 - 1 - (1<<63)%n
+		d[n].inv = ^uint64(0) / n
+	}
+	return d
+}()
+
 // table returns the skip table for 0 < p < 1. Fetching it here rather than
 // in the constructor keeps populations that are built but never drawn
 // from, or only at p = 0 or 1, from paying for one.
 func (bp *BernoulliPopulation) table() *geoTable {
 	if bp.tab == nil {
-		bp.tab = geoTableFor(bp.p)
+		bp.tab = geoTableFor(bp.p, geoMaxSkip)
 	}
 	return bp.tab
 }

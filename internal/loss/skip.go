@@ -48,9 +48,12 @@ func geoSample(dst []int, limit int, p float64, rng *rand.Rand) []int {
 }
 
 const (
-	// geoMaxSkip is the largest skip a geoTable tabulates; rarer, longer
-	// skips (q^1024: 3e-5 of the draws at p = 0.01) take geoSkip.
+	// geoMaxSkip is the largest skip a loss probability's geoTable
+	// tabulates; rarer, longer skips (q^1024: 3e-5 of the draws at
+	// p = 0.01) take geoSkip.
 	geoMaxSkip = 1024
+	// tailMaxSkip caps a tail table's depth, tailDepth.
+	tailMaxSkip = 1 << 13
 	// geoGuideShift maps a raw draw to its guide bucket: the top 13 of its
 	// 63 bits. Bucket g holds about ln((g+1)/g)/p boundaries, so the walk
 	// behind the guide averages ln(8192)/(8192 p) steps: 0.1 at p = 0.01.
@@ -87,13 +90,14 @@ type geoTable struct {
 // at or under b, a draw > above surely over it.
 type geoCut struct{ below, above int64 }
 
-// newGeoTable builds the table for 0 < p < 1.
-func newGeoTable(p float64) *geoTable {
+// makeGeoTable builds the table for 0 < p < 1 with boundaries for skips up
+// to depth (at most 65535, the guide's range).
+func makeGeoTable(p float64, depth int) *geoTable {
 	t := &geoTable{logq: math.Log1p(-p)}
 	skipOf := func(v int64) int { return geoSkip(float64(v)/(1<<63), t.logq) }
 	// No draw skips further than the smallest one. (A p so small that the
 	// int conversion overflows gets an empty table: every draw falls back.)
-	n := max(0, min(geoMaxSkip, skipOf(1)))
+	n := max(0, min(depth, skipOf(1)))
 	t.cuts = make([]geoCut, n+2)
 	b := int64(geoMaxRaw)
 	for j := 0; j <= n; j++ {
@@ -167,49 +171,69 @@ func (t *geoTable) exact(v int64, rng *rand.Rand) int {
 	return geoSkip(u, t.logq)
 }
 
+// next is geoNext at the table's p, consuming rng exactly as geoNext does:
+// the smallest success index > prev, or limit when the remaining trials
+// all fail.
+func (t *geoTable) next(prev, limit int, rng *rand.Rand) int {
+	v := rng.Int63()
+	skip, ok := t.lookup(v)
+	if !ok {
+		skip = t.exact(v, rng)
+	}
+	if i := prev + 1 + skip; i >= 0 && i <= limit { // i < 0: overflow guard, as in geoNext
+		return i
+	}
+	return limit
+}
+
 // sample is geoSample at the table's p: it appends a Bernoulli(p) subset of
 // the positions [0, limit) to dst, ascending, each mapped through among
 // when that is non-nil, consuming rng exactly as geoSample does.
 func (t *geoTable) sample(dst, among []int, limit int, rng *rand.Rand) []int {
-	for i := -1; ; {
-		v := rng.Int63()
-		skip, ok := t.lookup(v)
-		if !ok {
-			skip = t.exact(v, rng)
-		}
-		i += 1 + skip
-		if i < 0 || i >= limit { // i < 0: overflow guard, as in geoNext
-			return dst
-		}
+	for i := t.next(-1, limit, rng); i < limit; i = t.next(i, limit, rng) {
 		if among != nil {
 			dst = append(dst, among[i])
 		} else {
 			dst = append(dst, i)
 		}
 	}
+	return dst
 }
 
-// geoTables shares one table among all populations with the same p (the
-// Monte-Carlo engines build thousands of short-lived ones per sweep point).
+// tailDepth is the depth of the table DrawExceeding skips through at tail
+// probability tau: ceil(4/tau) steps leave e^-4, 1.8 %, of the skips to
+// geoSkip, between geoMaxSkip and tailMaxSkip.
+func tailDepth(tau float64) int {
+	return int(max(geoMaxSkip, min(tailMaxSkip, math.Ceil(4/tau))))
+}
+
+// geoTables shares one table among all populations with the same p and
+// depth (the Monte-Carlo engines build thousands of short-lived ones per
+// sweep point, and the field draws every group's round at one tail).
 var geoTables struct {
 	sync.Mutex
-	m map[float64]*geoTable
+	m map[geoKey]*geoTable
 }
 
-// geoTableFor returns the shared table for 0 < p < 1, building it on first
-// use.
-func geoTableFor(p float64) *geoTable {
+type geoKey struct {
+	p     float64
+	depth int
+}
+
+// geoTableFor returns the shared table for 0 < p < 1 at depth, building it
+// on first use.
+func geoTableFor(p float64, depth int) *geoTable {
 	geoTables.Lock()
 	defer geoTables.Unlock()
-	t := geoTables.m[p]
+	t := geoTables.m[geoKey{p, depth}]
 	if t == nil {
 		// A process sweeps a handful of loss probabilities; past that,
 		// start over rather than grow without bound.
 		if geoTables.m == nil || len(geoTables.m) >= 64 {
-			geoTables.m = make(map[float64]*geoTable)
+			geoTables.m = make(map[geoKey]*geoTable)
 		}
-		t = newGeoTable(p)
-		geoTables.m[p] = t
+		t = makeGeoTable(p, depth)
+		geoTables.m[geoKey{p, depth}] = t
 	}
 	return t
 }

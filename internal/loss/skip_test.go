@@ -13,6 +13,10 @@ import (
 // values, and tables of a handful of cuts (0.5, 0.9).
 var geoTestPs = []float64{1e-7, 1e-4, 0.001, 0.01, 0.0399, 0.05, 0.25, 0.5, 0.9}
 
+// newGeoTable builds the table a population at loss probability p draws
+// through.
+func newGeoTable(p float64) *geoTable { return makeGeoTable(p, geoMaxSkip) }
+
 // checkLookup compares the table's answer for raw draw v with the
 // reference expression and reports whether the table answered at all.
 // Negative v (a probe that ran off the raw range) is ignored.

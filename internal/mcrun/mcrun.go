@@ -10,6 +10,7 @@
 package mcrun
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,7 @@ import (
 // result. Distinct labels give statistically independent streams for any
 // root, and the same (root, label) pair always yields the same seed — the
 // property that makes parallel runs reproducible.
-func DeriveSeed(root int64, label string) int64 {
+func DeriveSeed[L string | []byte](root int64, label L) int64 {
 	h := uint64(14695981039346656037) // FNV offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
@@ -36,6 +37,64 @@ func DeriveSeed(root int64, label string) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
+
+// FirstInt63n returns rand.New(rand.NewSource(seed)).Int63n(n), the first
+// draw of a freshly seeded source, without seeding its 607-word register.
+// The source's first Int63 is vec[333] + vec[606] (its feed and tap start
+// there), and vec[i] is three consecutive outputs of the seeding LCG
+// x <- 48271 x mod (2^31 - 1), at steps 21 + 3i .. 23 + 3i from the reduced
+// seed, XORed with one word of math/rand's rngCooked table. So the two
+// words are six jumps of the LCG, and only a first draw that Int63n
+// rejects needs the real source. n must be positive.
+func FirstInt63n(seed, n int64) int64 {
+	if n <= 0 {
+		panic("mcrun: FirstInt63n n <= 0")
+	}
+	seed %= seedMod
+	if seed < 0 {
+		seed += seedMod
+	}
+	if seed == 0 {
+		seed = 89482311 // math/rand's stand-in for a zero seed
+	}
+	word := func(j int) uint64 {
+		x := uint64(seed)
+		w := x * seedJumps[j][0] % seedMod << 40
+		w ^= x * seedJumps[j][1] % seedMod << 20
+		w ^= x * seedJumps[j][2] % seedMod
+		return w ^ cookedWords[j]
+	}
+	v := int64((word(0) + word(1)) & (1<<63 - 1))
+	if n&(n-1) == 0 {
+		return v & (n - 1)
+	}
+	if v > 1<<63-1-int64((1<<63)%uint64(n)) {
+		return rand.New(rand.NewSource(seed)).Int63n(n)
+	}
+	return v % n
+}
+
+// seedMod is the modulus of math/rand's seeding LCG.
+const seedMod = 1<<31 - 1
+
+// cookedWords are rngCooked[333] and rngCooked[606] of math/rand, whose
+// seeded streams the Go 1 compatibility promise keeps fixed.
+var cookedWords = [2]uint64{0xbfb2f4d968b759c3, 0x39a00a3a31c025c6}
+
+// seedJumps[j] are 48271^s mod (2^31 - 1) for the LCG steps s that make
+// vec[333] (j = 0) and vec[606] (j = 1): the LCG's own outputs from x = 1.
+var seedJumps = func() (j [2][3]uint64) {
+	x := uint64(1)
+	for s := 1; s <= 23+3*606; s++ {
+		x = x * 48271 % seedMod
+		for w, first := range [2]int{21 + 3*333, 21 + 3*606} {
+			if k := s - first; k >= 0 && k < 3 {
+				j[w][k] = x
+			}
+		}
+	}
+	return j
+}()
 
 // Run executes the jobs on at most workers goroutines and returns their
 // results in job order. workers < 1 means runtime.GOMAXPROCS(0). Each job

@@ -25,8 +25,12 @@
 #                       tier 6), the consolidation pins, the whole-round
 #                       draw against the per-packet path (end to end, and
 #                       by chi-squared against per-packet draws), and the
-#                       loss draws the field runs on (skip table vs
-#                       reference, pinned streams), all uncached
+#                       loss draws the field runs on (skip and tail tables
+#                       vs reference, division-free Floyd picks vs
+#                       Int63n, pinned streams), the NAK jitter (pinned
+#                       grid, closed form vs math/rand), the recorded
+#                       l_max vs a scan and the 0-alloc aggregate round,
+#                       all uncached
 #   9. engine pins      uncached: sender transcripts (depth 0 against a
 #                       constant; pipelined and batched byte-identical to
 #                       serial), the four loss-shift convergence curves
@@ -116,8 +120,9 @@ echo '== go test -race -short (concurrent packages)'
 go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
 
 echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
-go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight|TestFieldRoundDrawMatchesPerPacket' ./internal/field/
-go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned|TestDrawExceeding' ./internal/loss/
+go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight|TestFieldRoundDrawMatchesPerPacket|TestLabelJitterPinned|TestLmaxRecordMatchesScan|TestLmaxFollowsLateParameters|TestAggregateRoundZeroAlloc' ./internal/field/
+go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned|TestDrawExceeding|TestTailTable|TestFloydSubsetPicksMatchInt63n' ./internal/loss/
+go test -count=1 -run TestFirstInt63nMatchesSource ./internal/mcrun/
 
 echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, repairs in the FIN gap, POLL slot span, rect field, field equivalence, hostile headers, N2 and layered on their closed forms, sendmmsg)'
 go test -count=1 -run 'TestPipelinedTranscriptMatchesSerial|TestSerialTranscriptGolden|TestAdaptiveScenarioCurves|TestNcFewerRepairsThanParityCarousel|TestForeignKReceiverStaysSilent|TestStaticReceiverOnLadderRungDeliversNothing|TestLegacyReceiverRejectsAdaptiveSession|TestLossyControlPlaneStaysLive|TestRacingReceiversMeetModel|TestNakServesOnlyTheResidual|TestSlotDelayLargestDeficitFirst|TestRacingReceiversNakWorstFirst|TestPipelinedLossyTransfer|TestAdaptiveRetuneScheduleDeterministic|TestPortfolioCodecSwitchDeterministic|TestRepairPreemptsFinGap|TestPollStatesSlotSpan' ./internal/core/
@@ -191,14 +196,14 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=11460
+loc_ceiling=11565
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
     exit 1
 fi
 echo "make loc total $loc <= $loc_ceiling"
-doc_ceiling=242324
+doc_ceiling=248540
 doc=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
 if [ "$doc" -gt "$doc_ceiling" ]; then
     echo "DESIGN.md + EXPERIMENTS.md are $doc bytes, over the doc_ceiling $doc_ceiling set in scripts/check.sh" >&2
