@@ -221,8 +221,8 @@ func millionPend() []int64 {
 // and the pend free list exist, consolidating a group allocates nothing
 // but the growth of its ids/missed arrays — shown by giving those their
 // final capacity up front and demanding zero — on both paths: the
-// per-packet pairs of a stateful population, and the whole-round draw of
-// a memoryless one (which ignores pend).
+// per-packet pairs of a stateful population, and the count draw of a
+// memoryless one (which ignores pend and keeps its receivers in bins).
 func TestConsolidateSteadyStateAllocs(t *testing.T) {
 	const k, nTx, runs = 20, 22, 5
 	pend := millionPend()
@@ -255,8 +255,11 @@ func TestConsolidateSteadyStateAllocs(t *testing.T) {
 			}); a != 0 {
 				t.Fatalf("steady-state consolidate: %v allocs/op, want 0", a)
 			}
-			if n := len(groups[0].ids); n == 0 || n > 4096 {
+			if n := groups[0].nDef; n == 0 || n > 4096 {
 				t.Fatalf("%d deficient receivers: the pin needs 0 < n <= 4096 to mean anything", n)
+			}
+			if groups[0].hist != (c.name == "group") {
+				t.Fatalf("hist = %t on the %s path", groups[0].hist, c.name)
 			}
 		})
 	}

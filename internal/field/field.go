@@ -19,17 +19,22 @@
 // at again.
 //
 // Under a memoryless population (loss.SubsetPopulation, outside Exact
-// mode) the data round is not drawn packet by packet at all: consolidation
-// draws it once with DrawExceeding, which enumerates only the receivers
-// that miss more packets than the group's excess, ~0.14 % of them at
-// R = 1e6, p = 1 %, a = 2. In Exact mode and under stateful populations
-// (Markov, FBT, Independent) each arrival's loss draw is appended as
-// packed (receiver, seq) pairs, and consolidation is linear in the drawn
-// losses: one pass counts misses per receiver into a byte-per-receiver
-// scratch array (missCnt: shared by all groups, all-zero between
-// consolidations, so state stays O(deficient)), a second drops the pairs
-// of every receiver whose count cannot exceed the group's excess, and
-// only the few survivors are sorted. Repair packets then cost a merge walk
+// mode) no receiver is drawn at all while an RS group's arrivals stay
+// symmetric in its seqs: the group keeps counts, bins[c] receivers holding
+// exactly c shards (c < k), which consolidation draws once for the data
+// round (DrawRound) and every fresh repair shard splits by one binomial
+// draw per bin (DrawLostCount), so a group costs O(k) draws per round at
+// any R. A receiver's held set is then a uniform c-subset of seqSeen, so
+// when counts no longer say enough — a resent seq, an NC combo or session,
+// a rect codec, a late k or codec — the group materialises its receivers
+// into the arrays below with DrawMissed, exactly. In Exact mode and under
+// stateful populations (Markov, FBT, Tree, Independent) each arrival's
+// loss draw is appended as packed (receiver, seq) pairs, and
+// consolidation is linear in the drawn losses: one pass counts misses per
+// receiver into a byte-per-receiver scratch array (missCnt: shared by all
+// groups, all-zero between consolidations, so state stays O(deficient)),
+// a second drops the pairs of every receiver whose count cannot exceed
+// the group's excess, and only the few survivors are sorted. Repair packets then cost a merge walk
 // of the draw against the active array, and receivers are dropped the
 // moment their deficit reaches zero. The single-word bitmap is why the
 // field requires K+MaxParity <= 64.
@@ -84,10 +89,9 @@ type Config struct {
 	// tracked receiver).
 	Protocol core.Config
 	// Population supplies the joint per-packet loss outcome for all R
-	// receivers; R is Population.R(). Subset populations draw each data
-	// round whole (DrawExceeding) outside Exact mode; sparse ones
-	// (DrawLost) are drawn per packet; plain ones fall back to a dense
-	// Draw plus scan.
+	// receivers; R is Population.R(). Subset populations keep RS groups as
+	// counts (DrawRound, DrawLostCount) outside Exact mode; the others are
+	// drawn per packet (DrawLost).
 	Population loss.Population
 	// Seed roots the label-derived NAK jitter chain (aggregate mode) via
 	// mcrun.DeriveSeed, so NAK schedules replay exactly across runs.
@@ -109,7 +113,7 @@ type Config struct {
 // Stats counts the field's aggregate protocol activity.
 type Stats struct {
 	Population int    // receivers fronted by the field
-	Losses     uint64 // receiver-packet losses drawn (a whole-round draw counts its enumerated receivers only)
+	Losses     uint64 // receiver-packet losses drawn (a round drawn as counts counts its deficient receivers' only)
 	DataRx     uint64 // distinct data shards accepted (node-level, not per receiver)
 	ParityRx   uint64 // distinct parity shards accepted
 	DupRx      uint64 // duplicate/resent shards seen
@@ -130,7 +134,6 @@ type Field struct {
 	env    core.Env
 	cfg    core.Config
 	pop    loss.Population
-	sparse loss.SparsePopulation // non-nil when pop enumerates losses sparsely
 	subset loss.SubsetPopulation // non-nil when pop draws among subsets, outside Exact mode
 	popR   int
 
@@ -150,12 +153,9 @@ type Field struct {
 	doneGroups int
 	active     int // tracked deficient receivers across groups
 
-	denseLost  []bool // dense-draw fallback scratch
-	scratchIdx []int  // lost-index scratch for the dense fallback
-	freePend   [][]int64
-	freeActive []activeArrays     // finished groups' ids/missed, emptied, for consolidate to reuse
-	missCnt    []uint8            // dropRecovered's per-receiver miss counters; all-zero between calls
-	jitters    map[int]*rand.Rand // Exact mode: lazy per-receiver jitter streams
+	freePend [][]int64
+	missCnt  []uint8            // dropRecovered's per-receiver miss counters; all-zero between calls
+	jitters  map[int]*rand.Rand // Exact mode: lazy per-receiver jitter streams
 
 	stats Stats
 	m     fieldMetrics
@@ -174,11 +174,17 @@ type fgroup struct {
 	consolidated bool
 	done         bool
 
+	// hist: the deficient receivers are counts, bins[c] of them holding
+	// exactly c of the group's shards (c < k), not ids/missed.
+	hist bool
+	bins [65]int
+
 	ids    []int    // still-deficient receivers, ascending
 	missed []uint64 // their missed seqs, each a subset of seqSeen
-	// The worst deficit l_max among ids and the first index attaining it
-	// (0 and -1 when none), as the latest pass over the arrays found them.
-	lmax, lmaxAt int
+	// The deficient receivers' count, their worst deficit l_max and the
+	// first index attaining it (-1 when none or under hist), as the latest
+	// pass over the arrays or the bins found them.
+	nDef, lmax, lmaxAt int
 
 	// Heard-NAK log for suppression windows: every NAK relevant to this
 	// group, with its arrival time at the population. src is the firing
@@ -199,12 +205,6 @@ type fgroup struct {
 	resetAt []time.Duration
 	retry   []int
 	cancel  []func()
-}
-
-// activeArrays is a finished group's ids/missed pair, kept for reuse.
-type activeArrays struct {
-	ids    []int
-	missed []uint64
 }
 
 // New creates a receiver field on env. The Protocol config must satisfy
@@ -245,11 +245,6 @@ func New(env core.Env, cfg Config) (*Field, error) {
 	}
 	if f.interDelay == 0 {
 		f.interDelay = 2 * time.Millisecond
-	}
-	if sp, ok := cfg.Population.(loss.SparsePopulation); ok {
-		f.sparse = sp
-	} else {
-		f.denseLost = make([]bool, f.popR)
 	}
 	if sub, ok := cfg.Population.(loss.SubsetPopulation); ok && !f.exact {
 		f.subset = sub
@@ -376,7 +371,8 @@ func (f *Field) EM() (mean, se float64) {
 // application — before any session filtering, so the population's RNG
 // stream matches a reference topology of per-instance receivers packet
 // for packet. A memoryless population is drawn per arrival only for
-// consolidated groups; data rounds are drawn whole at consolidation.
+// consolidated groups, and as counts while a group keeps them; data
+// rounds are drawn whole at consolidation.
 func (f *Field) HandlePacket(wire []byte) {
 	if f.closed {
 		return
@@ -409,10 +405,12 @@ func (f *Field) HandlePacket(wire []byte) {
 // drawLoss advances the population by the inter-arrival time and returns
 // the ascending indices of receivers that miss this packet. Under a
 // memoryless subset population (never in Exact mode, which must keep the
-// reference RNG stream) a data round is drawn whole at consolidation, so
-// nothing is drawn for a group that is not consolidated, and a
-// consolidated group's draw is restricted to its still-active receivers,
-// making repair rounds O(p*active) instead of O(p*R).
+// reference RNG stream) only an already-consolidated, unfinished group of
+// this session has receivers to draw for (new losses can no longer make a
+// done receiver deficient). A group kept as counts materialises first if
+// pkt is a resend or an NC combo, and otherwise draws nothing here: a
+// fresh shard splits its bins in onShard. Arrays are drawn among their
+// active receivers, making repair rounds O(p*active) instead of O(p*R).
 func (f *Field) drawLoss(pkt *packet.Packet) []int {
 	now := f.env.Now()
 	dt := 0.0
@@ -423,39 +421,29 @@ func (f *Field) drawLoss(pkt *packet.Packet) []int {
 	f.hasRx = true
 
 	var lost []int
-	switch {
-	case f.subset != nil:
-		if !f.targetConsolidated(pkt) {
+	if f.subset == nil {
+		lost = f.pop.DrawLost(dt)
+	} else {
+		g, ok := f.groups[pkt.Group]
+		if pkt.Session != f.cfg.Session || !ok || !g.consolidated || g.done || int(pkt.K) != f.rx.GroupK(&g.RxParams) {
 			return nil
 		}
-		lost = f.subset.DrawLostAmong(dt, f.groups[pkt.Group].ids)
-	case f.sparse != nil:
-		lost = f.sparse.DrawLost(dt)
-	default:
-		f.pop.Draw(dt, f.denseLost)
-		f.scratchIdx = f.scratchIdx[:0]
-		for i, l := range f.denseLost {
-			if l {
-				f.scratchIdx = append(f.scratchIdx, i)
+		if g.hist {
+			if pkt.Type != packet.TypeNcRepair && g.seqSeen>>pkt.Seq&1 == 0 {
+				return nil // a fresh shard: onShard splits the bins
 			}
+			f.materialize(g)
 		}
-		lost = f.scratchIdx
+		lost = f.subset.DrawLostAmong(dt, g.ids)
 	}
-	f.stats.Losses += uint64(len(lost))
-	f.m.losses.Add(uint64(len(lost)))
+	f.countLosses(len(lost))
 	return lost
 }
 
-// targetConsolidated reports whether pkt addresses an already-consolidated,
-// unfinished group of this session — the only case where a subset draw
-// has receivers to draw for (new losses can no longer make a done
-// receiver deficient).
-func (f *Field) targetConsolidated(pkt *packet.Packet) bool {
-	if pkt.Session != f.cfg.Session {
-		return false
-	}
-	g, ok := f.groups[pkt.Group]
-	return ok && g.consolidated && !g.done && int(pkt.K) == f.rx.GroupK(&g.RxParams)
+// countLosses adds n receiver-packet losses to the stats and the metric.
+func (f *Field) countLosses(n int) {
+	f.stats.Losses += uint64(n)
+	f.m.losses.Add(uint64(n))
 }
 
 func (f *Field) group(idx uint32) *fgroup {
@@ -488,7 +476,9 @@ func (f *Field) tgGroup(pkt *packet.Packet) *fgroup {
 	ok = f.rx.Admit(&g.RxParams, pkt, k, h)
 	if g.consolidated && (g.K != k0 || (g.Code != nil) != rect0) {
 		// The group learned its k or its codec only now, which moves
-		// every deficit; the next arrival's sweep drops whoever is done.
+		// every deficit (counts kept under the old rule no longer say
+		// it); the next arrival's sweep drops whoever is done.
+		f.materialize(g)
 		f.rescanLmax(g)
 	}
 	if !ok {
@@ -533,8 +523,31 @@ func (f *Field) onShard(pkt *packet.Packet, lost []int) {
 		}
 		return
 	}
-	f.applyRepair(g, seq, fresh, lost)
+	if g.hist {
+		f.histFresh(g) // drawLoss materialised the group unless seq is fresh
+	} else {
+		f.applyRepair(g, seq, fresh, lost)
+	}
 	f.maybeComplete()
+}
+
+// histFresh folds a fresh shard into g's bins: each deficient receiver
+// holds it unless it lost it, independently, so each bin splits by one
+// binomial draw, from the top down so that no receiver moves twice, and
+// those reaching k are done.
+func (f *Field) histFresh(g *fgroup) {
+	k := f.rx.GroupK(&g.RxParams)
+	lost := 0
+	for c := k - 1; c >= 0; c-- {
+		if m := g.bins[c]; m > 0 {
+			l := f.subset.DrawLostCount(m)
+			g.bins[c], g.bins[c+1] = l, g.bins[c+1]+m-l
+			lost += l
+		}
+	}
+	g.bins[k] = 0
+	f.countLosses(lost)
+	f.settle(g, &sweep{at: -1})
 }
 
 // applyRepair folds one post-consolidation arrival into the group's
@@ -560,7 +573,7 @@ func (f *Field) applyRepair(g *fgroup, seq int, fresh bool, lost []int) {
 		}
 		f.keep(g, &s, i)
 	}
-	f.settle(g, &s, 0)
+	f.settle(g, &s)
 }
 
 // deficit returns how many shards a receiver that missed the seqs in
@@ -604,15 +617,24 @@ func (f *Field) keep(g *fgroup, s *sweep, i int) {
 	s.w++
 }
 
-// settle ends a pass over g that kept s.w receivers: it records the
-// pass's worst deficit, truncates the arrays, moves the active count by
-// the added receivers less the dropped ones, and finishes the group when
-// none remain.
-func (f *Field) settle(g *fgroup, s *sweep, added int) {
+// settle ends a pass over g that kept s.w receivers, or that moved its
+// bins (s then zero but for at = -1): it records the deficient count and
+// the worst deficit — under hist k less the lowest non-empty bin —,
+// truncates the arrays, moves the active count, and finishes the group
+// when none remain.
+func (f *Field) settle(g *fgroup, s *sweep) {
 	w := s.w
-	g.lmax, g.lmaxAt = s.lmax, s.at
-	f.setActive(f.active + added - (len(g.ids) - w))
-	g.ids, g.missed = g.ids[:w], g.missed[:w]
+	if k := f.rx.GroupK(&g.RxParams); g.hist {
+		for c := k - 1; c >= 0; c-- {
+			if g.bins[c] > 0 {
+				w, s.lmax = w+g.bins[c], k-c
+			}
+		}
+	} else {
+		g.ids, g.missed = g.ids[:w], g.missed[:w]
+	}
+	f.setActive(f.active + w - g.nDef)
+	g.nDef, g.lmax, g.lmaxAt = w, s.lmax, s.at
 	if f.exact {
 		clear(g.cancel[w:])
 		g.resetAt, g.retry, g.cancel = g.resetAt[:w], g.retry[:w], g.cancel[:w]
@@ -622,8 +644,8 @@ func (f *Field) settle(g *fgroup, s *sweep, added int) {
 	}
 }
 
-// rescanLmax records g's worst deficit and its first index without
-// dropping anyone.
+// rescanLmax records the worst deficit of g's arrays and its first index
+// without dropping anyone.
 func (f *Field) rescanLmax(g *fgroup) {
 	g.lmax, g.lmaxAt = 0, -1
 	for i := range g.ids {
@@ -641,27 +663,38 @@ func (f *Field) setActive(n int) {
 	f.m.activeReceivers.Set(int64(n))
 }
 
-// consolidate collapses the group's data round into the active
-// struct-of-arrays form at its first poll and keeps only the receivers
-// whose deficit is still positive. Under a subset population the round is
-// drawn here, once (drawRound). Otherwise it sorts the pending packed
-// (id, seq) pairs and ORs each receiver's misses into one bitmap; under
-// the MDS codes with excess transmissions the pairs of receivers that
-// cannot be deficient are dropped before the sort, which is what keeps a
-// 1e6-receiver group linear in its drawn losses.
+// consolidate collapses the group's data round into its post-poll form at
+// its first poll and keeps only the receivers whose deficit is still
+// positive. Under a subset population the round is drawn here, once, into
+// the group's bins: those short of k of the nTx shards, or, for a rect
+// codec (materialised at once, like every group of an NC session), those
+// that missed any. Otherwise it sorts the pending packed (id, seq) pairs
+// and ORs each receiver's misses into one bitmap; under the MDS codes with
+// excess transmissions the pairs of receivers that cannot be deficient are
+// dropped before the sort, which is what keeps a 1e6-receiver group linear
+// in its drawn losses.
 func (f *Field) consolidate(g *fgroup) {
 	if g.consolidated {
 		return
 	}
 	g.consolidated = true
-	excess := g.nTx - f.rx.GroupK(&g.RxParams)
-	if n := len(f.freeActive); n > 0 && g.ids == nil {
-		g.ids, g.missed = f.freeActive[n-1].ids, f.freeActive[n-1].missed
-		f.freeActive = f.freeActive[:n-1]
-	}
+	k := f.rx.GroupK(&g.RxParams)
+	excess := g.nTx - k
 	switch {
 	case f.subset != nil:
-		f.drawRound(g, excess)
+		if g.Code != nil {
+			k = max(k, g.nTx)
+		}
+		g.hist = true
+		f.subset.DrawRound(g.nTx, k, &g.bins)
+		lost := 0
+		for c, m := range g.bins {
+			lost += m * (g.nTx - c)
+		}
+		f.countLosses(lost)
+		if g.Code != nil || f.cfg.NCRepair {
+			f.materialize(g)
+		}
 	case excess < 0:
 		f.materializeAll(g)
 	default:
@@ -695,31 +728,24 @@ func (f *Field) consolidate(g *fgroup) {
 	for i := range g.ids {
 		f.keep(g, &s, i)
 	}
-	f.m.deficient.Observe(float64(s.w))
-	f.settle(g, &s, len(g.ids))
+	f.settle(g, &s)
+	f.m.deficient.Observe(float64(g.nDef))
 }
 
-// drawRound draws g's data round, every seq of seqSeen sent once to every
-// receiver, into its active arrays. Only receivers that miss more than t
-// packets are drawn at all: under an MDS code those are exactly the
-// deficient ones (t = excess), a rect class may fall short after any miss
-// (t = 0; consolidate's pass drops those that do not), and a group short
-// of k transmissions leaves everyone deficient (t = -1).
-func (f *Field) drawRound(g *fgroup, excess int) {
-	t := excess
-	if g.Code != nil {
-		t = 0
+// materialize turns g's bins into ids/missed arrays. Every arrival so far
+// was symmetric in the seqs, so a receiver holding c of the nTx shards
+// missed a uniform (nTx-c)-subset of seqSeen; receivers are exchangeable,
+// so ids are 0, 1, ... in bin order. A group without counts has empty
+// bins, so for it this does nothing.
+func (f *Field) materialize(g *fgroup) {
+	g.hist = false
+	for c, m := range g.bins {
+		for range m {
+			g.ids = append(g.ids, len(g.ids))
+			g.missed = append(g.missed, f.subset.DrawMissed(g.seqSeen, g.nTx-c))
+		}
 	}
-	if excess < 0 {
-		t = -1
-	}
-	g.ids, g.missed = f.subset.DrawExceeding(g.seqSeen, t, g.ids[:0], g.missed[:0])
-	var losses uint64
-	for _, bm := range g.missed {
-		losses += uint64(bits.OnesCount64(bm))
-	}
-	f.stats.Losses += losses
-	f.m.losses.Add(losses)
+	g.bins = [65]int{}
 }
 
 // dropRecovered compacts pend in place to the pairs of the receivers that
@@ -774,9 +800,6 @@ func (f *Field) groupDone(g *fgroup) {
 	}
 	g.done = true
 	f.cancelTimers(g)
-	if cap(g.ids) > 0 {
-		f.freeActive = append(f.freeActive, activeArrays{g.ids[:0], g.missed[:0]})
-	}
 	g.ids = nil
 	g.missed = nil
 	g.heardAt, g.heardCnt, g.heardSrc = nil, nil, nil
@@ -824,7 +847,7 @@ func (f *Field) onNcRepair(pkt *packet.Packet, lost []int) {
 		}
 		f.keep(g, &s, i)
 	}
-	f.settle(g, &s, 0)
+	f.settle(g, &s)
 	f.maybeComplete()
 }
 
@@ -928,10 +951,15 @@ func (f *Field) maybeComplete() {
 }
 
 // sendNak multicasts one NAK carrying deficit l for g on behalf of active
-// receiver i, whose missing-data bitmap rides along under NC repair; retry
+// receiver i (-1 under counts), whose missing-data bitmap rides along
+// under NC repair; retry
 // marks a backoff timer's NAK, which echoes no POLL.
 func (f *Field) sendNak(g *fgroup, l, i int, retry bool) {
-	f.rx.Nak(g.idx, &g.RxParams, l, g.seqSeen&^g.missed[i], retry)
+	var held uint64 // read only under NC repair, which never keeps counts
+	if i >= 0 {
+		held = g.seqSeen &^ g.missed[i]
+	}
+	f.rx.Nak(g.idx, &g.RxParams, l, held, retry)
 	f.stats.NakTx++
 	f.m.naksSent.Inc()
 	f.m.nakDeficit.Observe(float64(l))

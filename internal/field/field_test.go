@@ -95,44 +95,60 @@ func TestFieldEMReconciliation(t *testing.T) {
 }
 
 // perPacketPopulation hides a population's SubsetPopulation methods, so
-// the field draws every data packet (DrawLost) instead of each data round
-// at consolidation (DrawExceeding), and repair rounds over all R.
-type perPacketPopulation struct{ loss.SparsePopulation }
+// the field draws every packet (DrawLost) over all R instead of keeping
+// each group's deficient receivers as counts.
+type perPacketPopulation struct{ loss.Population }
 
-// TestFieldRoundDrawMatchesPerPacket checks the whole-round draw against
-// the per-packet path it replaces, end to end: over 20 seeds of a 40-group
+// TestFieldRoundDrawMatchesPerPacket checks the count path against the
+// per-packet path it replaces, end to end: over 20 seeds of a 40-group
 // transfer to R = 2000 receivers at p = 5 % (k = 8, a = 2), the mean E[M]
 // and NAKs per group of the two paths agree within 3 combined standard
 // errors over seeds. The per-packet path must also have drawn more losses:
 // otherwise the wrapper did not reach it.
 func TestFieldRoundDrawMatchesPerPacket(t *testing.T) {
-	const (
-		k, h, a = 8, 16, 2
-		r, p    = 2000, 0.05
-		groups  = 40
-		seeds   = 20
-	)
-	pcfg := core.Config{Session: 7, K: k, MaxParity: h, Proactive: a, ShardSize: 16}
+	pcfg := core.Config{Session: 7, K: 8, MaxParity: 16, Proactive: 2, ShardSize: 16}
+	st := comparePaths(t, pcfg, 40, 2000, 0.05)
+	if st[0].Losses >= st[1].Losses {
+		t.Fatalf("counts drew %d losses, per-packet %d: the per-packet path was not taken", st[0].Losses, st[1].Losses)
+	}
+}
+
+// TestFieldMaterialisesAtParityExhaustion drives groups past their last
+// parity (k = 8, h = 2 at p = 20 %, R = 2000), where the sender resends
+// shards a receiver may already hold and the count path materialises its
+// receivers: E[M] and NAKs per group must still agree with the per-packet
+// path within 3 combined SE over 20 seeds, and resends must have happened.
+func TestFieldMaterialisesAtParityExhaustion(t *testing.T) {
+	pcfg := core.Config{Session: 8, K: 8, MaxParity: 2, ShardSize: 16}
+	if st := comparePaths(t, pcfg, 40, 2000, 0.2); st[0].DupRx == 0 {
+		t.Fatal("no shard was resent: parity exhaustion untested")
+	}
+}
+
+// comparePaths runs 20 seeds of a transfer of groups groups at pcfg to r
+// Bernoulli(p) receivers on the count path (index 0) and the per-packet
+// path (1), demands mean E[M] and NAKs per group agree within 3 combined
+// SE over seeds, and returns each path's summed stats.
+func comparePaths(t *testing.T, pcfg core.Config, groups, r int, p float64) (st [2]field.Stats) {
+	const seeds = 20
 	var em, naks [2][]float64
-	var drawn [2]uint64
 	for i := range seeds {
 		for path := range 2 {
 			var pop loss.Population = loss.NewBernoulliPopulation(r, p, rand.New(rand.NewSource(int64(1000+i))))
 			if path == 1 {
-				pop = perPacketPopulation{pop.(loss.SparsePopulation)}
+				pop = perPacketPopulation{pop}
 			}
 			run := runAggregateField(t, pcfg, groups, pop, int64(2000+i), int64(3000+i))
 			if !run.field.Complete() {
 				t.Fatalf("seed %d path %d: transfer incomplete", i, path)
 			}
 			mean, _ := run.field.EM()
+			s := run.field.Stats()
 			em[path] = append(em[path], mean)
-			naks[path] = append(naks[path], float64(run.field.Stats().NakTx)/groups)
-			drawn[path] += run.field.Stats().Losses
+			naks[path] = append(naks[path], float64(s.NakTx)/float64(groups))
+			st[path].Losses += s.Losses
+			st[path].DupRx += s.DupRx
 		}
-	}
-	if drawn[0] >= drawn[1] {
-		t.Fatalf("round draw drew %d losses, per-packet %d: the per-packet path was not taken", drawn[0], drawn[1])
 	}
 	meanSE := func(xs []float64) (mean, se float64) {
 		var sum, ss float64
@@ -151,9 +167,34 @@ func TestFieldRoundDrawMatchesPerPacket(t *testing.T) {
 		m0, se0 := meanSE(c.v[0])
 		m1, se1 := meanSE(c.v[1])
 		d := math.Abs(m0-m1) / math.Hypot(se0, se1)
-		t.Logf("%s: round draw %.4f +- %.4f, per-packet %.4f +- %.4f: %.1f SE", c.name, m0, se0, m1, se1, d)
+		t.Logf("%s: counts %.4f +- %.4f, per-packet %.4f +- %.4f: %.1f SE", c.name, m0, se0, m1, se1, d)
 		if d > 3 {
-			t.Errorf("%s: round draw %.4f +- %.4f vs per-packet %.4f +- %.4f: %.1f SE apart", c.name, m0, se0, m1, se1, d)
+			t.Errorf("%s: counts %.4f +- %.4f vs per-packet %.4f +- %.4f: %.1f SE apart", c.name, m0, se0, m1, se1, d)
+		}
+	}
+	return st
+}
+
+// TestFieldEMAcrossR holds the count path to the finite-h closed form as R
+// grows by nine decades: at (k, h, a, p) = (20, 24, 2, 1 %), 400 groups per
+// R, E[M] within 3 SE of model.ExpectedTxIntegratedFinite at R = 10^3,
+// 10^6, 10^9 and 10^12. A group costs O(k) draws per round at any R, so
+// each R runs in the same few milliseconds.
+func TestFieldEMAcrossR(t *testing.T) {
+	const k, h, a, p, groups = 20, 24, 2, 0.01, 400
+	pcfg := core.Config{Session: 4, K: k, MaxParity: h, Proactive: a, ShardSize: 16}
+	for i, r := range []int{1e3, 1e6, 1e9, 1e12} {
+		pop := loss.NewBernoulliPopulation(r, p, rand.New(rand.NewSource(int64(70+i))))
+		start := time.Now()
+		run := runAggregateField(t, pcfg, groups, pop, int64(80+i), int64(90+i))
+		if !run.field.Complete() {
+			t.Fatalf("R=%d: transfer incomplete: %+v", r, run.field.Stats())
+		}
+		mean, se := run.field.EM()
+		want := model.ExpectedTxIntegratedFinite(k, h, a, r, p)
+		t.Logf("R=%.0e: E[M] = %.4f +- %.4f, model %.4f (%.1f SE), %v", float64(r), mean, se, want, (mean-want)/se, time.Since(start))
+		if se <= 0 || math.Abs(mean-want) > 3*se {
+			t.Errorf("R=%d: E[M] = %.4f +- %.4f, model %.4f", r, mean, se, want)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func (f *Field) fireRep(g *fgroup, retry bool) {
 	if l == 0 {
 		return
 	}
-	deficient := uint64(len(g.ids))
+	deficient := uint64(g.nDef)
 	if f.heardMax(g, g.repReset, now, -2) >= l {
 		// An off-wire NAK already asked for at least as much: the whole
 		// population's round is damped.

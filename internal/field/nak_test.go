@@ -2,6 +2,7 @@ package field
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -44,11 +45,12 @@ func TestLabelJitterPinned(t *testing.T) {
 	}
 }
 
-// TestLmaxRecordMatchesScan drives whole transfers — whole-round draws and
-// per-packet pairs, RS and rect codecs, NC repair — and after every
-// arrival holds each live group's recorded worst deficit, and the first
-// index attaining it, to a fresh scan of its arrays: every path that
-// changes a missed bitmap keeps the record current.
+// TestLmaxRecordMatchesScan drives whole transfers — RS groups kept as
+// counts, per-packet pairs, RS and rect codecs, NC repair — and after
+// every arrival holds each live group's recorded worst deficit, the first
+// index attaining it and its deficient count to a fresh scan of its bins
+// or arrays: every path that moves a bin or changes a missed bitmap keeps
+// the record current. The round case must stay on the bins throughout.
 func TestLmaxRecordMatchesScan(t *testing.T) {
 	rung := func(p adapt.Params) core.Config {
 		ac := adapt.DefaultConfig()
@@ -82,7 +84,7 @@ func TestLmaxRecordMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checked := 0
+			checked, hist := 0, 0
 			fieldNode.SetHandler(func(b []byte) {
 				f.HandlePacket(b)
 				for idx, g := range f.groups {
@@ -90,9 +92,18 @@ func TestLmaxRecordMatchesScan(t *testing.T) {
 						continue
 					}
 					l, at := g.lmax, g.lmaxAt
-					f.rescanLmax(g)
+					n := len(g.ids)
+					if g.hist {
+						hist++
+						n, g.lmax, g.lmaxAt = scanBins(f, g)
+					} else {
+						f.rescanLmax(g)
+					}
 					if g.lmax != l || g.lmaxAt != at {
 						t.Fatalf("group %d: recorded l_max %d at %d, a scan finds %d at %d", idx, l, at, g.lmax, g.lmaxAt)
+					}
+					if g.nDef != n {
+						t.Fatalf("group %d: recorded %d deficient receivers, a scan finds %d", idx, g.nDef, n)
 					}
 					checked++
 				}
@@ -102,11 +113,27 @@ func TestLmaxRecordMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			sched.Run()
-			if !f.Complete() || checked == 0 {
-				t.Fatalf("complete %t after %d checks", f.Complete(), checked)
+			if !f.Complete() || checked == 0 || (c.name == "round") != (hist == checked) {
+				t.Fatalf("complete %t after %d checks, %d on bins", f.Complete(), checked, hist)
 			}
 		})
 	}
+}
+
+// scanBins counts a group's bins afresh: its deficient receivers, their
+// worst deficit and, there being no index under counts, -1.
+func scanBins(f *Field, g *fgroup) (n, lmax, at int) {
+	k := f.rx.GroupK(&g.RxParams)
+	for c, m := range g.bins {
+		if m > 0 && c >= k {
+			panic(fmt.Sprintf("group %d: %d receivers in bin %d >= k = %d", g.idx, m, c, k))
+		}
+		if m > 0 && lmax == 0 {
+			lmax = k - c
+		}
+		n += m
+	}
+	return n, lmax, -1
 }
 
 // nopCancel is the cancel func recordingEnv hands out, shared so that

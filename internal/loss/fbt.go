@@ -63,33 +63,14 @@ func (t *FBT) R() int { return t.r }
 // Reset implements Population (the tree is memoryless).
 func (t *FBT) Reset() {}
 
-// Draw implements Population: one multicast transmission through the tree.
-// Failed nodes are enumerated with geometric skip-sampling (expected cost
-// O(nodes*PNode) instead of one random number per node) and each failure
-// marks the leaf interval under that node.
-func (t *FBT) Draw(_ float64, lost []bool) {
-	if len(lost) != t.r {
-		panic(fmt.Sprintf("loss: Draw buffer %d != R %d", len(lost), t.r))
-	}
-	for i := range lost {
-		lost[i] = false
-	}
-	if t.PNode == 0 {
-		return
-	}
-	for idx := t.nextFailure(-1); idx < t.nodes; idx = t.nextFailure(idx) {
-		lo, hi := t.leafSpan(idx)
-		for i := lo; i < hi; i++ {
-			lost[i] = true
-		}
-	}
-}
+// Draw implements Population by scattering DrawLost.
+func (t *FBT) Draw(dt float64, lost []bool) { scatter(lost, t.r, t.DrawLost(dt)) }
 
-// DrawLost implements SparsePopulation. It consumes the RNG exactly like
-// Draw (the same geometric enumeration of failed nodes), so a dense and a
-// sparse draw from equal seeds lose the same receivers; only the output
-// representation differs. Overlapping subtree intervals are merged before
-// the leaf indices are emitted in ascending order.
+// DrawLost implements Population: one multicast transmission through the
+// tree. Failed nodes are enumerated with geometric skip-sampling (expected
+// cost O(nodes*PNode) instead of one random number per node), each failure
+// losing the leaf interval under that node; overlapping intervals are
+// merged before the leaf indices are emitted in ascending order.
 func (t *FBT) DrawLost(_ float64) []int {
 	t.idx = t.idx[:0]
 	if t.PNode == 0 {

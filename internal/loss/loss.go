@@ -144,57 +144,86 @@ type Population interface {
 	// Draw advances every receiver by dt seconds and records in lost
 	// (length R) whether each receiver misses a packet sent now.
 	Draw(dt float64, lost []bool)
+	// DrawLost is Draw reporting the indices of the receivers that miss
+	// the packet, ascending without duplicates. The returned slice is
+	// owned by the population and only valid until the next DrawLost or
+	// Draw call. Sparse kernels (Bernoulli, Markov, FBT) spend time
+	// proportional to the losses; Independent and Tree scan a dense draw.
+	DrawLost(dt float64) []int
 	// Reset re-initialises all receiver state.
 	Reset()
 }
 
-// SparsePopulation is an optional extension of Population for loss
-// processes that can enumerate the lost receivers of a transmission
-// directly, in expected time proportional to the number of losses rather
-// than the number of receivers. The simulation engines type-assert for it
-// and fall back to a dense Draw plus scan when it is absent
-// (heterogeneous Independent populations, where each receiver owns an
-// arbitrary Process that must be advanced individually).
-type SparsePopulation interface {
-	Population
-	// DrawLost advances every receiver by dt seconds and returns the
-	// indices of the receivers that miss a packet sent now, in ascending
-	// order without duplicates. The returned slice is owned by the
-	// population and only valid until the next DrawLost or Draw call.
-	DrawLost(dt float64) []int
-}
-
-// SubsetPopulation is an optional extension of SparsePopulation for
-// MEMORYLESS loss processes: because no receiver carries temporal state,
-// the population can draw the outcome of a transmission for a subset of
-// receivers without simulating the rest. Engines use it to restrict later
-// rounds to the still-active receivers, making a round cost O(p*active)
-// instead of O(p*R). Populations with per-receiver state (Markov) or
-// cross-receiver structure (FBT) must not implement it; the engines fall
-// back to a full draw plus an intersection for those. Memorylessness also
-// lets a whole round be drawn at once: DrawExceeding enumerates only the
-// receivers a round leaves with more than t misses, so the field draws a
-// group's data round when it consolidates, at O(tail * R) instead of
-// O(p * R) per packet.
+// SubsetPopulation is an optional extension of Population for MEMORYLESS,
+// homogeneous loss: no receiver carries temporal state and all lose alike,
+// so the population can draw the outcome of a transmission for a subset of
+// receivers without simulating the rest, and receivers that hold the same
+// number of a round's packets are exchangeable. Engines use the first to
+// restrict later rounds to the still-active receivers, at O(p*active)
+// instead of O(p*R) per round, and the field uses the second to keep a
+// group's deficient receivers as counts per held-shard number, at O(k)
+// binomial draws per round at any R. Populations with per-receiver state
+// (Markov), cross-receiver structure (FBT, Tree) or per-receiver processes
+// (Independent) must not implement it.
 type SubsetPopulation interface {
-	SparsePopulation
+	Population
 	// DrawLostAmong returns the members of among (ascending, no
 	// duplicates) that miss a packet sent now, in ascending order. The
 	// returned slice is owned by the population, is only valid until the
 	// next Draw* call, and must not alias among.
 	DrawLostAmong(dt float64, among []int) []int
-	// DrawExceeding draws a round in which every packet of the seq bitmap
-	// sent went once to every receiver. It appends to ids, ascending, the
-	// receivers that miss more than t of those packets, and to missed
-	// each one's missed seqs (a subset of sent); t < 0 enumerates every
-	// receiver. Receivers with at most t misses are never drawn.
-	DrawExceeding(sent uint64, t int, ids []int, missed []uint64) ([]int, []uint64)
+	// DrawRound draws a round in which n packets went once to every
+	// receiver: it sets bins[c] to the number of receivers that hold
+	// exactly c of them for c < k, clears the rest of bins, and returns
+	// the sum, the receivers short of k.
+	DrawRound(n, k int, bins *[65]int) int
+	// DrawLostCount returns how many of m receivers miss a packet sent now.
+	DrawLostCount(m int) int
+	// DrawMissed returns a uniform c-subset of the seq bitmap sent (all
+	// of it when c >= its popcount): which c of a round's packets a
+	// receiver that missed c of them missed.
+	DrawMissed(sent uint64, c int) uint64
+}
+
+// scatter is the Draw of a population that enumerates its losses: it marks
+// lost, the receivers of one DrawLost, in dst (length r), so dense and
+// sparse callers observe the same loss process.
+func scatter(dst []bool, r int, lost []int) {
+	if len(dst) != r {
+		panic(fmt.Sprintf("loss: Draw buffer %d != R %d", len(dst), r))
+	}
+	clear(dst)
+	for _, j := range lost {
+		dst[j] = true
+	}
+}
+
+// denseScan is the DrawLost of a population that can only draw densely:
+// one Draw into a reused buffer, then an O(R) scan.
+type denseScan struct {
+	lost []bool
+	idx  []int
+}
+
+func (d *denseScan) drawLost(pop Population, dt float64) []int {
+	if d.lost == nil {
+		d.lost = make([]bool, pop.R())
+	}
+	pop.Draw(dt, d.lost)
+	d.idx = d.idx[:0]
+	for j, l := range d.lost {
+		if l {
+			d.idx = append(d.idx, j)
+		}
+	}
+	return d.idx
 }
 
 // Independent is a Population of mutually independent per-receiver
 // processes (homogeneous or heterogeneous).
 type Independent struct {
 	procs []Process
+	scan  denseScan
 }
 
 // NewIndependent wraps per-receiver processes into a Population.
@@ -236,6 +265,9 @@ func (ip *Independent) Draw(dt float64, lost []bool) {
 		lost[i] = p.Lost(dt)
 	}
 }
+
+// DrawLost implements Population by a dense Draw and a scan.
+func (ip *Independent) DrawLost(dt float64) []int { return ip.scan.drawLost(ip, dt) }
 
 // Reset implements Population.
 func (ip *Independent) Reset() {
@@ -279,122 +311,90 @@ func (bp *BernoulliPopulation) R() int { return bp.r }
 // Reset implements Population (memoryless).
 func (bp *BernoulliPopulation) Reset() {}
 
-// DrawLost implements SparsePopulation: geometric jumps between lost
+// DrawLost implements Population: geometric jumps between lost
 // receiver indices.
-func (bp *BernoulliPopulation) DrawLost(float64) []int {
-	bp.idx = bp.idx[:0]
-	switch {
-	case bp.p == 0:
-		return bp.idx
-	case bp.p == 1:
-		for j := 0; j < bp.r; j++ {
-			bp.idx = append(bp.idx, j)
-		}
-		return bp.idx
-	}
-	bp.idx = bp.table().sample(bp.idx, nil, bp.r, bp.rng)
-	return bp.idx
-}
+func (bp *BernoulliPopulation) DrawLost(float64) []int { return bp.drawAmong(nil, bp.r) }
 
 // DrawLostAmong implements SubsetPopulation: the same geometric jumps, but
 // over positions of the among list, so a draw restricted to A receivers
 // costs O(p*A) regardless of R. Each member of among is an independent
 // Bernoulli(p) trial, exactly as in the full draw.
 func (bp *BernoulliPopulation) DrawLostAmong(_ float64, among []int) []int {
+	return bp.drawAmong(among, len(among))
+}
+
+// drawAmong draws which of the positions [0, limit) are lost, each mapped
+// through among when that is non-nil.
+func (bp *BernoulliPopulation) drawAmong(among []int, limit int) []int {
 	bp.idx = bp.idx[:0]
 	switch {
-	case bp.p == 0:
-		return bp.idx
-	case bp.p == 1:
+	case bp.p == 1 && among != nil:
 		bp.idx = append(bp.idx, among...)
-		return bp.idx
+	case bp.p == 1:
+		for j := range limit {
+			bp.idx = append(bp.idx, j)
+		}
+	case bp.p > 0:
+		bp.idx = bp.table().sample(bp.idx, among, limit, bp.rng)
 	}
-	bp.idx = bp.table().sample(bp.idx, among, len(among), bp.rng)
 	return bp.idx
 }
 
-// DrawExceeding implements SubsetPopulation. Each receiver's misses among
-// the n = popcount(sent) packets are Binomial(n, p), independently of
-// every other receiver, so the receivers with more than t misses are a
-// Bernoulli(tail) subset of [0, R) at tail = P(Bin(n, p) > t), found by
-// geometric skips. Each one's count c is drawn from the pmf conditioned on
-// c > t with one Float64, and its missed seqs are a uniform c-subset of
-// sent, picked by Floyd's algorithm.
-func (bp *BernoulliPopulation) DrawExceeding(sent uint64, t int, ids []int, missed []uint64) ([]int, []uint64) {
+// DrawRound implements SubsetPopulation for n <= 64. Each receiver holds
+// Bin(n, 1-p) of the round, independently of every other, so the receivers
+// short of k number Bin(R, P(held < k)); conditional binomials then split
+// them over c = k-1 down to 0, each at pmf[c] over the mass left at or
+// below c.
+func (bp *BernoulliPopulation) DrawRound(n, k int, bins *[65]int) int {
+	*bins = [65]int{}
+	top := min(k, n+1) // held counts c < top are short of k
+	if top <= 0 {
+		return 0
+	}
+	// pmf[c] = C(n, c) (1-p)^c p^(n-c) by running products; cum[c] = P(held <= c).
+	var pmf, cum, ppow [65]float64
+	ppow[0] = 1
+	for i := 1; i <= n; i++ {
+		ppow[i] = ppow[i-1] * bp.p
+	}
+	qpow, choose, sum := 1.0, 1.0, 0.0
+	for c := 0; c < top; c++ {
+		pmf[c] = choose * qpow * ppow[n-c]
+		sum += pmf[c]
+		cum[c] = sum
+		choose, qpow = choose*float64(n-c)/float64(c+1), qpow*(1-bp.p)
+	}
+	if top > n {
+		cum[n] = 1 // every receiver holds at most n < k
+	}
+	short := binomial(bp.rng, bp.r, cum[top-1])
+	rest := short
+	for c := top - 1; c > 0 && rest > 0; c-- {
+		bins[c] = binomial(bp.rng, rest, pmf[c]/cum[c])
+		rest -= bins[c]
+	}
+	bins[0] = rest
+	return short
+}
+
+// DrawLostCount implements SubsetPopulation: Bin(m, p).
+func (bp *BernoulliPopulation) DrawLostCount(m int) int { return binomial(bp.rng, m, bp.p) }
+
+// DrawMissed implements SubsetPopulation by Floyd's algorithm over the
+// seqs of sent.
+func (bp *BernoulliPopulation) DrawMissed(sent uint64, c int) uint64 {
 	var seqs [64]uint8
 	n := 0
 	for s := sent; s != 0; s &= s - 1 {
 		seqs[n] = uint8(bits.TrailingZeros64(s))
 		n++
 	}
-	t = max(t, -1)
-	if t >= n {
-		return ids, missed
+	if c >= n {
+		return sent
 	}
-	var pmf, qpow [65]float64 // pmf[c] = C(n, c) p^c (1-p)^(n-c); qpow[i] = (1-p)^i
-	qpow[0] = 1
-	for i := 1; i <= n; i++ {
-		qpow[i] = qpow[i-1] * (1 - bp.p)
-	}
-	tail, choose, ppow := 0.0, 1.0, 1.0
-	for c := 0; c <= n; c++ {
-		pmf[c] = choose * ppow * qpow[n-c]
-		choose = choose * float64(n-c) / float64(c+1)
-		ppow *= bp.p
-		if c > t {
-			tail += pmf[c]
-		}
-	}
-	if t < 0 {
-		tail = 1
-	}
-	var tab *geoTable // nil when tail is 0 or 1 and the skips draw nothing
-	if tail > 0 && tail < 1 {
-		tab = geoTableFor(tail, tailDepth(tail))
-	}
-	for j := -1; ; {
-		if tab != nil {
-			j = tab.next(j, bp.r, bp.rng)
-		} else {
-			j = geoNext(j, bp.r, tail, 0, bp.rng)
-		}
-		if j >= bp.r {
-			break
-		}
-		c := t + 1
-		for u := bp.rng.Float64() * tail; c < n && u >= pmf[c]; c++ {
-			u -= pmf[c]
-		}
-		bm := sent
-		if c < n {
-			bm = floydSubset(bp.rng, &seqs, n, c)
-		}
-		ids = append(ids, j)
-		missed = append(missed, bm)
-	}
-	return ids, missed
-}
-
-// floydSubset returns a uniform c-subset of seqs[:n] as a seq bitmap, by
-// Floyd's algorithm. Its picks are rng.Int63n(i+1), i = n-c .. n-1, bit for
-// bit and draw for draw, without a division: a draw above Int63n's bound
-// is rejected, and the remainder comes from multiply-high by
-// floor((2^64-1)/(i+1)), whose quotient falls short by at most one. For a
-// power of two the bound rejects nothing and the remainder is Int63n's
-// mask.
-func floydSubset(rng *rand.Rand, seqs *[64]uint8, n, c int) uint64 {
 	var bm uint64
 	for i := n - c; i < n; i++ {
-		m := uint64(i + 1)
-		d := &floydDivs[m]
-		v := uint64(rng.Int63())
-		for v > d.bound {
-			v = uint64(rng.Int63())
-		}
-		q, _ := bits.Mul64(v, d.inv)
-		v -= q * m
-		v -= m & uint64(int64(m-1-v)>>63) // v < 2m: one branch-free correction
-		s := uint64(1) << seqs[v]
+		s := uint64(1) << seqs[bp.rng.Int63n(int64(i+1))]
 		if bm&s != 0 {
 			s = 1 << seqs[i]
 		}
@@ -403,39 +403,18 @@ func floydSubset(rng *rand.Rand, seqs *[64]uint8, n, c int) uint64 {
 	return bm
 }
 
-// floydDivs[n] holds Int63n's rejection bound and floor((2^64-1)/n) for n
-// in [1, 64].
-var floydDivs = func() (d [65]struct{ bound, inv uint64 }) {
-	for n := uint64(1); n <= 64; n++ {
-		d[n].bound = 1<<63 - 1 - (1<<63)%n
-		d[n].inv = ^uint64(0) / n
-	}
-	return d
-}()
-
 // table returns the skip table for 0 < p < 1. Fetching it here rather than
 // in the constructor keeps populations that are built but never drawn
 // from, or only at p = 0 or 1, from paying for one.
 func (bp *BernoulliPopulation) table() *geoTable {
 	if bp.tab == nil {
-		bp.tab = geoTableFor(bp.p, geoMaxSkip)
+		bp.tab = geoTableFor(bp.p)
 	}
 	return bp.tab
 }
 
-// Draw implements Population by scattering DrawLost into the dense buffer,
-// so dense and sparse callers observe the same loss process.
-func (bp *BernoulliPopulation) Draw(dt float64, lost []bool) {
-	if len(lost) != bp.r {
-		panic(fmt.Sprintf("loss: Draw buffer %d != R %d", len(lost), bp.r))
-	}
-	for i := range lost {
-		lost[i] = false
-	}
-	for _, j := range bp.DrawLost(dt) {
-		lost[j] = true
-	}
-}
+// Draw implements Population by scattering DrawLost.
+func (bp *BernoulliPopulation) Draw(dt float64, lost []bool) { scatter(lost, bp.r, bp.DrawLost(dt)) }
 
 // MarkovPopulation is a homogeneous independent two-state Markov ("burst")
 // population with a sparse draw kernel. The chain of Markov.Lost leaves a
@@ -473,7 +452,7 @@ func (mp *MarkovPopulation) Reset() {
 	mp.state1 = geoSample(mp.state1[:0], mp.r, mp.chain.pi1, mp.rng)
 }
 
-// DrawLost implements SparsePopulation.
+// DrawLost implements Population.
 func (mp *MarkovPopulation) DrawLost(dt float64) []int {
 	p11 := mp.chain.P11(dt)
 	p01 := mp.chain.P01(dt)
@@ -515,16 +494,5 @@ func (mp *MarkovPopulation) DrawLost(dt float64) []int {
 	return mp.idx
 }
 
-// Draw implements Population by scattering DrawLost, so dense and sparse
-// callers observe the same loss process.
-func (mp *MarkovPopulation) Draw(dt float64, lost []bool) {
-	if len(lost) != mp.r {
-		panic(fmt.Sprintf("loss: Draw buffer %d != R %d", len(lost), mp.r))
-	}
-	for i := range lost {
-		lost[i] = false
-	}
-	for _, j := range mp.DrawLost(dt) {
-		lost[j] = true
-	}
-}
+// Draw implements Population by scattering DrawLost.
+func (mp *MarkovPopulation) Draw(dt float64, lost []bool) { scatter(lost, mp.r, mp.DrawLost(dt)) }

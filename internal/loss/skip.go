@@ -52,8 +52,6 @@ const (
 	// tabulates; rarer, longer skips (q^1024: 3e-5 of the draws at
 	// p = 0.01) take geoSkip.
 	geoMaxSkip = 1024
-	// tailMaxSkip caps a tail table's depth, tailDepth.
-	tailMaxSkip = 1 << 13
 	// geoGuideShift maps a raw draw to its guide bucket: the top 13 of its
 	// 63 bits. Bucket g holds about ln((g+1)/g)/p boundaries, so the walk
 	// behind the guide averages ln(8192)/(8192 p) steps: 0.1 at p = 0.01.
@@ -90,14 +88,14 @@ type geoTable struct {
 // at or under b, a draw > above surely over it.
 type geoCut struct{ below, above int64 }
 
-// makeGeoTable builds the table for 0 < p < 1 with boundaries for skips up
-// to depth (at most 65535, the guide's range).
-func makeGeoTable(p float64, depth int) *geoTable {
+// makeGeoTable builds the table for 0 < p < 1, with boundaries for skips up
+// to geoMaxSkip.
+func makeGeoTable(p float64) *geoTable {
 	t := &geoTable{logq: math.Log1p(-p)}
 	skipOf := func(v int64) int { return geoSkip(float64(v)/(1<<63), t.logq) }
 	// No draw skips further than the smallest one. (A p so small that the
 	// int conversion overflows gets an empty table: every draw falls back.)
-	n := max(0, min(depth, skipOf(1)))
+	n := max(0, min(geoMaxSkip, skipOf(1)))
 	t.cuts = make([]geoCut, n+2)
 	b := int64(geoMaxRaw)
 	for j := 0; j <= n; j++ {
@@ -200,40 +198,27 @@ func (t *geoTable) sample(dst, among []int, limit int, rng *rand.Rand) []int {
 	return dst
 }
 
-// tailDepth is the depth of the table DrawExceeding skips through at tail
-// probability tau: ceil(4/tau) steps leave e^-4, 1.8 %, of the skips to
-// geoSkip, between geoMaxSkip and tailMaxSkip.
-func tailDepth(tau float64) int {
-	return int(max(geoMaxSkip, min(tailMaxSkip, math.Ceil(4/tau))))
-}
-
-// geoTables shares one table among all populations with the same p and
-// depth (the Monte-Carlo engines build thousands of short-lived ones per
-// sweep point, and the field draws every group's round at one tail).
+// geoTables shares one table among all populations with the same p (the
+// Monte-Carlo engines build thousands of short-lived ones per sweep point).
 var geoTables struct {
 	sync.Mutex
-	m map[geoKey]*geoTable
+	m map[float64]*geoTable
 }
 
-type geoKey struct {
-	p     float64
-	depth int
-}
-
-// geoTableFor returns the shared table for 0 < p < 1 at depth, building it
-// on first use.
-func geoTableFor(p float64, depth int) *geoTable {
+// geoTableFor returns the shared table for 0 < p < 1, building it on first
+// use.
+func geoTableFor(p float64) *geoTable {
 	geoTables.Lock()
 	defer geoTables.Unlock()
-	t := geoTables.m[geoKey{p, depth}]
+	t := geoTables.m[p]
 	if t == nil {
 		// A process sweeps a handful of loss probabilities; past that,
 		// start over rather than grow without bound.
 		if geoTables.m == nil || len(geoTables.m) >= 64 {
-			geoTables.m = make(map[geoKey]*geoTable)
+			geoTables.m = make(map[float64]*geoTable)
 		}
-		t = makeGeoTable(p, depth)
-		geoTables.m[geoKey{p, depth}] = t
+		t = makeGeoTable(p)
+		geoTables.m[p] = t
 	}
 	return t
 }

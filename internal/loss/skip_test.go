@@ -15,7 +15,7 @@ var geoTestPs = []float64{1e-7, 1e-4, 0.001, 0.01, 0.0399, 0.05, 0.25, 0.5, 0.9}
 
 // newGeoTable builds the table a population at loss probability p draws
 // through.
-func newGeoTable(p float64) *geoTable { return makeGeoTable(p, geoMaxSkip) }
+func newGeoTable(p float64) *geoTable { return makeGeoTable(p) }
 
 // checkLookup compares the table's answer for raw draw v with the
 // reference expression and reports whether the table answered at all.

@@ -20,6 +20,7 @@ type Tree struct {
 	order  []int     // topological order (parents before children)
 	lostN  []bool    // scratch: per-node loss of the current draw
 	rng    *rand.Rand
+	scan   denseScan
 }
 
 // TreeNode describes one node when building a Tree.
@@ -105,6 +106,9 @@ func (t *Tree) R() int { return len(t.leaves) }
 
 // Reset implements Population (memoryless).
 func (t *Tree) Reset() {}
+
+// DrawLost implements Population by a dense Draw and a scan.
+func (t *Tree) DrawLost(dt float64) []int { return t.scan.drawLost(t, dt) }
 
 // Draw implements Population: sample per-node losses, propagate down the
 // tree in topological order, and report the leaves.

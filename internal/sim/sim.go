@@ -12,8 +12,8 @@
 // 4.1 and 4.2.
 //
 // The engines track per-receiver recovery state sparsely: a transmission's
-// outcome is consumed as the list of LOST receivers (loss.SparsePopulation
-// when the population supports it, a dense scan otherwise) and the
+// outcome is consumed as the list of LOST receivers (Population.DrawLost,
+// a dense scan for the populations that only draw densely) and the
 // bookkeeping per transmission costs O(losses), not O(R). With the sparse
 // Bernoulli and FBT draw kernels this makes per-sample cost scale with
 // p*R instead of R. The dense-scan engines they replaced survive as
@@ -92,46 +92,17 @@ func estimate(samples []float64) Estimate {
 	return w.estimate()
 }
 
-// lostSource adapts any Population to sparse lost-index draws: populations
-// implementing loss.SparsePopulation are used directly, everything else
-// (heterogeneous per-receiver Process models) goes through a dense Draw
-// plus one O(R) scan.
+// lostSource draws lost-index sets from any Population, restricted to a
+// subset of receivers where the population supports it.
 type lostSource struct {
 	pop    loss.Population
-	sparse loss.SparsePopulation // nil when pop draws densely
 	subset loss.SubsetPopulation // nil when pop cannot restrict its draw
-	lost   []bool                // dense scratch
-	idx    []int                 // dense-scan scratch
 	sub    []int                 // drawLostAmong intersection scratch
 }
 
 func newLostSource(pop loss.Population) *lostSource {
-	ls := &lostSource{pop: pop}
-	if sp, ok := pop.(loss.SparsePopulation); ok {
-		ls.sparse = sp
-	} else {
-		ls.lost = make([]bool, pop.R())
-	}
-	if sub, ok := pop.(loss.SubsetPopulation); ok {
-		ls.subset = sub
-	}
-	return ls
-}
-
-// drawLost advances the population by dt and returns the lost receiver
-// indices in ascending order; the slice is valid until the next call.
-func (ls *lostSource) drawLost(dt float64) []int {
-	if ls.sparse != nil {
-		return ls.sparse.DrawLost(dt)
-	}
-	ls.pop.Draw(dt, ls.lost)
-	ls.idx = ls.idx[:0]
-	for j, l := range ls.lost {
-		if l {
-			ls.idx = append(ls.idx, j)
-		}
-	}
-	return ls.idx
+	sub, _ := pop.(loss.SubsetPopulation)
+	return &lostSource{pop: pop, subset: sub}
 }
 
 // drawLostAmong returns the members of among (ascending, no duplicates)
@@ -143,7 +114,7 @@ func (ls *lostSource) drawLostAmong(dt float64, among []int) []int {
 	if ls.subset != nil {
 		return ls.subset.DrawLostAmong(dt, among)
 	}
-	lost := ls.drawLost(dt)
+	lost := ls.pop.DrawLost(dt)
 	ls.sub = ls.sub[:0]
 	li := 0
 	for _, j := range among {
@@ -182,7 +153,7 @@ func NoFEC(pop loss.Population, tm Timing, packets int) Estimate {
 		for all || len(pending) > 0 {
 			tx++
 			if all {
-				pending = append(pending[:0], src.drawLost(tm.Delta+tm.T)...)
+				pending = append(pending[:0], src.pop.DrawLost(tm.Delta+tm.T)...)
 				all = false
 				continue
 			}
@@ -263,7 +234,7 @@ func Layered(pop loss.Population, k, h int, tm Timing, groups int) Estimate {
 				}
 				var lost []int
 				if all {
-					lost = src.drawLost(dt)
+					lost = src.pop.DrawLost(dt)
 				} else {
 					// Receivers that already decoded left the group; only
 					// the active ones' outcomes matter.
@@ -433,7 +404,7 @@ func Integrated1(pop loss.Population, k int, tm Timing, groups int) Estimate {
 		t := 0
 		for remaining > 0 {
 			t++
-			remaining -= pc.absorb(t, src.drawLost(tm.Delta))
+			remaining -= pc.absorb(t, src.pop.DrawLost(tm.Delta))
 		}
 		w.add(float64(t) / float64(k))
 	}
@@ -482,7 +453,7 @@ func integrated2(pop loss.Population, k int, tm Timing, groups int) (m, rounds E
 					dt = tm.Delta + tm.T
 				}
 				t++
-				remaining -= pc.absorb(t, src.drawLost(dt))
+				remaining -= pc.absorb(t, src.pop.DrawLost(dt))
 			}
 			firstRound = false
 		}

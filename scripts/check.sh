@@ -22,14 +22,17 @@
 #                       tests skips under -short
 #   8. field smoke      one R = 1e5 receiver-field transfer reconciled
 #                       against the paper's closed form (R = 1e6 stays in
-#                       tier 6), the consolidation pins, the whole-round
-#                       draw against the per-packet path (end to end, and
-#                       by chi-squared against per-packet draws), and the
-#                       loss draws the field runs on (skip and tail tables
-#                       vs reference, division-free Floyd picks vs
-#                       Int63n, pinned streams), the NAK jitter (pinned
-#                       grid, closed form vs math/rand), the recorded
-#                       l_max vs a scan and the 0-alloc aggregate round,
+#                       tier 6), the count path's E[M] against it from
+#                       R = 1e3 to 1e12, the consolidation pins, the count
+#                       path against the per-packet path end to end (also
+#                       past parity exhaustion, where it materialises),
+#                       and the loss draws the field runs on (skip table
+#                       vs reference, the binomial sampler vs the exact
+#                       pmf and the bins vs per-receiver draws by
+#                       chi-squared, uniform missed subsets, pinned
+#                       streams), the NAK jitter (pinned grid, closed form
+#                       vs math/rand), the recorded l_max and deficient
+#                       count vs a scan and the 0-alloc aggregate round,
 #                       all uncached
 #   9. engine pins      uncached: sender transcripts (depth 0 against a
 #                       constant; pipelined and batched byte-identical to
@@ -120,8 +123,8 @@ echo '== go test -race -short (concurrent packages)'
 go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
 
 echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
-go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestConsolidate|TestDropRecoveredIsTight|TestFieldRoundDrawMatchesPerPacket|TestLabelJitterPinned|TestLmaxRecordMatchesScan|TestLmaxFollowsLateParameters|TestAggregateRoundZeroAlloc' ./internal/field/
-go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned|TestDrawExceeding|TestTailTable|TestFloydSubsetPicksMatchInt63n' ./internal/loss/
+go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestFieldEMAcrossR|TestConsolidate|TestDropRecoveredIsTight|TestFieldRoundDrawMatchesPerPacket|TestFieldMaterialisesAtParityExhaustion|TestLabelJitterPinned|TestLmaxRecordMatchesScan|TestLmaxFollowsLateParameters|TestAggregateRoundZeroAlloc' ./internal/field/
+go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned|TestBinomialMatchesPmf|TestDrawRound|TestDrawMissedIsUniform' ./internal/loss/
 go test -count=1 -run TestFirstInt63nMatchesSource ./internal/mcrun/
 
 echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, repairs in the FIN gap, POLL slot span, rect field, field equivalence, hostile headers, N2 and layered on their closed forms, sendmmsg)'
@@ -196,7 +199,7 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=11565
+loc_ceiling=11564
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
