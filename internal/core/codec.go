@@ -141,7 +141,7 @@ func (cc *codecCache) get(k, h int, id, arg uint8) (Codec, error) {
 	if c, ok := cc.m[key]; ok {
 		return c, nil
 	}
-	//rmlint:ignore hotpath-alloc codec construction is memoized per ladder rung; steady state hits the map
+	// codec construction is memoized per ladder rung; steady state hits the map
 	c, err := newCodecID(id, arg, k, h, cc.shardSize, cc.reg)
 	if err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ func (p *bufPool) get(n int) []byte {
 	if c < p.minCap {
 		c = p.minCap
 	}
-	//rmlint:ignore hotpath-alloc pool miss: steady state reuses pooled buffers
+	// pool miss: steady state reuses pooled buffers
 	return make([]byte, c)[:n]
 }
 
@@ -43,7 +43,7 @@ func (p *bufPool) put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	//rmlint:ignore hotpath-alloc free-list growth is amortized across the session
+	// free-list growth is amortized across the session
 	p.free = append(p.free, b)
 }
 
@@ -70,7 +70,7 @@ func (q *outQueue) grow() {
 	if c == 0 {
 		c = 64
 	}
-	//rmlint:ignore hotpath-alloc ring doubling is amortized; the steady-state ring is already sized
+	// ring doubling is amortized; the steady-state ring is already sized
 	nb := make([]outPkt, c)
 	for i := 0; i < q.n; i++ {
 		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -162,6 +163,104 @@ func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%d groups still resident after streaming release", len(r.groups))
 			}
 		})
+	}
+}
+
+// TestNakServiceSteadyStateZeroAlloc pins the sender's NAK service path:
+// once a group's parities are spent, each NAK for it — decoded by
+// HandlePacket, served by serviceRound as a rotating data resend or, with
+// NC repair on, recorded by recordLossMap and served as XOR combos — and
+// the pump steps that put its two repairs and their POLL on the wire
+// allocate nothing. The NAKs are retries (Seq noEcho), which the service
+// rule serves in full every time.
+func TestNakServiceSteadyStateZeroAlloc(t *testing.T) {
+	static := Config{Session: 3, K: 8, MaxParity: 2, ShardSize: 64, Delta: time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		mask uint64 // NAK loss map; 0 sends none
+	}{
+		{"resend", static, 0},
+		{"nc", ncRungConfig(), 1<<5 | 1<<2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newSinkEnv(4)
+			s, err := NewSender(env, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Send(make([]byte, 400*8*64)); err != nil {
+				t.Fatal(err)
+			}
+			env.step() // group 0 is streamed
+			nak := packet.Packet{Type: packet.TypeNak, Session: tc.cfg.Session, Seq: noEcho, K: 8, Count: 2}
+			if tc.mask != 0 {
+				var m [packet.NcMaskLen]byte
+				binary.BigEndian.PutUint64(m[:], tc.mask)
+				nak.Payload = m[:]
+			}
+			wire := nak.MustEncode()
+			serve := func() {
+				s.HandlePacket(wire)
+				for i := 0; i < 3; i++ { // two repairs and their POLL
+					if !env.step() {
+						t.Fatal("sender went idle")
+					}
+				}
+			}
+			for i := 0; i < 10; i++ {
+				serve()
+			}
+			served := s.Stats().NakServed
+			if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+				t.Errorf("%s NAK service: %.1f allocs/NAK, want 0", tc.name, allocs)
+			}
+			if got := s.Stats().NakServed - served; got != 101 {
+				t.Errorf("%d of 101 NAKs served", got)
+			}
+			if tc.mask != 0 && s.Stats().NcRounds < 101 {
+				t.Errorf("only %d NC rounds; the combo path was not exercised", s.Stats().NcRounds)
+			}
+		})
+	}
+}
+
+// TestPollArmedNakAllocs pins the NAK a POLL arms, end to end: the POLL
+// through Receiver.HandlePacket, and the slot timer's fireNak sending the
+// NAK through RxRules.Nak. Each POLL costs exactly two allocations, the
+// timer closures (armNak's slot closure and fireNak's backoff closure);
+// anything else on the path moves the count.
+func TestPollArmedNakAllocs(t *testing.T) {
+	env := newSinkEnv(5)
+	cfg := Config{Session: 5, K: 8, MaxParity: 2, ShardSize: 64, Delta: time.Millisecond}
+	r, err := NewReceiver(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	frame := func(typ packet.Type, seq uint16, payload []byte) []byte {
+		p := packet.Packet{Type: typ, Session: 5, Seq: seq, K: 8, H: 2, Total: 8 * 100, Payload: payload}
+		return p.MustEncode()
+	}
+	shard := make([]byte, 64)
+	for i := uint16(1); i < 8; i++ { // seq 0 lost: a deficit of 1
+		r.HandlePacket(frame(packet.TypeData, i, shard))
+	}
+	poll := frame(packet.TypePoll, 0, nil)
+	nak := func() {
+		r.HandlePacket(poll)
+		if !env.step() {
+			t.Fatal("the POLL armed no NAK")
+		}
+	}
+	nak()
+	sent := r.Stats().NakTx
+	if allocs := testing.AllocsPerRun(100, nak); allocs != 2 {
+		t.Errorf("POLL-armed NAK: %.1f allocs/POLL, want exactly 2 (the slot and backoff timer closures)", allocs)
+	}
+	if got := r.Stats().NakTx - sent; got != 101 {
+		t.Errorf("%d NAKs sent for 101 POLLs", got)
 	}
 }
 

@@ -196,7 +196,7 @@ func (r *Receiver) setReleased(idx uint32) {
 		// group count, or the groups the announced shards fill at the
 		// largest k — so the steady state never grows it.
 		n := max(r.rx.total, (r.slots+r.rx.maxK-1)/r.rx.maxK)
-		//rmlint:ignore hotpath-alloc bitset grows once to the group count, amortized before it is known
+		// bitset grows once to the group count, amortized before it is known
 		r.doneBits = append(r.doneBits, make([]uint64, max(w+1, (n+63)/64)-len(r.doneBits))...)
 	}
 	r.doneBits[w] |= 1 << (idx & 63)
@@ -226,11 +226,11 @@ func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
 			r.freeGroups = r.freeGroups[:n-1]
 			*g = rxGroup{shards: g.shards} // shards were nil'd at release
 			if len(g.shards) != nsh {
-				//rmlint:ignore hotpath-alloc re-size only when adjacent groups negotiated different (k,h)
+				// re-size only when adjacent groups negotiated different (k,h)
 				g.shards = make([][]byte, nsh)
 			}
 		} else {
-			//rmlint:ignore hotpath-alloc one allocation per live group; groups recycle through freeGroups
+			// one allocation per live group; groups recycle through freeGroups
 			g = &rxGroup{shards: make([][]byte, nsh)}
 		}
 		g.K, g.H, g.base = k, h, -1
@@ -286,7 +286,7 @@ func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
 	if r.lastIdx == idx {
 		r.lastG = nil
 	}
-	//rmlint:ignore hotpath-alloc free-list growth is amortized across the session
+	// free-list growth is amortized across the session
 	r.freeGroups = append(r.freeGroups, g)
 }
 
@@ -304,8 +304,6 @@ func (r *Receiver) offset(g *rxGroup, seq int) int {
 // streaming mode, parities, a group whose base is not known yet, shards
 // past the declared count (none declared yet, or the tail group's
 // all-padding shards), and slots the commit rule keeps out of the buffer.
-//
-//rmlint:hotpath
 func (r *Receiver) shardBuf(g *rxGroup, seq int) []byte {
 	ss := r.cfg.ShardSize
 	if seq < g.K {
@@ -355,7 +353,7 @@ func (r *Receiver) commit(end int) bool {
 // shards into the new buffer.
 func (r *Receiver) grow(size int) {
 	old := r.msgBuf
-	//rmlint:ignore hotpath-alloc message buffer commit: at most log4(size/firstCommit)+1 steps per session
+	// message buffer commit: at most log4(size/firstCommit)+1 steps per session
 	r.msgBuf = make([]byte, size)
 	copy(r.msgBuf, old)
 	for _, g := range r.groups {
@@ -371,8 +369,6 @@ func (r *Receiver) grow(size int) {
 // HandlePacket feeds an incoming wire packet to the engine. The buffer is
 // only read during the call; the engine keeps copies of what it retains,
 // so transports may hand the same read buffer to every invocation.
-//
-//rmlint:hotpath
 func (r *Receiver) HandlePacket(wire []byte) {
 	if r.closed || r.complete {
 		return
@@ -584,7 +580,7 @@ func (r *Receiver) armNak(idx uint32, g *rxGroup, roundSize int) {
 		g.nakCancel()
 	}
 	g.nakArmed = true
-	//rmlint:ignore hotpath-alloc NAK timer closure: armed only after loss, never in the loss-free steady state
+	// NAK timer closure: armed only after loss, never in the loss-free steady state
 	g.nakCancel = r.env.After(delay, func() { r.fireNak(idx, g, false) })
 }
 
@@ -611,8 +607,6 @@ func (r *Receiver) armGaps(idx uint32) {
 
 // fireNak is g's NAK timer: the slot timer a POLL or the FIN armed, or
 // (retry) the backoff timer it re-arms while the group stays incomplete.
-//
-//rmlint:hotpath
 func (r *Receiver) fireNak(idx uint32, g *rxGroup, retry bool) {
 	if r.closed || g.done {
 		return
@@ -635,7 +629,7 @@ func (r *Receiver) fireNak(idx uint32, g *rxGroup, retry bool) {
 	g.retryCount++
 	g.heardNak = 0
 	g.nakArmed = true
-	//rmlint:ignore hotpath-alloc NAK retry closure: runs only while a group stays incomplete after loss
+	// NAK retry closure: runs only while a group stays incomplete after loss
 	g.nakCancel = r.env.After(r.rx.Backoff(g.retryCount), func() { r.fireNak(idx, g, true) })
 }
 

@@ -70,8 +70,6 @@ func NewRxRules(env Env, cfg Config, maxN int) RxRules {
 // renegotiating sender's — and an adaptive frame whose (k, h) lies outside
 // the ladder or beyond the k+h the engine tracks: a hostile header must not
 // inflate state.
-//
-//rmlint:hotpath
 func (rr *RxRules) Header(pkt *packet.Packet) (k, h int, ok bool) {
 	switch pkt.Type {
 	case packet.TypeData, packet.TypeParity:
@@ -124,8 +122,6 @@ func (rr *RxRules) TotalTG() int { return rr.total }
 // its first such frame — a known one, well-formed for (k, h), fixed then: a
 // hostile or corrupt header must not flip a group's recovery rule
 // mid-flight — and a shard index inside the group's k+h.
-//
-//rmlint:hotpath
 func (rr *RxRules) Admit(p *RxParams, pkt *packet.Packet, k, h int) bool {
 	if p.K == 0 {
 		p.K, p.H = k, h
@@ -184,8 +180,6 @@ func (rr *RxRules) GroupK(p *RxParams) int {
 // to recover it. An MDS code needs any k, so l = k − have; a non-MDS code
 // (rect) needs its per-class shortfall, which extra parities of an
 // already covered class do not reduce.
-//
-//rmlint:hotpath
 func (rr *RxRules) Deficit(p *RxParams, have int, held uint64) int {
 	if p.Code != nil {
 		return p.Code.ShortfallBits(held)
@@ -248,8 +242,6 @@ func (rr *RxRules) Backoff(n int) time.Duration {
 // group whose shards fit the bitmap also reports which data seqs are
 // missing — those not in held — so the sender can retransmit exact XOR
 // combinations.
-//
-//rmlint:hotpath
 func (rr *RxRules) Nak(idx uint32, p *RxParams, l int, held uint64, retry bool) {
 	nak := packet.Packet{
 		Type:    packet.TypeNak,

@@ -510,12 +510,12 @@ func (s *Sender) refill() {
 	}
 	a, recut := s.policy.next(s.groups)
 	if recut {
-		//rmlint:ignore hotpath-alloc era cut runs once per retune, not per group; amortized across the era's groups
+		// era cut runs once per retune, not per group; amortized across the era's groups
 		s.startEra()
 	}
 	tg := &s.era[s.eraNext]
 	s.eraNext++
-	//rmlint:ignore hotpath-alloc session-lifetime group log; doubling growth is amortized over the transfer
+	// session-lifetime group log; doubling growth is amortized over the transfer
 	s.groups = append(s.groups, tg)
 	s.cursor = min(s.cursor+tg.k*s.cfg.ShardSize, len(s.msg))
 	s.collectParities(tg)
@@ -541,8 +541,6 @@ func (s *Sender) refill() {
 
 // HandlePacket feeds an incoming wire packet (a NAK, in a sender's case)
 // to the engine. Non-NAK or foreign-session packets are ignored.
-//
-//rmlint:hotpath
 func (s *Sender) HandlePacket(wire []byte) {
 	if s.closed {
 		return
@@ -608,8 +606,6 @@ const maxLossMaps = 16
 // losses unknown, which disables NC for it: a blind receiver could hold
 // packets the combo planner assumed lost, making combos undecodable for
 // it.
-//
-//rmlint:hotpath
 func (s *Sender) recordLossMap(tg *txGroup, payload []byte) {
 	if len(payload) != packet.NcMaskLen || tg.k > 63 {
 		tg.lossUnknown = true
@@ -630,7 +626,6 @@ func (s *Sender) recordLossMap(tg *txGroup, payload []byte) {
 		tg.lossUnknown = true
 		return
 	}
-	//rmlint:ignore hotpath-alloc loss-map growth is bounded by maxLossMaps per group
 	tg.lossMaps = append(tg.lossMaps, m)
 }
 
@@ -677,14 +672,14 @@ func (s *Sender) tryNcRound(tg *txGroup, extra int) bool {
 			}
 		}
 		if !placed {
-			//rmlint:ignore hotpath-alloc combo scratch reuses the s.ncCombos backing; bounded by the union popcount
+			// combo scratch reuses the s.ncCombos backing; bounded by the union popcount
 			combos = append(combos, bit)
 		}
 	}
 	s.ncCombos = combos
 	round := s.round[:0]
 	for _, c := range combos {
-		//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
+		// round reuses the s.round backing; grows only until the largest repair round
 		round = append(round, outPkt{wire: s.ncPacket(tg, c), kind: packet.TypeNcRepair, service: true, tg: tg})
 	}
 	tg.lossMaps = tg.lossMaps[:0]
@@ -734,7 +729,7 @@ func (s *Sender) serviceRound(tg *txGroup, extra int) {
 				// Cannot happen with validated config; drop the round.
 				return
 			}
-			//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
+			// round reuses the s.round backing; grows only until the largest repair round
 			round = append(round, outPkt{wire: wire, kind: packet.TypeParity, service: true, tg: tg})
 		} else {
 			// Parities exhausted: fall back to re-sending the originals
@@ -744,7 +739,6 @@ func (s *Sender) serviceRound(tg *txGroup, extra int) {
 			// repaired.
 			idx := tg.resendCur % tg.k
 			tg.resendCur++
-			//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
 			round = append(round, outPkt{wire: s.dataPacket(tg, idx), kind: packet.TypeData, service: true, tg: tg})
 		}
 	}
@@ -760,7 +754,7 @@ func (s *Sender) queueRound(tg *txGroup, round []outPkt) {
 	tg.queued += n
 	tg.served = min(tg.served+n, maxServed)
 	if !s.arq {
-		//rmlint:ignore hotpath-alloc round reuses the s.round backing; grows only until the largest repair round
+		// round reuses the s.round backing; grows only until the largest repair round
 		round = append(round, outPkt{wire: s.pollPacket(tg, n), control: true, kind: packet.TypePoll})
 	}
 	for i := len(round) - 1; i >= 0; i-- {
@@ -872,8 +866,6 @@ func (s *Sender) pollPacket(tg *txGroup, n int) []byte {
 // to Pipeline.Batch data frames per n*Delta tick on the batched path. It
 // never sleeps longer than that pacing gap: the FIN repeat runs on its own
 // timer, so a repair round queued between two FINs leaves at once.
-//
-//rmlint:hotpath
 func (s *Sender) pump() {
 	if s.pumping || s.closed {
 		return
@@ -920,7 +912,7 @@ func (s *Sender) pumpBatch() int {
 		}
 		out := s.sendQ.popFront()
 		s.account(out)
-		//rmlint:ignore hotpath-alloc batch backing is reused across pumps; grows only to Pipeline.Batch
+		// batch backing is reused across pumps; grows only to Pipeline.Batch
 		s.batch = append(s.batch, out.wire)
 		n++
 	}

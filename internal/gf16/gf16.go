@@ -153,8 +153,6 @@ func checkPairs(op string, src, dst []byte) {
 // AddSlice computes dst ^= src over big-endian 16-bit symbols, which is
 // byte-wise XOR, so it runs gf256's word-parallel kernel, as MulAddSlice
 // does for c == 1.
-//
-//rmlint:hotpath
 func AddSlice(src, dst []byte) {
 	checkPairs("AddSlice", src, dst)
 	gf256.AddSlice(src, dst)
@@ -162,8 +160,6 @@ func AddSlice(src, dst []byte) {
 
 // MulAddSlice computes dst ^= c*src over big-endian 16-bit symbols, the
 // codec kernel. The slices must have equal, even length.
-//
-//rmlint:hotpath
 func MulAddSlice(c uint16, src, dst []byte) {
 	checkPairs("MulAddSlice", src, dst)
 	switch c {
@@ -177,8 +173,6 @@ func MulAddSlice(c uint16, src, dst []byte) {
 
 // MulSlice sets dst = c*src over big-endian 16-bit symbols. The slices
 // must have equal, even length.
-//
-//rmlint:hotpath
 func MulSlice(c uint16, src, dst []byte) {
 	checkPairs("MulSlice", src, dst)
 	switch c {
@@ -198,8 +192,6 @@ var ErrSingular = errors.New("gf16: singular matrix")
 // in place, allocating nothing, over the row-major n x w matrix m = [A | B]
 // with A square, leaving [I | A^-1 B]. Returns ErrSingular, with m
 // half-reduced, if A has no inverse.
-//
-//rmlint:hotpath
 func SolveSmall(m []uint16, n, w int) error {
 	for col := 0; col < n; col++ {
 		pivot := col

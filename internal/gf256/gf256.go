@@ -142,8 +142,6 @@ func lengthMismatch(op string, a, b int) string {
 // kernels.go: the AVX2 prefix where the CPU has it, then the pair-table
 // word kernel. dst and src must have equal length and must not alias unless
 // identical. A zero coefficient zeroes dst; coefficient one copies.
-//
-//rmlint:hotpath
 func MulSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("MulSlice", len(src), len(dst)))
@@ -172,8 +170,6 @@ func MulSlice(c byte, src, dst []byte) {
 // the heart of Reed-Solomon encoding and decoding, through the same
 // dispatch as MulSlice. dst and src must have equal length and must not
 // alias unless identical.
-//
-//rmlint:hotpath
 func MulAddSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("MulAddSlice", len(src), len(dst)))
@@ -205,8 +201,6 @@ func MulAddSlice(c byte, src, dst []byte) {
 // evicts them faster than they pay off (the word kernel drops to ~0.25x
 // the scalar loop beyond ~64 live coefficients; see DESIGN.md). On an AVX2
 // host the two forms differ only in how they finish the last < 32 bytes.
-//
-//rmlint:hotpath
 func MulSliceCompact(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("MulSliceCompact", len(src), len(dst)))
@@ -234,8 +228,6 @@ func MulSliceCompact(c byte, src, dst []byte) {
 // MulAddSliceCompact is MulAddSlice restricted to the shared 64 KiB product
 // table; see MulSliceCompact. The c == 1 case still runs the word-parallel
 // XOR — it needs no per-coefficient table.
-//
-//rmlint:hotpath
 func MulAddSliceCompact(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("MulAddSliceCompact", len(src), len(dst)))
@@ -259,8 +251,6 @@ func MulAddSliceCompact(c byte, src, dst []byte) {
 }
 
 // AddSlice computes dst[i] ^= src[i], 64 bits at a time.
-//
-//rmlint:hotpath
 func AddSlice(src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("AddSlice", len(src), len(dst)))

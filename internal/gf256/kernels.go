@@ -90,7 +90,7 @@ func pairTableFor(c byte) *[65536]uint16 {
 	if t := pairTbls[c].Load(); t != nil {
 		return t
 	}
-	//rmlint:ignore hotpath-alloc pair table is built once per coefficient and cached in pairTbls
+	// pair table is built once per coefficient and cached in pairTbls
 	t := new([65536]uint16)
 	row := &mulTbl[c]
 	for b0 := 0; b0 < 256; b0++ {

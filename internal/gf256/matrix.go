@@ -143,8 +143,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 // would cost more than the arithmetic and their pair tables would be built
 // for rows of a few words. Returns ErrSingular, with m half-reduced, if A
 // has no inverse.
-//
-//rmlint:hotpath
 func SolveSmall(m []byte, n, w int) error {
 	for col := 0; col < n; col++ {
 		pivot := col

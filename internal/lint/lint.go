@@ -16,17 +16,17 @@
 //   - doc-comment: packages under internal/ carry a package comment and
 //     doc comments on every exported declaration; the docs are where the
 //     paper's definitions are pinned to the code.
-//   - hotpath-alloc: functions annotated //rmlint:hotpath — the sender
-//     transmit, receiver decode, RSE reconstruction and gf256 kernel
-//     paths — and their same-module callees (to Config.HotpathDepth) must
-//     be allocation-free in steady state.
 //   - metrics-discipline: metrics.Registry series names are constant
 //     snake_case strings, one kind per name, and the derived static series
 //     set reconciles exactly against scripts/metrics_schema.txt.
 //
+// Allocation-freedom of the packet paths is not a rule here: the
+// testing.AllocsPerRun pins beside each hot path are its contract, since
+// only a measurement sees what escape analysis and interface dispatch do.
+//
 // Every rule consumes one shared traversal (see pass.go), which builds the
-// function index, hotpath annotations, call sites, closure bindings and
-// the ignore-directive index per Run.
+// call sites, closure bindings, parameter ownership and the
+// ignore-directive index per Run.
 //
 // Findings can be suppressed line-by-line with
 //
@@ -35,9 +35,6 @@
 // placed on the offending line or the line directly above it. The reason is
 // mandatory; a directive without one is itself reported (rule bad-ignore),
 // and a directive that suppresses nothing is reported too (stale-ignore).
-// On a call line inside a hot path, the directive additionally prunes that
-// call edge from the hotpath-alloc walk — the audited escape hatch for
-// amortized allocators such as pool refills and inverse-cache fills.
 // Type-checker errors surface under the type-error rule; none of
 // bad-ignore, stale-ignore and type-error can be suppressed.
 //
@@ -71,8 +68,8 @@ func (d Diagnostic) String() string {
 // Config selects which packages each rule applies to. Paths are
 // module-relative package directories ("internal/core"; "" is the module
 // root package). The zero Config applies env-discipline, no-goroutines and
-// float-eq nowhere; hotpath-alloc, metrics-discipline and the meta rules
-// always run everywhere.
+// float-eq nowhere; metrics-discipline and the meta rules always run
+// everywhere.
 type Config struct {
 	// EnvPackages are checked by env-discipline: the deterministic engine
 	// packages plus the Env implementations whose wall-clock use must be
@@ -88,11 +85,6 @@ type Config struct {
 	// match whole trees ("internal/" covers every internal package); other
 	// entries match one package directory exactly.
 	DocPackagePrefixes []string
-	// HotpathDepth bounds the hotpath-alloc call-graph walk: callees of an
-	// annotated function are analyzed this many edges deep. 0 means the
-	// default (4), which covers the longest engine chain
-	// (pump -> refill -> dataPacket -> frameFor -> bufPool.get).
-	HotpathDepth int
 	// MetricsSchemaFile is the module-relative path of the pinned static
 	// series set that metrics-discipline reconciles against; "" disables
 	// the reconciliation (name, kind and label checks still run).
@@ -139,7 +131,6 @@ func DefaultConfig() Config {
 		DocPackagePrefixes: []string{
 			"internal/",
 		},
-		HotpathDepth:      4,
 		MetricsSchemaFile: "scripts/metrics_schema.txt",
 	}
 }
@@ -155,8 +146,7 @@ func pathIn(rel string, set []string) bool {
 
 // Rule is one named invariant check. A rule inspects either one package at
 // a time (check) or the whole module at once (checkModule) — the latter
-// for rules whose facts span packages, like the hotpath call-graph walk
-// and the schema reconciliation.
+// for rules whose facts span packages, like the schema reconciliation.
 type Rule struct {
 	Name string
 	Doc  string
@@ -189,11 +179,6 @@ func Rules() []Rule {
 			Name:  "doc-comment",
 			Doc:   "documented packages carry a package comment and doc comments on every exported declaration",
 			check: func(p *Package, cfg Config, fx *facts) []Diagnostic { return checkDocComments(p, cfg) },
-		},
-		{
-			Name:        "hotpath-alloc",
-			Doc:         "//rmlint:hotpath functions and their same-module callees are allocation-free in steady state",
-			checkModule: checkHotpathAlloc,
 		},
 		{
 			Name:        "metrics-discipline",

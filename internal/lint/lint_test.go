@@ -239,14 +239,19 @@ func B() {}
 
 //rmlint:ignore mutex-discipline a deleted rule suppresses nothing
 func C() {}
+
+//rmlint:ignore hotpath-alloc a deleted rule suppresses nothing
+func D() {}
 `,
 	})
-	// A directive naming a rule rmlint no longer has (mutex-discipline) is
-	// reported like any other unknown rule, not silently accepted.
+	// A directive naming a rule rmlint no longer has (mutex-discipline,
+	// hotpath-alloc) is reported like any other unknown rule, not silently
+	// accepted.
 	wantDiags(t, got,
 		"engine/engine.go:3: bad-ignore",
 		"engine/engine.go:6: bad-ignore",
 		"engine/engine.go:9: bad-ignore",
+		"engine/engine.go:12: bad-ignore",
 	)
 }
 

@@ -9,19 +9,6 @@ import (
 	"strings"
 )
 
-// hotpathMarker is the annotation that roots a hotpath-alloc walk: a
-// function whose doc comment contains it (and its same-module callees, to
-// Config.HotpathDepth) must be allocation-free in steady state.
-const hotpathMarker = "//rmlint:hotpath"
-
-// funcInfo ties one declared function to its package, AST and type object.
-type funcInfo struct {
-	pkg     *Package
-	decl    *ast.FuncDecl
-	obj     *types.Func
-	hotpath bool
-}
-
 // callSite is one static call expression plus the package whose type info
 // resolves its arguments.
 type callSite struct {
@@ -30,21 +17,19 @@ type callSite struct {
 }
 
 // ignoreEntry is one parsed //rmlint:ignore directive. used flips when the
-// directive suppresses a finding (or prunes a hotpath edge); directives
-// that stay unused are themselves reported under stale-ignore.
+// directive suppresses a finding; directives that stay unused are
+// themselves reported under stale-ignore.
 type ignoreEntry struct {
 	pos  token.Position
 	rule string
 	used bool
 }
 
-// facts is the module-wide fact store every rule consumes: the function
-// index with hotpath annotations, closure bindings and call sites (the
-// call graph), and the ignore-directive index. It is built in one shared
-// traversal per Run.
+// facts is the module-wide fact store every rule consumes: closure
+// bindings, parameter ownership and call sites (the call graph), and the
+// ignore-directive index. It is built in one shared traversal per Run.
 type facts struct {
-	mod   *Module
-	funcs map[*types.Func]*funcInfo
+	mod *Module
 
 	// Closure bindings: local variable -> the func literal assigned to it,
 	// and the reverse, so label values flowing through helper closures
@@ -72,7 +57,6 @@ type facts struct {
 func buildFacts(mod *Module) *facts {
 	fx := &facts{
 		mod:         mod,
-		funcs:       make(map[*types.Func]*funcInfo),
 		litOf:       make(map[types.Object]*ast.FuncLit),
 		varOfLit:    make(map[*ast.FuncLit]types.Object),
 		paramFunc:   make(map[types.Object]*types.Func),
@@ -90,15 +74,14 @@ func buildFacts(mod *Module) *facts {
 	return fx
 }
 
-// collect indexes one file: declared functions (with hotpath
-// annotations), closure bindings, and every call site.
+// collect indexes one file: parameter ownership, closure bindings, and
+// every call site.
 func (fx *facts) collect(p *Package, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncDecl:
 			obj, _ := p.Info.Defs[x.Name].(*types.Func)
 			if obj != nil {
-				fx.funcs[obj] = &funcInfo{pkg: p, decl: x, obj: obj, hotpath: hasHotpathMarker(x.Doc)}
 				fx.recordParams(p, x.Type, func(o types.Object) { fx.paramFunc[o] = obj })
 			}
 		case *ast.FuncLit:
@@ -174,19 +157,6 @@ func (fx *facts) recordParams(p *Package, ft *ast.FuncType, record func(types.Ob
 	}
 }
 
-// hasHotpathMarker reports whether a doc comment carries //rmlint:hotpath.
-func hasHotpathMarker(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if c.Text == hotpathMarker || strings.HasPrefix(c.Text, hotpathMarker+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 const ignorePrefix = "//rmlint:ignore"
 
 // parseIgnores scans a package's comments for //rmlint:ignore directives,
@@ -234,26 +204,11 @@ func (fx *facts) parseIgnores(p *Package) {
 // suppress reports whether d is covered by an ignore directive, marking
 // every covering directive used.
 func (fx *facts) suppress(d Diagnostic) bool {
-	return fx.useIgnore(d.Pos, d.Rule)
-}
-
-// useIgnore marks (and reports) any directive for rule covering pos. The
-// hotpath walk also calls it on call lines to prune audited cold edges.
-func (fx *facts) useIgnore(pos token.Position, rule string) bool {
-	es := fx.ignores[pos.Filename][pos.Line][rule]
-	if len(es) == 0 {
-		return false
-	}
+	es := fx.ignores[d.Pos.Filename][d.Pos.Line][d.Rule]
 	for _, e := range es {
 		e.used = true
 	}
-	return true
-}
-
-// hasIgnore reports whether a directive for rule covers pos without
-// consuming it.
-func (fx *facts) hasIgnore(pos token.Position, rule string) bool {
-	return len(fx.ignores[pos.Filename][pos.Line][rule]) > 0
+	return len(es) > 0
 }
 
 // staleIgnores reports every directive that suppressed nothing.
@@ -354,10 +309,4 @@ func paramIndexOfLit(fx *facts, lit *ast.FuncLit, obj types.Object) int {
 		}
 	}
 	return -1
-}
-
-// funcDisplay renders a function's qualified name with the module path
-// stripped ("(*internal/core.Sender).pump").
-func funcDisplay(mod *Module, obj *types.Func) string {
-	return strings.ReplaceAll(obj.FullName(), mod.Path+"/", "")
 }

@@ -221,8 +221,6 @@ func (c *Counter) desc() *desc { return c.d }
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-//
-//rmlint:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -249,8 +247,6 @@ type Gauge struct {
 func (g *Gauge) desc() *desc { return g.d }
 
 // Set stores v.
-//
-//rmlint:hotpath
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -259,8 +255,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add adds d (negative to decrease).
-//
-//rmlint:hotpath
 func (g *Gauge) Add(d int64) {
 	if g == nil {
 		return
@@ -270,8 +264,6 @@ func (g *Gauge) Add(d int64) {
 
 // SetMax raises the gauge to v if v is larger — a high-watermark update
 // (e.g. maximum event-queue depth seen).
-//
-//rmlint:hotpath
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return
@@ -312,8 +304,6 @@ type Histogram struct {
 func (h *Histogram) desc() *desc { return h.d }
 
 // Observe records one sample.
-//
-//rmlint:hotpath
 func (h *Histogram) Observe(x float64) {
 	if h == nil {
 		return

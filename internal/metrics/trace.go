@@ -38,8 +38,6 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Record appends ev, overwriting the oldest event once the ring is full.
-//
-//rmlint:hotpath
 func (t *Tracer) Record(ev Event) {
 	if t == nil {
 		return

@@ -158,8 +158,6 @@ func (p *Packet) EncodedLen() int { return HeaderLen + len(p.Payload) }
 // EncodedLen() bytes, and returns the number of bytes written. It performs
 // no allocation, so callers recycling wire frames through a free-list pay
 // only the header stores and the payload copy.
-//
-//rmlint:hotpath
 func (p *Packet) MarshalTo(dst []byte) (int, error) {
 	if p.Type == TypeInvalid || p.Type > TypeNcRepair {
 		return 0, fmt.Errorf("%w: %d", ErrBadType, p.Type)
@@ -225,8 +223,6 @@ func Decode(b []byte) (*Packet, error) {
 // the zero-alloc decode entry point for engines that copy what they keep
 // (a shard into a recycled buffer) and drop the rest, letting transports
 // hand the same read buffer to every callback.
-//
-//rmlint:hotpath
 func DecodeInto(p *Packet, b []byte) error {
 	if len(b) < HeaderLen {
 		return fmt.Errorf("%w: %d bytes", ErrTooShort, len(b))

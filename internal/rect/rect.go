@@ -105,14 +105,11 @@ func sizeFor(dst []byte, size int) []byte {
 	if cap(dst) >= size {
 		return dst[:size]
 	}
-	//rmlint:ignore hotpath-alloc grows dst only when capacity is short; steady state reuses
 	return make([]byte, size)
 }
 
 // encodeRow XORs class j of data into dst, which must be zeroed or
 // freshly overwritten by the first member copy.
-//
-//rmlint:hotpath
 func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
 	first := true
 	for i := j; i < c.k; i += c.d {
@@ -128,8 +125,6 @@ func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
 // EncodeParity computes parity shard j (the XOR of data class j) into
 // dst, reusing dst's backing array when it has capacity, and returns the
 // resulting slice.
-//
-//rmlint:hotpath
 func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
 	if j < 0 || j >= c.d {
 		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadParityIndex, j, c.d)
@@ -146,8 +141,6 @@ func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
 // EncodeBlocks batch-encodes nb consecutive blocks: data holds nb*k data
 // shards, parity nb*d slices which are resized and overwritten. Row j of
 // block b is byte for byte what EncodeParity(j) returns for that block.
-//
-//rmlint:hotpath
 func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 	if len(data)%c.k != 0 {
 		return fmt.Errorf("%w: %d data shards, want a multiple of %d", ErrBadShardCount, len(data), c.k)
@@ -184,8 +177,6 @@ func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 // passed as a zero-length slice with capacity >= the shard length is
 // rebuilt into its own backing array, so recycling callers pay no
 // steady-state allocation.
-//
-//rmlint:hotpath
 func (c *Code) Reconstruct(shards [][]byte) error {
 	if len(shards) != c.k+c.d {
 		return fmt.Errorf("%w: %d shards, want %d", ErrBadShardCount, len(shards), c.k+c.d)
@@ -240,8 +231,6 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 // members minus one if the class parity is held — the codec-aware
 // generalisation of the MDS deficit max(0, k - popcount(have)), which
 // overstates recovery power for rectangular codes.
-//
-//rmlint:hotpath
 func (c *Code) ShortfallBits(have uint64) int {
 	short := 0
 	for j := 0; j < c.d; j++ {

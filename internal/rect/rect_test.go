@@ -164,6 +164,7 @@ func TestReconstructRecycledBuffersNoAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	spare := make([]byte, size)
+	row := make([]byte, 0, size)
 	shards := make([][]byte, 20)
 	allocs := testing.AllocsPerRun(100, func() {
 		copy(shards, data)
@@ -177,9 +178,21 @@ func TestReconstructRecycledBuffersNoAlloc(t *testing.T) {
 		if !bytes.Equal(shards[3], data[3]) {
 			t.Fatal("recycled-buffer reconstruct wrong")
 		}
+		// The sender's side of the same contract: a block and a parity
+		// row into recycled buffers, and the deficit of a block missing
+		// shard 3.
+		if err := c.EncodeBlocks(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := c.EncodeParity(3, data, row); err != nil || !bytes.Equal(p, parity[3]) {
+			t.Fatal("recycled-buffer EncodeParity wrong")
+		}
+		if c.ShortfallBits((1<<20-1)&^(1<<3|1<<19)) != 1 {
+			t.Fatal("ShortfallBits wrong")
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reconstruct with recycled buffer allocates %.1f/op", allocs)
+		t.Fatalf("Reconstruct, EncodeBlocks, EncodeParity and ShortfallBits with recycled buffers allocate %.1f/op", allocs)
 	}
 }
 

@@ -363,7 +363,6 @@ func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
 // contents are left arbitrary; callers overwrite via encodeRow/MulSlice.
 func sizeFor(dst []byte, size int) []byte {
 	if cap(dst) < size {
-		//rmlint:ignore hotpath-alloc grows dst only when capacity is short; steady state reuses
 		return make([]byte, size)
 	}
 	return dst[:size]
@@ -393,8 +392,6 @@ func (c *Code) Encode(data, parity [][]byte) error {
 // nb*k data shards (block b's shards at [b*k, (b+1)*k)) and parity holds
 // nb*h parity slices, resized and overwritten like Encode, which it runs
 // on each block in turn.
-//
-//rmlint:hotpath
 func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 	if c.k == 0 || len(data)%c.k != 0 {
 		return fmt.Errorf("%w: %d data shards, want a multiple of %d", ErrBadShardCount, len(data), c.k)
@@ -415,8 +412,6 @@ func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 // grown if needed and returned. This supports the paper's integrated
 // protocol NP, where parities are produced on demand one retransmission
 // round at a time rather than all up front.
-//
-//rmlint:hotpath
 func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
 	if j < 0 || j >= c.h {
 		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadParityIndex, j, c.h)
@@ -442,7 +437,7 @@ func (c *Code) getScratch() *decodeScratch {
 	}
 	c.mu.Unlock()
 	if sc == nil {
-		//rmlint:ignore hotpath-alloc scratch allocated on pool miss; recycled by putScratch
+		// scratch allocated on pool miss; recycled by putScratch
 		sc = c.newScratch()
 	}
 	return sc
@@ -461,7 +456,7 @@ func (c *Code) newScratch() *decodeScratch {
 
 func (c *Code) putScratch(sc *decodeScratch) {
 	c.mu.Lock()
-	//rmlint:ignore hotpath-alloc scratch pool growth is amortized across the session
+	// scratch pool growth is amortized across the session
 	c.scratch = append(c.scratch, sc)
 	c.mu.Unlock()
 }
@@ -537,8 +532,6 @@ func subsystem[T byte | uint16](p, rows []T, k int, missing, chosen []int) {
 // allocation-free whatever the loss pattern (see
 // TestReconstructSteadyStateAllocs, TestReconstructCyclingPatternsAllocs).
 // Missing shards passed as nil are freshly allocated as before.
-//
-//rmlint:hotpath
 func (c *Code) Reconstruct(shards [][]byte) error {
 	n := c.N()
 	if len(shards) != n {
@@ -557,10 +550,9 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	missing, chosen := sc.missing[:0], sc.chosen[:0]
 	for i := 0; i < c.k; i++ {
 		if len(shards[i]) == 0 {
-			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
+			// scratch slices carry capacity k; append cannot grow after first use
 			missing = append(missing, i)
 		} else {
-			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
 			chosen = append(chosen, i)
 		}
 	}
@@ -569,7 +561,6 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	}
 	for i := c.k; i < n && len(chosen) < c.k; i++ {
 		if len(shards[i]) != 0 {
-			//rmlint:ignore hotpath-alloc scratch slices carry capacity k; append cannot grow after first use
 			chosen = append(chosen, i)
 		}
 	}

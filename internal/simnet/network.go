@@ -88,8 +88,6 @@ type frame struct {
 }
 
 // release drops one run's reference; the last one recycles the frame.
-//
-//rmlint:hotpath
 func (n *Network) release(f *frame) {
 	if f.refs--; f.refs > 0 {
 		return
@@ -97,7 +95,7 @@ func (n *Network) release(f *frame) {
 	if n.onRecycle != nil {
 		n.onRecycle(f.buf)
 	}
-	//rmlint:ignore hotpath-alloc pool growth: amortized up to the in-flight packet count
+	// pool growth: amortized up to the in-flight packet count
 	n.frames = append(n.frames, f)
 }
 
@@ -172,7 +170,6 @@ func (node *Node) Multicast(b []byte) error { return node.send(b, false) }
 // LoseControl unset receive it loss-free.
 func (node *Node) MulticastControl(b []byte) error { return node.send(b, true) }
 
-//rmlint:hotpath
 func (node *Node) send(b []byte, control bool) error {
 	net := node.net
 	node.acct.TxPackets++
@@ -189,7 +186,7 @@ func (node *Node) send(b []byte, control bool) error {
 	// send call returns, while this medium delivers asynchronously: take the
 	// network's one copy at ingress; every destination's arrival borrows it.
 	f := take(&net.frames)
-	//rmlint:ignore hotpath-alloc pool growth: appends only until the frame has carried the largest packet size
+	// pool growth: appends only until the frame has carried the largest packet size
 	f.buf = append(f.buf[:0], b...)
 	// One queue entry per maximal run of consecutive destinations with the
 	// same arrival instant; each run holds one reference to the frame.
@@ -213,7 +210,6 @@ func (node *Node) send(b []byte, control bool) error {
 	return nil
 }
 
-//rmlint:hotpath
 func (node *Node) receive(b []byte, src int, control bool) {
 	lossy := node.cfg.Loss != nil && (!control || node.cfg.LoseControl)
 	if lossy {

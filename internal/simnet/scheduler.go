@@ -127,12 +127,10 @@ func (s *Scheduler) At(t time.Duration, fn func()) (cancel func()) {
 }
 
 // push queues e at time t behind everything already scheduled for t.
-//
-//rmlint:hotpath
 func (s *Scheduler) push(e *event, t time.Duration) {
 	e.at, e.seq = t, s.seq
 	s.seq++
-	//rmlint:ignore hotpath-alloc queue growth: amortized up to the peak number of queued events
+	// queue growth: amortized up to the peak number of queued events
 	s.pq = append(s.pq, e)
 	h := s.pq
 	i := len(h) - 1
@@ -153,8 +151,6 @@ func (s *Scheduler) push(e *event, t time.Duration) {
 }
 
 // pop removes the head of the queue.
-//
-//rmlint:hotpath
 func (s *Scheduler) pop() {
 	h := s.pq
 	n := len(h) - 1
@@ -184,25 +180,21 @@ func (s *Scheduler) pop() {
 }
 
 // take pops a recycled *T off a free list, or allocates the pool's next.
-//
-//rmlint:hotpath
 func take[T any](free *[]*T) *T {
 	if n := len(*free); n > 0 {
 		v := (*free)[n-1]
 		*free = (*free)[:n-1]
 		return v
 	}
-	//rmlint:ignore hotpath-alloc pool growth: a free list reaches the in-flight count, then recycles
+	// pool growth: a free list reaches the in-flight count, then recycles
 	return new(T)
 }
 
 // recycle returns a popped event to the free list under a new generation,
 // which turns every cancel func still holding it into a no-op.
-//
-//rmlint:hotpath
 func (s *Scheduler) recycle(e *event) {
 	*e = event{gen: e.gen + 1}
-	//rmlint:ignore hotpath-alloc pool growth: amortized up to the peak number of queued events
+	// pool growth: amortized up to the peak number of queued events
 	s.free = append(s.free, e)
 }
 
@@ -211,8 +203,6 @@ func (s *Scheduler) recycle(e *event) {
 // in issue order. The caller extends the run (to) over the destinations
 // that follow while their arrival instant is also t, and owns the frame
 // reference the run holds.
-//
-//rmlint:hotpath
 func (s *Scheduler) deliverAt(t time.Duration, net *Network, f *frame, src int, control bool, first int) *event {
 	e := take(&s.free)
 	e.net, e.frame, e.src, e.control = net, f, src, control
@@ -224,8 +214,6 @@ func (s *Scheduler) deliverAt(t time.Duration, net *Network, f *frame, src int, 
 // deliver hands the frame of the run at the head of the queue to the run's
 // next destination. The last arrival pops and recycles the run before the
 // handler is called and drops the run's frame reference after it.
-//
-//rmlint:hotpath
 func (s *Scheduler) deliver(e *event) {
 	net, f, src, control := e.net, e.frame, e.src, e.control
 	dst := net.nodes[e.next]

@@ -94,8 +94,6 @@ func (c *Conn) initBatch() {
 // leading frames the kernel accepted. On ENOSYS/EPERM (kernel or seccomp
 // without the syscall) it flips the Conn to the portable path for good
 // and finishes this batch there, so callers never see the probe fail.
-//
-//rmlint:hotpath
 func (b *batcher) send(c *Conn, frames [][]byte) (int, error) {
 	total := 0
 	for total < len(frames) {

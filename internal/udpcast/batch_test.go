@@ -202,3 +202,48 @@ func TestBatchPathsDeliverIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestSendPathsZeroAlloc pins the transport's share of the per-packet
+// cost: Multicast and MulticastControl (send), MulticastBatch through
+// sendmmsg, and MulticastBatch on the portable per-frame loop (writeBatch)
+// allocate nothing per call on an instrumented Conn. Sending needs only a
+// joined group, not loopback delivery.
+func TestSendPathsZeroAlloc(t *testing.T) {
+	c := join(t, groupAddr(t))
+	c.Instrument(metrics.NewRegistry())
+	kernel := !c.portableBatch // Join found the socket sendmmsg needs
+	frame := []byte("zero-alloc frame")
+	frames := batchFrames(8)
+	batch := func(t *testing.T) {
+		if n, err := c.MulticastBatch(frames); err != nil || n != len(frames) {
+			t.Fatalf("MulticastBatch = (%d, %v)", n, err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		portable bool
+		send     func(t *testing.T)
+	}{
+		{"send", false, func(t *testing.T) {
+			if c.Multicast(frame) != nil || c.MulticastControl(frame) != nil {
+				t.Fatal("send failed")
+			}
+		}},
+		{"sendmmsg", false, batch},
+		{"portable", true, batch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "sendmmsg" && !kernel {
+				t.Skip("no kernel batch path on this platform")
+			}
+			c.portableBatch = tc.portable
+			allocs := testing.AllocsPerRun(100, func() { tc.send(t) })
+			if tc.name == "sendmmsg" && c.portableBatch {
+				t.Skip("kernel rejected sendmmsg; the portable loop ran instead")
+			}
+			if allocs != 0 {
+				t.Errorf("%s: %.1f allocs/call, want 0", tc.name, allocs)
+			}
+		})
+	}
+}

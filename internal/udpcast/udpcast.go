@@ -169,7 +169,6 @@ func (c *Conn) Multicast(b []byte) error { return c.send(b, c.m.txData) }
 // two entry points are metered separately.
 func (c *Conn) MulticastControl(b []byte) error { return c.send(b, c.m.txControl) }
 
-//rmlint:hotpath
 func (c *Conn) send(b []byte, plane *metrics.Counter) error {
 	if c.closed.Load() {
 		c.m.txErrors.Inc()
@@ -199,8 +198,6 @@ func (c *Conn) send(b []byte, plane *metrics.Counter) error {
 // Multicast it never takes the engine mutex, so engine callbacks may
 // call it re-entrantly; concurrent MulticastBatch calls serialise on the
 // internal scratch lock. No frame is retained after the call returns.
-//
-//rmlint:hotpath
 func (c *Conn) MulticastBatch(frames [][]byte) (int, error) {
 	if c.closed.Load() {
 		c.m.txErrors.Add(uint64(len(frames)))
@@ -235,8 +232,6 @@ func (c *Conn) MulticastBatch(frames [][]byte) (int, error) {
 
 // writeBatch is the portable batch send: one write(2) per frame. It is
 // the only batch path off Linux and the forced/ENOSYS fallback on it.
-//
-//rmlint:hotpath
 func (c *Conn) writeBatch(frames [][]byte) (int, error) {
 	for i, b := range frames {
 		c.m.sysWrite.Inc()
