@@ -20,12 +20,12 @@ import (
 // the TG header's codec id/arg byte, gated by measured encode cost (see
 // gateAdmit).
 type Codec interface {
-	// EncodeParity returns parity shard j computed from the k data shards.
-	EncodeParity(j int, data [][]byte) ([]byte, error)
-	// Encode computes all h parity shards of one block from its k data
-	// shards into parity (length h), resizing and overwriting its entries.
-	// Row j is byte for byte what EncodeParity(j) returns.
-	Encode(data, parity [][]byte) error
+	// EncodeRows computes the run of parity shards j, ..., j+len(dst)-1
+	// from the k data shards into dst, resizing and overwriting its
+	// entries; an entry with the capacity, such as a wire frame's payload
+	// region, is written in place. Row j is byte for byte the same in
+	// whatever run it is computed.
+	EncodeRows(j int, data, dst [][]byte) error
 	// Reconstruct rebuilds missing data shards in place; shards has
 	// length k+h with nil or zero-length slices marking losses, and a
 	// zero-length one with capacity for a shard is rebuilt into its own
@@ -45,23 +45,17 @@ type Codec interface {
 
 type rsCodec struct{ c *rse.Code }
 
-func (g rsCodec) EncodeParity(j int, data [][]byte) ([]byte, error) {
-	return g.c.EncodeParity(j, data, nil)
-}
-func (g rsCodec) Encode(data, parity [][]byte) error { return g.c.Encode(data, parity) }
-func (g rsCodec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
-func (g rsCodec) ShortfallBits(have uint64) int      { return mdsShortfall(g.c.K(), g.c.N(), have) }
-func (g rsCodec) ID() (uint8, uint8)                 { return packet.CodecRS, 0 }
+func (g rsCodec) EncodeRows(j int, data, dst [][]byte) error { return g.c.EncodeRows(j, data, dst) }
+func (g rsCodec) Reconstruct(shards [][]byte) error          { return g.c.Reconstruct(shards) }
+func (g rsCodec) ShortfallBits(have uint64) int              { return mdsShortfall(g.c.K(), g.c.N(), have) }
+func (g rsCodec) ID() (uint8, uint8)                         { return packet.CodecRS, 0 }
 
 type rectCodec struct{ c *rect.Code }
 
-func (g rectCodec) EncodeParity(j int, data [][]byte) ([]byte, error) {
-	return g.c.EncodeParity(j, data, nil)
-}
-func (g rectCodec) Encode(data, parity [][]byte) error { return g.c.EncodeBlocks(data, parity) }
-func (g rectCodec) Reconstruct(shards [][]byte) error  { return g.c.Reconstruct(shards) }
-func (g rectCodec) ShortfallBits(have uint64) int      { return g.c.ShortfallBits(have) }
-func (g rectCodec) ID() (uint8, uint8)                 { return packet.CodecRect, uint8(g.c.D()) }
+func (g rectCodec) EncodeRows(j int, data, dst [][]byte) error { return g.c.EncodeRows(j, data, dst) }
+func (g rectCodec) Reconstruct(shards [][]byte) error          { return g.c.Reconstruct(shards) }
+func (g rectCodec) ShortfallBits(have uint64) int              { return g.c.ShortfallBits(have) }
+func (g rectCodec) ID() (uint8, uint8)                         { return packet.CodecRect, uint8(g.c.D()) }
 
 // mdsShortfall is the MDS deficit rule: any k of the n shards complete
 // the group, so the shortfall is k minus the shards held.

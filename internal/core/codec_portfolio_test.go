@@ -51,10 +51,11 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecEncodeMatchesEncodeParity pins what the encode-ahead job relies
-// on: row j of a block's Codec.Encode is byte for byte the on-demand
-// EncodeParity(j), on every backend, so a group's parities do not depend
-// on whether the pool or parityPacket computed them.
+// TestCodecEncodeMatchesEncodeParity pins what the encode-ahead job and
+// the serial parity runs rely on: a block's row j from one EncodeRows over
+// all h rows is byte for byte the row computed alone, and within a run
+// that starts past row 0, on every backend, so a group's parities do not
+// depend on whether the pool or parityRun computed them.
 func TestCodecEncodeMatchesEncodeParity(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -78,16 +79,20 @@ func TestCodecEncodeMatchesEncodeParity(t *testing.T) {
 				rng.Read(data[i])
 			}
 			parity := make([][]byte, c.h)
-			if err := codec.Encode(data, parity); err != nil {
+			if err := codec.EncodeRows(0, data, parity); err != nil {
+				t.Fatal(err)
+			}
+			tail := make([][]byte, c.h-1)
+			if err := codec.EncodeRows(1, data, tail); err != nil {
 				t.Fatal(err)
 			}
 			for j := range parity {
-				want, err := codec.EncodeParity(j, data)
-				if err != nil {
+				one := make([][]byte, 1)
+				if err := codec.EncodeRows(j, data, one); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(parity[j], want) {
-					t.Fatalf("Encode row %d differs from EncodeParity(%d)", j, j)
+				if !bytes.Equal(parity[j], one[0]) || j > 0 && !bytes.Equal(tail[j-1], one[0]) {
+					t.Fatalf("row %d of a run differs from row %d alone", j, j)
 				}
 			}
 		})
@@ -569,7 +574,7 @@ func TestWideRSParityPinned(t *testing.T) {
 			rng.Read(data[i])
 		}
 		parity := make([][]byte, c.h)
-		if err := codec.Encode(data, parity); err != nil {
+		if err := codec.EncodeRows(0, data, parity); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.New()

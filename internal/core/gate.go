@@ -42,7 +42,8 @@ var gateCache = struct {
 
 // gateAdmit reports whether candidate should replace the RS incumbent at
 // (k, h) for shardSize-byte shards, by measuring one block encode of
-// each (minimum of three repetitions) and admitting the candidate only
+// each through the EncodeRows the sender runs (minimum of three
+// repetitions) and admitting the candidate only
 // when it is strictly faster. The verdict is memoized process-wide; the
 // micro-benchmark itself runs off the simulated clock by design — it
 // measures this host's real CPU, which is exactly the quantity the cost
@@ -80,7 +81,7 @@ func measureEncode(c Codec, data, parity [][]byte) time.Duration {
 	for rep := 0; rep < 3; rep++ {
 		//rmlint:ignore env-discipline the codec gate measures this host's real encode CPU, not simulated time; verdicts are memoized and never steer simulated schedules unless GateMeasure is explicitly selected
 		t0 := time.Now()
-		if err := c.Encode(data, parity); err != nil {
+		if err := c.EncodeRows(0, data, parity); err != nil {
 			return best // malformed candidate never beats the incumbent
 		}
 		//rmlint:ignore env-discipline same real-CPU measurement as above

@@ -167,21 +167,26 @@ func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestNakServiceSteadyStateZeroAlloc pins the sender's NAK service path:
-// once a group's parities are spent, each NAK for it — decoded by
-// HandlePacket, served by serviceRound as a rotating data resend or, with
-// NC repair on, recorded by recordLossMap and served as XOR combos — and
-// the pump steps that put its two repairs and their POLL on the wire
-// allocate nothing. The NAKs are retries (Seq noEcho), which the service
+// each NAK — decoded by HandlePacket, served by serviceRound as a parity
+// encoded straight into its frame, or, once a group's parities are spent,
+// as a rotating data resend or, with NC repair on, recorded by
+// recordLossMap and served as XOR combos — and the pump steps that put its
+// repairs and their POLL on the wire allocate nothing. The NAKs are retries (Seq noEcho), which the service
 // rule serves in full every time.
 func TestNakServiceSteadyStateZeroAlloc(t *testing.T) {
 	static := Config{Session: 3, K: 8, MaxParity: 2, ShardSize: 64, Delta: time.Millisecond}
+	// 1 KiB shards and 200 parities: the 111 single-parity runs below
+	// never reach exhaustion, so every NAK is served a fresh parity.
+	parity := Config{Session: 3, K: 8, MaxParity: 200, ShardSize: 1024, Delta: time.Millisecond}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		mask uint64 // NAK loss map; 0 sends none
+		name  string
+		cfg   Config
+		mask  uint64 // NAK loss map; 0 sends none
+		count uint16 // the NAK's deficit: repairs per round
 	}{
-		{"resend", static, 0},
-		{"nc", ncRungConfig(), 1<<5 | 1<<2},
+		{"resend", static, 0, 2},
+		{"nc", ncRungConfig(), 1<<5 | 1<<2, 2},
+		{"parity", parity, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newSinkEnv(4)
@@ -194,7 +199,7 @@ func TestNakServiceSteadyStateZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			env.step() // group 0 is streamed
-			nak := packet.Packet{Type: packet.TypeNak, Session: tc.cfg.Session, Seq: noEcho, K: 8, Count: 2}
+			nak := packet.Packet{Type: packet.TypeNak, Session: tc.cfg.Session, Seq: noEcho, K: 8, Count: tc.count}
 			if tc.mask != 0 {
 				var m [packet.NcMaskLen]byte
 				binary.BigEndian.PutUint64(m[:], tc.mask)
@@ -203,7 +208,7 @@ func TestNakServiceSteadyStateZeroAlloc(t *testing.T) {
 			wire := nak.MustEncode()
 			serve := func() {
 				s.HandlePacket(wire)
-				for i := 0; i < 3; i++ { // two repairs and their POLL
+				for i := 0; i <= int(tc.count); i++ { // the repairs and their POLL
 					if !env.step() {
 						t.Fatal("sender went idle")
 					}
@@ -221,6 +226,9 @@ func TestNakServiceSteadyStateZeroAlloc(t *testing.T) {
 			}
 			if tc.mask != 0 && s.Stats().NcRounds < 101 {
 				t.Errorf("only %d NC rounds; the combo path was not exercised", s.Stats().NcRounds)
+			}
+			if st := s.Stats(); tc.cfg.MaxParity == 200 && st.ParityTx != 111 {
+				t.Errorf("%d parities sent, want one per NAK (111)", st.ParityTx)
 			}
 		})
 	}

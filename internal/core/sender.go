@@ -83,6 +83,8 @@ type Sender struct {
 	frames  bufPool  // recycled wire frames; every transmit returns here
 	batch   [][]byte // scratch for one batched transmission
 	round   []outPkt // scratch for assembling a service round
+	run     [][]byte // scratch for one run of parity frames (parityRun)
+	pay     [][]byte // scratch: the run's payload regions left to encode
 	pumping bool
 	// maxHeard is the largest deficit any admitted NAK stated, clamped to
 	// its group's k; 0 until the first NAK. It sizes every POLL's slot span.
@@ -446,23 +448,12 @@ func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 // on a pool worker and writes only the group's own parities; the engine
 // reads them only after collectParities has Waited on the job, which
 // publishes the writes. Row j here is byte-identical to the serial path's
-// on-demand EncodeParity(j): Codec.Encode and EncodeParity evaluate the
-// same generator row, which is what keeps a pipelined zero-loss transcript
-// equal to the serial one. A failed row is left empty and re-encoded
-// serially by parityPacket.
+// (Codec.EncodeRows computes a row the same in any run), which is what
+// keeps a pipelined zero-loss transcript equal to the serial one. A failed
+// call leaves every row empty, and parityRun encodes them serially.
 func (s *Sender) encodeJob(g int) {
 	tg := &s.era[g]
-	if len(tg.parities) == tg.h {
-		tg.codec.Encode(tg.data, tg.parities) //nolint:errcheck // failed rows stay empty; engine re-encodes
-		return
-	}
-	for j := range tg.parities {
-		shard, err := tg.codec.EncodeParity(j, tg.data)
-		if err != nil {
-			return
-		}
-		tg.parities[j] = shard
-	}
+	tg.codec.EncodeRows(0, tg.data, tg.parities) //nolint:errcheck // failed rows stay empty; engine re-encodes
 }
 
 // collectParities folds tg's encode-ahead job into the engine: waits on
@@ -522,13 +513,12 @@ func (s *Sender) refill() {
 	for i := 0; i < tg.k; i++ {
 		s.enqueue(outPkt{wire: s.dataPacket(tg, i), kind: packet.TypeData, tg: tg})
 	}
-	for ; tg.aUsed < a; tg.aUsed++ {
-		wire, err := s.parityPacket(tg)
-		if err != nil {
-			break // cannot happen with a validated config; the poll still goes out
-		}
+	// An error cannot happen with a validated config; the poll still goes out.
+	run, _ := s.parityRun(tg, min(a, tg.h))
+	for _, wire := range run {
 		s.enqueue(outPkt{wire: wire, kind: packet.TypeParity, tg: tg})
 	}
+	tg.aUsed = len(run)
 	if !s.cfg.Carousel && !s.arq {
 		s.enqueue(outPkt{wire: s.pollPacket(tg, tg.k+tg.aUsed), control: true, kind: packet.TypePoll})
 	}
@@ -721,26 +711,24 @@ func (s *Sender) serviceRound(tg *txGroup, extra int) {
 	if s.cfg.NCRepair && s.tryNcRound(tg, extra) {
 		return
 	}
+	run, err := s.parityRun(tg, min(extra, tg.h-tg.nextParity))
+	if err != nil {
+		return // cannot happen with a validated config; drop the round
+	}
 	round := s.round[:0]
-	for i := 0; i < extra; i++ {
-		if tg.nextParity < tg.h {
-			wire, err := s.parityPacket(tg)
-			if err != nil {
-				// Cannot happen with validated config; drop the round.
-				return
-			}
-			// round reuses the s.round backing; grows only until the largest repair round
-			round = append(round, outPkt{wire: wire, kind: packet.TypeParity, service: true, tg: tg})
-		} else {
-			// Parities exhausted: fall back to re-sending the originals
-			// (equivalent to regrouping the TG, Section 3.2). A rotating
-			// cursor guarantees every data packet is re-sent within K
-			// fallback transmissions, so any loss pattern is eventually
-			// repaired.
-			idx := tg.resendCur % tg.k
-			tg.resendCur++
-			round = append(round, outPkt{wire: s.dataPacket(tg, idx), kind: packet.TypeData, service: true, tg: tg})
-		}
+	for _, wire := range run {
+		// round reuses the s.round backing; grows only until the largest repair round
+		round = append(round, outPkt{wire: wire, kind: packet.TypeParity, service: true, tg: tg})
+	}
+	for i := len(run); i < extra; i++ {
+		// Parities exhausted: fall back to re-sending the originals
+		// (equivalent to regrouping the TG, Section 3.2). A rotating
+		// cursor guarantees every data packet is re-sent within K
+		// fallback transmissions, so any loss pattern is eventually
+		// repaired.
+		idx := tg.resendCur % tg.k
+		tg.resendCur++
+		round = append(round, outPkt{wire: s.dataPacket(tg, idx), kind: packet.TypeData, service: true, tg: tg})
 	}
 	s.queueRound(tg, round)
 }
@@ -796,7 +784,11 @@ func (s *Sender) enqueueFin() {
 // pool right after the transport call in transmit/flushBatch, so the
 // steady-state data path recycles a fixed working set of buffers.
 func (s *Sender) frameFor(p *packet.Packet) []byte {
-	frame := s.frames.get(p.EncodedLen())
+	return marshal(p, s.frames.get(p.EncodedLen()))
+}
+
+// marshal encodes p into frame and returns it.
+func marshal(p *packet.Packet, frame []byte) []byte {
 	if _, err := p.MarshalTo(frame); err != nil {
 		panic(err) // engine-built packets are statically valid
 	}
@@ -821,28 +813,37 @@ func (s *Sender) dataPacket(tg *txGroup, i int) []byte {
 	return s.tgFrame(packet.Packet{Type: packet.TypeData, Seq: uint16(i), Payload: tg.data[i]}, tg)
 }
 
-func (s *Sender) parityPacket(tg *txGroup) ([]byte, error) {
-	j := tg.nextParity
-	if j >= tg.h {
-		return nil, fmt.Errorf("core: parity index %d beyond budget %d", j, tg.h)
-	}
-	var shard []byte
-	if j < len(tg.parities) && len(tg.parities[j]) > 0 {
-		// Pre-encoded by the collected encode-ahead job. An empty entry
-		// means the job failed or was abandoned; fall through to the
-		// serial encode below.
-		shard = tg.parities[j]
-	} else {
-		var err error
-		shard, err = tg.codec.EncodeParity(j, tg.data)
-		if err != nil {
-			return nil, err
+// parityRun frames tg's next n parities, n <= tg.h - tg.nextParity, and
+// returns the frames (in s.run, valid until the next call). A parity the
+// encode-ahead pool computed is copied into its frame; the others are
+// encoded by one codec call straight into their frames' payload regions,
+// each marshalled with its own region as the payload, which the copy
+// skips. A group's pre-encoded parities are all or none of its first
+// rows, so those left to encode are the run's tail.
+func (s *Sender) parityRun(tg *txGroup, n int) ([][]byte, error) {
+	run, pay := s.run[:0], s.pay[:0]
+	j0 := tg.nextParity
+	for j := j0; j < j0+n; j++ {
+		frame := s.frames.get(packet.HeaderLen + s.cfg.ShardSize)
+		p := packet.Packet{Type: packet.TypeParity, Seq: uint16(tg.k + j), Payload: frame[packet.HeaderLen:]}
+		if j < len(tg.parities) && len(tg.parities[j]) > 0 {
+			p.Payload = tg.parities[j]
+		} else {
+			// pay reuses the s.pay backing; grows only until the largest run
+			pay = append(pay, p.Payload)
 		}
-		s.stats.Encoded++
-		s.m.encoded.Inc()
+		s.stamp(&p, tg)
+		// run reuses the s.run backing; grows only until the largest run
+		run = append(run, marshal(&p, frame))
 	}
-	tg.nextParity++
-	return s.tgFrame(packet.Packet{Type: packet.TypeParity, Seq: uint16(tg.k + j), Payload: shard}, tg), nil
+	s.run, s.pay = run, pay
+	if err := tg.codec.EncodeRows(j0+n-len(pay), tg.data, pay); err != nil {
+		return nil, err // the frames are dropped to the collector
+	}
+	s.stats.Encoded += len(pay)
+	s.m.encoded.Add(uint64(len(pay)))
+	tg.nextParity += n
+	return run, nil
 }
 
 // maxServed is where txGroup.served saturates: one below noEcho, so a POLL

@@ -150,14 +150,6 @@ func checkPairs(op string, src, dst []byte) {
 	}
 }
 
-// AddSlice computes dst ^= src over big-endian 16-bit symbols, which is
-// byte-wise XOR, so it runs gf256's word-parallel kernel, as MulAddSlice
-// does for c == 1.
-func AddSlice(src, dst []byte) {
-	checkPairs("AddSlice", src, dst)
-	gf256.AddSlice(src, dst)
-}
-
 // MulAddSlice computes dst ^= c*src over big-endian 16-bit symbols, the
 // codec kernel. The slices must have equal, even length.
 func MulAddSlice(c uint16, src, dst []byte) {

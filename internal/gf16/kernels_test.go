@@ -16,8 +16,8 @@ func mulAddScalarRef(c uint16, src, dst []byte) {
 	}
 }
 
-// TestXorFastPathMatchesScalar sweeps AddSlice and the c == 1 dispatch of
-// MulAddSlice against the scalar reference across lengths around the
+// TestXorFastPathMatchesScalar sweeps the c == 1 dispatch of MulAddSlice
+// (gf256's XOR kernel) against the scalar reference across lengths around the
 // 8-symbol unroll boundary and all sub-unroll alignments.
 func TestXorFastPathMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -39,23 +39,8 @@ func TestXorFastPathMatchesScalar(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("MulAddSlice(1, n=%d, align=%d) diverges", n, align)
 			}
-
-			got = append(got[:0], dst...)
-			AddSlice(src, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("AddSlice(n=%d, align=%d) diverges", n, align)
-			}
 		}
 	}
-}
-
-func TestAddSliceLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AddSlice length mismatch did not panic")
-		}
-	}()
-	AddSlice(make([]byte, 6), make([]byte, 8))
 }
 
 // BenchmarkKernels16 measures the symbol XOR path against the scalar
@@ -69,7 +54,7 @@ func BenchmarkKernels16(b *testing.B) {
 		b.SetBytes(n)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			AddSlice(src, dst)
+			MulAddSlice(1, src, dst)
 		}
 	})
 	b.Run("XorScalarRef", func(b *testing.B) {

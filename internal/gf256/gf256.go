@@ -8,9 +8,10 @@
 // initialisation.
 //
 // The package provides scalar operations, vectorised multiply-accumulate
-// kernels used by the Reed-Solomon erasure codec in package rse, and dense
-// matrix operations (Vandermonde construction, Gaussian-elimination
-// inversion) over the field.
+// kernels, the fused row product (Rows.MulRows) the Reed-Solomon erasure
+// codec in package rse encodes and decodes with, and dense matrix
+// operations (Vandermonde construction, Gaussian-elimination inversion)
+// over the field.
 package gf256
 
 import "fmt"
@@ -176,9 +177,8 @@ func MulAddSlice(c byte, src, dst []byte) {
 	}
 	switch c {
 	case 0:
-		return
 	case 1:
-		xorWords(src, dst)
+		xorWords(mulAddPrefix(1, src, dst)) // c = 1's nibble rows are the identity
 	default:
 		if useAVX2 && len(src) >= vecBlock {
 			mulAddVec(&mulLo[c], &mulHi[c], src, dst)
@@ -192,68 +192,13 @@ func MulAddSlice(c byte, src, dst []byte) {
 	}
 }
 
-// MulSliceCompact is MulSlice restricted to the shared 64 KiB product
-// table: past the AVX2 prefix (which needs no table) the general case runs
-// the byte-at-a-time row loop and no per-coefficient pair table is built
-// or touched. Callers whose coefficient working set is large — the rse
-// codec gates on the distinct-coefficient count of its generator matrix —
-// use the compact forms, because cycling through many 128 KiB pair tables
-// evicts them faster than they pay off (the word kernel drops to ~0.25x
-// the scalar loop beyond ~64 live coefficients; see DESIGN.md). On an AVX2
-// host the two forms differ only in how they finish the last < 32 bytes.
-func MulSliceCompact(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(lengthMismatch("MulSliceCompact", len(src), len(dst)))
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		if useAVX2 && len(src) >= vecBlock {
-			mulVec(&mulLo[c], &mulHi[c], src, dst)
-			n := len(src) &^ (vecBlock - 1)
-			src, dst = src[n:], dst[n:]
-		}
-		tbl := &mulTbl[c]
-		for i, s := range src {
-			dst[i] = tbl[s]
-		}
-	}
-}
-
-// MulAddSliceCompact is MulAddSlice restricted to the shared 64 KiB product
-// table; see MulSliceCompact. The c == 1 case still runs the word-parallel
-// XOR — it needs no per-coefficient table.
-func MulAddSliceCompact(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(lengthMismatch("MulAddSliceCompact", len(src), len(dst)))
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		xorWords(src, dst)
-	default:
-		if useAVX2 && len(src) >= vecBlock {
-			mulAddVec(&mulLo[c], &mulHi[c], src, dst)
-			n := len(src) &^ (vecBlock - 1)
-			src, dst = src[n:], dst[n:]
-		}
-		tbl := &mulTbl[c]
-		for i, s := range src {
-			dst[i] ^= tbl[s]
-		}
-	}
-}
-
-// AddSlice computes dst[i] ^= src[i], 64 bits at a time.
+// AddSlice computes dst[i] ^= src[i]: on an AVX2 host the vecBlock-multiple
+// prefix runs mulAddVec with c = 1's nibble rows, which are the identity,
+// and xorWords takes the tail (or, without AVX2, everything) 64 bits at a
+// time.
 func AddSlice(src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(lengthMismatch("AddSlice", len(src), len(dst)))
 	}
-	xorWords(src, dst)
+	xorWords(mulAddPrefix(1, src, dst))
 }

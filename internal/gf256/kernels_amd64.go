@@ -5,6 +5,11 @@ package gf256
 // before any init function.
 var useAVX2 = detectAVX2()
 
+// useGFNI reports whether the fused row product of kernels_amd64.s may
+// run: the AVX2 qualification holds and CPUID leaf 7 sets ECX bit 8
+// (GFNI), which the VEX-encoded VGF2P8AFFINEQB needs on top of it.
+var useGFNI = useAVX2 && func() bool { _, _, ecx, _ := cpuid(7, 0); return ecx&(1<<8) != 0 }()
+
 func detectAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -34,6 +39,17 @@ func mulAddVec(lo, hi *[16]byte, src, dst []byte)
 //
 //go:noescape
 func mulVec(lo, hi *[16]byte, src, dst []byte)
+
+// mulRowPair computes out0 = sum_i A0(i) in[i] and out1 = sum_i A1(i)
+// in[i], where A0(i) is the 32-byte affine matrix at byte offset i*stride
+// from aff and A1(i) the one next bytes past it: 32 for the following row,
+// or 0 for a single row, whose two stores then write the same bytes.
+// len(out0) = len(out1) must be a multiple of 32 and at least 64, every
+// source at least that long, and no output may alias a source. Requires
+// useGFNI.
+//
+//go:noescape
+func mulRowPair(aff *[4]uint64, next, stride int, in [][]byte, out0, out1 []byte)
 
 // cpuid executes CPUID with EAX = leaf, ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

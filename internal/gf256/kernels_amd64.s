@@ -32,6 +32,14 @@
 	VMOVQ          AX, X2                 \
 	VPBROADCASTQ   X2, Y2
 
+// AFFINE accumulates the product of matrix m with the source columns Y4
+// and Y5 into acc0 and acc1; Y6 is scratch.
+#define AFFINE(m, acc0, acc1) \
+	VGF2P8AFFINEQB $0, m, Y4, Y6 \
+	VPXOR          Y6, acc0, acc0 \
+	VGF2P8AFFINEQB $0, m, Y5, Y6 \
+	VPXOR          Y6, acc1, acc1
+
 // func mulAddVec(lo, hi *[16]byte, src, dst []byte)
 TEXT ·mulAddVec(SB), NOSPLIT, $0-64
 	SETUP
@@ -63,6 +71,57 @@ loop:
 	VZEROUPPER
 
 done:
+	RET
+
+// func mulRowPair(aff *[4]uint64, next, stride int, in [][]byte, out0, out1 []byte)
+// The fused GFNI row product (Rows.MulRows), two rows and two 32-byte
+// columns per pass: Y0/Y1 accumulate row 0's columns, Y2/Y3 row 1's. BX
+// walks row 0's matrices by stride, R11 = next is row 1's offset; SI
+// walks the source slice headers and CX counts them. DX is the column
+// offset and DI = n-64, the last pass, which overlaps the one before it
+// when n is an odd number of 32-byte columns: a pass overwrites, so
+// recomputing a column is harmless.
+TEXT ·mulRowPair(SB), NOSPLIT, $0-96
+	MOVQ out0_base+48(FP), R9
+	MOVQ out1_base+72(FP), R10
+	MOVQ out0_len+56(FP), DI
+	SUBQ $64, DI
+	MOVQ next+8(FP), R11
+	XORQ DX, DX
+
+column:
+	MOVQ  aff+0(FP), BX
+	MOVQ  stride+16(FP), AX
+	MOVQ  in_base+24(FP), SI
+	MOVQ  in_len+32(FP), CX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+
+source:
+	MOVQ    0(SI), R8
+	VMOVDQU (R8)(DX*1), Y4
+	VMOVDQU 32(R8)(DX*1), Y5
+	AFFINE((BX), Y0, Y1)
+	AFFINE((BX)(R11*1), Y2, Y3)
+	ADDQ    $24, SI
+	ADDQ    AX, BX
+	DECQ    CX
+	JNZ     source
+	VMOVDQU Y0, (R9)(DX*1)
+	VMOVDQU Y1, 32(R9)(DX*1)
+	VMOVDQU Y2, (R10)(DX*1)
+	VMOVDQU Y3, 32(R10)(DX*1)
+	CMPQ    DX, DI
+	JAE     done
+	ADDQ    $64, DX
+	CMPQ    DX, DI
+	CMOVQHI DI, DX
+	JMP     column
+
+done:
+	VZEROUPPER
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

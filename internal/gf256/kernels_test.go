@@ -22,17 +22,88 @@ type kernelUnderTest struct {
 	minC int
 }
 
-// kernelsUnderTest lists the four public entry points and, called
-// directly, the portable word kernels — on an AVX2 host the vector prefix
+// kernelsUnderTest lists the public entry points and, called directly,
+// the portable word kernels — on an AVX2 host the vector prefix
 // shadows them for every slice of 32 bytes or more, so they would otherwise
 // only ever see tails.
 var kernelsUnderTest = []kernelUnderTest{
 	{"MulAddSlice", MulAddSlice, MulAddSliceScalar, 0},
 	{"MulSlice", MulSlice, MulSliceScalar, 0},
-	{"MulAddSliceCompact", MulAddSliceCompact, MulAddSliceScalar, 0},
-	{"MulSliceCompact", MulSliceCompact, MulSliceScalar, 0},
 	{"mulAddWords", mulAddWords, MulAddSliceScalar, 2},
 	{"mulWords", mulWords, MulSliceScalar, 2},
+}
+
+// MulAddSliceScalar is the byte-at-a-time multiply-accumulate kernel the
+// word-parallel and vector paths replaced: dst[i] ^= c*src[i] through the
+// 64 KiB product table. It is the reference every kernel must match byte
+// for byte, and BenchmarkKernels reports the speedup against it.
+func MulAddSliceScalar(c byte, src, dst []byte) {
+	if len(src) != len(dst) {
+		panic(lengthMismatch("MulAddSliceScalar", len(src), len(dst)))
+	}
+	tbl := &mulTbl[c]
+	for i, s := range src {
+		dst[i] ^= tbl[s]
+	}
+}
+
+// MulSliceScalar is the byte-at-a-time counterpart of MulSlice.
+func MulSliceScalar(c byte, src, dst []byte) {
+	if len(src) != len(dst) {
+		panic(lengthMismatch("MulSliceScalar", len(src), len(dst)))
+	}
+	tbl := &mulTbl[c]
+	for i, s := range src {
+		dst[i] = tbl[s]
+	}
+}
+
+// rowKernels are the row product's entry points: the public dispatch,
+// and, called directly, the fused GFNI kernels (where the host has them
+// and the length is a multiple of 32 from 64 up) and the per-row fallback.
+var rowKernels = []struct {
+	name string
+	run  func(m *Rows, first int, in, out [][]byte)
+	ok   func(n int) bool
+}{
+	{"MulRows", (*Rows).MulRows, func(int) bool { return true }},
+	{"mulRowsFused", (*Rows).mulRowsFused, func(n int) bool { return useGFNI && n >= 2*vecBlock && n%vecBlock == 0 }},
+	{"mulRowsTbl", (*Rows).mulRowsTbl, func(int) bool { return true }},
+}
+
+// checkRows runs each row kernel over the last len(out) rows of m into
+// out rows placed dstOff bytes past the guard of copies of pristine (the
+// windows), and fails unless every row equals the scalar reference's sum
+// and every guard byte is unchanged.
+func checkRows(t testing.TB, m *Rows, in, out [][]byte, pristine []byte, windows [][]byte, want []byte, dstOff int) {
+	t.Helper()
+	n := len(in[0])
+	lo, hi := guardBytes+dstOff, guardBytes+dstOff+n
+	first := len(m.c)/m.k - len(out)
+	for _, rk := range rowKernels {
+		if !rk.ok(n) {
+			continue
+		}
+		for r := range out {
+			copy(windows[r][:hi+guardBytes], pristine)
+			out[r] = windows[r][lo:hi]
+		}
+		rk.run(m, first, in, out)
+		for r := range out {
+			want := want[:n]
+			clear(want)
+			for i, src := range in {
+				MulAddSliceScalar(m.c[(first+r)*m.k+i], src, want)
+			}
+			w := windows[r][:hi+guardBytes]
+			if !bytes.Equal(out[r], want) {
+				t.Fatalf("%s(rows=%d, n=%d, dst+%d) row %d diverges from scalar", rk.name, len(out), n, dstOff, r)
+			}
+			if !bytes.Equal(w[:lo], pristine[:lo]) || !bytes.Equal(w[hi:], pristine[hi:len(w)]) {
+				t.Fatalf("%s(rows=%d, n=%d, dst+%d) row %d wrote outside dst", rk.name, len(out), n, dstOff, r)
+			}
+		}
+	}
 }
 
 // guardBytes is the untouchable margin kept on both sides of dst.
@@ -65,7 +136,9 @@ func checkKernel(t testing.TB, k kernelUnderTest, c byte, src, pristine, window,
 // scalar reference across every coefficient, every length around the 8-,
 // 16- and 32-byte loop boundaries plus two packet sizes, and src and dst
 // each misaligned independently against the 32-byte vector block, with dst
-// inside a larger buffer so an overrun or underrun shows in the guards.
+// inside a larger buffer so an overrun or underrun shows in the guards. The
+// row product runs the same shapes for 1 to 8 rows of a 10 x 5 block whose
+// coefficients include 0 and 1.
 func TestKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var lengths []int
@@ -90,10 +163,27 @@ func TestKernelsMatchScalar(t *testing.T) {
 	want := make([]byte, maxN)
 	rng.Read(srcBuf)
 	rng.Read(pristine)
+	const rowsK, maxRows = 5, 8
+	coeffBlock := make([]byte, 10*rowsK)
+	rng.Read(coeffBlock)
+	coeffBlock[3], coeffBlock[17], coeffBlock[48] = 0, 1, 1
+	var m Rows
+	m.Set(coeffBlock, rowsK)
+	in := make([][]byte, rowsK)
+	windows := make([][]byte, maxRows)
+	for r := range windows {
+		windows[r] = make([]byte, len(pristine))
+	}
 	for _, n := range lengths {
 		for _, srcOff := range offsets {
 			src := srcBuf[srcOff : srcOff+n]
+			for i := range in {
+				in[i] = srcBuf[srcOff+(i+1)*2048 : srcOff+(i+1)*2048+n]
+			}
 			for _, dstOff := range offsets {
+				for rows := 1; rows <= maxRows; rows++ {
+					checkRows(t, &m, in, make([][]byte, rows), pristine, windows, want, dstOff)
+				}
 				for _, c := range coeffs {
 					for _, k := range kernelsUnderTest {
 						if c >= k.minC {
@@ -143,8 +233,11 @@ func TestKernelMatchesCPUInfo(t *testing.T) {
 	want := "portable"
 	if runtime.GOARCH == "amd64" {
 		for _, line := range strings.Split(string(info), "\n") {
-			if strings.HasPrefix(line, "flags") && slices.Contains(strings.Fields(line), "avx2") {
+			if flags := strings.Fields(line); strings.HasPrefix(line, "flags") && slices.Contains(flags, "avx2") {
 				want = "avx2"
+				if slices.Contains(flags, "gfni") {
+					want = "gfni"
+				}
 				break
 			}
 		}
@@ -274,10 +367,39 @@ func BenchmarkKernels(b *testing.B) {
 		run("MulAdd", func() { MulAddSlice(c, src, dst) })
 		run("MulAddScalarRef", func() { MulAddSliceScalar(c, src, dst) })
 		run("MulAddPairTable", func() { mulAddWords(c, src, dst) })
-		run("MulAddCompact", func() { MulAddSliceCompact(c, src, dst) })
 		run("Mul", func() { MulSlice(c, src, dst) })
 		run("MulScalarRef", func() { MulSliceScalar(c, src, dst) })
 		run("Xor", func() { AddSlice(src, dst) })
 		run("XorScalarRef", func() { MulAddSliceScalar(1, src, dst) })
+	}
+}
+
+// BenchmarkRows times the row product at the paper's k = 20 over 1 KiB
+// shards, in ns per call of one and of four parity rows: the dispatched
+// path (the fused kernel on a GFNI host) and the per-row fallback.
+func BenchmarkRows(b *testing.B) {
+	const k, n = 20, 1024
+	rng := rand.New(rand.NewSource(3))
+	coeffs := make([]byte, 4*k)
+	rng.Read(coeffs)
+	var m Rows
+	m.Set(coeffs, k)
+	in := make([][]byte, k)
+	for i := range in {
+		in[i] = make([]byte, n)
+		rng.Read(in[i])
+	}
+	out := [][]byte{make([]byte, n), make([]byte, n), make([]byte, n), make([]byte, n)}
+	for _, rows := range []int{1, 4} {
+		b.Run(fmt.Sprintf("MulRows/%drows", rows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.MulRows(0, in, out[:rows])
+			}
+		})
+		b.Run(fmt.Sprintf("Tbl/%drows", rows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.mulRowsTbl(0, in, out[:rows])
+			}
+		})
 	}
 }

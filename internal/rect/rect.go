@@ -122,20 +122,31 @@ func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
 	}
 }
 
+// EncodeRows computes the run of parity shards j, ..., j+len(dst)-1 (the
+// XORs of data classes j, ...) into dst, resizing each entry like
+// EncodeParity.
+func (c *Code) EncodeRows(j int, data, dst [][]byte) error {
+	if j < 0 || j+len(dst) > c.d {
+		return fmt.Errorf("%w: rows [%d,%d) not in [0,%d)", ErrBadParityIndex, j, j+len(dst), c.d)
+	}
+	size, err := c.validateEncode(data)
+	if err != nil {
+		return err
+	}
+	for r := range dst {
+		dst[r] = sizeFor(dst[r], size)
+		c.encodeRow(j+r, data, dst[r])
+	}
+	return nil
+}
+
 // EncodeParity computes parity shard j (the XOR of data class j) into
 // dst, reusing dst's backing array when it has capacity, and returns the
 // resulting slice.
 func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
-	if j < 0 || j >= c.d {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadParityIndex, j, c.d)
-	}
-	size, err := c.validateEncode(data)
-	if err != nil {
-		return nil, err
-	}
-	dst = sizeFor(dst, size)
-	c.encodeRow(j, data, dst)
-	return dst, nil
+	row := [1][]byte{dst}
+	err := c.EncodeRows(j, data, row[:])
+	return row[0], err
 }
 
 // EncodeBlocks batch-encodes nb consecutive blocks: data holds nb*k data
@@ -150,15 +161,8 @@ func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 		return fmt.Errorf("%w: %d parity shards, want %d", ErrBadShardCount, len(parity), nb*c.d)
 	}
 	for b := 0; b < nb; b++ {
-		block := data[b*c.k : (b+1)*c.k]
-		size, err := c.validateEncode(block)
-		if err != nil {
+		if err := c.EncodeRows(0, data[b*c.k:(b+1)*c.k], parity[b*c.d:(b+1)*c.d]); err != nil {
 			return fmt.Errorf("block %d: %w", b, err)
-		}
-		for j := 0; j < c.d; j++ {
-			r := b*c.d + j
-			parity[r] = sizeFor(parity[r], size)
-			c.encodeRow(j, block, parity[r])
 		}
 	}
 	return nil

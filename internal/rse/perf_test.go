@@ -264,14 +264,15 @@ func TestEncodeBlocksSteadyStateAllocs(t *testing.T) {
 
 // TestEncodeParitySteadyStateAllocs pins the on-demand path NP runs per
 // repair round: EncodeParity into a warmed dst allocates nothing, in
-// either field.
+// either field, and at a shard size that is no multiple of 32, where the
+// row product runs one row at a time.
 func TestEncodeParitySteadyStateAllocs(t *testing.T) {
 	for _, p := range []struct {
-		wide bool
-		k, h int
-	}{{false, 20, 5}, {true, 300, 60}} {
+		wide       bool
+		k, h, size int
+	}{{false, 20, 5, 1024}, {false, 20, 5, 1000}, {true, 300, 60, 1024}} {
 		c := mustCode(t, p.wide, p.k, p.h)
-		data := randBlocks(t, 1, p.k, 1024, 4)
+		data := randBlocks(t, 1, p.k, p.size, 4)
 		dst, err := c.EncodeParity(0, data, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -310,30 +311,12 @@ func TestNewZeroParityCheap(t *testing.T) {
 	}
 }
 
-// TestKernelGate pins the coefficient-diversity gate: the paper's small
-// operating points stay on the pair-table word kernels, wide codes fall
-// back to the compact shared-table loop, and both paths produce identical
-// blocks (the wide k=7 code and the compact k=100 code share data shards
-// through a common split, so any divergence shows up as a round-trip
-// failure).
+// TestKernelGate round-trips a code whose generator and decode rows carry
+// well over a hundred distinct coefficients (k = 100), too many for
+// per-coefficient tables to stay in cache: the row product must rebuild
+// the data and re-encode the same parities.
 func TestKernelGate(t *testing.T) {
-	for _, tc := range []struct {
-		k, h int
-		wide bool
-	}{
-		{7, 7, true}, {20, 4, true}, {20, 12, false}, {100, 5, false},
-	} {
-		if got := MustNew(tc.k, tc.h).pairEncode; got != tc.wide {
-			t.Errorf("k=%d h=%d: pairEncode = %v, want %v", tc.k, tc.h, got, tc.wide)
-		}
-	}
-
-	// Round-trip through the compact path: k=100 exceeds the budget for
-	// both its generator and every decode matrix.
 	c := MustNew(100, 10)
-	if c.pairEncode {
-		t.Fatal("k=100 h=10 unexpectedly within pairCoeffBudget")
-	}
 	rng := rand.New(rand.NewSource(11))
 	shards := make2D(110, 64)
 	for i := 0; i < 100; i++ {
@@ -354,7 +337,7 @@ func TestKernelGate(t *testing.T) {
 	}
 	for i := range want {
 		if !bytes.Equal(shards[i], want[i]) {
-			t.Fatalf("compact-path reconstruct diverged at shard %d", i)
+			t.Fatalf("k=100 reconstruct diverged at shard %d", i)
 		}
 	}
 	parity := make([][]byte, 10)

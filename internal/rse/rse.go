@@ -67,36 +67,6 @@ const (
 // an even shard size.
 const MaxNarrowBlock = MaxBlock - 1
 
-// pairCoeffBudget caps the number of distinct non-trivial coefficients the
-// generator may use before the encoder abandons gf256's pair-table word
-// kernels for the compact shared-table loop. Each pair table is 128 KiB;
-// measured on the reference host the word kernel beats the scalar loop
-// while the live tables fit in cache (~1.2x at 8 coefficients) but
-// collapses to ~0.25x once the rotation exceeds the cache (~64+
-// coefficients). 32 tables = 4 MiB keeps the paper's operating points
-// (k=7 uses <= 27 distinct coefficients, k=20 with h <= 4 uses 19) on the
-// fast path and sends wide codes (k=100 uses 139+) down the compact one.
-const pairCoeffBudget = 32
-
-// pairKernelOK reports whether the pair-table word kernels pay off for
-// GF(2^8) generator rows: true when the count of distinct coefficients
-// outside {0, 1} (the only values that consult a pair table) is within
-// pairCoeffBudget.
-func pairKernelOK(rows []byte) bool {
-	var seen [256]bool
-	distinct := 0
-	for _, co := range rows {
-		if co > 1 && !seen[co] {
-			seen[co] = true
-			distinct++
-			if distinct > pairCoeffBudget {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Errors returned by the codec.
 var (
 	ErrTooFewShards   = errors.New("rse: fewer than k shards present")
@@ -116,13 +86,7 @@ type Code struct {
 	// code's field: p8 for GF(2^8), p16 for GF(2^16).
 	p8  []byte
 	p16 []uint16
-	// pairEncode selects gf256's pair-table word kernels for encoding;
-	// set at construction iff the GF(2^8) generator's coefficient
-	// diversity is within pairCoeffBudget. Decode rows carry ~k distinct
-	// coefficients per erasure pattern, the case the budget exists to
-	// keep off the pair tables, so Reconstruct always runs the compact
-	// forms.
-	pairEncode bool
+	gen gf256.Rows // p8 prepared for the row product, built once in New
 
 	mu      sync.Mutex
 	scratch []*decodeScratch // free-list of decode scratch
@@ -184,6 +148,8 @@ type decodeScratch struct {
 	missing, chosen []int
 	rows            []byte   // GF(2^8) l x (l+k) system: see decodeRows
 	rows16          []uint16 // the same for a GF(2^16) code
+	dec             gf256.Rows
+	io              [][]byte // the row product's k sources, then its l outputs
 }
 
 // newCode validates (k, h) against a field's limits.
@@ -227,7 +193,7 @@ func New(k, h int) (*Code, error) {
 		bottom[j] = k + j
 	}
 	c.p8 = g.SubMatrix(bottom).Data
-	c.pairEncode = pairKernelOK(c.p8)
+	c.gen.Set(c.p8, k)
 	return c, nil
 }
 
@@ -318,8 +284,8 @@ func (c *Code) checkSizes(shards [][]byte, sparse bool) (size int, err error) {
 	return size, nil
 }
 
-// validateEncode checks the data-shard slice for Encode/EncodeParity
-// once, so the per-parity loops can run unchecked.
+// validateEncode checks the data-shard slice for EncodeRows once, so the
+// row loops can run unchecked.
 func (c *Code) validateEncode(data [][]byte) (size int, err error) {
 	if len(data) != c.k {
 		return 0, fmt.Errorf("%w: %d data shards, want %d", ErrBadShardCount, len(data), c.k)
@@ -332,35 +298,8 @@ func (c *Code) validateEncode(data [][]byte) (size int, err error) {
 	return c.checkSizes(data, false)
 }
 
-// encodeRow writes parity row j over the validated data shards into dst,
-// which must already have the shard length. The first generator column is
-// applied with MulSlice — overwriting dst — so no zero-fill pass is
-// needed before the multiply-accumulate sweep.
-func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
-	if c.wide {
-		row := c.p16[j*c.k : (j+1)*c.k]
-		gf16.MulSlice(row[0], data[0], dst)
-		for i := 1; i < c.k; i++ {
-			gf16.MulAddSlice(row[i], data[i], dst)
-		}
-		return
-	}
-	row := c.p8[j*c.k : (j+1)*c.k]
-	if c.pairEncode {
-		gf256.MulSlice(row[0], data[0], dst)
-		for i := 1; i < c.k; i++ {
-			gf256.MulAddSlice(row[i], data[i], dst)
-		}
-		return
-	}
-	gf256.MulSliceCompact(row[0], data[0], dst)
-	for i := 1; i < c.k; i++ {
-		gf256.MulAddSliceCompact(row[i], data[i], dst)
-	}
-}
-
 // sizeFor resizes dst to size, reusing its capacity when possible. The
-// contents are left arbitrary; callers overwrite via encodeRow/MulSlice.
+// contents are left arbitrary; callers overwrite them.
 func sizeFor(dst []byte, size int) []byte {
 	if cap(dst) < size {
 		return make([]byte, size)
@@ -376,15 +315,39 @@ func (c *Code) Encode(data, parity [][]byte) error {
 	if len(parity) != c.h {
 		return fmt.Errorf("%w: %d parity shards, want %d", ErrBadShardCount, len(parity), c.h)
 	}
+	return c.EncodeRows(0, data, parity)
+}
+
+// EncodeRows computes the run of parity shards j, j+1, ...,
+// j+len(dst)-1 into dst in one pass over the data, resizing and
+// overwriting the entries like Encode: an entry with the capacity, such as
+// a wire frame's payload region, is written in place. No entry may alias
+// a data shard. This is the paper's integrated protocol NP's encoder,
+// where parities are produced on demand one retransmission round at a
+// time rather than all up front.
+func (c *Code) EncodeRows(j int, data, dst [][]byte) error {
+	if j < 0 || j+len(dst) > c.h {
+		return fmt.Errorf("%w: rows [%d,%d) not in [0,%d)", ErrBadParityIndex, j, j+len(dst), c.h)
+	}
 	size, err := c.validateEncode(data)
-	if err != nil {
+	if err != nil || len(dst) == 0 {
 		return err
 	}
-	for j := 0; j < c.h; j++ {
-		parity[j] = sizeFor(parity[j], size)
-		c.encodeRow(j, data, parity[j])
+	for r := range dst {
+		dst[r] = sizeFor(dst[r], size)
 	}
-	c.ins.EncodeBytes.Add(uint64(c.h) * uint64(size))
+	c.ins.EncodeBytes.Add(uint64(len(dst)) * uint64(size))
+	if !c.wide {
+		c.gen.MulRows(j, data, dst)
+		return nil
+	}
+	for r, out := range dst {
+		row := c.p16[(j+r)*c.k : (j+r+1)*c.k]
+		gf16.MulSlice(row[0], data[0], out)
+		for i := 1; i < c.k; i++ {
+			gf16.MulAddSlice(row[i], data[i], out)
+		}
+	}
 	return nil
 }
 
@@ -409,21 +372,11 @@ func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 }
 
 // EncodeParity computes only parity shard j (0-based) into dst, which is
-// grown if needed and returned. This supports the paper's integrated
-// protocol NP, where parities are produced on demand one retransmission
-// round at a time rather than all up front.
+// grown if needed and returned: EncodeRows for a run of one.
 func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
-	if j < 0 || j >= c.h {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadParityIndex, j, c.h)
-	}
-	size, err := c.validateEncode(data)
-	if err != nil {
-		return nil, err
-	}
-	dst = sizeFor(dst, size)
-	c.encodeRow(j, data, dst)
-	c.ins.EncodeBytes.Add(uint64(size))
-	return dst, nil
+	row := [1][]byte{dst}
+	err := c.EncodeRows(j, data, row[:])
+	return row[0], err
 }
 
 // getScratch pops a decode scratch from the free-list, allocating on
@@ -448,9 +401,11 @@ func (c *Code) newScratch() *decodeScratch {
 	sc := &decodeScratch{missing: make([]int, 0, c.k), chosen: make([]int, 0, c.k)}
 	if c.wide {
 		sc.rows16 = make([]uint16, l*(l+c.k))
-	} else {
-		sc.rows = make([]byte, l*(l+c.k))
+		return sc
 	}
+	sc.rows = make([]byte, l*(l+c.k))
+	sc.io = make([][]byte, c.k+l)
+	sc.dec.Set(sc.rows[:l*c.k], c.k) // sizes its matrices for the worst pattern
 	return sc
 }
 
@@ -571,28 +526,38 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		return err
 	}
 	c.ins.CacheMisses.Inc()
+	c.ins.DecodeBytes.Add(uint64(len(missing)) * uint64(size))
 
 	// Each missing data shard is its decode row times the received
-	// vector; the first column overwrites via MulSlice so recycled
-	// output buffers need no zero-fill.
+	// vector, which overwrites it, so recycled output buffers need no
+	// zero-fill. Over GF(2^8) the l rows, packed to l x k in place, are one
+	// row product over the chosen shards.
 	l, w := len(missing), len(missing)+c.k
-	for j, i := range missing {
-		out := sizeFor(shards[i], size)
-		if c.wide {
+	if c.wide {
+		for j, i := range missing {
+			out := sizeFor(shards[i], size)
 			row := sc.rows16[j*w+l : (j+1)*w]
 			gf16.MulSlice(row[0], shards[chosen[0]], out)
 			for r := 1; r < c.k; r++ {
 				gf16.MulAddSlice(row[r], shards[chosen[r]], out)
 			}
-		} else {
-			row := sc.rows[j*w+l : (j+1)*w]
-			gf256.MulSliceCompact(row[0], shards[chosen[0]], out)
-			for r := 1; r < c.k; r++ {
-				gf256.MulAddSliceCompact(row[r], shards[chosen[r]], out)
-			}
+			shards[i] = out
 		}
-		shards[i] = out
+		return nil
 	}
-	c.ins.DecodeBytes.Add(uint64(l) * uint64(size))
+	for j := range missing {
+		copy(sc.rows[j*c.k:(j+1)*c.k], sc.rows[j*w+l:(j+1)*w])
+	}
+	sc.dec.Set(sc.rows[:l*c.k], c.k)
+	in, out := sc.io[:0:c.k], sc.io[c.k:c.k]
+	for _, i := range chosen {
+		in = append(in, shards[i])
+	}
+	for _, i := range missing {
+		shards[i] = sizeFor(shards[i], size)
+		out = append(out, shards[i])
+	}
+	sc.dec.MulRows(0, in, out)
+	clear(sc.io) // the free-list keeps no shard alive
 	return nil
 }
