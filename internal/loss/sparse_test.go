@@ -189,22 +189,37 @@ func hashLost(n int, draw func() []int) uint64 {
 // TestSkipStreamsPinned widens TestBernoulliDrawStreamPinned's fence to
 // every other stream a change to the skip kernel could move: Bernoulli
 // DrawLost across the figure sweeps' range of p (only p = 0.01 is pinned
-// above), MarkovPopulation.DrawLost, which draws its state-0 losses
-// through geoNext at a per-draw P01(dt), and FBT.DrawLost, which finds
-// failed nodes with it. Same hash, same seed, same amd64 values.
+// above) and out to its ends, where most skips are long (1e-4) or a draw
+// loses most receivers (0.5, 0.9), DrawLostAmong at a second p,
+// MarkovPopulation.DrawLost, which draws its state-0 losses through
+// geoNext at a per-draw P01(dt), and FBT.DrawLost, which finds failed
+// nodes with it. Same hash, same seed, same amd64 values.
 func TestSkipStreamsPinned(t *testing.T) {
 	const r, n, seed = 1_000_000, 100_000, 20260926
+	among := make([]int, 0, r/3+1)
+	for j := 1; j < r; j += 3 {
+		among = append(among, j)
+	}
 	for _, c := range []struct {
-		p    float64
-		want uint64
+		p     float64
+		among bool
+		want  uint64
 	}{
-		{0.001, 0x74b40f3c6dde8267},
-		{0.05, 0x51e62007db9ad348},
-		{0.25, 0xda650aa5c61d886e},
+		{1e-4, false, 0x9aedc7012420acb7},
+		{0.001, false, 0x74b40f3c6dde8267},
+		{0.05, false, 0x51e62007db9ad348},
+		{0.25, false, 0xda650aa5c61d886e},
+		{0.5, false, 0x14928a84388f2f84},
+		{0.9, false, 0xfea1784d53f9d1a2},
+		{0.05, true, 0xee9d734abb880e4e},
 	} {
 		bp := NewBernoulliPopulation(r, c.p, rand.New(rand.NewSource(seed)))
-		if got := hashLost(n, func() []int { return bp.DrawLost(0.04) }); got != c.want {
-			t.Errorf("Bernoulli p=%g: first %d lost indices hash to %#x, want %#x: the RNG stream moved", c.p, n, got, c.want)
+		draw := func() []int { return bp.DrawLost(0.04) }
+		if c.among {
+			draw = func() []int { return bp.DrawLostAmong(0.04, among) }
+		}
+		if got := hashLost(n, draw); got != c.want {
+			t.Errorf("Bernoulli p=%g among=%t: first %d lost indices hash to %#x, want %#x: the RNG stream moved", c.p, c.among, n, got, c.want)
 		}
 	}
 	mp := NewMarkovPopulation(r, 0.01, 2, 25, rand.New(rand.NewSource(seed)))
