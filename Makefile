@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint race check fmt pair loc
+.PHONY: build test lint race check fmt pair loc traffic
 
 build:
 	$(GO) build ./...
@@ -17,9 +17,9 @@ lint:
 
 # Race-detector pass over the packages that own or drive concurrency
 # (rse/rect for the codecs the encode-ahead workers call, gf256 for
-# the pair tables' compare-and-swap publish, loss for its shared skip
-# tables; internal/core's placement and peak-heap tests run under -short
-# too).
+# the pair tables' compare-and-swap publish, loss for the populations
+# mcrun's workers draw from; internal/core's placement and peak-heap
+# tests run under -short too).
 race:
 	$(GO) test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
 
@@ -36,6 +36,11 @@ pair:
 # less code".
 loc:
 	sh scripts/loc.sh
+
+# The internal/ functions no benchmark workload runs: a coverage build of
+# ./benchmark, each workload once untraced (scripts/traffic.sh).
+traffic:
+	bash scripts/traffic.sh
 
 fmt:
 	gofmt -w .

@@ -17,8 +17,7 @@ import (
 // burst loss), and the XOR-only interleaved rectangular code of
 // internal/rect for low-loss paths. The wire identity (ID) lets the
 // adaptive control plane negotiate codecs per transmission group through
-// the TG header's codec id/arg byte, gated by measured encode cost (see
-// gateAdmit).
+// the TG header's codec id/arg byte, gated by encode cost (see gateAdmit).
 type Codec interface {
 	// EncodeRows computes the run of parity shards j, ..., j+len(dst)-1
 	// from the k data shards into dst, resizing and overwriting its

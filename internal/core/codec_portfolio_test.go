@@ -302,19 +302,17 @@ func TestPortfolioCodecSwitchDeterministic(t *testing.T) {
 }
 
 // TestPortfolioGateModes checks the gate's three modes on the same
-// scenario: GateOff never lets a non-RS codec on the wire, and GateMeasure
-// (the default, timing-dependent) completes correctly whichever verdict
-// this host's measurement reaches.
+// scenario: GateOff never lets a non-RS codec on the wire, and
+// GateMeasure (the default) admits rect on both portfolio rungs by its
+// cost rule, so its schedule is GateForce's byte for byte, on any host.
 func TestPortfolioGateModes(t *testing.T) {
 	sched, _ := runPortfolioShift(t, portfolioConfig(GateOff), 2301)
 	if strings.Contains(sched, ",c1/") {
 		t.Errorf("GateOff let the rect codec onto the wire: %s", sched)
 	}
-	// GateMeasure: the verdict depends on this host's measured encode
-	// cost, so only correctness is asserted, not the codec choice.
-	sched, _ = runPortfolioShift(t, portfolioConfig(GateMeasure), 2301)
-	if sched == "" {
-		t.Fatal("empty schedule under GateMeasure")
+	forced, _ := runPortfolioShift(t, portfolioConfig(GateForce), 2301)
+	if sched, _ = runPortfolioShift(t, portfolioConfig(GateMeasure), 2301); sched != forced {
+		t.Errorf("GateMeasure schedule differs from GateForce's:\n got %s\nwant %s", sched, forced)
 	}
 }
 

@@ -141,11 +141,11 @@ type Config struct {
 	// ladder's maximum K and H (receivers bound per-group state by them).
 	Adapt adapt.Config
 	// CodecGate selects how the sender vets a non-default codec a ladder
-	// rung requests: GateMeasure (default) admits it only when its
-	// measured encode cost beats Reed-Solomon at the same working point,
-	// GateForce admits unconditionally (deterministic across hosts) and
-	// GateOff pins every era to RS. Only consulted when AdaptiveFEC is
-	// on and a rung names a codec other than RS.
+	// rung requests: GateMeasure (default) admits it only when a parity
+	// costs fewer shard passes than Reed-Solomon's at the same working
+	// point, GateForce admits unconditionally and GateOff pins every era
+	// to RS. Only consulted when AdaptiveFEC is on and a rung names a
+	// codec other than RS.
 	CodecGate int
 	// NCRepair enables network-coded retransmission (Qureshi et al.):
 	// NAKs carry the receiver's missing-data bitmap when the group

@@ -55,9 +55,9 @@ type senderMetrics struct {
 
 	// Codec-portfolio instruments (np_codec_*): benchmark-gate verdicts
 	// per era and the NC retransmission path's activity.
-	gateAdmit  *metrics.Counter // non-RS codec admitted by measurement
-	gateReject *metrics.Counter // candidate rejected (measured slower, GateOff, or unbuildable)
-	gateForced *metrics.Counter // candidate admitted unmeasured (GateForce)
+	gateAdmit  *metrics.Counter // non-RS codec admitted by the cost rule (GateMeasure)
+	gateReject *metrics.Counter // candidate rejected (no cheaper than RS, GateOff, or unbuildable)
+	gateForced *metrics.Counter // candidate admitted unconditionally (GateForce)
 	ncTx       *metrics.Counter // NCREPAIR packets transmitted
 	ncRounds   *metrics.Counter // repair rounds served with NC combos
 }
@@ -137,7 +137,7 @@ func encAhead(r *metrics.Registry, result string) *metrics.Counter {
 // gate registers one result arm of the codec-gate counter.
 func gate(r *metrics.Registry, result string) *metrics.Counter {
 	return r.Counter("np_codec_gate_total",
-		"benchmark-gate verdicts on non-RS codec candidates, by outcome: admit (measured faster), reject (slower/off/unbuildable), force (admitted unmeasured)",
+		"codec-gate verdicts on non-RS codec candidates, by outcome: admit (fewer shard passes per parity than RS), reject (not fewer/off/unbuildable), force (admitted unconditionally)",
 		metrics.Label{Key: "result", Value: result})
 }
 

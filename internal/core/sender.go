@@ -404,10 +404,10 @@ func (s *Sender) startEra() {
 }
 
 // eraCodec resolves the repair code an era uses: the working point's
-// requested codec when the benchmark gate admits it, else the Reed-Solomon
+// requested codec when the codec gate admits it, else the Reed-Solomon
 // incumbent at the same (k, h) — which is also what every static session
-// requests. The gate mode (Config.CodecGate) decides whether admission is
-// measured, forced or denied.
+// requests. The gate mode (Config.CodecGate) decides whether admission
+// follows gateAdmit's cost rule, is forced or is denied.
 func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 	rs, err := s.codecs.get(p.K, p.H, packet.CodecRS, 0)
 	if err != nil {
@@ -431,7 +431,7 @@ func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 	case GateOff:
 		s.m.gateReject.Inc()
 	default:
-		admit = gateAdmit(cand, rs, p.K, p.H, s.cfg.ShardSize)
+		admit = gateAdmit(cand, p.K)
 		if admit {
 			s.m.gateAdmit.Inc()
 		} else {

@@ -57,9 +57,10 @@ func pendGroup(rng *rand.Rand, idx uint32, r, k, h, nTx int, p float64, full int
 	return g
 }
 
-// sortEverything is consolidation as it stood before the count filter:
-// sort every pair, OR per receiver, keep the deficient. It is the
-// reference the filtered path must match bit for bit.
+// sortEverything is consolidation spelled out: sort every pair, OR per
+// receiver, keep those the deficit rule (popcount against the excess, or
+// the rect codec's shortfall) calls deficient. consolidate must match it
+// bit for bit.
 func sortEverything(f *Field, g *fgroup) (ids []int, missed []uint64) {
 	excess := g.nTx - f.rx.GroupK(&g.RxParams)
 	if excess < 0 {
@@ -96,10 +97,10 @@ func sortEverything(f *Field, g *fgroup) (ids []int, missed []uint64) {
 }
 
 // TestConsolidateMatchesSortEverything feeds random ascending-run pair
-// sets through consolidate and through the pre-filter reference and
-// demands the same ids, missed, active count and high-water mark, for two
-// groups back to back on one Field so that a counter the filter left
-// behind would corrupt the second.
+// sets through consolidate and through the reference and demands the same
+// ids, missed, active count and high-water mark, for two groups back to
+// back on one Field so that state the first leaves behind (the recycled
+// pend buffer, the active count) would corrupt the second.
 func TestConsolidateMatchesSortEverything(t *testing.T) {
 	type tc struct {
 		r, k, h, nTx int
@@ -121,7 +122,7 @@ func TestConsolidateMatchesSortEverything(t *testing.T) {
 			}
 		}
 	}
-	// Counter ceiling: k+h = 64, every seq sent, one receiver missed all 64.
+	// Bitmap ceiling: k+h = 64, every seq sent, one receiver missed all 64.
 	cases = append(cases,
 		tc{r: 13, k: 62, h: 2, nTx: 64, p: 0.05, full: 7},
 		tc{r: 1000, k: 59, h: 5, nTx: 64, p: 0.05, full: 999, exact: true},
@@ -163,45 +164,12 @@ func TestConsolidateMatchesSortEverything(t *testing.T) {
 				if c.exact && !g.done && (len(g.resetAt) != len(g.ids) || len(g.retry) != len(g.ids) || len(g.cancel) != len(g.ids)) {
 					t.Fatalf("group %d: Exact timer arrays not parallel to ids", idx)
 				}
-				if i := slices.IndexFunc(f.missCnt, func(c uint8) bool { return c != 0 }); i >= 0 {
-					t.Fatalf("group %d: scratch counter of receiver %d left at %d", idx, i, f.missCnt[i])
-				}
 			}
 		})
 	}
 }
 
 func head(s []int) []int { return s[:min(len(s), 8)] }
-
-// TestDropRecoveredIsTight pins the filter itself: it keeps exactly the
-// pairs of receivers with more than excess misses, in their original
-// order. Keeping too many would still consolidate correctly (the sort/OR
-// loop re-applies the rule) but would bring the full sort back.
-func TestDropRecoveredIsTight(t *testing.T) {
-	const r = 500
-	for _, excess := range []int{1, 2, 5, 63, 64} {
-		rng := rand.New(rand.NewSource(int64(excess)))
-		f := bareField(t, r, 20, 44, false)
-		g := pendGroup(rng, 0, r, 20, 44, 64, 0.06, 3)
-		misses := make(map[int64]int)
-		for _, p := range g.pend {
-			misses[p>>6]++
-		}
-		var want []int64
-		for _, p := range g.pend {
-			if misses[p>>6] > excess {
-				want = append(want, p)
-			}
-		}
-		got := f.dropRecovered(g.pend, excess)
-		if !slices.Equal(got, want) {
-			t.Fatalf("excess %d: kept %d pairs, want %d", excess, len(got), len(want))
-		}
-		if excess < 64 && len(got) == 0 {
-			t.Fatalf("excess %d: receiver 3 missed all 64 seqs and was dropped", excess)
-		}
-	}
-}
 
 // millionPend draws the pairs of one R = 1e6, p = 1 % group's 22-packet
 // data round from the sparse Bernoulli kernel: ~220 000 pairs.
@@ -217,8 +185,8 @@ func millionPend() []int64 {
 	return pend
 }
 
-// TestConsolidateSteadyStateAllocs pins that, once the counter scratch
-// and the pend free list exist, consolidating a group allocates nothing
+// TestConsolidateSteadyStateAllocs pins that, once the pend free list
+// exists, consolidating a group allocates nothing
 // but the growth of its ids/missed arrays — shown by giving those their
 // final capacity up front and demanding zero — on both paths: the
 // per-packet pairs of a stateful population, and the count draw of a
@@ -242,7 +210,7 @@ func TestConsolidateSteadyStateAllocs(t *testing.T) {
 					ids:  make([]int, 0, 4096), missed: make([]uint64, 0, 4096),
 				}
 			}
-			f.consolidate(newGroup(0)) // warm: allocates missCnt
+			f.consolidate(newGroup(0)) // warm
 			f.freePend = slices.Grow(f.freePend, runs+2)
 			groups := make([]*fgroup, runs+1) // AllocsPerRun makes one warm-up call
 			for i := range groups {
@@ -267,10 +235,10 @@ func TestConsolidateSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkFieldConsolidate times one group's consolidation at the
 // field_1e6 operating point (R = 1e6, p = 1 %, 22 transmissions). On the
-// per-packet path (stateful populations, Exact mode) excess=2 is k = 20
-// with two proactive parities and takes the count filter; excess=0 is
-// k = 22, where every touched receiver is deficient and every pair goes
-// through the sort as before. round is what field_1e6 runs: a memoryless
+// per-packet path (stateful populations, Exact mode) every pair goes
+// through the sort; excess=2 is k = 20 with two proactive parities, where
+// few receivers stay deficient, and excess=0 is k = 22, where every
+// touched receiver does. round is what field_1e6 runs: a memoryless
 // population draws the whole round (t = 2) and pend is never filled; the
 // per-packet path also paid ~220 000 DrawLost losses before consolidating.
 func BenchmarkFieldConsolidate(b *testing.B) {

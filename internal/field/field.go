@@ -29,15 +29,11 @@
 // a rect codec, a late k or codec — the group materialises its receivers
 // into the arrays below with DrawMissed, exactly. In Exact mode and under
 // stateful populations (Markov, FBT, Tree, Independent) each arrival's
-// loss draw is appended as packed (receiver, seq) pairs, and
-// consolidation is linear in the drawn losses: one pass counts misses per
-// receiver into a byte-per-receiver scratch array (missCnt: shared by all
-// groups, all-zero between consolidations, so state stays O(deficient)),
-// a second drops the pairs of every receiver whose count cannot exceed
-// the group's excess, and only the few survivors are sorted. Repair packets then cost a merge walk
-// of the draw against the active array, and receivers are dropped the
-// moment their deficit reaches zero. The single-word bitmap is why the
-// field requires K+MaxParity <= 64.
+// loss draw is appended as packed (receiver, seq) pairs, which
+// consolidation sorts and ORs into one bitmap per receiver. Repair
+// packets then cost a merge walk of the draw against the active array,
+// and receivers are dropped the moment their deficit reaches zero. The
+// single-word bitmap is why the field requires K+MaxParity <= 64.
 //
 // # Feedback
 //
@@ -154,7 +150,6 @@ type Field struct {
 	active     int // tracked deficient receivers across groups
 
 	freePend [][]int64
-	missCnt  []uint8            // dropRecovered's per-receiver miss counters; all-zero between calls
 	jitters  map[int]*rand.Rand // Exact mode: lazy per-receiver jitter streams
 
 	stats Stats
@@ -669,17 +664,13 @@ func (f *Field) setActive(n int) {
 // the group's bins: those short of k of the nTx shards, or, for a rect
 // codec (materialised at once, like every group of an NC session), those
 // that missed any. Otherwise it sorts the pending packed (id, seq) pairs
-// and ORs each receiver's misses into one bitmap; under the MDS codes with
-// excess transmissions the pairs of receivers that cannot be deficient are
-// dropped before the sort, which is what keeps a 1e6-receiver group linear
-// in its drawn losses.
+// and ORs each receiver's misses into one bitmap.
 func (f *Field) consolidate(g *fgroup) {
 	if g.consolidated {
 		return
 	}
 	g.consolidated = true
 	k := f.rx.GroupK(&g.RxParams)
-	excess := g.nTx - k
 	switch {
 	case f.subset != nil:
 		if g.Code != nil {
@@ -695,13 +686,10 @@ func (f *Field) consolidate(g *fgroup) {
 		if g.Code != nil || f.cfg.NCRepair {
 			f.materialize(g)
 		}
-	case excess < 0:
+	case g.nTx < k:
 		f.materializeAll(g)
 	default:
 		pend := g.pend
-		if g.Code == nil && excess > 0 {
-			pend = f.dropRecovered(pend, excess)
-		}
 		slices.Sort(pend)
 		for i := 0; i < len(pend); {
 			id := int(pend[i] >> 6)
@@ -746,36 +734,6 @@ func (f *Field) materialize(g *fgroup) {
 		}
 	}
 	g.bins = [65]int{}
-}
-
-// dropRecovered compacts pend in place to the pairs of the receivers that
-// missed more than excess packets, keeping their order, and returns the
-// shortened slice. A loss draw lists no receiver twice and only fresh
-// seqs are recorded, so a receiver's pair count is its number of distinct
-// misses (at most 64, hence one byte) and everyone dropped here has
-// deficit zero. The counters live in f.missCnt and are zero again on
-// return: dropped pairs clear theirs as they go, survivors afterwards —
-// O(len(pend)) in all, never a clear of all R bytes.
-func (f *Field) dropRecovered(pend []int64, excess int) []int64 {
-	if f.missCnt == nil {
-		f.missCnt = make([]uint8, f.popR)
-	}
-	cnt := f.missCnt
-	for _, p := range pend {
-		cnt[p>>6]++
-	}
-	kept := pend[:0]
-	for _, p := range pend {
-		if int(cnt[p>>6]) > excess {
-			kept = append(kept, p)
-		} else {
-			cnt[p>>6] = 0
-		}
-	}
-	for _, p := range kept {
-		cnt[p>>6] = 0
-	}
-	return kept
 }
 
 // materializeAll handles the degenerate consolidation of a group polled

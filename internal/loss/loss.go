@@ -278,19 +278,17 @@ func (ip *Independent) Reset() {
 
 // BernoulliPopulation is a homogeneous independent-Bernoulli population
 // with a sparse draw kernel: DrawLost enumerates the lost receivers by
-// geometric skip-sampling, spending one RNG draw and one table lookup per
-// LOST receiver instead of one uniform per receiver (a geoTable; only
-// skips past its 1024 steps still cost a logarithm: 3 draws in 10^5 at
-// p = 0.01, most draws below p = 10^-3). At p = 0.01 that is ~100x fewer
-// RNG calls than the dense Independent population while remaining
-// distributionally identical — the gaps between consecutive lost indices
-// are exactly the Geometric(p) gaps of R independent Bernoulli trials.
+// geometric skip-sampling, spending one RNG draw and one logarithm per
+// LOST receiver instead of one uniform per receiver. At p = 0.01 that is
+// ~100x fewer RNG calls than the dense Independent population while
+// remaining distributionally identical — the gaps between consecutive
+// lost indices are exactly the Geometric(p) gaps of R independent
+// Bernoulli trials.
 type BernoulliPopulation struct {
 	r   int
 	p   float64
 	rng *rand.Rand
-	tab *geoTable // shared per p; fetched at the first sparse draw
-	idx []int     // DrawLost scratch, reused across draws
+	idx []int // DrawLost scratch, reused across draws
 }
 
 // NewBernoulliPopulation returns a sparse homogeneous Bernoulli population
@@ -313,30 +311,17 @@ func (bp *BernoulliPopulation) Reset() {}
 
 // DrawLost implements Population: geometric jumps between lost
 // receiver indices.
-func (bp *BernoulliPopulation) DrawLost(float64) []int { return bp.drawAmong(nil, bp.r) }
+func (bp *BernoulliPopulation) DrawLost(float64) []int {
+	bp.idx = geoSample(bp.idx[:0], nil, bp.r, bp.p, bp.rng)
+	return bp.idx
+}
 
 // DrawLostAmong implements SubsetPopulation: the same geometric jumps, but
 // over positions of the among list, so a draw restricted to A receivers
 // costs O(p*A) regardless of R. Each member of among is an independent
 // Bernoulli(p) trial, exactly as in the full draw.
 func (bp *BernoulliPopulation) DrawLostAmong(_ float64, among []int) []int {
-	return bp.drawAmong(among, len(among))
-}
-
-// drawAmong draws which of the positions [0, limit) are lost, each mapped
-// through among when that is non-nil.
-func (bp *BernoulliPopulation) drawAmong(among []int, limit int) []int {
-	bp.idx = bp.idx[:0]
-	switch {
-	case bp.p == 1 && among != nil:
-		bp.idx = append(bp.idx, among...)
-	case bp.p == 1:
-		for j := range limit {
-			bp.idx = append(bp.idx, j)
-		}
-	case bp.p > 0:
-		bp.idx = bp.table().sample(bp.idx, among, limit, bp.rng)
-	}
+	bp.idx = geoSample(bp.idx[:0], among, len(among), bp.p, bp.rng)
 	return bp.idx
 }
 
@@ -403,16 +388,6 @@ func (bp *BernoulliPopulation) DrawMissed(sent uint64, c int) uint64 {
 	return bm
 }
 
-// table returns the skip table for 0 < p < 1. Fetching it here rather than
-// in the constructor keeps populations that are built but never drawn
-// from, or only at p = 0 or 1, from paying for one.
-func (bp *BernoulliPopulation) table() *geoTable {
-	if bp.tab == nil {
-		bp.tab = geoTableFor(bp.p)
-	}
-	return bp.tab
-}
-
 // Draw implements Population by scattering DrawLost.
 func (bp *BernoulliPopulation) Draw(dt float64, lost []bool) { scatter(lost, bp.r, bp.DrawLost(dt)) }
 
@@ -449,7 +424,7 @@ func (mp *MarkovPopulation) R() int { return mp.r }
 // Reset implements Population: re-draw every receiver's state from the
 // stationary distribution, i.e. skip-sample the state-1 set at pi1.
 func (mp *MarkovPopulation) Reset() {
-	mp.state1 = geoSample(mp.state1[:0], mp.r, mp.chain.pi1, mp.rng)
+	mp.state1 = geoSample(mp.state1[:0], nil, mp.r, mp.chain.pi1, mp.rng)
 }
 
 // DrawLost implements Population.

@@ -135,6 +135,14 @@ func TestBernoulliDrawLostAmong(t *testing.T) {
 	if lost := always.DrawLostAmong(0.04, among[:7]); len(lost) != 7 {
 		t.Errorf("p=1 subset lost %d, want 7", len(lost))
 	}
+
+	// Once the scratch has grown, neither draw allocates.
+	if a := testing.AllocsPerRun(100, func() {
+		bp.DrawLost(0.04)
+		bp.DrawLostAmong(0.04, among)
+	}); a != 0 {
+		t.Errorf("steady-state DrawLost + DrawLostAmong allocate %v times per run, want 0", a)
+	}
 }
 
 // TestBernoulliDrawStreamPinned fences the geometric-skip kernel's exact
@@ -145,9 +153,7 @@ func TestBernoulliDrawLostAmong(t *testing.T) {
 // factors must leave both hashes alone — or move them on purpose and
 // re-measure the ledger baselines. The hashes are the amd64 values, where
 // math.Log runs the assembly of math/log_amd64.s; another architecture's
-// math.Log may round some draw the other way and move them. The geoTable
-// cannot: it is built from the host's own math.Log, so on every
-// architecture it reproduces that host's geoSkip stream.
+// math.Log may round some draw the other way and move them.
 func TestBernoulliDrawStreamPinned(t *testing.T) {
 	const r, p, n = 1_000_000, 0.01, 100_000
 	among := make([]int, 0, r/3+1)
@@ -376,12 +382,12 @@ func TestFBTSparseDenseIdentical(t *testing.T) {
 
 // BenchmarkBernoulliDrawLost measures the sparse draw at the field's scale
 // (R = 10^6) across the figure sweeps' loss range, per LOST receiver: the
-// unit the field pays in.
+// unit the per-packet engines (sim, and the field in Exact mode) pay in.
 func BenchmarkBernoulliDrawLost(b *testing.B) {
 	for _, p := range []float64{0.001, 0.01, 0.05} {
 		b.Run(fmt.Sprintf("p=%g", p), func(b *testing.B) {
 			bp := NewBernoulliPopulation(1_000_000, p, rand.New(rand.NewSource(1)))
-			bp.DrawLost(0.04) // size the scratch, fetch the table
+			bp.DrawLost(0.04) // size the scratch
 			lost := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

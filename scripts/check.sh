@@ -28,14 +28,14 @@
 #                       R = 1e3 to 1e12, the consolidation pins, the count
 #                       path against the per-packet path end to end (also
 #                       past parity exhaustion, where it materialises),
-#                       and the loss draws the field runs on (skip table
-#                       vs reference, the binomial sampler vs the exact
-#                       pmf and the bins vs per-receiver draws by
-#                       chi-squared, uniform missed subsets, pinned
-#                       streams), the NAK jitter (pinned grid, closed form
-#                       vs math/rand), the recorded l_max and deficient
-#                       count vs a scan and the 0-alloc aggregate round,
-#                       all uncached
+#                       and the loss draws the field runs on (the skip's
+#                       redraw and overflow rules by the fuzz seeds, the
+#                       binomial sampler vs the exact pmf and the bins vs
+#                       per-receiver draws by chi-squared, uniform missed
+#                       subsets, pinned streams), the NAK jitter (pinned
+#                       grid, closed form vs math/rand), the recorded
+#                       l_max and deficient count vs a scan and the
+#                       0-alloc aggregate round, all uncached
 #   9. engine pins      uncached: sender transcripts (depth 0 against a
 #                       constant; pipelined and batched byte-identical to
 #                       serial), the four loss-shift convergence curves
@@ -126,8 +126,8 @@ echo '== go test -race -short (concurrent packages)'
 go test -race -short ./internal/udpcast/ ./internal/simnet/ ./internal/core/ ./internal/mcrun/ ./internal/pipeline/ ./internal/rse/ ./internal/rect/ ./internal/field/ ./internal/adapt/ ./internal/gf256/ ./internal/loss/
 
 echo '== receiver field smoke (R=1e5 full transfer vs closed form, -short)'
-go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestFieldEMAcrossR|TestConsolidate|TestDropRecoveredIsTight|TestFieldRoundDrawMatchesPerPacket|TestFieldMaterialisesAtParityExhaustion|TestLabelJitterPinned|TestLmaxRecordMatchesScan|TestLmaxFollowsLateParameters|TestAggregateRoundZeroAlloc' ./internal/field/
-go test -short -count=1 -run 'TestGeoSkipTableMatchesReference|TestGeoTableSampleMatchesGeoSample|StreamPinned|StreamsPinned|TestBinomialMatchesPmf|TestDrawRound|TestDrawMissedIsUniform' ./internal/loss/
+go test -short -count=1 -run 'TestFieldSmokeR100k|TestFieldEMReconciliation|TestFieldEMAcrossR|TestConsolidate|TestFieldRoundDrawMatchesPerPacket|TestFieldMaterialisesAtParityExhaustion|TestLabelJitterPinned|TestLmaxRecordMatchesScan|TestLmaxFollowsLateParameters|TestAggregateRoundZeroAlloc' ./internal/field/
+go test -short -count=1 -run 'FuzzGeoSkip|StreamPinned|StreamsPinned|TestBinomialMatchesPmf|TestDrawRound|TestDrawMissedIsUniform' ./internal/loss/
 go test -count=1 -run TestFirstInt63nMatchesSource ./internal/mcrun/
 
 echo '== engine pins (transcripts, encode-ahead flush and prefetch, loss-shift curves, NC vs carousel, working-point admission, lossy control plane, NAK service and slots, repairs in the FIN gap, POLL slot span, rect field, field equivalence, hostile headers, N2 and layered on their closed forms, sendmmsg)'
@@ -202,14 +202,14 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=11225
+loc_ceiling=11025
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
     exit 1
 fi
 echo "make loc total $loc <= $loc_ceiling"
-doc_ceiling=248540
+doc_ceiling=248534
 doc=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
 if [ "$doc" -gt "$doc_ceiling" ]; then
     echo "DESIGN.md + EXPERIMENTS.md are $doc bytes, over the doc_ceiling $doc_ceiling set in scripts/check.sh" >&2

@@ -61,7 +61,7 @@ pad() { # pad <checkout> <pair>: write pair i's layout pads into a build tree
 		fi
 	done
 }
-hot='gf256\.MulAddSlice|loss\.\(\*geoTable\)\.sample|rse\.\(\*Code\)\.Reconstruct|simnet\.\(\*Scheduler\)\.deliver|core\.\(\*Receiver\)\.onShard|core\.\(\*Sender\)\.pump|field\.\(\*Field\)\.onShard'
+hot='gf256\.MulAddSlice|loss\.\(\*BernoulliPopulation\)\.DrawRound|rse\.\(\*Code\)\.Reconstruct|simnet\.\(\*Scheduler\)\.deliver|core\.\(\*Receiver\)\.onShard|core\.\(\*Sender\)\.pump|field\.\(\*Field\)\.onShard'
 offsets() { # offsets <checkout>: its binary's hot symbols, address mod 64
 	go tool nm "$1/.bench_build/npbench" | grep -E " T rmfec/internal/($hot)\$" |
 		while read -r addr _ name; do printf ' %s=%d' "${name#rmfec/internal/}" $((16#$addr % 64)); done
