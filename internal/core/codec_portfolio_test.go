@@ -316,6 +316,76 @@ func TestPortfolioGateModes(t *testing.T) {
 	}
 }
 
+// TestGateAdmitCostRule pins gateAdmit where it bites: a rect code with
+// one parity class (d = 1), or at k = 1, XORs as many shards per parity as
+// RS multiply-adds and is rejected; d >= 2 halves the passes or better and
+// is admitted.
+func TestGateAdmitCostRule(t *testing.T) {
+	for _, c := range []struct {
+		k, d  int
+		admit bool
+	}{
+		{8, 1, false}, {1, 1, false}, {32, 1, false},
+		{2, 2, true}, {8, 2, true}, {20, 5, true}, {8, 8, true},
+	} {
+		code, err := newCodecID(packet.CodecRect, uint8(c.d), c.k, c.d, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := gateAdmit(code, c.k); got != c.admit {
+			t.Errorf("gateAdmit(rect k=%d d=%d) = %v, want %v", c.k, c.d, got, c.admit)
+		}
+	}
+}
+
+// TestGateModesOnRejectedRung: on a hand-built one-rung ladder whose rect
+// rung (k = 8, d = 1) the cost rule rejects, the three gate modes put
+// three verdicts on the wire: GateMeasure and GateOff send RS, GateForce
+// sends rect.
+func TestGateModesOnRejectedRung(t *testing.T) {
+	for _, c := range []struct {
+		gate      int
+		codec, id uint8
+	}{
+		{GateMeasure, packet.CodecRS, 0},
+		{GateForce, packet.CodecRect, 1},
+		{GateOff, packet.CodecRS, 0},
+	} {
+		cfg := rectRungConfig(c.gate)
+		cfg.Adapt.Ladder = []adapt.Rung{{PMax: 1, P: adapt.Params{K: 8, H: 1, A: 1, Codec: packet.CodecRect, CodecArg: 1}}}
+		env := newLoopEnv(1)
+		var data, parity int
+		env.deliver = func(b []byte) {
+			var pkt packet.Packet
+			if err := packet.DecodeInto(&pkt, b); err != nil {
+				t.Fatalf("undecodable frame on the wire: %v", err)
+			}
+			if pkt.Type == packet.TypeData || pkt.Type == packet.TypeParity {
+				if pkt.Type == packet.TypeData {
+					data++
+				} else {
+					parity++
+				}
+				if pkt.Codec != c.codec || pkt.CodecArg != c.id {
+					t.Fatalf("gate %d: %v frame carries codec (%d,%d), want (%d,%d)", c.gate, pkt.Type, pkt.Codec, pkt.CodecArg, c.codec, c.id)
+				}
+			}
+		}
+		s, err := NewSender(env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send(transcriptMsg(8 * 64 * 4)); err != nil {
+			t.Fatal(err)
+		}
+		env.run()
+		s.Close()
+		if data == 0 || parity == 0 {
+			t.Errorf("gate %d: %d data / %d parity frames on the wire, want both", c.gate, data, parity)
+		}
+	}
+}
+
 // ncNak synthesizes the NAK a receiver with missing-data bitmap mask
 // and deficit count would multicast.
 func ncNak(cfg Config, group uint32, count int, mask uint64) []byte {

@@ -189,15 +189,17 @@ func TestInPlaceArrivalOrders(t *testing.T) {
 	}
 }
 
-// TestGroupMemo: Receiver.group remembers its last answer. The memo must
-// die with a streaming-mode release — a late duplicate of the released
-// group finds neither it nor a map entry to resurrect, and the recycled
-// rxGroup serves the next group under its own index — and the memoised
-// group is still an entry of r.groups, so a buffer step taken in the
-// middle of its shards re-points it like any other.
-func TestGroupMemo(t *testing.T) {
+// TestGroupTable: the receiver's groups live in a directory of 64-group
+// chunks. A streaming-mode release is final — a late duplicate of the
+// released group finds nothing to resurrect — and a chunk whose 64 groups
+// are all released leaves the spent sentinel behind and serves the next
+// index range it is asked for under that range's own indices. A buffer
+// step taken while several groups hold in-place shards re-points every one
+// of them.
+func TestGroupTable(t *testing.T) {
 	cfg := inplaceConfig()
-	msg := testMessage(cfg.K*cfg.ShardSize*6+9, 17)
+	const nGroups = 2*64 + 3
+	msg := testMessage(cfg.K*cfg.ShardSize*(nGroups-1)+9, 17)
 	frames := captureWire(t, cfg, msg)
 	data := func(group uint32) (out []wireFrame) {
 		for _, f := range frames {
@@ -217,40 +219,53 @@ func TestGroupMemo(t *testing.T) {
 		r.OnGroup = func(g uint32, _ [][]byte) { groups = append(groups, g) }
 		g0 := data(0)
 		feed(r, g0[:cfg.K-1], nil)
-		if r.lastG == nil || r.lastIdx != 0 || r.lastG != r.groups[0] {
-			t.Fatalf("memo (%d, %p) is not group 0's entry %p", r.lastIdx, r.lastG, r.groups[0])
+		if len(r.dir) == 0 || r.dir[0] == nil || r.held(0) != &r.dir[0].g[0] {
+			t.Fatalf("group 0 is not slot 0 of chunk 0: %p", r.held(0))
 		}
-		recycled := r.lastG
+		recycled := r.dir[0]
 		feed(r, g0[cfg.K-1:], nil) // completes, delivers and releases group 0
-		if r.lastG != nil || len(r.groups) != 0 || !r.released(0) {
-			t.Fatalf("after the release: memo %p, %d groups held, released %v", r.lastG, len(r.groups), r.released(0))
+		if r.held(0) != nil || liveGroups(r) != 0 {
+			t.Fatalf("after the release: group 0 at %p, %d groups held", r.held(0), liveGroups(r))
 		}
 		feed(r, g0[:2], nil) // late duplicates
-		if r.lastG != nil || len(r.groups) != 0 || len(groups) != 1 {
-			t.Errorf("a late duplicate resurrected state: memo %p, %d groups held, OnGroup fired %d times", r.lastG, len(r.groups), len(groups))
+		if r.held(0) != nil || liveGroups(r) != 0 || len(groups) != 1 {
+			t.Errorf("a late duplicate resurrected state: %d groups held, OnGroup fired %d times", liveGroups(r), len(groups))
 		}
-		feed(r, data(1)[:1], nil)
-		if r.lastG != recycled || r.lastIdx != 1 || r.groups[1] != recycled {
-			t.Errorf("group 1 did not take over the recycled state under its own index: memo (%d, %p)", r.lastIdx, r.lastG)
+		for g := uint32(1); g < 64; g++ {
+			feed(r, data(g), nil)
+		}
+		if r.dir[0] != spent || r.free != recycled || recycled.next != nil {
+			t.Fatalf("chunk 0 not recycled after its 64 releases: entry %p, free-list %p", r.dir[0], r.free)
+		}
+		feed(r, g0[:1], nil) // a late duplicate meets the sentinel
+		if r.free != recycled || len(groups) != 64 {
+			t.Errorf("a late duplicate of a spent chunk took state: free-list %p, OnGroup fired %d times", r.free, len(groups))
+		}
+		feed(r, data(64)[:1], nil)
+		if r.dir[1] != recycled || r.held(64) != &recycled.g[0] || r.free != nil {
+			t.Errorf("group 64 did not take over the recycled chunk under its own index: chunk %p, group %p", r.dir[1], r.held(64))
 		}
 		feed(r, frames, nil)
-		if !r.Complete() || len(groups) != 7 {
-			t.Errorf("complete %v after %d OnGroup calls, want true after 7", r.Complete(), len(groups))
+		if !r.Complete() || len(groups) != nGroups {
+			t.Errorf("complete %v after %d OnGroup calls, want true after %d", r.Complete(), len(groups), nGroups)
 		}
 	})
 
-	t.Run("grow re-points the memoised group", func(t *testing.T) {
+	t.Run("grow re-points every live group", func(t *testing.T) {
 		r, got := directReceiver(t, cfg)
 		r.firstStep = 3 * cfg.ShardSize
-		feed(r, data(0)[:5], nil) // shards 3 and 4 each buy a buffer step
-		if len(r.msgBuf) <= r.firstStep || r.lastG != r.groups[0] {
-			t.Fatalf("buffer %d bytes, memo %p vs entry %p: no step was taken under the memo", len(r.msgBuf), r.lastG, r.groups[0])
+		feed(r, data(0), nil)     // shard 3 buys the second step
+		feed(r, data(1)[:5], nil) // shard 4 buys the third, group 0 still live
+		if len(r.msgBuf) <= 4*r.firstStep || liveGroups(r) != 2 {
+			t.Fatalf("buffer %d bytes over %d groups: no step was taken with two groups live", len(r.msgBuf), liveGroups(r))
 		}
-		for j := 0; j < 5; j++ {
-			if !r.inPlace(r.lastG.shards[j], r.msgBuf, r.lastG, j) {
-				t.Errorf("shard %d of the memoised group points outside the grown buffer", j)
+		r.live(func(idx uint32, g *rxGroup) {
+			for j, s := range g.shards[:g.K] {
+				if s != nil && !r.inPlace(s, r.msgBuf, g, j) {
+					t.Errorf("shard %d of group %d points outside the grown buffer", j, idx)
+				}
 			}
-		}
+		})
 		feed(r, frames, nil)
 		if !bytes.Equal(*got, msg) || r.gathers != 0 {
 			t.Errorf("delivered %d bytes (want %d) with %d gathers (want 0)", len(*got), len(msg), r.gathers)
@@ -258,18 +273,108 @@ func TestGroupMemo(t *testing.T) {
 	})
 }
 
+// liveGroups counts the groups r holds: created and not released.
+func liveGroups(r *Receiver) (n int) {
+	r.live(func(uint32, *rxGroup) { n++ })
+	return n
+}
+
+// TestGroupCreationAllocs carries the zero-allocation contract to group
+// creation: 64 consecutive new groups on an OnComplete receiver cost the
+// chunk they fill and its shard-table backing, and nothing per group.
+func TestGroupCreationAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		k, h int
+	}{
+		{"static", inplaceConfig(), 8, 8},
+		{"adaptive", adaptiveConfig(), 16, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := directReceiver(t, tc.cfg)
+			const runs = 20
+			r.slots = (runs + 2) * 64 * r.rx.maxK // sizes the directory past the run
+			next := uint32(0)
+			allocs := testing.AllocsPerRun(runs, func() {
+				for i := 0; i < 64; i++ {
+					if g := r.group(next, tc.k, tc.h); g == nil || g.K != tc.k {
+						t.Fatalf("group %d not created at k = %d", next, tc.k)
+					}
+					next++
+				}
+			})
+			if allocs > 2 {
+				t.Errorf("64 new groups: %.1f allocs, want <= 2 (the chunk and its shard tables)", allocs)
+			}
+		})
+	}
+}
+
+// TestStreamingChunksFollowGroupsInFlight: a streaming receiver holds its
+// groups in chunks only while they are in flight. With 100 groups open at
+// a time over 10 000 delivered, at most ceil(in-flight/64)+1 chunks are
+// live at any point, and the rest wait on the free-list.
+func TestStreamingChunksFollowGroupsInFlight(t *testing.T) {
+	const (
+		k, total, window = 4, 10000, 100
+	)
+	cfg := Config{Session: 5, K: k, MaxParity: 2, ShardSize: 64}
+	r, err := NewReceiver(newSinkEnv(2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	r.OnGroup = func(uint32, [][]byte) { delivered++ }
+	frame, payload := make([]byte, packet.HeaderLen+cfg.ShardSize), make([]byte, cfg.ShardSize)
+	send := func(g uint32, seq int) {
+		p := packet.Packet{Type: packet.TypeData, Session: 5, Group: g, Seq: uint16(seq),
+			K: k, H: 2, Total: total * k, Payload: payload}
+		if _, err := p.MarshalTo(frame); err != nil {
+			t.Fatal(err)
+		}
+		r.HandlePacket(frame)
+	}
+	for i := 0; i < total+window; i++ {
+		if i < total {
+			send(uint32(i), 0) // opens group i
+		}
+		if old := i - window + 1; old >= 0 && old < total {
+			for seq := 1; seq < k; seq++ {
+				send(uint32(old), seq) // completes the oldest open group
+			}
+		}
+		live := 0
+		for _, c := range r.dir {
+			if c != nil && c != spent {
+				live++
+			}
+		}
+		if inFlight := liveGroups(r); live > (inFlight+63)/64+1 {
+			t.Fatalf("step %d: %d chunks live for %d groups in flight", i, live, inFlight)
+		}
+	}
+	free := 0
+	for c := r.free; c != nil; c = c.next {
+		free++
+	}
+	if delivered != total || free > (window+63)/64+1 {
+		t.Errorf("delivered %d of %d groups; %d chunks on the free-list", delivered, total, free)
+	}
+}
+
 // looseHeld counts, shard by shard, the data shards r holds outside its
 // message buffer: what r.loose must equal for the delivery gather to be
 // skipped safely.
 func looseHeld(r *Receiver) int {
 	n := 0
-	for _, g := range r.groups {
+	r.live(func(_ uint32, g *rxGroup) {
 		for j := 0; j < g.K; j++ {
 			if s := g.shards[j]; s != nil && !r.inPlace(s, r.msgBuf, g, j) {
 				n++
 			}
 		}
-	}
+	})
 	return n
 }
 
@@ -331,7 +436,7 @@ func TestInPlaceAdaptiveNc(t *testing.T) {
 			if err := packet.DecodeInto(&pkt, b); err != nil {
 				t.Fatalf("undecodable frame: %v", err)
 			}
-			if g := rc.groups[pkt.Group]; g != nil && g.base < 0 {
+			if g := rc.held(pkt.Group); g != nil && g.base < 0 {
 				early[i] += rc.loose - before
 			}
 		})
@@ -461,7 +566,7 @@ func TestInPlaceAdaptivePlacement(t *testing.T) {
 			}
 			base := 0
 			for i, k := range w.ks {
-				if g := r.groups[uint32(i)]; g.K != k || g.base != base {
+				if g := r.held(uint32(i)); g.K != k || g.base != base {
 					t.Fatalf("group %d: k %d at base %d, want k %d at base %d", i, g.K, g.base, k, base)
 				}
 				base += k
@@ -473,18 +578,27 @@ func TestInPlaceAdaptivePlacement(t *testing.T) {
 // TestForgedTotalBoundsAllocation: one forged packet declaring the largest
 // acceptable transfer (an announcement of MaxGroups x the largest k shards:
 // 10 GiB here on the static session, 32 GiB at the ladder's k = 32) buys
-// the first commit step and the release bitset, not the declared size.
+// the first commit step, the group directory and one chunk, not the
+// declared size. A frame for the last group MaxGroups admits buys the
+// directory (one pointer per 64 groups: 128 KiB) and one chunk, and no
+// buffer: its shard lies past the first step.
 func TestForgedTotalBoundsAllocation(t *testing.T) {
 	static := Config{Session: 7, K: 10, MaxParity: 2, ShardSize: 1024}
 	ladder := adaptiveConfig()
 	ladder.ShardSize = 1024
+	d := static
+	d.Defaults()
+	last := uint32(d.MaxGroups - 1)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		p    packet.Packet
+		buf  int // the message buffer the packets buy
 	}{
-		{"static", static, packet.Packet{K: 10, H: 2, Total: 10 << 20}},
-		{"adaptive", ladder, packet.Packet{K: 32, H: 4, Total: 32 << 20}},
+		{"static", static, packet.Packet{K: 10, H: 2, Total: 10 << 20}, firstCommit},
+		{"adaptive", ladder, packet.Packet{K: 32, H: 4, Total: 32 << 20}, firstCommit},
+		{"static last group", static, packet.Packet{K: 10, H: 2, Group: last}, 0},
+		{"adaptive last group", ladder, packet.Packet{K: 32, H: 4, Group: last}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, _ := directReceiver(t, tc.cfg)
@@ -495,18 +609,18 @@ func TestForgedTotalBoundsAllocation(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			r.HandlePacket(wire)
 			runtime.ReadMemStats(&after)
-			if r.Stats().DataRx != 1 || len(r.msgBuf) != firstCommit {
-				t.Fatalf("packet not accepted in place: DataRx %d, buffer %d", r.Stats().DataRx, len(r.msgBuf))
+			if r.Stats().DataRx != 1 || len(r.msgBuf) != tc.buf {
+				t.Fatalf("packet not accepted: DataRx %d, buffer %d, want 1 and %d", r.Stats().DataRx, len(r.msgBuf), tc.buf)
 			}
-			const bookkeeping = 1 << 20 // release bitset (128 KiB) and group state
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > firstCommit+bookkeeping {
-				t.Errorf("one forged packet allocated %d bytes, want <= %d", grew, firstCommit+bookkeeping)
+			const bookkeeping = 1 << 20 // group directory (128 KiB) and one chunk
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(tc.buf)+bookkeeping {
+				t.Errorf("one forged packet allocated %d bytes, want <= %d", grew, tc.buf+bookkeeping)
 			}
 			// Later steps are bought with accepted bytes only: a shard far beyond
 			// the first step falls back to the pool instead of growing the buffer.
 			p.Group, p.Seq = uint32(firstCommit/(10*1024))+5, 1
 			r.HandlePacket(p.MustEncode())
-			if r.Stats().DataRx != 2 || len(r.msgBuf) != firstCommit {
+			if r.Stats().DataRx != 2 || len(r.msgBuf) != tc.buf {
 				t.Errorf("far shard: DataRx %d, buffer %d; want accepted without growth", r.Stats().DataRx, len(r.msgBuf))
 			}
 		})
@@ -656,8 +770,8 @@ func TestReceiverPeakHeapAdaptiveTransfer(t *testing.T) {
 
 // TestOnCompleteSteadyStateZeroAlloc pins the OnComplete-mode packet path
 // next to the streaming pins: once the message buffer is committed and a
-// group's bookkeeping exists (its first packet allocates the rxGroup and
-// shard table, which this mode holds until delivery), HandlePacket
+// group's bookkeeping exists (the first group of each 64-group chunk
+// allocates the chunk, which this mode holds until delivery), HandlePacket
 // allocates nothing — shards land in the message buffer, not in fresh
 // buffers — through group completion and through a reconstruction.
 func TestOnCompleteSteadyStateZeroAlloc(t *testing.T) {

@@ -104,7 +104,7 @@ func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 	const (
 		k     = 8
 		shard = 256
-		total = 32768 // presizes the release bitset well past the run
+		total = 32768 // presizes the group directory well past the run
 	)
 	for _, tc := range []struct {
 		name   string
@@ -159,8 +159,8 @@ func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
 			if tc.decode && r.Stats().Decodes < 200 {
 				t.Errorf("only %d decodes; the reconstruct path was not exercised", r.Stats().Decodes)
 			}
-			if len(r.groups) != 0 {
-				t.Errorf("%d groups still resident after streaming release", len(r.groups))
+			if n := liveGroups(r); n != 0 {
+				t.Errorf("%d groups still resident after streaming release", n)
 			}
 		})
 	}

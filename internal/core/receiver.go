@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"rmfec/internal/gf256"
@@ -50,26 +51,26 @@ func (st ReceiverStats) MeanLatency() time.Duration {
 // payload byte once: packets are decoded in place (packet.DecodeInto) and,
 // with OnComplete set, a data shard is copied or rebuilt straight into its
 // final offset of the message buffer (shardBuf). In streaming mode (see
-// OnGroup) shards are pooled and each group's buffers and bookkeeping
-// return to their free-lists as soon as the group is delivered, so an
-// arbitrarily long transfer runs in memory proportional to the number of
-// groups in flight.
+// OnGroup) shards are pooled and each group's buffers return to their
+// free-list as soon as the group is delivered; its bookkeeping lives in a
+// chunk of 64 groups (rxChunk), which is recycled once all 64 are
+// delivered, so an arbitrarily long transfer runs in memory proportional
+// to the number of groups in flight.
 type Receiver struct {
 	env Env
 	cfg Config
 	rx  RxRules // admission, adoption, deficit, NC and NAK rules, shared with internal/field
 
-	groups   map[uint32]*rxGroup
 	msgLen   uint64 // valid once a FIN arrived
 	sawFin   bool
 	decoded  int
 	complete bool
 	closed   bool
 
-	// group's one-entry memo: lastG is groups[lastIdx], the entry looked up
-	// last, or nil (nothing looked up yet, or that group was released).
-	lastIdx uint32
-	lastG   *rxGroup
+	// dir is the group table: group idx is dir[idx>>chunkShift].g[idx&63];
+	// nil = no group of that chunk created yet, spent = all 64 released.
+	dir  []*rxChunk
+	free *rxChunk // chunks recycled after streaming release
 
 	// msgBuf is the message under reassembly (OnComplete mode), committed in
 	// steps (commit): data shard seq of group g is message shard g.base+seq
@@ -86,9 +87,7 @@ type Receiver struct {
 	looseMin  int // while loose > 0: the lowest message shard index among them, 0 if one had no base
 	gathers   int // shards the delivery gather had to copy into msgBuf
 
-	shardPool  bufPool    // recycled shard buffers (ShardSize each)
-	freeGroups []*rxGroup // recycled group bookkeeping (streaming mode)
-	doneBits   []uint64   // groups released after streaming delivery
+	shardPool bufPool // recycled shard buffers (ShardSize each)
 
 	// arq marks an N2 receiver (NewReceiverN2), which no POLL reaches: a
 	// frame for a group at or past nextGap NAKs the unseen groups before it.
@@ -128,6 +127,26 @@ type rxGroup struct {
 	haveBits uint64
 }
 
+// chunkShift: the receiver keeps its groups in chunks of 1<<chunkShift
+// consecutive indices.
+const chunkShift = 6
+
+// rxChunk is the bookkeeping of 64 consecutive groups. made marks the
+// groups created, gone those released after streaming delivery. Their
+// shard tables are cut from tab, of which tab[:cut] is handed out; next
+// links the receiver's free chunks.
+type rxChunk struct {
+	g          [1 << chunkShift]rxGroup
+	made, gone uint64
+	tab        [][]byte
+	cut        int
+	next       *rxChunk
+}
+
+// spent is the directory entry of a chunk whose groups were all released:
+// shared by every receiver and never written.
+var spent = &rxChunk{made: ^uint64(0), gone: ^uint64(0)}
+
 // NewReceiver creates an NP receiver. cfg must agree with the sender's on
 // Session, K, MaxParity and ShardSize.
 func NewReceiver(env Env, cfg Config) (*Receiver, error) {
@@ -160,7 +179,6 @@ func newReceiver(env Env, cfg Config, arq bool) (*Receiver, error) {
 		rx:        rx,
 		arq:       arq,
 		firstStep: firstCommit,
-		groups:    make(map[uint32]*rxGroup),
 		shardPool: bufPool{minCap: cfg.ShardSize},
 		m:         newReceiverMetrics(cfg.Metrics),
 	}, nil
@@ -175,69 +193,82 @@ func (r *Receiver) Complete() bool { return r.complete }
 // Close stops the receiver and cancels pending NAK timers.
 func (r *Receiver) Close() {
 	r.closed = true
-	for _, g := range r.groups {
+	r.live(func(_ uint32, g *rxGroup) {
 		if g.nakCancel != nil {
 			g.nakCancel()
 		}
+	})
+}
+
+// live calls f on every group created and not released, in index order.
+func (r *Receiver) live(f func(idx uint32, g *rxGroup)) {
+	for w, c := range r.dir {
+		if c == nil {
+			continue
+		}
+		for m := c.made &^ c.gone; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			f(uint32(w<<chunkShift|i), &c.g[i])
+		}
 	}
 }
 
-// released reports whether a group was delivered and its state recycled
-// (streaming mode). Such a group is done; only the bit remembers it.
-func (r *Receiver) released(idx uint32) bool {
-	w := int(idx >> 6)
-	return w < len(r.doneBits) && r.doneBits[w]&(1<<(idx&63)) != 0
-}
-
-func (r *Receiver) setReleased(idx uint32) {
-	w := int(idx >> 6)
-	if w >= len(r.doneBits) {
-		// Sized for the whole transfer once its size is known — the FIN's
-		// group count, or the groups the announced shards fill at the
-		// largest k — so the steady state never grows it.
-		n := max(r.rx.total, (r.slots+r.rx.maxK-1)/r.rx.maxK)
-		// bitset grows once to the group count, amortized before it is known
-		r.doneBits = append(r.doneBits, make([]uint64, max(w+1, (n+63)/64)-len(r.doneBits))...)
+// held returns group idx's bookkeeping, or nil if the group was never
+// created or has been released.
+func (r *Receiver) held(idx uint32) *rxGroup {
+	if w := int(idx >> chunkShift); w < len(r.dir) {
+		if c := r.dir[w]; c != nil && (c.made&^c.gone)&(1<<(idx&63)) != 0 {
+			return &c.g[idx&63]
+		}
 	}
-	r.doneBits[w] |= 1 << (idx & 63)
+	return nil
 }
 
 // group returns the bookkeeping for TG idx, creating it with the given
-// parameters when first seen. k = 0 means the parameters are unknown yet
-// (a group announced only by a FIN): state is sized to the ladder's bounds
+// parameters when first seen, or nil once the group was released (a late
+// frame resurrects nothing). k = 0 means the parameters are unknown yet (a
+// group announced only by a FIN): state is sized to the ladder's bounds
 // and the true (k, h) is adopted from the group's first frame.
-//
-// A group's shards arrive back to back, so the last answer is remembered:
-// an OnComplete session holds every group in the map until delivery, and
-// one probe per shard into it costs more than the rest of the shard path.
 func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
-	if r.lastG != nil && r.lastIdx == idx {
-		return r.lastG
+	if g := r.held(idx); g != nil {
+		return g
 	}
-	g, ok := r.groups[idx]
-	if !ok {
-		nsh := k + h
-		if k == 0 {
-			nsh = r.rx.maxK + r.rx.maxH
-		}
-		if n := len(r.freeGroups); n > 0 {
-			g = r.freeGroups[n-1]
-			r.freeGroups[n-1] = nil
-			r.freeGroups = r.freeGroups[:n-1]
-			*g = rxGroup{shards: g.shards} // shards were nil'd at release
-			if len(g.shards) != nsh {
-				// re-size only when adjacent groups negotiated different (k,h)
-				g.shards = make([][]byte, nsh)
-			}
+	w, i := int(idx>>chunkShift), int(idx&63)
+	if w >= len(r.dir) {
+		// Sized for the whole transfer once its size is known — the FIN's
+		// group count, or the groups the announced shards fill at the
+		// largest k — so the steady state never grows it.
+		total := max(r.rx.total, (r.slots+r.rx.maxK-1)/r.rx.maxK)
+		// directory grows once to the group count, amortized before it is known
+		r.dir = append(r.dir, make([]*rxChunk, max(w+1, (total+63)>>chunkShift)-len(r.dir))...)
+	}
+	c := r.dir[w]
+	if c == nil {
+		if c = r.free; c != nil {
+			r.free = c.next
 		} else {
-			// one allocation per live group; groups recycle through freeGroups
-			g = &rxGroup{shards: make([][]byte, nsh)}
+			// one chunk per 64 groups; chunks recycle through r.free
+			c = new(rxChunk)
 		}
-		g.K, g.H, g.base = k, h, -1
-		r.groups[idx] = g
-		r.setBase(idx, g)
+		r.dir[w] = c
 	}
-	r.lastIdx, r.lastG = idx, g
+	if c.gone&(1<<i) != 0 {
+		return nil
+	}
+	n := k + h
+	if k == 0 {
+		n = r.rx.maxK + r.rx.maxH
+	}
+	if c.cut+n > len(c.tab) {
+		// one array for the chunk's shard tables, sized for the groups it
+		// has left at this k+h; re-cut only when a group needs more
+		c.tab, c.cut = make([][]byte, (1<<chunkShift-bits.OnesCount64(c.made))*n), 0
+	}
+	g := &c.g[i]
+	*g = rxGroup{RxParams: RxParams{K: k, H: h}, shards: c.tab[c.cut : c.cut+n : c.cut+n], base: -1}
+	c.cut += n
+	c.made |= 1 << i
+	r.setBase(idx, g)
 	return g
 }
 
@@ -255,7 +286,7 @@ func (r *Receiver) setBase(idx uint32, g *rxGroup) {
 	if idx != r.frontG {
 		return
 	}
-	for ; g != nil && g.K > 0; g = r.groups[r.frontG] {
+	for ; g != nil && g.K > 0; g = r.held(r.frontG) {
 		g.base = r.frontBase
 		r.frontBase += g.K
 		r.frontG++
@@ -272,22 +303,17 @@ func (r *Receiver) putShards(shards [][]byte) {
 	}
 }
 
-// releaseGroup recycles a delivered group's buffers and bookkeeping and
-// marks the index done in the bitset, so later packets for it are ignored
-// without resurrecting state.
+// releaseGroup recycles a delivered group's buffers (finishGroup already
+// cancelled its NAK timer) and marks it released in its chunk, so later
+// packets for it are ignored without resurrecting state. The chunk itself
+// is recycled once its last group is released.
 func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
-	r.setReleased(idx)
 	r.putShards(g.shards)
-	if g.nakCancel != nil {
-		g.nakCancel()
-		g.nakCancel = nil
+	c := r.dir[idx>>chunkShift]
+	if c.gone |= 1 << (idx & 63); c.gone == ^uint64(0) {
+		r.dir[idx>>chunkShift] = spent
+		c.made, c.gone, c.cut, c.next, r.free = 0, 0, 0, r.free, c
 	}
-	delete(r.groups, idx)
-	if r.lastIdx == idx {
-		r.lastG = nil
-	}
-	// free-list growth is amortized across the session
-	r.freeGroups = append(r.freeGroups, g)
 }
 
 // firstCommit is the first step of the message-buffer commit rule.
@@ -356,14 +382,14 @@ func (r *Receiver) grow(size int) {
 	// message buffer commit: at most log4(size/firstCommit)+1 steps per session
 	r.msgBuf = make([]byte, size)
 	copy(r.msgBuf, old)
-	for _, g := range r.groups {
+	r.live(func(_ uint32, g *rxGroup) {
 		for j := 0; j < g.K; j++ {
 			if s := g.shards[j]; r.inPlace(s, old, g, j) {
 				off := r.offset(g, j)
 				g.shards[j] = r.msgBuf[off : off+len(s) : off+r.cfg.ShardSize]
 			}
 		}
-	}
+	})
 }
 
 // HandlePacket feeds an incoming wire packet to the engine. The buffer is
@@ -409,11 +435,8 @@ func (r *Receiver) tgGroup(pkt *packet.Packet) *rxGroup {
 		return nil
 	}
 	r.noteHeader(pkt)
-	if r.released(pkt.Group) {
-		return nil
-	}
 	g := r.group(pkt.Group, k, h)
-	if g.done {
+	if g == nil || g.done {
 		return nil
 	}
 	fresh := g.K == 0
@@ -468,18 +491,8 @@ func (r *Receiver) onShard(pkt *packet.Packet) {
 
 func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 	gk := g.K
-	nsh := gk + g.H
-	if nsh > len(g.shards) {
-		nsh = len(g.shards)
-	}
-	needsDecode := false
-	for i := 0; i < gk; i++ {
-		if g.shards[i] == nil {
-			needsDecode = true
-			break
-		}
-	}
-	if needsDecode {
+	nsh := gk + g.H // a table holds k+h shards, or more if the FIN created it
+	if slices.ContainsFunc(g.shards[:gk], func(s []byte) bool { return s == nil }) {
 		code, err := r.rx.codecs.get(gk, g.H, g.codecID, g.codecArg)
 		if err != nil {
 			return // unserviceable (k,h); the group stays incomplete
@@ -595,10 +608,7 @@ func (r *Receiver) armGaps(idx uint32) {
 		return
 	}
 	for m := r.nextGap; m < idx; m++ {
-		if r.released(m) {
-			continue
-		}
-		if g := r.group(m, 0, 0); !g.done && !g.nakArmed {
+		if g := r.group(m, 0, 0); g != nil && !g.done && !g.nakArmed {
 			r.armNak(m, g, 2)
 		}
 	}
@@ -682,8 +692,8 @@ func (r *Receiver) onNcRepair(pkt *packet.Packet) {
 // onNak handles another receiver's NAK for damping: hearing NAK(i,m) with
 // m >= own deficit suppresses the own pending NAK for that round.
 func (r *Receiver) onNak(pkt *packet.Packet) {
-	g, ok := r.groups[pkt.Group]
-	if !ok || g.done {
+	g := r.held(pkt.Group)
+	if g == nil || g.done {
 		return
 	}
 	if int(pkt.Count) > g.heardNak {
@@ -704,11 +714,7 @@ func (r *Receiver) onFin(pkt *packet.Packet) {
 	// unknown parameters (k = 0): state is sized to the ladder bounds
 	// until a frame announces the group's (k, h).
 	for i := 0; i < r.rx.total; i++ {
-		if r.released(uint32(i)) {
-			continue
-		}
-		g := r.group(uint32(i), 0, 0)
-		if !g.done && !g.nakArmed {
+		if g := r.group(uint32(i), 0, 0); g != nil && !g.done && !g.nakArmed {
 			r.armNak(uint32(i), g, r.rx.GroupK(&g.RxParams))
 		}
 	}
@@ -736,7 +742,7 @@ func (r *Receiver) maybeComplete() {
 	ss := r.cfg.ShardSize
 	held := 0
 	for i := 0; i < total; i++ {
-		g := r.groups[uint32(i)]
+		g := r.held(uint32(i))
 		if g == nil || !g.done {
 			return // groups outside [0, total) made up the count
 		}
@@ -754,7 +760,7 @@ func (r *Receiver) maybeComplete() {
 	// count, is not needed; else copy in the pooled ones it reaches into.
 	if r.loose > 0 && r.looseMin*ss < need {
 		for i, off := uint32(0), 0; off < need; i++ {
-			g := r.groups[i]
+			g := r.held(i)
 			for j := 0; j < g.K && off < need; j, off = j+1, off+ss {
 				if s := g.shards[j]; !r.inPlace(s, r.msgBuf, g, j) {
 					copy(r.msgBuf[off:], s)

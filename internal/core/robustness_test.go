@@ -99,9 +99,9 @@ func TestN2GapNaksBoundedByTotal(t *testing.T) {
 			for _, f := range tc.frames {
 				r.HandlePacket(f)
 			}
-			if n := sched.Pending(); n != 2 || len(r.groups) > 4 {
+			if n := sched.Pending(); n != 2 || liveGroups(r) > 4 {
 				t.Errorf("%d timers pending over %d groups, want 2 gap NAKs and at most 4 groups",
-					n, len(r.groups))
+					n, liveGroups(r))
 			}
 		})
 	}

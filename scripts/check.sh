@@ -114,7 +114,7 @@ go test ./...
 # The alloc pins (engines, medium, codecs, udpcast sends), the copy-once
 # pins (no second copy, forged Total, event order) and the medium's
 # accounting against the engines must run, not come from the test cache.
-go test -count=1 -run 'SteadyStateZeroAlloc|TestPollArmedNakAllocs|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestInPlaceGF16NoGather|TestInPlaceAdaptive|TestGroupMemo|TestMediumAccountingMatchesEngines' ./internal/core/
+go test -count=1 -run 'SteadyStateZeroAlloc|TestPollArmedNakAllocs|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestInPlaceGF16NoGather|TestInPlaceAdaptive|TestGroupTable|TestGroupCreationAllocs|TestStreamingChunksFollowGroupsInFlight|TestMediumAccountingMatchesEngines' ./internal/core/
 go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed|TestStaleCancelCancelsNothing|TestRunUntilStoppedEarlyKeepsClock|TestTimerSteadyStateOneAlloc|TestDeliveryRunCountsOnceInPending' ./internal/simnet/
 go test -count=1 -run '^(TestReconstructRecycledBuffersNoAlloc|TestSolveSmall|TestSendPathsZeroAlloc)$' ./internal/rect/ ./internal/gf16/ ./internal/udpcast/
 # Engine callbacks re-enter the Conn under its mutex; a method that takes
@@ -202,14 +202,14 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=11025
+loc_ceiling=11020
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
     exit 1
 fi
 echo "make loc total $loc <= $loc_ceiling"
-doc_ceiling=248534
+doc_ceiling=248512
 doc=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
 if [ "$doc" -gt "$doc_ceiling" ]; then
     echo "DESIGN.md + EXPERIMENTS.md are $doc bytes, over the doc_ceiling $doc_ceiling set in scripts/check.sh" >&2

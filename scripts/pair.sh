@@ -24,10 +24,14 @@
 # pads and each side's hot-symbol offsets mod 64, from `go tool nm`.
 #
 # Per end-to-end metric of BENCHMARK.json it prints each
-# side's median and quartiles, the change's wins/losses/ties over the pairs
-# and "gain" when the change wins >= 9/10 of the pairs AND the medians differ
-# by more than the parent's interquartile distance. Every run's result line
-# is kept in .bench_build/pair/<workload>.{parent,change}.jsonl.
+# side's median and quartiles, the change's wins/losses/ties over the pairs,
+# the exact two-sided sign-test p of the wins against the losses (ties
+# dropped), and a verdict: "gain" when the change wins >= 9/10 of the pairs
+# AND the medians differ by more than the parent's interquartile distance,
+# "loss" when it loses as often by as much, and "unresolved" for any sweep
+# of fewer than 6 pairs, whatever it read: with 5 pairs even 5/0 has
+# p = 2 * 2^-5 = 0.0625. Every run's result line is kept in
+# .bench_build/pair/<workload>.{parent,change}.jsonl.
 set -euo pipefail
 if [[ $# -lt 2 ]]; then
 	echo "usage: scripts/pair.sh <parent-ref> <workload>[,<workload>...]|all [pairs=10]" >&2
@@ -87,13 +91,18 @@ report() { # print the current workload's table from its two .jsonl files
 		echo "$side: failed $(grep -o '"failed":[0-9]*' "$out/$workload.$side.jsonl" | awk -F: '{s += $2} END {print s + 0}')" \
 			"of $(grep -o '"attempted":[0-9]*' "$out/$workload.$side.jsonl" | awk -F: '{s += $2} END {print s + 0}') attempted"
 	done
-	printf '%-20s %-34s %-34s %-10s %-8s %s\n' metric 'parent median [q1, q3]' 'change median [q1, q3]' 'win/loss/tie' ratio verdict
+	printf '%-20s %-34s %-34s %-10s %-8s %-8s %s\n' metric 'parent median [q1, q3]' 'change median [q1, q3]' 'win/loss/tie' ratio 'sign p' verdict
 	while read -r name better; do
 		paste <(values "$out/$workload.parent.jsonl" "$name") <(values "$out/$workload.change.jsonl" "$name") |
 			awk -v name="$name" -v better="$better" '
 			function quart(a, n, q,    pos, lo) { # linear interpolation between order statistics
 				pos = (n - 1) * q; lo = int(pos)
 				return lo + 1 >= n ? a[n] : a[lo + 1] + (pos - lo) * (a[lo + 2] - a[lo + 1])
+			}
+			function signp(a, b,    m, x, i, c, sum) { # exact two-sided binomial(m, 1/2) tail
+				m = a + b; x = a < b ? a : b; c = 1
+				for (i = 0; i <= x; i++) { sum += c; c = c * (m - i) / (i + 1) }
+				return 2 * sum / 2 ^ m < 1 ? 2 * sum / 2 ^ m : 1
 			}
 			function sorted(src, dst, n,    i, j, t) {
 				for (i = 1; i <= n; i++) dst[i] = src[i]
@@ -105,11 +114,12 @@ report() { # print the current workload's table from its two .jsonl files
 				sorted(p, ps, n); sorted(c, cs, n)
 				pm = quart(ps, n, 0.5); cm = quart(cs, n, 0.5); iqr = quart(ps, n, 0.75) - quart(ps, n, 0.25)
 				gap = better == "higher" ? cm - pm : pm - cm
-				verdict = (win * 10 >= (win + lose + tie) * 9 && gap > iqr) ? "gain" : "-"
-				printf "%-20s %-34s %-34s %-10s %-8s %s\n", name,
+				verdict = win * 10 >= n * 9 && gap > iqr ? "gain" : lose * 10 >= n * 9 && -gap > iqr ? "loss" : "-"
+				if (n < 6) verdict = "unresolved"
+				printf "%-20s %-34s %-34s %-10s %-8s %-8.4g %s\n", name,
 					sprintf("%.6g [%.6g, %.6g]", pm, quart(ps, n, 0.25), quart(ps, n, 0.75)),
 					sprintf("%.6g [%.6g, %.6g]", cm, quart(cs, n, 0.25), quart(cs, n, 0.75)),
-					sprintf("%d/%d/%d", win, lose, tie), sprintf("%.3fx", pm ? cm / pm : 0), verdict
+					sprintf("%d/%d/%d", win, lose, tie), sprintf("%.3fx", pm ? cm / pm : 0), signp(win, lose), verdict
 			}'
 	done <<<"$metrics"
 }
