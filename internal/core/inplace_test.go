@@ -499,6 +499,24 @@ func (w ladderWalk) slotsFrom(from, shardSize int) int {
 	return n
 }
 
+// reannounce returns frames with every TG header's shard-count announcement
+// (Total) rewritten by announce; nil leaves them as sent.
+func reannounce(frames []wireFrame, announce func(n uint32) uint32) []wireFrame {
+	if announce == nil {
+		return frames
+	}
+	out := make([]wireFrame, len(frames))
+	for i, f := range frames {
+		if f.typ != packet.TypeFin {
+			f.raw = append([]byte(nil), f.raw...)
+			total := f.raw[20:24]
+			binary.BigEndian.PutUint32(total, announce(binary.BigEndian.Uint32(total)))
+		}
+		out[i] = f
+	}
+	return out
+}
+
 // TestInPlaceAdaptivePlacement drives the placement rule over a session
 // that re-cuts (bases are running sums of differing k): as sent nothing is
 // gathered, the buffer committed at once or in many x4 steps; a group
@@ -530,18 +548,7 @@ func TestInPlaceAdaptivePlacement(t *testing.T) {
 			if r.firstStep = tc.firstStep; r.firstStep == 0 {
 				r.firstStep = 4 * len(w.msg)
 			}
-			frames := w.frames
-			if tc.announce != nil {
-				frames = make([]wireFrame, len(w.frames))
-				for i, f := range w.frames {
-					if f.typ != packet.TypeFin {
-						f.raw = append([]byte(nil), f.raw...)
-						total := f.raw[20:24] // the shard-count announcement
-						binary.BigEndian.PutUint32(total, tc.announce(binary.BigEndian.Uint32(total)))
-					}
-					frames[i] = f
-				}
-			}
+			frames := reannounce(w.frames, tc.announce)
 			isHeld := func(f wireFrame) bool { return f.typ != packet.TypeFin && int(f.group) == tc.held }
 			feed(r, frames, func(f wireFrame) bool { return f.typ != packet.TypeFin && !isHeld(f) })
 			if r.loose != looseHeld(r) {

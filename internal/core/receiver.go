@@ -380,7 +380,7 @@ func (r *Receiver) commit(end int) bool {
 func (r *Receiver) grow(size int) {
 	old := r.msgBuf
 	// message buffer commit: at most log4(size/firstCommit)+1 steps per session
-	r.msgBuf = make([]byte, size)
+	r.msgBuf = newMsgBuf(size)
 	copy(r.msgBuf, old)
 	r.live(func(_ uint32, g *rxGroup) {
 		for j := 0; j < g.K; j++ {
@@ -769,7 +769,7 @@ func (r *Receiver) maybeComplete() {
 			}
 		}
 	}
-	msg := r.msgBuf[:r.msgLen]
+	msg := r.msgBuf[:r.msgLen:r.msgLen] // the tail past msgLen was never written
 	r.msgBuf = nil
 	r.complete = true
 	r.stats.Reassembly = 1

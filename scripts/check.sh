@@ -12,8 +12,8 @@
 #   5. rmlint           project invariants (see internal/lint);
 #                       -metrics-schema must reproduce
 #                       scripts/metrics_schema.txt byte for byte
-#   6. go test          full test suite, then the copy-once receive-path,
-#                       NAK-service and POLL-armed NAK alloc pins, the
+#   6. go test          full test suite, then the copy-once receive-path
+#                       (the message buffer poisoned before use), NAK-service and POLL-armed NAK alloc pins, the
 #                       simnet event-order/alloc pins, the rect, gf16 and
 #                       udpcast send alloc pins, the medium's
 #                       per-node accounting against the engines, and
@@ -114,7 +114,7 @@ go test ./...
 # The alloc pins (engines, medium, codecs, udpcast sends), the copy-once
 # pins (no second copy, forged Total, event order) and the medium's
 # accounting against the engines must run, not come from the test cache.
-go test -count=1 -run 'SteadyStateZeroAlloc|TestPollArmedNakAllocs|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestInPlaceGF16NoGather|TestInPlaceAdaptive|TestGroupTable|TestGroupCreationAllocs|TestStreamingChunksFollowGroupsInFlight|TestMediumAccountingMatchesEngines' ./internal/core/
+go test -count=1 -run 'SteadyStateZeroAlloc|TestPollArmedNakAllocs|TestPoisonedMessageBuffer|TestForgedTotalBoundsAllocation|TestInPlaceNoGatherOnStaticPath|TestInPlaceGF16NoGather|TestInPlaceAdaptive|TestGroupTable|TestGroupCreationAllocs|TestStreamingChunksFollowGroupsInFlight|TestMediumAccountingMatchesEngines' ./internal/core/
 go test -count=1 -run 'TestMulticastSteadyStateZeroAlloc|TestDeliveryEventsKeepClosureOrder|TestHandlerBufferIsBorrowed|TestStaleCancelCancelsNothing|TestRunUntilStoppedEarlyKeepsClock|TestTimerSteadyStateOneAlloc|TestDeliveryRunCountsOnceInPending' ./internal/simnet/
 go test -count=1 -run '^(TestReconstructRecycledBuffersNoAlloc|TestSolveSmall|TestSendPathsZeroAlloc)$' ./internal/rect/ ./internal/gf16/ ./internal/udpcast/
 # Engine callbacks re-enter the Conn under its mutex; a method that takes
