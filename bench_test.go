@@ -206,7 +206,10 @@ func BenchmarkFig18Throughput(b *testing.B) {
 // --- Codec micro-benchmarks (the raw numbers behind Fig 1) ---
 
 func benchEncode(b *testing.B, k, h, size int) {
-	code := rse.MustNew(k, h)
+	code, err := rse.New(k, h)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1))
 	data := make([][]byte, k)
 	for i := range data {
@@ -228,7 +231,10 @@ func BenchmarkRSEEncodeK20H5(b *testing.B)   { benchEncode(b, 20, 5, 1024) }
 func BenchmarkRSEEncodeK100H20(b *testing.B) { benchEncode(b, 100, 20, 1024) }
 
 func benchReconstruct(b *testing.B, k, h, lose, size int) {
-	code := rse.MustNew(k, h)
+	code, err := rse.New(k, h)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(2))
 	data := make([][]byte, k)
 	for i := range data {
@@ -558,7 +564,10 @@ func BenchmarkAblationSymbolSize(b *testing.B) {
 		rng.Read(data[i])
 	}
 	b.Run("gf8", func(b *testing.B) {
-		code := rse.MustNew(k, h)
+		code, err := rse.New(k, h)
+	if err != nil {
+		b.Fatal(err)
+	}
 		parity := make([][]byte, h)
 		b.SetBytes(k * size)
 		for i := 0; i < b.N; i++ {

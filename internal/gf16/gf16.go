@@ -88,9 +88,6 @@ func init() {
 	logTbl[0] = logZero
 }
 
-// Add returns a+b (XOR).
-func Add(a, b uint16) uint16 { return a ^ b }
-
 // Mul returns the field product a*b.
 func Mul(a, b uint16) uint16 {
 	if a == 0 || b == 0 {
@@ -108,37 +105,6 @@ func Div(a, b uint16) uint16 {
 		return 0
 	}
 	return expTbl[logTbl[a]-logTbl[b]+groupOrder]
-}
-
-// Inv returns the multiplicative inverse of a; it panics if a is zero.
-func Inv(a uint16) uint16 {
-	if a == 0 {
-		panic("gf16: inverse of zero")
-	}
-	return expTbl[groupOrder-logTbl[a]]
-}
-
-// Exp returns alpha^e for e >= 0, alpha the primitive element.
-func Exp(e int) uint16 {
-	if e < 0 {
-		panic("gf16: negative exponent")
-	}
-	return expTbl[e%groupOrder]
-}
-
-// Pow returns a^e; a^0 == 1 for every a.
-func Pow(a uint16, e int) uint16 {
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	le := (int(logTbl[a]) * e) % groupOrder
-	if le < 0 {
-		le += groupOrder
-	}
-	return expTbl[le]
 }
 
 // checkPairs panics unless src and dst have one even length: the slice

@@ -7,7 +7,7 @@
 // carried out through logarithm/antilogarithm tables built at package
 // initialisation.
 //
-// The package provides scalar operations, vectorised multiply-accumulate
+// The package provides the scalar product and inverse, vectorised multiply-accumulate
 // kernels, the fused row product (Rows.MulRows) the Reed-Solomon erasure
 // codec in package rse encodes and decodes with, and dense matrix
 // operations (Vandermonde construction, Gaussian-elimination inversion)
@@ -28,7 +28,7 @@ const Generator = 0x02
 const Order = 256
 
 var (
-	// expTbl[i] = alpha^i for i in [0,510); doubled so Mul can skip a
+	// expTbl[i] = alpha^i for i in [0,510); doubled so mulSlow can skip a
 	// modular reduction of the exponent sum.
 	expTbl [510]byte
 	// logTbl[x] = log_alpha(x) for x != 0. logTbl[0] is a sentinel that is
@@ -76,25 +76,8 @@ func mulSlow(a, b byte) byte {
 	return expTbl[logTbl[a]+logTbl[b]]
 }
 
-// Add returns a+b in GF(2^8). Addition and subtraction coincide (XOR).
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8); identical to Add.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns the field product a*b.
 func Mul(a, b byte) byte { return mulTbl[a][b] }
-
-// Div returns a/b. It panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTbl[logTbl[a]-logTbl[b]+255]
-}
 
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
@@ -102,37 +85,6 @@ func Inv(a byte) byte {
 		panic("gf256: inverse of zero")
 	}
 	return invTbl[a]
-}
-
-// Exp returns alpha^e for e >= 0.
-func Exp(e int) byte {
-	if e < 0 {
-		panic("gf256: negative exponent in Exp")
-	}
-	return expTbl[e%255]
-}
-
-// Log returns log_alpha(a) in [0,255). It panics if a is zero.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTbl[a])
-}
-
-// Pow returns a^e. a^0 == 1 for every a, including 0 (empty product).
-func Pow(a byte, e int) byte {
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	le := (int(logTbl[a]) * e) % 255
-	if le < 0 {
-		le += 255
-	}
-	return expTbl[le]
 }
 
 func lengthMismatch(op string, a, b int) string {

@@ -11,16 +11,16 @@ func TestTablesConsistent(t *testing.T) {
 	// exp and log are mutually inverse on the non-zero elements.
 	seen := make(map[byte]bool)
 	for i := 0; i < 255; i++ {
-		v := Exp(i)
+		v := expTbl[i]
 		if v == 0 {
-			t.Fatalf("Exp(%d) = 0", i)
+			t.Fatalf("alpha^%d = 0", i)
 		}
 		if seen[v] {
-			t.Fatalf("Exp(%d) = %#x repeats an earlier power; generator not primitive", i, v)
+			t.Fatalf("alpha^%d = %#x repeats an earlier power; generator not primitive", i, v)
 		}
 		seen[v] = true
-		if Log(v) != i {
-			t.Fatalf("Log(Exp(%d)) = %d", i, Log(v))
+		if logTbl[v] != int32(i) {
+			t.Fatalf("log(alpha^%d) = %d", i, logTbl[v])
 		}
 	}
 	if len(seen) != 255 {
@@ -56,33 +56,19 @@ func TestMulMatchesCarrylessReference(t *testing.T) {
 func TestFieldAxiomsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 2000}
 	if err := quick.Check(func(a, b, c byte) bool {
-		// Commutativity and associativity of both operations.
-		if Add(a, b) != Add(b, a) || Mul(a, b) != Mul(b, a) {
-			return false
-		}
-		if Add(Add(a, b), c) != Add(a, Add(b, c)) {
-			return false
-		}
-		if Mul(Mul(a, b), c) != Mul(a, Mul(b, c)) {
+		// Commutativity and associativity of the product; addition is XOR.
+		if Mul(a, b) != Mul(b, a) || Mul(Mul(a, b), c) != Mul(a, Mul(b, c)) {
 			return false
 		}
 		// Distributivity.
-		return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c))
+		return Mul(a, b^c) == Mul(a, b)^Mul(a, c)
 	}, cfg); err != nil {
 		t.Error(err)
 	}
 	if err := quick.Check(func(a byte) bool {
 		// Identities and inverses.
-		if Add(a, 0) != a || Mul(a, 1) != a || Add(a, a) != 0 {
+		if Mul(a, 1) != a || a != 0 && (Mul(a, Inv(a)) != 1 || Inv(Inv(a)) != a) {
 			return false
-		}
-		if a != 0 {
-			if Mul(a, Inv(a)) != 1 {
-				return false
-			}
-			if Div(a, a) != 1 {
-				return false
-			}
 		}
 		return Mul(a, 0) == 0
 	}, cfg); err != nil {
@@ -90,29 +76,29 @@ func TestFieldAxiomsQuick(t *testing.T) {
 	}
 }
 
+// TestDivInverseOfMul: division is multiplication by Inv, and undoes Mul.
 func TestDivInverseOfMul(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		for b := 1; b < 256; b++ {
 			p := Mul(byte(a), byte(b))
-			if Div(p, byte(b)) != byte(a) {
-				t.Fatalf("Div(Mul(%#x,%#x),%#x) != %#x", a, b, b, a)
+			if Mul(p, Inv(byte(b))) != byte(a) {
+				t.Fatalf("Mul(Mul(%#x,%#x),Inv(%#x)) != %#x", a, b, b, a)
 			}
 		}
 	}
 }
 
+// TestPow: a^e by repeated Mul is alpha^(e log a) read from the tables,
+// over more than two turns of the multiplicative group.
 func TestPow(t *testing.T) {
-	for a := 0; a < 256; a++ {
-		want := byte(1)
+	for a := 1; a < 256; a++ {
+		p := byte(1)
 		for e := 0; e < 520; e++ {
-			if got := Pow(byte(a), e); got != want {
-				t.Fatalf("Pow(%#x,%d) = %#x, want %#x", a, e, got, want)
+			if want := expTbl[int(logTbl[a])*e%255]; p != want {
+				t.Fatalf("%#x^%d = %#x by Mul, %#x by the tables", a, e, p, want)
 			}
-			want = Mul(want, byte(a))
+			p = Mul(p, byte(a))
 		}
-	}
-	if Pow(0, 0) != 1 {
-		t.Errorf("Pow(0,0) = %d, want 1 (empty product)", Pow(0, 0))
 	}
 }
 
@@ -126,10 +112,7 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Div by zero", func() { Div(3, 0) })
 	mustPanic("Inv of zero", func() { Inv(0) })
-	mustPanic("Log of zero", func() { Log(0) })
-	mustPanic("negative Exp", func() { Exp(-1) })
 	mustPanic("MulSlice mismatch", func() { MulSlice(2, make([]byte, 3), make([]byte, 4)) })
 	mustPanic("MulAddSlice mismatch", func() { MulAddSlice(2, make([]byte, 3), make([]byte, 4)) })
 }

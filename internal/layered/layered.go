@@ -208,9 +208,9 @@ func (s *Shim) emitParities() error {
 		data = append(data, make([]byte, s.cfg.ShardSize+2))
 	}
 	var firstErr error
+	row := [1][]byte{} // one parity at a time; Encode copies it into the frame
 	for j := 0; j < s.cfg.H; j++ {
-		shard, err := s.code.EncodeParity(j, data, nil)
-		if err != nil {
+		if err := s.code.EncodeRows(j, data, row[:]); err != nil {
 			return err
 		}
 		wp := packet.Packet{
@@ -220,7 +220,7 @@ func (s *Shim) emitParities() error {
 			Seq:     uint16(s.cfg.K + j),
 			K:       uint16(s.cfg.K),
 			Count:   uint16(fill),
-			Payload: shard,
+			Payload: row[0],
 		}
 		wire, err := wp.Encode()
 		if err != nil {

@@ -62,15 +62,6 @@ func New(k, d int) (*Code, error) {
 	return c, nil
 }
 
-// MustNew is New panicking on error, for statically valid parameters.
-func MustNew(k, d int) *Code {
-	c, err := New(k, d)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // K returns the number of data shards per block.
 func (c *Code) K() int { return c.k }
 
@@ -123,8 +114,8 @@ func (c *Code) encodeRow(j int, data [][]byte, dst []byte) {
 }
 
 // EncodeRows computes the run of parity shards j, ..., j+len(dst)-1 (the
-// XORs of data classes j, ...) into dst, resizing each entry like
-// EncodeParity.
+// XORs of data classes j, ...) into dst, each entry resized to the data
+// length, reusing its backing array when it has the capacity.
 func (c *Code) EncodeRows(j int, data, dst [][]byte) error {
 	if j < 0 || j+len(dst) > c.d {
 		return fmt.Errorf("%w: rows [%d,%d) not in [0,%d)", ErrBadParityIndex, j, j+len(dst), c.d)
@@ -140,18 +131,9 @@ func (c *Code) EncodeRows(j int, data, dst [][]byte) error {
 	return nil
 }
 
-// EncodeParity computes parity shard j (the XOR of data class j) into
-// dst, reusing dst's backing array when it has capacity, and returns the
-// resulting slice.
-func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
-	row := [1][]byte{dst}
-	err := c.EncodeRows(j, data, row[:])
-	return row[0], err
-}
-
 // EncodeBlocks batch-encodes nb consecutive blocks: data holds nb*k data
 // shards, parity nb*d slices which are resized and overwritten. Row j of
-// block b is byte for byte what EncodeParity(j) returns for that block.
+// block b is byte for byte what EncodeRows(j) writes for that block.
 func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 	if len(data)%c.k != 0 {
 		return fmt.Errorf("%w: %d data shards, want a multiple of %d", ErrBadShardCount, len(data), c.k)

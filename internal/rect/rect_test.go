@@ -7,6 +7,23 @@ import (
 	"testing"
 )
 
+// mustNew is New for parameters the test knows are valid.
+func mustNew(k, d int) *Code {
+	c, err := New(k, d)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// encodeParity is EncodeRows for a run of one: parity shard j into dst,
+// grown if needed and returned.
+func encodeParity(c *Code, j int, data [][]byte, dst []byte) ([]byte, error) {
+	row := [1][]byte{dst}
+	err := c.EncodeRows(j, data, row[:])
+	return row[0], err
+}
+
 func randBlock(t *testing.T, rng *rand.Rand, k, size int) [][]byte {
 	t.Helper()
 	data := make([][]byte, k)
@@ -46,10 +63,10 @@ func TestNewValidation(t *testing.T) {
 func TestEncodeParityMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ k, d int }{{20, 4}, {20, 3}, {7, 2}, {5, 5}, {32, 1}} {
-		c := MustNew(tc.k, tc.d)
+		c := mustNew(tc.k, tc.d)
 		data := randBlock(t, rng, tc.k, 129)
 		for j := 0; j < tc.d; j++ {
-			got, err := c.EncodeParity(j, data, nil)
+			got, err := encodeParity(c, j, data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,17 +76,17 @@ func TestEncodeParityMatchesDefinition(t *testing.T) {
 			}
 		}
 	}
-	c := MustNew(8, 2)
-	if _, err := c.EncodeParity(2, randBlock(t, rng, 8, 8), nil); err == nil {
+	c := mustNew(8, 2)
+	if _, err := encodeParity(c, 2, randBlock(t, rng, 8, 8), nil); err == nil {
 		t.Fatal("out-of-range parity index accepted")
 	}
 }
 
 // TestEncodeBlocksMatchesEncodeParity checks the batch encode row by row
-// against EncodeParity on each block, and its count and size validation.
+// against a one-row EncodeRows on each block, and its count and size validation.
 func TestEncodeBlocksMatchesEncodeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := MustNew(12, 3)
+	c := mustNew(12, 3)
 	const nb, size = 5, 64
 	data := randBlock(t, rng, nb*12, size)
 	got := make([][]byte, nb*3)
@@ -78,12 +95,12 @@ func TestEncodeBlocksMatchesEncodeParity(t *testing.T) {
 	}
 	for b := 0; b < nb; b++ {
 		for j := 0; j < 3; j++ {
-			want, err := c.EncodeParity(j, data[b*12:(b+1)*12], nil)
+			want, err := encodeParity(c, j, data[b*12:(b+1)*12], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got[b*3+j], want) {
-				t.Fatalf("block %d row %d differs from EncodeParity", b, j)
+				t.Fatalf("block %d row %d differs from encodeParity", b, j)
 			}
 		}
 	}
@@ -102,7 +119,7 @@ func TestEncodeBlocksMatchesEncodeParity(t *testing.T) {
 
 func TestReconstructAllSingleLossPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := MustNew(20, 4)
+	c := mustNew(20, 4)
 	data := randBlock(t, rng, 20, 77)
 	parity := make([][]byte, 4)
 	if err := c.EncodeBlocks(data, parity); err != nil {
@@ -130,7 +147,7 @@ func TestReconstructAllSingleLossPatterns(t *testing.T) {
 
 func TestReconstructUnrecoverable(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := MustNew(8, 2)
+	c := mustNew(8, 2)
 	data := randBlock(t, rng, 8, 16)
 	parity := make([][]byte, 2)
 	if err := c.EncodeBlocks(data, parity); err != nil {
@@ -156,7 +173,7 @@ func TestReconstructUnrecoverable(t *testing.T) {
 
 func TestReconstructRecycledBuffersNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := MustNew(16, 4)
+	c := mustNew(16, 4)
 	const size = 128
 	data := randBlock(t, rng, 16, size)
 	parity := make([][]byte, 4)
@@ -184,20 +201,20 @@ func TestReconstructRecycledBuffersNoAlloc(t *testing.T) {
 		if err := c.EncodeBlocks(data, parity); err != nil {
 			t.Fatal(err)
 		}
-		if p, err := c.EncodeParity(3, data, row); err != nil || !bytes.Equal(p, parity[3]) {
-			t.Fatal("recycled-buffer EncodeParity wrong")
+		if p, err := encodeParity(c, 3, data, row); err != nil || !bytes.Equal(p, parity[3]) {
+			t.Fatal("recycled-buffer encodeParity wrong")
 		}
 		if c.ShortfallBits((1<<20-1)&^(1<<3|1<<19)) != 1 {
 			t.Fatal("ShortfallBits wrong")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reconstruct, EncodeBlocks, EncodeParity and ShortfallBits with recycled buffers allocate %.1f/op", allocs)
+		t.Fatalf("Reconstruct, EncodeBlocks, encodeParity and ShortfallBits with recycled buffers allocate %.1f/op", allocs)
 	}
 }
 
 func TestShortfallBits(t *testing.T) {
-	c := MustNew(20, 4)
+	c := mustNew(20, 4)
 	all := uint64(1<<24) - 1
 	if got := c.ShortfallBits(all); got != 0 {
 		t.Fatalf("complete block shortfall = %d", got)
@@ -245,7 +262,7 @@ func TestReconstructMatchesShortfall(t *testing.T) {
 	// deficient classes held, Reconstruct must succeed and reproduce the
 	// data exactly.
 	rng := rand.New(rand.NewSource(7))
-	c := MustNew(12, 3)
+	c := mustNew(12, 3)
 	data := randBlock(t, rng, 12, 33)
 	parity := make([][]byte, 3)
 	if err := c.EncodeBlocks(data, parity); err != nil {
@@ -282,7 +299,7 @@ func TestReconstructMatchesShortfall(t *testing.T) {
 
 func BenchmarkEncodeParity(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	c := MustNew(20, 4)
+	c := mustNew(20, 4)
 	data := make([][]byte, 20)
 	for i := range data {
 		data[i] = make([]byte, 1024)
@@ -292,7 +309,7 @@ func BenchmarkEncodeParity(b *testing.B) {
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.EncodeParity(i%4, data, dst); err != nil {
+		if _, err := encodeParity(c, i%4, data, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

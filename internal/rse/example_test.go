@@ -8,7 +8,10 @@ import (
 
 // Encode a transmission group, lose any h packets, reconstruct.
 func Example() {
-	code := rse.MustNew(4, 2)
+	code, err := rse.New(4, 2)
+	if err != nil {
+		panic(err)
+	}
 	data := [][]byte{
 		[]byte("pack"), []byte("ets "), []byte("of a"), []byte(" TG!"),
 	}

@@ -138,8 +138,8 @@ func encodeBlocksMatchesEncode(t *testing.T, c *Code) {
 			if !bytes.Equal(parity[b*c.H()+j], want[j]) {
 				t.Fatalf("block %d parity %d diverges from Encode", b, j)
 			}
-			if p, err := c.EncodeParity(j, data[b*c.K():(b+1)*c.K()], nil); err != nil || !bytes.Equal(p, want[j]) {
-				t.Fatalf("block %d parity %d diverges from EncodeParity (err %v)", b, j, err)
+			if p, err := encodeParity(c, j, data[b*c.K():(b+1)*c.K()], nil); err != nil || !bytes.Equal(p, want[j]) {
+				t.Fatalf("block %d parity %d diverges from encodeParity (err %v)", b, j, err)
 			}
 		}
 	}
@@ -263,7 +263,7 @@ func TestEncodeBlocksSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEncodeParitySteadyStateAllocs pins the on-demand path NP runs per
-// repair round: EncodeParity into a warmed dst allocates nothing, in
+// repair round: a one-row EncodeRows into a warmed dst allocates nothing, in
 // either field, and at a shard size that is no multiple of 32, where the
 // row product runs one row at a time.
 func TestEncodeParitySteadyStateAllocs(t *testing.T) {
@@ -273,19 +273,19 @@ func TestEncodeParitySteadyStateAllocs(t *testing.T) {
 	}{{false, 20, 5, 1024}, {false, 20, 5, 1000}, {true, 300, 60, 1024}} {
 		c := mustCode(t, p.wide, p.k, p.h)
 		data := randBlocks(t, 1, p.k, p.size, 4)
-		dst, err := c.EncodeParity(0, data, nil)
+		dst, err := encodeParity(c, 0, data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		j := 0
 		allocs := testing.AllocsPerRun(20, func() {
 			j = (j + 1) % p.h
-			if dst, err = c.EncodeParity(j, data, dst[:0]); err != nil {
+			if dst, err = encodeParity(c, j, data, dst[:0]); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("wide=%v: %v allocs/op on EncodeParity into dst, want 0", p.wide, allocs)
+			t.Errorf("wide=%v: %v allocs/op on encodeParity into dst, want 0", p.wide, allocs)
 		}
 	}
 }
@@ -294,7 +294,7 @@ func TestEncodeParitySteadyStateAllocs(t *testing.T) {
 // built, and the degenerate code still behaves (Encode no-op, Reconstruct
 // completeness check).
 func TestNewZeroParityCheap(t *testing.T) {
-	c := MustNew(200, 0) // would be a 200x200 inversion without the skip
+	c := mustNew(200, 0) // would be a 200x200 inversion without the skip
 	if c.p8 != nil {
 		t.Fatal("h == 0 code built a parity matrix")
 	}
@@ -316,7 +316,7 @@ func TestNewZeroParityCheap(t *testing.T) {
 // per-coefficient tables to stay in cache: the row product must rebuild
 // the data and re-encode the same parities.
 func TestKernelGate(t *testing.T) {
-	c := MustNew(100, 10)
+	c := mustNew(100, 10)
 	rng := rand.New(rand.NewSource(11))
 	shards := make2D(110, 64)
 	for i := 0; i < 100; i++ {

@@ -238,15 +238,6 @@ func NewWide(k, h int) (*Code, error) {
 	return c, nil
 }
 
-// MustNew is New, panicking on error; for statically valid parameters.
-func MustNew(k, h int) *Code {
-	c, err := New(k, h)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // K returns the number of data shards per block.
 func (c *Code) K() int { return c.k }
 
@@ -369,14 +360,6 @@ func (c *Code) EncodeBlocks(data, parity [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// EncodeParity computes only parity shard j (0-based) into dst, which is
-// grown if needed and returned: EncodeRows for a run of one.
-func (c *Code) EncodeParity(j int, data [][]byte, dst []byte) ([]byte, error) {
-	row := [1][]byte{dst}
-	err := c.EncodeRows(j, data, row[:])
-	return row[0], err
 }
 
 // getScratch pops a decode scratch from the free-list, allocating on

@@ -8,6 +8,23 @@ import (
 	"testing/quick"
 )
 
+// mustNew is New for parameters the test knows are valid.
+func mustNew(k, h int) *Code {
+	c, err := New(k, h)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// encodeParity is EncodeRows for a run of one: parity shard j into dst,
+// grown if needed and returned.
+func encodeParity(c *Code, j int, data [][]byte, dst []byte) ([]byte, error) {
+	row := [1][]byte{dst}
+	err := c.EncodeRows(j, data, row[:])
+	return row[0], err
+}
+
 func randShards(rng *rand.Rand, k, size int) [][]byte {
 	data := make([][]byte, k)
 	for i := range data {
@@ -209,7 +226,7 @@ func TestSingleParityIsXOR(t *testing.T) {
 	// With h = 1 the unique parity of a systematic MDS code is the XOR of
 	// the data shards (the only weight-(k+1) MDS check over GF(2^8) up to
 	// scaling; our construction normalises it to plain XOR).
-	c := MustNew(4, 1)
+	c := mustNew(4, 1)
 	rng := rand.New(rand.NewSource(13))
 	data := randShards(rng, 4, 16)
 	parity := make([][]byte, 1)
@@ -248,26 +265,26 @@ func encodeParityMatchesEncode(t *testing.T, c *Code) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 5; j++ {
-		p, err := c.EncodeParity(j, data, nil)
+		p, err := encodeParity(c, j, data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(p, parity[j]) {
-			t.Errorf("EncodeParity(%d) != Encode output", j)
+			t.Errorf("encodeParity(%d) != Encode output", j)
 		}
 	}
-	if _, err := c.EncodeParity(5, data, nil); !errors.Is(err, ErrBadParityIndex) {
-		t.Errorf("EncodeParity(5): err = %v", err)
+	if _, err := encodeParity(c, 5, data, nil); !errors.Is(err, ErrBadParityIndex) {
+		t.Errorf("encodeParity(5): err = %v", err)
 	}
-	if _, err := c.EncodeParity(-1, data, nil); !errors.Is(err, ErrBadParityIndex) {
-		t.Errorf("EncodeParity(-1): err = %v", err)
+	if _, err := encodeParity(c, -1, data, nil); !errors.Is(err, ErrBadParityIndex) {
+		t.Errorf("encodeParity(-1): err = %v", err)
 	}
-	if _, err := c.EncodeParity(0, data[:6], nil); !errors.Is(err, ErrBadShardCount) {
+	if _, err := encodeParity(c, 0, data[:6], nil); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("short data: err = %v", err)
 	}
 	holed := append([][]byte(nil), data...)
 	holed[3] = nil
-	if _, err := c.EncodeParity(0, holed, nil); !errors.Is(err, ErrBadShardCount) {
+	if _, err := encodeParity(c, 0, holed, nil); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("nil data shard: err = %v", err)
 	}
 }
@@ -292,7 +309,7 @@ func encodeBufferReuse(t *testing.T, c *Code) {
 		if len(parity[j]) != 40 {
 			t.Fatalf("parity %d has len %d, want 40", j, len(parity[j]))
 		}
-		p, err := c.EncodeParity(j, data, nil)
+		p, err := encodeParity(c, j, data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +329,8 @@ func TestReconstructErrors(t *testing.T) {
 	if err := c.Encode(odd, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
 		t.Errorf("odd size, Encode: %v", err)
 	}
-	if _, err := c.EncodeParity(1, odd, nil); !errors.Is(err, ErrShardSize) {
-		t.Errorf("odd size, EncodeParity: %v", err)
+	if _, err := encodeParity(c, 1, odd, nil); !errors.Is(err, ErrShardSize) {
+		t.Errorf("odd size, encodeParity: %v", err)
 	}
 	if err := c.Reconstruct([][]byte{nil, odd[1], odd[2], make([]byte, 7), nil}); !errors.Is(err, ErrShardSize) {
 		t.Errorf("odd size, Reconstruct: %v", err)
@@ -366,7 +383,7 @@ func zeroParityCode(t *testing.T, c *Code) {
 }
 
 func TestQuickRandomErasures(t *testing.T) {
-	quickRandomErasures(t, MustNew(9, 6), 17)
+	quickRandomErasures(t, mustNew(9, 6), 17)
 	quickRandomErasures(t, mustCode(t, true, 9, 6), 18)
 }
 

@@ -209,9 +209,9 @@ func TestWideParityRows(t *testing.T) {
 		c := mustCode(t, true, p.k, p.h)
 		k, w := p.k, p.k+p.h
 		m := make([]uint16, k*w) // row r: column r of V, over all k+h points
-		for r := 0; r < k; r++ {
-			for i := 0; i < w; i++ {
-				m[r*w+i] = gf16.Pow(uint16(i), r)
+		for i := 0; i < w; i++ {
+			for r, v := 0, uint16(1); r < k; r, v = r+1, gf16.Mul(v, uint16(i)) {
+				m[r*w+i] = v // i^r, 0^0 = 1
 			}
 		}
 		if err := gf16.SolveSmall(m, k, w); err != nil {
@@ -274,7 +274,7 @@ func reconstructCyclingPatternsAllocs(t *testing.T, c *Code) {
 // patterns on one Code; the scratch free-list is the only state they
 // share, and the race detector watches it.
 func TestReconstructConcurrentPatterns(t *testing.T) {
-	c := MustNew(20, 20)
+	c := mustNew(20, 20)
 	ref := makeBlock(t, c, 128, 22)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

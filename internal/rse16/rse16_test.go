@@ -13,6 +13,14 @@ import (
 	"rmfec/internal/rse"
 )
 
+// encodeParity is EncodeRows for a run of one: parity shard j into dst,
+// grown if needed and returned.
+func encodeParity(c *rse.Code, j int, data [][]byte, dst []byte) ([]byte, error) {
+	row := [1][]byte{dst}
+	err := c.EncodeRows(j, data, row[:])
+	return row[0], err
+}
+
 func randShards(rng *rand.Rand, k, size int) [][]byte {
 	data := make([][]byte, k)
 	for i := range data {
@@ -138,13 +146,13 @@ func TestTooFewShards(t *testing.T) {
 func TestEncodeParityErrors(t *testing.T) {
 	c := newWide(t, 3, 2)
 	data := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	if _, err := c.EncodeParity(2, data, nil); !errors.Is(err, rse.ErrBadParityIndex) {
+	if _, err := encodeParity(c, 2, data, nil); !errors.Is(err, rse.ErrBadParityIndex) {
 		t.Errorf("index 2: %v", err)
 	}
-	if _, err := c.EncodeParity(0, data[:2], nil); !errors.Is(err, rse.ErrBadShardCount) {
+	if _, err := encodeParity(c, 0, data[:2], nil); !errors.Is(err, rse.ErrBadShardCount) {
 		t.Errorf("short data: %v", err)
 	}
-	if _, err := c.EncodeParity(0, [][]byte{{1, 2}, nil, {5, 6}}, nil); !errors.Is(err, rse.ErrBadShardCount) {
+	if _, err := encodeParity(c, 0, [][]byte{{1, 2}, nil, {5, 6}}, nil); !errors.Is(err, rse.ErrBadShardCount) {
 		t.Errorf("nil shard: %v", err)
 	}
 }
@@ -198,12 +206,12 @@ func TestEncodeReusesParityBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range parity {
-		want, err := c.EncodeParity(j, data, nil)
+		want, err := encodeParity(c, j, data, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(parity[j], want) {
-			t.Fatalf("Encode parity %d diverges from EncodeParity", j)
+			t.Fatalf("Encode parity %d diverges from encodeParity", j)
 		}
 	}
 	before := &parity[0][0]
@@ -217,7 +225,7 @@ func TestEncodeReusesParityBuffers(t *testing.T) {
 
 // TestEncodeBlocks16MatchesEncode encodes a batch of blocks with one
 // Encode call per block over sub-slices of shared flat data and parity
-// slices, and checks every parity row against EncodeParity. A second
+// slices, and checks every parity row against a one-row EncodeRows. A second
 // batch of fresh data encoded into the same slots must reuse each parity
 // buffer and leave no stale bytes behind.
 func TestEncodeBlocks16MatchesEncode(t *testing.T) {
@@ -234,12 +242,12 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 		}
 		for b := 0; b < nb; b++ {
 			for j := 0; j < h; j++ {
-				want, err := c.EncodeParity(j, data[b*k:(b+1)*k], nil)
+				want, err := encodeParity(c, j, data[b*k:(b+1)*k], nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(parity[b*h+j], want) {
-					t.Fatalf("block %d parity %d diverges from EncodeParity", b, j)
+					t.Fatalf("block %d parity %d diverges from encodeParity", b, j)
 				}
 			}
 		}
@@ -264,7 +272,10 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 func TestEncodeBlocksShardErrors(t *testing.T) {
 	const k, h = 4, 2
 	c16 := newWide(t, k, h)
-	c8 := rse.MustNew(k, h)
+	c8, err := rse.New(k, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := randShards(rand.New(rand.NewSource(17)), k, 32)
 	cases := []struct {
 		name    string
