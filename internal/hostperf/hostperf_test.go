@@ -43,7 +43,7 @@ func TestCoderErrors(t *testing.T) {
 		{10, 4, 5},    // more lost than parities
 		{3, 4, 4},     // more lost than data shards
 	} {
-		if _, _, err := Coder(c.k, c.h, c.lose, 64); err == nil {
+		if _, _, err := Coder(64, CoderPoint{7, 2, 1}, CoderPoint{c.k, c.h, c.lose}); err == nil {
 			t.Errorf("Coder(%d, %d, %d) accepted", c.k, c.h, c.lose)
 		}
 	}
