@@ -565,9 +565,9 @@ func BenchmarkAblationSymbolSize(b *testing.B) {
 	}
 	b.Run("gf8", func(b *testing.B) {
 		code, err := rse.New(k, h)
-	if err != nil {
-		b.Fatal(err)
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
 		parity := make([][]byte, h)
 		b.SetBytes(k * size)
 		for i := 0; i < b.N; i++ {

@@ -40,7 +40,7 @@ func fig1(opt Options) (*Figure, error) {
 				pts = append(pts, hostperf.CoderPoint{K: k, H: h, Lose: min(h, k)})
 			}
 		}
-		e, d, err := hostperf.Coder(packetSize, pts...) // a k's points timed interleaved
+		e, d, err := hostperf.Coder(packetSize, pts...)
 		if err != nil {
 			return nil, err
 		}
