@@ -101,35 +101,37 @@ func TestPoisonedMessageBuffer(t *testing.T) {
 	// (the gather fills what could not be placed, or the buffer is larger
 	// than the message), a group withheld until after the FIN, or the
 	// buffer committed in small steps.
-	w := captureLadderWalk(t)
-	ladder := portfolioConfig(GateForce)
-	ladder.NCRepair = true
-	const held = 9
-	for _, tc := range []struct {
-		name      string
-		announce  func(n uint32) uint32
-		held      int
-		firstStep int
-	}{
-		{"ladder", nil, -1, 0},
-		{"ladder/stepped-commit", nil, -1, 3 * ladder.ShardSize},
-		{"ladder/group-withheld-until-the-fin", nil, held, 0},
-		{"ladder/unannounced", func(uint32) uint32 { return 0 }, -1, 0},
-		{"ladder/announced-too-small", func(n uint32) uint32 { return n / 2 }, -1, 0},
-		{"ladder/announced-too-large", func(n uint32) uint32 { return 1000 * n }, -1, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, got := directReceiver(t, ladder)
-			if r.firstStep = tc.firstStep; r.firstStep == 0 {
-				r.firstStep = 4 * len(w.msg)
-			}
-			frames := reannounce(w.frames, tc.announce)
-			isHeld := func(f wireFrame) bool { return f.typ != packet.TypeFin && int(f.group) == tc.held }
-			feed(r, frames, func(f wireFrame) bool { return !isHeld(f) })
-			feed(r, frames, isHeld)
-			check(t, *got, w.msg)
-		})
-	}
+	t.Run("ladder", func(t *testing.T) {
+		w := captureLadderWalk(t)
+		cfg := portfolioConfig(GateForce)
+		cfg.NCRepair = true
+		const held = 9
+		for _, tc := range []struct {
+			name      string
+			announce  func(n uint32) uint32
+			held      int
+			firstStep int
+		}{
+			{"as-sent", nil, -1, 0},
+			{"stepped-commit", nil, -1, 3 * cfg.ShardSize},
+			{"group-withheld-until-the-fin", nil, held, 0},
+			{"unannounced", func(uint32) uint32 { return 0 }, -1, 0},
+			{"announced-too-small", func(n uint32) uint32 { return n / 2 }, -1, 0},
+			{"announced-too-large", func(n uint32) uint32 { return 1000 * n }, -1, 0},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				r, got := directReceiver(t, cfg)
+				if r.firstStep = tc.firstStep; r.firstStep == 0 {
+					r.firstStep = 4 * len(w.msg)
+				}
+				frames := reannounce(w.frames, tc.announce)
+				isHeld := func(f wireFrame) bool { return f.typ != packet.TypeFin && int(f.group) == tc.held }
+				feed(r, frames, func(f wireFrame) bool { return !isHeld(f) })
+				feed(r, frames, isHeld)
+				check(t, *got, w.msg)
+			})
+		}
+	})
 
 	// Over the simulated network with Bernoulli loss on every receiver:
 	// static RS, a rect rung, an adaptive NC-repair rung and N2.
