@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
+	"rmfec/internal/loss"
 	"rmfec/internal/packet"
 )
 
@@ -75,37 +79,87 @@ func TestNakForUnstreamedGroupIgnored(t *testing.T) {
 	}
 }
 
-// TestSendCopiesMessageOnce pins the cut's memory contract on every
-// policy: Send takes exactly one copy of the payload (the caller may
-// scribble over its buffer the moment Send returns) and the groups are
-// views into it, so cutting allocates O(groups) on top of len(msg).
-func TestSendCopiesMessageOnce(t *testing.T) {
+// TestSendBorrowsMessage pins Send's ownership contract: the sender
+// borrows msg until Close returns and never writes to it. The groups are
+// views into the caller's buffer, so cutting allocates O(groups) and no
+// copy of the payload; and after a lossy transfer (repairs encoded from
+// the views, on the pool and serially) and Close, the buffer still equals
+// a pristine copy. The caller then takes it back: under -race, a pool
+// worker still reading it would be reported.
+func TestSendBorrowsMessage(t *testing.T) {
 	static := Config{Session: 7, K: 8, MaxParity: 4, Proactive: 1, ShardSize: 1024}
 	ewma := static
 	ewma.Adaptive = true
 	ladder := adaptiveConfig()
 	ladder.ShardSize = 1024
-	for name, cfg := range map[string]Config{"constant": static, "ewma": ewma, "ladder": ladder} {
-		for _, pl := range []PipelineConfig{{}, {Depth: 8, Workers: 3, Batch: 1}} {
-			cfg.Pipeline = pl
-			h := newHarness(t, harnessOpts{r: 2, cfg: cfg, seed: 3201})
-			want := testMessage(1<<20+17, 3202)
-			buf := append([]byte(nil), want...)
-			if err := h.sender.Send(buf); err != nil {
-				t.Fatal(err)
-			}
-			for i := range buf {
-				buf[i] ^= 0xA5
-			}
-			h.sched.Run()
-			h.checkDelivered(t, want)
-			h.sender.Close()
-		}
+	policies := []struct {
+		name string
+		cfg  Config
+	}{{"constant", static}, {"ewma", ewma}, {"ladder", ladder}}
 
-		// The allocation bound, at depth 0 so only the copy and the cut are
-		// measured: per group k slice headers and one txGroup, plus the
-		// first group's frames and the send queue (the slack).
-		cfg.Pipeline = PipelineConfig{}
+	bernoulli := func(rng *rand.Rand) loss.Process { return loss.NewBernoulli(0.05, rng) }
+	type borrowCase struct {
+		name   string
+		cfg    Config
+		n2     bool
+		msgLen int
+	}
+	var cases []borrowCase
+	for _, p := range policies {
+		for _, pl := range []PipelineConfig{{}, {Depth: 8, Workers: 3, Batch: 1}} {
+			cfg := p.cfg
+			cfg.Pipeline = pl
+			cases = append(cases, borrowCase{fmt.Sprintf("%s/depth%d", p.name, pl.Depth), cfg, false, 1<<20 + 17})
+		}
+	}
+	cases = append(cases,
+		borrowCase{"rect", rectRungConfig(GateForce), false, 20*64*12 + 5},
+		borrowCase{"nc", ncRungConfig(), false, 8*64*20 + 3},
+		borrowCase{"gf16", Config{Session: 7, K: 200, MaxParity: 100, Proactive: 2, ShardSize: 16}, false, 200*16*4 + 9},
+		borrowCase{"n2", baseConfig(), true, 64*40 + 11},
+		borrowCase{"partial-shard-only", static, false, 100},
+		borrowCase{"empty", static, false, 0},
+	)
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, harnessOpts{r: 3, cfg: tc.cfg, seed: 3201 + int64(i), mkLoss: bernoulli, n2: tc.n2})
+			msg := testMessage(tc.msgLen, 3202+int64(i))
+			pristine := bytes.Clone(msg)
+			h.run(t, msg)
+			h.sender.Close()
+			if !bytes.Equal(msg, pristine) {
+				j := 0
+				for msg[j] == pristine[j] {
+					j++
+				}
+				t.Fatalf("the sender wrote to the borrowed message: byte %d of %d is %#x, was %#x",
+					j, len(msg), msg[j], pristine[j])
+			}
+			h.checkDelivered(t, pristine)
+			// Each case must read the views the way it claims to.
+			st := h.sender.Stats()
+			switch {
+			case tc.cfg.Pipeline.enabled() && h.sender.PipelineStats().EncodeHits == 0:
+				t.Error("the encode-ahead pool encoded no group")
+			case tc.cfg.NCRepair && st.NcTx == 0:
+				t.Error("no NC repair was combined")
+			case tc.n2 && st.DataTx <= h.sender.SourcePackets():
+				t.Error("N2 retransmitted nothing")
+			case !tc.n2 && st.Encoded == 0:
+				t.Error("no parity was encoded")
+			}
+			for j := range msg {
+				msg[j] ^= 0xA5 // the caller takes its buffer back
+			}
+		})
+	}
+
+	// The allocation bound, at depth 0 so only the cut is measured: per
+	// group k slice headers and one txGroup, plus the first group's frames
+	// and the send queue (the slack). It has no len(msg) term, so a copy
+	// of the message fails it.
+	for _, p := range policies {
+		cfg := p.cfg
 		msg := make([]byte, 1<<20+17)
 		s, err := NewSender(newSinkEnv(1), cfg)
 		if err != nil {
@@ -118,10 +172,10 @@ func TestSendCopiesMessageOnce(t *testing.T) {
 		}
 		runtime.ReadMemStats(&m1)
 		groups := s.Groups()
-		bound := uint64(len(msg) + groups*(24*s.cfg.K+512) + 128<<10)
+		bound := uint64(groups*(24*s.cfg.K+512) + 128<<10)
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > bound {
 			t.Errorf("%s: Send allocated %d bytes for a %d-byte message in %d groups, want <= %d",
-				name, got, len(msg), groups, bound)
+				p.name, got, len(msg), groups, bound)
 		}
 		s.Close()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -42,10 +41,10 @@ type PipelineStats struct {
 // transmission groups, polls for per-TG feedback and repairs losses by
 // multicasting parities.
 //
-// There is one path from message to groups. Send keeps one owned copy of
-// the message; startEra cuts its unstreamed remainder into an ERA — the
-// groups that share one working point (k, h, codec) — whose data shards are
-// views into that copy; refill streams one group per call. The redundancy
+// There is one path from message to groups. Send borrows the caller's
+// message; startEra cuts its unstreamed remainder into an ERA — the groups
+// that share one working point (k, h, codec) — whose data shards are views
+// into it; refill streams one group per call. The redundancy
 // policy (constant, EWMA or ladder, see redundancy.go) says how many
 // parities join each group's first round and when the working point moved;
 // a move flushes the era at the TG boundary and re-cuts the remainder. A
@@ -69,7 +68,7 @@ type Sender struct {
 	codecs codecCache        // per-(k, h, codec) memo; one entry on a static session
 	minK   int               // smallest k the policy can cut at; bounds the group count
 
-	msg     []byte     // the sender's own copy of the payload
+	msg     []byte     // the caller's payload, borrowed until Close and never written
 	cursor  int        // bytes of msg streamed so far
 	groups  []*txGroup // groups streamed so far, in stream order
 	era     []txGroup  // groups cut at the current working point
@@ -305,7 +304,9 @@ func (s *Sender) Close() {
 // Send starts the reliable multicast transfer of msg. It must be called at
 // most once per Sender; the transfer then proceeds through the Env's timers
 // until every NAK has been served and FinCount FINs have been multicast.
-// The sender works on its own copy: the caller may reuse msg on return.
+// msg is borrowed until Close returns and never written: the data shards
+// are views into it, read whenever a frame or a parity is built, so the
+// caller must not modify msg before it has closed the sender.
 func (s *Sender) Send(msg []byte) error {
 	if s.closed {
 		return ErrClosed
@@ -326,9 +327,7 @@ func (s *Sender) Send(msg []byte) error {
 	// empty message), which is what a receiver needs to size its
 	// reassembly buffer before the FIN.
 	s.total = uint32((len(msg) + s.cfg.ShardSize - 1) / s.cfg.ShardSize)
-	// Clone appends onto an empty slice, so nothing is zero-filled first:
-	// growslice does not clear what it is about to copy over, make would.
-	s.msg = bytes.Clone(msg)
+	s.msg = msg
 	s.finLeft = s.cfg.FinCount
 	s.startEra()
 	s.pump()
@@ -361,7 +360,7 @@ func (s *Sender) startEra() {
 	code, id, arg := s.eraCodec(p)
 	size := s.cfg.ShardSize
 	n := groupsFor(len(s.msg)-s.cursor, p.K*size)
-	// Data shards are cap-clipped views into the message copy; only a
+	// Data shards are cap-clipped views into the borrowed message; only a
 	// trailing partial shard is copied (zero-padded), and shards wholly
 	// past the end share one zero shard. Nothing writes through them.
 	shards := make([][]byte, n*p.K)

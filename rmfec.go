@@ -33,8 +33,9 @@
 //	recv.OnComplete = func(msg []byte) { fmt.Println(len(msg), "bytes delivered") }
 //	rn.SetHandler(recv.HandlePacket)
 //
-//	sender.Send(payload)
+//	sender.Send(payload) // payload is borrowed until Close; never written
 //	sched.Run()
+//	sender.Close() // the caller may reuse payload from here on
 //
 // See the examples directory for complete programs, DESIGN.md for the
 // architecture and EXPERIMENTS.md for the paper-figure reproduction.
@@ -58,7 +59,8 @@ type (
 	Config = core.Config
 	// Env abstracts time, randomness and the multicast medium.
 	Env = core.Env
-	// Sender is the NP hybrid-ARQ sender.
+	// Sender is the NP hybrid-ARQ sender. Send borrows the message until
+	// Close returns and never writes to it.
 	Sender = core.Sender
 	// Receiver is the NP hybrid-ARQ receiver.
 	Receiver = core.Receiver
