@@ -34,9 +34,11 @@ func fig1(opt Options) (*Figure, error) {
 	}
 	redundancies := []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}
 	for _, k := range []int{7, 20, 100} {
+		// At small k neighbouring redundancies round to the same h
+		// (k = 7: 5 %, 10 % and 20 % all give h = 1); each h is timed once.
 		var pts []hostperf.CoderPoint
 		for _, red := range redundancies {
-			if h := max(int(red*float64(k)+0.5), 1); k+h <= 255 {
+			if h := max(int(red*float64(k)+0.5), 1); k+h <= 255 && (len(pts) == 0 || pts[len(pts)-1].H != h) {
 				pts = append(pts, hostperf.CoderPoint{K: k, H: h, Lose: min(h, k)})
 			}
 		}

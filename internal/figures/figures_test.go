@@ -2,6 +2,8 @@ package figures
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -99,6 +101,61 @@ func TestFig1Shape(t *testing.T) {
 	if lastY(e100) >= lastY(e7) {
 		t.Errorf("k=100 at 100%% redundancy (%g pkt/s) should be slower than k=7 (%g pkt/s)",
 			lastY(e100), lastY(e7))
+	}
+	// Each (k, h) is timed once: a repeated x is a point the TSV drops.
+	for _, s := range fig.Series {
+		for i := 1; i < len(s.X); i++ {
+			if s.X[i] == s.X[i-1] {
+				t.Errorf("%s: x = %g timed twice", s.Name, s.X[i])
+			}
+		}
+	}
+}
+
+// TestCommittedFiguresRegenerate regenerates every committed figure but
+// the host-timed fig1 at the default seed and full sample counts, and
+// wants results/<id>.tsv byte for byte. There is no update switch: on a
+// mismatch the regenerated file is left under os.TempDir(), and a change
+// that means to move a figure re-records it with a cp.
+func TestCommittedFiguresRegenerate(t *testing.T) {
+	for _, id := range IDs() {
+		if id == "fig1" {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			fig, err := Generate(id, Options{Seed: 1997})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			if err := fig.WriteTSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", id+".tsv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(b.Bytes(), want) {
+				return
+			}
+			fresh := filepath.Join(os.TempDir(), id+".tsv")
+			if err := os.WriteFile(fresh, b.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, wantRows := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+			row := 0
+			for row < len(got) && row < len(wantRows) && got[row] == wantRows[row] {
+				row++
+			}
+			at := func(rows []string) string {
+				if row < len(rows) {
+					return rows[row]
+				}
+				return "(end of file)"
+			}
+			t.Errorf("%s drifted from results/%s.tsv at line %d:\n got %s\nwant %s\nregenerated file: %s",
+				id, id, row+1, at(got), at(wantRows), fresh)
+		})
 	}
 }
 
