@@ -44,8 +44,8 @@ type PipelineStats struct {
 // There is one path from message to groups. Send borrows the caller's
 // message; startEra cuts its unstreamed remainder into an ERA — the groups
 // that share one working point (k, h, codec) — whose data shards are views
-// into it; refill streams one group per call. The redundancy
-// policy (constant, EWMA or ladder, see redundancy.go) says how many
+// into it; refill streams one group per call. The redundancy policy
+// (constant, EWMA or ladder, see redundancy.go) says how many
 // parities join each group's first round and when the working point moved;
 // a move flushes the era at the TG boundary and re-cuts the remainder. A
 // static transfer is simply one era.
