@@ -11,9 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Project-specific static analysis (see internal/lint and `rmlint -rules`).
+# The repository's own invariants (invariants_test.go): the determinism
+# and doc rules per internal/ package, float equality in the analytic
+# packages, and the metrics schema.
 lint:
-	$(GO) run ./cmd/rmlint ./...
+	$(GO) test -count=1 -run 'TestPackageInvariants|TestFloatEquality|TestMetricsSchema' .
 
 # Race-detector pass over the packages that own or drive concurrency
 # (rse/rect for the codecs the encode-ahead workers call, gf256 for

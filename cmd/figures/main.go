@@ -55,10 +55,7 @@ func main() {
 	if *showMet {
 		reg = metrics.NewRegistry()
 	}
-	figsDone := reg.Counter("figures_generated_total", "figures generated this run")
-	mcSamples := reg.Counter("figures_mc_samples_total", "Monte-Carlo samples behind the generated figures")
-	genSecs := reg.Histogram("figures_generate_seconds", "wall-clock per figure generation",
-		[]float64{0.1, 0.5, 1, 5, 15, 60, 300})
+	figsDone, mcSamples, genSecs := figures.RunMetrics(reg)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -50,13 +50,12 @@ func (f *Figure) RenderASCII(w io.Writer, width, height int) error {
 	}
 	x0, x1 := xt(xmin), xt(xmax)
 	y0, y1 := yt(ymin), yt(ymax)
-	// Exact equality intended: this guards the division below against a
-	// zero-width range, which only occurs when every point shares one
-	// bit-identical coordinate.
-	if x1 == x0 { //rmlint:ignore float-eq exact degenerate-range guard before dividing by x1-x0
+	// Guard the divisions below against a zero-width range, which only
+	// occurs when every point shares one bit-identical coordinate.
+	if x1-x0 == 0 {
 		x1 = x0 + 1
 	}
-	if y1 == y0 { //rmlint:ignore float-eq exact degenerate-range guard before dividing by y1-y0
+	if y1-y0 == 0 {
 		y1 = y0 + 1
 	}
 

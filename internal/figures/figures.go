@@ -12,8 +12,19 @@ import (
 	"io"
 	"sort"
 
+	"rmfec/internal/metrics"
 	"rmfec/internal/model"
 )
+
+// RunMetrics registers the instruments a figures run is metered with on
+// reg: figures generated, the Monte-Carlo samples behind them and the
+// wall-clock seconds per figure. A nil reg yields no-op instruments.
+func RunMetrics(reg *metrics.Registry) (generated, samples *metrics.Counter, seconds *metrics.Histogram) {
+	return reg.Counter("figures_generated_total", "figures generated this run"),
+		reg.Counter("figures_mc_samples_total", "Monte-Carlo samples behind the generated figures"),
+		reg.Histogram("figures_generate_seconds", "wall-clock per figure generation",
+			[]float64{0.1, 0.5, 1, 5, 15, 60, 300})
+}
 
 // Series is one plotted curve.
 type Series struct {

@@ -1,7 +1,7 @@
 // Package mcrun executes independent Monte-Carlo points concurrently with
 // results that are byte-identical to a serial run. The engine packages
 // (internal/sim, internal/loss, internal/figures) stay single-threaded and
-// goroutine-free under rmlint; all parallelism lives here, ABOVE the
+// goroutine-free (TestPackageInvariants); all parallelism lives here, ABOVE the
 // engines: each (figure, series, point) derives an independent RNG seed
 // from the root seed via DeriveSeed, workers run the serial engines on
 // disjoint state, and results merge in fixed point order. The output is

@@ -97,30 +97,6 @@ func BinomialTail(n, k int, p float64) float64 {
 	return math.Max(0, math.Min(1, 1-BinomialCDF(n, k-1, p)))
 }
 
-// NegBinomialPMF returns P(M = m) = C(r+m-1, r-1) p^m (1-p)^r: the
-// probability that m failures precede the r-th success in Bernoulli trials
-// with failure probability p.
-func NegBinomialPMF(r, m int, p float64) float64 {
-	checkProb(p)
-	if r <= 0 {
-		panic(fmt.Sprintf("numeric: NegBinomialPMF with r = %d", r))
-	}
-	if m < 0 {
-		return 0
-	}
-	if p == 0 {
-		if m == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p == 1 {
-		return 0
-	}
-	lp := LogBinomial(r+m-1, r-1) + float64(m)*math.Log(p) + float64(r)*math.Log1p(-p)
-	return math.Exp(lp)
-}
-
 // PowN returns x^n for integer n >= 0 by binary exponentiation; exact for
 // the small bases used in the models and faster than math.Pow for small n.
 func PowN(x float64, n int) float64 {
@@ -179,22 +155,6 @@ func SumCCDF(from int, ccdfTail func(m int) float64, tol float64) float64 {
 		}
 	}
 	panic("numeric: SumCCDF did not converge")
-}
-
-// ConditionalExpectationLE returns E[X | X <= c] for a non-negative
-// integer-valued X given its unconditional CDF. It uses
-// E[X | X <= c] = sum_{m=0}^{c-1} (1 - P(X <= m)/P(X <= c)).
-// It panics if P(X <= c) == 0.
-func ConditionalExpectationLE(cdf func(m int) float64, c int) float64 {
-	pc := cdf(c)
-	if pc <= 0 {
-		panic(fmt.Sprintf("numeric: conditioning on zero-probability event X <= %d", c))
-	}
-	var s float64
-	for m := 0; m < c; m++ {
-		s += 1 - cdf(m)/pc
-	}
-	return s
 }
 
 func checkProb(p float64) {

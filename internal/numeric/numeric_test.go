@@ -90,31 +90,6 @@ func TestBinomialCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestNegBinomialPMF(t *testing.T) {
-	// r=1: geometric. P(M=m) = p^m (1-p).
-	p := 0.3
-	for m := 0; m < 10; m++ {
-		want := math.Pow(p, float64(m)) * (1 - p)
-		if got := NegBinomialPMF(1, m, p); !almostEqual(got, want, 1e-12) {
-			t.Errorf("NegBin(1,%d) = %g, want %g", m, got, want)
-		}
-	}
-	// Sums to 1.
-	var s float64
-	for m := 0; m < 400; m++ {
-		s += NegBinomialPMF(5, m, 0.4)
-	}
-	if !almostEqual(s, 1, 1e-9) {
-		t.Errorf("NegBin(5,·,0.4) sums to %g", s)
-	}
-	if NegBinomialPMF(3, -1, 0.5) != 0 {
-		t.Error("negative m should have probability 0")
-	}
-	if NegBinomialPMF(3, 0, 0) != 1 {
-		t.Error("p=0 should concentrate at m=0")
-	}
-}
-
 func TestPowN(t *testing.T) {
 	for _, x := range []float64{0, 0.5, 1, 2, 0.99} {
 		want := 1.0
@@ -173,33 +148,11 @@ func TestSumCCDFDoesNotConvergePanics(t *testing.T) {
 	SumCCDF(0, func(m int) float64 { return 1 }, 1e-12)
 }
 
-func TestConditionalExpectationLE(t *testing.T) {
-	// X uniform on {0,1,2,3}: E[X | X <= 2] = (0+1+2)/3 = 1.
-	cdf := func(m int) float64 {
-		switch {
-		case m < 0:
-			return 0
-		case m >= 3:
-			return 1
-		default:
-			return float64(m+1) / 4
-		}
-	}
-	if got := ConditionalExpectationLE(cdf, 2); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("E[X|X<=2] = %g, want 1", got)
-	}
-	// Conditioning on the full support returns the plain expectation 1.5.
-	if got := ConditionalExpectationLE(cdf, 3); !almostEqual(got, 1.5, 1e-12) {
-		t.Errorf("E[X|X<=3] = %g, want 1.5", got)
-	}
-}
-
 func TestProbabilityValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { BinomialPMF(3, 1, -0.1) },
 		func() { BinomialPMF(3, 1, 1.1) },
 		func() { OneMinusPowR(math.NaN(), 3) },
-		func() { NegBinomialPMF(0, 1, 0.5) },
 	} {
 		func() {
 			defer func() {

@@ -1,62 +1,23 @@
-// Package rse16 holds the GF(2^16) round-trip and validation tests of the
-// Reed-Solomon code that rse.NewWide builds. The codec itself lives in
-// rse, which serves both symbol sizes; this directory has no non-test
-// files.
-package rse16
+package rse
+
+// GF(2^16) round trips and validation of the codes NewWide builds.
 
 import (
 	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
-
-	"rmfec/internal/rse"
 )
 
-// encodeParity is EncodeRows for a run of one: parity shard j into dst,
-// grown if needed and returned.
-func encodeParity(c *rse.Code, j int, data [][]byte, dst []byte) ([]byte, error) {
-	row := [1][]byte{dst}
-	err := c.EncodeRows(j, data, row[:])
-	return row[0], err
-}
-
-func randShards(rng *rand.Rand, k, size int) [][]byte {
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = make([]byte, size)
-		rng.Read(data[i])
-	}
-	return data
-}
-
-func newWide(t testing.TB, k, h int) *rse.Code {
-	t.Helper()
-	c, err := rse.NewWide(k, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func encodeBlock(t testing.TB, c *rse.Code, data [][]byte) [][]byte {
-	t.Helper()
-	parity := make([][]byte, c.H())
-	if err := c.Encode(data, parity); err != nil {
-		t.Fatal(err)
-	}
-	return append(append([][]byte{}, data...), parity...)
-}
-
-func TestNewValidation(t *testing.T) {
+func TestNewWideValidation(t *testing.T) {
 	for _, tc := range []struct {
 		k, h int
 		ok   bool
 	}{
 		{1, 0, true}, {7, 3, true}, {300, 60, true},
-		{0, 1, false}, {-1, 2, false}, {3, -1, false}, {rse.MaxWideK + 1, 1, false},
+		{0, 1, false}, {-1, 2, false}, {3, -1, false}, {MaxWideK + 1, 1, false},
 	} {
-		c, err := rse.NewWide(tc.k, tc.h)
+		c, err := NewWide(tc.k, tc.h)
 		if (err == nil) != tc.ok {
 			t.Errorf("NewWide(%d,%d): err = %v, want ok=%v", tc.k, tc.h, err, tc.ok)
 		}
@@ -70,7 +31,7 @@ func TestRoundTripSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, kh := range [][2]int{{4, 3}, {7, 1}, {16, 8}} {
 		k, h := kh[0], kh[1]
-		c := newWide(t, k, h)
+		c := mustCode(t, true, k, h)
 		data := randShards(rng, k, 64)
 		block := encodeBlock(t, c, data)
 		for trial := 0; trial < 40; trial++ {
@@ -98,10 +59,10 @@ func TestLargeBlockBeyondGF256(t *testing.T) {
 	// The point of GF(2^16): a block of 300+60 packets, impossible with
 	// 8-bit symbols. Lose a scattered 60 and reconstruct.
 	const k, h = 300, 60
-	if _, err := rse.New(k, h); err == nil {
+	if _, err := New(k, h); err == nil {
 		t.Fatalf("rse.New(%d,%d) accepted a block beyond GF(2^8)", k, h)
 	}
-	c := newWide(t, k, h)
+	c := mustCode(t, true, k, h)
 	rng := rand.New(rand.NewSource(2))
 	data := randShards(rng, k, 128)
 	block := encodeBlock(t, c, data)
@@ -123,36 +84,36 @@ func TestLargeBlockBeyondGF256(t *testing.T) {
 }
 
 func TestOddShardSizeRejected(t *testing.T) {
-	c := newWide(t, 3, 2)
+	c := mustCode(t, true, 3, 2)
 	data := [][]byte{make([]byte, 7), make([]byte, 7), make([]byte, 7)}
-	if err := c.Encode(data, make([][]byte, 2)); !errors.Is(err, rse.ErrShardSize) {
+	if err := c.Encode(data, make([][]byte, 2)); !errors.Is(err, ErrShardSize) {
 		t.Errorf("odd shard size: %v", err)
 	}
 }
 
 func TestTooFewShards(t *testing.T) {
-	c := newWide(t, 5, 2)
+	c := mustCode(t, true, 5, 2)
 	rng := rand.New(rand.NewSource(3))
 	data := randShards(rng, 5, 32)
 	block := encodeBlock(t, c, data)
 	shards := make([][]byte, c.N())
 	shards[0] = block[0]
 	shards[5] = block[5]
-	if err := c.Reconstruct(shards); !errors.Is(err, rse.ErrTooFewShards) {
+	if err := c.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
 		t.Errorf("4 missing of 7: %v", err)
 	}
 }
 
 func TestEncodeParityErrors(t *testing.T) {
-	c := newWide(t, 3, 2)
+	c := mustCode(t, true, 3, 2)
 	data := [][]byte{{1, 2}, {3, 4}, {5, 6}}
-	if _, err := encodeParity(c, 2, data, nil); !errors.Is(err, rse.ErrBadParityIndex) {
+	if _, err := encodeParity(c, 2, data, nil); !errors.Is(err, ErrBadParityIndex) {
 		t.Errorf("index 2: %v", err)
 	}
-	if _, err := encodeParity(c, 0, data[:2], nil); !errors.Is(err, rse.ErrBadShardCount) {
+	if _, err := encodeParity(c, 0, data[:2], nil); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("short data: %v", err)
 	}
-	if _, err := encodeParity(c, 0, [][]byte{{1, 2}, nil, {5, 6}}, nil); !errors.Is(err, rse.ErrBadShardCount) {
+	if _, err := encodeParity(c, 0, [][]byte{{1, 2}, nil, {5, 6}}, nil); !errors.Is(err, ErrBadShardCount) {
 		t.Errorf("nil shard: %v", err)
 	}
 }
@@ -160,7 +121,7 @@ func TestEncodeParityErrors(t *testing.T) {
 func TestAgreesWithDirectLinearAlgebra(t *testing.T) {
 	// Parity row consistency: reconstructing from parities must invert the
 	// encoding exactly for a hand-checkable k=2 case.
-	c := newWide(t, 2, 2)
+	c := mustCode(t, true, 2, 2)
 	data := [][]byte{{0x12, 0x34}, {0xab, 0xcd}}
 	block := encodeBlock(t, c, data)
 	// Lose both data shards; recover from the two parities alone.
@@ -177,7 +138,7 @@ func TestHugeGroupRoundTrip(t *testing.T) {
 	// k = 1200 with 40 parities: construction and decode must complete in
 	// well under a second thanks to the O(k^2) Lagrange rows.
 	const k, h = 1200, 40
-	c := newWide(t, k, h)
+	c := mustCode(t, true, k, h)
 	rng := rand.New(rand.NewSource(11))
 	data := randShards(rng, k, 32)
 	block := encodeBlock(t, c, data)
@@ -198,7 +159,7 @@ func TestHugeGroupRoundTrip(t *testing.T) {
 }
 
 func TestEncodeReusesParityBuffers(t *testing.T) {
-	c := newWide(t, 5, 3)
+	c := mustCode(t, true, 5, 3)
 	rng := rand.New(rand.NewSource(13))
 	data := randShards(rng, 5, 64)
 	parity := make([][]byte, 3)
@@ -230,7 +191,7 @@ func TestEncodeReusesParityBuffers(t *testing.T) {
 // buffer and leave no stale bytes behind.
 func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 	const k, h, nb, size = 4, 2, 3, 32
-	c := newWide(t, k, h)
+	c := mustCode(t, true, k, h)
 	rng := rand.New(rand.NewSource(17))
 	parity := make([][]byte, nb*h)
 	encodeBatch := func(data [][]byte) {
@@ -265,14 +226,14 @@ func TestEncodeBlocks16MatchesEncode(t *testing.T) {
 	}
 }
 
-// TestEncodeBlocksShardErrors pins argument validation across the two
+// TestEncodeShardErrorsBothFields pins argument validation across the two
 // fields: the sender picks the GF(2^8) or the GF(2^16) code by k+h behind
 // one Codec, so every malformed Encode call must fail in both, with the
 // same sentinel.
-func TestEncodeBlocksShardErrors(t *testing.T) {
+func TestEncodeShardErrorsBothFields(t *testing.T) {
 	const k, h = 4, 2
-	c16 := newWide(t, k, h)
-	c8, err := rse.New(k, h)
+	c16 := mustCode(t, true, k, h)
+	c8, err := New(k, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +244,11 @@ func TestEncodeBlocksShardErrors(t *testing.T) {
 		nparity int
 		want    error
 	}{
-		{"short data", data[:3], h, rse.ErrBadShardCount},
-		{"wrong parity count", data, h + 1, rse.ErrBadShardCount},
-		{"short parity", data, h - 1, rse.ErrBadShardCount},
-		{"nil data shard", [][]byte{data[0], nil, data[2], data[3]}, h, rse.ErrBadShardCount},
-		{"uneven shard sizes", [][]byte{data[0], data[1][:30], data[2], data[3]}, h, rse.ErrShardSize},
+		{"short data", data[:3], h, ErrBadShardCount},
+		{"wrong parity count", data, h + 1, ErrBadShardCount},
+		{"short parity", data, h - 1, ErrBadShardCount},
+		{"nil data shard", [][]byte{data[0], nil, data[2], data[3]}, h, ErrBadShardCount},
+		{"uneven shard sizes", [][]byte{data[0], data[1][:30], data[2], data[3]}, h, ErrShardSize},
 	}
 	for _, tc := range cases {
 		if err := c16.Encode(tc.data, make([][]byte, tc.nparity)); !errors.Is(err, tc.want) {

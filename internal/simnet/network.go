@@ -66,9 +66,6 @@ func NewNetwork(sched *Scheduler, rng *rand.Rand) *Network {
 	return &Network{sched: sched, rng: rng}
 }
 
-// Scheduler returns the network's event loop.
-func (n *Network) Scheduler() *Scheduler { return n.sched }
-
 // Stats returns (multicast transmissions, per-destination deliveries,
 // per-destination drops) so far, summed over the nodes' accounting.
 func (n *Network) Stats() (sent, delivered, dropped uint64) {

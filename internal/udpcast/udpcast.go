@@ -142,9 +142,9 @@ func Join(group string, ifi *net.Interface) (*Conn, error) {
 		group: addr,
 		rc:    rc,
 		sc:    sc,
-		//rmlint:ignore env-discipline transport-side seeding: live receivers must jitter NAK slots differently, not reproducibly
-		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
-		//rmlint:ignore env-discipline this Conn IS the wall-clock core.Env implementation
+		// Seeded from the clock: live receivers must jitter NAK slots
+		// differently, not reproducibly.
+		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 		start: time.Now(),
 	}
 	// Platform batch-send setup (sendmmsg on Linux); on failure the Conn
@@ -154,8 +154,6 @@ func Join(group string, ifi *net.Interface) (*Conn, error) {
 }
 
 // Now implements core.Env with wall-clock time relative to Join.
-//
-//rmlint:ignore env-discipline this Conn IS the wall-clock core.Env implementation
 func (c *Conn) Now() time.Duration { return time.Since(c.start) }
 
 // Rand implements core.Env. Callers run under the engine mutex.
@@ -247,7 +245,6 @@ func (c *Conn) writeBatch(frames [][]byte) (int, error) {
 func (c *Conn) After(d time.Duration, fn func()) (cancel func()) {
 	var canceled bool
 	var mu sync.Mutex
-	//rmlint:ignore env-discipline this Conn IS the wall-clock core.Env implementation; Env.After maps to a real timer
 	timer := time.AfterFunc(d, func() {
 		mu.Lock()
 		dead := canceled
