@@ -15,7 +15,7 @@ test:
 # and doc rules per internal/ package, float equality in the analytic
 # packages, and the metrics schema.
 lint:
-	$(GO) test -count=1 -run 'TestPackageInvariants|TestFloatEquality|TestMetricsSchema' .
+	$(GO) test -count=1 -run 'TestPackageInvariants|TestInternalPackagesClassified|TestInternalDocs|TestFloatEquality|TestMetricsSchema' .
 
 # Race-detector pass over the packages that own or drive concurrency
 # (rse/rect for the codecs the encode-ahead workers call, gf256 for

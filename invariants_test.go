@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ const (
 )
 
 // internalPackages classifies every directory under internal/; a new
-// directory fails TestPackageInvariants until it has a row here.
+// directory fails TestInternalPackagesClassified until it has a row here.
 var internalPackages = map[string]pkgClass{
 	"adapt": engine, "core": engine, "field": engine, "figures": engine, "layered": engine,
 	"loss": engine, "rect": engine, "sim": engine, "simnet": engine,
@@ -69,47 +70,69 @@ var seededRand = map[string]bool{
 	"Source64": true, "Zipf": true, "NewPCG": true, "NewChaCha8": true, "PCG": true, "ChaCha8": true,
 }
 
-// TestPackageInvariants parses every internal/ package and holds it to
-// its class: engines read no wall clock or global math/rand and start no
-// goroutine, runners read no clock or global RNG, and every package
-// documents itself and its exported API. A runner that starts no
-// goroutine, or a transport that reads no clock, is misclassified.
-func TestPackageInvariants(t *testing.T) {
-	dirs, err := os.ReadDir("internal")
+// internalDirs lists the directories under internal/.
+func internalDirs(t *testing.T) []string {
+	t.Helper()
+	entries, err := os.ReadDir("internal")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	return dirs
+}
+
+// parseInternal parses the non-test files of internal/<dir>.
+func parseInternal(t *testing.T, fset *token.FileSet, dir string) map[string]*ast.Package {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, filepath.Join("internal", dir), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// TestInternalPackagesClassified wants exactly one internalPackages row
+// per internal/ directory: a new directory is held to no determinism rule
+// until someone decides which class it belongs to.
+func TestInternalPackagesClassified(t *testing.T) {
 	seen := map[string]bool{}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
+	for _, dir := range internalDirs(t) {
+		if _, ok := internalPackages[dir]; !ok {
+			t.Errorf("internal/%s has no row in internalPackages", dir)
 		}
-		class, ok := internalPackages[d.Name()]
+		seen[dir] = true
+	}
+	for name := range internalPackages {
+		if !seen[name] {
+			t.Errorf("internalPackages lists internal/%s, which does not exist", name)
+		}
+	}
+}
+
+// TestPackageInvariants parses every classified internal/ package and
+// holds it to its class: engines read no wall clock or global math/rand
+// and start no goroutine, and runners read no clock or global RNG. A
+// runner that starts no goroutine, or a transport that reads no clock, is
+// misclassified.
+func TestPackageInvariants(t *testing.T) {
+	for _, dir := range internalDirs(t) {
+		class, ok := internalPackages[dir]
 		if !ok {
-			t.Errorf("internal/%s has no row in internalPackages", d.Name())
-			continue
+			continue // TestInternalPackagesClassified reports it
 		}
-		seen[d.Name()] = true
 		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, filepath.Join("internal", d.Name()), func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pkg := range pkgs {
+		for _, pkg := range parseInternal(t, fset, dir) {
 			var clock, gos []token.Pos
-			pkgDoc := false
 			for _, f := range pkg.Files {
 				c, g := nondeterminism(f)
 				clock, gos = append(clock, c...), append(gos, g...)
-				pkgDoc = pkgDoc || hasDoc(f.Doc)
-				for _, pos := range undocumented(f) {
-					t.Errorf("%s: exported declaration has no doc comment", fset.Position(pos))
-				}
-			}
-			if !pkgDoc {
-				t.Errorf("internal/%s: package %s has no package comment", d.Name(), pkg.Name)
 			}
 			if class == engine || class == runner {
 				for _, pos := range clock {
@@ -122,16 +145,32 @@ func TestPackageInvariants(t *testing.T) {
 				}
 			}
 			if (class == runner || class == transport) && len(gos) == 0 {
-				t.Errorf("internal/%s starts no goroutine; it is not a runner or transport", d.Name())
+				t.Errorf("internal/%s starts no goroutine; it is not a runner or transport", dir)
 			}
 			if class == transport && len(clock) == 0 {
-				t.Errorf("internal/%s reads no wall clock; it is not a transport", d.Name())
+				t.Errorf("internal/%s reads no wall clock; it is not a transport", dir)
 			}
 		}
 	}
-	for name := range internalPackages {
-		if !seen[name] {
-			t.Errorf("internalPackages lists internal/%s, which does not exist", name)
+}
+
+// TestInternalDocs wants every internal/ package, classified or not, to
+// carry a package comment in some file and a doc comment on each exported
+// declaration.
+func TestInternalDocs(t *testing.T) {
+	for _, dir := range internalDirs(t) {
+		fset := token.NewFileSet()
+		for _, pkg := range parseInternal(t, fset, dir) {
+			pkgDoc := false
+			for _, f := range pkg.Files {
+				pkgDoc = pkgDoc || hasDoc(f.Doc)
+				for _, pos := range undocumented(f) {
+					t.Errorf("%s: exported declaration has no doc comment", fset.Position(pos))
+				}
+			}
+			if !pkgDoc {
+				t.Errorf("internal/%s: package %s has no package comment", dir, pkg.Name)
+			}
 		}
 	}
 }
@@ -288,13 +327,11 @@ func isFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// TestMetricsSchema registers every instrument set into one registry and
-// wants its series, in Names order, to be scripts/metrics_schema.txt byte
-// for byte. The registry itself panics on a malformed name or on one
-// series registered as two kinds. On a mismatch the derived schema is
-// left in $TMPDIR/metrics_schema.txt; copy it over the pinned file if
-// the change is intended.
-func TestMetricsSchema(t *testing.T) {
+// derivedSchema registers every instrument set into one fresh registry
+// and returns its series in Names order. The registry itself panics on a
+// malformed name or on one series registered as two kinds.
+func derivedSchema(t *testing.T) []string {
+	t.Helper()
 	reg := metrics.NewRegistry()
 	sched := simnet.NewScheduler()
 	sched.Instrument(reg)
@@ -315,8 +352,40 @@ func TestMetricsSchema(t *testing.T) {
 	rse.RegisterInstruments(reg)
 	new(udpcast.Conn).Instrument(reg)
 	figures.RunMetrics(reg)
+	return reg.Names()
+}
 
-	got := strings.Join(reg.Names(), "\n") + "\n"
+// seriesName is one series as the registry renders it: a snake_case name,
+// then its labels, if any, as key="value" pairs.
+var seriesName = regexp.MustCompile(`^[a-z][a-z0-9_]*(\{[a-z][a-z0-9_]*="[^"]*"(,[a-z][a-z0-9_]*="[^"]*")*\})?$`)
+
+// TestMetricsSchemaDerivation checks the derivation TestMetricsSchema
+// compares: two derivations agree, each labelled series is its own
+// line in the registry's rendering, and the lines are sorted and unique.
+func TestMetricsSchemaDerivation(t *testing.T) {
+	first, second := derivedSchema(t), derivedSchema(t)
+	if strings.Join(first, "\n") != strings.Join(second, "\n") {
+		t.Fatalf("two derivations differ:\n%v\n%v", first, second)
+	}
+	if len(first) == 0 {
+		t.Fatal("no series registered")
+	}
+	for i, name := range first {
+		if !seriesName.MatchString(name) {
+			t.Errorf("series %q is not name{key=\"value\",...}", name)
+		}
+		if i > 0 && first[i-1] >= name {
+			t.Errorf("series %q follows %q: not sorted and unique", name, first[i-1])
+		}
+	}
+}
+
+// TestMetricsSchema wants the derived series, in Names order, to be
+// scripts/metrics_schema.txt byte for byte. On a mismatch the derived
+// schema is left in $TMPDIR/metrics_schema.txt; copy it over the pinned
+// file if the change is intended.
+func TestMetricsSchema(t *testing.T) {
+	got := strings.Join(derivedSchema(t), "\n") + "\n"
 	want, err := os.ReadFile("scripts/metrics_schema.txt")
 	if err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ echo '== go test ./...'
 go test ./...
 # The repository's own invariants (invariants_test.go), uncached like the
 # pins below.
-go test -count=1 -run 'TestPackageInvariants|TestFloatEquality|TestMetricsSchema' .
+go test -count=1 -run 'TestPackageInvariants|TestInternalPackagesClassified|TestInternalDocs|TestFloatEquality|TestMetricsSchema' .
 # The alloc pins (engines, medium, codecs, udpcast sends), the copy-once
 # pins (no second copy, forged Total, event order), the borrowed send
 # buffer and the medium's accounting against the engines must run, not
