@@ -72,8 +72,7 @@ func main() {
 	if *meas {
 		tm, err := hostperf.Timing()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures: measuring host timing:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("measuring host timing: %w", err))
 		}
 		opt.Timing = &tm
 		fmt.Fprintf(os.Stderr, "measured timing [µs]: Xp=%.2f Xn=%.2f Yp=%.2f Yn=%.2f Yt=%.3f Ce=%.3f Cd=%.3f\n",
@@ -95,8 +94,7 @@ func main() {
 		start := time.Now()
 		f, err := figures.Generate(id, opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		elapsed := time.Since(start)
 		figsDone.Inc()
@@ -110,30 +108,25 @@ func main() {
 				err = f.WriteTSV(os.Stdout)
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			fmt.Println()
 			continue
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		path := filepath.Join(*out, id+".tsv")
 		w, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := f.WriteTSV(w); err != nil {
 			w.Close()
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := w.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		perf := fmt.Sprintf("%.2fs", elapsed.Seconds())
 		if f.SimSamples > 0 && elapsed > 0 {

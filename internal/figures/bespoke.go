@@ -2,13 +2,20 @@ package figures
 
 import (
 	"fmt"
+	"math/rand"
 
 	"rmfec/internal/gf256"
 	"rmfec/internal/hostperf"
+	"rmfec/internal/loss"
+	"rmfec/internal/mcrun"
+	"rmfec/internal/sim"
 )
 
+// The two figures that are not curves over R or p: Fig 1 times this
+// machine's coder, and Fig 14 is a histogram of burst lengths.
 func init() {
 	register("fig1", fig1)
+	register("fig14", fig14)
 }
 
 // fig1: coding and decoding rates versus redundancy h/k for k = 7, 20, 100
@@ -56,6 +63,49 @@ func fig1(opt Options) (*Figure, error) {
 			dec.Y = append(dec.Y, float64(k)*1e6/d[i])
 		}
 		fig.Series = append(fig.Series, enc, dec)
+	}
+	return fig, nil
+}
+
+// fig14: distribution of consecutive losses at one receiver, Bernoulli vs
+// burst (mean length 2), p = 0.01, 25 pkt/s.
+func fig14(opt Options) (*Figure, error) {
+	packets := 1_000_000
+	if opt.Quick {
+		packets = 100_000
+	}
+	rng := func(label string) *rand.Rand {
+		return rand.New(rand.NewSource(mcrun.DeriveSeed(opt.Seed, label)))
+	}
+	census := mcrun.Run(opt.Parallel, []func() sim.BurstHistogram{
+		func() sim.BurstHistogram {
+			return sim.BurstCensus(loss.NewBernoulli(lossP, rng("fig14/bernoulli")), 0.040, packets)
+		},
+		func() sim.BurstHistogram {
+			return sim.BurstCensus(loss.NewMarkov(lossP, 2, 25, rng("fig14/markov-b=2")), 0.040, packets)
+		},
+	})
+	bern, markov := census[0], census[1]
+
+	fig := &Figure{
+		ID:         "fig14",
+		Title:      "Burst length distribution, p = 0.01",
+		XLabel:     "burst length [packets]",
+		YLabel:     "occurrences",
+		YLog:       true,
+		SimSamples: 2 * packets,
+	}
+	toSeries := func(name string, h sim.BurstHistogram) Series {
+		s := Series{Name: name}
+		for _, l := range h.Lengths() {
+			s.X = append(s.X, float64(l))
+			s.Y = append(s.Y, float64(h[l]))
+		}
+		return s
+	}
+	fig.Series = []Series{
+		toSeries("no burst loss", bern),
+		toSeries("burst loss, b = 2", markov),
 	}
 	return fig, nil
 }

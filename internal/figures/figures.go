@@ -4,7 +4,11 @@
 // the published curves.
 //
 // Figures 2 and 13 are architecture/timing diagrams with nothing to
-// measure; all other figures (1, 3-12, 14-18) have a generator here.
+// measure; all other figures (1, 3-12, 14-18) have a generator here. The
+// curve figures (3-12, 15-18) are specs run by one generator (curves.go):
+// a list of points and a list of curves, each a closed form or a seeded
+// Monte-Carlo estimate. Fig 1 (host-timed coder) and Fig 14 (burst census)
+// are written out on their own.
 package figures
 
 import (
@@ -189,20 +193,4 @@ func (f *Figure) WriteTSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// receiverGrid returns the log-spaced population grid 1..10^6 (1-2-5
-// ladder), truncated in Quick mode.
-func receiverGrid(opt Options, maxR int) []int {
-	var grid []int
-	for _, base := range []int{1, 10, 100, 1000, 10000, 100000, 1000000} {
-		for _, m := range []int{1, 2, 5} {
-			r := base * m
-			if r > maxR {
-				return grid
-			}
-			grid = append(grid, r)
-		}
-	}
-	return grid
 }

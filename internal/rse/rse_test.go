@@ -2,7 +2,9 @@ package rse
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -411,5 +413,39 @@ func quickRandomErasures(t *testing.T, c *Code, size int) {
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNarrowRSParityPinned pins the GF(2^8) Reed-Solomon parity bytes: for
+// each working point, the SHA-256 of every parity row, in order, that
+// EncodeRows computes from seeded 64-byte data shards. A receiver decodes
+// with its own copy of the code, so a change to how New builds its rows
+// must leave these in place.
+func TestNarrowRSParityPinned(t *testing.T) {
+	for _, c := range []struct {
+		k, h int
+		want string
+	}{
+		{1, 1, "2edaa9dd3b72fb965dbf8476c84e55e490e9f24e3eaef4c05c1156ac607a772b"},
+		{7, 1, "320cafe26ccc8cb1cdbeff6e53827158f6d102dfa9d5ec89ce6ad5061cbdcc9c"},
+		{20, 5, "5e8edb21bea6ca4625c78150e40d17b061249dea0bc28c5c5c430ecf52a7de6e"},
+		{20, 24, "8c1625dee7afa899d1d70d7a5d8de5c1f422591eee9381ab848a48267ee4cd1a"},
+		{32, 4, "e6a77ed34297d8c88b2b35b81e5dd0e51a7b2fac26bcb3206ab688cd168594e6"},
+		{128, 127, "1797d2e884fbac7998019df2452e1fea6adf26e9252f511ace6d66563183cec3"},
+		{254, 1, "97b63852239260ecf6db367772e4ba947cf2745699eaf404285b40fc82d5a2b6"},
+	} {
+		code := mustNew(c.k, c.h)
+		data := randShards(rand.New(rand.NewSource(int64(c.k*1000+c.h))), c.k, 64)
+		parity := make([][]byte, c.h)
+		if err := code.EncodeRows(0, data, parity); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.New()
+		for _, p := range parity {
+			sum.Write(p)
+		}
+		if got := fmt.Sprintf("%x", sum.Sum(nil)); got != c.want {
+			t.Errorf("k=%d h=%d: parity hash %s, want %s", c.k, c.h, got, c.want)
+		}
 	}
 }

@@ -323,10 +323,10 @@ func Layered(pop loss.Population, k, h int, tm Timing, groups int) Estimate {
 	return w.estimate()
 }
 
-// parityCounter is the shared sparse bookkeeping of the integrated
-// engines: after t transmissions a receiver with c losses holds t-c
-// packets of the block and is done once t-c = k. Only LOST draws touch
-// state — receivers outside every loss list finish on schedule for free.
+// parityCounter is the sparse bookkeeping of integrated2: after t
+// transmissions a receiver with c losses holds t-c packets of the block
+// and is done once t-c = k. Only LOST draws touch state — receivers
+// outside every loss list finish on schedule for free.
 // cnt buckets receivers by loss count, so the number finishing at
 // transmission t is cnt[t-k] and the largest remaining deficit is
 // k - t + maxC.
@@ -385,30 +385,16 @@ func (pc *parityCounter) absorb(t int, lost []int) (done int) {
 // Delta, and a receiver leaves the group once it holds any k packets of the
 // block; the sender stops when every receiver is done (idealised unbounded
 // parities, a = 0).
+//
+// That is Integrated2 with no feedback gap (T = 0). Each Integrated2 round
+// sends exactly the worst receiver's deficit, which falls by at most one
+// per packet, so the last receiver completes on a round's last packet:
+// back to back at spacing Delta, the rounds are one stream that stops at
+// the same packet, with the same draws.
 func Integrated1(pop loss.Population, k int, tm Timing, groups int) Estimate {
 	tm.validate()
-	if k < 1 {
-		panic(fmt.Sprintf("sim: Integrated1(k=%d)", k))
-	}
-	if groups < 1 {
-		panic("sim: groups < 1")
-	}
-	r := pop.R()
-	src := newLostSource(pop)
-	pc := newParityCounter(r, k)
-	var w welford
-	for range groups {
-		pop.Reset()
-		pc.reset(r)
-		remaining := r
-		t := 0
-		for remaining > 0 {
-			t++
-			remaining -= pc.absorb(t, src.pop.DrawLost(tm.Delta))
-		}
-		w.add(float64(t) / float64(k))
-	}
-	return w.estimate()
+	m, _ := integrated2(pop, k, Timing{Delta: tm.Delta}, groups)
+	return m
 }
 
 // Integrated2 simulates the hybrid-ARQ integrated scheme (protocol NP's
@@ -421,12 +407,12 @@ func Integrated2(pop loss.Population, k int, tm Timing, groups int) Estimate {
 	return m
 }
 
-// integrated2 is the sparse hybrid-ARQ core shared with
+// integrated2 is the sparse hybrid-ARQ core of Integrated1, Integrated2 and
 // Integrated2Detailed; it also reports the rounds-per-group estimate.
 func integrated2(pop loss.Population, k int, tm Timing, groups int) (m, rounds Estimate) {
 	tm.validate()
 	if k < 1 {
-		panic(fmt.Sprintf("sim: Integrated2(k=%d)", k))
+		panic(fmt.Sprintf("sim: integrated FEC with k=%d", k))
 	}
 	if groups < 1 {
 		panic("sim: groups < 1")

@@ -341,6 +341,8 @@ func TestValidationPanics(t *testing.T) {
 		"census dt":        func() { BurstCensus(loss.NewBernoulli(0.1, rand.New(rand.NewSource(1))), 0, 10) },
 		"empty estimate":   func() { estimate(nil) },
 		"Integrated2 grps": func() { Integrated2(pop, 7, PaperTiming, 0) },
+		"Integrated1 T":    func() { Integrated1(pop, 7, Timing{Delta: 0.04, T: -1}, 10) },
+		"Integrated1 grps": func() { Integrated1(pop, 7, PaperTiming, 0) },
 	} {
 		func() {
 			defer func() {
@@ -350,5 +352,24 @@ func TestValidationPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestIntegrated1IgnoresFeedbackGap: the feedback-free scheme never waits
+// for feedback, so its estimate is the same draw for draw whatever T is,
+// under a memoryless and under a bursty population.
+func TestIntegrated1IgnoresFeedbackGap(t *testing.T) {
+	for name, pop := range map[string]func() loss.Population{
+		"bernoulli": func() loss.Population { return loss.NewBernoulliPopulation(300, 0.05, rand.New(rand.NewSource(115))) },
+		"markov": func() loss.Population {
+			return loss.NewMarkovPopulation(300, 0.05, 2, 25, rand.New(rand.NewSource(116)))
+		},
+	} {
+		want := Integrated1(pop(), 7, Timing{Delta: 0.04}, 300)
+		for _, gap := range []float64{0.3, 5} {
+			if got := Integrated1(pop(), 7, Timing{Delta: 0.04, T: gap}, 300); got != want {
+				t.Errorf("%s: Integrated1 at T = %g is %+v, at T = 0 %+v", name, gap, got, want)
+			}
+		}
 	}
 }

@@ -1,13 +1,17 @@
 package rmfec
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -286,10 +290,33 @@ func hasDoc(cg *ast.CommentGroup) bool {
 // != between two non-constant floating-point operands: quantities equal on
 // paper differ in ulps once summed in log space or truncated. Comparing
 // with a constant (p == 0, x1-x0 == 0) is an exact sentinel and stays.
+// Imports resolve from the compiler's export data, which `go list -export`
+// writes to the build cache, rather than by type-checking them from source.
 func TestFloatEquality(t *testing.T) {
+	dirs := []string{"internal/model", "internal/numeric", "internal/figures"}
+	args := []string{"list", "-export", "-deps", "-json=ImportPath,Export"}
+	for _, dir := range dirs {
+		args = append(args, "./"+dir)
+	}
+	list := exec.Command("go", args...)
+	list.Stderr = os.Stderr
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var pkg struct{ ImportPath, Export string }
+		if err := dec.Decode(&pkg); err != nil {
+			t.Fatal(err)
+		}
+		exports[pkg.ImportPath] = pkg.Export
+	}
 	fset := token.NewFileSet()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	for _, dir := range []string{"internal/model", "internal/numeric", "internal/figures"} {
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	for _, dir := range dirs {
 		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
