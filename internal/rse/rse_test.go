@@ -449,3 +449,36 @@ func TestNarrowRSParityPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestWideRSParityPinned is TestNarrowRSParityPinned for NewWide: the
+// SHA-256 of every GF(2^16) parity row EncodeRows computes from seeded
+// 64-byte data shards, at working points past the GF(2^8) block limit and
+// at its edge.
+func TestWideRSParityPinned(t *testing.T) {
+	for _, c := range []struct {
+		k, h int
+		want string
+	}{
+		{4, 2, "7109b50dd14edb89f035b78f949bf7ba027624c66f461a6388b32240dad4955a"},
+		{200, 100, "3b16186fa8dc700aad53df5d5c9cbf2cb969f16143309cb9cd5f40d5007d12a7"},
+		{255, 1, "6ed6413565004c20a015ae340135407cb5db1fcdf2e1d8b09e0f3198eba29cb9"},
+		{1000, 24, "ab3a29b2c263d13d697e6557209e99a13685967139c46f074bb6f20ca480b5f2"},
+	} {
+		code, err := NewWide(c.k, c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := randShards(rand.New(rand.NewSource(int64(c.k*1000+c.h))), c.k, 64)
+		parity := make([][]byte, c.h)
+		if err := code.EncodeRows(0, data, parity); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.New()
+		for _, p := range parity {
+			sum.Write(p)
+		}
+		if got := fmt.Sprintf("%x", sum.Sum(nil)); got != c.want {
+			t.Errorf("k=%d h=%d: parity hash %s, want %s", c.k, c.h, got, c.want)
+		}
+	}
+}
