@@ -524,30 +524,20 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 }
 
 // BenchmarkAblationTopology extends Figs 11/12's shared-loss observation:
-// the deeper/narrower the tree (more path sharing), the fewer
-// transmissions integrated FEC needs at equal per-receiver loss — a star
-// (independent) is the worst case, a high-degree shallow tree sits in
-// between.
+// the more path sharing, the fewer transmissions integrated FEC needs at
+// equal per-receiver loss — a star (independent) is the worst case, the
+// paper's full binary tree the shared one.
 func BenchmarkAblationTopology(b *testing.B) {
 	const p = 0.01
-	var star, deg4, deg2 float64
+	var star, deg2 float64
 	for i := 0; i < b.N; i++ {
-		// All three populations have 64 receivers at per-receiver loss p.
+		// Both populations have 64 receivers at per-receiver loss p.
 		indep := loss.NewIndependentBernoulli(64, p, rand.New(rand.NewSource(31)))
-		t4, err := loss.NewUniformTree(4, 3, p, rand.New(rand.NewSource(32))) // 4^3 = 64 leaves
-		if err != nil {
-			b.Fatal(err)
-		}
-		t2, err := loss.NewUniformTree(2, 6, p, rand.New(rand.NewSource(33))) // 2^6 = 64 leaves
-		if err != nil {
-			b.Fatal(err)
-		}
+		fbt := loss.NewFBT(6, p, rand.New(rand.NewSource(33))) // 2^6 = 64 leaves
 		star = sim.Integrated2(indep, 7, sim.PaperTiming, 3000).Mean
-		deg4 = sim.Integrated2(t4, 7, sim.PaperTiming, 3000).Mean
-		deg2 = sim.Integrated2(t2, 7, sim.PaperTiming, 3000).Mean
+		deg2 = sim.Integrated2(fbt, 7, sim.PaperTiming, 3000).Mean
 	}
 	b.ReportMetric(star, "EM_star_indep")
-	b.ReportMetric(deg4, "EM_tree_deg4")
 	b.ReportMetric(deg2, "EM_tree_deg2")
 }
 

@@ -156,7 +156,13 @@ func main() {
 	}
 }
 
+// fatal prints err behind one "figures: " prefix and exits; the figures
+// package's own errors already carry it.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "figures: ") {
+		msg = "figures: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

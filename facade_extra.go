@@ -1,10 +1,8 @@
 package rmfec
 
 import (
-	"rmfec/internal/core"
 	"rmfec/internal/hostperf"
 	"rmfec/internal/layered"
-	"rmfec/internal/loss"
 	"rmfec/internal/model"
 	"rmfec/internal/rse"
 )
@@ -52,26 +50,3 @@ type LargeCode = rse.Code
 // NewLargeCode returns a GF(2^16) erasure code with k data and h parity
 // shards per block (k up to 4096, k+h up to 65536; even shard sizes).
 func NewLargeCode(k, h int) (*LargeCode, error) { return rse.NewWide(k, h) }
-
-// Generalised shared-loss topologies (internal/loss): arbitrary multicast
-// trees with per-node loss, of which the paper's full binary tree is the
-// degree-2 special case.
-type (
-	// Tree is a shared-loss multicast tree Population.
-	Tree = loss.Tree
-	// TreeNode describes one node when building a Tree.
-	TreeNode = loss.TreeNode
-)
-
-// NewTree and NewUniformTree construct shared-loss tree populations.
-var (
-	NewTree        = loss.NewTree
-	NewUniformTree = loss.NewUniformTree
-)
-
-// Dispatcher demultiplexes one multicast group among several engines by
-// session id, enabling concurrent transfers on a single socket or node.
-type Dispatcher = core.Dispatcher
-
-// NewDispatcher returns an empty session demultiplexer.
-var NewDispatcher = core.NewDispatcher

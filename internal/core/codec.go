@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rmfec/internal/metrics"
 	"rmfec/internal/packet"
@@ -11,13 +10,13 @@ import (
 )
 
 // Codec is the repair-code abstraction the protocol engines encode and
-// decode transmission groups through. Two backends register behind it:
-// Reed-Solomon (internal/rse: over GF(2^8) for interactive group sizes,
-// over GF(2^16) for the very large groups Section 4.2 recommends against
-// burst loss), and the XOR-only interleaved rectangular code of
-// internal/rect for low-loss paths. The wire identity (ID) lets the
-// adaptive control plane negotiate codecs per transmission group through
-// the TG header's codec id/arg byte, gated by encode cost (see gateAdmit).
+// decode transmission groups through. Two backends satisfy it directly:
+// Reed-Solomon (*rse.Code: over GF(2^8) for interactive group sizes, over
+// GF(2^16) for the very large groups Section 4.2 recommends against burst
+// loss), and the XOR-only interleaved rectangular code (*rect.Code) for
+// low-loss paths. The adaptive control plane negotiates codecs per
+// transmission group through the TG header's codec id/arg byte, gated by
+// encode cost (see gateAdmit).
 type Codec interface {
 	// EncodeRows computes the run of parity shards j, ..., j+len(dst)-1
 	// from the k data shards into dst, resizing and overwriting its
@@ -30,41 +29,12 @@ type Codec interface {
 	// zero-length one with capacity for a shard is rebuilt into its own
 	// backing array (the receiver's message-buffer slots).
 	Reconstruct(shards [][]byte) error
-	// ShortfallBits returns the number of repair packets still needed to
-	// complete a group given the present-shard bitmap have (bit i set
-	// when shard i of the k+h is held). Only meaningful when k+h <= 64;
-	// for MDS codes it is max(0, k - popcount(have)), for rectangular
-	// codes the per-class deficit. This is the codec-aware deficit rule
-	// receivers and the field report through NAK Count.
-	ShortfallBits(have uint64) int
-	// ID returns the codec's wire identity: the (codec, codec arg) byte
-	// pair carried by every TG header (see packet.CodecRS and friends).
-	ID() (id, arg uint8)
 }
 
-type rsCodec struct{ c *rse.Code }
-
-func (g rsCodec) EncodeRows(j int, data, dst [][]byte) error { return g.c.EncodeRows(j, data, dst) }
-func (g rsCodec) Reconstruct(shards [][]byte) error          { return g.c.Reconstruct(shards) }
-func (g rsCodec) ShortfallBits(have uint64) int              { return mdsShortfall(g.c.K(), g.c.N(), have) }
-func (g rsCodec) ID() (uint8, uint8)                         { return packet.CodecRS, 0 }
-
-type rectCodec struct{ c *rect.Code }
-
-func (g rectCodec) EncodeRows(j int, data, dst [][]byte) error { return g.c.EncodeRows(j, data, dst) }
-func (g rectCodec) Reconstruct(shards [][]byte) error          { return g.c.Reconstruct(shards) }
-func (g rectCodec) ShortfallBits(have uint64) int              { return g.c.ShortfallBits(have) }
-func (g rectCodec) ID() (uint8, uint8)                         { return packet.CodecRect, uint8(g.c.D()) }
-
-// mdsShortfall is the MDS deficit rule: any k of the n shards complete
-// the group, so the shortfall is k minus the shards held.
-func mdsShortfall(k, n int, have uint64) int {
-	held := bits.OnesCount64(have & (1<<uint(n) - 1))
-	if held >= k {
-		return 0
-	}
-	return k - held
-}
+var (
+	_ Codec = (*rse.Code)(nil)
+	_ Codec = (*rect.Code)(nil)
+)
 
 // newCodecKH builds a Reed-Solomon codec for a (k, h) working point:
 // over GF(2^8) whenever the block fits in rse.MaxNarrowBlock packets,
@@ -86,7 +56,7 @@ func newCodecKH(k, h, shardSize int, reg *metrics.Registry) (Codec, error) {
 		return nil, err
 	}
 	c.Instrument(rse.RegisterInstruments(reg))
-	return rsCodec{c}, nil
+	return c, nil
 }
 
 // newCodecID builds the codec named by a wire (codec id, codec arg)
@@ -108,7 +78,7 @@ func newCodecID(id, arg uint8, k, h, shardSize int, reg *metrics.Registry) (Code
 		if err != nil {
 			return nil, err
 		}
-		return rectCodec{c}, nil
+		return c, nil
 	default:
 		return nil, fmt.Errorf("core: unknown codec id %d", id)
 	}

@@ -12,12 +12,15 @@ import (
 	"rmfec/internal/adapt"
 	"rmfec/internal/loss"
 	"rmfec/internal/packet"
+	"rmfec/internal/rect"
+	"rmfec/internal/rse"
 )
 
 // TestPortfolioCodecByIDRoundTrip pins the wire identity contract of every
-// registered codec: constructing a codec from a wire (id, arg) pair and
-// reading ID() back must reproduce the pair, and malformed pairs must be
-// rejected rather than silently mapped to a different code.
+// registered codec: a wire (id, arg) pair must build the backend it names
+// — RS over the field k+h selects, rect with d = arg classes — and
+// malformed pairs must be rejected rather than silently mapped to a
+// different code.
 func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 	cases := []struct {
 		id, arg uint8
@@ -33,8 +36,17 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("newCodecID(%d,%d,k=%d,h=%d): %v", c.id, c.arg, c.k, c.h, err)
 		}
-		if id, arg := codec.ID(); id != c.id || arg != c.arg {
-			t.Errorf("codec (%d,%d) reports wire identity (%d,%d)", c.id, c.arg, id, arg)
+		switch code := codec.(type) {
+		case *rse.Code:
+			if c.id != packet.CodecRS || code.Wide() != (c.k+c.h > rse.MaxNarrowBlock) {
+				t.Errorf("codec (%d,%d) k+h=%d built RS with Wide() = %v", c.id, c.arg, c.k+c.h, code.Wide())
+			}
+		case *rect.Code:
+			if c.id != packet.CodecRect || code.D() != int(c.arg) {
+				t.Errorf("codec (%d,%d) built rect with d = %d", c.id, c.arg, code.D())
+			}
+		default:
+			t.Errorf("codec (%d,%d) built %T", c.id, c.arg, codec)
 		}
 	}
 	for _, c := range []struct {
@@ -328,11 +340,7 @@ func TestGateAdmitCostRule(t *testing.T) {
 		{8, 1, false}, {1, 1, false}, {32, 1, false},
 		{2, 2, true}, {8, 2, true}, {20, 5, true}, {8, 8, true},
 	} {
-		code, err := newCodecID(packet.CodecRect, uint8(c.d), c.k, c.d, 64, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := gateAdmit(code, c.k); got != c.admit {
+		if got := gateAdmit(c.k, c.d); got != c.admit {
 			t.Errorf("gateAdmit(rect k=%d d=%d) = %v, want %v", c.k, c.d, got, c.admit)
 		}
 	}

@@ -14,14 +14,13 @@ const (
 	GateOff = 2
 )
 
-// gateAdmit reports whether candidate, an interleaved XOR code with d
-// parity classes (the rect codec: the one non-RS codec), should replace
-// the RS incumbent at k data shards. A rect parity XORs the ceil(k/d)
-// shards of its class where an RS parity multiply-adds all k, and both
-// run the same gf256 vector kernel (an XOR is a multiply-add by 1), so
-// the shard passes per parity decide: the verdict is a function of the
-// working point alone, the same on every host and in every run.
-func gateAdmit(candidate Codec, k int) bool {
-	_, d := candidate.ID()
-	return (k+int(d)-1)/int(d) < k
+// gateAdmit reports whether an interleaved XOR code with d parity classes
+// (the rect codec: the one non-RS codec) should replace the RS incumbent
+// at k data shards. A rect parity XORs the ceil(k/d) shards of its class
+// where an RS parity multiply-adds all k, and both run the same gf256
+// vector kernel (an XOR is a multiply-add by 1), so the shard passes per
+// parity decide: the verdict is a function of the working point alone,
+// the same on every host and in every run.
+func gateAdmit(k, d int) bool {
+	return (k+d-1)/d < k
 }

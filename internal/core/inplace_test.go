@@ -11,6 +11,7 @@ import (
 	"rmfec/internal/adapt"
 	"rmfec/internal/loss"
 	"rmfec/internal/packet"
+	"rmfec/internal/rse"
 	"rmfec/internal/simnet"
 )
 
@@ -392,7 +393,7 @@ func TestInPlaceGF16NoGather(t *testing.T) {
 	r, got := directReceiver(t, cfg)
 	if c, err := r.rx.codecs.get(cfg.K, cfg.MaxParity, packet.CodecRS, 0); err != nil {
 		t.Fatal(err)
-	} else if !c.(rsCodec).c.Wide() {
+	} else if !c.(*rse.Code).Wide() {
 		t.Fatal("config did not select the GF(2^16) codec")
 	}
 	const lost, padding = 3, 199

@@ -6,6 +6,7 @@ import (
 
 	"rmfec/internal/metrics"
 	"rmfec/internal/packet"
+	"rmfec/internal/rect"
 )
 
 // RxRules is the receiver contract of paper §5.1 as both receive engines
@@ -29,12 +30,12 @@ type RxRules struct {
 
 // RxParams is one group's parameters as its frames established them: the
 // data-shard count K (0 while unknown — a group the FIN announced before
-// any of its frames), the parity budget H, and the repair code. Code is
-// nil for the MDS (Reed-Solomon) codes; a non-MDS code (rect) brings its
+// any of its frames), the parity budget H, and the repair code. Rect is
+// nil for the MDS (Reed-Solomon) codes; the non-MDS rect code brings its
 // own per-class shortfall rule. Once set, only RxRules.Admit changes them.
 type RxParams struct {
 	K, H     int
-	Code     Codec
+	Rect     *rect.Code
 	codecID  uint8 // the codec identity of the group's headers; 0/0 = RS
 	codecArg uint8
 	codecSet bool   // fixed at the group's first data-plane frame
@@ -157,7 +158,7 @@ func (rr *RxRules) adoptCodec(p *RxParams, id, arg uint8, k, h int) bool {
 		if err != nil {
 			return false
 		}
-		p.Code = c
+		p.Rect = c.(*rect.Code)
 	default:
 		return false
 	}
@@ -181,8 +182,8 @@ func (rr *RxRules) GroupK(p *RxParams) int {
 // (rect) needs its per-class shortfall, which extra parities of an
 // already covered class do not reduce.
 func (rr *RxRules) Deficit(p *RxParams, have int, held uint64) int {
-	if p.Code != nil {
-		return p.Code.ShortfallBits(held)
+	if p.Rect != nil {
+		return p.Rect.ShortfallBits(held)
 	}
 	return max(rr.GroupK(p)-have, 0)
 }

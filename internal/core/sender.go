@@ -430,7 +430,7 @@ func (s *Sender) eraCodec(p adapt.Params) (code Codec, id, arg uint8) {
 	case GateOff:
 		s.m.gateReject.Inc()
 	default:
-		admit = gateAdmit(cand, p.K)
+		admit = gateAdmit(p.K, int(p.CodecArg))
 		if admit {
 			s.m.gateAdmit.Inc()
 		} else {

@@ -85,8 +85,8 @@ func sortEverything(f *Field, g *fgroup) (ids []int, missed []uint64) {
 		}
 		i = j
 		deficient := bits.OnesCount64(bm) > excess
-		if g.Code != nil {
-			deficient = g.Code.ShortfallBits(g.seqSeen&^bm) > 0
+		if g.Rect != nil {
+			deficient = g.Rect.ShortfallBits(g.seqSeen&^bm) > 0
 		}
 		if deficient {
 			ids = append(ids, id)

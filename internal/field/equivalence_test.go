@@ -59,7 +59,10 @@ type splitProc struct {
 
 func (p *splitProc) Lost(dt float64) bool {
 	if p.calls == p.s.draws {
-		p.s.pop.Draw(dt, p.s.lost)
+		clear(p.s.lost)
+		for _, j := range p.s.pop.DrawLost(dt) {
+			p.s.lost[j] = true
+		}
 		p.s.draws++
 	}
 	p.calls++
@@ -264,15 +267,12 @@ func TestFieldEquivalence(t *testing.T) {
 			fits: func(r int) bool { return log2exact(r) >= 0 },
 		},
 		{
-			// Star-shaped Tree: dense Draw only, exercising the field's
-			// dense-fallback loss path.
+			// A star tree with a lossless root: per-receiver processes,
+			// no SubsetPopulation, exercising the field's non-subset
+			// loss path.
 			name: "tree",
 			mk: func(r int, rng *rand.Rand) loss.Population {
-				tr, err := loss.NewUniformTree(r, 1, 0.12, rng)
-				if err != nil {
-					panic(err)
-				}
-				return tr
+				return loss.NewIndependentBernoulli(r, 0.12, rng)
 			},
 			fits: func(int) bool { return true },
 		},
@@ -289,7 +289,7 @@ func TestFieldEquivalence(t *testing.T) {
 				ref := runReference(t, r, pcfg, 4242, 1717, m.mk, msg)
 				got := runField(t, r, pcfg, 4242, 1717, m.mk, msg)
 				checkEquivalent(t, ref, got)
-				if ref.nakTx == 0 && m.name != "tree" {
+				if ref.nakTx == 0 {
 					t.Fatalf("degenerate case: no NAKs were exchanged, equivalence untested")
 				}
 			})

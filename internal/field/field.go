@@ -28,7 +28,7 @@
 // when counts no longer say enough — a resent seq, an NC combo or session,
 // a rect codec, a late k or codec — the group materialises its receivers
 // into the arrays below with DrawMissed, exactly. In Exact mode and under
-// stateful populations (Markov, FBT, Tree, Independent) each arrival's
+// stateful populations (Markov, FBT, Independent) each arrival's
 // loss draw is appended as packed (receiver, seq) pairs, which
 // consolidation sorts and ORs into one bitmap per receiver. Repair
 // packets then cost a merge walk of the draw against the active array,
@@ -467,9 +467,9 @@ func (f *Field) tgGroup(pkt *packet.Packet) *fgroup {
 		return nil
 	}
 	g := f.group(pkt.Group)
-	k0, rect0 := g.K, g.Code != nil
+	k0, rect0 := g.K, g.Rect != nil
 	ok = f.rx.Admit(&g.RxParams, pkt, k, h)
-	if g.consolidated && (g.K != k0 || (g.Code != nil) != rect0) {
+	if g.consolidated && (g.K != k0 || (g.Rect != nil) != rect0) {
 		// The group learned its k or its codec only now, which moves
 		// every deficit (counts kept under the old rule no longer say
 		// it); the next arrival's sweep drops whoever is done.
@@ -673,7 +673,7 @@ func (f *Field) consolidate(g *fgroup) {
 	k := f.rx.GroupK(&g.RxParams)
 	switch {
 	case f.subset != nil:
-		if g.Code != nil {
+		if g.Rect != nil {
 			k = max(k, g.nTx)
 		}
 		g.hist = true
@@ -683,7 +683,7 @@ func (f *Field) consolidate(g *fgroup) {
 			lost += m * (g.nTx - c)
 		}
 		f.countLosses(lost)
-		if g.Code != nil || f.cfg.NCRepair {
+		if g.Rect != nil || f.cfg.NCRepair {
 			f.materialize(g)
 		}
 	case g.nTx < k:

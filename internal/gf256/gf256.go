@@ -91,37 +91,10 @@ func lengthMismatch(op string, a, b int) string {
 	return fmt.Sprintf("gf256: %s length mismatch %d != %d", op, a, b)
 }
 
-// MulSlice sets dst[i] = c*src[i] through the kernel dispatch of
-// kernels.go: the AVX2 prefix where the CPU has it, then the pair-table
-// word kernel. dst and src must have equal length and must not alias unless
-// identical. A zero coefficient zeroes dst; coefficient one copies.
-func MulSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(lengthMismatch("MulSlice", len(src), len(dst)))
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		if useAVX2 && len(src) >= vecBlock {
-			mulVec(&mulLo[c], &mulHi[c], src, dst)
-			n := len(src) &^ (vecBlock - 1)
-			if n == len(src) {
-				return // no tail: do not build a pair table for it
-			}
-			src, dst = src[n:], dst[n:]
-		}
-		mulWords(c, src, dst)
-	}
-}
-
 // MulAddSlice computes dst[i] ^= c*src[i], the multiply-accumulate kernel at
-// the heart of Reed-Solomon encoding and decoding, through the same
-// dispatch as MulSlice. dst and src must have equal length and must not
+// the heart of Reed-Solomon encoding and decoding, through the kernel
+// dispatch of kernels.go: the AVX2 prefix where the CPU has it, then the
+// pair-table word kernel. dst and src must have equal length and must not
 // alias unless identical.
 func MulAddSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {

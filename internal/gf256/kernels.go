@@ -26,7 +26,7 @@ package gf256
 //     other architectures both are the constant false and the branches
 //     compile away (kernels_other.go).
 //
-//   - Pair tables (MulSlice and MulAddSlice past the vector prefix, and
+//   - Pair tables (MulAddSlice past the vector prefix, and
 //     everything on hosts without AVX2): for each coefficient c a lazily
 //     built 65536-entry table maps a byte *pair* (b0, b1) to the packed
 //     pair of products (c*b0, c*b1). A 64-bit word then needs only four
@@ -257,40 +257,6 @@ func mulAddWords(c byte, src, dst []byte) {
 		row := &mulTbl[c]
 		for i, v := range s {
 			d[i] ^= row[v]
-		}
-	}
-}
-
-// mulWords computes dst[i] = c*src[i] with the pair-table word kernel;
-// c must not be 0 or 1 (dispatched in MulSlice).
-func mulWords(c byte, src, dst []byte) {
-	t := pairTableFor(c)
-	d := dst[:len(src)]
-	s := src
-	for len(s) >= 16 {
-		x := binary.LittleEndian.Uint64(s)
-		y := binary.LittleEndian.Uint64(s[8:])
-		w := uint64(t[x&0xffff]) | uint64(t[(x>>16)&0xffff])<<16 |
-			uint64(t[(x>>32)&0xffff])<<32 | uint64(t[x>>48])<<48
-		v := uint64(t[y&0xffff]) | uint64(t[(y>>16)&0xffff])<<16 |
-			uint64(t[(y>>32)&0xffff])<<32 | uint64(t[y>>48])<<48
-		binary.LittleEndian.PutUint64(d, w)
-		binary.LittleEndian.PutUint64(d[8:], v)
-		s = s[16:]
-		d = d[16:]
-	}
-	if len(s) >= 8 {
-		x := binary.LittleEndian.Uint64(s)
-		w := uint64(t[x&0xffff]) | uint64(t[(x>>16)&0xffff])<<16 |
-			uint64(t[(x>>32)&0xffff])<<32 | uint64(t[x>>48])<<48
-		binary.LittleEndian.PutUint64(d, w)
-		s = s[8:]
-		d = d[8:]
-	}
-	if len(s) > 0 {
-		row := &mulTbl[c]
-		for i, v := range s {
-			d[i] = row[v]
 		}
 	}
 }

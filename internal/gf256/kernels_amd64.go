@@ -35,11 +35,6 @@ func detectAVX2() bool {
 //go:noescape
 func mulAddVec(lo, hi *[16]byte, src, dst []byte)
 
-// mulVec is the overwriting counterpart of mulAddVec: dst[i] = c*src[i].
-//
-//go:noescape
-func mulVec(lo, hi *[16]byte, src, dst []byte)
-
 // mulRowPair computes out0 = sum_i A0(i) in[i] and out1 = sum_i A1(i)
 // in[i], where A0(i) is the 32-byte affine matrix at byte offset i*stride
 // from aff and A1(i) the one next bytes past it: 32 for the following row,

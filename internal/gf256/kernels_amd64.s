@@ -1,37 +1,5 @@
 #include "textflag.h"
 
-// AVX2 split-nibble kernels (see kernels.go). Register plan, both kernels:
-// Y0/Y1 = the coefficient's mulLo/mulHi rows in both 128-bit lanes,
-// Y2 = 0x0f in every byte, SI/DI = src/dst cursors, CX = 32-byte blocks left.
-
-// PRODUCT leaves c times the 32 bytes at SI in lo; hi is scratch. Per byte
-// x the product is mulLo[c][x&15] ^ mulHi[c][x>>4], sixteen-way per VPSHUFB
-// lane.
-#define PRODUCT(lo, hi) \
-	VMOVDQU (SI), lo    \
-	VPSRLQ  $4, lo, hi  \
-	VPAND   Y2, lo, lo  \
-	VPAND   Y2, hi, hi  \
-	VPSHUFB lo, Y0, lo  \
-	VPSHUFB hi, Y1, hi  \
-	VPXOR   lo, hi, lo
-
-// SETUP loads the arguments and broadcasts the tables; jumps to done when
-// src holds no whole 32-byte block.
-#define SETUP \
-	MOVQ           lo+0(FP), AX           \
-	MOVQ           hi+8(FP), BX           \
-	MOVQ           src_base+16(FP), SI    \
-	MOVQ           src_len+24(FP), CX     \
-	MOVQ           dst_base+40(FP), DI    \
-	SHRQ           $5, CX                 \
-	JZ             done                   \
-	VBROADCASTI128 (AX), Y0               \
-	VBROADCASTI128 (BX), Y1               \
-	MOVQ           $0x0f0f0f0f0f0f0f0f, AX \
-	VMOVQ          AX, X2                 \
-	VPBROADCASTQ   X2, Y2
-
 // AFFINE accumulates the product of matrix m with the source columns Y4
 // and Y5 into acc0 and acc1; Y6 is scratch.
 #define AFFINE(m, acc0, acc1) \
@@ -41,28 +9,33 @@
 	VPXOR          Y6, acc1, acc1
 
 // func mulAddVec(lo, hi *[16]byte, src, dst []byte)
+// The AVX2 split-nibble kernel (see kernels.go): Y0/Y1 = the coefficient's
+// mulLo/mulHi rows in both 128-bit lanes, Y2 = 0x0f in every byte, SI/DI =
+// src/dst cursors, CX = 32-byte blocks left. Per byte x the product is
+// mulLo[c][x&15] ^ mulHi[c][x>>4], sixteen-way per VPSHUFB lane.
 TEXT ·mulAddVec(SB), NOSPLIT, $0-64
-	SETUP
+	MOVQ           lo+0(FP), AX
+	MOVQ           hi+8(FP), BX
+	MOVQ           src_base+16(FP), SI
+	MOVQ           src_len+24(FP), CX
+	MOVQ           dst_base+40(FP), DI
+	SHRQ           $5, CX
+	JZ             done
+	VBROADCASTI128 (AX), Y0
+	VBROADCASTI128 (BX), Y1
+	MOVQ           $0x0f0f0f0f0f0f0f0f, AX
+	VMOVQ          AX, X2
+	VPBROADCASTQ   X2, Y2
 
 loop:
-	PRODUCT(Y3, Y4)
+	VMOVDQU (SI), Y3
+	VPSRLQ  $4, Y3, Y4
+	VPAND   Y2, Y3, Y3
+	VPAND   Y2, Y4, Y4
+	VPSHUFB Y3, Y0, Y3
+	VPSHUFB Y4, Y1, Y4
+	VPXOR   Y3, Y4, Y3
 	VPXOR   (DI), Y3, Y3
-	VMOVDQU Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     loop
-	VZEROUPPER
-
-done:
-	RET
-
-// func mulVec(lo, hi *[16]byte, src, dst []byte)
-TEXT ·mulVec(SB), NOSPLIT, $0-64
-	SETUP
-
-loop:
-	PRODUCT(Y3, Y4)
 	VMOVDQU Y3, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI

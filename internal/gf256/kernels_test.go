@@ -28,9 +28,7 @@ type kernelUnderTest struct {
 // only ever see tails.
 var kernelsUnderTest = []kernelUnderTest{
 	{"MulAddSlice", MulAddSlice, MulAddSliceScalar, 0},
-	{"MulSlice", MulSlice, MulSliceScalar, 0},
 	{"mulAddWords", mulAddWords, MulAddSliceScalar, 2},
-	{"mulWords", mulWords, MulSliceScalar, 2},
 }
 
 // MulAddSliceScalar is the byte-at-a-time multiply-accumulate kernel the
@@ -44,17 +42,6 @@ func MulAddSliceScalar(c byte, src, dst []byte) {
 	tbl := &mulTbl[c]
 	for i, s := range src {
 		dst[i] ^= tbl[s]
-	}
-}
-
-// MulSliceScalar is the byte-at-a-time counterpart of MulSlice.
-func MulSliceScalar(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(lengthMismatch("MulSliceScalar", len(src), len(dst)))
-	}
-	tbl := &mulTbl[c]
-	for i, s := range src {
-		dst[i] = tbl[s]
 	}
 }
 
@@ -294,7 +281,7 @@ func TestPairTableConcurrentPublish(t *testing.T) {
 	src := make([]byte, 100)
 	rand.New(rand.NewSource(13)).Read(src)
 	want := make([]byte, len(src))
-	MulSliceScalar(c, src, want)
+	MulAddSliceScalar(c, src, want)
 	tables := make([]*[65536]uint16, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -303,9 +290,9 @@ func TestPairTableConcurrentPublish(t *testing.T) {
 			defer wg.Done()
 			tables[w] = pairTableFor(c)
 			got := make([]byte, len(src))
-			mulWords(c, src, got)
+			mulAddWords(c, src, got)
 			if !bytes.Equal(got, want) {
-				t.Errorf("worker %d: mulWords diverges from scalar", w)
+				t.Errorf("worker %d: mulAddWords diverges from scalar", w)
 			}
 		}(w)
 	}
@@ -367,8 +354,6 @@ func BenchmarkKernels(b *testing.B) {
 		run("MulAdd", func() { MulAddSlice(c, src, dst) })
 		run("MulAddScalarRef", func() { MulAddSliceScalar(c, src, dst) })
 		run("MulAddPairTable", func() { mulAddWords(c, src, dst) })
-		run("Mul", func() { MulSlice(c, src, dst) })
-		run("MulScalarRef", func() { MulSliceScalar(c, src, dst) })
 		run("Xor", func() { AddSlice(src, dst) })
 		run("XorScalarRef", func() { MulAddSliceScalar(1, src, dst) })
 	}

@@ -116,9 +116,11 @@ func (m *Matrix) Invert() (*Matrix, error) {
 		}
 		// Normalise the pivot row.
 		if pv := a.At(col, col); pv != 1 {
-			c := Inv(pv)
-			MulSlice(c, a.Row(col), a.Row(col))
-			MulSlice(c, inv.Row(col), inv.Row(col))
+			t := &mulTbl[Inv(pv)]
+			ra, ri := a.Row(col), inv.Row(col)
+			for i := range ra {
+				ra[i], ri[i] = t[ra[i]], t[ri[i]]
+			}
 		}
 		// Eliminate the column from every other row.
 		for r := 0; r < n; r++ {

@@ -16,7 +16,7 @@ import (
 //
 //	p = 1 - (1-PNode)^(d+1).
 //
-// There is no temporal correlation: every Draw is independent, so the dt
+// There is no temporal correlation: every DrawLost is independent, so the dt
 // argument is ignored.
 type FBT struct {
 	Depth int     // tree height d; R = 2^d receivers
@@ -62,9 +62,6 @@ func (t *FBT) R() int { return t.r }
 
 // Reset implements Population (the tree is memoryless).
 func (t *FBT) Reset() {}
-
-// Draw implements Population by scattering DrawLost.
-func (t *FBT) Draw(dt float64, lost []bool) { scatter(lost, t.r, t.DrawLost(dt)) }
 
 // DrawLost implements Population: one multicast transmission through the
 // tree. Failed nodes are enumerated with geometric skip-sampling (expected

@@ -141,18 +141,23 @@ func (m *Markov) Lost(dt float64) bool {
 type Population interface {
 	// R returns the number of receivers.
 	R() int
-	// Draw advances every receiver by dt seconds and records in lost
-	// (length R) whether each receiver misses a packet sent now.
-	Draw(dt float64, lost []bool)
-	// DrawLost is Draw reporting the indices of the receivers that miss
-	// the packet, ascending without duplicates. The returned slice is
-	// owned by the population and only valid until the next DrawLost or
-	// Draw call. Sparse kernels (Bernoulli, Markov, FBT) spend time
-	// proportional to the losses; Independent and Tree scan a dense draw.
+	// DrawLost advances every receiver by dt seconds and returns the
+	// indices of the receivers that miss a packet sent now, ascending
+	// without duplicates. The returned slice is owned by the population
+	// and only valid until the next DrawLost call. Sparse kernels
+	// (Bernoulli, Markov, FBT) spend time proportional to the losses;
+	// Independent asks each of its processes in turn.
 	DrawLost(dt float64) []int
 	// Reset re-initialises all receiver state.
 	Reset()
 }
+
+var (
+	_ Population       = (*Independent)(nil)
+	_ SubsetPopulation = (*BernoulliPopulation)(nil)
+	_ Population       = (*MarkovPopulation)(nil)
+	_ Population       = (*FBT)(nil)
+)
 
 // SubsetPopulation is an optional extension of Population for MEMORYLESS,
 // homogeneous loss: no receiver carries temporal state and all lose alike,
@@ -163,14 +168,14 @@ type Population interface {
 // instead of O(p*R) per round, and the field uses the second to keep a
 // group's deficient receivers as counts per held-shard number, at O(k)
 // binomial draws per round at any R. Populations with per-receiver state
-// (Markov), cross-receiver structure (FBT, Tree) or per-receiver processes
+// (Markov), cross-receiver structure (FBT) or per-receiver processes
 // (Independent) must not implement it.
 type SubsetPopulation interface {
 	Population
 	// DrawLostAmong returns the members of among (ascending, no
 	// duplicates) that miss a packet sent now, in ascending order. The
 	// returned slice is owned by the population, is only valid until the
-	// next Draw* call, and must not alias among.
+	// next DrawLost* call, and must not alias among.
 	DrawLostAmong(dt float64, among []int) []int
 	// DrawRound draws a round in which n packets went once to every
 	// receiver: it sets bins[c] to the number of receivers that hold
@@ -185,45 +190,11 @@ type SubsetPopulation interface {
 	DrawMissed(sent uint64, c int) uint64
 }
 
-// scatter is the Draw of a population that enumerates its losses: it marks
-// lost, the receivers of one DrawLost, in dst (length r), so dense and
-// sparse callers observe the same loss process.
-func scatter(dst []bool, r int, lost []int) {
-	if len(dst) != r {
-		panic(fmt.Sprintf("loss: Draw buffer %d != R %d", len(dst), r))
-	}
-	clear(dst)
-	for _, j := range lost {
-		dst[j] = true
-	}
-}
-
-// denseScan is the DrawLost of a population that can only draw densely:
-// one Draw into a reused buffer, then an O(R) scan.
-type denseScan struct {
-	lost []bool
-	idx  []int
-}
-
-func (d *denseScan) drawLost(pop Population, dt float64) []int {
-	if d.lost == nil {
-		d.lost = make([]bool, pop.R())
-	}
-	pop.Draw(dt, d.lost)
-	d.idx = d.idx[:0]
-	for j, l := range d.lost {
-		if l {
-			d.idx = append(d.idx, j)
-		}
-	}
-	return d.idx
-}
-
 // Independent is a Population of mutually independent per-receiver
 // processes (homogeneous or heterogeneous).
 type Independent struct {
 	procs []Process
-	scan  denseScan
+	idx   []int // DrawLost scratch, reused across draws
 }
 
 // NewIndependent wraps per-receiver processes into a Population.
@@ -256,18 +227,17 @@ func NewIndependentMarkov(r int, p, meanBurst, pktRate float64, rng *rand.Rand) 
 // R implements Population.
 func (ip *Independent) R() int { return len(ip.procs) }
 
-// Draw implements Population.
-func (ip *Independent) Draw(dt float64, lost []bool) {
-	if len(lost) != len(ip.procs) {
-		panic(fmt.Sprintf("loss: Draw buffer %d != R %d", len(lost), len(ip.procs)))
-	}
+// DrawLost implements Population: each process in turn, so the draws
+// consume a shared source of randomness in receiver order.
+func (ip *Independent) DrawLost(dt float64) []int {
+	ip.idx = ip.idx[:0]
 	for i, p := range ip.procs {
-		lost[i] = p.Lost(dt)
+		if p.Lost(dt) {
+			ip.idx = append(ip.idx, i)
+		}
 	}
+	return ip.idx
 }
-
-// DrawLost implements Population by a dense Draw and a scan.
-func (ip *Independent) DrawLost(dt float64) []int { return ip.scan.drawLost(ip, dt) }
 
 // Reset implements Population.
 func (ip *Independent) Reset() {
@@ -388,9 +358,6 @@ func (bp *BernoulliPopulation) DrawMissed(sent uint64, c int) uint64 {
 	return bm
 }
 
-// Draw implements Population by scattering DrawLost.
-func (bp *BernoulliPopulation) Draw(dt float64, lost []bool) { scatter(lost, bp.r, bp.DrawLost(dt)) }
-
 // MarkovPopulation is a homogeneous independent two-state Markov ("burst")
 // population with a sparse draw kernel. The chain of Markov.Lost leaves a
 // receiver in state 1 exactly when its last packet was lost, so the whole
@@ -468,6 +435,3 @@ func (mp *MarkovPopulation) DrawLost(dt float64) []int {
 	mp.state1 = append(mp.state1[:0], mp.idx...)
 	return mp.idx
 }
-
-// Draw implements Population by scattering DrawLost.
-func (mp *MarkovPopulation) Draw(dt float64, lost []bool) { scatter(lost, mp.r, mp.DrawLost(dt)) }

@@ -140,7 +140,7 @@ func TestIndependentPopulation(t *testing.T) {
 	count := 0
 	const draws = 20000
 	for i := 0; i < draws; i++ {
-		pop.Draw(0.04, lost)
+		drawDense(pop, 0.04, lost)
 		for _, l := range lost {
 			if l {
 				count++
@@ -151,12 +151,14 @@ func TestIndependentPopulation(t *testing.T) {
 	if math.Abs(got-0.2) > 0.01 {
 		t.Errorf("population loss rate = %g, want 0.2", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("short buffer accepted")
-		}
-	}()
-	pop.Draw(0.04, make([]bool, 49))
+}
+
+// drawDense marks in lost (length R) the receivers of one DrawLost.
+func drawDense(pop Population, dt float64, lost []bool) {
+	clear(lost)
+	for _, j := range pop.DrawLost(dt) {
+		lost[j] = true
+	}
 }
 
 func TestFBTLeafLossProbability(t *testing.T) {
@@ -166,7 +168,7 @@ func TestFBTLeafLossProbability(t *testing.T) {
 		count, total := 0, 0
 		const draws = 60000
 		for i := 0; i < draws; i++ {
-			tree.Draw(0, lost)
+			drawDense(tree, 0, lost)
 			for _, l := range lost {
 				if l {
 					count++
@@ -191,7 +193,7 @@ func TestFBTSharedness(t *testing.T) {
 	both, single := 0, 0
 	const draws = 200000
 	for i := 0; i < draws; i++ {
-		tree.Draw(0, lost)
+		drawDense(tree, 0, lost)
 		if lost[0] {
 			single++
 			if lost[1] {
@@ -241,38 +243,38 @@ func TestFBTMatchesNaiveImplementation(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	lost := make([]bool, 1<<depth)
 	const draws = 120000
-	countFast := make([]int, len(lost))
-	pairFast := 0
-	for i := 0; i < draws; i++ {
-		tree.Draw(0, lost)
-		for j, l := range lost {
-			if l {
-				countFast[j]++
+	// count tallies per-leaf losses and the joint losses of two leaf
+	// pairs: siblings (0, 1), which share all but their own node, and far
+	// leaves (0, 7), which share only the root.
+	count := func(draw func([]bool)) (leaf []int, siblings, far int) {
+		leaf = make([]int, len(lost))
+		for i := 0; i < draws; i++ {
+			draw(lost)
+			for j, l := range lost {
+				if l {
+					leaf[j]++
+				}
+			}
+			if lost[0] && lost[1] {
+				siblings++
+			}
+			if lost[0] && lost[7] {
+				far++
 			}
 		}
-		if lost[0] && lost[7] {
-			pairFast++
-		}
+		return leaf, siblings, far
 	}
-	countNaive := make([]int, len(lost))
-	pairNaive := 0
-	for i := 0; i < draws; i++ {
-		naive(rng, lost)
-		for j, l := range lost {
-			if l {
-				countNaive[j]++
-			}
-		}
-		if lost[0] && lost[7] {
-			pairNaive++
-		}
-	}
+	countFast, sibFast, pairFast := count(func(lost []bool) { drawDense(tree, 0, lost) })
+	countNaive, sibNaive, pairNaive := count(func(lost []bool) { naive(rng, lost) })
 	for j := range countFast {
 		f := float64(countFast[j]) / draws
 		n := float64(countNaive[j]) / draws
 		if math.Abs(f-n) > 0.01 {
 			t.Errorf("leaf %d: fast %g vs naive %g", j, f, n)
 		}
+	}
+	if math.Abs(float64(sibFast-sibNaive))/draws > 0.01 {
+		t.Errorf("joint loss of sibling leaves: fast %d vs naive %d", sibFast, sibNaive)
 	}
 	if math.Abs(float64(pairFast-pairNaive))/draws > 0.01 {
 		t.Errorf("joint loss of far leaves: fast %d vs naive %d", pairFast, pairNaive)
@@ -285,7 +287,7 @@ func TestFBTZeroLoss(t *testing.T) {
 	for i := range lost {
 		lost[i] = true
 	}
-	tree.Draw(0, lost)
+	drawDense(tree, 0, lost)
 	for i, l := range lost {
 		if l {
 			t.Fatalf("leaf %d lost with p=0", i)
@@ -298,7 +300,6 @@ func TestFBTValidation(t *testing.T) {
 	for name, f := range map[string]func(){
 		"depth<0": func() { NewFBT(-1, 0.1, rng) },
 		"p=1":     func() { NewFBT(3, 1, rng) },
-		"buffer":  func() { NewFBT(3, 0.1, rng).Draw(0, make([]bool, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -318,7 +319,7 @@ func TestDeterminismUnderSeed(t *testing.T) {
 		lost := make([]bool, tree.R())
 		out := make([]bool, 0, 10*tree.R())
 		for i := 0; i < 10; i++ {
-			tree.Draw(0, lost)
+			drawDense(tree, 0, lost)
 			out = append(out, lost...)
 		}
 		return out

@@ -45,17 +45,7 @@ func TestBernoulliSparseMatchesDense(t *testing.T) {
 		}
 		return len(lost)
 	})
-	buf := make([]bool, r)
-	denseMean, denseVar := countStats(func() int {
-		dense.Draw(0.04, buf)
-		n := 0
-		for _, l := range buf {
-			if l {
-				n++
-			}
-		}
-		return n
-	})
+	denseMean, denseVar := countStats(func() int { return len(dense.DrawLost(0.04)) })
 
 	wantMean := float64(r) * p
 	wantVar := float64(r) * p * (1 - p)
@@ -250,18 +240,10 @@ func TestBernoulliPopulationEdgeCases(t *testing.T) {
 	if lost := always.DrawLost(0.04); len(lost) != 50 {
 		t.Errorf("p=1 lost %d receivers, want 50", len(lost))
 	}
-	buf := make([]bool, 50)
-	always.Draw(0.04, buf)
-	for j, l := range buf {
-		if !l {
-			t.Fatalf("p=1 Draw missed receiver %d", j)
-		}
-	}
 	for name, f := range map[string]func(){
 		"r=0":   func() { NewBernoulliPopulation(0, 0.1, rng) },
 		"p=2":   func() { NewBernoulliPopulation(5, 2, rng) },
 		"p=NaN": func() { NewBernoulliPopulation(5, math.NaN(), rng) },
-		"buf":   func() { never.Draw(0.04, make([]bool, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -318,18 +300,8 @@ func TestMarkovSparseMatchesDense(t *testing.T) {
 		return stats{mean: lossSum / draws, repeat: repeats / prevLosses}
 	}
 
-	buf := make([]bool, r)
 	sp := measure(func() []int { return sparse.DrawLost(dt) })
-	de := measure(func() []int {
-		dense.Draw(dt, buf)
-		idx := make([]int, 0, 64)
-		for j, l := range buf {
-			if l {
-				idx = append(idx, j)
-			}
-		}
-		return idx
-	})
+	de := measure(func() []int { return dense.DrawLost(dt) })
 
 	wantMean := float64(r) * p
 	tol := 4 * math.Sqrt(wantMean/draws) * 2 // bursts inflate count variance
@@ -341,41 +313,6 @@ func TestMarkovSparseMatchesDense(t *testing.T) {
 		rtol := 5 * math.Sqrt(p11*(1-p11)/(draws*wantMean))
 		if math.Abs(got.repeat-p11) > rtol {
 			t.Errorf("%s burst continuation = %g, want P11 = %g +- %g", name, got.repeat, p11, rtol)
-		}
-	}
-}
-
-// TestFBTSparseDenseIdentical exploits that FBT's DrawLost consumes the
-// RNG exactly like Draw: equal seeds must lose exactly the same receivers.
-func TestFBTSparseDenseIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		depth int
-		p     float64
-	}{
-		{0, 0.1}, {3, 0.05}, {8, 0.01}, {8, 0.4}, {12, 0.01},
-	} {
-		a := NewFBT(tc.depth, tc.p, rand.New(rand.NewSource(31)))
-		b := NewFBT(tc.depth, tc.p, rand.New(rand.NewSource(31)))
-		r := a.R()
-		buf := make([]bool, r)
-		for draw := 0; draw < 200; draw++ {
-			a.Draw(0.04, buf)
-			lost := b.DrawLost(0.04)
-			li := 0
-			for j := 0; j < r; j++ {
-				sparse := li < len(lost) && lost[li] == j
-				if sparse {
-					li++
-				}
-				if buf[j] != sparse {
-					t.Fatalf("depth=%d p=%g draw %d: receiver %d dense=%v sparse=%v",
-						tc.depth, tc.p, draw, j, buf[j], sparse)
-				}
-			}
-			if li != len(lost) {
-				t.Fatalf("depth=%d p=%g draw %d: %d unmatched sparse indices %v",
-					tc.depth, tc.p, draw, len(lost)-li, lost[li:])
-			}
 		}
 	}
 }

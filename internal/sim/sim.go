@@ -12,11 +12,10 @@
 // 4.1 and 4.2.
 //
 // The engines track per-receiver recovery state sparsely: a transmission's
-// outcome is consumed as the list of LOST receivers (Population.DrawLost,
-// a dense scan for the populations that only draw densely) and the
-// bookkeeping per transmission costs O(losses), not O(R). With the sparse
-// Bernoulli and FBT draw kernels this makes per-sample cost scale with
-// p*R instead of R. The dense-scan engines they replaced survive as
+// outcome is consumed as the list of LOST receivers (Population.DrawLost)
+// and the bookkeeping per transmission costs O(losses), not O(R). With
+// the sparse Bernoulli and FBT draw kernels this makes per-sample cost
+// scale with p*R instead of R. The dense-scan engines they replaced survive as
 // recorded reference runs, testdata/dense_witness.tsv, which the tests
 // compare the sparse engines against.
 package sim

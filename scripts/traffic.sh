@@ -8,7 +8,10 @@
 # BENCHMARK.json lists once, untraced (--trace 0, seed 1, the given
 # measuring seconds per pass), all into one GOCOVERDIR, and prints the
 # internal/ functions `go tool covdata func` reports at 0.0 %: code that
-# sits on no workload's path, so no end-to-end number pays for it.
+# sits on no workload's path, so no end-to-end number pays for it, then a
+# count line of them, so two lists compare by number. Started as
+# `sh scripts/traffic.sh`, it re-executes itself under bash.
+if [ -z "${BASH_VERSION:-}" ]; then exec bash "$0" "$@"; fi
 set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 cd "$root"
@@ -22,4 +25,5 @@ for workload in $(awk '/"workloads"/ {on = 1} /"end_to_end"/ {on = 0}
 	echo "traffic: $workload" >&2
 	GOCOVERDIR="$out/cover" "$out/npbench" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >/dev/null
 done
-go tool covdata func -i="$out/cover" | awk '$1 ~ /\/internal\// && $NF == "0.0%"'
+go tool covdata func -i="$out/cover" | awk '$1 ~ /\/internal\// && $NF == "0.0%" {print; n++}
+	END {print "traffic: " n+0 " internal/ functions at 0.0 %"}'
