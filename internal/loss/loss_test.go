@@ -281,6 +281,39 @@ func TestFBTMatchesNaiveImplementation(t *testing.T) {
 	}
 }
 
+func TestUniformTreeMatchesFBT(t *testing.T) {
+	// The FBT is the degree-2 uniform tree of height d: R = 2^d leaves, a
+	// per-leaf marginal of p, and sibling leaves that share every node but
+	// their own, so both are lost unless the d shared nodes all pass and
+	// then with PNode^2.
+	const depth, p = 5, 0.05
+	fbt := NewFBT(depth, p, rand.New(rand.NewSource(2)))
+	if fbt.R() != 1<<depth {
+		t.Fatalf("R = %d, want %d", fbt.R(), 1<<depth)
+	}
+	q := fbt.PNode
+	shared := math.Pow(1-q, depth)
+	wantBoth := 1 - shared + shared*q*q
+	lost := make([]bool, fbt.R())
+	const draws = 120000
+	var m, b int
+	for i := 0; i < draws; i++ {
+		drawDense(fbt, 0, lost)
+		if lost[0] {
+			m++
+			if lost[1] {
+				b++
+			}
+		}
+	}
+	if got := float64(m) / draws; math.Abs(got-p) > 0.004 {
+		t.Errorf("marginal %g, want %g", got, p)
+	}
+	if got := float64(b) / draws; math.Abs(got-wantBoth) > 0.004 {
+		t.Errorf("sibling joint loss %g, want %g", got, wantBoth)
+	}
+}
+
 func TestFBTZeroLoss(t *testing.T) {
 	tree := NewFBT(4, 0, rand.New(rand.NewSource(11)))
 	lost := make([]bool, tree.R())
