@@ -42,8 +42,8 @@ func TestPortfolioCodecByIDRoundTrip(t *testing.T) {
 				t.Errorf("codec (%d,%d) k+h=%d built RS with Wide() = %v", c.id, c.arg, c.k+c.h, code.Wide())
 			}
 		case *rect.Code:
-			if c.id != packet.CodecRect || code.D() != int(c.arg) {
-				t.Errorf("codec (%d,%d) built rect with d = %d", c.id, c.arg, code.D())
+			if c.id != packet.CodecRect || code.N()-code.K() != int(c.arg) {
+				t.Errorf("codec (%d,%d) built rect with d = %d", c.id, c.arg, code.N()-code.K())
 			}
 		default:
 			t.Errorf("codec (%d,%d) built %T", c.id, c.arg, codec)

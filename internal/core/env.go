@@ -72,6 +72,17 @@ type BatchEnv interface {
 	MulticastBatch(frames [][]byte) (sent int, err error)
 }
 
+// TickEnv is an optional Env extension for timers that are never
+// cancelled. Tick schedules fn once after d, as After does, but returns no
+// cancel, so a transport can arm it without allocating. The sender paces
+// its queue and repeats its FIN through Tick when the env has it, and
+// through After otherwise; the two give the same transcript. It is not a
+// method of Env: a shim that embeds an Env to wrap After would have Tick
+// promoted past it.
+type TickEnv interface {
+	Tick(d time.Duration, fn func())
+}
+
 // PipelineConfig tunes the sender's pipelined transmit stages. The zero
 // value disables them: Depth = 0 runs the same sender with no worker pool
 // and no batching, and is the reference every other setting must match

@@ -474,7 +474,7 @@ func captureLadderWalk(t testing.TB) ladderWalk {
 	cfg := portfolioConfig(GateForce)
 	cfg.NCRepair = true
 	var w ladderWalk
-	h, msg := runMatrixChannel(t, cfg, func(b []byte) { w.frames = append(w.frames, captureFrame(t, b)) })
+	h, msg := runMatrixChannel(t, cfg, func(b []byte) { w.frames = append(w.frames, captureFrame(t, b)) }, false)
 	w.msg = msg
 	seen := map[int]bool{}
 	for _, g := range h.sender.GroupTrace() {

@@ -113,8 +113,9 @@ func renderTrace(tr []GroupInfo) string {
 }
 
 // runMatrixChannel transfers the matrix message over the matrix channel,
-// showing tap every frame the sender multicasts.
-func runMatrixChannel(t testing.TB, cfg Config, tap func(b []byte)) (*harness, []byte) {
+// showing tap every frame the sender multicasts. With afterOnly set the
+// sender's env hides TickEnv, so its pacing and FIN timers go through After.
+func runMatrixChannel(t testing.TB, cfg Config, tap func(b []byte), afterOnly bool) (*harness, []byte) {
 	t.Helper()
 	h := newHarness(t, harnessOpts{
 		r:   4,
@@ -126,8 +127,13 @@ func runMatrixChannel(t testing.TB, cfg Config, tap func(b []byte)) (*harness, [
 				remaining: 600,
 			}
 		},
-		seed:      3101,
-		senderEnv: func(n *simnet.Node) Env { return recordingEnv{n, tap} },
+		seed: 3101,
+		senderEnv: func(n *simnet.Node) Env {
+			if afterOnly {
+				return struct{ Env }{recordingEnv{n, tap}}
+			}
+			return recordingEnv{n, tap}
+		},
 	})
 	// Not a multiple of any K*ShardSize in the matrix: the last group of
 	// every mode carries a partial shard and all-padding shards.
@@ -144,7 +150,7 @@ func runModeCell(t *testing.T, cfg Config) (modeGolden, *Sender, string) {
 	h, _ := runMatrixChannel(t, cfg, func(b []byte) {
 		hash.add(b)
 		semTap(b)
-	})
+	}, false)
 	trace := renderTrace(h.sender.GroupTrace())
 	return modeGolden{
 		transcript: hash.sum(),
@@ -192,6 +198,35 @@ func TestModeMatrixGolden(t *testing.T) {
 				}
 				if cfg.NCRepair && st.NcRounds == 0 {
 					t.Error("NC row never exhausted a parity budget into an NC round")
+				}
+			})
+		}
+	}
+}
+
+// recordingEnv takes Tick from its simnet node, so TestModeMatrixGolden
+// paces the sender on Tick and TestModeMatrixTimerPathsAgree on After.
+var _ TickEnv = recordingEnv{}
+
+// TestModeMatrixTimerPathsAgree re-runs every mode matrix cell with the
+// sender's env wrapped so that it hides TickEnv: pacing and the FIN repeat
+// then arm through After, and the transcript and counters must be the
+// golden ones recorded on Tick.
+func TestModeMatrixTimerPathsAgree(t *testing.T) {
+	for _, m := range modeMatrix {
+		for _, p := range matrixPipelines {
+			name := m.name + "/" + p.name
+			t.Run(name, func(t *testing.T) {
+				cfg := m.cfg()
+				cfg.Pipeline = p.pl
+				hash := newTranscriptHash()
+				h, _ := runMatrixChannel(t, cfg, hash.add, true)
+				if h.sender.tenv != nil {
+					t.Fatal("the wrapped env still offers Tick")
+				}
+				want := modeGoldens[name]
+				if got, stats := hash.sum(), fmt.Sprintf("%+v", h.sender.Stats()); got != want.transcript || stats != want.stats {
+					t.Errorf("After-paced sender drifted from the Tick-paced golden:\n got %s %s\nwant %s %s", got, stats, want.transcript, want.stats)
 				}
 			})
 		}

@@ -10,6 +10,7 @@ import (
 	"rmfec/internal/loss"
 	"rmfec/internal/metrics"
 	"rmfec/internal/packet"
+	"rmfec/internal/simnet"
 )
 
 // sinkEnv is the cheapest possible Env: it discards frames, keeps exactly
@@ -89,6 +90,51 @@ func TestSenderSteadyStateZeroAlloc(t *testing.T) {
 			}
 			if tc.pl.Batch > 1 && env.batches == 0 {
 				t.Error("batched sender never used MulticastBatch")
+			}
+		})
+	}
+}
+
+// TestSenderOnMediumSteadyStateZeroAlloc paces the sender on a one-node
+// simnet medium instead of sinkEnv, so the pin covers the timer the pump
+// re-arms per packet: the scheduler's TickEnv arms it on a recycled event
+// with no cancel func, and a pump step allocates nothing.
+func TestSenderOnMediumSteadyStateZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pl   PipelineConfig
+	}{
+		{"serial", PipelineConfig{}},
+		{"batched", PipelineConfig{Depth: 8, Workers: 2, Batch: 32}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := simnet.NewScheduler()
+			node := simnet.NewNetwork(sched, rand.New(rand.NewSource(1))).AddNode(simnet.NodeConfig{})
+			cfg := Config{Session: 3, K: 20, MaxParity: 5, ShardSize: 1024,
+				Delta: time.Millisecond, Pipeline: tc.pl}
+			s, err := NewSender(node, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// 300 steps of up to 32 packets each stay short of the FIN
+			// tail of 500 TGs.
+			if err := s.Send(make([]byte, 500*20*1024)); err != nil {
+				t.Fatal(err)
+			}
+			sent := func() int { st := s.Stats(); return st.DataTx + st.PollTx }
+			step := func() {
+				before := sent()
+				sched.RunUntil(sched.Now() + time.Duration(max(tc.pl.Batch, 1))*cfg.Delta)
+				if sent() == before || sched.Pending() != 1 {
+					t.Fatalf("pump step sent %d frames and left %d timers queued", sent()-before, sched.Pending())
+				}
+			}
+			for i := 0; i < 100; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Errorf("%s pump paced by simnet: %.1f allocs/op, want 0", tc.name, allocs)
 			}
 		})
 	}

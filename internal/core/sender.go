@@ -59,6 +59,7 @@ type PipelineStats struct {
 type Sender struct {
 	env  Env
 	benv BatchEnv // env's batching extension; nil when unsupported/disabled
+	tenv TickEnv  // env's uncancellable-timer extension; nil when unsupported
 	cfg  Config
 
 	total uint32 // Total of TG-scoped packets: the message's source-shard count
@@ -217,6 +218,7 @@ func newSender(env Env, cfg Config, arq bool) (*Sender, error) {
 			s.pump()
 		}
 	}
+	s.tenv, _ = env.(TickEnv)
 	if cfg.Pipeline.enabled() && cfg.Pipeline.Batch > 1 {
 		s.benv, _ = env.(BatchEnv)
 		s.batch = make([][]byte, 0, cfg.Pipeline.Batch)
@@ -879,7 +881,7 @@ func (s *Sender) pump() {
 		if s.finLeft > 0 && !s.finDue {
 			s.finLeft--
 			s.finDue = true
-			s.env.After(s.cfg.FinInterval, s.finCb)
+			s.tick(s.cfg.FinInterval, s.finCb)
 		}
 		return
 	}
@@ -892,7 +894,18 @@ func (s *Sender) pump() {
 		s.transmit(out)
 	}
 	s.pumping = true
-	s.env.After(time.Duration(n)*s.cfg.Delta, s.pumpCb)
+	s.tick(time.Duration(n)*s.cfg.Delta, s.pumpCb)
+}
+
+// tick arms one of the sender's timers, none of which is ever cancelled:
+// through TickEnv when the env has it, which builds no cancel func, else
+// through After.
+func (s *Sender) tick(d time.Duration, fn func()) {
+	if s.tenv != nil {
+		s.tenv.Tick(d, fn)
+		return
+	}
+	s.env.After(d, fn)
 }
 
 // pumpBatch sends up to Pipeline.Batch consecutive data-plane frames as

@@ -99,9 +99,6 @@ func (m *Markov) Reset() {
 	}
 }
 
-// State returns the current chain state (0 = good, 1 = loss).
-func (m *Markov) State() int { return m.state }
-
 // decay returns exp(-rate*dt), recomputed only when dt changes.
 func (m *Markov) decay(dt float64) float64 {
 	if dt != m.decayDt {

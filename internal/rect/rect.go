@@ -65,9 +65,6 @@ func New(k, d int) (*Code, error) {
 // K returns the number of data shards per block.
 func (c *Code) K() int { return c.k }
 
-// D returns the number of parity classes (equal to the parity count h).
-func (c *Code) D() int { return c.d }
-
 // N returns the total shard count k + d.
 func (c *Code) N() int { return c.k + c.d }
 

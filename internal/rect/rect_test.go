@@ -55,8 +55,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.K() != 20 || c.D() != 4 || c.N() != 24 {
-		t.Fatalf("got k=%d d=%d n=%d", c.K(), c.D(), c.N())
+	if c.K() != 20 || c.d != 4 || c.N() != 24 {
+		t.Fatalf("got k=%d d=%d n=%d", c.K(), c.d, c.N())
 	}
 }
 

@@ -112,7 +112,8 @@ type NodeConfig struct {
 }
 
 // Node is one endpoint on the medium. It implements the core.Env contract
-// structurally: Now, Multicast, MulticastControl, After and Rand.
+// structurally: Now, Multicast, MulticastControl, After and Rand, and
+// core.TickEnv with Tick.
 type Node struct {
 	id      int
 	net     *Network
@@ -139,9 +140,6 @@ func (n *Network) AddNode(cfg NodeConfig) *Node {
 	return node
 }
 
-// ID returns the node's index within the network.
-func (node *Node) ID() int { return node.id }
-
 // SetHandler installs the packet-arrival callback. Handlers run on the
 // scheduler goroutine. The buffer is BORROWED for the duration of the call:
 // it is shared with the other destinations' arrivals (do not write to it)
@@ -156,6 +154,9 @@ func (node *Node) Now() time.Duration { return node.net.sched.Now() }
 func (node *Node) After(d time.Duration, fn func()) (cancel func()) {
 	return node.net.sched.After(d, fn)
 }
+
+// Tick schedules a local timer that is never cancelled (core.TickEnv).
+func (node *Node) Tick(d time.Duration, fn func()) { node.net.sched.Tick(d, fn) }
 
 // Rand returns the node's private randomness (for NAK slot selection).
 func (node *Node) Rand() *rand.Rand { return node.rng }

@@ -109,6 +109,17 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // At schedules fn at absolute virtual time t (>= Now) and returns a cancel
 // function. Cancel is idempotent and a no-op after the event fires.
 func (s *Scheduler) At(t time.Duration, fn func()) (cancel func()) {
+	e := s.arm(t, fn)
+	gen := e.gen
+	return func() {
+		if e.gen == gen {
+			e.canceled = true
+		}
+	}
+}
+
+// arm queues a recycled timer event for fn at time t.
+func (s *Scheduler) arm(t time.Duration, fn func()) *event {
 	if fn == nil {
 		panic("simnet: nil event callback")
 	}
@@ -118,12 +129,7 @@ func (s *Scheduler) At(t time.Duration, fn func()) (cancel func()) {
 	e := take(&s.free)
 	e.fn = fn
 	s.push(e, t)
-	gen := e.gen
-	return func() {
-		if e.gen == gen {
-			e.canceled = true
-		}
-	}
+	return e
 }
 
 // push queues e at time t behind everything already scheduled for t.
@@ -234,10 +240,14 @@ func (s *Scheduler) deliver(e *event) {
 
 // After schedules fn after delay d; see At.
 func (s *Scheduler) After(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	return s.At(s.now+max(d, 0), fn)
+}
+
+// Tick schedules fn after delay d, in the same (at, seq) order as After,
+// but returns no cancel: with no closure to build, arming a tick on a
+// recycled event allocates nothing.
+func (s *Scheduler) Tick(d time.Duration, fn func()) {
+	s.arm(s.now+max(d, 0), fn)
 }
 
 // Stop makes Run return after the current event completes.

@@ -199,6 +199,31 @@ func TestTimerSteadyStateOneAlloc(t *testing.T) {
 	}
 }
 
+// TestTickSteadyStateZeroAlloc: a tick builds no cancel closure, so arming
+// and firing one on a recycled event allocates nothing. It takes its place
+// in issue order among After's timers, and a negative delay fires now.
+func TestTickSteadyStateZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	var order []int
+	s.After(time.Millisecond, func() { order = append(order, 1) })
+	s.Tick(time.Millisecond, func() { order = append(order, 2) })
+	s.After(time.Millisecond, func() { order = append(order, 3) })
+	s.Tick(-time.Second, func() { order = append(order, 0) })
+	s.Run()
+	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) || s.Now() != time.Millisecond {
+		t.Fatalf("fired %v, clock at %v; want [0 1 2 3] at 1ms", order, s.Now())
+	}
+	nop := func() {}
+	arm := func() {
+		s.Tick(time.Millisecond, nop)
+		s.Run()
+	}
+	arm()
+	if allocs := testing.AllocsPerRun(100, arm); allocs != 0 {
+		t.Errorf("Tick + fire: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestDeliveryRunCountsOnceInPending: destinations with one arrival instant
 // share a queue entry, which Pending counts once until its last arrival is
 // handed over; a Stop in the middle of the run keeps the rest queued.
@@ -209,8 +234,8 @@ func TestDeliveryRunCountsOnceInPending(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n := net.AddNode(NodeConfig{Delay: time.Millisecond})
 		n.SetHandler(func([]byte) {
-			got, pending = append(got, n.ID()), append(pending, s.Pending())
-			if n.ID() == 2 {
+			got, pending = append(got, n.id), append(pending, s.Pending())
+			if n.id == 2 {
 				s.Stop()
 			}
 		})
@@ -383,7 +408,7 @@ func TestNodeRandIndependentPerNode(t *testing.T) {
 	if a.Rand() == b.Rand() {
 		t.Fatal("nodes share a rand source")
 	}
-	if a.ID() == b.ID() {
+	if a.id == b.id {
 		t.Fatal("duplicate node ids")
 	}
 }

@@ -65,10 +65,10 @@ func TestTraceEventsOnNetwork(t *testing.T) {
 		n, control := int(ev.B>>1), ev.B&1 == 1
 		// A sent both packets, the 100-byte one on the data plane; only a
 		// transmission names its src as dst.
-		if src != a.ID() || (n == 100) == control || (ev.Kind == TraceTx) != (dst == src) {
+		if src != a.id || (n == 100) == control || (ev.Kind == TraceTx) != (dst == src) {
 			t.Errorf("%s event %+v: src %d dst %d len %d control %v", ev.Kind, ev, src, dst, n, control)
 		}
-		if ev.Kind == TraceDrop && (dst != b.ID() || control) {
+		if ev.Kind == TraceDrop && (dst != b.id || control) {
 			t.Errorf("drop event %+v: want node B's data packet", ev)
 		}
 	}

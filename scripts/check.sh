@@ -163,7 +163,7 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=9142
+loc_ceiling=9156
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2

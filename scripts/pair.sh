@@ -13,15 +13,20 @@
 # odd i and the change first on even i.
 #
 # Layout is randomised, not left to the linker (Stabilizer-style; Curtsinger
-# and Berger, ASPLOS 2013). Functions are 32-byte aligned, so where a hot
-# loop falls modulo 64 moves with the size of all code linked before it,
-# and one such shift read as a few per cent of goodput. Before pair i both
-# build trees get, in each of gf256, loss, rse, simnet, core and field, a
-# pad of three tiny functions (96 bytes, 32 mod 64) or none, by the parity
-# of the first hex digit of md5("pad <i> <package>"); a pad moves its
-# package and every later one by 32 bytes mod 64. Both sides then sample
-# the same spread of alignments, and the medians average layout out. The checkout itself is never padded. Each pair prints the
-# pads and each side's hot-symbol offsets mod 64, from `go tool nm`.
+# and Berger, ASPLOS 2013; Mytkowicz et al., ASPLOS 2009). Functions are
+# 32-byte aligned, so where a hot loop falls moves with the size of all code
+# linked before it, and one such shift read as a few per cent of goodput.
+# Before each run, every rmfec package the benchmark binary links gets its
+# own pad at the front of its code: 0 or 64 to 4096 bytes in 32-byte steps,
+# drawn from md5("pad <i> <side> <package>") for pair i. A pad of S bytes
+# is a chain of S/32 functions of 32 bytes each (an init calling
+# //go:noinline ones). Steps of 32, not 64, also sample where hot code
+# falls modulo 64, which a pad of whole 64-byte lines would never move.
+# Each side of each pair draws its own layout, so placement widens both
+# medians instead of biasing their ratio, even when the change itself moves
+# later code by kilobytes. The checkout itself is never padded, nor is the
+# standard library. Each run prints its side's pad bytes per package and
+# its hot-symbol offsets mod 64, from `go tool nm`.
 #
 # Per end-to-end metric of BENCHMARK.json it prints each
 # side's median and quartiles, the change's wins/losses/ties over the pairs,
@@ -54,16 +59,24 @@ git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
 fresh "$change"
 tar -C "$root" --exclude=./.git --exclude=./.bench_build -cf - . | tar -x -C "$change"
 
-padpkgs="gf256 loss rse simnet core field"
-pad() { # pad <checkout> <pair>: write pair i's layout pads into a build tree
-	local pkg f
-	for pkg in $padpkgs; do
-		f="$1/internal/$pkg/aaa_layout_pad.go"
-		rm -f "$f"
-		if [[ -d ${f%/*} ]] && ((16#$(printf 'pad %s %s' "$2" "$pkg" | md5sum | cut -c1) % 2)); then
-			printf 'package %s\n\nfunc init() { layoutPadA() }\n\n//go:noinline\nfunc layoutPadA() { layoutPadB() }\n\n//go:noinline\nfunc layoutPadB() {}\n' "$pkg" >"$f"
-		fi
-	done
+pad() { # pad <checkout> <side> <pair>: write the side's layout pads, print their bytes
+	local path name dir f n i
+	find "$1" -path "$1/.bench_build" -prune -o -name aaa_layout_pad.go -exec rm -f {} +
+	printf '  %s pads:' "$2"
+	while read -r path name dir; do
+		n=$((16#$(printf 'pad %s %s %s' "$3" "$2" "$path" | md5sum | cut -c1-4) % 128 + 1)) # 32-byte functions
+		((n > 1)) || n=0 # a lone init could be dropped by the compiler
+		path=${path#rmfec/}
+		printf ' %s=%d' "${path#internal/}" $((n * 32))
+		((n)) || continue
+		f="$dir/aaa_layout_pad.go"
+		printf 'package %s\n\nfunc init() { layoutPad1() }\n' "$name" >"$f"
+		for ((i = 1; i < n - 1; i++)); do
+			printf '\n//go:noinline\nfunc layoutPad%d() { layoutPad%d() }\n' "$i" $((i + 1)) >>"$f"
+		done
+		printf '\n//go:noinline\nfunc layoutPad%d() {}\n' $((n - 1)) >>"$f"
+	done < <(cd "$1" && GOFLAGS= GOTOOLCHAIN=local go list -deps -f '{{.ImportPath}} {{.Name}} {{.Dir}}' ./benchmark | grep '^rmfec')
+	echo
 }
 hot='gf256\.MulAddSlice|loss\.\(\*BernoulliPopulation\)\.DrawRound|rse\.\(\*Code\)\.Reconstruct|simnet\.\(\*Scheduler\)\.deliver|core\.\(\*Receiver\)\.onShard|core\.\(\*Sender\)\.pump|field\.\(\*Field\)\.onShard'
 offsets() { # offsets <checkout>: its binary's hot symbols, address mod 64
@@ -71,7 +84,8 @@ offsets() { # offsets <checkout>: its binary's hot symbols, address mod 64
 		while read -r addr _ name; do printf ' %s=%d' "${name#rmfec/internal/}" $((16#$addr % 64)); done
 }
 
-run() { # run <side> <checkout> <seed>: append the run's JSON result line
+run() { # run <side> <checkout> <seed>: pad the side for pair <seed>, append the run's JSON result line
+	pad "$2" "$1" "$3"
 	(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds 15 --trace 0 2>/dev/null) |
 		tail -n 1 >>"$out/$workload.$1.jsonl"
 	echo "  $1:$(offsets "$2")"
@@ -127,9 +141,7 @@ for workload in $workloads; do
 	: >"$out/$workload.parent.jsonl"
 	: >"$out/$workload.change.jsonl"
 	for i in $(seq 1 "$pairs"); do
-		pad "$parent" "$i"
-		pad "$change" "$i"
-		echo "$workload pair $i pads:" $(cd "$change/internal" && ls */aaa_layout_pad.go 2>/dev/null | cut -d/ -f1)
+		echo "$workload pair $i:"
 		if ((i % 2)); then
 			run parent "$parent" "$i"
 			run change "$change" "$i"
