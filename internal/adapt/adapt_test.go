@@ -188,7 +188,7 @@ func TestBurstDetector(t *testing.T) {
 		driveTG(c, rng, 0.0125)
 	}
 	if c.Bursty() {
-		t.Fatalf("Bernoulli loss classified bursty (D=%.2f)", c.Dispersion())
+		t.Fatalf("Bernoulli loss classified bursty (D=%.2f)", c.disp)
 	}
 	memRung := c.Rung()
 	// Same per-packet mean concentrated into bursts: each TG is hit with
@@ -203,7 +203,7 @@ func TestBurstDetector(t *testing.T) {
 		c.Observe(prm.K, prm.A, def)
 	}
 	if !c.Bursty() {
-		t.Fatalf("burst loss not detected (D=%.2f)", c.Dispersion())
+		t.Fatalf("burst loss not detected (D=%.2f)", c.disp)
 	}
 	if got := c.Rung(); got <= memRung {
 		t.Errorf("bursty state did not deepen the rung: %d vs %d memoryless", got, memRung)
@@ -214,7 +214,7 @@ func TestBurstDetector(t *testing.T) {
 		driveTG(c, rng, 0.0125)
 	}
 	if c.Bursty() {
-		t.Fatalf("burst flag stuck after return to Bernoulli loss (D=%.2f)", c.Dispersion())
+		t.Fatalf("burst flag stuck after return to Bernoulli loss (D=%.2f)", c.disp)
 	}
 }
 

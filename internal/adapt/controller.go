@@ -267,10 +267,6 @@ func (c *Controller) publishPoint() {
 // PHat returns the current windowed loss estimate.
 func (c *Controller) PHat() float64 { return c.phat }
 
-// Dispersion returns the index of dispersion of the fully-observed
-// (a=0) per-TG loss counts.
-func (c *Controller) Dispersion() float64 { return c.disp }
-
 // Bursty reports the burst detector's state.
 func (c *Controller) Bursty() bool { return c.bursty }
 

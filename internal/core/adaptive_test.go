@@ -213,7 +213,7 @@ func TestAdaptiveBurstDetectorDeepensRung(t *testing.T) {
 		if ctl.Bursty() {
 			bursty++
 		}
-		t.Logf("seed %d: rung %d, bursty %v (D = %.2f, p̂ = %.4f)", seed, ctl.Rung(), ctl.Bursty(), ctl.Dispersion(), ctl.PHat())
+		t.Logf("seed %d: rung %d, bursty %v (p̂ = %.4f)", seed, ctl.Rung(), ctl.Bursty(), ctl.PHat())
 	}
 	t.Logf("%d/%d runs at rung ≥ 3, bursty flag set in %d/%d", deep, seeds, bursty, seeds)
 	if deep < 18 {

@@ -471,20 +471,3 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestOnGroupStreaming(t *testing.T) {
-	h := newHarness(t, harnessOpts{r: 1, cfg: baseConfig(), seed: 70})
-	var groups []uint32
-	h.receivers[0].OnGroup = func(g uint32, shards [][]byte) {
-		groups = append(groups, g)
-		if len(shards) != 8 {
-			t.Errorf("OnGroup got %d shards", len(shards))
-		}
-	}
-	msg := testMessage(2000, 71)
-	h.run(t, msg)
-	h.checkDelivered(t, msg)
-	if len(groups) != h.sender.Groups() {
-		t.Errorf("OnGroup fired %d times for %d groups", len(groups), h.sender.Groups())
-	}
-}

@@ -191,12 +191,11 @@ func TestInPlaceArrivalOrders(t *testing.T) {
 }
 
 // TestGroupTable: the receiver's groups live in a directory of 64-group
-// chunks. A streaming-mode release is final — a late duplicate of the
-// released group finds nothing to resurrect — and a chunk whose 64 groups
-// are all released leaves the spent sentinel behind and serves the next
-// index range it is asked for under that range's own indices. A buffer
-// step taken while several groups hold in-place shards re-points every one
-// of them.
+// chunks, group idx at slot idx&63 of chunk idx>>6. A finished group is
+// final: its late frames, duplicates or not, count nothing, take no shard
+// and arm no NAK, and once the message is delivered every frame is
+// ignored. A buffer step taken while several groups hold in-place shards
+// re-points every one of them.
 func TestGroupTable(t *testing.T) {
 	cfg := inplaceConfig()
 	const nGroups = 2*64 + 3
@@ -211,44 +210,40 @@ func TestGroupTable(t *testing.T) {
 		return out
 	}
 
-	t.Run("streaming release", func(t *testing.T) {
-		r, err := NewReceiver(newSinkEnv(3), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var groups []uint32
-		r.OnGroup = func(g uint32, _ [][]byte) { groups = append(groups, g) }
+	t.Run("late frames of a finished group", func(t *testing.T) {
+		r, got := directReceiver(t, cfg)
+		env := r.env.(*sinkEnv)
 		g0 := data(0)
 		feed(r, g0[:cfg.K-1], nil)
-		if len(r.dir) == 0 || r.dir[0] == nil || r.held(0) != &r.dir[0].g[0] {
-			t.Fatalf("group 0 is not slot 0 of chunk 0: %p", r.held(0))
+		g := r.held(0)
+		if len(r.dir) == 0 || r.dir[0] == nil || g != &r.dir[0].g[0] {
+			t.Fatalf("group 0 is not slot 0 of chunk 0: %p", g)
 		}
-		recycled := r.dir[0]
-		feed(r, g0[cfg.K-1:], nil) // completes, delivers and releases group 0
-		if r.held(0) != nil || liveGroups(r) != 0 {
-			t.Fatalf("after the release: group 0 at %p, %d groups held", r.held(0), liveGroups(r))
+		feed(r, g0[cfg.K-1:], nil) // completes group 0
+		if !g.done || r.decoded != 1 {
+			t.Fatalf("group 0 not finished: done %v, %d decoded", g.done, r.decoded)
 		}
-		feed(r, g0[:2], nil) // late duplicates
-		if r.held(0) != nil || liveGroups(r) != 0 || len(groups) != 1 {
-			t.Errorf("a late duplicate resurrected state: %d groups held, OnGroup fired %d times", liveGroups(r), len(groups))
+		st, have, haveBits := r.Stats(), g.have, g.haveBits
+		feed(r, frames, func(f wireFrame) bool { return f.group == 0 && f.typ != packet.TypeFin }) // late copies, parities and POLLs
+		if r.Stats() != st || g.have != have || g.haveBits != haveBits || r.decoded != 1 {
+			t.Errorf("late frames of group 0 took effect: stats %+v -> %+v, have %d -> %d, haveBits %#x -> %#x, %d decoded",
+				st, r.Stats(), have, g.have, haveBits, g.haveBits, r.decoded)
 		}
-		for g := uint32(1); g < 64; g++ {
-			feed(r, data(g), nil)
-		}
-		if r.dir[0] != spent || r.free != recycled || recycled.next != nil {
-			t.Fatalf("chunk 0 not recycled after its 64 releases: entry %p, free-list %p", r.dir[0], r.free)
-		}
-		feed(r, g0[:1], nil) // a late duplicate meets the sentinel
-		if r.free != recycled || len(groups) != 64 {
-			t.Errorf("a late duplicate of a spent chunk took state: free-list %p, OnGroup fired %d times", r.free, len(groups))
+		if g.nakArmed || env.pending != nil {
+			t.Errorf("late frames of group 0 armed a NAK")
 		}
 		feed(r, data(64)[:1], nil)
-		if r.dir[1] != recycled || r.held(64) != &recycled.g[0] || r.free != nil {
-			t.Errorf("group 64 did not take over the recycled chunk under its own index: chunk %p, group %p", r.dir[1], r.held(64))
+		if len(r.dir) < 2 || r.dir[1] == nil || r.held(64) != &r.dir[1].g[0] {
+			t.Errorf("group 64 is not slot 0 of chunk 1: %p", r.held(64))
 		}
 		feed(r, frames, nil)
-		if !r.Complete() || len(groups) != nGroups {
-			t.Errorf("complete %v after %d OnGroup calls, want true after %d", r.Complete(), len(groups), nGroups)
+		if !r.Complete() || !bytes.Equal(*got, msg) {
+			t.Fatalf("complete %v, delivered %d bytes, want the %d sent", r.Complete(), len(*got), len(msg))
+		}
+		st = r.Stats()
+		feed(r, frames, nil)
+		if r.Stats() != st || env.pending != nil {
+			t.Errorf("frames after delivery took effect: %+v -> %+v", st, r.Stats())
 		}
 	})
 
@@ -274,7 +269,7 @@ func TestGroupTable(t *testing.T) {
 	})
 }
 
-// liveGroups counts the groups r holds: created and not released.
+// liveGroups counts the groups r holds.
 func liveGroups(r *Receiver) (n int) {
 	r.live(func(uint32, *rxGroup) { n++ })
 	return n
@@ -309,58 +304,6 @@ func TestGroupCreationAllocs(t *testing.T) {
 				t.Errorf("64 new groups: %.1f allocs, want <= 2 (the chunk and its shard tables)", allocs)
 			}
 		})
-	}
-}
-
-// TestStreamingChunksFollowGroupsInFlight: a streaming receiver holds its
-// groups in chunks only while they are in flight. With 100 groups open at
-// a time over 10 000 delivered, at most ceil(in-flight/64)+1 chunks are
-// live at any point, and the rest wait on the free-list.
-func TestStreamingChunksFollowGroupsInFlight(t *testing.T) {
-	const (
-		k, total, window = 4, 10000, 100
-	)
-	cfg := Config{Session: 5, K: k, MaxParity: 2, ShardSize: 64}
-	r, err := NewReceiver(newSinkEnv(2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	r.OnGroup = func(uint32, [][]byte) { delivered++ }
-	frame, payload := make([]byte, packet.HeaderLen+cfg.ShardSize), make([]byte, cfg.ShardSize)
-	send := func(g uint32, seq int) {
-		p := packet.Packet{Type: packet.TypeData, Session: 5, Group: g, Seq: uint16(seq),
-			K: k, H: 2, Total: total * k, Payload: payload}
-		if _, err := p.MarshalTo(frame); err != nil {
-			t.Fatal(err)
-		}
-		r.HandlePacket(frame)
-	}
-	for i := 0; i < total+window; i++ {
-		if i < total {
-			send(uint32(i), 0) // opens group i
-		}
-		if old := i - window + 1; old >= 0 && old < total {
-			for seq := 1; seq < k; seq++ {
-				send(uint32(old), seq) // completes the oldest open group
-			}
-		}
-		live := 0
-		for _, c := range r.dir {
-			if c != nil && c != spent {
-				live++
-			}
-		}
-		if inFlight := liveGroups(r); live > (inFlight+63)/64+1 {
-			t.Fatalf("step %d: %d chunks live for %d groups in flight", i, live, inFlight)
-		}
-	}
-	free := 0
-	for c := r.free; c != nil; c = c.next {
-		free++
-	}
-	if delivered != total || free > (window+63)/64+1 {
-		t.Errorf("delivered %d of %d groups; %d chunks on the free-list", delivered, total, free)
 	}
 }
 
@@ -776,12 +719,12 @@ func TestReceiverPeakHeapAdaptiveTransfer(t *testing.T) {
 	}
 }
 
-// TestOnCompleteSteadyStateZeroAlloc pins the OnComplete-mode packet path
-// next to the streaming pins: once the message buffer is committed and a
-// group's bookkeeping exists (the first group of each 64-group chunk
-// allocates the chunk, which this mode holds until delivery), HandlePacket
-// allocates nothing — shards land in the message buffer, not in fresh
-// buffers — through group completion and through a reconstruction.
+// TestOnCompleteSteadyStateZeroAlloc pins the receiver's packet path: once
+// the message buffer is committed and a group's bookkeeping exists (the
+// first group of each 64-group chunk allocates the chunk, which the
+// receiver holds until delivery), HandlePacket allocates nothing — shards
+// land in the message buffer, not in fresh buffers — through group
+// completion and through a reconstruction.
 func TestOnCompleteSteadyStateZeroAlloc(t *testing.T) {
 	const (
 		k      = 8

@@ -140,81 +140,9 @@ func TestSenderOnMediumSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReceiverSteadyStateZeroAlloc pins the streaming receiver's packet
-// path: decode-in-place arrival, pooled shard copies and per-group release
-// (OnComplete unset) make processing a whole group allocation-free — both
-// when all k data shards arrive and when a fixed loss pattern forces a
-// Reed-Solomon reconstruction every group (the codec's scratch free-list
-// keeps even that path clean).
-func TestReceiverSteadyStateZeroAlloc(t *testing.T) {
-	const (
-		k     = 8
-		shard = 256
-		total = 32768 // presizes the group directory well past the run
-	)
-	for _, tc := range []struct {
-		name   string
-		decode bool
-	}{
-		{"all-data", false},
-		{"reconstruct", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := newSinkEnv(2)
-			cfg := Config{Session: 5, K: k, MaxParity: 2, ShardSize: shard,
-				Delta: time.Millisecond}
-			r, err := NewReceiver(env, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			groups := 0
-			r.OnGroup = func(g uint32, shards [][]byte) { groups++ }
-
-			frame := make([]byte, packet.HeaderLen+shard)
-			payload := make([]byte, shard)
-			next := uint32(0)
-			feedGroup := func() {
-				g := next
-				next++
-				for i := 0; i < k; i++ {
-					seq, typ := uint16(i), packet.TypeData
-					if tc.decode && i == 0 {
-						// Fixed pattern: data shard 0 lost, parity 0 takes
-						// its place — the same pattern every group.
-						seq, typ = uint16(k), packet.TypeParity
-					}
-					p := packet.Packet{Type: typ, Session: 5, Group: g,
-						Seq: seq, K: k, H: 2, Total: total * k, Payload: payload}
-					if _, err := p.MarshalTo(frame); err != nil {
-						t.Fatal(err)
-					}
-					r.HandlePacket(frame)
-				}
-			}
-			for i := 0; i < 50; i++ {
-				feedGroup()
-			}
-			if groups != 50 {
-				t.Fatalf("warmup delivered %d groups, want 50", groups)
-			}
-			allocs := testing.AllocsPerRun(200, feedGroup)
-			if allocs != 0 {
-				t.Errorf("%s steady-state group: %.1f allocs/op, want 0", tc.name, allocs)
-			}
-			if tc.decode && r.Stats().Decodes < 200 {
-				t.Errorf("only %d decodes; the reconstruct path was not exercised", r.Stats().Decodes)
-			}
-			if n := liveGroups(r); n != 0 {
-				t.Errorf("%d groups still resident after streaming release", n)
-			}
-		})
-	}
-}
-
 // TestNakServiceSteadyStateZeroAlloc pins the sender's NAK service path:
 // each NAK — decoded by HandlePacket, served by serviceRound as a parity
-// encoded straight into its frame, or, once a group's parities are spent,
+// encoded straight into its frame, or, once a group's parities are used up,
 // as a rotating data resend or, with NC repair on, recorded by
 // recordLossMap and served as XOR combos — and the pump steps that put its
 // repairs and their POLL on the wire allocate nothing. The NAKs are retries (Seq noEcho), which the service

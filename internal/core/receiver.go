@@ -48,14 +48,10 @@ func (st ReceiverStats) MeanLatency() time.Duration {
 // callback.
 //
 // The receive path is allocation-free in the steady state and copies each
-// payload byte once: packets are decoded in place (packet.DecodeInto) and,
-// with OnComplete set, a data shard is copied or rebuilt straight into its
-// final offset of the message buffer (shardBuf). In streaming mode (see
-// OnGroup) shards are pooled and each group's buffers return to their
-// free-list as soon as the group is delivered; its bookkeeping lives in a
-// chunk of 64 groups (rxChunk), which is recycled once all 64 are
-// delivered, so an arbitrarily long transfer runs in memory proportional
-// to the number of groups in flight.
+// payload byte once: packets are decoded in place (packet.DecodeInto) and a
+// data shard is copied or rebuilt straight into its final offset of the
+// message buffer (shardBuf). A group's bookkeeping lives in a chunk of 64
+// groups (rxChunk), allocated when the first of them is seen.
 type Receiver struct {
 	env Env
 	cfg Config
@@ -68,16 +64,15 @@ type Receiver struct {
 	closed   bool
 
 	// dir is the group table: group idx is dir[idx>>chunkShift].g[idx&63];
-	// nil = no group of that chunk created yet, spent = all 64 released.
-	dir  []*rxChunk
-	free *rxChunk // chunks recycled after streaming release
+	// nil = no group of that chunk created yet.
+	dir []*rxChunk
 
-	// msgBuf is the message under reassembly (OnComplete mode), committed in
-	// steps (commit): data shard seq of group g is message shard g.base+seq
-	// and lives at offset(g, seq) once the buffer covers it. slots is how
-	// many message shards the sender declared (noteHeader), the most the
-	// buffer is ever committed for; 0 until declared. Groups [0, frontG) of
-	// an adaptive session have their base, frontBase being the next one.
+	// msgBuf is the message under reassembly, committed in steps (commit):
+	// data shard seq of group g is message shard g.base+seq and lives at
+	// offset(g, seq) once the buffer covers it. slots is how many message
+	// shards the sender declared (noteHeader), the most the buffer is ever
+	// committed for; 0 until declared. Groups [0, frontG) of an adaptive
+	// session have their base, frontBase being the next one.
 	msgBuf    []byte
 	slots     int
 	frontG    uint32
@@ -96,14 +91,9 @@ type Receiver struct {
 
 	// OnComplete is invoked exactly once with the reassembled message; the
 	// slice is the callee's to keep (the receiver never touches it again).
-	// Leaving it nil selects STREAMING mode: each group's buffers are
-	// recycled right after its OnGroup delivery (set callbacks before the
-	// first packet arrives), and completion is still observable through
-	// Complete and the delivery trace/metrics.
+	// Left nil, the message is still reassembled, and its delivery shows
+	// only through Complete, Stats and the delivery trace/metrics.
 	OnComplete func(msg []byte)
-	// OnGroup, if set, is invoked for every group as it becomes decodable,
-	// with the group index and its k data shards (valid until return).
-	OnGroup func(g uint32, shards [][]byte)
 
 	stats ReceiverStats
 	m     receiverMetrics
@@ -132,20 +122,14 @@ type rxGroup struct {
 const chunkShift = 6
 
 // rxChunk is the bookkeeping of 64 consecutive groups. made marks the
-// groups created, gone those released after streaming delivery. Their
-// shard tables are cut from tab, of which tab[:cut] is handed out; next
-// links the receiver's free chunks.
+// groups created. Their shard tables are cut from tab, of which tab[:cut]
+// is handed out.
 type rxChunk struct {
-	g          [1 << chunkShift]rxGroup
-	made, gone uint64
-	tab        [][]byte
-	cut        int
-	next       *rxChunk
+	g    [1 << chunkShift]rxGroup
+	made uint64
+	tab  [][]byte
+	cut  int
 }
-
-// spent is the directory entry of a chunk whose groups were all released:
-// shared by every receiver and never written.
-var spent = &rxChunk{made: ^uint64(0), gone: ^uint64(0)}
 
 // NewReceiver creates an NP receiver. cfg must agree with the sender's on
 // Session, K, MaxParity and ShardSize.
@@ -200,13 +184,13 @@ func (r *Receiver) Close() {
 	})
 }
 
-// live calls f on every group created and not released, in index order.
+// live calls f on every group created, in index order.
 func (r *Receiver) live(f func(idx uint32, g *rxGroup)) {
 	for w, c := range r.dir {
 		if c == nil {
 			continue
 		}
-		for m := c.made &^ c.gone; m != 0; m &= m - 1 {
+		for m := c.made; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			f(uint32(w<<chunkShift|i), &c.g[i])
 		}
@@ -214,10 +198,10 @@ func (r *Receiver) live(f func(idx uint32, g *rxGroup)) {
 }
 
 // held returns group idx's bookkeeping, or nil if the group was never
-// created or has been released.
+// created.
 func (r *Receiver) held(idx uint32) *rxGroup {
 	if w := int(idx >> chunkShift); w < len(r.dir) {
-		if c := r.dir[w]; c != nil && (c.made&^c.gone)&(1<<(idx&63)) != 0 {
+		if c := r.dir[w]; c != nil && c.made&(1<<(idx&63)) != 0 {
 			return &c.g[idx&63]
 		}
 	}
@@ -225,8 +209,7 @@ func (r *Receiver) held(idx uint32) *rxGroup {
 }
 
 // group returns the bookkeeping for TG idx, creating it with the given
-// parameters when first seen, or nil once the group was released (a late
-// frame resurrects nothing). k = 0 means the parameters are unknown yet (a
+// parameters when first seen. k = 0 means the parameters are unknown yet (a
 // group announced only by a FIN): state is sized to the ladder's bounds
 // and the true (k, h) is adopted from the group's first frame.
 func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
@@ -244,16 +227,9 @@ func (r *Receiver) group(idx uint32, k, h int) *rxGroup {
 	}
 	c := r.dir[w]
 	if c == nil {
-		if c = r.free; c != nil {
-			r.free = c.next
-		} else {
-			// one chunk per 64 groups; chunks recycle through r.free
-			c = new(rxChunk)
-		}
+		// one chunk per 64 groups
+		c = new(rxChunk)
 		r.dir[w] = c
-	}
-	if c.gone&(1<<i) != 0 {
-		return nil
 	}
 	n := k + h
 	if k == 0 {
@@ -303,19 +279,6 @@ func (r *Receiver) putShards(shards [][]byte) {
 	}
 }
 
-// releaseGroup recycles a delivered group's buffers (finishGroup already
-// cancelled its NAK timer) and marks it released in its chunk, so later
-// packets for it are ignored without resurrecting state. The chunk itself
-// is recycled once its last group is released.
-func (r *Receiver) releaseGroup(idx uint32, g *rxGroup) {
-	r.putShards(g.shards)
-	c := r.dir[idx>>chunkShift]
-	if c.gone |= 1 << (idx & 63); c.gone == ^uint64(0) {
-		r.dir[idx>>chunkShift] = spent
-		c.made, c.gone, c.cut, c.next, r.free = 0, 0, 0, r.free, c
-	}
-}
-
 // firstCommit is the first step of the message-buffer commit rule.
 const firstCommit = 64 << 20
 
@@ -327,13 +290,13 @@ func (r *Receiver) offset(g *rxGroup, seq int) int {
 // shardBuf returns the buffer shard seq of g is received or rebuilt into:
 // its final slot in the message buffer if it can be placed, else a pooled
 // buffer, which the delivery gather copies into place. Not placeable:
-// streaming mode, parities, a group whose base is not known yet, shards
-// past the declared count (none declared yet, or the tail group's
-// all-padding shards), and slots the commit rule keeps out of the buffer.
+// parities, a group whose base is not known yet, shards past the declared
+// count (none declared yet, or the tail group's all-padding shards), and
+// slots the commit rule keeps out of the buffer.
 func (r *Receiver) shardBuf(g *rxGroup, seq int) []byte {
 	ss := r.cfg.ShardSize
 	if seq < g.K {
-		if r.OnComplete != nil && g.base >= 0 && g.base+seq < r.slots {
+		if g.base >= 0 && g.base+seq < r.slots {
 			if off := r.offset(g, seq); off+ss <= len(r.msgBuf) || r.commit(off+ss) {
 				return r.msgBuf[off : off+ss : off+ss]
 			}
@@ -428,7 +391,7 @@ func (r *Receiver) noteHeader(pkt *packet.Packet) {
 // tgGroup is the front half every TG-scoped frame shares: RxRules admits
 // the header, and the frame's group comes back with its parameters
 // adopted — or nil when the frame is to be ignored: refused by the rules,
-// or for a group already released or finished.
+// or for a group already finished.
 func (r *Receiver) tgGroup(pkt *packet.Packet) *rxGroup {
 	k, h, ok := r.rx.Header(pkt)
 	if !ok {
@@ -436,7 +399,7 @@ func (r *Receiver) tgGroup(pkt *packet.Packet) *rxGroup {
 	}
 	r.noteHeader(pkt)
 	g := r.group(pkt.Group, k, h)
-	if g == nil || g.done {
+	if g.done {
 		return nil
 	}
 	fresh := g.K == 0
@@ -529,7 +492,7 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 		}
 		r.cfg.Trace.Record(metrics.Event{At: r.env.Now(), Kind: TraceDecode, A: uint64(idx), B: uint64(parities)})
 	}
-	r.putShards(g.shards[gk:nsh]) // the parities have done their work, in every mode
+	r.putShards(g.shards[gk:nsh]) // the parities have done their work
 	g.done = true
 	r.decoded++
 	r.m.groupsDone.Inc()
@@ -546,14 +509,6 @@ func (r *Receiver) finishGroup(idx uint32, g *rxGroup) {
 		g.nakCancel()
 		g.nakCancel = nil
 		g.nakArmed = false
-	}
-	if r.OnGroup != nil {
-		r.OnGroup(idx, g.shards[:gk])
-	}
-	if r.OnComplete == nil {
-		// Streaming mode: the group's data left through OnGroup (or the
-		// consumer opted out of data entirely); recycle everything now.
-		r.releaseGroup(idx, g)
 	}
 }
 
@@ -608,7 +563,7 @@ func (r *Receiver) armGaps(idx uint32) {
 		return
 	}
 	for m := r.nextGap; m < idx; m++ {
-		if g := r.group(m, 0, 0); g != nil && !g.done && !g.nakArmed {
+		if g := r.group(m, 0, 0); !g.done && !g.nakArmed {
 			r.armNak(m, g, 2)
 		}
 	}
@@ -714,7 +669,7 @@ func (r *Receiver) onFin(pkt *packet.Packet) {
 	// unknown parameters (k = 0): state is sized to the ladder bounds
 	// until a frame announces the group's (k, h).
 	for i := 0; i < r.rx.total; i++ {
-		if g := r.group(uint32(i), 0, 0); g != nil && !g.done && !g.nakArmed {
+		if g := r.group(uint32(i), 0, 0); !g.done && !g.nakArmed {
 			r.armNak(uint32(i), g, r.rx.GroupK(&g.RxParams))
 		}
 	}
@@ -724,16 +679,6 @@ func (r *Receiver) onFin(pkt *packet.Packet) {
 func (r *Receiver) maybeComplete() {
 	total := r.rx.total
 	if r.complete || !r.sawFin || total < 0 || r.decoded < total {
-		return
-	}
-	if r.OnComplete == nil {
-		// Streaming mode: every group already left through OnGroup and was
-		// recycled; there is nothing to assemble.
-		r.complete = true
-		r.stats.Reassembly = 1
-		r.m.deliveries.Inc()
-		r.cfg.Trace.Record(metrics.Event{At: r.env.Now(), Kind: TraceDeliver, A: uint64(total), B: r.msgLen})
-		r.Close()
 		return
 	}
 	// Gather: place if you can, gather what you couldn't. The FIN's msgLen

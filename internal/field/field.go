@@ -261,10 +261,6 @@ func (f *Field) Stats() Stats { return f.stats }
 // message (all groups recovered and a FIN was seen).
 func (f *Field) Complete() bool { return f.complete }
 
-// Active returns the number of currently tracked deficient receivers,
-// summed over unfinished groups.
-func (f *Field) Active() int { return f.active }
-
 // Close stops the field and cancels all pending NAK timers.
 func (f *Field) Close() {
 	f.closed = true

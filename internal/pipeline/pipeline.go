@@ -33,8 +33,6 @@ type Pool struct {
 
 	// Owner-side state: touched only by the Prefetch/Wait/Close caller.
 	next   int // first job not yet submitted
-	hits   uint64
-	misses uint64
 	closed bool
 
 	quit chan struct{}
@@ -84,16 +82,8 @@ func (p *Pool) worker() {
 	}
 }
 
-// N returns the total number of jobs.
-func (p *Pool) N() int { return p.n }
-
 // Submitted returns how many jobs have been handed to the workers.
 func (p *Pool) Submitted() int { return p.next }
-
-// Stats returns how many Wait calls found their job already complete
-// (hits — the encode-ahead window was deep enough) versus had to block
-// (misses). Owner-side counters; call from the owner only.
-func (p *Pool) Stats() (hits, misses uint64) { return p.hits, p.misses }
 
 // Prefetch submits every not-yet-submitted job with index <= upto. It
 // never blocks: the job channel is sized for all n jobs.
@@ -121,11 +111,9 @@ func (p *Pool) Wait(i int) (ready bool) {
 	p.Prefetch(i)
 	select {
 	case <-p.done[i]:
-		p.hits++
 		return true
 	default:
 	}
-	p.misses++
 	<-p.done[i]
 	return false
 }

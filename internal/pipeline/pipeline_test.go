@@ -77,17 +77,10 @@ func TestHitMissAccounting(t *testing.T) {
 		}
 	})
 	defer p.Close()
-	p.Prefetch(0)
-	// Give the worker time to finish job 0; Wait(0) should be a hit.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if p.Wait(0) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Log("job 0 counted as a miss (scheduling); acceptable but unexpected")
-			break
-		}
+	// Once one Wait(0) has returned, job 0 is complete: the next is a hit.
+	p.Wait(0)
+	if !p.Wait(0) {
+		t.Fatal("Wait(0) reported a miss for a completed job")
 	}
 	// Job 1 blocks until we release it; Wait(1) must be a miss.
 	go func() {
@@ -96,10 +89,6 @@ func TestHitMissAccounting(t *testing.T) {
 	}()
 	if p.Wait(1) {
 		t.Fatal("Wait(1) reported ready while the job was blocked")
-	}
-	hits, misses := p.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("Stats() = hits %d, misses %d; want both non-zero", hits, misses)
 	}
 }
 

@@ -163,14 +163,14 @@ else
 fi
 
 echo '== loc and doc ratchets (make loc total, DESIGN.md + EXPERIMENTS.md bytes)'
-loc_ceiling=9156
+loc_ceiling=9115
 loc=$(sh scripts/loc.sh | awk '$2 == "total" {print $1}')
 if [ "$loc" -gt "$loc_ceiling" ]; then
     echo "make loc total $loc exceeds the ceiling $loc_ceiling set in scripts/check.sh" >&2
     exit 1
 fi
 echo "make loc total $loc <= $loc_ceiling"
-doc_ceiling=245859
+doc_ceiling=245759
 doc=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
 if [ "$doc" -gt "$doc_ceiling" ]; then
     echo "DESIGN.md + EXPERIMENTS.md are $doc bytes, over the doc_ceiling $doc_ceiling set in scripts/check.sh" >&2
